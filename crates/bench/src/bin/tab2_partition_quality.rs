@@ -30,9 +30,9 @@ struct Row {
 
 fn graphs(seed: u64) -> Vec<TaskGraph> {
     let root = RngStream::root(seed).derive("tab2");
-    let mut gs: Vec<TaskGraph> = (0..100)
+    let mut gs: Vec<TaskGraph> = (0..100_u64)
         .map(|i| {
-            let mut rng = root.derive_index(i);
+            let mut rng = root.derive(i);
             let cfg = RandomDagConfig {
                 nodes: 6 + (i % 9) as usize,
                 layers: 3 + (i % 3) as usize,

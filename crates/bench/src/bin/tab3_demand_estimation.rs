@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn trace(a: Archetype, n: usize, seed: u64) -> Vec<(DataSize, Cycles)> {
-    let mut rng = RngStream::root(seed).derive_fmt(format_args!("trace-{}", a.name()));
+    let mut rng = RngStream::root(seed).derive(("trace-", a.name()));
     let graph = a.graph();
     let (_, heavy) = graph
         .components()

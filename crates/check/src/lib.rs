@@ -5,7 +5,7 @@
 //! drawn from [`RngStream`].
 //!
 //! Case `i` of property `name` is drawn from
-//! `RngStream::root(0).derive("name").derive_index(i)`, so every run
+//! `RngStream::root(0).derive("name").derive(i)`, so every run
 //! checks the same cases on every machine. There is no seed, case-count
 //! or replay option and no environment variable to set. There is no
 //! shrinking either: a failing case is reported as drawn, with the
@@ -326,11 +326,11 @@ pub fn run<S: Strategy>(
 ) {
     let root = RngStream::root(0).derive(name);
     let (mut passed, mut rejected) = (0, 0);
-    for index in 0.. {
+    for index in 0_u64.. {
         if passed == config.cases {
             return;
         }
-        let value = strategy.draw(&mut root.derive_index(index));
+        let value = strategy.draw(&mut root.derive(index));
         let why = match panic::catch_unwind(AssertUnwindSafe(|| test(value))) {
             Ok(Ok(())) => {
                 passed += 1;
@@ -348,7 +348,7 @@ pub fn run<S: Strategy>(
             Ok(Err(TestCaseError::Fail(why))) => why,
             Err(payload) => format!("panicked: {}", panic_message(&*payload)),
         };
-        let inputs = describe(strategy.draw(&mut root.derive_index(index)));
+        let inputs = describe(strategy.draw(&mut root.derive(index)));
         panic!("property `{name}` failed at case {index}: {why}\ninputs:{inputs}");
     }
 }

@@ -240,7 +240,7 @@ impl Pipeline {
     pub fn run(&mut self, spec: &ReleaseSpec) -> PipelineReport {
         let mut stages: Vec<(Stage, SimDuration)> = Vec::new();
         let cfg = self.config.clone();
-        let mut rng = self.rng.derive_fmt(format_args!("release-{}", spec.version));
+        let mut rng = self.rng.derive(("release-", spec.version));
 
         stages.push((Stage::Build, cfg.build_time.mul_f64(rng.lognormal(0.0, 0.1))));
         stages.push((Stage::Test, cfg.test_time.mul_f64(rng.lognormal(0.0, 0.1))));

@@ -206,7 +206,7 @@ pub fn deploy(
     rng: &RngStream,
 ) -> Deployment {
     let graph = archetype.graph();
-    let rng = rng.derive_fmt(format_args!("deploy-{}", archetype.name()));
+    let rng = rng.derive(("deploy-", archetype.name()));
     let backend = policy.backend();
     // The primary's declared capabilities (metered? warmable?
     // timeout-bound?) gate the decisions below.

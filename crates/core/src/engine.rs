@@ -156,6 +156,10 @@ impl Ev {
     }
 }
 
+/// Each archetype's deployment index, indexed by
+/// [`Archetype::index`]; `None` for archetypes absent from the run.
+pub(crate) type DeploymentOf = [Option<usize>; Archetype::all().len()];
+
 /// A keep-warm schedule: the deployment, its offloaded component and
 /// the ping period.
 pub(crate) type Ping = (usize, ComponentId, SimDuration);
@@ -242,12 +246,20 @@ pub(crate) struct RunState<'s> {
 /// [`run_retained`](Engine::run_retained) repeatedly; each run clears and
 /// refills the buffers in place. A fresh scratch behaves identically to a
 /// reused one — reuse changes performance, never results.
+///
+/// The job stream is a function of `(seed, specs, horizon)` alone, so the
+/// scratch records the input its `jobs` were generated from and a run on
+/// the same input (another policy on the same seed, say) reuses them
+/// instead of generating them again.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
     jobs: Vec<Job>,
+    /// The `(seed, specs, horizon)` that generated `jobs`; `None` before
+    /// the first run and while a generation is under way.
+    jobs_input: Option<(u64, Vec<StreamSpec>, SimDuration)>,
     deployments: Vec<Deployment>,
-    deployment_of: HashMap<Archetype, usize>,
+    deployment_of: DeploymentOf,
     batches: Vec<Batch>,
     members: Vec<u32>,
     batch_of: Vec<u32>,
@@ -266,6 +278,29 @@ impl RunScratch {
     /// over the first run and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes `jobs` the stream of `(seed, specs, horizon)`, whose engine
+    /// stream is `rng`: kept if it already is, generated otherwise. Specs
+    /// compare with `==`, under which equal specs generate equal streams
+    /// (a `NaN` never matches, so it only costs a regeneration).
+    fn fill_jobs(
+        &mut self,
+        seed: u64,
+        specs: &[StreamSpec],
+        horizon: SimDuration,
+        rng: &RngStream,
+    ) {
+        if let Some((s, sp, h)) = &self.jobs_input {
+            if *s == seed && *h == horizon && sp[..] == *specs {
+                return;
+            }
+        }
+        let mut input_specs = self.jobs_input.take().map(|(_, sp, _)| sp).unwrap_or_default();
+        generate_jobs_into(specs, horizon, &rng.derive("jobs"), &mut self.jobs);
+        input_specs.clear();
+        input_specs.extend_from_slice(specs);
+        self.jobs_input = Some((seed, input_specs, horizon));
     }
 }
 
@@ -347,7 +382,7 @@ impl Engine {
         retention: JobRetention,
     ) -> RunResult {
         let rng = RngStream::root(seed).derive("engine");
-        generate_jobs_into(specs, horizon, &rng.derive("jobs"), &mut scratch.jobs);
+        scratch.fill_jobs(seed, specs, horizon, &rng);
 
         // --- Faults and recovery. All fault/retry draws live in their own
         // derived streams, so a fault-free configuration replays the exact
@@ -358,15 +393,16 @@ impl Engine {
 
         // --- Deployments, one per archetype present in the stream. ---
         scratch.deployments.clear();
-        scratch.deployment_of.clear();
+        scratch.deployment_of = Default::default();
         for spec in specs {
-            if scratch.deployment_of.contains_key(&spec.archetype) {
+            let slot = &mut scratch.deployment_of[spec.archetype.index()];
+            if slot.is_some() {
                 continue;
             }
+            *slot = Some(scratch.deployments.len());
             let slack = spec.archetype.typical_slack().mul_f64(spec.slack_factor);
             let d =
                 deploy(policy, spec.archetype, &self.env, spec.arrivals.mean_rate(), slack, &rng);
-            scratch.deployment_of.insert(spec.archetype, scratch.deployments.len());
             scratch.deployments.push(d);
         }
 

@@ -15,10 +15,10 @@ use ntc_alloc::dispatch_time;
 use ntc_partition::Side;
 use ntc_simcore::units::{DataSize, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
-use ntc_workloads::{Archetype, Job};
+use ntc_workloads::Job;
 
 use super::accounting::HealthMap;
-use super::RunCtx;
+use super::{DeploymentOf, RunCtx};
 use crate::deploy::Deployment;
 use crate::environment::Environment;
 use crate::site::Site;
@@ -252,7 +252,7 @@ pub(crate) fn min_deadline(jobs: &[Job], members: &[u32]) -> SimTime {
 pub(crate) fn coalesce_into(
     env: &Environment,
     deployments: &[Deployment],
-    deployment_of: &HashMap<Archetype, usize>,
+    deployment_of: &DeploymentOf,
     jobs: &[Job],
     batches: &mut Vec<Batch>,
     batch_of: &mut Vec<u32>,
@@ -279,7 +279,8 @@ pub(crate) fn coalesce_into(
             batch_key.retain(|&(_, at), _| at >= job.arrival);
             prune_at = (2 * batch_key.len()).max(MIN_PRUNE);
         }
-        let di = deployment_of[&job.archetype];
+        let di =
+            deployment_of[job.archetype.index()].expect("every job's archetype has a deployment");
         let d = &deployments[di];
         let at = dispatch_time(
             d.dispatch,

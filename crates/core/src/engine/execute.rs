@@ -4,11 +4,10 @@
 //! devices), breaker-aware site selection, and deadline-budgeted hedged
 //! requests.
 
-use std::fmt;
-
 use ntc_faults::{classify_injected, classify_outage, Admission};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
+use ntc_simcore::rng::{Key, KeyHasher};
 use ntc_simcore::units::{Cycles, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
@@ -128,7 +127,7 @@ pub(crate) fn handle_exec(
             let attempt = st.states.attempts[cix];
             let site = chain[pos];
             let outcome =
-                invoke_remote(ctx, sites, t, bi, comp, site, noise, format_args!("-a{attempt}"));
+                invoke_remote(ctx, sites, t, bi, comp, site, noise, Try::Attempt(attempt));
             match outcome {
                 Ok(inv) => {
                     st.acct.device_energy += inv.device_energy;
@@ -259,7 +258,7 @@ pub(crate) fn handle_hedge_fire(
     // marker so it draws from its own stream without perturbing the
     // per-attempt keys of the retry path.
     let noise = noise_factor(ctx, bi, comp);
-    match invoke_remote(ctx, sites, t, bi, comp, target, noise, format_args!("-hedge")) {
+    match invoke_remote(ctx, sites, t, bi, comp, target, noise, Try::Hedge) {
         Ok(hinv) if hinv.finish < pending.primary_finish => {
             // The duplicate wins: cancel the primary (a deliberate
             // cancellation — not a failure, not an observation) and
@@ -297,12 +296,33 @@ pub(crate) fn handle_hedge_fire(
     }
 }
 
+/// Which try of a component an invocation is, spelled as the last part
+/// of its injected-fault key: `-a{n}` for attempt `n`, `-hedge` for a
+/// hedged duplicate.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Try {
+    Attempt(u32),
+    Hedge,
+}
+
+impl Key for Try {
+    fn spell(&self, h: &mut KeyHasher) {
+        match *self {
+            Try::Attempt(n) => {
+                h.write_str("-a");
+                h.write_decimal(n.into());
+            }
+            Try::Hedge => h.write_str("-hedge"),
+        }
+    }
+}
+
 /// Invokes one component of batch `bi` on remote `site` at `t`: one
 /// invocation for the whole batch, on the concatenated input, so the
 /// fixed demand and the request fee amortise across members. An injected
 /// fault or a site outage answers instead of the site.
 ///
-/// The injected-fault key is `{first}-{comp}-{site}{suffix}`, with the
+/// The injected-fault key is `{first}-{comp}-{site}{try}`, with the
 /// site's name — its spelling is part of the reproducibility
 /// contract. Fault-free plans answer every key with "no fault", so the
 /// key is only hashed when faults are configured.
@@ -315,7 +335,7 @@ fn invoke_remote(
     comp: ComponentId,
     site: Site,
     noise: f64,
-    suffix: fmt::Arguments<'_>,
+    try_: Try,
 ) -> SiteOutcome {
     let b = &ctx.batches[bi];
     let annotated = ctx.deployments[b.di]
@@ -325,9 +345,7 @@ fn invoke_remote(
     let work = Cycles::new((annotated.get() as f64 * noise).round() as u64);
     if ctx.faults.has_invocation_faults() {
         let first = ctx.first_job(bi).id;
-        if let Some(fault) =
-            ctx.faults.invocation_fault(format_args!("{first}-{comp}-{site}{suffix}"))
-        {
+        if let Some(fault) = ctx.faults.invocation_fault(fault_key(first, comp, site, try_)) {
             return Err(classify_injected(fault));
         }
     }
@@ -357,14 +375,27 @@ fn resolve_primary_win(
     sim.schedule_at(pending.primary_finish, Ev::done(bi, comp)).expect("future");
 }
 
+/// The key of component `comp` of the batch whose first member is job
+/// `first`: `{first}-{comp}`. It addresses the batch's noise stream and
+/// its backoff jitter; its spelling is part of the reproducibility
+/// contract, because each child is derived by hashing it.
+pub(super) fn component_key(first: u64, comp: ComponentId) -> impl Key {
+    (first, "-", comp)
+}
+
+/// The injected-fault key of one try of a component on `site`:
+/// `{first}-{comp}-{site}{try}`.
+pub(super) fn fault_key(first: u64, comp: ComponentId, site: Site, try_: Try) -> impl Key {
+    (component_key(first, comp), "-", site, try_)
+}
+
 /// Execution-to-execution noise, sampled once per (batch, component) so
 /// retries re-observe the same value, from the child stream
-/// `{first}-{comp}` — its spelling is part of the reproducibility
-/// contract, because the child is derived by hashing the label.
+/// [`component_key`].
 fn noise_factor(ctx: &RunCtx<'_>, bi: usize, comp: ComponentId) -> f64 {
     let first = ctx.first_job(bi);
     let (id, archetype) = (first.id, first.archetype);
-    let mut r = ctx.work_rng.derive_fmt(format_args!("{id}-{comp}"));
+    let mut r = ctx.work_rng.derive(component_key(id, comp));
     archetype.demand_drift() * r.lognormal(0.0, archetype.demand_noise_sigma())
 }
 

@@ -8,7 +8,7 @@ use ntc_simcore::event::Simulator;
 use ntc_simcore::units::SimTime;
 use ntc_taskgraph::ComponentId;
 
-use super::{accounting, Ev, RunCtx, RunState};
+use super::{accounting, execute, Ev, RunCtx, RunState};
 use crate::site::SiteRegistry;
 
 /// Acts on a classified attempt failure: wait, retry with backoff, fall
@@ -41,11 +41,8 @@ pub(crate) fn recover(
         ErrorClass::Retryable => {
             let cix = st.states.ix(bi, comp);
             let attempt = st.states.attempts[cix];
-            let first = ctx.first_job(bi).id;
-            // The key's spelling `{first}-{comp}` is part of the
-            // reproducibility contract: the backoff jitter stream is
-            // derived by hashing it.
-            let backoff = ctx.retry.backoff(ctx.retry_rng, format_args!("{first}-{comp}"), attempt);
+            let key = execute::component_key(ctx.first_job(bi).id, comp);
+            let backoff = ctx.retry.backoff(ctx.retry_rng, key, attempt);
             let resume = t + detect + backoff;
             if ctx.retry.allows(attempt, resume, ctx.min_deadline(bi)) {
                 st.states.backoff[cix] += backoff;

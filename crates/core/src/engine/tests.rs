@@ -349,6 +349,104 @@ fn aggregates_retention_does_not_perturb_subsequent_full_runs() {
     assert_eq!(after.cloud_cost, baseline.cloud_cost);
 }
 
+#[test]
+fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
+    use crate::engine::{JobRetention, RunScratch};
+    let e = engine();
+    let (one_hour, two_hours) = (SimDuration::from_hours(1), SimDuration::from_hours(2));
+    let photo = photo_specs(0.02);
+    let slacker = [photo[0].clone().with_slack_factor(1.5)];
+    // The seed alternates, then the horizon with the same specs, then a
+    // spec that differs only in its slack factor, then the first input
+    // comes back: each must regenerate the job stream the scratch holds.
+    let inputs: [(u64, &[StreamSpec], SimDuration); 6] = [
+        (7, &photo, one_hour),
+        (8, &photo, one_hour),
+        (7, &photo, one_hour),
+        (7, &photo, two_hours),
+        (7, &slacker, two_hours),
+        (7, &photo, one_hour),
+    ];
+    let mut scratch = RunScratch::new();
+    let mut previous = String::new();
+    for (seed, specs, horizon) in inputs {
+        for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
+            let run = |scratch: &mut RunScratch| {
+                e.run_retained(seed, &policy, specs, horizon, scratch, JobRetention::Full).to_json()
+            };
+            let reused = run(&mut scratch);
+            assert_eq!(reused, run(&mut RunScratch::new()), "{policy} on seed {seed}, {horizon}");
+            assert_ne!(reused, previous, "{policy}: the input change changed nothing");
+            previous = reused;
+        }
+    }
+}
+
+// --- RNG keys. ---
+
+/// Known answers for the streams the loop keys per batch, recorded from
+/// the formatted labels these keys spell (`7-c1`, `3-c1-edge-a2`,
+/// `up-5-c0`, ...): a respelled key fails here by name, not only through
+/// a run digest.
+mod keys {
+    use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
+    use ntc_simcore::rng::RngStream;
+    use ntc_taskgraph::ComponentId;
+
+    use crate::engine::execute::{component_key, fault_key, Try};
+    use crate::engine::transfer::{flow_key, return_key, upload_key};
+    use crate::site::Site;
+
+    fn engine_rng() -> RngStream {
+        RngStream::root(42).derive("engine")
+    }
+
+    fn c(i: usize) -> ComponentId {
+        ComponentId::from_index(i)
+    }
+
+    #[test]
+    fn noise_draws_from_the_component_stream() {
+        let mut r = engine_rng().derive("work").derive(component_key(7, c(1)));
+        assert_eq!(r.lognormal(0.0, 0.1).to_bits(), 0x3ff0_82f9_b794_1880);
+    }
+
+    #[test]
+    fn invocation_faults_draw_from_the_try_stream() {
+        let p = FaultPlan::new(FaultConfig::transient(0.5), engine_rng().derive("faults"));
+        let hits = |comp, site, try_| {
+            (0..64_u64).fold(0_u64, |m, first| {
+                let fault = p.invocation_fault(fault_key(first, c(comp), site, try_));
+                m | u64::from(fault.is_some()) << first
+            })
+        };
+        assert_eq!(hits(1, Site::Edge, Try::Attempt(2)), 0x9257_1259_7f90_14ab);
+        assert_eq!(hits(2, Site::Cloud, Try::Hedge), 0xc2d9_6f8c_4b1c_79db);
+    }
+
+    #[test]
+    fn backoffs_draw_from_the_component_stream() {
+        let (p, rng) = (RetryPolicy::ntc_default(), engine_rng().derive("retry"));
+        let us: Vec<u64> = (0..4)
+            .map(|first| p.backoff(&rng, component_key(first, c(1)), 3).as_micros())
+            .collect();
+        assert_eq!(us, [33_409_324, 28_390_545, 46_371_399, 5_857_754]);
+    }
+
+    #[test]
+    fn transfer_drops_draw_from_the_transfer_streams() {
+        let cfg = FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() };
+        let p = FaultPlan::new(cfg, engine_rng().derive("faults"));
+        let up: Vec<u32> = (0..8).map(|bi| p.transfer_drops(upload_key(bi, c(0)), 8)).collect();
+        let flow: Vec<u32> =
+            (0..8).map(|bi| p.transfer_drops(flow_key(bi, c(1), c(2)), 8)).collect();
+        let ret: Vec<u32> = (0..8).map(|bi| p.transfer_drops(return_key(bi, c(3)), 8)).collect();
+        assert_eq!(up, [0, 8, 1, 1, 1, 1, 0, 2]);
+        assert_eq!(flow, [0, 2, 6, 1, 0, 0, 0, 0]);
+        assert_eq!(ret, [3, 2, 3, 0, 0, 0, 0, 1]);
+    }
+}
+
 // --- Fault injection and recovery. ---
 
 fn faulty_env(rate: f64) -> Environment {
@@ -467,6 +565,7 @@ mod coalescing {
 
     use crate::deploy::{deploy, Deployment};
     use crate::engine::admission::{coalesce_into, Batch};
+    use crate::engine::DeploymentOf;
     use crate::environment::Environment;
     use crate::policy::OffloadPolicy;
 
@@ -489,13 +588,13 @@ mod coalescing {
     fn reference(
         env: &Environment,
         deployments: &[Deployment],
-        deployment_of: &HashMap<Archetype, usize>,
+        deployment_of: &DeploymentOf,
         jobs: &[Job],
     ) -> Vec<Formed> {
         let mut batches: Vec<Formed> = Vec::new();
         let mut key: HashMap<(usize, SimTime), usize> = HashMap::new();
         for (ji, job) in jobs.iter().enumerate() {
-            let di = deployment_of[&job.archetype];
+            let di = deployment_of[job.archetype.index()].expect("deployed");
             let d = &deployments[di];
             let at = dispatch_time(
                 d.dispatch,
@@ -536,7 +635,7 @@ mod coalescing {
     fn coalesce(
         env: &Environment,
         deployments: &[Deployment],
-        deployment_of: &HashMap<Archetype, usize>,
+        deployment_of: &DeploymentOf,
         jobs: &[Job],
     ) -> (Vec<Formed>, usize) {
         let (mut batches, mut batch_of, mut key, mut members) =
@@ -571,7 +670,7 @@ mod coalescing {
         dispatch: DispatchPolicy,
         max_members: u32,
         max_bytes: DataSize,
-    ) -> (Vec<Deployment>, HashMap<Archetype, usize>) {
+    ) -> (Vec<Deployment>, DeploymentOf) {
         let rng = RngStream::root(7);
         let deployments = ARCHETYPES
             .iter()
@@ -582,7 +681,11 @@ mod coalescing {
                 ..deploy(&OffloadPolicy::ntc(), a, env, 0.01, a.typical_slack(), &rng)
             })
             .collect();
-        (deployments, ARCHETYPES.iter().enumerate().map(|(i, &a)| (a, i)).collect())
+        let mut deployment_of = DeploymentOf::default();
+        for (i, a) in ARCHETYPES.iter().enumerate() {
+            deployment_of[a.index()] = Some(i);
+        }
+        (deployments, deployment_of)
     }
 
     /// Jobs from `(gap_s, archetype, input_kib, slack_factor)` tuples,

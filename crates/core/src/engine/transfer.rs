@@ -7,6 +7,7 @@
 use ntc_faults::FaultPlan;
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
+use ntc_simcore::rng::Key;
 use ntc_simcore::units::{SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
@@ -27,15 +28,29 @@ fn offload_site(chain: &[Site], pos: usize) -> Site {
         .expect("site chains start at a remote site")
 }
 
+/// The drop key of batch `bi`'s upload to entry component `c`:
+/// `up-{bi}-{c}`.
+pub(super) fn upload_key(bi: usize, c: ComponentId) -> impl Key {
+    ("up-", bi, "-", c)
+}
+
+/// The drop key of batch `bi`'s flow from `from` to `to` across the
+/// device boundary: `flow-{bi}-{from}-{to}`.
+pub(super) fn flow_key(bi: usize, from: ComponentId, to: ComponentId) -> impl Key {
+    ("flow-", bi, "-", from, "-", to)
+}
+
+/// The drop key of batch `bi`'s result return from exit component
+/// `comp`: `ret-{bi}-{comp}`.
+pub(super) fn return_key(bi: usize, comp: ComponentId) -> impl Key {
+    ("ret-", bi, "-", comp)
+}
+
 /// Scales a transfer duration by the fault plan's drop penalty for `key`.
 /// A fault-free plan leaves the duration untouched without even hashing
 /// the key; the key's spelling is part of the reproducibility contract,
 /// since the plan derives its answer by hashing it.
-fn faulty_transfer(
-    dur: SimDuration,
-    faults: &FaultPlan,
-    key: core::fmt::Arguments<'_>,
-) -> SimDuration {
+fn faulty_transfer(dur: SimDuration, faults: &FaultPlan, key: impl Key) -> SimDuration {
     if !faults.has_transfer_faults() {
         return dur;
     }
@@ -92,7 +107,7 @@ pub(crate) fn handle_dispatch(
                 let path = primary.ue_path(ctx.env);
                 let share = primary.wan_share(ctx.env, online);
                 let dur = path.transfer_time_at_share(b.max_input, share, net_rng);
-                let dur = faulty_transfer(dur, ctx.faults, format_args!("up-{bi}-{c}"));
+                let dur = faulty_transfer(dur, ctx.faults, upload_key(bi, c));
                 for &ji in ctx.members(bi) {
                     let input = ctx.jobs[ji as usize].input;
                     let jdur = path.transfer_time_at_share(input, share, net_rng);
@@ -156,7 +171,7 @@ pub(crate) fn handle_done(
                 let share = eff.wan_share(ctx.env, online);
                 let dur =
                     path.transfer_time_at_share(payload.eval_bytes(b.max_input), share, net_rng);
-                let dur = faulty_transfer(dur, ctx.faults, format_args!("flow-{bi}-{comp}-{to}"));
+                let dur = faulty_transfer(dur, ctx.faults, flow_key(bi, comp, to));
                 for &ji in ctx.members(bi) {
                     let bytes = payload.eval_bytes(ctx.jobs[ji as usize].input);
                     let jdur = path.transfer_time_at_share(bytes, share, net_rng);
@@ -188,7 +203,7 @@ pub(crate) fn handle_done(
                 let path = eff.ue_path(ctx.env);
                 let share = eff.wan_share(ctx.env, online);
                 let dur = path.transfer_time_at_share(ctx.env.result_return, share, net_rng);
-                let dur = faulty_transfer(dur, ctx.faults, format_args!("ret-{bi}-{comp}"));
+                let dur = faulty_transfer(dur, ctx.faults, return_key(bi, comp));
                 acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
                 acct.bytes_down += ctx.env.result_return * b.members.len() as u64;
                 online + dur

@@ -1,7 +1,5 @@
 //! The cloud serverless simulator behind [`Site::Cloud`](super::Site::Cloud).
 
-use std::collections::HashMap;
-
 use ntc_alloc::WarmStrategy;
 use ntc_faults::{classify_invoke, classify_timeout};
 use ntc_serverless::{FunctionConfig, FunctionId, PlatformConfig, ServerlessPlatform};
@@ -9,7 +7,7 @@ use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Cycles, Energy, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
-use super::{InvokeRequest, Invoked, SiteOutcome, SiteRole};
+use super::{ByComponent, InvokeRequest, Invoked, SiteOutcome, SiteRole};
 use crate::deploy::Deployment;
 
 /// A metered serverless platform behind the WAN: cold starts, queueing,
@@ -17,13 +15,13 @@ use crate::deploy::Deployment;
 #[derive(Debug)]
 pub(super) struct CloudSite {
     platform: ServerlessPlatform,
-    fns: HashMap<(usize, ComponentId), FunctionId>,
+    fns: ByComponent<FunctionId>,
 }
 
 impl CloudSite {
     /// Wraps a platform built from `config`, drawing from `rng`.
     pub(super) fn new(config: PlatformConfig, rng: RngStream) -> Self {
-        CloudSite { platform: ServerlessPlatform::new(config, rng), fns: HashMap::new() }
+        CloudSite { platform: ServerlessPlatform::new(config, rng), fns: ByComponent::default() }
     }
 
     /// Registers `comp` of deployment `di` as a function. Returns the
@@ -45,7 +43,7 @@ impl CloudSite {
         let f = self.platform.register(
             FunctionConfig::new(name, d.memory[comp.index()]).with_artifact_size(c.artifact_size()),
         );
-        self.fns.insert((di, comp), f);
+        self.fns.insert(di, comp, f);
         if role == SiteRole::Primary {
             match d.warm {
                 WarmStrategy::Provisioned { count } => {
@@ -59,11 +57,11 @@ impl CloudSite {
     }
 
     pub(super) fn can_serve(&self, di: usize, comp: ComponentId) -> bool {
-        self.fns.contains_key(&(di, comp))
+        self.fns.get(di, comp).is_some()
     }
 
     pub(super) fn invoke(&mut self, req: &InvokeRequest<'_>) -> SiteOutcome {
-        let f = self.fns[&(req.di, req.comp)];
+        let f = self.fns.get(req.di, req.comp).expect("invoked a function never provisioned");
         match self.platform.invoke(req.at, f, req.work) {
             Ok(out) if !out.timed_out => {
                 Ok(Invoked { finish: out.finish, device_energy: Energy::ZERO })
@@ -74,7 +72,7 @@ impl CloudSite {
     }
 
     pub(super) fn keep_warm(&mut self, at: SimTime, di: usize, comp: ComponentId) {
-        if let Some(&f) = self.fns.get(&(di, comp)) {
+        if let Some(f) = self.fns.get(di, comp) {
             let _ = self.platform.invoke(at, f, Cycles::new(1_000));
         }
     }

@@ -1,13 +1,11 @@
 //! The edge fleet simulator behind [`Site::Edge`](super::Site::Edge).
 
-use std::collections::HashMap;
-
 use ntc_edge::{EdgeConfig, EdgeFleet, ServiceId};
 use ntc_faults::classify_edge;
 use ntc_simcore::units::{Energy, Money, SimTime};
 use ntc_taskgraph::ComponentId;
 
-use super::{InvokeRequest, Invoked, SiteOutcome};
+use super::{ByComponent, InvokeRequest, Invoked, SiteOutcome};
 use crate::deploy::Deployment;
 
 /// A pre-paid edge fleet on the metro LAN: slot admission, installation
@@ -15,7 +13,7 @@ use crate::deploy::Deployment;
 #[derive(Debug)]
 pub(super) struct EdgeSite {
     fleet: EdgeFleet,
-    svcs: HashMap<(usize, ComponentId), ServiceId>,
+    svcs: ByComponent<ServiceId>,
     /// Whether any deployment targets this site as its primary; the
     /// standing infrastructure cost is billed from the moment it does,
     /// busy or idle.
@@ -25,7 +23,7 @@ pub(super) struct EdgeSite {
 impl EdgeSite {
     /// Wraps a fleet built from `config`.
     pub(super) fn new(config: EdgeConfig) -> Self {
-        EdgeSite { fleet: EdgeFleet::new(config), svcs: HashMap::new(), attached: false }
+        EdgeSite { fleet: EdgeFleet::new(config), svcs: ByComponent::default(), attached: false }
     }
 
     pub(super) fn attach(&mut self) {
@@ -38,15 +36,15 @@ impl EdgeSite {
         let c = d.graph.component(comp);
         let s = self.fleet.register(format!("{}/{}", d.archetype.name(), c.name()));
         self.fleet.install(SimTime::ZERO, s, c.artifact_size());
-        self.svcs.insert((di, comp), s);
+        self.svcs.insert(di, comp, s);
     }
 
     pub(super) fn can_serve(&self, di: usize, comp: ComponentId) -> bool {
-        self.svcs.contains_key(&(di, comp))
+        self.svcs.get(di, comp).is_some()
     }
 
     pub(super) fn invoke(&mut self, req: &InvokeRequest<'_>) -> SiteOutcome {
-        let s = self.svcs[&(req.di, req.comp)];
+        let s = self.svcs.get(req.di, req.comp).expect("invoked a service never provisioned");
         match self.fleet.invoke(req.at, s, req.work) {
             Ok(out) => Ok(Invoked { finish: out.finish, device_energy: Energy::ZERO }),
             Err(e) => Err(classify_edge(&e, req.at)),

@@ -28,7 +28,7 @@ pub use ntc_alloc::SiteCapabilities;
 
 use ntc_faults::{ErrorClass, FailureCause, FaultPlan, SiteOutage};
 use ntc_net::PathModel;
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::{Key, KeyHasher, RngStream};
 use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Energy, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
@@ -196,6 +196,14 @@ impl fmt::Display for Site {
     }
 }
 
+/// Spelled as its `Display`, the site's name.
+impl Key for Site {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        h.write_str(self.name());
+    }
+}
+
 impl From<Backend> for Site {
     fn from(backend: Backend) -> Self {
         match backend {
@@ -260,6 +268,35 @@ pub struct Invoked {
 
 /// Outcome of one invocation attempt on a site.
 pub type SiteOutcome = Result<Invoked, (ErrorClass, FailureCause)>;
+
+/// What a remote site registered for each provisioned component, indexed
+/// densely by deployment, then component: a lookup on every invocation
+/// and every chain walk is two bounds-checked loads, not a hash.
+#[derive(Debug)]
+struct ByComponent<T>(Vec<Vec<Option<T>>>);
+
+impl<T> Default for ByComponent<T> {
+    fn default() -> Self {
+        ByComponent(Vec::new())
+    }
+}
+
+impl<T: Copy> ByComponent<T> {
+    fn insert(&mut self, di: usize, comp: ComponentId, value: T) {
+        if self.0.len() <= di {
+            self.0.resize_with(di + 1, Vec::new);
+        }
+        let row = &mut self.0[di];
+        if row.len() <= comp.index() {
+            row.resize(comp.index() + 1, None);
+        }
+        row[comp.index()] = Some(value);
+    }
+
+    fn get(&self, di: usize, comp: ComponentId) -> Option<T> {
+        self.0.get(di)?.get(comp.index()).copied().flatten()
+    }
+}
 
 /// The stateful simulators behind the remote sites of one engine run.
 /// The device needs no state: it is provisioned nowhere, bills nothing

@@ -383,7 +383,7 @@ impl SiteHealth {
         let base = self.cfg.cooldown_base.as_micros().max(1);
         let cap = self.cfg.cooldown_cap.as_micros().max(base);
         let hi = base.saturating_mul(2u64.saturating_pow(self.opens.min(40))).min(cap);
-        let mut r = rng.derive_fmt(format_args!("cooldown-{}-{}", self.site, self.opens));
+        let mut r = rng.derive(("cooldown-", self.site.as_str(), "-", self.opens));
         self.open_until = at + SimDuration::from_micros(r.uniform_range(base, hi + 1));
     }
 }
@@ -581,5 +581,21 @@ mod tests {
         assert_eq!(h.transitions(), 2);
         h.record_success(SimDuration::from_secs(1)); // HalfOpen → Closed
         assert_eq!(h.transitions(), 3);
+    }
+
+    /// Known answers for the `cooldown-{site}-{opens}` stream, recorded
+    /// from the formatted labels this key spells: a respelled key fails
+    /// here by name.
+    #[test]
+    fn cooldowns_draw_from_the_site_and_open_count_stream() {
+        for (site, open_until) in [("edge", 67_684_248), ("cloud", 42_183_893)] {
+            let mut h = SiteHealth::new(site, cfg());
+            let r = rng();
+            for _ in 0..cfg().failure_threshold {
+                h.record_failure(SimTime::from_secs(10), &r);
+            }
+            assert_eq!(h.opens(), 1);
+            assert_eq!(h.open_until.as_micros(), open_until, "{site}");
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! A seeded, queryable realisation of a [`FaultConfig`].
 
-use std::fmt;
 use std::sync::Arc;
 
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::{Key, RngStream};
 use ntc_simcore::units::SimTime;
 
 use crate::config::FaultConfig;
@@ -80,14 +79,14 @@ impl FaultPlan {
     /// injected fault. Keys must be unique per attempt (include the
     /// batch, component and attempt number) so retries re-roll
     /// independently. The answer comes from the child stream
-    /// `inv-{key}`, derived from the formatted text without allocating
-    /// it, so that text is part of the reproducibility contract.
-    pub fn invocation_fault(&self, key: fmt::Arguments<'_>) -> Option<InjectedFault> {
+    /// `inv-{key}`, derived from the key's spelling, so that spelling is
+    /// part of the reproducibility contract.
+    pub fn invocation_fault(&self, key: impl Key) -> Option<InjectedFault> {
         let (tr, th) = (self.config.transient_rate, self.config.throttle_rate);
         if tr <= 0.0 && th <= 0.0 {
             return None;
         }
-        let mut r = self.rng.derive_fmt(format_args!("inv-{key}"));
+        let mut r = self.rng.derive(("inv-", key));
         let u = r.uniform();
         if u < tr {
             Some(InjectedFault::Transient)
@@ -105,8 +104,7 @@ impl FaultPlan {
     /// [`edge_availability`](FaultConfig::edge_availability) trace unless
     /// the [`site_availability`](FaultConfig::site_availability) map
     /// overrides it; every other site id is looked up in the map, and
-    /// sites absent from both are always online — so plug-in backends
-    /// get outage modelling for free once they appear in the map.
+    /// sites absent from both are always online.
     pub fn site_outage(&self, site: &str, at: SimTime) -> SiteOutage {
         let trace = match self.config.site_availability.get(site) {
             Some(trace) => trace,
@@ -132,12 +130,12 @@ impl FaultPlan {
     /// capped at `max` (each drop re-sends a
     /// [`transfer_progress_loss`](FaultConfig::transfer_progress_loss)
     /// fraction of the payload), drawn from the child stream `xfer-{key}`.
-    pub fn transfer_drops(&self, key: fmt::Arguments<'_>, max: u32) -> u32 {
+    pub fn transfer_drops(&self, key: impl Key, max: u32) -> u32 {
         let p = self.config.transfer_drop_rate;
         if p <= 0.0 || max == 0 {
             return 0;
         }
-        let mut r = self.rng.derive_fmt(format_args!("xfer-{key}"));
+        let mut r = self.rng.derive(("xfer-", key));
         let mut drops = 0;
         while drops < max && r.chance(p.min(1.0)) {
             drops += 1;
@@ -147,7 +145,7 @@ impl FaultPlan {
 
     /// The latency multiplier a transfer suffers from its injected
     /// drops: `1 + progress_loss × drops`.
-    pub fn transfer_penalty(&self, key: fmt::Arguments<'_>) -> f64 {
+    pub fn transfer_penalty(&self, key: impl Key) -> f64 {
         const MAX_DROPS: u32 = 8;
         1.0 + self.config.transfer_progress_loss * f64::from(self.transfer_drops(key, MAX_DROPS))
     }
@@ -179,20 +177,17 @@ mod tests {
             RngStream::root(42).derive("faults"),
         );
         let owned = plan(FaultConfig::transient(0.3), 42);
-        for i in 0..100 {
-            assert_eq!(
-                shared.invocation_fault(format_args!("k{i}")),
-                owned.invocation_fault(format_args!("k{i}"))
-            );
+        for i in 0..100_u64 {
+            assert_eq!(shared.invocation_fault(("k", i)), owned.invocation_fault(("k", i)));
         }
     }
 
     #[test]
     fn zero_rates_inject_nothing() {
         let p = plan(FaultConfig::none(), 1);
-        for i in 0..1000 {
-            assert_eq!(p.invocation_fault(format_args!("k{i}")), None);
-            assert_eq!(p.transfer_drops(format_args!("k{i}"), 8), 0);
+        for i in 0..1000_u64 {
+            assert_eq!(p.invocation_fault(("k", i)), None);
+            assert_eq!(p.transfer_drops(("k", i), 8), 0);
         }
     }
 
@@ -202,9 +197,8 @@ mod tests {
         let b = plan(FaultConfig::transient(0.3), 42);
         // Query b in reverse order: answers must match a's.
         let keys: Vec<String> = (0..500).map(|i| format!("job{i}-c0-a1")).collect();
-        let from_a: Vec<_> = keys.iter().map(|k| a.invocation_fault(format_args!("{k}"))).collect();
-        let from_b: Vec<_> =
-            keys.iter().rev().map(|k| b.invocation_fault(format_args!("{k}"))).collect();
+        let from_a: Vec<_> = keys.iter().map(|k| a.invocation_fault(k)).collect();
+        let from_b: Vec<_> = keys.iter().rev().map(|k| b.invocation_fault(k)).collect();
         let from_b_fwd: Vec<_> = from_b.into_iter().rev().collect();
         assert_eq!(from_a, from_b_fwd);
     }
@@ -213,15 +207,15 @@ mod tests {
     fn different_seeds_give_different_plans() {
         let a = plan(FaultConfig::transient(0.5), 1);
         let b = plan(FaultConfig::transient(0.5), 2);
-        let fa: Vec<_> = (0..200).map(|i| a.invocation_fault(format_args!("k{i}"))).collect();
-        let fb: Vec<_> = (0..200).map(|i| b.invocation_fault(format_args!("k{i}"))).collect();
+        let fa: Vec<_> = (0..200_u64).map(|i| a.invocation_fault(("k", i))).collect();
+        let fb: Vec<_> = (0..200_u64).map(|i| b.invocation_fault(("k", i))).collect();
         assert_ne!(fa, fb);
     }
 
     #[test]
     fn fault_frequency_tracks_the_rate() {
         let p = plan(FaultConfig::transient(0.2), 7);
-        let hits = (0..5000).filter(|i| p.invocation_fault(format_args!("k{i}")).is_some()).count();
+        let hits = (0..5000_u64).filter(|&i| p.invocation_fault(("k", i)).is_some()).count();
         let freq = hits as f64 / 5000.0;
         assert!((freq - 0.2).abs() < 0.03, "freq={freq}");
     }
@@ -232,8 +226,8 @@ mod tests {
         let p = plan(cfg, 7);
         let mut transients = 0;
         let mut throttles = 0;
-        for i in 0..5000 {
-            match p.invocation_fault(format_args!("k{i}")) {
+        for i in 0..5000_u64 {
+            match p.invocation_fault(("k", i)) {
                 Some(InjectedFault::Transient) => transients += 1,
                 Some(InjectedFault::Throttled) => throttles += 1,
                 None => {}
@@ -297,10 +291,10 @@ mod tests {
         let cfg = FaultConfig { transfer_drop_rate: 0.9, ..FaultConfig::none() };
         let p = plan(cfg.clone(), 3);
         let q = plan(cfg, 3);
-        for i in 0..200 {
-            let d = p.transfer_drops(format_args!("t{i}"), 4);
+        for i in 0..200_u64 {
+            let d = p.transfer_drops(("t", i), 4);
             assert!(d <= 4);
-            assert_eq!(d, q.transfer_drops(format_args!("t{i}"), 4), "same seed, same drops");
+            assert_eq!(d, q.transfer_drops(("t", i), 4), "same seed, same drops");
         }
     }
 
@@ -313,8 +307,22 @@ mod tests {
         };
         let p = plan(cfg, 3);
         // Rate 1.0 always hits the cap of 8 drops.
-        assert!((p.transfer_penalty(format_args!("k")) - 3.0).abs() < 1e-12);
+        assert!((p.transfer_penalty("k") - 3.0).abs() < 1e-12);
         let none = plan(FaultConfig::none(), 3);
-        assert_eq!(none.transfer_penalty(format_args!("k")), 1.0);
+        assert_eq!(none.transfer_penalty("k"), 1.0);
+    }
+
+    /// Known answers for the `inv-{key}` and `xfer-{key}` streams,
+    /// recorded from the formatted labels these keys spell: a respelled
+    /// prefix fails here by name.
+    #[test]
+    fn faults_draw_from_the_inv_and_xfer_streams() {
+        let p = plan(FaultConfig::transient(0.5), 42);
+        let hits = (0..64_u64)
+            .fold(0_u64, |m, i| m | u64::from(p.invocation_fault(("k", i)).is_some()) << i);
+        assert_eq!(hits, 0x8e5d_8498_73bf_783c);
+        let p = plan(FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() }, 3);
+        let drops: Vec<u32> = (0..16_u64).map(|i| p.transfer_drops(("t", i), 8)).collect();
+        assert_eq!(drops, [2, 4, 0, 0, 1, 1, 0, 0, 3, 1, 0, 1, 0, 0, 6, 0]);
     }
 }

@@ -1,8 +1,6 @@
 //! Retry policies: how long to back off and when to give up.
 
-use std::fmt;
-
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::{Key, RngStream};
 use ntc_simcore::units::{SimDuration, SimTime};
 
 /// How much failure a caller is willing to absorb before giving up.
@@ -76,12 +74,12 @@ impl RetryPolicy {
     ///
     /// Deterministic in `(rng seed, key, attempt)`: the draw comes from
     /// the child stream `backoff-{key}-a{attempt}`, derived from the
-    /// formatted text without allocating it.
+    /// key's spelling.
     ///
     /// # Panics
     ///
     /// Panics if `attempt` is zero.
-    pub fn backoff(&self, rng: &RngStream, key: fmt::Arguments<'_>, attempt: u32) -> SimDuration {
+    pub fn backoff(&self, rng: &RngStream, key: impl Key, attempt: u32) -> SimDuration {
         assert!(attempt > 0, "attempt numbering is 1-based");
         let base_us = self.base.as_micros();
         let cap_us = self.cap.as_micros().max(base_us);
@@ -91,7 +89,7 @@ impl RetryPolicy {
         // 3^k, saturating: past ~40 doublings everything hits the cap.
         let growth = 3u64.saturating_pow(attempt.min(40));
         let hi = base_us.max(1).saturating_mul(growth).min(cap_us);
-        let mut r = rng.derive_fmt(format_args!("backoff-{key}-a{attempt}"));
+        let mut r = rng.derive(("backoff-", key, "-a", attempt));
         SimDuration::from_micros(r.uniform_range(base_us, hi + 1))
     }
 
@@ -128,13 +126,10 @@ mod tests {
     #[test]
     fn backoff_schedule_is_deterministic_per_seed() {
         let p = RetryPolicy::ntc_default();
-        let a: Vec<SimDuration> =
-            (1..=10).map(|k| p.backoff(&rng(9), format_args!("b0-c1"), k)).collect();
-        let b: Vec<SimDuration> =
-            (1..=10).map(|k| p.backoff(&rng(9), format_args!("b0-c1"), k)).collect();
+        let a: Vec<SimDuration> = (1..=10).map(|k| p.backoff(&rng(9), "b0-c1", k)).collect();
+        let b: Vec<SimDuration> = (1..=10).map(|k| p.backoff(&rng(9), "b0-c1", k)).collect();
         assert_eq!(a, b, "same seed must replay the same schedule");
-        let c: Vec<SimDuration> =
-            (1..=10).map(|k| p.backoff(&rng(10), format_args!("b0-c1"), k)).collect();
+        let c: Vec<SimDuration> = (1..=10).map(|k| p.backoff(&rng(10), "b0-c1", k)).collect();
         assert_ne!(a, c, "a different seed must jitter differently");
     }
 
@@ -144,12 +139,11 @@ mod tests {
         let r = rng(5);
         // Interleave queries for two keys: each key's schedule must match
         // the schedule obtained by querying it alone.
-        let alone: Vec<SimDuration> =
-            (1..=5).map(|k| p.backoff(&rng(5), format_args!("x"), k)).collect();
+        let alone: Vec<SimDuration> = (1..=5).map(|k| p.backoff(&rng(5), "x", k)).collect();
         let mut interleaved = Vec::new();
         for k in 1..=5 {
-            let _ = p.backoff(&r, format_args!("y"), k);
-            interleaved.push(p.backoff(&r, format_args!("x"), k));
+            let _ = p.backoff(&r, "y", k);
+            interleaved.push(p.backoff(&r, "x", k));
         }
         assert_eq!(alone, interleaved);
     }
@@ -163,7 +157,7 @@ mod tests {
             budget: RetryBudget::Unbounded,
         };
         for k in 1..=50 {
-            let b = p.backoff(&rng(3), format_args!("k"), k);
+            let b = p.backoff(&rng(3), "k", k);
             assert!(b >= p.base, "attempt {k}: {b} below base");
             assert!(b <= p.cap, "attempt {k}: {b} above cap");
         }
@@ -180,10 +174,7 @@ mod tests {
             budget: RetryBudget::Unbounded,
         };
         let max_at = |attempt: u32| {
-            (0..200)
-                .map(|i| p.backoff(&rng(100 + i), format_args!("g"), attempt))
-                .max()
-                .expect("non-empty")
+            (0..200).map(|i| p.backoff(&rng(100 + i), "g", attempt)).max().expect("non-empty")
         };
         assert!(max_at(6) > max_at(1) * 10);
     }
@@ -191,13 +182,13 @@ mod tests {
     #[test]
     fn zero_cap_means_zero_backoff() {
         let p = RetryPolicy::none();
-        assert_eq!(p.backoff(&rng(1), format_args!("k"), 1), SimDuration::ZERO);
+        assert_eq!(p.backoff(&rng(1), "k", 1), SimDuration::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "1-based")]
     fn attempt_zero_is_rejected() {
-        let _ = RetryPolicy::ntc_default().backoff(&rng(1), format_args!("k"), 0);
+        let _ = RetryPolicy::ntc_default().backoff(&rng(1), "k", 0);
     }
 
     #[test]
@@ -223,5 +214,15 @@ mod tests {
         assert!(p.allows(1, deadline, deadline), "boundary counts as within");
         assert!(!p.allows(1, SimTime::from_secs(101), deadline));
         assert!(!p.allows(4, SimTime::from_secs(50), deadline), "cap still binds");
+    }
+
+    /// Known answers for the `backoff-{key}-a{attempt}` stream, recorded
+    /// from the formatted labels this key spells: a respelled key fails
+    /// here by name.
+    #[test]
+    fn backoffs_draw_from_the_key_and_attempt_stream() {
+        let p = RetryPolicy::ntc_default();
+        let us: Vec<u64> = (1..=4).map(|k| p.backoff(&rng(9), "b0-c1", k).as_micros()).collect();
+        assert_eq!(us, [3_134_038, 9_410_222, 16_019_074, 64_491_110]);
     }
 }

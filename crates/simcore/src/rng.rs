@@ -28,21 +28,32 @@
 //! let mut b = root.derive("arrivals");
 //! // Same path ⇒ same stream.
 //! assert_eq!(a.next_u64(), b.next_u64());
-//! // A formatted label derives the same child as the formatted string.
-//! let user = 42;
-//! let mut c = root.derive_fmt(format_args!("user-{user}"));
+//! // A tuple key derives the same child as its concatenated spelling.
+//! let user = 42_u64;
+//! let mut c = root.derive(("user-", user));
 //! assert_eq!(c.next_u64(), root.derive("user-42").next_u64());
 //! ```
+//!
+//! # Keys
+//!
+//! A child is addressed by a [`Key`]: text, an integer (spelled as its
+//! decimal digits, as `Display` does), a type that spells itself, or a
+//! tuple of two to six keys spelled one after another, nested or not.
+//! The child depends only on the spelling, so
+//! `("inv-", 7_u64)` and `"inv-7"` address the same stream. Keys spell
+//! straight into the label hash: no `String` is built and no `core::fmt`
+//! machinery runs.
 
 use core::fmt;
 
-/// FNV-1a 64-bit hash state, used to fold stream labels into child seeds.
-/// As a [`fmt::Write`] sink it hashes formatted output without storing it.
-struct Fnv1a(u64);
+/// The FNV-1a 64-bit hash state that folds a key's spelling into a child
+/// seed. A [`Key`] feeds it the bytes of its label, in order.
+#[derive(Debug)]
+pub struct KeyHasher(u64);
 
-impl Fnv1a {
+impl KeyHasher {
     fn new(init: u64) -> Self {
-        Fnv1a(init ^ 0xcbf29ce484222325)
+        KeyHasher(init ^ 0xcbf29ce484222325)
     }
 
     fn write_bytes(&mut self, bytes: &[u8]) {
@@ -52,14 +63,99 @@ impl Fnv1a {
             self.0 = self.0.wrapping_mul(PRIME);
         }
     }
-}
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
+    /// Spells `s`: its UTF-8 bytes.
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
         self.write_bytes(s.as_bytes());
-        Ok(())
+    }
+
+    /// Spells `n` as `Display` does: its decimal digits, no sign, no
+    /// padding.
+    #[inline]
+    pub fn write_decimal(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.write_bytes(&digits[i..]);
     }
 }
+
+/// A label that addresses a child stream, spelled without `core::fmt`.
+///
+/// A key's spelling must equal the text its `Display` (or the
+/// equivalent `format!`) would produce: the child is derived from those
+/// bytes, so the spelling is part of the reproducibility contract.
+pub trait Key {
+    /// Feeds the key's label to `h`, byte for byte.
+    fn spell(&self, h: &mut KeyHasher);
+}
+
+impl Key for str {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        h.write_str(self);
+    }
+}
+
+impl Key for String {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        h.write_str(self);
+    }
+}
+
+impl<K: Key + ?Sized> Key for &K {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        (**self).spell(h);
+    }
+}
+
+macro_rules! unsigned_keys {
+    ($($t:ty),*) => {$(
+        impl Key for $t {
+            #[inline]
+            fn spell(&self, h: &mut KeyHasher) {
+                h.write_decimal(*self as u64);
+            }
+        }
+    )*};
+}
+
+unsigned_keys!(u64, u32, usize);
+
+impl Key for i64 {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        if *self < 0 {
+            h.write_str("-");
+        }
+        h.write_decimal(self.unsigned_abs());
+    }
+}
+
+macro_rules! tuple_keys {
+    ($(($($k:ident),+)),+) => {$(
+        impl<$($k: Key),+> Key for ($($k,)+) {
+            #[inline]
+            #[allow(non_snake_case)]
+            fn spell(&self, h: &mut KeyHasher) {
+                let ($($k,)+) = self;
+                $($k.spell(h);)+
+            }
+        }
+    )+};
+}
+
+tuple_keys!((A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E), (A, B, C, D, E, F));
 
 /// SplitMix64 finalizer: turns a structured seed into well-mixed bits.
 fn splitmix64(mut z: u64) -> u64 {
@@ -186,35 +282,14 @@ impl RngStream {
         Self::from_derivation_seed(splitmix64(master_seed))
     }
 
-    /// Derives an independent child stream addressed by `label`.
+    /// Derives an independent child stream addressed by `key`.
     ///
-    /// The same `(parent, label)` pair always yields the same stream.
-    pub fn derive(&self, label: &str) -> RngStream {
-        let mut h = Fnv1a::new(self.derivation_seed);
-        h.write_bytes(label.as_bytes());
+    /// The same `(parent, spelling)` pair always yields the same stream,
+    /// whatever mix of text, integers and tuples spells it.
+    pub fn derive(&self, key: impl Key) -> RngStream {
+        let mut h = KeyHasher::new(self.derivation_seed);
+        key.spell(&mut h);
         Self::from_derivation_seed(splitmix64(h.0))
-    }
-
-    /// Derives the child addressed by a formatted label without building
-    /// the string: `derive_fmt(format_args!("inv-{key}"))` is the stream
-    /// that `derive` gives for the `format!`ted label, since the label
-    /// hash consumes the same bytes as they are formatted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a formatting trait implementation returns an error, as
-    /// `format!` does.
-    pub fn derive_fmt(&self, label: fmt::Arguments<'_>) -> RngStream {
-        let mut h = Fnv1a::new(self.derivation_seed);
-        fmt::Write::write_fmt(&mut h, label)
-            .expect("a formatting trait implementation returned an error");
-        Self::from_derivation_seed(splitmix64(h.0))
-    }
-
-    /// Derives an independent child stream addressed by a numeric index:
-    /// the child labelled by the index's decimal spelling.
-    pub fn derive_index(&self, index: u64) -> RngStream {
-        self.derive_fmt(format_args!("{index}"))
     }
 
     /// The next 32 random bits.
@@ -401,22 +476,28 @@ mod tests {
     }
 
     #[test]
-    fn derive_index_is_the_decimal_label() {
+    fn integer_keys_spell_their_decimal_digits() {
         let root = RngStream::root(3);
-        for i in [0, 7, 42, u64::MAX] {
-            assert_eq!(root.derive_index(i).next_u64(), root.derive(&i.to_string()).next_u64());
+        for i in [0, 7, 42, 1_000_000, u64::MAX] {
+            assert_eq!(root.derive(i).next_u64(), root.derive(i.to_string()).next_u64());
         }
+        for i in [0, -1, 42, i64::MIN, i64::MAX] {
+            assert_eq!(root.derive(i).next_u64(), root.derive(i.to_string()).next_u64());
+        }
+        assert_eq!(root.derive(u32::MAX).next_u64(), root.derive("4294967295").next_u64());
+        assert_eq!(root.derive(9_usize).next_u64(), root.derive("9").next_u64());
     }
 
     #[test]
-    fn derive_fmt_hashes_the_formatted_bytes() {
+    fn tuple_keys_hash_their_concatenated_spelling() {
         let root = RngStream::root(11);
-        for (text, n) in [("", 0), ("é-中", -3), ("😀", i64::MIN)] {
+        for (text, n) in [("", 0), ("é-中", 3), ("😀", u64::MAX)] {
             let label = format!("{text}{n}");
-            let via_fmt = root.derive_fmt(format_args!("{text}{n}")).next_u64();
-            assert_eq!(via_fmt, root.derive(&label).next_u64());
+            assert_eq!(root.derive((text, n)).next_u64(), root.derive(&label).next_u64());
         }
-        assert_eq!(root.derive_fmt(format_args!("")).next_u64(), root.derive("").next_u64());
+        let nested = (("inv-", (7_u64, "-")), 3_u32, ("-a", 2_usize), "");
+        assert_eq!(root.derive(nested).next_u64(), root.derive("inv-7-3-a2").next_u64());
+        assert_eq!(root.derive(("", "")).next_u64(), root.derive("").next_u64());
     }
 
     #[test]

@@ -142,24 +142,62 @@ proptest! {
         prop_assert!(rel < 1e-3, "us={us} factor={factor} back={}", back.as_micros());
     }
 
-    /// Deriving from formatted arguments is deriving from the formatted
-    /// string, for any label text (empty and non-ASCII included): the same
-    /// first draws, and the same grandchildren.
+    /// A tuple key derives the stream its formatted text does, for any
+    /// label text (empty and non-ASCII included): the same first draws,
+    /// and the same grandchildren.
     #[test]
-    fn derive_fmt_matches_derive_of_the_formatted_string(
+    fn tuple_keys_match_derive_of_the_formatted_string(
         seed in any::<u64>(),
         a in any::<String>(),
         b in any::<i64>(),
     ) {
         let root = RngStream::root(seed);
-        let mut via_fmt = root.derive_fmt(format_args!("{a}-{b}"));
+        let mut via_key = root.derive((&a, "-", b));
         let (label, grand_label) = (format!("{a}-{b}"), format!("{b}{a}"));
         let mut via_str = root.derive(&label);
-        let grand_fmt = via_fmt.derive_fmt(format_args!("{b}{a}")).next_u64();
+        let grand_key = via_key.derive((b, a.as_str())).next_u64();
         let grand_str = via_str.derive(&grand_label).next_u64();
-        prop_assert_eq!(grand_fmt, grand_str);
+        prop_assert_eq!(grand_key, grand_str);
         for i in 0..16 {
-            prop_assert_eq!(via_fmt.next_u64(), via_str.next_u64(), "draw {}", i);
+            prop_assert_eq!(via_key.next_u64(), via_str.next_u64(), "draw {}", i);
         }
+    }
+
+    /// Every integer key spells its decimal digits, as `Display` does.
+    #[test]
+    fn integer_keys_match_their_decimal_spelling(
+        seed in any::<u64>(),
+        wide in any::<u64>(),
+        small in 0u64..1_000,
+        word in 0u32..=u32::MAX,
+        index in 0usize..=usize::MAX,
+        signed in any::<i64>(),
+    ) {
+        let root = RngStream::root(seed);
+        let same = |key: u64, label: String| key == root.derive(&label).next_u64();
+        prop_assert!(same(root.derive(wide).next_u64(), wide.to_string()), "u64 {}", wide);
+        prop_assert!(same(root.derive(small).next_u64(), small.to_string()), "u64 {}", small);
+        prop_assert!(same(root.derive(word).next_u64(), word.to_string()), "u32 {}", word);
+        prop_assert!(same(root.derive(index).next_u64(), index.to_string()), "usize {}", index);
+        prop_assert!(same(root.derive(signed).next_u64(), signed.to_string()), "i64 {}", signed);
+    }
+
+    /// Nested tuples of strings and integers spell the concatenation of
+    /// their leaves, in order, whatever the nesting.
+    #[test]
+    fn nested_tuple_keys_match_their_concatenation(
+        seed in any::<u64>(),
+        a in any::<String>(),
+        b in any::<String>(),
+        n in any::<u64>(),
+        m in 0u32..100,
+    ) {
+        let root = RngStream::root(seed);
+        let label = format!("{a}{n}-{m}{b}x");
+        let want = root.derive(&label).next_u64();
+        let flat = root.derive((a.as_str(), n, "-", m, &b, "x")).next_u64();
+        let nested = root.derive(((&a, (n, "")), ("-", (m, b.clone())), "x")).next_u64();
+        prop_assert_eq!(flat, want);
+        prop_assert_eq!(nested, want);
     }
 }

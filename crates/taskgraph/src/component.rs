@@ -3,6 +3,7 @@
 
 use core::fmt;
 
+use ntc_simcore::rng::{Key, KeyHasher};
 use ntc_simcore::units::{Cycles, DataSize};
 
 /// Identifier of a component within its [`crate::TaskGraph`].
@@ -29,6 +30,15 @@ impl ComponentId {
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
+    }
+}
+
+/// Spelled as its `Display`, `c{n}`.
+impl Key for ComponentId {
+    #[inline]
+    fn spell(&self, h: &mut KeyHasher) {
+        h.write_str("c");
+        h.write_decimal(self.0.into());
     }
 }
 

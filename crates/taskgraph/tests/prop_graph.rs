@@ -5,7 +5,7 @@ use ntc_check::prelude::*;
 
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::SimDuration;
-use ntc_taskgraph::{random_layered_dag, FlowNetwork, RandomDagConfig};
+use ntc_taskgraph::{random_layered_dag, ComponentId, FlowNetwork, RandomDagConfig};
 
 /// Brute-force minimum s-t cut by enumerating all node bipartitions.
 fn brute_force_min_cut(n: usize, edges: &[(usize, usize, u64)], s: usize, t: usize) -> u64 {
@@ -107,5 +107,21 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    /// A component id, as an RNG key, spells exactly its `Display`,
+    /// `c{n}`: alone and inside the engine's `{first}-{comp}` key.
+    #[test]
+    fn component_ids_spell_their_display(
+        seed in any::<u64>(),
+        index in 0u32..=u32::MAX,
+        first in any::<u64>(),
+    ) {
+        let (root, id) = (RngStream::root(seed), ComponentId::from_index(index as usize));
+        prop_assert_eq!(root.derive(id).next_u64(), root.derive(id.to_string()).next_u64());
+        let label = format!("{first}-{id}");
+        prop_assert_eq!(root.derive((first, "-", id)).next_u64(), root.derive(&label).next_u64());
     }
 }

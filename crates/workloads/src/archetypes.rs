@@ -39,7 +39,7 @@ pub enum Archetype {
 
 impl Archetype {
     /// All archetypes, in table order.
-    pub fn all() -> [Archetype; 7] {
+    pub const fn all() -> [Archetype; 7] {
         [
             Archetype::PhotoPipeline,
             Archetype::VideoTranscode,
@@ -49,6 +49,11 @@ impl Archetype {
             Archetype::LogAnalytics,
             Archetype::DocIndexing,
         ]
+    }
+
+    /// The archetype's position in [`Archetype::all`].
+    pub fn index(self) -> usize {
+        self as usize
     }
 
     /// A short stable name for result tables.
@@ -336,6 +341,13 @@ fn doc_indexing() -> TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn indices_are_positions_in_all() {
+        for (i, a) in Archetype::all().into_iter().enumerate() {
+            assert_eq!(a.index(), i, "{a}");
+        }
+    }
 
     #[test]
     fn all_archetypes_build_valid_graphs() {

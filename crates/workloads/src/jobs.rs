@@ -123,9 +123,9 @@ pub fn generate_jobs_into(
 ) {
     jobs.clear();
     for (si, spec) in specs.iter().enumerate() {
-        let label = format!("stream-{si}-{}", spec.archetype.name());
-        let mut arr_rng = rng.derive(&label).derive("arrivals");
-        let mut body_rng = rng.derive(&label).derive("bodies");
+        let stream_rng = rng.derive(("stream-", si, "-", spec.archetype.name()));
+        let mut arr_rng = stream_rng.derive("arrivals");
+        let mut body_rng = stream_rng.derive("bodies");
         for arrival in spec.arrivals.generate(horizon, &mut arr_rng) {
             let input = spec.archetype.sample_input(&mut body_rng);
             let slack = spec

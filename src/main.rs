@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use ntc_core::{deploy, Engine, Environment, NtcConfig, OffloadPolicy};
+use ntc_core::{deploy, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch};
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{Archetype, StreamSpec};
@@ -55,6 +55,20 @@ impl Args {
         match self.get(name) {
             Some(v) => v.parse().map_err(|_| format!("--{name}: '{v}' is not an integer")),
             None => Ok(default),
+        }
+    }
+
+    /// `--hours` and the horizon it spans, `default` hours if absent:
+    /// rejected when the horizon's microsecond count overflows `u64`.
+    fn horizon(&self, default: u64) -> Result<(u64, SimDuration), String> {
+        const MICROS_PER_HOUR: u64 = 3_600_000_000;
+        let hours = self.u64_or("hours", default)?;
+        match hours.checked_mul(MICROS_PER_HOUR) {
+            Some(micros) => Ok((hours, SimDuration::from_micros(micros))),
+            None => Err(format!(
+                "--hours: '{hours}' overflows the simulated clock (at most {} hours)",
+                u64::MAX / MICROS_PER_HOUR
+            )),
         }
     }
 }
@@ -116,12 +130,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("ntc"))?;
     let rate = args.rate()?;
-    let hours = args.u64_or("hours", 4)?;
+    let (hours, horizon) = args.horizon(4)?;
     let seed = args.u64_or("seed", 42)?;
 
     let engine = Engine::new(Environment::metro_reference(), seed);
     let specs = [StreamSpec::poisson(archetype, rate)];
-    let r = engine.run(&policy, &specs, SimDuration::from_hours(hours));
+    let r = engine.run(&policy, &specs, horizon);
     println!("{archetype} at {rate}/s for {hours}h (seed {seed}):");
     print_run(&policy, &r);
     Ok(())
@@ -130,12 +144,14 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let rate = args.rate()?;
-    let hours = args.u64_or("hours", 24)?;
+    let (hours, horizon) = args.horizon(24)?;
     let seed = args.u64_or("seed", 42)?;
 
     let engine = Engine::new(Environment::metro_reference(), seed);
     let specs = [StreamSpec::poisson(archetype, rate)];
-    let horizon = SimDuration::from_hours(hours);
+    // One scratch for all four policies: they share the seed's job
+    // stream, which the scratch generates once.
+    let mut scratch = RunScratch::new();
     println!("{archetype} at {rate}/s for {hours}h (seed {seed}):");
     for policy in [
         OffloadPolicy::LocalOnly,
@@ -143,7 +159,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         OffloadPolicy::CloudAll,
         OffloadPolicy::ntc(),
     ] {
-        let r = engine.run(&policy, &specs, horizon);
+        let r =
+            engine.run_retained(seed, &policy, &specs, horizon, &mut scratch, JobRetention::Full);
         print_run(&policy, &r);
     }
     Ok(())
@@ -231,10 +248,31 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::Args;
+    use super::{Args, SimDuration};
 
     fn rate(value: &str) -> Result<f64, String> {
         Args::parse(&["--rate".to_string(), value.to_string()])?.rate()
+    }
+
+    fn horizon(value: &str) -> Result<(u64, SimDuration), String> {
+        Args::parse(&["--hours".to_string(), value.to_string()])?.horizon(4)
+    }
+
+    #[test]
+    fn hours_reject_a_horizon_that_overflows_the_clock() {
+        let overflow =
+            "--hours: '5124095577' overflows the simulated clock (at most 5124095576 hours)";
+        assert_eq!(horizon("5124095577"), Err(overflow.into()));
+        assert!(horizon(&u64::MAX.to_string()).is_err());
+        assert_eq!(horizon("-1"), Err("--hours: '-1' is not an integer".into()));
+    }
+
+    #[test]
+    fn hours_accept_the_longest_horizon_and_default_when_absent() {
+        let max = 5_124_095_576;
+        assert_eq!(horizon("5124095576"), Ok((max, SimDuration::from_micros(max * 3_600_000_000))));
+        assert_eq!(horizon("0"), Ok((0, SimDuration::ZERO)));
+        assert_eq!(Args::parse(&[]).unwrap().horizon(24), Ok((24, SimDuration::from_hours(24))));
     }
 
     #[test]
