@@ -10,18 +10,14 @@
 //! converts stragglers into on-time completions. Goodput with the full
 //! stance dominates the bare engine at every multiplier from 2× up.
 
-use ntc_bench::{
-    f3, overload, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table,
-};
+use ntc_bench::overload::{self, MULTIPLIERS};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_simcore::units::SimDuration;
 
 fn main() {
     let seed = seed_from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke") || quick_from_args();
-    let horizon = if smoke { SimDuration::from_hours(4) } else { SimDuration::from_hours(12) };
-    let multipliers = overload::multipliers(smoke);
-
-    let rows = overload::rows(seed, horizon, multipliers, threads_from_args());
+    let horizon = SimDuration::from_hours(12);
+    let rows = overload::rows(seed, horizon, &MULTIPLIERS, threads_from_args());
 
     let mut table = Table::new([
         "variant",
@@ -54,7 +50,7 @@ fn main() {
         ]);
     }
 
-    println!("Figure 10 — overload sweep over {horizon} (seed {seed}, smoke={smoke})\n");
+    println!("Figure 10 — overload sweep over {horizon} (seed {seed})\n");
     table.print();
     println!();
 
@@ -68,7 +64,7 @@ fn main() {
             .map(|r| r.goodput_per_hour)
             .expect("grid covers every (variant, multiplier)")
     };
-    let all_on_dominates = multipliers
+    let all_on_dominates = MULTIPLIERS
         .iter()
         .filter(|&&m| m >= 2.0)
         .all(|&m| goodput("all-on", m) >= goodput("off", m));

@@ -1,120 +1,74 @@
-//! **Figure 11** — Simulation throughput and resident memory vs user
-//! population: the million-user scale run.
+//! **Figure 11** — The million-user scale run: latency and deadline
+//! misses vs user population.
 //!
 //! Sweeps a log-analytics population from ten thousand to one million
 //! users under CloudAll and EdgeAll, every point in
 //! `JobRetention::Aggregates` mode: jobs fold into streaming
 //! `RunAggregates` at completion and no per-job vector is kept, so the
 //! result-side memory stays constant while the job count grows by two
-//! orders of magnitude. Reported per point: simulated jobs per
-//! wall-clock second, wall-clock seconds, and resident memory (current
-//! and peak, from `/proc/self/status`).
+//! orders of magnitude. stdout and `results/fig11_scale.json` hold only
+//! the seeded rows; each point's wall-clock seconds, simulated jobs per
+//! wall-clock second and resident memory (current and peak, from
+//! `/proc/self/status`) go to stderr, since they describe the host.
 //!
 //! Points run serially — each wall-clock figure times exactly one run —
-//! so this binary takes no `--threads`; thread-count invariance of the
-//! row metrics is covered by `crates/bench/tests/fig11_determinism.rs`.
+//! so this binary ignores `--threads`; thread-count invariance of the
+//! rows is covered by `crates/bench/tests/fig11_determinism.rs`.
 
 use std::time::Instant;
 
-use ntc_bench::scale::{horizon, policies, user_counts, ScaleRow};
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, write_json, Table};
+use ntc_bench::scale::{policies, run_point, ScaleRow, HORIZON, USER_COUNTS};
+use ntc_bench::{f3, pct, seed_from_args, write_json, Table};
 use ntc_core::RunScratch;
-use ntc_json::ToJson;
 
-/// One (users, policy) measurement: the deterministic row plus this
-/// machine's wall-clock and memory readings.
-#[derive(Debug, ToJson)]
-struct Measured {
-    users: u64,
-    policy: String,
-    jobs: u64,
-    mean_latency_s: f64,
-    p50_s: f64,
-    p95_s: f64,
-    p99_s: f64,
-    miss_rate: f64,
-    failures: u64,
-    wall_s: f64,
-    jobs_per_sec: f64,
-    /// Resident set after the run, MiB (`VmRSS`); `None` off-Linux.
-    rss_mib: Option<f64>,
-    /// Process-lifetime peak resident set, MiB (`VmHWM`); `None`
-    /// off-Linux. Points run in ascending size, so the final point's
-    /// value is the experiment's peak.
-    peak_rss_mib: Option<f64>,
-}
-
-/// Reads a `kB`-valued field from `/proc/self/status` as MiB.
-fn proc_status_mib(field: &str) -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(field))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
-
-fn measure(row: ScaleRow, wall_s: f64) -> Measured {
-    Measured {
-        users: row.users,
-        policy: row.policy,
-        jobs: row.jobs,
-        mean_latency_s: row.mean_latency_s,
-        p50_s: row.p50_s,
-        p95_s: row.p95_s,
-        p99_s: row.p99_s,
-        miss_rate: row.miss_rate,
-        failures: row.failures,
-        wall_s,
-        jobs_per_sec: if wall_s > 0.0 { row.jobs as f64 / wall_s } else { 0.0 },
-        rss_mib: proc_status_mib("VmRSS:"),
-        peak_rss_mib: proc_status_mib("VmHWM:"),
-    }
+/// Reads a `kB`-valued field from `/proc/self/status` as MiB, or `n/a`
+/// off-Linux.
+fn proc_status_mib(field: &str) -> String {
+    let kb = std::fs::read_to_string("/proc/self/status").ok().and_then(|status| {
+        let line = status.lines().find(|l| l.starts_with(field))?;
+        line.split_whitespace().nth(1)?.parse::<f64>().ok()
+    });
+    kb.map_or("n/a".into(), |kb| format!("{:.0}", kb / 1024.0))
 }
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = horizon(quick);
-    let users = user_counts(quick);
 
     // One scratch reused across every point: steady-state memory, the
-    // same way long sweeps run.
+    // same way long sweeps run. Points run in ascending size, so the
+    // last peak reading is the experiment's peak.
     let mut scratch = RunScratch::new();
-    let mut series: Vec<Measured> = Vec::new();
-    for &u in users {
+    let mut series: Vec<ScaleRow> = Vec::new();
+    for users in USER_COUNTS {
         for policy in &policies() {
             let start = Instant::now();
-            let row = ntc_bench::scale::run_point(seed, u, policy, horizon, &mut scratch);
+            let row = run_point(seed, users, policy, HORIZON, &mut scratch);
             let wall = start.elapsed().as_secs_f64();
-            series.push(measure(row, wall));
+            eprintln!(
+                "host: {users} users {}: {}s wall, {:.0} jobs/s, rss {} MiB, peak {} MiB",
+                row.policy,
+                f3(wall),
+                row.jobs as f64 / wall,
+                proc_status_mib("VmRSS:"),
+                proc_status_mib("VmHWM:"),
+            );
+            series.push(row);
         }
     }
 
-    let mut table = Table::new([
-        "users",
-        "policy",
-        "jobs",
-        "p95",
-        "miss rate",
-        "wall",
-        "jobs/s",
-        "rss MiB",
-        "peak MiB",
-    ]);
-    for m in &series {
+    let mut table = Table::new(["users", "policy", "jobs", "p95", "miss rate", "failures"]);
+    for r in &series {
         table.row([
-            m.users.to_string(),
-            m.policy.clone(),
-            m.jobs.to_string(),
-            format!("{}s", f3(m.p95_s)),
-            pct(m.miss_rate),
-            format!("{}s", f3(m.wall_s)),
-            format!("{:.0}", m.jobs_per_sec),
-            m.rss_mib.map_or("n/a".into(), |v| format!("{v:.0}")),
-            m.peak_rss_mib.map_or("n/a".into(), |v| format!("{v:.0}")),
+            r.users.to_string(),
+            r.policy.clone(),
+            r.jobs.to_string(),
+            format!("{}s", f3(r.p95_s)),
+            pct(r.miss_rate),
+            r.failures.to_string(),
         ]);
     }
 
-    println!("Figure 11 — scale sweep over {horizon} (seed {seed}, quick={quick})\n");
+    println!("Figure 11 — scale sweep over {HORIZON} (seed {seed})\n");
     table.print();
     println!();
     let last = series.last().expect("non-empty sweep");
@@ -128,13 +82,11 @@ fn main() {
         last.jobs as f64 * std::mem::size_of::<ntc_core::JobResult>() as f64 / (1024.0 * 1024.0);
     println!(
         "shape: {}x the jobs ({} -> {}) through a constant-size metrics sketch; \
-         Full retention would add {:.0} MiB of JobResults at the largest point; \
-         {:.0} jobs/s sustained there",
+         Full retention would add {:.0} MiB of JobResults at the largest point",
         last.jobs / first.jobs.max(1),
         first.jobs,
         last.jobs,
         retained_mib,
-        last.jobs_per_sec,
     );
     let path = write_json("fig11_scale", &series);
     println!("series written to {}", path.display());

@@ -9,7 +9,7 @@
 //! converges.
 
 use ntc_alloc::WarmStrategy;
-use ntc_bench::{f3, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_serverless::{FunctionConfig, PlatformConfig, ServerlessPlatform};
@@ -87,8 +87,7 @@ fn run_one(rate: f64, strategy: WarmStrategy, horizon: SimDuration, seed: u64) -
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(6) } else { SimDuration::from_hours(24) };
+    let horizon = SimDuration::from_hours(24);
 
     let rates = [0.001, 0.01, 0.1, 1.0];
     let strategies = [

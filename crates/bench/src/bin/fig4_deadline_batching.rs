@@ -6,7 +6,7 @@
 //! saving; savings grow with slack (cold starts amortise over warm
 //! batches) and saturate once windows exceed the keep-alive TTL.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -28,8 +28,7 @@ struct Point {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(6) } else { SimDuration::from_hours(24) };
+    let horizon = SimDuration::from_hours(24);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
     let batched = OffloadPolicy::ntc();

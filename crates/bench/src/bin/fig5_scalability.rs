@@ -6,7 +6,7 @@
 //! capacity — queueing blows up the p95 and deadline misses appear —
 //! while the serverless platform scales out ~linearly.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -25,15 +25,13 @@ struct Point {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_mins(30) } else { SimDuration::from_hours(2) };
+    let horizon = SimDuration::from_hours(2);
     let per_user_rate = 0.002; // one log batch per user every ~8 minutes
 
     let engine = Engine::new(Environment::metro_reference(), seed);
     // The edge fleet has 32 slots at ~10 s/job ≈ 3.3 jobs/s capacity; the
     // sweep deliberately crosses it.
-    let user_counts: &[u32] =
-        if quick { &[10, 100, 1000, 3000] } else { &[10, 50, 100, 250, 500, 1000, 2000, 3000] };
+    let user_counts: &[u32] = &[10, 50, 100, 250, 500, 1000, 2000, 3000];
 
     let grid: Vec<(u32, OffloadPolicy)> = user_counts
         .iter()
@@ -75,7 +73,7 @@ fn main() {
         ]);
     }
 
-    println!("Figure 5 — load scalability over {horizon} (seed {seed}, quick={quick})\n");
+    println!("Figure 5 — load scalability over {horizon} (seed {seed})\n");
     table.print();
     println!();
     let max_users = *user_counts.last().expect("non-empty");

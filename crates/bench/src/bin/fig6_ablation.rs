@@ -5,7 +5,7 @@
 //! removal degrades cost and/or deadline behaviour; the full system
 //! dominates (or ties) all ablations.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -25,8 +25,7 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(4) } else { SimDuration::from_hours(24) };
+    let horizon = SimDuration::from_hours(24);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
     // Tighter-than-typical (but still delay-tolerant) deadlines, so the
@@ -74,7 +73,7 @@ fn main() {
         ]);
     }
 
-    println!("Figure 6 — ablation over {horizon}, mixed stream (seed {seed}, quick={quick})\n");
+    println!("Figure 6 — ablation over {horizon}, mixed stream (seed {seed})\n");
     table.print();
     println!();
     let full = &rows[0];

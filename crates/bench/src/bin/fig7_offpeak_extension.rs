@@ -9,7 +9,7 @@
 //! device energy than plain windowed batching, at the price of latency the
 //! workload tolerates by definition — and still zero deadline misses.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -30,8 +30,7 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(24) } else { SimDuration::from_hours(48) };
+    let horizon = SimDuration::from_hours(48);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
     // Long-slack workloads that can actually reach the night band.
@@ -87,9 +86,7 @@ fn main() {
         ]);
     }
 
-    println!(
-        "Figure 7 (extension) — off-peak steering over {horizon} (seed {seed}, quick={quick})\n"
-    );
+    println!("Figure 7 (extension) — off-peak steering over {horizon} (seed {seed})\n");
     table.print();
     println!();
     let by = |name: &str| rows.iter().find(|r| r.policy == name).expect("present");

@@ -9,7 +9,7 @@
 //! deadline-safe holding (which reserves for the worst outage window)
 //! keeps misses at zero.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_net::ConnectivityTrace;
@@ -28,8 +28,7 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(12) } else { SimDuration::from_hours(24) };
+    let horizon = SimDuration::from_hours(24);
 
     let traces: [(&str, ConnectivityTrace); 3] = [
         ("always-on", ConnectivityTrace::always()),

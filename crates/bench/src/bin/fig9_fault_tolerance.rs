@@ -9,7 +9,7 @@
 //! price of extra attempts and backoff time — delay tolerance buys
 //! robustness, not just cheap latency.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, FaultConfig, JobRetention, NtcConfig, OffloadPolicy,
     RetryPolicy, RunScratch,
@@ -35,8 +35,7 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let horizon = if quick { SimDuration::from_hours(4) } else { SimDuration::from_hours(12) };
+    let horizon = SimDuration::from_hours(12);
     let rates = [0.0, 0.05, 0.10, 0.20, 0.30];
 
     let specs = [
@@ -107,7 +106,7 @@ fn main() {
         ]);
     }
 
-    println!("Figure 9 — fault-rate sweep over {horizon} (seed {seed}, quick={quick})\n");
+    println!("Figure 9 — fault-rate sweep over {horizon} (seed {seed})\n");
     table.print();
     println!();
 

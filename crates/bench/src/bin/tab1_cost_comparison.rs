@@ -11,7 +11,7 @@
 //! traffic density until the pre-paid edge fleet becomes cheaper per job
 //! than per-use FaaS.
 
-use ntc_bench::{f3, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -58,10 +58,8 @@ fn per_1k(cost_usd: f64, jobs: usize) -> f64 {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    // Always span a full diurnal day; quick mode thins the traffic.
+    // Always span a full diurnal day.
     let horizon = SimDuration::from_hours(24);
-    let rate_scale = if quick { 0.5 } else { 1.0 };
     let env = Environment::metro_reference();
     let engine = Engine::new(env, seed);
 
@@ -79,7 +77,7 @@ fn main() {
         Archetype::all().into_iter().flat_map(|a| policies.iter().map(move |p| (a, p))).collect();
     let cell_results: Vec<(usize, f64)> =
         run_sweep_with(&cells, threads, RunScratch::new, |scratch, &(a, p), _| {
-            let specs = [StreamSpec::diurnal(a, peak_rate(a) * rate_scale)];
+            let specs = [StreamSpec::diurnal(a, peak_rate(a))];
             let r = engine.run_retained(seed, p, &specs, horizon, scratch, JobRetention::Full);
             let jobs = r.jobs.len();
             (jobs, per_1k(r.total_cost().as_usd_f64(), jobs))
@@ -124,7 +122,7 @@ fn main() {
         });
     }
 
-    println!("Table 1a — cost per 1000 jobs over {horizon} (seed {seed}, quick={quick})\n");
+    println!("Table 1a — cost per 1000 jobs over {horizon} (seed {seed})\n");
     table.print();
     let faas_cheaper = rows.iter().filter(|r| r.cloud_per_1k < r.edge_per_1k).count();
     let ntc_ok = rows
@@ -139,8 +137,8 @@ fn main() {
     );
 
     // --- Panel (b): amortisation crossover. ---
-    let sweep_horizon = if quick { SimDuration::from_hours(2) } else { SimDuration::from_hours(6) };
-    let rates: &[f64] = if quick { &[0.05, 1.0, 8.0] } else { &[0.05, 0.5, 2.0, 8.0, 16.0] };
+    let sweep_horizon = SimDuration::from_hours(6);
+    let rates: &[f64] = &[0.05, 0.5, 2.0, 8.0, 16.0];
     let sweep: Vec<SweepPoint> =
         run_sweep_with(rates, threads, RunScratch::new, |scratch, &rate, _| {
             let specs = [StreamSpec::poisson(Archetype::PhotoPipeline, rate)];

@@ -6,7 +6,7 @@
 //! with input size (video, logs), EWMA where it does not (inference), and
 //! the hybrid is never far from the better of the two.
 
-use ntc_bench::{f3, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_profiler::{evaluate, EstimatorKind};
@@ -42,7 +42,7 @@ fn trace(a: Archetype, n: usize, seed: u64) -> Vec<(DataSize, Cycles)> {
 
 fn main() {
     let seed = seed_from_args();
-    let n = if quick_from_args() { 2_000 } else { 10_000 };
+    let n = 10_000;
 
     // One sweep point per archetype: the trace synthesis dominates, and
     // every estimator family shares the archetype's trace.

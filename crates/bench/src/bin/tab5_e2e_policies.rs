@@ -8,7 +8,7 @@
 //! the "developer-friendly approach" pays no penalty where it does not
 //! matter.
 
-use ntc_bench::{f3, pct, quick_from_args, seed_from_args, threads_from_args, write_json, Table};
+use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{across, run_replications, Environment, OffloadPolicy};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -29,12 +29,7 @@ struct Row {
 
 fn main() {
     let seed = seed_from_args();
-    let quick = quick_from_args();
-    let (horizon, reps) = if quick {
-        (SimDuration::from_hours(4), 2u32)
-    } else {
-        (SimDuration::from_hours(24), 5u32)
-    };
+    let (horizon, reps) = (SimDuration::from_hours(24), 5u32);
     let env = Environment::metro_reference();
 
     let specs = [
@@ -104,9 +99,7 @@ fn main() {
         });
     }
 
-    println!(
-        "Table 5 — end-to-end policies, {reps} replications x {horizon} (seed {seed}, quick={quick})\n"
-    );
+    println!("Table 5 — end-to-end policies, {reps} replications x {horizon} (seed {seed})\n");
     table.print();
     println!();
     let by = |name: &str| rows.iter().find(|r| r.policy == name).expect("present");

@@ -7,10 +7,11 @@
 //! Every binary accepts `--seed <u64>` (default 42) and `--threads <n>`
 //! (default `NTC_THREADS`, else all cores; thread count never changes the
 //! numbers, only the wall-clock), exits with status 2 on a malformed
-//! value, prints an aligned text table and writes the raw series as JSON
-//! under `results/` with [`write_json`]. Each binary's records derive
-//! `ntc_json::ToJson`, and the output is laid out as `serde_json`'s pretty
-//! printer lays it out, so the committed files are the format's oracle.
+//! value or any other argument, prints an aligned text table and writes
+//! the raw series as JSON under `results/` with [`write_json`]. Each
+//! binary's records derive `ntc_json::ToJson`, and the output is laid out
+//! as `serde_json`'s pretty printer lays it out, so the committed files
+//! are the format's oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,50 +26,59 @@ use ntc_json::ToJson;
 pub mod overload;
 pub mod scale;
 
-/// A malformed `--seed` or `--threads` value: not a number, zero threads,
-/// or missing.
+/// An argument list an experiment binary refuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ArgError {
-    /// The flag, e.g. `--seed`.
-    flag: &'static str,
-    /// The value as given; `None` when the flag ends the argument list.
-    value: Option<String>,
+pub(crate) enum ArgError {
+    /// A `--seed` or `--threads` value that is not a number, zero
+    /// threads, or missing (`None` when the flag ends the list).
+    Value { flag: &'static str, value: Option<String> },
+    /// An argument that is neither flag, e.g. a misspelt `--seeds`.
+    Unknown(String),
 }
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.value {
-            Some(value) => write!(f, "invalid {} value `{value}`", self.flag),
-            None => write!(f, "{} needs a value", self.flag),
+        match self {
+            ArgError::Value { flag, value: Some(value) } => {
+                write!(f, "invalid {flag} value `{value}`")
+            }
+            ArgError::Value { flag, value: None } => write!(f, "{flag} needs a value"),
+            ArgError::Unknown(arg) => write!(f, "unknown argument `{arg}`"),
         }
     }
 }
 
-/// The value after the first `flag` in `args`, parsed and checked by
-/// `valid`; `None` if the flag is absent.
-fn flag_value<T: FromStr>(
-    args: &[String],
+/// The next argument as `flag`'s value, parsed and checked by `valid`.
+fn flag_value<'a, T: FromStr>(
+    rest: &mut impl Iterator<Item = &'a String>,
     flag: &'static str,
     valid: fn(&T) -> bool,
-) -> Result<Option<T>, ArgError> {
-    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
-    let value = args.get(i + 1);
-    match value.and_then(|v| v.parse().ok()).filter(valid) {
-        Some(v) => Ok(Some(v)),
-        None => Err(ArgError { flag, value: value.cloned() }),
-    }
+) -> Result<T, ArgError> {
+    let value = rest.next();
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(valid)
+        .ok_or_else(|| ArgError::Value { flag, value: value.cloned() })
 }
 
-/// Parses the flags every experiment binary shares from `args`:
-/// `--seed <u64>` (default 42) and `--threads <n >= 1>` (`None` if
-/// absent).
+/// Parses the flags every experiment binary shares from `args` (program
+/// name first): `--seed <u64>` (default 42) and `--threads <n >= 1>`
+/// (`None` if absent). Any other argument is an error.
 pub(crate) fn parse_args(args: &[String]) -> Result<(u64, Option<usize>), ArgError> {
-    let seed = flag_value(args, "--seed", |_| true)?.unwrap_or(42);
-    Ok((seed, flag_value(args, "--threads", |&n| n > 0)?))
+    let (mut seed, mut threads) = (42, None);
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--seed" => seed = flag_value(&mut rest, "--seed", |_| true)?,
+            "--threads" => threads = Some(flag_value(&mut rest, "--threads", |&n| n > 0)?),
+            _ => return Err(ArgError::Unknown(arg.clone())),
+        }
+    }
+    Ok((seed, threads))
 }
 
-/// [`parse_args`] over the process arguments; a malformed value ends the
-/// process with status 2 and a usage message.
+/// [`parse_args`] over the process arguments; a refused argument list
+/// ends the process with status 2 and a usage message.
 fn process_args() -> (u64, Option<usize>) {
     let args: Vec<String> = std::env::args().collect();
     parse_args(&args).unwrap_or_else(|e| {
@@ -81,12 +91,6 @@ fn process_args() -> (u64, Option<usize>) {
 /// Parses `--seed <u64>` from the process arguments (default 42).
 pub fn seed_from_args() -> u64 {
     process_args().0
-}
-
-/// Parses `--quick` from the process arguments: experiments shrink their
-/// horizons/replications so CI stays fast.
-pub fn quick_from_args() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 /// Resolves the sweep worker-thread count: `--threads <n>` from the
@@ -207,18 +211,23 @@ mod tests {
     #[test]
     fn flags_parse_or_default() {
         assert_eq!(parse_args(&args(&["--seed", "7", "--threads", "3"])), Ok((7, Some(3))));
-        assert_eq!(parse_args(&args(&["--quick"])), Ok((42, None)));
+        assert_eq!(parse_args(&args(&[])), Ok((42, None)));
     }
 
     #[test]
     fn malformed_flags_are_rejected() {
-        for (list, flag, value) in [
-            (&["--seed", "abc"][..], "--seed", Some("abc")),
-            (&["--seed"], "--seed", None),
-            (&["--threads", "0"], "--threads", Some("0")),
-            (&["--threads", "x"], "--threads", Some("x")),
+        let value =
+            |flag, value: Option<&str>| ArgError::Value { flag, value: value.map(Into::into) };
+        let unknown = |arg: &str| ArgError::Unknown(arg.into());
+        for (list, err) in [
+            (&["--seed", "abc"][..], value("--seed", Some("abc"))),
+            (&["--seed"], value("--seed", None)),
+            (&["--threads", "0"], value("--threads", Some("0"))),
+            (&["--threads", "x"], value("--threads", Some("x"))),
+            (&["--quick"], unknown("--quick")),
+            (&["--smoke"], unknown("--smoke")),
+            (&["--seeds", "7"], unknown("--seeds")),
         ] {
-            let err = ArgError { flag, value: value.map(String::from) };
             assert_eq!(parse_args(&args(list)), Err(err));
         }
     }

@@ -77,15 +77,8 @@ pub fn variants() -> [(&'static str, HealthConfig); 4] {
     ]
 }
 
-/// The arrival-rate multipliers swept: smoke keeps CI fast, the full
-/// sweep is what `results/fig10_overload.json` is built from.
-pub fn multipliers(smoke: bool) -> &'static [f64] {
-    if smoke {
-        &[1.0, 3.0]
-    } else {
-        &[1.0, 1.5, 2.0, 3.0, 4.0]
-    }
-}
+/// The arrival-rate multipliers swept.
+pub const MULTIPLIERS: [f64; 5] = [1.0, 1.5, 2.0, 3.0, 4.0];
 
 /// The environment all variants share: a metro reference deployment whose
 /// edge site is flaky — transient invocation faults plus a flapping

@@ -11,17 +11,16 @@
 //! the sweep. Every run uses [`JobRetention::Aggregates`]: the engine
 //! folds each job into streaming `RunAggregates` at completion time and
 //! retains no per-job vector, which is what lets the million-user point
-//! fit in constant result-side memory. The figure's axes are simulated
-//! jobs per wall-clock second and peak resident memory against the user
-//! count; the metric columns below confirm the aggregate outputs stay
-//! exact while doing so.
+//! fit in constant result-side memory. The rows below are a pure function
+//! of the seed; the binary reports each point's wall-clock time and
+//! resident memory on stderr, outside the committed results.
 
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{Archetype, StreamSpec};
 
-/// Jobs per simulated second each user contributes. At the full sweep's
+/// Jobs per simulated second each user contributes. At the sweep's
 /// 30-minute horizon this puts the million-user point at ~3.6 M jobs —
 /// two orders of magnitude past what the retained-mode experiments
 /// carry.
@@ -55,24 +54,11 @@ pub fn policies() -> [OffloadPolicy; 2] {
     [OffloadPolicy::CloudAll, OffloadPolicy::EdgeAll]
 }
 
-/// The user populations swept: quick keeps CI fast, the full sweep ends
-/// at the million-user point `results/fig11_scale.json` is built from.
-pub fn user_counts(quick: bool) -> &'static [u64] {
-    if quick {
-        &[10_000, 50_000]
-    } else {
-        &[10_000, 100_000, 300_000, 1_000_000]
-    }
-}
+/// The user populations swept, ending at the million-user point.
+pub const USER_COUNTS: [u64; 4] = [10_000, 100_000, 300_000, 1_000_000];
 
-/// Horizon of one run (shrunk under `--quick`).
-pub fn horizon(quick: bool) -> SimDuration {
-    if quick {
-        SimDuration::from_mins(10)
-    } else {
-        SimDuration::from_mins(30)
-    }
-}
+/// Horizon of one run.
+pub const HORIZON: SimDuration = SimDuration::from_mins(30);
 
 /// The traffic `users` devices generate: one aggregate log-analytics
 /// stream at the population's pooled rate. Tight slack (5 % of the

@@ -11,7 +11,7 @@ use ntc_simcore::units::SimDuration;
 
 #[test]
 fn fig11_rows_are_identical_across_thread_counts() {
-    // Sized like a `--quick` point, well under the figure's full grid,
+    // A third of the figure's horizon and a fiftieth of its populations,
     // so the test stays CI-fast while exercising the real sweep path.
     let horizon = SimDuration::from_mins(10);
     let users = [5_000, 20_000];

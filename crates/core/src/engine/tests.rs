@@ -515,9 +515,12 @@ fn backoff_never_exceeds_job_latency() {
 #[test]
 fn permanent_edge_outage_falls_back_to_cloud() {
     let mut env = Environment::metro_reference();
-    env.faults.edge_availability = ntc_net::ConnectivityTrace::new(
-        SimDuration::from_hours(1),
-        vec![(SimDuration::ZERO, false)],
+    env.faults.site_availability.insert(
+        "edge".into(),
+        ntc_net::ConnectivityTrace::new(
+            SimDuration::from_hours(1),
+            vec![(SimDuration::ZERO, false)],
+        ),
     );
     let e = Engine::new(env, 7);
     let policy = OffloadPolicy::Ntc(crate::NtcConfig {
@@ -537,9 +540,12 @@ fn permanent_edge_outage_falls_back_to_cloud() {
 #[test]
 fn edge_outage_without_fallback_fails_jobs() {
     let mut env = Environment::metro_reference();
-    env.faults.edge_availability = ntc_net::ConnectivityTrace::new(
-        SimDuration::from_hours(1),
-        vec![(SimDuration::ZERO, false)],
+    env.faults.site_availability.insert(
+        "edge".into(),
+        ntc_net::ConnectivityTrace::new(
+            SimDuration::from_hours(1),
+            vec![(SimDuration::ZERO, false)],
+        ),
     );
     let e = Engine::new(env, 7);
     let policy = OffloadPolicy::Ntc(crate::NtcConfig {

@@ -18,16 +18,11 @@ pub struct FaultConfig {
     /// Probability that one offloaded invocation attempt is throttled by
     /// the platform (429-style admission rejection).
     pub throttle_rate: f64,
-    /// When the edge site is reachable at all: outage windows during
-    /// which every edge invocation is rejected. Plays the same role for
-    /// the edge fleet that the UE `ConnectivityTrace` plays for the
-    /// device radio.
-    pub edge_availability: ConnectivityTrace,
-    /// Availability schedules for additional execution sites, keyed by
-    /// site id (e.g. `"cloud"`, or a plug-in site such as
-    /// `"cloud-eu"`). Sites absent from the map are always online. An
-    /// `"edge"` entry overrides
-    /// [`edge_availability`](Self::edge_availability).
+    /// When each execution site is reachable at all, keyed by site name
+    /// (`"edge"` or `"cloud"`): outage windows during which every
+    /// invocation on that site is rejected. Plays the same role for a
+    /// site that the UE `ConnectivityTrace` plays for the device radio.
+    /// Sites absent from the map are always online.
     pub site_availability: BTreeMap<String, ConnectivityTrace>,
     /// Probability that a UE-side transfer drops mid-flight and must
     /// re-send part of its payload.
@@ -46,7 +41,6 @@ impl FaultConfig {
         FaultConfig {
             transient_rate: 0.0,
             throttle_rate: 0.0,
-            edge_availability: ConnectivityTrace::always(),
             site_availability: BTreeMap::new(),
             transfer_drop_rate: 0.0,
             transfer_progress_loss: 0.5,
@@ -69,7 +63,6 @@ impl FaultConfig {
         self.transient_rate == 0.0
             && self.throttle_rate == 0.0
             && self.transfer_drop_rate == 0.0
-            && self.edge_availability.offline_fraction() == 0.0
             && self.site_availability.values().all(|t| t.offline_fraction() == 0.0)
     }
 
@@ -113,8 +106,8 @@ mod tests {
 
     #[test]
     fn edge_outages_make_a_config_non_trivial() {
-        let c =
-            FaultConfig { edge_availability: ConnectivityTrace::flaky(), ..FaultConfig::none() };
+        let mut c = FaultConfig::none();
+        c.site_availability.insert("edge".into(), ConnectivityTrace::flaky());
         assert!(!c.is_none());
     }
 

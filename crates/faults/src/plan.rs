@@ -16,7 +16,7 @@ pub enum InjectedFault {
     Throttled,
 }
 
-/// The edge site's availability at one instant.
+/// An execution site's availability at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteOutage {
     /// The site is up.
@@ -97,19 +97,12 @@ impl FaultPlan {
         }
     }
 
-    /// The availability of the execution site identified by `site` at
-    /// `at`.
-    ///
-    /// `"edge"` consults the dedicated
-    /// [`edge_availability`](FaultConfig::edge_availability) trace unless
-    /// the [`site_availability`](FaultConfig::site_availability) map
-    /// overrides it; every other site id is looked up in the map, and
-    /// sites absent from both are always online.
+    /// The availability of the execution site named `site` at `at`, from
+    /// its [`site_availability`](FaultConfig::site_availability) trace;
+    /// sites absent from the map are always online.
     pub fn site_outage(&self, site: &str, at: SimTime) -> SiteOutage {
-        let trace = match self.config.site_availability.get(site) {
-            Some(trace) => trace,
-            None if site == "edge" => &self.config.edge_availability,
-            None => return SiteOutage::Online,
+        let Some(trace) = self.config.site_availability.get(site) else {
+            return SiteOutage::Online;
         };
         if trace.is_online(at) {
             SiteOutage::Online
@@ -118,12 +111,6 @@ impl FaultPlan {
         } else {
             SiteOutage::Until(trace.next_online(at))
         }
-    }
-
-    /// The edge site's availability at `at` (shorthand for
-    /// [`site_outage`](Self::site_outage) with `"edge"`).
-    pub fn edge_outage(&self, at: SimTime) -> SiteOutage {
-        self.site_outage("edge", at)
     }
 
     /// How many times the transfer identified by `key` drops mid-flight,
@@ -159,6 +146,17 @@ mod tests {
 
     fn plan(config: FaultConfig, seed: u64) -> FaultPlan {
         FaultPlan::new(config, RngStream::root(seed).derive("faults"))
+    }
+
+    /// A config whose only fault is `site` following `trace`.
+    fn site_down(site: &str, trace: ConnectivityTrace) -> FaultConfig {
+        let mut cfg = FaultConfig::none();
+        cfg.site_availability.insert(site.into(), trace);
+        cfg
+    }
+
+    fn never_online() -> ConnectivityTrace {
+        ConnectivityTrace::new(SimDuration::from_hours(1), vec![(SimDuration::ZERO, false)])
     }
 
     #[test]
@@ -240,50 +238,25 @@ mod tests {
 
     #[test]
     fn edge_outage_follows_the_availability_trace() {
-        let cfg =
-            FaultConfig { edge_availability: ConnectivityTrace::flaky(), ..FaultConfig::none() };
-        let p = plan(cfg, 1);
-        assert_eq!(p.edge_outage(SimTime::from_secs(60)), SiteOutage::Online);
+        let p = plan(site_down("edge", ConnectivityTrace::flaky()), 1);
+        assert_eq!(p.site_outage("edge", SimTime::from_secs(60)), SiteOutage::Online);
         let mid_outage = SimTime::from_secs(110 * 60);
-        assert_eq!(p.edge_outage(mid_outage), SiteOutage::Until(SimTime::from_secs(2 * 3600)));
+        let back = SiteOutage::Until(SimTime::from_secs(2 * 3600));
+        assert_eq!(p.site_outage("edge", mid_outage), back);
     }
 
     #[test]
     fn permanently_down_edge_reports_forever() {
-        let cfg = FaultConfig {
-            edge_availability: ConnectivityTrace::new(
-                SimDuration::from_hours(1),
-                vec![(SimDuration::ZERO, false)],
-            ),
-            ..FaultConfig::none()
-        };
-        let p = plan(cfg, 1);
-        assert_eq!(p.edge_outage(SimTime::ZERO), SiteOutage::Forever);
+        let p = plan(site_down("edge", never_online()), 1);
+        assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Forever);
     }
 
     #[test]
     fn site_outages_follow_the_keyed_availability_map() {
-        let mut cfg = FaultConfig::none();
-        cfg.site_availability.insert(
-            "cloud".into(),
-            ConnectivityTrace::new(SimDuration::from_hours(1), vec![(SimDuration::ZERO, false)]),
-        );
-        let p = plan(cfg, 1);
+        let p = plan(site_down("cloud", never_online()), 1);
         assert_eq!(p.site_outage("cloud", SimTime::ZERO), SiteOutage::Forever);
         // Unlisted sites are always online.
-        assert_eq!(p.site_outage("cloud-eu", SimTime::ZERO), SiteOutage::Online);
-        // The edge keeps following its dedicated trace.
         assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Online);
-    }
-
-    #[test]
-    fn map_entry_overrides_the_dedicated_edge_trace() {
-        let mut cfg =
-            FaultConfig { edge_availability: ConnectivityTrace::flaky(), ..FaultConfig::none() };
-        cfg.site_availability.insert("edge".into(), ConnectivityTrace::always());
-        let p = plan(cfg, 1);
-        let mid_outage = SimTime::from_secs(110 * 60);
-        assert_eq!(p.site_outage("edge", mid_outage), SiteOutage::Online);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub use ntc_alloc as alloc;
 pub use ntc_cicd as cicd;
 pub use ntc_core as core;
 pub use ntc_edge as edge;
+pub use ntc_faults as faults;
 pub use ntc_net as net;
 pub use ntc_partition as partition;
 pub use ntc_profiler as profiler;
