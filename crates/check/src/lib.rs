@@ -29,6 +29,8 @@
 //! sum_is_order_free();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::any::Any as Payload;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;

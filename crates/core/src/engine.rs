@@ -43,11 +43,13 @@
 //!
 //! # Allocation discipline
 //!
-//! Every run-sized buffer lives in a [`RunScratch`]: the jobs, the
-//! batches, one flat `members` array of job indices that every batch
-//! slices (with the `batch_of` buffer that fills it), the coalescing
-//! key map, the keep-warm ping table, per-batch and per-component
-//! state, result slots and the event calendar. A fresh run allocates
+//! Every run-sized buffer lives in a [`RunScratch`]: the jobs and their
+//! execution-noise table (one slot per job and component, drawn once
+//! per input), the batches, one flat `members` array of job indices
+//! that every batch slices (with the `batch_of` buffer that fills it),
+//! the coalescing key map, the keep-warm ping table, per-batch and
+//! per-component state (retry backoff only for the components that
+//! retried), result slots and the event calendar. A fresh run allocates
 //! them once; reusing the scratch across runs (as
 //! [`run_retained`](Engine::run_retained) encourages and the sweep runner
 //! does per worker thread) re-fills the same allocations, so steady-state
@@ -87,6 +89,7 @@ use crate::site::SiteRegistry;
 
 use accounting::{Accounting, HealthMap};
 use admission::{Batch, BatchStates};
+use execute::NoiseTable;
 
 /// What a run keeps per job.
 ///
@@ -192,7 +195,7 @@ pub(crate) struct RunCtx<'a> {
     faults: &'a FaultPlan,
     retry: &'a RetryPolicy,
     retry_rng: &'a RngStream,
-    work_rng: &'a RngStream,
+    noise: &'a NoiseTable,
     horizon_end: SimTime,
 }
 
@@ -239,10 +242,10 @@ pub(crate) struct RunState<'s> {
 }
 
 /// Reusable run buffers: all the run-sized allocations `Engine::run`
-/// needs — the event calendar, the jobs, the batches with their flat
-/// member array, its per-job `batch_of` fill buffer and the coalescing
-/// key map, the keep-warm ping table, per-batch and per-component state
-/// and accounting slots. Create once, pass to
+/// needs — the event calendar, the jobs and their execution-noise table,
+/// the batches with their flat member array, its per-job `batch_of` fill
+/// buffer and the coalescing key map, the keep-warm ping table,
+/// per-batch and per-component state and accounting slots. Create once, pass to
 /// [`run_retained`](Engine::run_retained) repeatedly; each run clears and
 /// refills the buffers in place. A fresh scratch behaves identically to a
 /// reused one — reuse changes performance, never results.
@@ -250,7 +253,9 @@ pub(crate) struct RunState<'s> {
 /// The job stream is a function of `(seed, specs, horizon)` alone, so the
 /// scratch records the input its `jobs` were generated from and a run on
 /// the same input (another policy on the same seed, say) reuses them
-/// instead of generating them again.
+/// instead of generating them again. Execution noise is keyed by job and
+/// component alone, so the noise table belongs to the job stream too:
+/// each run draws only the slots no earlier run on the input has.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
@@ -258,6 +263,8 @@ pub struct RunScratch {
     /// The `(seed, specs, horizon)` that generated `jobs`; `None` before
     /// the first run and while a generation is under way.
     jobs_input: Option<(u64, Vec<StreamSpec>, SimDuration)>,
+    /// The execution noise of `jobs`, valid exactly as long as they are.
+    noise: NoiseTable,
     deployments: Vec<Deployment>,
     deployment_of: DeploymentOf,
     batches: Vec<Batch>,
@@ -281,9 +288,10 @@ impl RunScratch {
     }
 
     /// Makes `jobs` the stream of `(seed, specs, horizon)`, whose engine
-    /// stream is `rng`: kept if it already is, generated otherwise. Specs
-    /// compare with `==`, under which equal specs generate equal streams
-    /// (a `NaN` never matches, so it only costs a regeneration).
+    /// stream is `rng`: kept if it already is, generated otherwise, with
+    /// every noise slot marked not drawn. Specs compare with `==`, under
+    /// which equal specs generate equal streams (a `NaN` never matches,
+    /// so it only costs a regeneration).
     fn fill_jobs(
         &mut self,
         seed: u64,
@@ -298,6 +306,8 @@ impl RunScratch {
         }
         let mut input_specs = self.jobs_input.take().map(|(_, sp, _)| sp).unwrap_or_default();
         generate_jobs_into(specs, horizon, &rng.derive("jobs"), &mut self.jobs);
+        let stride = specs.iter().map(|s| s.archetype.graph().len()).max().unwrap_or(0);
+        self.noise.reset(self.jobs.len(), stride);
         input_specs.clear();
         input_specs.extend_from_slice(specs);
         self.jobs_input = Some((seed, input_specs, horizon));
@@ -443,11 +453,17 @@ impl Engine {
                 .schedule_at(b.dispatch_at, Ev::dispatch(bi))
                 .expect("dispatch scheduled from t=0");
         }
+        scratch.noise.fill(
+            &rng.derive("work"),
+            &scratch.jobs,
+            &scratch.deployments,
+            &scratch.batches,
+            &scratch.members,
+        );
         scratch.states.reset(&scratch.deployments, &scratch.batches);
         scratch.acct.reset(scratch.jobs.len(), retention);
 
         // --- The loop. ---
-        let work_rng = rng.derive("work");
         let horizon_end = SimTime::ZERO + horizon;
         let ctx = RunCtx {
             env: &self.env,
@@ -460,7 +476,7 @@ impl Engine {
             faults: &faults,
             retry: &retry,
             retry_rng: &retry_rng,
-            work_rng: &work_rng,
+            noise: &scratch.noise,
             horizon_end,
         };
         let sim = &mut scratch.sim;

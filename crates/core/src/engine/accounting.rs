@@ -241,8 +241,8 @@ pub(crate) fn settle_batch(
     states.finished[bi] = true;
     states.failed[bi] = cause.is_some();
     let comps = states.range(bi);
-    let attempts = states.attempts[comps.clone()].iter().copied().max().unwrap_or(0).max(1);
-    let backoff = states.backoff[comps].iter().copied().max().unwrap_or(SimDuration::ZERO);
+    let attempts = states.attempts[comps].iter().copied().max().unwrap_or(0).max(1);
+    let backoff = states.batch_backoff(bi);
     // Every member was keyed on the batch's dispatch instant.
     let dispatched = ctx.batches[bi].dispatch_at;
     for &ji in ctx.members(bi) {

@@ -8,7 +8,7 @@
 //! [`RunScratch`](crate::engine::RunScratch)): a reused scratch re-walks
 //! the same allocations run after run instead of re-growing them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use ntc_alloc::dispatch_time;
@@ -66,8 +66,10 @@ pub(crate) struct BatchStates {
     pub ready_at: Vec<SimTime>,
     /// Per component: execution attempts (0 = never attempted).
     pub attempts: Vec<u32>,
-    /// Per component: cumulative retry backoff.
-    pub backoff: Vec<SimDuration>,
+    /// Summed retry backoff of each component that retried, keyed by
+    /// its per-component index. Sparse: most components never retry,
+    /// and a fault-free run leaves the map empty.
+    pub backoff: BTreeMap<u32, SimDuration>,
     /// Per component: the side it actually last executed on (for routing
     /// its outputs after a mid-graph fallback).
     pub exec_side: Vec<Side>,
@@ -96,7 +98,7 @@ const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
 
 /// Clears `v` and refills it with `n` copies of `value` in an allocation
 /// of exactly `n` when it must grow.
-fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+pub(super) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     v.clear();
     v.reserve_exact(n);
     v.resize(n, value);
@@ -125,6 +127,19 @@ impl BatchStates {
     #[inline]
     pub fn set_chain_pos(&mut self, bi: usize, pos: usize) {
         self.chain_pos[bi] = pos as u8;
+    }
+
+    /// Adds `backoff` to component `cix`'s summed retry backoff.
+    pub fn add_backoff(&mut self, cix: usize, backoff: SimDuration) {
+        *self.backoff.entry(cix as u32).or_default() += backoff;
+    }
+
+    /// Batch `bi`'s retry backoff: the largest of its components' sums,
+    /// not their total, so it never exceeds the batch's latency.
+    pub fn batch_backoff(&self, bi: usize) -> SimDuration {
+        let r = self.range(bi);
+        let sums = self.backoff.range(r.start as u32..r.end as u32);
+        sums.map(|(_, &b)| b).max().unwrap_or(SimDuration::ZERO)
     }
 
     /// Re-initialises for a fresh run over `batches`, reusing every
@@ -156,7 +171,6 @@ impl BatchStates {
 
         refill(&mut self.ready_at, comps, SimTime::ZERO);
         refill(&mut self.attempts, comps, 0);
-        refill(&mut self.backoff, comps, SimDuration::ZERO);
         refill(&mut self.exec_side, comps, Side::Device);
         refill(&mut self.inflight_site, comps, None);
         refill(&mut self.finish, n, SimTime::ZERO);
@@ -165,6 +179,7 @@ impl BatchStates {
         refill(&mut self.chain_pos, n, 0);
         refill(&mut self.fallbacks, n, 0);
         refill(&mut self.deferrals, n, 0);
+        self.backoff.clear();
     }
 }
 

@@ -45,7 +45,7 @@ pub(crate) fn recover(
             let backoff = ctx.retry.backoff(ctx.retry_rng, key, attempt);
             let resume = t + detect + backoff;
             if ctx.retry.allows(attempt, resume, ctx.min_deadline(bi)) {
-                st.states.backoff[cix] += backoff;
+                st.states.add_backoff(cix, backoff);
                 sim.schedule_at(resume, Ev::exec(bi, comp)).expect("future");
             } else {
                 fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause);

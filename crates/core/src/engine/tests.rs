@@ -447,6 +447,93 @@ mod keys {
     }
 }
 
+// --- The execution-noise table. ---
+
+mod noise {
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::SimDuration;
+    use ntc_workloads::{Archetype, StreamSpec};
+
+    use crate::engine::execute::component_key;
+    use crate::engine::{Engine, JobRetention, RunScratch};
+    use crate::environment::Environment;
+    use crate::policy::OffloadPolicy;
+
+    /// Photo pipelines (four components) mixed with video transcodes
+    /// (five), so the table is wider than some of its archetypes.
+    fn specs() -> [StreamSpec; 2] {
+        [
+            StreamSpec::poisson(Archetype::PhotoPipeline, 0.02),
+            StreamSpec::poisson(Archetype::VideoTranscode, 0.005),
+        ]
+    }
+
+    /// Checks every slot the last run on `scratch` read, each batch
+    /// head's components, against a direct draw from its component
+    /// stream; returns how many (batch head, component) pairs it read.
+    fn check_table(scratch: &RunScratch, seed: u64) -> usize {
+        let work = RngStream::root(seed).derive("engine").derive("work");
+        let mut read = 0;
+        for b in &scratch.batches {
+            let ji = b.members_in(&scratch.members)[0];
+            let first = &scratch.jobs[ji as usize];
+            for comp in scratch.deployments[b.di].graph.ids() {
+                let mut r = work.derive(component_key(first.id, comp));
+                let a = first.archetype;
+                let direct = a.demand_drift() * r.lognormal(0.0, a.demand_noise_sigma());
+                let slot = scratch.noise.get(ji, comp);
+                assert_eq!(slot.to_bits(), direct.to_bits(), "job {}, {comp}", first.id);
+                read += 1;
+            }
+        }
+        read
+    }
+
+    #[test]
+    fn every_slot_a_run_reads_is_its_component_stream_draw() {
+        let e = Engine::new(Environment::metro_reference(), 7);
+        let horizon = SimDuration::from_hours(2);
+        for (policy, batched) in [(OffloadPolicy::ntc(), true), (OffloadPolicy::CloudAll, false)] {
+            let mut scratch = RunScratch::new();
+            e.run_retained(7, &policy, &specs(), horizon, &mut scratch, JobRetention::Full);
+            assert_eq!(scratch.batches.len() < scratch.jobs.len(), batched, "{policy}");
+            let read = check_table(&scratch, 7);
+            // A fresh run draws exactly the slots it reads: one stream
+            // per (batch head, component).
+            assert_eq!(scratch.noise.drawn(), read, "{policy}");
+        }
+    }
+
+    #[test]
+    fn a_partly_filled_table_gives_a_fresh_scratchs_results() {
+        let e = Engine::new(Environment::metro_reference(), 7);
+        let horizon = SimDuration::from_hours(2);
+        let runs = [
+            (7, OffloadPolicy::ntc()),
+            (7, OffloadPolicy::CloudAll),
+            (7, OffloadPolicy::ntc()),
+            (8, OffloadPolicy::ntc()),
+        ];
+        let mut scratch = RunScratch::new();
+        let mut drawn = Vec::new();
+        for (seed, policy) in runs {
+            let run = |scratch: &mut RunScratch| {
+                e.run_retained(seed, &policy, &specs(), horizon, scratch, JobRetention::Full)
+                    .to_json()
+            };
+            let reused = run(&mut scratch);
+            assert_eq!(reused, run(&mut RunScratch::new()), "{policy} on seed {seed}");
+            check_table(&scratch, seed);
+            drawn.push(scratch.noise.drawn());
+        }
+        // The unbatched run adds the heads the batched one left undrawn,
+        // the batched rerun adds none, and a new seed starts over.
+        assert!(drawn[1] > drawn[0], "{drawn:?}");
+        assert_eq!(drawn[2], drawn[1]);
+        assert!(drawn[3] < drawn[2], "{drawn:?}");
+    }
+}
+
 // --- Fault injection and recovery. ---
 
 fn faulty_env(rate: f64) -> Environment {
@@ -457,8 +544,19 @@ fn faulty_env(rate: f64) -> Environment {
 
 #[test]
 fn fault_free_runs_record_single_attempts() {
-    let e = engine();
-    let r = e.run(&OffloadPolicy::ntc(), &photo_specs(0.02), SimDuration::from_hours(1));
+    use crate::engine::{JobRetention, RunScratch};
+    let mut scratch = RunScratch::new();
+    let specs = photo_specs(0.02);
+    let horizon = SimDuration::from_hours(1);
+    let r = engine().run_retained(
+        7,
+        &OffloadPolicy::ntc(),
+        &specs,
+        horizon,
+        &mut scratch,
+        JobRetention::Full,
+    );
+    assert!(scratch.states.backoff.is_empty(), "{:?}", scratch.states.backoff);
     for j in &r.jobs {
         assert_eq!(j.attempts, 1);
         assert_eq!(j.backoff, SimDuration::ZERO);
@@ -466,6 +564,38 @@ fn fault_free_runs_record_single_attempts() {
         assert!(j.cause.is_none());
     }
     assert_eq!(r.total_retries(), 0);
+}
+
+#[test]
+fn a_batch_backs_off_for_its_largest_component_sum() {
+    use crate::engine::{JobRetention, RunScratch};
+    let e = Engine::new(faulty_env(0.3), 7);
+    let mut scratch = RunScratch::new();
+    let r = e.run_retained(
+        7,
+        &OffloadPolicy::ntc(),
+        &photo_specs(0.02),
+        SimDuration::from_hours(2),
+        &mut scratch,
+        JobRetention::Full,
+    );
+    let mut pinned = 0;
+    for (bi, b) in scratch.batches.iter().enumerate() {
+        let comps = scratch.states.range(bi);
+        let sums: Vec<SimDuration> =
+            comps.filter_map(|cix| scratch.states.backoff.get(&(cix as u32)).copied()).collect();
+        let largest = sums.iter().copied().max().unwrap_or(SimDuration::ZERO);
+        for &ji in b.members_in(&scratch.members) {
+            assert_eq!(r.jobs[ji as usize].backoff, largest, "job {ji}");
+        }
+        if sums.len() >= 2 {
+            // Two components of this batch both retried: the batch waited
+            // for the larger sum, not their total.
+            assert!(sums.iter().copied().fold(SimDuration::ZERO, |a, b| a + b) > largest);
+            pinned += 1;
+        }
+    }
+    assert!(pinned > 0, "no batch retried two components");
 }
 
 #[test]

@@ -11,8 +11,9 @@
 //! queue holds the peak number of pending events plus a head and a tail
 //! index per bucket, and re-bucketing relinks slots in place. Ordering is
 //! identical to the old heap: pop returns the minimum `(time, seq)` entry,
-//! so same-time events still pop in push order. The heap survives as
-//! [`reference::HeapQueue`] for differential tests and benchmarks.
+//! so same-time events still pop in push order. The heap survives in
+//! `tests/prop_event_queue.rs`, as the oracle the differential tests
+//! check the calendar against.
 //!
 //! A push walks its bucket's list to its place, which is O(1) when it is
 //! later than everything already there. A pop reads one list head per day
@@ -464,86 +465,6 @@ impl<E> fmt::Debug for EventQueue<E> {
     }
 }
 
-pub mod reference {
-    //! The pre-calendar binary-heap queue, kept as the ordering oracle for
-    //! differential tests (`prop_event_queue`) and benchmarks.
-
-    use core::cmp::Ordering;
-
-    use crate::units::SimTime;
-
-    struct HeapEntry<E> {
-        time: SimTime,
-        seq: u64,
-        payload: E,
-    }
-
-    impl<E> PartialEq for HeapEntry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for HeapEntry<E> {}
-    impl<E> PartialOrd for HeapEntry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for HeapEntry<E> {
-        // Reversed so the BinaryHeap (a max-heap) pops the earliest entry.
-        fn cmp(&self, other: &Self) -> Ordering {
-            other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// A binary-heap event queue with the same API and ordering contract
-    /// as [`EventQueue`](super::EventQueue).
-    pub struct HeapQueue<E> {
-        heap: std::collections::BinaryHeap<HeapEntry<E>>,
-        next_seq: u64,
-    }
-
-    impl<E> Default for HeapQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> HeapQueue<E> {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            HeapQueue { heap: std::collections::BinaryHeap::new(), next_seq: 0 }
-        }
-
-        /// Schedules `payload` to fire at `time`.
-        pub fn push(&mut self, time: SimTime, payload: E) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(HeapEntry { time, seq, payload });
-        }
-
-        /// The instant of the earliest pending event, if any.
-        pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.time)
-        }
-
-        /// Removes and returns the earliest pending event.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.heap.pop().map(|e| (e.time, e.payload))
-        }
-
-        /// The number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-    }
-}
-
 /// A virtual clock driving an [`EventQueue`].
 ///
 /// Popping an event advances the clock to the event's instant; scheduling
@@ -632,21 +553,6 @@ impl<E> Simulator<E> {
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
-
-    /// Whether no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Advances the clock to `at` without processing events.
-    ///
-    /// Useful to account for idle tail time at the end of a run. Does nothing
-    /// if `at` is in the past.
-    pub fn advance_to(&mut self, at: SimTime) {
-        if at > self.now {
-            self.now = at;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -676,32 +582,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().1, i);
         }
-    }
-
-    #[test]
-    fn matches_heap_reference_on_interleaved_ops() {
-        // A quick deterministic differential check; the exhaustive random
-        // version lives in tests/prop_event_queue.rs.
-        let mut cal = EventQueue::new();
-        let mut heap = reference::HeapQueue::new();
-        let mut x = 0x243f6a8885a308d3u64; // xorshift
-        for round in 0..2000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let t = SimTime::from_micros(x % 50_000_000);
-            cal.push(t, round);
-            heap.push(t, round);
-            if x.is_multiple_of(3) {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            assert_eq!(cal.len(), heap.len());
-        }
-        while let Some(expect) = heap.pop() {
-            assert_eq!(cal.pop(), Some(expect));
-        }
-        assert!(cal.is_empty());
     }
 
     #[test]
@@ -850,17 +730,9 @@ mod tests {
         sim.reset();
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.events_processed(), 0);
-        assert!(sim.is_idle());
+        assert_eq!(sim.pending(), 0);
         sim.schedule_after(SimDuration::from_secs(1), 3u8);
         assert_eq!(sim.step(), Some((SimTime::from_secs(1), 3u8)));
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let mut sim = Simulator::<()>::new();
-        sim.advance_to(SimTime::from_secs(7));
-        sim.advance_to(SimTime::from_secs(3));
-        assert_eq!(sim.now(), SimTime::from_secs(7));
     }
 
     #[test]

@@ -1,13 +1,101 @@
-//! Differential property tests: the calendar [`EventQueue`] must agree
-//! with the binary-heap oracle ([`reference::HeapQueue`]) on every
+//! Differential tests: the calendar [`EventQueue`] must agree with a
+//! binary-heap oracle ([`HeapQueue`], the queue it replaced) on every
 //! interleaving of pushes, pops and peeks — same pop order, including the
 //! FIFO tie-break among same-time events.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use ntc_check::prelude::*;
 use ntc_check::TestCaseError;
 
-use ntc_simcore::event::{reference::HeapQueue, EventQueue};
+use ntc_simcore::event::EventQueue;
 use ntc_simcore::units::SimTime;
+
+struct HeapEntry<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> PartialEq for HeapEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for HeapEntry<E> {}
+impl<E> PartialOrd for HeapEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for HeapEntry<E> {
+    // Reversed so the BinaryHeap (a max-heap) pops the earliest entry.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// A binary-heap event queue with [`EventQueue`]'s ordering contract:
+/// pop returns the minimum `(time, push order)` entry.
+struct HeapQueue<E> {
+    heap: BinaryHeap<HeapEntry<E>>,
+    next_seq: u64,
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue { heap: BinaryHeap::new(), next_seq: 0 }
+    }
+
+    fn push(&mut self, time: SimTime, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(HeapEntry { time, seq, payload });
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| (e.time, e.payload))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+#[test]
+fn matches_heap_reference_on_interleaved_ops() {
+    // A quick deterministic differential check; the random versions
+    // follow.
+    let mut cal = EventQueue::new();
+    let mut heap = HeapQueue::new();
+    let mut x = 0x243f6a8885a308d3u64; // xorshift
+    for round in 0..2000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let t = SimTime::from_micros(x % 50_000_000);
+        cal.push(t, round);
+        heap.push(t, round);
+        if x.is_multiple_of(3) {
+            assert_eq!(cal.pop(), heap.pop());
+        }
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        assert_eq!(cal.len(), heap.len());
+    }
+    while let Some(expect) = heap.pop() {
+        assert_eq!(cal.pop(), Some(expect));
+    }
+    assert!(cal.is_empty());
+}
 
 /// Interprets `(sel, t)` pairs as a workload — `sel % 5 < 3` pushes an
 /// event at `t`, anything else pops — and runs it against `cal` and a
