@@ -56,6 +56,13 @@
 //! replication throughput is bounded by simulation work, not the
 //! allocator.
 //!
+//! The scratch also keeps the `net` stream's [`NormalPump`]: the chunk
+//! buffers a run's transfer normals are served from, and the one helper
+//! thread that fills them on a second core. The thread is spawned by the
+//! first run that reads past one chunk (1,024 normals), idles between
+//! runs and is joined when the scratch drops, so a reused scratch pays
+//! for the spawn once and a run that draws fewer normals never wakes it.
+//!
 //! On a large run nearly every batch is in flight at once, so the bytes
 //! per batch, per component and per pending event bound run memory.
 //! Indices into run-sized arrays are therefore stored as `u32`:
@@ -76,7 +83,7 @@ use std::sync::Arc;
 
 use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
 use ntc_simcore::event::Simulator;
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::{NormalFeed, NormalPump, RngStream};
 use ntc_simcore::units::{Cycles, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::{generate_jobs_into, Archetype, Job, StreamSpec};
@@ -222,10 +229,10 @@ impl<'a> RunCtx<'a> {
 pub(crate) struct RunState<'s> {
     states: &'s mut BatchStates,
     acct: &'s mut Accounting,
-    /// Sequential transfer-noise stream: draw order is part of the
-    /// reproducibility contract, so handlers must keep the historical
-    /// call sequence.
-    net_rng: RngStream,
+    /// The sequential transfer-noise stream's normals, drawn ahead by the
+    /// scratch's pump: draw order is part of the reproducibility
+    /// contract, so handlers must keep the historical call sequence.
+    net: NormalFeed<'s>,
     /// Per-event device work-list, reused between events.
     member_works: &'s mut Vec<Cycles>,
     /// The per-site health ledger: breakers, latency EWMAs, bounded
@@ -256,6 +263,10 @@ pub(crate) struct RunState<'s> {
 /// instead of generating them again. Execution noise is keyed by job and
 /// component alone, so the noise table belongs to the job stream too:
 /// each run draws only the slots no earlier run on the input has.
+///
+/// The scratch owns one [`NormalPump`], whose helper thread draws each
+/// run's `net` normals ahead of its event loop; it is spawned at most
+/// once per scratch and joined when the scratch drops.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
@@ -278,6 +289,9 @@ pub struct RunScratch {
     member_works: Vec<Cycles>,
     health: HealthMap,
     hedges: HashMap<(usize, ComponentId), HedgePending>,
+    /// Draws the `net` stream's normals on a helper thread, kept idle
+    /// between runs.
+    net_pump: NormalPump,
 }
 
 impl RunScratch {
@@ -483,7 +497,7 @@ impl Engine {
         let mut st = RunState {
             states: &mut scratch.states,
             acct: &mut scratch.acct,
-            net_rng: rng.derive("net"),
+            net: NormalFeed::new(rng.derive("net"), &mut scratch.net_pump),
             member_works: &mut scratch.member_works,
             health: &mut scratch.health,
             health_rng: rng.derive("health"),

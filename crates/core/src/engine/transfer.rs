@@ -1,7 +1,8 @@
 //! Transfer timing: congestion- and outage-aware uploads, inter-component
 //! flows, result returns, and faulty-transfer injection.
 //!
-//! All durations draw from the sequential `net_rng` stream; the draw
+//! All durations draw from the sequential `net` stream's normals, served
+//! by the run's [`NormalFeed`](ntc_simcore::rng::NormalFeed); the draw
 //! order below is part of the reproducibility contract.
 
 use ntc_faults::FaultPlan;
@@ -88,7 +89,7 @@ pub(crate) fn handle_dispatch(
             }
         }
     }
-    let RunState { states, acct, net_rng, .. } = st;
+    let RunState { states, acct, net, .. } = st;
     let b = &ctx.batches[bi];
     let d = &ctx.deployments[b.di];
     // The upload targets the batch's *current* chain site: identical to
@@ -106,11 +107,11 @@ pub(crate) fn handle_dispatch(
                 let online = ctx.env.connectivity.next_online(t);
                 let path = primary.ue_path(ctx.env);
                 let share = primary.wan_share(ctx.env, online);
-                let dur = path.transfer_time_at_share(b.max_input, share, net_rng);
+                let dur = path.transfer_time_at_share(b.max_input, share, net);
                 let dur = faulty_transfer(dur, ctx.faults, upload_key(bi, c));
                 for &ji in ctx.members(bi) {
                     let input = ctx.jobs[ji as usize].input;
-                    let jdur = path.transfer_time_at_share(input, share, net_rng);
+                    let jdur = path.transfer_time_at_share(input, share, net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     acct.bytes_up += input;
                 }
@@ -131,7 +132,7 @@ pub(crate) fn handle_done(
     bi: usize,
     comp: ComponentId,
 ) {
-    let RunState { states, acct, net_rng, health, .. } = st;
+    let RunState { states, acct, net, health, .. } = st;
     // Release the bounded-queue slot this component's invocation held
     // (before the failed-batch early-out, so slots never leak).
     let cix = states.ix(bi, comp);
@@ -160,7 +161,7 @@ pub(crate) fn handle_done(
             (Side::Cloud, Side::Cloud) => {
                 // One merged transfer inside the backend.
                 let bytes = payload.eval_bytes(b.sum_input);
-                eff.internal_path(ctx.env).transfer_time(bytes, net_rng)
+                eff.internal_path(ctx.env).transfer_time(bytes, net)
             }
             _ => {
                 // Boundary crossing: per-member payloads move in
@@ -169,12 +170,11 @@ pub(crate) fn handle_done(
                 let online = ctx.env.connectivity.next_online(t);
                 let path = eff.ue_path(ctx.env);
                 let share = eff.wan_share(ctx.env, online);
-                let dur =
-                    path.transfer_time_at_share(payload.eval_bytes(b.max_input), share, net_rng);
+                let dur = path.transfer_time_at_share(payload.eval_bytes(b.max_input), share, net);
                 let dur = faulty_transfer(dur, ctx.faults, flow_key(bi, comp, to));
                 for &ji in ctx.members(bi) {
                     let bytes = payload.eval_bytes(ctx.jobs[ji as usize].input);
-                    let jdur = path.transfer_time_at_share(bytes, share, net_rng);
+                    let jdur = path.transfer_time_at_share(bytes, share, net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     match to_side {
                         Side::Cloud => acct.bytes_up += bytes,
@@ -202,7 +202,7 @@ pub(crate) fn handle_done(
                 let online = ctx.env.connectivity.next_online(t);
                 let path = eff.ue_path(ctx.env);
                 let share = eff.wan_share(ctx.env, online);
-                let dur = path.transfer_time_at_share(ctx.env.result_return, share, net_rng);
+                let dur = path.transfer_time_at_share(ctx.env.result_return, share, net);
                 let dur = faulty_transfer(dur, ctx.faults, return_key(bi, comp));
                 acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
                 acct.bytes_down += ctx.env.result_return * b.members.len() as u64;

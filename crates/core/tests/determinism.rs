@@ -6,7 +6,8 @@
 //! * *run twice, same bytes* — the calendar event queue must preserve the
 //!   heap's exact (time, FIFO) pop order;
 //! * *fresh scratch vs reused scratch, same bytes* — [`RunScratch`] reuse
-//!   must refill buffers, never leak state between runs;
+//!   must refill buffers, never leak state between runs, including the
+//!   `net` normals its pump's helper thread draws ahead;
 //! * *1 thread vs N threads, same bytes* — the sweep runner's derived
 //!   seeds and order-stable collection must make thread count invisible.
 //!
@@ -25,14 +26,32 @@ fn specs() -> [StreamSpec; 2] {
     ]
 }
 
+/// Ten times [`specs`]' rates: the point whose runs read the `net` stream
+/// past its feed's first two chunks (1024 normals each, drawn inline), so
+/// the rest comes from the scratch's helper thread where there is a
+/// second core. Over 45 minutes `cloud-all` draws 6,222–6,744 normals per
+/// run at seeds 9–12 and 70–75, four or five chunks from the helper, and
+/// `ntc` 2,254–2,456, one.
+fn busy_specs() -> [StreamSpec; 2] {
+    [
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.3),
+        StreamSpec::poisson(Archetype::MlInference, 0.1),
+    ]
+}
+
 fn horizon() -> SimDuration {
     SimDuration::from_mins(45)
 }
 
-/// One seeded `Full` NTC run on `scratch`, as JSON.
-fn ntc_bytes(engine: &Engine, seed: u64, scratch: &mut RunScratch) -> String {
-    let ntc = OffloadPolicy::ntc();
-    engine.run_retained(seed, &ntc, &specs(), horizon(), scratch, JobRetention::Full).to_json()
+/// One seeded `Full` run on `scratch`, as JSON.
+fn bytes(
+    engine: &Engine,
+    seed: u64,
+    policy: &OffloadPolicy,
+    specs: &[StreamSpec],
+    scratch: &mut RunScratch,
+) -> String {
+    engine.run_retained(seed, policy, specs, horizon(), scratch, JobRetention::Full).to_json()
 }
 
 #[test]
@@ -48,10 +67,20 @@ fn same_seed_same_bytes_across_runs() {
 #[test]
 fn reused_scratch_matches_fresh_run() {
     let engine = Engine::new(Environment::metro_reference(), 9);
-    let fresh: Vec<String> =
-        (0..4).map(|i| ntc_bytes(&engine, 9 + i, &mut RunScratch::new())).collect();
-    // One scratch across all seeds — and dirty it with a different
-    // workload first, so the test fails if any buffer survives reset.
+    let points = [
+        (OffloadPolicy::ntc(), specs()),
+        (OffloadPolicy::CloudAll, busy_specs()),
+        (OffloadPolicy::ntc(), busy_specs()),
+    ];
+    let runs: Vec<(u64, &OffloadPolicy, &[StreamSpec])> =
+        (9..13).flat_map(|seed| points.iter().map(move |(p, s)| (seed, p, &s[..]))).collect();
+    let fresh: Vec<String> = runs
+        .iter()
+        .map(|&(seed, p, s)| bytes(&engine, seed, p, s, &mut RunScratch::new()))
+        .collect();
+    // One scratch (and so one pump) across all seeds and policies — and
+    // dirty it with a different workload first, so the test fails if any
+    // buffer survives reset.
     let mut scratch = RunScratch::new();
     engine.run_retained(
         1234,
@@ -61,26 +90,36 @@ fn reused_scratch_matches_fresh_run() {
         &mut scratch,
         JobRetention::Full,
     );
-    for (i, expected) in fresh.iter().enumerate() {
-        let got = ntc_bytes(&engine, 9 + i as u64, &mut scratch);
-        assert_eq!(&got, expected, "reused scratch diverged on seed {}", 9 + i as u64);
+    for (&(seed, p, s), expected) in runs.iter().zip(&fresh) {
+        let got = bytes(&engine, seed, p, s, &mut scratch);
+        let rate = s[0].arrivals.mean_rate();
+        assert_eq!(
+            &got,
+            expected,
+            "reused scratch diverged: {} at {rate}/s, seed {seed}",
+            p.name()
+        );
     }
 }
 
 #[test]
 fn thread_count_is_invisible_in_replications() {
     let env = Environment::metro_reference();
-    let policy = OffloadPolicy::ntc();
-    let one = run_replications(&env, &policy, &specs(), horizon(), 70, 6, 1);
-    for threads in [2, 3, 6, 8] {
-        let many = run_replications(&env, &policy, &specs(), horizon(), 70, 6, threads);
-        assert_eq!(one.len(), many.len());
-        for (i, (a, b)) in one.iter().zip(&many).enumerate() {
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "replication {i} diverged between 1 and {threads} threads"
-            );
+    for (policy, specs) in
+        [(OffloadPolicy::ntc(), specs()), (OffloadPolicy::CloudAll, busy_specs())]
+    {
+        let one = run_replications(&env, &policy, &specs, horizon(), 70, 6, 1);
+        for threads in [2, 3, 6, 8] {
+            let many = run_replications(&env, &policy, &specs, horizon(), 70, 6, threads);
+            assert_eq!(one.len(), many.len());
+            for (i, (a, b)) in one.iter().zip(&many).enumerate() {
+                assert_eq!(
+                    a.to_json(),
+                    b.to_json(),
+                    "{} replication {i} diverged between 1 and {threads} threads",
+                    policy.name()
+                );
+            }
         }
     }
 }

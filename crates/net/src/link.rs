@@ -1,12 +1,14 @@
 //! Single-link network models: latency, jitter, bandwidth, and loss.
 
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::Normals;
 use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 
 /// A stochastic model of one network link.
 ///
-/// One-way latency is `base_latency` inflated by lognormal jitter; transfer
-/// time is `size / bandwidth` inflated by retransmissions at `loss_rate`.
+/// One-way latency is `base_latency` inflated by lognormal jitter;
+/// serialisation time is `size / bandwidth` inflated by retransmissions at
+/// `loss_rate`. A [`PathModel`](crate::PathModel) of one or more links
+/// samples transfers.
 ///
 /// # Examples
 ///
@@ -15,10 +17,13 @@ use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 /// use ntc_simcore::rng::RngStream;
 /// use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 ///
-/// let wan = LinkModel::new(SimDuration::from_millis(40), Bandwidth::from_megabits_per_sec(50));
+/// let wan = LinkModel::new(SimDuration::from_millis(40), Bandwidth::from_megabits_per_sec(50))
+///     .with_jitter(0.1);
 /// let mut rng = RngStream::root(1).derive("net");
-/// let t = wan.transfer_time(DataSize::from_mib(1), &mut rng);
-/// assert!(t > SimDuration::from_millis(40));
+/// assert!(wan.sample_latency(&mut rng) > SimDuration::ZERO);
+/// // 1 MB at 50 Mbit/s.
+/// let size = DataSize::from_bytes(1_000_000);
+/// assert_eq!(wan.serialisation_time(size), SimDuration::from_millis(160));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkModel {
@@ -69,17 +74,13 @@ impl LinkModel {
         self.bandwidth
     }
 
-    /// Samples a one-way latency.
-    pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
+    /// Samples a one-way latency: one standard normal from `rng` when the
+    /// link has jitter, none otherwise.
+    pub fn sample_latency(&self, rng: &mut impl Normals) -> SimDuration {
         if self.jitter_sigma == 0.0 {
             return self.base_latency;
         }
         self.base_latency.mul_f64(rng.lognormal(0.0, self.jitter_sigma))
-    }
-
-    /// Samples a round-trip time (two one-way latencies).
-    pub fn sample_rtt(&self, rng: &mut RngStream) -> SimDuration {
-        self.sample_latency(rng) + self.sample_latency(rng)
     }
 
     /// The deterministic serialisation time for `size` at full rate,
@@ -91,39 +92,15 @@ impl LinkModel {
         let inflation = 1.0 / (1.0 - self.loss_rate);
         self.bandwidth.transfer_time(size).mul_f64(inflation)
     }
-
-    /// Samples the total time to move `size` across the link: one-way
-    /// latency plus serialisation time at an optionally degraded rate.
-    pub fn transfer_time(&self, size: DataSize, rng: &mut RngStream) -> SimDuration {
-        self.transfer_time_at_share(size, 1.0, rng)
-    }
-
-    /// Like [`LinkModel::transfer_time`] but with only `share` (0, 1] of
-    /// the nominal bandwidth available (congestion / fair sharing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share` is not in `(0, 1]`.
-    pub fn transfer_time_at_share(
-        &self,
-        size: DataSize,
-        share: f64,
-        rng: &mut RngStream,
-    ) -> SimDuration {
-        assert!(share > 0.0 && share <= 1.0, "bandwidth share must be in (0, 1]");
-        let latency = self.sample_latency(rng);
-        if size.is_zero() {
-            return latency;
-        }
-        let inflation = 1.0 / (1.0 - self.loss_rate);
-        let serialisation = self.bandwidth.mul_f64(share).transfer_time(size).mul_f64(inflation);
-        latency + serialisation
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! A link's transfers are sampled through a single-link path.
+
     use super::*;
+    use crate::PathModel;
+    use ntc_simcore::rng::RngStream;
 
     fn rng() -> RngStream {
         RngStream::root(42).derive("link-tests")
@@ -135,28 +112,34 @@ mod tests {
             LinkModel::new(SimDuration::from_millis(10), Bandwidth::from_megabits_per_sec(8));
         let mut r = rng();
         assert_eq!(link.sample_latency(&mut r), SimDuration::from_millis(10));
-        assert_eq!(link.sample_rtt(&mut r), SimDuration::from_millis(20));
+        assert_eq!(link.sample_latency(&mut r), SimDuration::from_millis(10));
     }
 
     #[test]
     fn transfer_includes_latency_and_serialisation() {
         // 8 Mbit/s = 1 MB/s; 1 MB takes 1 s + 10 ms latency.
-        let link =
-            LinkModel::new(SimDuration::from_millis(10), Bandwidth::from_megabits_per_sec(8));
-        let t = link.transfer_time(DataSize::from_bytes(1_000_000), &mut rng());
+        let path = PathModel::single(LinkModel::new(
+            SimDuration::from_millis(10),
+            Bandwidth::from_megabits_per_sec(8),
+        ));
+        let t = path.transfer_time(DataSize::from_bytes(1_000_000), &mut rng());
         assert_eq!(t, SimDuration::from_millis(1010));
     }
 
     #[test]
     fn zero_size_transfer_is_latency_only() {
-        let link = LinkModel::new(SimDuration::from_millis(5), Bandwidth::from_megabits_per_sec(1));
-        assert_eq!(link.transfer_time(DataSize::ZERO, &mut rng()), SimDuration::from_millis(5));
+        let path = PathModel::single(LinkModel::new(
+            SimDuration::from_millis(5),
+            Bandwidth::from_megabits_per_sec(1),
+        ));
+        assert_eq!(path.transfer_time(DataSize::ZERO, &mut rng()), SimDuration::from_millis(5));
     }
 
     #[test]
     fn loss_inflates_serialisation() {
         let clean = LinkModel::new(SimDuration::ZERO, Bandwidth::from_megabits_per_sec(8));
-        let lossy = clean.clone().with_loss(0.5);
+        let lossy = PathModel::single(clean.clone().with_loss(0.5));
+        let clean = PathModel::single(clean);
         let size = DataSize::from_bytes(1_000_000);
         let t_clean = clean.transfer_time(size, &mut rng());
         let t_lossy = lossy.transfer_time(size, &mut rng());
@@ -165,11 +148,13 @@ mod tests {
 
     #[test]
     fn jitter_spreads_latency() {
-        let link =
+        let path = PathModel::single(
             LinkModel::new(SimDuration::from_millis(100), Bandwidth::from_megabits_per_sec(8))
-                .with_jitter(0.3);
+                .with_jitter(0.3),
+        );
         let mut r = rng();
-        let samples: Vec<u64> = (0..200).map(|_| link.sample_latency(&mut r).as_micros()).collect();
+        let samples: Vec<u64> =
+            (0..200).map(|_| path.transfer_time(DataSize::ZERO, &mut r).as_micros()).collect();
         let min = *samples.iter().min().unwrap();
         let max = *samples.iter().max().unwrap();
         assert!(min < 100_000 && max > 100_000, "jitter should spread around base ({min}..{max})");
@@ -179,10 +164,13 @@ mod tests {
 
     #[test]
     fn bandwidth_share_slows_transfer() {
-        let link = LinkModel::new(SimDuration::ZERO, Bandwidth::from_megabits_per_sec(8));
+        let path = PathModel::single(LinkModel::new(
+            SimDuration::ZERO,
+            Bandwidth::from_megabits_per_sec(8),
+        ));
         let size = DataSize::from_bytes(1_000_000);
-        let full = link.transfer_time_at_share(size, 1.0, &mut rng());
-        let half = link.transfer_time_at_share(size, 0.5, &mut rng());
+        let full = path.transfer_time_at_share(size, 1.0, &mut rng());
+        let half = path.transfer_time_at_share(size, 0.5, &mut rng());
         assert_eq!(half.as_micros(), full.as_micros() * 2);
     }
 

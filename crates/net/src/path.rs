@@ -1,6 +1,6 @@
 //! Multi-hop network paths and the UE/edge/cloud topology.
 
-use ntc_simcore::rng::RngStream;
+use ntc_simcore::rng::Normals;
 use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 
 use crate::link::LinkModel;
@@ -45,20 +45,16 @@ impl PathModel {
         self.links.iter().map(LinkModel::base_latency).sum()
     }
 
-    /// Samples the one-way latency across all hops.
-    pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
+    /// Samples the one-way latency across all hops: one standard normal
+    /// from `rng` per jittered hop, in hop order.
+    pub fn sample_latency(&self, rng: &mut impl Normals) -> SimDuration {
         self.links.iter().map(|l| l.sample_latency(rng)).sum()
-    }
-
-    /// Samples a round trip across all hops.
-    pub fn sample_rtt(&self, rng: &mut RngStream) -> SimDuration {
-        self.sample_latency(rng) + self.sample_latency(rng)
     }
 
     /// Samples the time to move `size` along the path: per-hop latency plus
     /// serialisation at the slowest hop (store-and-forward pipelining is
     /// approximated by charging serialisation once).
-    pub fn transfer_time(&self, size: DataSize, rng: &mut RngStream) -> SimDuration {
+    pub fn transfer_time(&self, size: DataSize, rng: &mut impl Normals) -> SimDuration {
         self.transfer_time_at_share(size, 1.0, rng)
     }
 
@@ -73,7 +69,7 @@ impl PathModel {
         &self,
         size: DataSize,
         share: f64,
-        rng: &mut RngStream,
+        rng: &mut impl Normals,
     ) -> SimDuration {
         assert!(share > 0.0 && share <= 1.0, "bandwidth share must be in (0, 1]");
         let latency = self.sample_latency(rng);
@@ -159,6 +155,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntc_simcore::rng::RngStream;
 
     fn rng() -> RngStream {
         RngStream::root(7).derive("path-tests")
@@ -187,13 +184,16 @@ mod tests {
 
     #[test]
     fn single_hop_path_matches_link() {
-        let link = LinkModel::new(SimDuration::from_millis(5), Bandwidth::from_megabits_per_sec(8));
+        let link = LinkModel::new(SimDuration::from_millis(5), Bandwidth::from_megabits_per_sec(8))
+            .with_jitter(0.2)
+            .with_loss(0.1);
         let p = PathModel::single(link.clone());
         let mut r1 = rng();
         let mut r2 = rng();
+        let size = DataSize::from_kib(100);
         assert_eq!(
-            p.transfer_time(DataSize::from_kib(100), &mut r1),
-            link.transfer_time(DataSize::from_kib(100), &mut r2)
+            p.transfer_time(size, &mut r1),
+            link.sample_latency(&mut r2) + link.serialisation_time(size)
         );
     }
 

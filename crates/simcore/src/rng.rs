@@ -46,6 +46,10 @@
 
 use core::fmt;
 
+mod feed;
+
+pub use feed::{NormalFeed, NormalPump};
+
 /// The FNV-1a 64-bit hash state that folds a key's spelling into a child
 /// seed. A [`Key`] feeds it the bytes of its label, in order.
 #[derive(Debug)]
@@ -382,12 +386,16 @@ impl RngStream {
     ///
     /// Panics if `std_dev` is negative or either parameter is not finite.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
+        check_normal(mean, std_dev);
         mean + std_dev * self.standard_normal()
     }
 
     /// Draws a lognormal variate parameterised by the mean and standard
     /// deviation of the *underlying normal*.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RngStream::normal`] does.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
@@ -410,6 +418,41 @@ impl RngStream {
             let i = self.uniform_range(0, items.len() as u64) as usize;
             Some(&items[i])
         }
+    }
+}
+
+/// The parameter check of every normal sampler.
+fn check_normal(mean: f64, std_dev: f64) {
+    assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
+}
+
+/// A source of standard normal variates, in a fixed order.
+///
+/// [`RngStream`] draws them on the spot; a [`NormalFeed`] serves one
+/// stream's draws, in the same order, from chunks that may be computed
+/// on another thread. A sampler generic over `Normals` therefore sees the
+/// same values from either.
+pub trait Normals {
+    /// The next standard normal variate.
+    fn standard_normal(&mut self) -> f64;
+
+    /// Draws a lognormal variate from the next standard normal `z`:
+    /// `(mu + sigma * z).exp()`, bit for bit [`RngStream::lognormal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RngStream::normal`] does, before drawing.
+    #[inline]
+    fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
+        check_normal(mu, sigma);
+        (mu + sigma * self.standard_normal()).exp()
+    }
+}
+
+impl Normals for RngStream {
+    #[inline]
+    fn standard_normal(&mut self) -> f64 {
+        RngStream::standard_normal(self)
     }
 }
 
