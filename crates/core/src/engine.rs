@@ -56,12 +56,18 @@
 //! replication throughput is bounded by simulation work, not the
 //! allocator.
 //!
-//! The scratch also keeps the `net` stream's [`NormalPump`]: the chunk
-//! buffers a run's transfer normals are served from, and the one helper
-//! thread that fills them on a second core. The thread is spawned by the
-//! first run that reads past one chunk (1,024 normals), idles between
-//! runs and is joined when the scratch drops, so a reused scratch pays
-//! for the spawn once and a run that draws fewer normals never wakes it.
+//! The scratch also keeps a [`NormalPump`]: the chunk buffers a run's
+//! `net` normals are served from, and the one helper thread that does
+//! two kinds of work on a second core. It fills those chunks ahead of
+//! the loop, and between chunks it draws the noise-table slots a run
+//! needs that no earlier run on the input drew, handed over as soon as
+//! coalescing has fixed the batch heads. The loop draws a slot the
+//! helper has not reached yet itself, and the run draws whatever the
+//! helper left once its loop ends, so the loop never waits on the helper
+//! for noise. The thread is spawned by the first run that reads past one
+//! chunk (1,024 normals) or has at least 1,024 slots to draw, idles
+//! between runs and is joined when the scratch drops, so a reused
+//! scratch pays for the spawn once and a smaller run never wakes it.
 //!
 //! On a large run nearly every batch is in flight at once, so the bytes
 //! per batch, per component and per pending event bound run memory.
@@ -73,6 +79,7 @@
 mod accounting;
 mod admission;
 mod execute;
+mod noise;
 mod recovery;
 #[cfg(test)]
 mod tests;
@@ -96,7 +103,7 @@ use crate::site::SiteRegistry;
 
 use accounting::{Accounting, HealthMap};
 use admission::{Batch, BatchStates};
-use execute::NoiseTable;
+use noise::NoiseTable;
 
 /// What a run keeps per job.
 ///
@@ -202,6 +209,8 @@ pub(crate) struct RunCtx<'a> {
     faults: &'a FaultPlan,
     retry: &'a RetryPolicy,
     retry_rng: &'a RngStream,
+    /// The `engine/work` stream, which keys the noise slots.
+    work: &'a RngStream,
     noise: &'a NoiseTable,
     horizon_end: SimTime,
 }
@@ -265,12 +274,14 @@ pub(crate) struct RunState<'s> {
 /// each run draws only the slots no earlier run on the input has.
 ///
 /// The scratch owns one [`NormalPump`], whose helper thread draws each
-/// run's `net` normals ahead of its event loop; it is spawned at most
-/// once per scratch and joined when the scratch drops.
+/// run's `net` normals ahead of its event loop and, between them, the
+/// noise slots the run is the first on its input to need; it is spawned
+/// at most once per scratch and joined when the scratch drops.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
-    jobs: Vec<Job>,
+    /// Shared with the helper's noise job while one runs.
+    jobs: Arc<Vec<Job>>,
     /// The `(seed, specs, horizon)` that generated `jobs`; `None` before
     /// the first run and while a generation is under way.
     jobs_input: Option<(u64, Vec<StreamSpec>, SimDuration)>,
@@ -289,9 +300,9 @@ pub struct RunScratch {
     member_works: Vec<Cycles>,
     health: HealthMap,
     hedges: HashMap<(usize, ComponentId), HedgePending>,
-    /// Draws the `net` stream's normals on a helper thread, kept idle
-    /// between runs.
-    net_pump: NormalPump,
+    /// Draws the `net` stream's normals and the noise table's new slots
+    /// on a helper thread, kept idle between runs.
+    pump: NormalPump,
 }
 
 impl RunScratch {
@@ -319,7 +330,8 @@ impl RunScratch {
             }
         }
         let mut input_specs = self.jobs_input.take().map(|(_, sp, _)| sp).unwrap_or_default();
-        generate_jobs_into(specs, horizon, &rng.derive("jobs"), &mut self.jobs);
+        let jobs = noise::unshared(&mut self.jobs);
+        generate_jobs_into(specs, horizon, &rng.derive("jobs"), jobs);
         let stride = specs.iter().map(|s| s.archetype.graph().len()).max().unwrap_or(0);
         self.noise.reset(self.jobs.len(), stride);
         input_specs.clear();
@@ -453,6 +465,17 @@ impl Engine {
             &mut scratch.batch_key,
             &mut scratch.members,
         );
+        // The batch heads are fixed: hand their undrawn noise slots to
+        // the helper now, so it draws them while this thread sets the run
+        // up and starts the loop.
+        scratch.noise.start(
+            rng.derive("work"),
+            &scratch.jobs,
+            &scratch.deployments,
+            &scratch.batches,
+            &scratch.members,
+            &mut scratch.pump,
+        );
         admission::local_overrides_into(
             &self.env,
             &scratch.deployments,
@@ -467,18 +490,12 @@ impl Engine {
                 .schedule_at(b.dispatch_at, Ev::dispatch(bi))
                 .expect("dispatch scheduled from t=0");
         }
-        scratch.noise.fill(
-            &rng.derive("work"),
-            &scratch.jobs,
-            &scratch.deployments,
-            &scratch.batches,
-            &scratch.members,
-        );
         scratch.states.reset(&scratch.deployments, &scratch.batches);
         scratch.acct.reset(scratch.jobs.len(), retention);
 
         // --- The loop. ---
         let horizon_end = SimTime::ZERO + horizon;
+        let work = rng.derive("work");
         let ctx = RunCtx {
             env: &self.env,
             deployments: &scratch.deployments,
@@ -490,6 +507,7 @@ impl Engine {
             faults: &faults,
             retry: &retry,
             retry_rng: &retry_rng,
+            work: &work,
             noise: &scratch.noise,
             horizon_end,
         };
@@ -497,7 +515,7 @@ impl Engine {
         let mut st = RunState {
             states: &mut scratch.states,
             acct: &mut scratch.acct,
-            net: NormalFeed::new(rng.derive("net"), &mut scratch.net_pump),
+            net: NormalFeed::new(rng.derive("net"), &mut scratch.pump),
             member_works: &mut scratch.member_works,
             health: &mut scratch.health,
             health_rng: rng.derive("health"),
@@ -517,7 +535,12 @@ impl Engine {
             }
         }
 
-        let RunState { acct, health, .. } = st;
-        acct.assemble(policy, &self.env, horizon, horizon_end, sim.now(), &mut sites, health)
+        // Dropping the feed ends the run on the helper, noise job and
+        // all; whatever slots the helper had not drawn are drawn here.
+        drop(st);
+        scratch.noise.finish(&work, &scratch.jobs);
+        let now = scratch.sim.now();
+        let health = &mut scratch.health;
+        scratch.acct.assemble(policy, &self.env, horizon, horizon_end, now, &mut sites, health)
     }
 }

@@ -7,12 +7,11 @@
 use ntc_faults::{classify_injected, classify_outage, Admission};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
-use ntc_simcore::rng::{Key, KeyHasher, RngStream};
+use ntc_simcore::rng::{Key, KeyHasher};
 use ntc_simcore::units::{Cycles, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
 
-use super::admission::{refill, Batch};
 use super::{recovery, Ev, HedgePending, Ping, RunCtx, RunState};
 use crate::deploy::Deployment;
 use crate::site::{InvokeRequest, Site, SiteOutcome, SiteRegistry, SiteRole};
@@ -390,86 +389,11 @@ pub(super) fn fault_key(first: u64, comp: ComponentId, site: Site, try_: Try) ->
     (component_key(first, comp), "-", site, try_)
 }
 
-/// Execution-to-execution noise of every (job, component) slot, drawn
-/// once per input and shared by every policy, retry and hedge.
-///
-/// A batch's noise is keyed by its first member's id and the component
-/// alone (the child stream [`component_key`] of `work`), so it is the
-/// same value under every policy run on the input. The table therefore
-/// lives as long as the job stream it belongs to: [`reset`](Self::reset)
-/// marks every slot not drawn whenever the stream is regenerated, and
-/// [`fill`](Self::fill) draws, before a run's event loop, the slots its
-/// batch heads will read and earlier runs on the input left undrawn.
-#[derive(Debug, Default)]
-pub(crate) struct NoiseTable {
-    /// Slots per job: the largest component count among the input's
-    /// archetypes.
-    stride: usize,
-    /// Job `ji`'s component `c` at `ji * stride + c`; `NaN` until drawn
-    /// (a drawn factor is always positive).
-    slots: Vec<f64>,
-}
-
-impl NoiseTable {
-    /// Marks every slot of a new input of `jobs` jobs, with at most
-    /// `stride` components each, not drawn.
-    pub(crate) fn reset(&mut self, jobs: usize, stride: usize) {
-        self.stride = stride;
-        refill(&mut self.slots, jobs * stride, f64::NAN);
-    }
-
-    /// Draws every component slot of each batch's first member that is
-    /// not drawn yet, from `work`: one derivation per (batch head,
-    /// component) per input.
-    pub(crate) fn fill(
-        &mut self,
-        work: &RngStream,
-        jobs: &[Job],
-        deployments: &[Deployment],
-        batches: &[Batch],
-        members: &[u32],
-    ) {
-        for b in batches {
-            let ji = b.members_in(members)[0] as usize;
-            let first = &jobs[ji];
-            let comps = deployments[b.di].graph.len();
-            for (c, slot) in self.slots[ji * self.stride..][..comps].iter_mut().enumerate() {
-                if slot.is_nan() {
-                    *slot = draw_noise(work, first, ComponentId::from_index(c));
-                }
-            }
-        }
-    }
-
-    /// The noise of component `comp` of the batch whose first member is
-    /// job `ji`.
-    #[inline]
-    pub(crate) fn get(&self, ji: u32, comp: ComponentId) -> f64 {
-        let noise = self.slots[ji as usize * self.stride + comp.index()];
-        debug_assert!(!noise.is_nan(), "noise of job {ji}, {comp} read before it was drawn");
-        noise
-    }
-
-    /// How many slots are drawn.
-    #[cfg(test)]
-    pub(crate) fn drawn(&self) -> usize {
-        self.slots.iter().filter(|x| !x.is_nan()).count()
-    }
-}
-
-/// The execution noise of component `comp` of the batch whose first
-/// member is `first`: the archetype's drift times a lognormal draw from
-/// the child stream [`component_key`] of `work`.
-fn draw_noise(work: &RngStream, first: &Job, comp: ComponentId) -> f64 {
-    let archetype = first.archetype;
-    let mut r = work.derive(component_key(first.id, comp));
-    archetype.demand_drift() * r.lognormal(0.0, archetype.demand_noise_sigma())
-}
-
 /// The execution noise of component `comp` of batch `bi`, read from the
-/// run's [`NoiseTable`], so retries and hedges re-observe the same value.
+/// run's [`NoiseTable`](super::noise::NoiseTable), so retries and hedges
+/// re-observe the same value.
 fn noise_factor(ctx: &RunCtx<'_>, bi: usize, comp: ComponentId) -> f64 {
-    ctx.noise.get(ctx.members(bi)[0], comp)
+    ctx.noise.get(ctx.work, ctx.jobs, ctx.members(bi)[0], comp)
 }
 
 fn member_work(job: &Job, d: &Deployment, comp: ComponentId, noise: f64) -> Cycles {

@@ -450,7 +450,7 @@ mod keys {
 // --- The execution-noise table. ---
 
 mod noise {
-    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::rng::{NormalPump, RngStream};
     use ntc_simcore::units::SimDuration;
     use ntc_workloads::{Archetype, StreamSpec};
 
@@ -481,7 +481,7 @@ mod noise {
                 let mut r = work.derive(component_key(first.id, comp));
                 let a = first.archetype;
                 let direct = a.demand_drift() * r.lognormal(0.0, a.demand_noise_sigma());
-                let slot = scratch.noise.get(ji, comp);
+                let slot = scratch.noise.slot(ji, comp);
                 assert_eq!(slot.to_bits(), direct.to_bits(), "job {}, {comp}", first.id);
                 read += 1;
             }
@@ -531,6 +531,53 @@ mod noise {
         assert!(drawn[1] > drawn[0], "{drawn:?}");
         assert_eq!(drawn[2], drawn[1]);
         assert!(drawn[3] < drawn[2], "{drawn:?}");
+    }
+
+    /// A hundred times [`specs`]' rates: over an hour `cloud-all` heads
+    /// one batch per job, about 9,000 of them and 38,000 slots, far past
+    /// the hand-off size, so the helper draws most of the table.
+    fn busy_specs() -> [StreamSpec; 2] {
+        [
+            StreamSpec::poisson(Archetype::PhotoPipeline, 2.0),
+            StreamSpec::poisson(Archetype::VideoTranscode, 0.5),
+        ]
+    }
+
+    /// A scratch whose pump has a helper whatever the core count.
+    fn helper_scratch() -> RunScratch {
+        RunScratch { pump: NormalPump::with_helper(), ..RunScratch::new() }
+    }
+
+    #[test]
+    fn every_slot_the_helper_draws_is_its_component_stream_draw() {
+        let e = Engine::new(Environment::metro_reference(), 7);
+        let horizon = SimDuration::from_hours(1);
+        for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
+            let mut scratch = helper_scratch();
+            e.run_retained(7, &policy, &busy_specs(), horizon, &mut scratch, JobRetention::Full);
+            let read = check_table(&scratch, 7);
+            assert!(read > 4_000, "{policy}: {read} slots");
+            assert_eq!(scratch.noise.drawn(), read, "{policy}");
+        }
+    }
+
+    #[test]
+    fn a_helper_scratch_across_inputs_gives_a_fresh_scratchs_results() {
+        let e = Engine::new(Environment::metro_reference(), 7);
+        let horizon = SimDuration::from_hours(1);
+        let mut scratch = helper_scratch();
+        for (seed, specs) in [(7, busy_specs()), (8, busy_specs()), (7, busy_specs()), (7, specs())]
+        {
+            for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
+                let run = |scratch: &mut RunScratch| {
+                    e.run_retained(seed, &policy, &specs, horizon, scratch, JobRetention::Full)
+                        .to_json()
+                };
+                let reused = run(&mut scratch);
+                assert_eq!(reused, run(&mut RunScratch::new()), "{policy} on seed {seed}");
+                check_table(&scratch, seed);
+            }
+        }
     }
 }
 

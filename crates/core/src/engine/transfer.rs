@@ -95,7 +95,7 @@ pub(crate) fn handle_dispatch(
     // The upload targets the batch's *current* chain site: identical to
     // the primary unless admission control shed the batch above.
     let primary = offload_site(&d.site_chain, states.chain_pos(bi));
-    for c in d.graph.entries() {
+    for &c in d.graph.entries() {
         let side = if ctx.local_override[bi] { Side::Device } else { d.plan.side(c) };
         let ready = match side {
             Side::Device => t,

@@ -7,7 +7,7 @@
 //!   heap's exact (time, FIFO) pop order;
 //! * *fresh scratch vs reused scratch, same bytes* — [`RunScratch`] reuse
 //!   must refill buffers, never leak state between runs, including the
-//!   `net` normals its pump's helper thread draws ahead;
+//!   `net` normals and the noise slots its pump's helper thread draws;
 //! * *1 thread vs N threads, same bytes* — the sweep runner's derived
 //!   seeds and order-stable collection must make thread count invisible.
 //!
@@ -15,7 +15,11 @@
 //! `RunResult::to_json`, the writer behind every file the fig/tab
 //! binaries commit to `results/`.
 
-use ntc_core::{run_replications, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
+use ntc_core::{
+    run_replications, Backend, Engine, Environment, FaultConfig, HealthConfig, JobRetention,
+    NtcConfig, OffloadPolicy, RunScratch,
+};
+use ntc_edge::EdgeConfig;
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{Archetype, StreamSpec};
 
@@ -31,12 +35,41 @@ fn specs() -> [StreamSpec; 2] {
 /// the rest comes from the scratch's helper thread where there is a
 /// second core. Over 45 minutes `cloud-all` draws 6,222–6,744 normals per
 /// run at seeds 9–12 and 70–75, four or five chunks from the helper, and
-/// `ntc` 2,254–2,456, one.
+/// `ntc` 2,254–2,456, one. Unbatched, `cloud-all` also hands each run's
+/// noise slots to the helper.
 fn busy_specs() -> [StreamSpec; 2] {
     [
         StreamSpec::poisson(Archetype::PhotoPipeline, 0.3),
         StreamSpec::poisson(Archetype::MlInference, 0.1),
     ]
+}
+
+/// fig10's overload point in miniature, at [`busy_specs`]' rates: a
+/// two-slot edge with transient faults under unbatched, edge-primary NTC
+/// with breakers, admission and hedges on. Every job heads its own batch,
+/// so each run hands its noise slots to the helper (4,100–4,500 on both
+/// busy points), and its transfers read past the feed's two inline
+/// chunks: noise steps and `net` chunks share the helper in one run,
+/// while retries and hedges read slots it may not have reached.
+fn overload() -> (Environment, OffloadPolicy) {
+    let mut env = Environment::metro_reference();
+    env.edge = EdgeConfig { servers: 1, slots_per_server: 2, ..EdgeConfig::default() };
+    env.faults = FaultConfig::transient(0.12);
+    let health = HealthConfig {
+        breakers: true,
+        admission: true,
+        hedge: true,
+        queue_bound: 6,
+        defer_step: SimDuration::from_mins(5),
+        ..HealthConfig::disabled()
+    };
+    let policy = OffloadPolicy::Ntc(NtcConfig {
+        use_batching: false,
+        primary_backend: Backend::Edge,
+        health,
+        ..Default::default()
+    });
+    (env, policy)
 }
 
 fn horizon() -> SimDuration {
@@ -104,13 +137,16 @@ fn reused_scratch_matches_fresh_run() {
 
 #[test]
 fn thread_count_is_invisible_in_replications() {
-    let env = Environment::metro_reference();
-    for (policy, specs) in
-        [(OffloadPolicy::ntc(), specs()), (OffloadPolicy::CloudAll, busy_specs())]
-    {
-        let one = run_replications(&env, &policy, &specs, horizon(), 70, 6, 1);
+    let (overload_env, overload_policy) = overload();
+    let metro = Environment::metro_reference();
+    for (env, policy, specs) in [
+        (&metro, OffloadPolicy::ntc(), specs()),
+        (&metro, OffloadPolicy::CloudAll, busy_specs()),
+        (&overload_env, overload_policy, busy_specs()),
+    ] {
+        let one = run_replications(env, &policy, &specs, horizon(), 70, 6, 1);
         for threads in [2, 3, 6, 8] {
-            let many = run_replications(&env, &policy, &specs, horizon(), 70, 6, threads);
+            let many = run_replications(env, &policy, &specs, horizon(), 70, 6, threads);
             assert_eq!(one.len(), many.len());
             for (i, (a, b)) in one.iter().zip(&many).enumerate() {
                 assert_eq!(

@@ -48,7 +48,7 @@ use core::fmt;
 
 mod feed;
 
-pub use feed::{NormalFeed, NormalPump};
+pub use feed::{Background, NormalFeed, NormalPump};
 
 /// The FNV-1a 64-bit hash state that folds a key's spelling into a child
 /// seed. A [`Key`] feeds it the bytes of its label, in order.

@@ -1,5 +1,6 @@
 //! One stream's standard normals, served in order from chunks that a
-//! helper thread draws ahead of the reader.
+//! helper thread draws ahead of the reader, and a slot for one
+//! background job that the same helper runs between those chunks.
 //!
 //! A [`NormalFeed`] owns a stream for one run and draws its first chunk
 //! on the caller's thread. When the run asks for a second chunk, the
@@ -13,6 +14,20 @@
 //! [`RngStream::standard_normal`] would have, in order: moving the draws
 //! to another core changes no bit of any result.
 //!
+//! The helper serves a second kind of work: a [`Background`] job that a
+//! run hands over with [`NormalPump::background`] (the engine's
+//! execution-noise table, say). The helper runs it one short step at a
+//! time and looks for commands before each step, so a chunk the feed
+//! asks for waits for at most one step, never for the whole job. A job
+//! must give the same result whichever thread runs its steps: the pump
+//! does not say how far it got, and hands the job back to run inline
+//! when there is no helper.
+//!
+//! A pump numbers its runs, and dropping a feed ends the current one:
+//! the helper returns that run's outstanding buffers unfilled and drops
+//! its background job before the next step, so a finished run costs the
+//! helper at most the chunk or step it is in.
+//!
 //! A pump spawns its helper once, on the first hand-off, and only when
 //! [`std::thread::available_parallelism`] reports more than one core.
 //! Between runs the helper blocks on its command channel; dropping the
@@ -21,11 +36,13 @@
 //!
 //! The pump owns every chunk buffer, allocates them on the reader's
 //! thread and recycles them run after run, so the helper never
-//! allocates. It hands out at most [`BUFFERS`] of them, which bounds how
-//! far ahead the helper runs.
+//! allocates for the feed. It hands out at most [`BUFFERS`] of them,
+//! which bounds how far ahead the helper runs.
 
 use std::mem;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use super::{Normals, RngStream};
@@ -39,13 +56,19 @@ const CHUNK: usize = 1024;
 /// the reader waiting.
 const BUFFERS: usize = 16;
 
-/// A message from the reader to the helper thread.
-#[derive(Debug)]
+/// Work a pump's helper runs between chunk fills: each call does one
+/// short step and returns whether work remains.
+pub type Background = Box<dyn FnMut() -> bool + Send>;
+
+/// A message from the reader to the helper thread. `Start` and
+/// `Background` carry the number of the run they belong to.
 enum Command {
     /// Draw from this stream from now on.
-    Start(RngStream),
+    Start(RngStream, u64),
     /// Fill this buffer with the stream's next chunk and send it back.
     Fill(Vec<f64>),
+    /// Run this job's steps while no other command waits.
+    Background(Background, u64),
 }
 
 /// Draws the next chunk of `rng`'s normals into `buf`.
@@ -66,46 +89,113 @@ struct Helper {
     thread: Option<JoinHandle<()>>,
     /// Buffers sent with a `Fill` and not received back yet.
     outstanding: usize,
+    /// The current run's number; only the reader changes it.
+    run: Arc<AtomicU64>,
+    /// Chunks the helper has filled, so a test can see it stop.
+    #[cfg(test)]
+    filled: Arc<std::sync::atomic::AtomicUsize>,
     /// Dies with the thread's closure, so a test can see the thread end.
     #[cfg(test)]
     alive: std::sync::Weak<()>,
 }
 
+/// The helper thread's side: serves `commands` until the pump closes
+/// the channel, sending filled buffers back on `chunks`.
+struct Server {
+    commands: Receiver<Command>,
+    chunks: SyncSender<Vec<f64>>,
+    run: Arc<AtomicU64>,
+    #[cfg(test)]
+    filled: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl Server {
+    fn serve(self) {
+        let mut stream = None;
+        let mut job: Option<(Background, u64)> = None;
+        loop {
+            // Commands first; a job's next step only when none waits.
+            let command = match &mut job {
+                None => match self.commands.recv() {
+                    Ok(command) => command,
+                    // The pump dropped its sender.
+                    Err(_) => return,
+                },
+                Some((step, run)) => match self.commands.try_recv() {
+                    Ok(command) => command,
+                    Err(TryRecvError::Empty) => {
+                        if !self.current(*run) || !step() {
+                            job = None;
+                        }
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => return,
+                },
+            };
+            match command {
+                Command::Start(rng, run) => stream = Some((rng, run)),
+                Command::Fill(mut buf) => {
+                    let (rng, run) = stream.as_mut().expect("the pump starts a stream first");
+                    if self.current(*run) {
+                        fill(&mut buf, rng);
+                        #[cfg(test)]
+                        self.filled.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        // The run that asked for it has ended.
+                        buf.clear();
+                    }
+                    match self.chunks.try_send(buf) {
+                        Ok(()) => {}
+                        Err(TrySendError::Disconnected(_)) => return,
+                        Err(TrySendError::Full(_)) => unreachable!("more than BUFFERS buffers"),
+                    }
+                }
+                Command::Background(step, run) => job = Some((step, run)),
+            }
+        }
+    }
+
+    /// Whether run `run` has not ended yet.
+    fn current(&self, run: u64) -> bool {
+        self.run.load(Ordering::SeqCst) == run
+    }
+}
+
 impl Helper {
-    /// Spawns the helper thread. Both channels hold every buffer the pump
-    /// hands out (plus one `Start`), so neither side ever waits to send:
-    /// a full channel would mean lost count of the buffers, and panics
+    /// Spawns the helper thread. The command channel holds every buffer
+    /// the pump hands out plus one `Start` and one `Background`, and the
+    /// chunk channel every buffer, so neither side ever waits to send: a
+    /// full channel would mean lost count of the buffers, and panics
     /// rather than deadlocking the two threads.
     fn spawn() -> std::io::Result<Helper> {
-        let (commands, command_rx) = mpsc::sync_channel::<Command>(BUFFERS + 1);
+        let (commands, command_rx) = mpsc::sync_channel::<Command>(BUFFERS + 2);
         let (chunk_tx, chunks) = mpsc::sync_channel(BUFFERS);
+        let run = Arc::new(AtomicU64::new(0));
         #[cfg(test)]
-        let marker = std::sync::Arc::new(());
+        let filled = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         #[cfg(test)]
-        let alive = std::sync::Arc::downgrade(&marker);
+        let marker = Arc::new(());
+        #[cfg(test)]
+        let alive = Arc::downgrade(&marker);
+        let server = Server {
+            commands: command_rx,
+            chunks: chunk_tx,
+            run: Arc::clone(&run),
+            #[cfg(test)]
+            filled: Arc::clone(&filled),
+        };
         let thread = thread::Builder::new().name("ntc-normals".into()).spawn(move || {
             #[cfg(test)]
             let _marker = marker;
-            let mut rng = None;
-            // Ends when the pump drops its sender.
-            for command in command_rx {
-                match command {
-                    Command::Start(stream) => rng = Some(stream),
-                    Command::Fill(mut buf) => {
-                        fill(&mut buf, rng.as_mut().expect("the pump starts a stream first"));
-                        match chunk_tx.try_send(buf) {
-                            Ok(()) => {}
-                            Err(TrySendError::Disconnected(_)) => return,
-                            Err(TrySendError::Full(_)) => unreachable!("more than BUFFERS buffers"),
-                        }
-                    }
-                }
-            }
+            server.serve();
         })?;
         Ok(Helper {
             channels: Some((commands, chunks)),
             thread: Some(thread),
             outstanding: 0,
+            run,
+            #[cfg(test)]
+            filled,
             #[cfg(test)]
             alive,
         })
@@ -115,14 +205,18 @@ impl Helper {
         self.channels.as_ref().expect("the channels live as long as the helper")
     }
 
+    /// The current run's number.
+    fn run(&self) -> u64 {
+        self.run.load(Ordering::SeqCst)
+    }
+
     fn send(&mut self, command: Command) {
         if matches!(command, Command::Fill(_)) {
             self.outstanding += 1;
         }
-        self.channels()
-            .0
-            .try_send(command)
-            .expect("the helper thread runs, with at most BUFFERS buffers out");
+        if self.channels().0.try_send(command).is_err() {
+            panic!("the helper thread runs, with at most BUFFERS buffers out");
+        }
     }
 
     /// The next chunk the helper filled, waiting for it if need be.
@@ -147,7 +241,7 @@ impl Drop for Helper {
 /// Whether a pump has a helper thread.
 #[derive(Debug, Default)]
 enum State {
-    /// No feed has asked for a second chunk yet.
+    /// No run has handed the pump any work yet.
     #[default]
     Untried,
     /// One core, or the spawn failed: feeds draw inline.
@@ -155,8 +249,27 @@ enum State {
     Running(Helper),
 }
 
-/// The helper thread that draws [`NormalFeed`] chunks, and the chunk
-/// buffers it fills, kept across runs.
+impl State {
+    /// The helper, spawned now if this is the pump's first hand-off and
+    /// there is a second core; `None` when work stays inline.
+    fn helper(&mut self) -> Option<&mut Helper> {
+        if let State::Untried = self {
+            *self = if thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
+                Helper::spawn().map_or(State::Inline, State::Running)
+            } else {
+                State::Inline
+            };
+        }
+        match self {
+            State::Running(helper) => Some(helper),
+            _ => None,
+        }
+    }
+}
+
+/// The helper thread that draws [`NormalFeed`] chunks and runs
+/// [`Background`] jobs, and the chunk buffers it fills, kept across
+/// runs.
 ///
 /// Create one per long-lived owner (a run scratch, say) and lend it to
 /// each run's feed. The thread is spawned on the first hand-off, idles
@@ -174,24 +287,50 @@ impl NormalPump {
         Self::default()
     }
 
+    /// Creates a pump that spawns its helper now, whatever
+    /// [`available_parallelism`](std::thread::available_parallelism)
+    /// reports (it draws inline only if the spawn fails), so that a test
+    /// reaches the helper on a one-core host too.
+    pub fn with_helper() -> Self {
+        let state = Helper::spawn().map_or(State::Inline, State::Running);
+        NormalPump { state, spare: Vec::new() }
+    }
+
+    /// Has the helper run `job`'s steps between chunk fills until it
+    /// reports no work left or the current run ends (the run's feed
+    /// drops), whichever comes first. Hands `job` back when there is no
+    /// helper, for the caller to run inline.
+    pub fn background(&mut self, job: Background) -> Result<(), Background> {
+        let Some(helper) = self.state.helper() else {
+            return Err(job);
+        };
+        let run = helper.run();
+        helper.send(Command::Background(job, run));
+        Ok(())
+    }
+
+    /// Ends the current run's work on the helper: its stream's
+    /// outstanding buffers come back unfilled, and its background job
+    /// stops before its next step. Never waits for the helper.
+    fn cancel(&mut self) {
+        if let State::Running(helper) = &self.state {
+            helper.run.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     /// Moves `rng` to the helper and has it fill every spare buffer, the
     /// reader keeping one. Hands `rng` back when there is no helper.
     fn start(&mut self, rng: RngStream) -> Result<(), RngStream> {
-        if let State::Untried = self.state {
-            self.state = if thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
-                Helper::spawn().map_or(State::Inline, State::Running)
-            } else {
-                State::Inline
-            };
-        }
-        let State::Running(helper) = &mut self.state else {
+        let Some(helper) = self.state.helper() else {
             return Err(rng);
         };
-        // Chunks still out from an earlier run belong to its stream.
+        // Buffers still out from an earlier run belong to its stream;
+        // that run's end had the helper return them unfilled.
         while helper.outstanding > 0 {
             self.spare.push(helper.recv());
         }
-        helper.send(Command::Start(rng));
+        let run = helper.run();
+        helper.send(Command::Start(rng, run));
         while self.spare.len() < BUFFERS - 1 {
             self.spare.push(Vec::with_capacity(CHUNK));
         }
@@ -277,14 +416,16 @@ impl Normals for NormalFeed<'_> {
 }
 
 impl Drop for NormalFeed<'_> {
-    /// Keeps the feed's buffer for the pump's next run. Buffers the
-    /// helper still holds are taken back at the next hand-off, so a drop
-    /// never waits for the helper.
+    /// Keeps the feed's buffer for the pump's next run and ends the run
+    /// on the helper, background job and all. Buffers the helper still
+    /// holds come back unfilled at the next hand-off, so a drop never
+    /// waits for the helper.
     fn drop(&mut self) {
         let chunk = mem::take(&mut self.chunk);
         if chunk.capacity() > 0 {
             self.pump.spare.push(chunk);
         }
+        self.pump.cancel();
     }
 }
 
@@ -294,8 +435,9 @@ mod tests {
 
     /// A pump whose helper runs whatever the core count.
     fn pump_with_helper() -> NormalPump {
-        let helper = Helper::spawn().expect("spawn the helper");
-        NormalPump { state: State::Running(helper), spare: Vec::new() }
+        let pump = NormalPump::with_helper();
+        assert!(matches!(pump.state, State::Running(_)), "spawn the helper");
+        pump
     }
 
     fn stream(name: &str) -> RngStream {
@@ -388,6 +530,77 @@ mod tests {
         drop(feed);
         let mut feed = NormalFeed::new(stream("after"), &mut pump);
         assert_serves(&mut feed, &mut stream("after"), 2 * CHUNK);
+    }
+
+    #[test]
+    fn a_dropped_feed_stops_its_fills() {
+        let mut pump = pump_with_helper();
+        let mut feed = NormalFeed::new(stream("dropped"), &mut pump);
+        // Past the second chunk: the stream and fifteen buffers are with
+        // the helper.
+        assert_serves(&mut feed, &mut stream("dropped"), CHUNK + 1);
+        drop(feed);
+        let helper = match &mut pump.state {
+            State::Running(helper) => helper,
+            state => panic!("no helper: {state:?}"),
+        };
+        let at_drop = helper.filled.load(Ordering::SeqCst);
+        let mut back = Vec::new();
+        while helper.outstanding > 0 {
+            back.push(helper.recv());
+        }
+        let filled = helper.filled.load(Ordering::SeqCst);
+        assert!(filled <= at_drop + 1, "{filled} chunks filled, {at_drop} at the drop");
+        assert_eq!(back.iter().filter(|buf| !buf.is_empty()).count(), filled);
+        pump.spare.append(&mut back);
+        let mut feed = NormalFeed::new(stream("next"), &mut pump);
+        assert_serves(&mut feed, &mut stream("next"), (BUFFERS + 2) * CHUNK + 7);
+    }
+
+    /// A background job that never ends and counts its steps; the weak
+    /// marker dies when the helper drops the job.
+    fn endless_job() -> (Background, Arc<std::sync::atomic::AtomicUsize>, std::sync::Weak<()>) {
+        let steps = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let marker = Arc::new(());
+        let alive = Arc::downgrade(&marker);
+        let counter = Arc::clone(&steps);
+        let job: Background = Box::new(move || {
+            let _marker = &marker;
+            counter.fetch_add(1, Ordering::SeqCst);
+            true
+        });
+        (job, steps, alive)
+    }
+
+    #[test]
+    fn chunks_are_served_between_a_jobs_steps_until_the_run_ends() {
+        let mut pump = pump_with_helper();
+        let (job, steps, alive) = endless_job();
+        assert!(pump.background(job).is_ok());
+        let start = std::time::Instant::now();
+        while steps.load(Ordering::SeqCst) == 0 {
+            assert!(start.elapsed().as_secs() < 30, "the helper never ran the job");
+            thread::yield_now();
+        }
+        let mut feed = NormalFeed::new(stream("busy"), &mut pump);
+        // A chunk that queued behind the whole job would never come.
+        assert_serves(&mut feed, &mut stream("busy"), (BUFFERS + 4) * CHUNK);
+        drop(feed);
+        // The helper drops the job, which never ends by itself, before
+        // its next step.
+        while alive.upgrade().is_some() {
+            assert!(start.elapsed().as_secs() < 30, "the job outlived its run");
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn without_a_helper_a_job_comes_back() {
+        let mut pump = NormalPump { state: State::Inline, spare: Vec::new() };
+        let (job, steps, _) = endless_job();
+        let mut job = pump.background(job).expect_err("no helper to run it");
+        assert!(job());
+        assert_eq!(steps.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -147,6 +147,8 @@ pub struct TaskGraph {
     flows: Vec<DataFlow>,
     successors: Vec<Vec<usize>>,   // flow indices, by source component
     predecessors: Vec<Vec<usize>>, // flow indices, by target component
+    entries: Vec<ComponentId>,     // no predecessors, in id order
+    exits: Vec<ComponentId>,       // no successors, in id order
 }
 
 impl TaskGraph {
@@ -158,7 +160,11 @@ impl TaskGraph {
             successors[f.from.index()].push(i);
             predecessors[f.to.index()].push(i);
         }
-        TaskGraph { name, components, flows, successors, predecessors }
+        let ids_without = |edges: &[Vec<usize>]| -> Vec<ComponentId> {
+            (0..n).filter(|&i| edges[i].is_empty()).map(ComponentId::from_index).collect()
+        };
+        let (entries, exits) = (ids_without(&predecessors), ids_without(&successors));
+        TaskGraph { name, components, flows, successors, predecessors, entries, exits }
     }
 
     /// The application name.
@@ -221,13 +227,13 @@ impl TaskGraph {
     }
 
     /// Components with no predecessors (where job input enters).
-    pub fn entries(&self) -> Vec<ComponentId> {
-        self.ids().filter(|id| self.predecessors[id.index()].is_empty()).collect()
+    pub fn entries(&self) -> &[ComponentId] {
+        &self.entries
     }
 
     /// Components with no successors (where results leave).
-    pub fn exits(&self) -> Vec<ComponentId> {
-        self.ids().filter(|id| self.successors[id.index()].is_empty()).collect()
+    pub fn exits(&self) -> &[ComponentId] {
+        &self.exits
     }
 
     fn topo_order_internal(&self) -> Option<Vec<ComponentId>> {
@@ -342,8 +348,8 @@ mod tests {
         let g = diamond();
         assert_eq!(g.len(), 4);
         assert_eq!(g.name(), "diamond");
-        assert_eq!(g.entries(), vec![ComponentId::from_index(0)]);
-        assert_eq!(g.exits(), vec![ComponentId::from_index(3)]);
+        assert_eq!(g.entries(), [ComponentId::from_index(0)]);
+        assert_eq!(g.exits(), [ComponentId::from_index(3)]);
         let a = ComponentId::from_index(0);
         let succ: Vec<_> = g.successors(a).collect();
         assert_eq!(succ.len(), 2);

@@ -98,7 +98,7 @@ proptest! {
     fn reachability_is_transitive(seed in 0u64..2_000) {
         let cfg = RandomDagConfig { nodes: 12, layers: 4, ..Default::default() };
         let g = random_layered_dag(&mut RngStream::root(seed).derive("reach"), &cfg);
-        for entry in g.entries() {
+        for &entry in g.entries() {
             let r = g.reachable_from(entry);
             prop_assert!(r.contains(&entry));
             for &node in &r {
