@@ -156,11 +156,6 @@ impl HeldJob {
             deadline: arrival + slack,
         }
     }
-
-    /// The artificial delay introduced by holding.
-    pub fn hold_time(&self) -> SimDuration {
-        self.dispatch_at - self.arrival
-    }
 }
 
 #[cfg(test)]
@@ -345,7 +340,7 @@ mod tests {
             SimDuration::from_secs(100),
             SimDuration::ZERO,
         );
-        assert_eq!(job.hold_time(), SimDuration::from_secs(400));
+        assert_eq!(job.dispatch_at - job.arrival, SimDuration::from_secs(400));
         assert_eq!(job.deadline, SimTime::from_secs(600));
     }
 

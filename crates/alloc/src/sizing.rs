@@ -1,7 +1,7 @@
 //! Concurrency sizing and the full allocation decision for an offloaded
 //! partition.
 
-use ntc_simcore::units::{Cycles, DataSize, SimDuration};
+use ntc_simcore::units::{Cycles, SimDuration};
 
 use ntc_serverless::{BillingModel, CpuScaling};
 
@@ -116,21 +116,11 @@ pub fn allocate_default(req: &AllocationRequest) -> Allocation {
     )
 }
 
-/// The reference deployment sizes to which the allocator's pick can be
-/// compared in ablations: smallest, default, largest.
-pub fn naive_choices(work: Cycles, cpu: &CpuScaling, billing: &BillingModel) -> [MemoryPoint; 3] {
-    let mk = |mib: u64| {
-        let memory = DataSize::from_mib(mib);
-        let exec = cpu.effective_speed(memory).execution_time(work);
-        MemoryPoint { memory, exec, cost: billing.invocation_cost(memory, exec) }
-    };
-    [mk(128), mk(1769), mk(10240)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ntc_serverless::KeepAlive;
+    use ntc_simcore::units::DataSize;
 
     #[test]
     fn littles_law_sizing() {
@@ -198,10 +188,14 @@ mod tests {
     fn naive_choices_bracket_the_allocator() {
         let r = req(8 * 3600);
         let a = allocate_default(&r);
-        let [small, default, large] =
-            naive_choices(r.work, &CpuScaling::lambda_like(), &BillingModel::aws_like());
+        // The reference sizes: smallest, default, largest.
+        let (cpu, billing) = (CpuScaling::lambda_like(), BillingModel::aws_like());
+        let [small, _default, large] = [128, 1769, 10240].map(|mib| {
+            let memory = DataSize::from_mib(mib);
+            let exec = cpu.effective_speed(memory).execution_time(r.work);
+            MemoryPoint { memory, exec, cost: billing.invocation_cost(memory, exec) }
+        });
         assert!(a.memory.exec <= small.exec);
         assert!(a.memory.cost <= large.cost);
-        let _ = default;
     }
 }

@@ -59,15 +59,16 @@
 //! The scratch also keeps a [`NormalPump`]: the chunk buffers a run's
 //! `net` normals are served from, and the one helper thread that does
 //! two kinds of work on a second core. It fills those chunks ahead of
-//! the loop, and between chunks it draws the noise-table slots a run
-//! needs that no earlier run on the input drew, handed over as soon as
-//! coalescing has fixed the batch heads. The loop draws a slot the
-//! helper has not reached yet itself, and the run draws whatever the
-//! helper left once its loop ends, so the loop never waits on the helper
-//! for noise. The thread is spawned by the first run that reads past one
-//! chunk (1,024 normals) or has at least 1,024 slots to draw, idles
-//! between runs and is joined when the scratch drops, so a reused
-//! scratch pays for the spawn once and a smaller run never wakes it.
+//! the loop, and between chunks it draws the input's noise table, every
+//! job's slots in job order, handed over as soon as the jobs are known.
+//! A run that ends first leaves the fill's cursor where it stopped, and
+//! the next run on the input resumes from there. The loop draws a slot
+//! the helper has not reached yet itself, so it never waits on the
+//! helper for noise. The thread is spawned by the first run that reads
+//! past one chunk (1,024 normals) or finds at least 1,024 slots left to
+//! draw, idles between runs and is joined when the scratch drops, so a
+//! reused scratch pays for the spawn once and a smaller run never wakes
+//! it.
 //!
 //! On a large run nearly every batch is in flight at once, so the bytes
 //! per batch, per component and per pending event bound run memory.
@@ -271,12 +272,12 @@ pub(crate) struct RunState<'s> {
 /// the same input (another policy on the same seed, say) reuses them
 /// instead of generating them again. Execution noise is keyed by job and
 /// component alone, so the noise table belongs to the job stream too:
-/// each run draws only the slots no earlier run on the input has.
+/// it is drawn once per input, whichever runs on it draw it.
 ///
 /// The scratch owns one [`NormalPump`], whose helper thread draws each
 /// run's `net` normals ahead of its event loop and, between them, the
-/// noise slots the run is the first on its input to need; it is spawned
-/// at most once per scratch and joined when the scratch drops.
+/// input's noise table from where earlier runs on it stopped; it is
+/// spawned at most once per scratch and joined when the scratch drops.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
@@ -300,8 +301,8 @@ pub struct RunScratch {
     member_works: Vec<Cycles>,
     health: HealthMap,
     hedges: HashMap<(usize, ComponentId), HedgePending>,
-    /// Draws the `net` stream's normals and the noise table's new slots
-    /// on a helper thread, kept idle between runs.
+    /// Draws the `net` stream's normals and the noise table on a helper
+    /// thread, kept idle between runs.
     pump: NormalPump,
 }
 
@@ -332,8 +333,7 @@ impl RunScratch {
         let mut input_specs = self.jobs_input.take().map(|(_, sp, _)| sp).unwrap_or_default();
         let jobs = noise::unshared(&mut self.jobs);
         generate_jobs_into(specs, horizon, &rng.derive("jobs"), jobs);
-        let stride = specs.iter().map(|s| s.archetype.graph().len()).max().unwrap_or(0);
-        self.noise.reset(self.jobs.len(), stride);
+        self.noise.reset(self.jobs.len(), specs);
         input_specs.clear();
         input_specs.extend_from_slice(specs);
         self.jobs_input = Some((seed, input_specs, horizon));
@@ -419,6 +419,9 @@ impl Engine {
     ) -> RunResult {
         let rng = RngStream::root(seed).derive("engine");
         scratch.fill_jobs(seed, specs, horizon, &rng);
+        // The helper draws the input's noise while this thread sets the
+        // run up and starts the loop.
+        scratch.noise.start(rng.derive("work"), &scratch.jobs, &mut scratch.pump);
 
         // --- Faults and recovery. All fault/retry draws live in their own
         // derived streams, so a fault-free configuration replays the exact
@@ -464,17 +467,6 @@ impl Engine {
             &mut scratch.batch_of,
             &mut scratch.batch_key,
             &mut scratch.members,
-        );
-        // The batch heads are fixed: hand their undrawn noise slots to
-        // the helper now, so it draws them while this thread sets the run
-        // up and starts the loop.
-        scratch.noise.start(
-            rng.derive("work"),
-            &scratch.jobs,
-            &scratch.deployments,
-            &scratch.batches,
-            &scratch.members,
-            &mut scratch.pump,
         );
         admission::local_overrides_into(
             &self.env,
@@ -535,10 +527,9 @@ impl Engine {
             }
         }
 
-        // Dropping the feed ends the run on the helper, noise job and
-        // all; whatever slots the helper had not drawn are drawn here.
+        // Dropping the feed ends the run on the helper: the noise fill
+        // stops after its current step, for the next run to resume.
         drop(st);
-        scratch.noise.finish(&work, &scratch.jobs);
         let now = scratch.sim.now();
         let health = &mut scratch.health;
         scratch.acct.assemble(policy, &self.env, horizon, horizon_end, now, &mut sites, health)

@@ -98,7 +98,7 @@ const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
 
 /// Clears `v` and refills it with `n` copies of `value` in an allocation
 /// of exactly `n` when it must grow.
-pub(super) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     v.clear();
     v.reserve_exact(n);
     v.resize(n, value);

@@ -452,7 +452,8 @@ mod keys {
 mod noise {
     use ntc_simcore::rng::{NormalPump, RngStream};
     use ntc_simcore::units::SimDuration;
-    use ntc_workloads::{Archetype, StreamSpec};
+    use ntc_taskgraph::ComponentId;
+    use ntc_workloads::{Archetype, Job, StreamSpec};
 
     use crate::engine::execute::component_key;
     use crate::engine::{Engine, JobRetention, RunScratch};
@@ -468,25 +469,49 @@ mod noise {
         ]
     }
 
+    /// The direct draw from the component stream of `comp` of `job`.
+    fn direct(seed: u64, job: &Job, comp: ComponentId) -> f64 {
+        let work = RngStream::root(seed).derive("engine").derive("work");
+        let mut r = work.derive(component_key(job.id, comp));
+        let a = job.archetype;
+        a.demand_drift() * r.lognormal(0.0, a.demand_noise_sigma())
+    }
+
     /// Checks every slot the last run on `scratch` read, each batch
     /// head's components, against a direct draw from its component
     /// stream; returns how many (batch head, component) pairs it read.
     fn check_table(scratch: &RunScratch, seed: u64) -> usize {
-        let work = RngStream::root(seed).derive("engine").derive("work");
         let mut read = 0;
         for b in &scratch.batches {
             let ji = b.members_in(&scratch.members)[0];
             let first = &scratch.jobs[ji as usize];
             for comp in scratch.deployments[b.di].graph.ids() {
-                let mut r = work.derive(component_key(first.id, comp));
-                let a = first.archetype;
-                let direct = a.demand_drift() * r.lognormal(0.0, a.demand_noise_sigma());
                 let slot = scratch.noise.slot(ji, comp);
-                assert_eq!(slot.to_bits(), direct.to_bits(), "job {}, {comp}", first.id);
+                let want = direct(seed, first, comp);
+                assert_eq!(slot.to_bits(), want.to_bits(), "job {}, {comp}", first.id);
                 read += 1;
             }
         }
         read
+    }
+
+    /// Checks every drawn slot of every job against a direct draw from its
+    /// component stream, and that no slot past a job's own components is
+    /// drawn; returns how many slots are drawn.
+    fn check_drawn(scratch: &RunScratch, seed: u64) -> usize {
+        let mut drawn = 0;
+        for (ji, job) in scratch.jobs.iter().enumerate() {
+            for comp in job.archetype.graph().ids() {
+                let slot = scratch.noise.slot(ji as u32, comp);
+                if !slot.is_nan() {
+                    let want = direct(seed, job, comp);
+                    assert_eq!(slot.to_bits(), want.to_bits(), "job {}, {comp}", job.id);
+                    drawn += 1;
+                }
+            }
+        }
+        assert_eq!(scratch.noise.drawn(), drawn, "a slot past a job's components");
+        drawn
     }
 
     #[test]
@@ -535,7 +560,8 @@ mod noise {
 
     /// A hundred times [`specs`]' rates: over an hour `cloud-all` heads
     /// one batch per job, about 9,000 of them and 38,000 slots, far past
-    /// the hand-off size, so the helper draws most of the table.
+    /// the hand-off size, so the helper draws most of the table, and
+    /// under `ntc` the slots of jobs that head no batch too.
     fn busy_specs() -> [StreamSpec; 2] {
         [
             StreamSpec::poisson(Archetype::PhotoPipeline, 2.0),
@@ -552,12 +578,17 @@ mod noise {
     fn every_slot_the_helper_draws_is_its_component_stream_draw() {
         let e = Engine::new(Environment::metro_reference(), 7);
         let horizon = SimDuration::from_hours(1);
-        for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
+        for (policy, batched) in [(OffloadPolicy::CloudAll, false), (OffloadPolicy::ntc(), true)] {
             let mut scratch = helper_scratch();
             e.run_retained(7, &policy, &busy_specs(), horizon, &mut scratch, JobRetention::Full);
             let read = check_table(&scratch, 7);
             assert!(read > 4_000, "{policy}: {read} slots");
-            assert_eq!(scratch.noise.drawn(), read, "{policy}");
+            let drawn = check_drawn(&scratch, 7);
+            if batched {
+                assert!(drawn >= read, "{policy}: {drawn} drawn, {read} read");
+            } else {
+                assert_eq!(drawn, read, "{policy}");
+            }
         }
     }
 

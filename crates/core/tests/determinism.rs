@@ -35,8 +35,8 @@ fn specs() -> [StreamSpec; 2] {
 /// the rest comes from the scratch's helper thread where there is a
 /// second core. Over 45 minutes `cloud-all` draws 6,222–6,744 normals per
 /// run at seeds 9–12 and 70–75, four or five chunks from the helper, and
-/// `ntc` 2,254–2,456, one. Unbatched, `cloud-all` also hands each run's
-/// noise slots to the helper.
+/// `ntc` 2,254–2,456, one. The first run on each input also hands the
+/// input's noise table to the helper.
 fn busy_specs() -> [StreamSpec; 2] {
     [
         StreamSpec::poisson(Archetype::PhotoPipeline, 0.3),
@@ -47,10 +47,11 @@ fn busy_specs() -> [StreamSpec; 2] {
 /// fig10's overload point in miniature, at [`busy_specs`]' rates: a
 /// two-slot edge with transient faults under unbatched, edge-primary NTC
 /// with breakers, admission and hedges on. Every job heads its own batch,
-/// so each run hands its noise slots to the helper (4,100–4,500 on both
-/// busy points), and its transfers read past the feed's two inline
-/// chunks: noise steps and `net` chunks share the helper in one run,
-/// while retries and hedges read slots it may not have reached.
+/// so a run reads every slot of the noise table the first run on each
+/// input hands to the helper (4,100–4,500 on both busy points), and its
+/// transfers read past the feed's two inline chunks: noise steps and
+/// `net` chunks share the helper in one run, while retries and hedges
+/// read slots it may not have reached.
 fn overload() -> (Environment, OffloadPolicy) {
     let mut env = Environment::metro_reference();
     env.edge = EdgeConfig { servers: 1, slots_per_server: 2, ..EdgeConfig::default() };

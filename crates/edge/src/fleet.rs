@@ -187,11 +187,6 @@ impl EdgeFleet {
         &self.config
     }
 
-    /// The total number of execution slots.
-    pub fn total_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Registers a service (not yet installed).
     pub fn register(&mut self, name: impl Into<String>) -> ServiceId {
         let id = ServiceId(u32::try_from(self.services.len()).expect("too many services"));

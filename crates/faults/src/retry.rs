@@ -58,17 +58,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A deadline-aware policy for latency-sensitive callers: a few fast
-    /// retries, abandoned once they would overrun the deadline.
-    pub fn deadline_aware() -> Self {
-        RetryPolicy {
-            base: SimDuration::from_secs(1),
-            cap: SimDuration::from_secs(30),
-            max_attempts: 4,
-            budget: RetryBudget::Deadline,
-        }
-    }
-
     /// The backoff to wait before retry number `attempt` (1-based: the
     /// wait after the first failed attempt is `attempt = 1`).
     ///
@@ -208,7 +197,12 @@ mod tests {
 
     #[test]
     fn budget_deadline_stops_at_the_deadline() {
-        let p = RetryPolicy::deadline_aware();
+        let p = RetryPolicy {
+            base: SimDuration::from_secs(1),
+            cap: SimDuration::from_secs(30),
+            max_attempts: 4,
+            budget: RetryBudget::Deadline,
+        };
         let deadline = SimTime::from_secs(100);
         assert!(p.allows(1, SimTime::from_secs(99), deadline));
         assert!(p.allows(1, deadline, deadline), "boundary counts as within");

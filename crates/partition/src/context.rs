@@ -32,18 +32,6 @@ pub struct CostWeights {
     pub per_uj: f64,
 }
 
-impl CostWeights {
-    /// Weights that only count time (the latency-critical profile).
-    pub fn time_only() -> Self {
-        CostWeights { per_us: 1.0, per_nano_usd: 0.0, per_uj: 0.0 }
-    }
-
-    /// Weights that only count money (the pure-cost profile).
-    pub fn money_only() -> Self {
-        CostWeights { per_us: 0.0, per_nano_usd: 1.0, per_uj: 0.0 }
-    }
-}
-
 impl Default for CostWeights {
     fn default() -> Self {
         // 1 s == 10^6 units; $0.01 == 10^7 nano$ × 0.1 == 10^6 units;
@@ -404,7 +392,8 @@ mod tests {
     #[test]
     fn time_only_weights_ignore_money() {
         let g = graph();
-        let params = CostParams { weights: CostWeights::time_only(), ..Default::default() };
+        let weights = CostWeights { per_us: 1.0, per_nano_usd: 0.0, per_uj: 0.0 };
+        let params = CostParams { weights, ..Default::default() };
         let ctx = PartitionContext::new(&g, DataSize::ZERO, params);
         let cost = ctx.evaluate(&PartitionPlan::all_cloud(&g));
         assert!((cost.weighted - cost.total_time().as_micros() as f64).abs() < 1e-9);

@@ -16,12 +16,13 @@
 //!
 //! The helper serves a second kind of work: a [`Background`] job that a
 //! run hands over with [`NormalPump::background`] (the engine's
-//! execution-noise table, say). The helper runs it one short step at a
+//! execution-noise fill, say). The helper runs it one short step at a
 //! time and looks for commands before each step, so a chunk the feed
 //! asks for waits for at most one step, never for the whole job. A job
-//! must give the same result whichever thread runs its steps: the pump
-//! does not say how far it got, and hands the job back to run inline
-//! when there is no helper.
+//! may stop after any step, or never run: the pump does not say how far
+//! it got, and drops it unrun when there is no helper or the helper has
+//! not yet taken the job sent before it. So it suits work the reader can
+//! do itself whenever it finds the job has not.
 //!
 //! A pump numbers its runs, and dropping a feed ends the current one:
 //! the helper returns that run's outstanding buffers unfilled and drops
@@ -40,7 +41,7 @@
 //! which bounds how far ahead the helper runs.
 
 use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -91,6 +92,9 @@ struct Helper {
     outstanding: usize,
     /// The current run's number; only the reader changes it.
     run: Arc<AtomicU64>,
+    /// Whether a `Background` command waits in the channel: set by the
+    /// reader as it sends one, cleared by the helper as it takes it.
+    job_queued: Arc<AtomicBool>,
     /// Chunks the helper has filled, so a test can see it stop.
     #[cfg(test)]
     filled: Arc<std::sync::atomic::AtomicUsize>,
@@ -105,6 +109,7 @@ struct Server {
     commands: Receiver<Command>,
     chunks: SyncSender<Vec<f64>>,
     run: Arc<AtomicU64>,
+    job_queued: Arc<AtomicBool>,
     #[cfg(test)]
     filled: Arc<std::sync::atomic::AtomicUsize>,
 }
@@ -150,7 +155,10 @@ impl Server {
                         Err(TrySendError::Full(_)) => unreachable!("more than BUFFERS buffers"),
                     }
                 }
-                Command::Background(step, run) => job = Some((step, run)),
+                Command::Background(step, run) => {
+                    self.job_queued.store(false, Ordering::SeqCst);
+                    job = Some((step, run));
+                }
             }
         }
     }
@@ -171,6 +179,7 @@ impl Helper {
         let (commands, command_rx) = mpsc::sync_channel::<Command>(BUFFERS + 2);
         let (chunk_tx, chunks) = mpsc::sync_channel(BUFFERS);
         let run = Arc::new(AtomicU64::new(0));
+        let job_queued = Arc::new(AtomicBool::new(false));
         #[cfg(test)]
         let filled = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         #[cfg(test)]
@@ -181,6 +190,7 @@ impl Helper {
             commands: command_rx,
             chunks: chunk_tx,
             run: Arc::clone(&run),
+            job_queued: Arc::clone(&job_queued),
             #[cfg(test)]
             filled: Arc::clone(&filled),
         };
@@ -194,6 +204,7 @@ impl Helper {
             thread: Some(thread),
             outstanding: 0,
             run,
+            job_queued,
             #[cfg(test)]
             filled,
             #[cfg(test)]
@@ -298,15 +309,16 @@ impl NormalPump {
 
     /// Has the helper run `job`'s steps between chunk fills until it
     /// reports no work left or the current run ends (the run's feed
-    /// drops), whichever comes first. Hands `job` back when there is no
-    /// helper, for the caller to run inline.
-    pub fn background(&mut self, job: Background) -> Result<(), Background> {
-        let Some(helper) = self.state.helper() else {
-            return Err(job);
-        };
-        let run = helper.run();
-        helper.send(Command::Background(job, run));
-        Ok(())
+    /// drops), whichever comes first. Drops `job` unrun when there is no
+    /// helper, or when the helper has not yet taken the last job sent
+    /// (it has not run since), since the channel holds only one.
+    pub fn background(&mut self, job: Background) {
+        if let Some(helper) = self.state.helper() {
+            if !helper.job_queued.swap(true, Ordering::SeqCst) {
+                let run = helper.run();
+                helper.send(Command::Background(job, run));
+            }
+        }
     }
 
     /// Ends the current run's work on the helper: its stream's
@@ -576,7 +588,7 @@ mod tests {
     fn chunks_are_served_between_a_jobs_steps_until_the_run_ends() {
         let mut pump = pump_with_helper();
         let (job, steps, alive) = endless_job();
-        assert!(pump.background(job).is_ok());
+        pump.background(job);
         let start = std::time::Instant::now();
         while steps.load(Ordering::SeqCst) == 0 {
             assert!(start.elapsed().as_secs() < 30, "the helper never ran the job");
@@ -595,12 +607,43 @@ mod tests {
     }
 
     #[test]
-    fn without_a_helper_a_job_comes_back() {
+    fn without_a_helper_a_job_is_dropped_unrun() {
         let mut pump = NormalPump { state: State::Inline, spare: Vec::new() };
-        let (job, steps, _) = endless_job();
-        let mut job = pump.background(job).expect_err("no helper to run it");
-        assert!(job());
-        assert_eq!(steps.load(Ordering::SeqCst), 1);
+        let (job, steps, alive) = endless_job();
+        pump.background(job);
+        assert!(alive.upgrade().is_none(), "the pump kept the job");
+        assert_eq!(steps.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_job_sent_before_the_helper_takes_the_last_is_dropped_unrun() {
+        let mut pump = pump_with_helper();
+        // Park the helper inside a job's step.
+        let (release, gate) = mpsc::channel::<()>();
+        let (parked, inside) = mpsc::channel();
+        pump.background(Box::new(move || {
+            let _ = parked.send(());
+            let _ = gate.recv();
+            false
+        }));
+        inside.recv().expect("the helper runs the job");
+        let (queued, steps, _) = endless_job();
+        pump.background(queued);
+        // More jobs than the command channel holds: none waits for the
+        // helper or overflows the channel.
+        for _ in 0..2 * BUFFERS {
+            let (job, _, alive) = endless_job();
+            pump.background(job);
+            assert!(alive.upgrade().is_none(), "a second job was queued");
+        }
+        drop(release);
+        let start = std::time::Instant::now();
+        while steps.load(Ordering::SeqCst) == 0 {
+            assert!(start.elapsed().as_secs() < 30, "the helper never ran the queued job");
+            thread::yield_now();
+        }
+        let mut feed = NormalFeed::new(stream("after"), &mut pump);
+        assert_serves(&mut feed, &mut stream("after"), (BUFFERS + 2) * CHUNK);
     }
 
     #[test]
