@@ -23,9 +23,6 @@ pub enum DispatchPolicy {
         /// Batching-window length.
         window: SimDuration,
     },
-    /// Hold each job as long as its own deadline allows (maximum
-    /// opportunity for off-peak execution and warm reuse).
-    SlackMax,
     /// Hold jobs until the next `window` boundary that falls inside the
     /// off-peak band `[start_hour, end_hour)` of the simulated day
     /// (wrapping past midnight when `start_hour > end_hour`); jobs whose
@@ -45,7 +42,6 @@ impl fmt::Display for DispatchPolicy {
         match self {
             DispatchPolicy::Immediate => f.write_str("immediate"),
             DispatchPolicy::Windowed { window } => write!(f, "windowed({window})"),
-            DispatchPolicy::SlackMax => f.write_str("slack-max"),
             DispatchPolicy::OffPeak { window, start_hour, end_hour } => {
                 write!(f, "off-peak({window}, {start_hour}h-{end_hour}h)")
             }
@@ -105,7 +101,6 @@ pub fn dispatch_time(
             let next_boundary = SimTime::from_micros(arrival.as_micros().div_ceil(w) * w);
             next_boundary.min(latest).max(arrival)
         }
-        DispatchPolicy::SlackMax => latest,
         DispatchPolicy::OffPeak { window, start_hour, end_hour } => {
             if window.is_zero() {
                 return arrival;
@@ -177,7 +172,7 @@ mod tests {
     fn slack_max_uses_all_slack_minus_reserve() {
         let arrival = SimTime::from_secs(1000);
         let slack = SimDuration::from_hours(1);
-        let d = dispatch_time(DispatchPolicy::SlackMax, arrival, slack, EST, MARGIN);
+        let d = latest_safe_dispatch(arrival, slack, EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(1000 + 3600 - 40));
     }
 
@@ -187,7 +182,11 @@ mod tests {
         for policy in [
             DispatchPolicy::Immediate,
             DispatchPolicy::Windowed { window: SimDuration::from_mins(30) },
-            DispatchPolicy::SlackMax,
+            DispatchPolicy::OffPeak {
+                window: SimDuration::from_mins(30),
+                start_hour: 0,
+                end_hour: 6,
+            },
         ] {
             let d = dispatch_time(policy, arrival, SimDuration::ZERO, EST, MARGIN);
             assert_eq!(d, arrival, "{policy} must not hold a zero-slack job");
@@ -238,7 +237,11 @@ mod tests {
                     for policy in [
                         DispatchPolicy::Immediate,
                         DispatchPolicy::Windowed { window: SimDuration::from_mins(15) },
-                        DispatchPolicy::SlackMax,
+                        DispatchPolicy::OffPeak {
+                            window: SimDuration::from_mins(15),
+                            start_hour: 0,
+                            end_hour: 6,
+                        },
                     ] {
                         let arrival = SimTime::from_secs(a);
                         let slack = SimDuration::from_secs(s);
@@ -333,8 +336,10 @@ mod tests {
 
     #[test]
     fn held_job_records_hold_time() {
+        // The next window boundary (1 h) lies past the latest safe
+        // dispatch (500 s), so the job is held exactly until then.
         let job = HeldJob::plan(
-            DispatchPolicy::SlackMax,
+            DispatchPolicy::Windowed { window: SimDuration::from_hours(1) },
             SimTime::from_secs(100),
             SimDuration::from_secs(500),
             SimDuration::from_secs(100),
@@ -347,7 +352,6 @@ mod tests {
     #[test]
     fn policy_display() {
         assert_eq!(DispatchPolicy::Immediate.to_string(), "immediate");
-        assert_eq!(DispatchPolicy::SlackMax.to_string(), "slack-max");
         assert!(DispatchPolicy::Windowed { window: SimDuration::from_mins(5) }
             .to_string()
             .starts_with("windowed("));

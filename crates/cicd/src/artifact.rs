@@ -96,11 +96,6 @@ impl ArtifactRegistry {
     pub fn version_count(&self, name: &str) -> usize {
         self.by_name.get(name).map_or(0, Vec::len)
     }
-
-    /// Total stored bytes across all artifacts (registry footprint).
-    pub fn total_size(&self) -> DataSize {
-        self.by_name.values().flatten().map(|a| a.size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(reg.version("a", 1).unwrap().version, 1);
         assert_eq!(reg.version_count("a"), 2);
         assert_eq!(reg.latest("missing"), None);
-        assert_eq!(reg.total_size(), DataSize::from_mib(15));
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl ProductionMonitor {
             MonitorAction::Reprofile(d)
         })
     }
-
-    /// Re-baselines after a new release is promoted.
-    pub fn rebaseline(&mut self, baseline_demand: f64) {
-        assert!(
-            baseline_demand > 0.0 && baseline_demand.is_finite(),
-            "baseline demand must be positive"
-        );
-        self.baseline_demand = baseline_demand;
-        self.detector = PageHinkley::for_demand_ratios();
-    }
 }
 
 #[cfg(test)]
@@ -134,19 +124,6 @@ mod tests {
         }
         let action = (0..300).find_map(|_| m.observe(5e9 * 0.5));
         assert_eq!(action, Some(MonitorAction::Reprofile(Drift::Down)));
-    }
-
-    #[test]
-    fn rebaseline_accepts_the_new_normal() {
-        let mut m = ProductionMonitor::new(5e9);
-        for _ in 0..300 {
-            m.observe(5e9);
-        }
-        m.rebaseline(8e9);
-        for _ in 0..300 {
-            assert_eq!(m.observe(8e9), None, "the new baseline is the new normal");
-        }
-        assert_eq!(m.baseline_demand(), 8e9);
     }
 
     #[test]

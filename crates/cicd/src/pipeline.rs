@@ -162,7 +162,6 @@ impl PipelineReport {
 #[derive(Debug, Clone)]
 struct GoodRelease {
     version: u64,
-    plan: PartitionPlan,
     mean_demand: f64,
 }
 
@@ -207,11 +206,6 @@ impl Pipeline {
     /// The artifact registry the pipeline publishes into.
     pub fn registry(&self) -> &ArtifactRegistry {
         &self.registry
-    }
-
-    /// The currently live partition plan, if any release was promoted.
-    pub fn live_plan(&self) -> Option<&PartitionPlan> {
-        self.last_good.as_ref().map(|g| &g.plan)
     }
 
     /// The version of the currently live release, if any.
@@ -321,7 +315,6 @@ impl Pipeline {
         stages.push((Stage::Promote, SimDuration::from_secs(10)));
         self.last_good = Some(GoodRelease {
             version: spec.version,
-            plan: plan.clone(),
             mean_demand: if cfg.offloading_stages {
                 measured_total
             } else {
@@ -366,7 +359,7 @@ mod tests {
         assert!(report.stage(Stage::Profile).is_some());
         assert!(report.stage(Stage::Canary).is_some());
         assert!(report.stage(Stage::Rollback).is_none());
-        assert!(p.live_plan().is_some());
+        assert_eq!(p.live_version(), Some(1));
         assert_eq!(p.plan_history().len(), 1);
     }
 
@@ -374,7 +367,6 @@ mod tests {
     fn demand_regression_is_rolled_back() {
         let mut p = pipeline();
         p.run(&release(1, 1.0));
-        let v1_plan = p.live_plan().cloned();
         let report = p.run(&release(2, 3.0)); // 3× the demand: breach
         match &report.outcome {
             Outcome::RolledBack { regression } => {
@@ -383,8 +375,8 @@ mod tests {
             other => panic!("expected rollback, got {other:?}"),
         }
         assert!(report.stage(Stage::Rollback).is_some());
-        // The live plan is still v1's.
-        assert_eq!(p.live_plan().cloned(), v1_plan);
+        // The live release is still v1.
+        assert_eq!(p.live_version(), Some(1));
         assert_eq!(p.plan_history().len(), 1);
     }
 

@@ -11,14 +11,14 @@ use ntc_partition::{
     CostParams, FullOffload, KeepLocal, MinCutPartitioner, PartitionContext, PartitionPlan,
     Partitioner, Side,
 };
-use ntc_profiler::AppProfiler;
+use ntc_profiler::{AppProfiler, EstimatorKind};
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Cycles, DataSize, SimDuration};
 use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Archetype;
 
 use crate::environment::Environment;
-use crate::policy::{Backend, NtcConfig, OffloadPolicy};
+use crate::policy::{Backend, OffloadPolicy};
 use crate::site::Site;
 
 /// The memory size granting one full vCPU — the baseline policies'
@@ -29,6 +29,12 @@ pub const DEFAULT_MEMORY: DataSize = DataSize::from_bytes(1769 * 1024 * 1024);
 /// 128 MiB) — what a team gets when nobody tunes the allocation
 /// (the `use_allocator: false` ablation).
 pub const UNTUNED_MEMORY: DataSize = DataSize::from_mib(128);
+
+/// The profiler's estimator family under the NTC policy.
+const PROFILE_ESTIMATOR: EstimatorKind = EstimatorKind::Hybrid;
+
+/// Profiling invocations per archetype at deployment time.
+const PROFILE_SAMPLES: u32 = 40;
 
 /// A deployed application: everything the engine needs to execute jobs of
 /// one archetype under one policy.
@@ -67,7 +73,9 @@ pub struct Deployment {
     /// Estimated completion of one job run entirely on the device.
     pub est_local: SimDuration,
     /// Whether batches that provably cannot make their deadline offloaded
-    /// (but can locally) should execute on the device instead.
+    /// (e.g. behind a connectivity outage longer than the remaining
+    /// slack) but can locally should execute on the device instead: true
+    /// under every NTC policy.
     pub fallback_local: bool,
     /// Failure-driven site-preference chain, primary first: where the
     /// engine provisions this deployment and, on unrecoverable errors,
@@ -79,11 +87,6 @@ impl Deployment {
     /// Whether `id` runs away from the device.
     pub fn is_offloaded(&self, id: ComponentId) -> bool {
         self.plan.side(id) == Side::Cloud
-    }
-
-    /// Number of offloaded components.
-    pub fn offloaded_count(&self) -> usize {
-        self.plan.offloaded().count()
     }
 
     /// Deterministic end-to-end latency estimate of one job with the
@@ -135,20 +138,15 @@ fn reference_inputs(archetype: Archetype, rng: &RngStream) -> (DataSize, DataSiz
     (DataSize::from_bytes(mean), DataSize::from_bytes(tail))
 }
 
-/// Synthetic profiling run: observe `samples` executions of every
+/// Synthetic profiling run: observe [`PROFILE_SAMPLES`] executions of every
 /// component with the archetype's runtime noise, exactly as the engine
 /// will generate them.
-fn train_profiler(
-    graph: &TaskGraph,
-    archetype: Archetype,
-    cfg: &NtcConfig,
-    rng: &RngStream,
-) -> AppProfiler {
-    let mut profiler = AppProfiler::new(graph, cfg.estimator).with_min_observations(3);
+fn train_profiler(graph: &TaskGraph, archetype: Archetype, rng: &RngStream) -> AppProfiler {
+    let mut profiler = AppProfiler::new(graph, PROFILE_ESTIMATOR).with_min_observations(3);
     let mut r = rng.derive("profiling");
     let sigma = archetype.demand_noise_sigma();
     let drift = archetype.demand_drift();
-    for _ in 0..cfg.profile_samples {
+    for _ in 0..PROFILE_SAMPLES {
         let input = archetype.sample_input(&mut r);
         for (id, c) in graph.components() {
             let actual = c.demand_cycles(input).get() as f64 * drift * r.lognormal(0.0, sigma);
@@ -217,7 +215,7 @@ pub fn deploy(
     // --- C1: demands. ---
     let demands: Vec<Cycles> = match policy {
         OffloadPolicy::Ntc(cfg) if cfg.use_profiler => {
-            let profiler = train_profiler(&graph, archetype, cfg, &rng);
+            let profiler = train_profiler(&graph, archetype, &rng);
             graph.ids().map(|id| profiler.predict(id, input)).collect()
         }
         _ => graph.ids().map(|id| graph.component(id).demand_cycles(input)).collect(),
@@ -397,7 +395,7 @@ pub fn deploy(
     let local_plan = PartitionPlan::all_device(&graph);
     let est_local =
         estimate_completion(env, site, &graph, &local_plan, &memory, &demands, input, None);
-    let fallback_local = matches!(policy, OffloadPolicy::Ntc(cfg) if cfg.local_fallback);
+    let fallback_local = matches!(policy, OffloadPolicy::Ntc(_));
 
     // Cap coalesced batch size: a chunk's estimated execution at its
     // component's memory must stay within a third of the 15-minute
@@ -463,6 +461,7 @@ pub fn deploy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::NtcConfig;
 
     fn env() -> Environment {
         Environment::metro_reference()
@@ -482,7 +481,7 @@ mod tests {
             Archetype::PhotoPipeline.typical_slack(),
             &rng(),
         );
-        assert_eq!(d.offloaded_count(), 0);
+        assert_eq!(d.plan.offloaded().count(), 0);
         assert_eq!(d.dispatch, DispatchPolicy::Immediate);
     }
 
@@ -496,7 +495,7 @@ mod tests {
             Archetype::PhotoPipeline.typical_slack(),
             &rng(),
         );
-        assert_eq!(d.offloaded_count(), d.graph.len() - 1); // entry pinned
+        assert_eq!(d.plan.offloaded().count(), d.graph.len() - 1); // entry pinned
         assert_eq!(d.backend, Backend::Cloud);
     }
 
@@ -511,7 +510,7 @@ mod tests {
             &rng(),
         );
         assert_eq!(d.backend, Backend::Edge);
-        assert!(d.offloaded_count() > 0);
+        assert!(d.plan.offloaded().count() > 0);
     }
 
     #[test]
@@ -524,7 +523,7 @@ mod tests {
             Archetype::SciSweep.typical_slack(),
             &rng(),
         );
-        assert!(d.offloaded_count() >= 1, "the 60 Gcyc simulate step must offload");
+        assert!(d.plan.offloaded().count() >= 1, "the 60 Gcyc simulate step must offload");
         assert!(matches!(d.dispatch, DispatchPolicy::Windowed { .. }));
         assert!(d.est_completion > SimDuration::ZERO);
     }

@@ -44,7 +44,7 @@ pub(crate) fn recover(
             let key = execute::component_key(ctx.first_job(bi).id, comp);
             let backoff = ctx.retry.backoff(ctx.retry_rng, key, attempt);
             let resume = t + detect + backoff;
-            if ctx.retry.allows(attempt, resume, ctx.min_deadline(bi)) {
+            if ctx.retry.allows(attempt) {
                 st.states.add_backoff(cix, backoff);
                 sim.schedule_at(resume, Ev::exec(bi, comp)).expect("future");
             } else {

@@ -937,7 +937,7 @@ mod coalescing {
         /// jittered slack that makes dispatch instants non-monotone.
         #[test]
         fn coalescing_matches_the_unpruned_reference(
-            kind in 0u8..4,
+            kind in 0u8..3,
             window_mins in 1u64..120,
             band in (0u8..24, 0u8..25),
             caps in (1u32..6, 1u64..64),
@@ -947,7 +947,6 @@ mod coalescing {
             let dispatch = match kind {
                 0 => DispatchPolicy::Immediate,
                 1 => DispatchPolicy::Windowed { window },
-                2 => DispatchPolicy::SlackMax,
                 _ => DispatchPolicy::OffPeak { window, start_hour: band.0, end_hour: band.1 },
             };
             let env = Environment::metro_reference();

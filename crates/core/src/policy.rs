@@ -4,7 +4,6 @@
 use core::fmt;
 
 use ntc_faults::{HealthConfig, RetryPolicy};
-use ntc_profiler::EstimatorKind;
 
 /// Where offloaded components execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,18 +35,10 @@ pub struct NtcConfig {
     pub use_allocator: bool,
     /// C5: deadline-aware batching (off → dispatch immediately).
     pub use_batching: bool,
-    /// Run a batch on the device when offloading provably cannot meet its
-    /// deadline (e.g. a connectivity outage longer than the remaining
-    /// slack) but local execution can.
-    pub local_fallback: bool,
     /// C5 extension: steer held jobs into the nightly off-peak band
     /// (00:00–06:00) when their slack reaches it, to ride uncongested
     /// WAN bandwidth and bigger coalesced batches.
     pub off_peak: bool,
-    /// Estimator family for the profiler.
-    pub estimator: EstimatorKind,
-    /// Profiling invocations per archetype at deployment time.
-    pub profile_samples: u32,
     /// How failed offloaded attempts are retried. NTC work is
     /// delay-tolerant, so the default retries patiently with capped
     /// exponential backoff; baselines never retry.
@@ -55,8 +46,9 @@ pub struct NtcConfig {
     /// Failure-driven backend fallback: when a backend declares an
     /// attempt unrecoverable (outage, exhausted capacity, timeout), move
     /// the batch down the chain edge → cloud → device instead of losing
-    /// it. Distinct from [`local_fallback`](Self::local_fallback), which
-    /// acts *before* dispatch on latency estimates.
+    /// it. Distinct from the local fallback every NTC deployment has
+    /// ([`Deployment::fallback_local`](crate::Deployment::fallback_local)),
+    /// which acts *before* dispatch on latency estimates.
     pub fallback: bool,
     /// The backend offloaded components target first. The default is the
     /// paper's cloud-first stance; `Backend::Edge` demonstrates the full
@@ -76,10 +68,7 @@ impl Default for NtcConfig {
             use_partitioner: true,
             use_allocator: true,
             use_batching: true,
-            local_fallback: true,
             off_peak: false,
-            estimator: EstimatorKind::Hybrid,
-            profile_samples: 40,
             retry: RetryPolicy::ntc_default(),
             fallback: true,
             primary_backend: Backend::Cloud,
@@ -196,7 +185,7 @@ impl OffloadPolicy {
                     } else if !adds.is_empty() {
                         format!("ntc[+{}]", adds.join(",+"))
                     } else {
-                        format!("ntc[{}x{}]", cfg.estimator, cfg.profile_samples)
+                        "ntc[custom]".into()
                     }
                 }
             }
@@ -214,6 +203,10 @@ impl fmt::Display for OffloadPolicy {
 mod tests {
     use super::*;
 
+    fn all_health_on() -> HealthConfig {
+        HealthConfig { breakers: true, admission: true, hedge: true, ..HealthConfig::disabled() }
+    }
+
     #[test]
     fn names_are_stable() {
         assert_eq!(OffloadPolicy::LocalOnly.name(), "local-only");
@@ -228,26 +221,26 @@ mod tests {
         let edge_first =
             OffloadPolicy::Ntc(NtcConfig { primary_backend: Backend::Edge, ..Default::default() });
         assert_eq!(edge_first.name(), "ntc[+edge]");
-        let overload = OffloadPolicy::Ntc(NtcConfig {
-            health: HealthConfig::overload_default(),
-            ..Default::default()
-        });
+        let overload =
+            OffloadPolicy::Ntc(NtcConfig { health: all_health_on(), ..Default::default() });
         assert_eq!(overload.name(), "ntc[+breakers,+admission,+hedge]");
         let hedged = OffloadPolicy::Ntc(NtcConfig {
             health: HealthConfig { hedge: true, ..HealthConfig::disabled() },
             ..Default::default()
         });
         assert_eq!(hedged.name(), "ntc[+hedge]");
+        let tuned = OffloadPolicy::Ntc(NtcConfig {
+            retry: RetryPolicy { max_attempts: 5, ..RetryPolicy::ntc_default() },
+            ..Default::default()
+        });
+        assert_eq!(tuned.name(), "ntc[custom]");
     }
 
     #[test]
     fn health_defaults_off_and_only_ntc_carries_it() {
         assert!(!OffloadPolicy::ntc().health().enabled());
         assert!(!OffloadPolicy::CloudAll.health().enabled());
-        let on = OffloadPolicy::Ntc(NtcConfig {
-            health: HealthConfig::overload_default(),
-            ..Default::default()
-        });
+        let on = OffloadPolicy::Ntc(NtcConfig { health: all_health_on(), ..Default::default() });
         assert!(on.health().breakers && on.health().admission && on.health().hedge);
     }
 

@@ -33,9 +33,8 @@ impl EdgeSite {
     /// Registers `comp` of deployment `di` as a service and starts its
     /// installation at t = 0.
     pub(super) fn provision(&mut self, di: usize, d: &Deployment, comp: ComponentId) {
-        let c = d.graph.component(comp);
-        let s = self.fleet.register(format!("{}/{}", d.archetype.name(), c.name()));
-        self.fleet.install(SimTime::ZERO, s, c.artifact_size());
+        let s = self.fleet.register();
+        self.fleet.install(SimTime::ZERO, s, d.graph.component(comp).artifact_size());
         self.svcs.insert(di, comp, s);
     }
 

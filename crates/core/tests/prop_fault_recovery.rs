@@ -5,7 +5,7 @@
 use ntc_check::prelude::*;
 
 use ntc_core::{Engine, Environment, FaultConfig, NtcConfig, OffloadPolicy};
-use ntc_faults::{RetryBudget, RetryPolicy};
+use ntc_faults::RetryPolicy;
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{Archetype, StreamSpec};
 
@@ -35,7 +35,6 @@ proptest! {
                 base: SimDuration::from_secs(1),
                 cap: SimDuration::from_secs(60),
                 max_attempts: u32::MAX,
-                budget: RetryBudget::Unbounded,
             },
             ..Default::default()
         });

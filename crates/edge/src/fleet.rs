@@ -3,7 +3,6 @@
 
 use core::fmt;
 
-use ntc_simcore::metrics::Histogram;
 use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Money, SimDuration, SimTime};
 
 /// Identifier of a service deployed on an [`EdgeFleet`].
@@ -107,34 +106,6 @@ pub struct EdgeOutcome {
     pub finish: SimTime,
 }
 
-impl EdgeOutcome {
-    /// Total latency from submission to result.
-    pub fn latency(&self) -> SimDuration {
-        self.finish - self.submitted
-    }
-}
-
-/// Per-service counters.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceStats {
-    /// Completed invocations.
-    pub invocations: u64,
-    /// Invocations that had to wait for a slot.
-    pub queued: u64,
-    /// Latency distribution (µs).
-    pub latency: Histogram,
-    /// Queue-wait distribution (µs).
-    pub queue_wait: Histogram,
-}
-
-#[derive(Debug)]
-struct ServiceState {
-    #[allow(dead_code)] // name kept for Debug output
-    name: String,
-    ready_at: Option<SimTime>,
-    stats: ServiceStats,
-}
-
 /// A simulated edge site: fixed slots, proximity latency handled by the
 /// caller's network path, flat-rate infrastructure cost.
 ///
@@ -149,7 +120,7 @@ struct ServiceState {
 /// use ntc_simcore::units::{Cycles, DataSize, SimTime};
 ///
 /// let mut edge = EdgeFleet::new(EdgeConfig::default());
-/// let svc = edge.register("detector");
+/// let svc = edge.register();
 /// edge.install(SimTime::ZERO, svc, DataSize::from_mib(100));
 /// let out = edge.invoke(SimTime::from_secs(10), svc, Cycles::from_giga(1))?;
 /// assert!(out.queue_wait.is_zero());
@@ -158,10 +129,10 @@ struct ServiceState {
 #[derive(Debug)]
 pub struct EdgeFleet {
     config: EdgeConfig,
-    services: Vec<ServiceState>,
+    /// When each service finished installing, `None` until installed.
+    ready_at: Vec<Option<SimTime>>,
     slots: Vec<SimTime>, // busy-until per slot, fleet-wide
     latest: SimTime,
-    busy_micros: u128,
 }
 
 impl EdgeFleet {
@@ -175,10 +146,9 @@ impl EdgeFleet {
         let total = (config.servers * config.slots_per_server) as usize;
         EdgeFleet {
             config,
-            services: Vec::new(),
+            ready_at: Vec::new(),
             slots: vec![SimTime::ZERO; total],
             latest: SimTime::ZERO,
-            busy_micros: 0,
         }
     }
 
@@ -188,13 +158,9 @@ impl EdgeFleet {
     }
 
     /// Registers a service (not yet installed).
-    pub fn register(&mut self, name: impl Into<String>) -> ServiceId {
-        let id = ServiceId(u32::try_from(self.services.len()).expect("too many services"));
-        self.services.push(ServiceState {
-            name: name.into(),
-            ready_at: None,
-            stats: ServiceStats::default(),
-        });
+    pub fn register(&mut self) -> ServiceId {
+        let id = ServiceId(u32::try_from(self.ready_at.len()).expect("too many services"));
+        self.ready_at.push(None);
         id
     }
 
@@ -209,32 +175,14 @@ impl EdgeFleet {
     pub fn install(&mut self, at: SimTime, service: ServiceId, artifact: DataSize) -> SimTime {
         let delay = self.config.install_delay_per_mib.mul_f64(artifact.as_mib_f64());
         let ready = at + delay;
-        self.services[service.index()].ready_at = Some(ready);
+        self.ready_at[service.index()] = Some(ready);
         ready
-    }
-
-    /// Accumulated statistics of `service`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` is unknown.
-    pub fn stats(&self, service: ServiceId) -> &ServiceStats {
-        &self.services[service.index()].stats
     }
 
     /// The flat infrastructure cost of running the fleet until `until`.
     pub fn infrastructure_cost(&self, until: SimTime) -> Money {
         let hours = until.saturating_duration_since(SimTime::ZERO).as_secs_f64() / 3600.0;
         self.config.cost_per_server_hour.mul_f64(hours * f64::from(self.config.servers))
-    }
-
-    /// Mean slot utilisation over `[0, until]`, in `[0, 1]`.
-    pub fn utilization(&self, until: SimTime) -> f64 {
-        let span = until.as_micros() as u128 * self.slots.len() as u128;
-        if span == 0 {
-            return 0.0;
-        }
-        (self.busy_micros as f64 / span as f64).min(1.0)
     }
 
     /// Submits an invocation of `service` at time `at` needing `work`
@@ -251,8 +199,9 @@ impl EdgeFleet {
         service: ServiceId,
         work: Cycles,
     ) -> Result<EdgeOutcome, EdgeError> {
-        let state = self.services.get(service.index()).ok_or(EdgeError::UnknownService(service))?;
-        match state.ready_at {
+        let ready_at =
+            self.ready_at.get(service.index()).ok_or(EdgeError::UnknownService(service))?;
+        match *ready_at {
             Some(ready) if ready <= at => {}
             ready_at => return Err(EdgeError::NotInstalled { service, ready_at }),
         }
@@ -271,18 +220,7 @@ impl EdgeFleet {
         let start = at.max(free_at);
         let finish = start + exec;
         self.slots[slot] = finish;
-        self.busy_micros += u128::from(exec.as_micros());
-
-        let queue_wait = start - at;
-        let outcome = EdgeOutcome { submitted: at, queue_wait, exec, finish };
-        let stats = &mut self.services[service.index()].stats;
-        stats.invocations += 1;
-        if !queue_wait.is_zero() {
-            stats.queued += 1;
-        }
-        stats.latency.record_duration(outcome.latency());
-        stats.queue_wait.record_duration(queue_wait);
-        Ok(outcome)
+        Ok(EdgeOutcome { submitted: at, queue_wait: start - at, exec, finish })
     }
 }
 
@@ -297,7 +235,7 @@ mod tests {
     #[test]
     fn install_then_invoke() {
         let mut f = small_fleet();
-        let s = f.register("svc");
+        let s = f.register();
         let ready = f.install(SimTime::ZERO, s, DataSize::from_mib(100));
         assert_eq!(ready, SimTime::from_micros(2_000_000)); // 100 MiB × 20 ms
         let out = f.invoke(ready, s, Cycles::from_giga(28)).unwrap(); // 10 s at 2.8 GHz
@@ -308,7 +246,7 @@ mod tests {
     #[test]
     fn uninstalled_service_is_rejected() {
         let mut f = small_fleet();
-        let s = f.register("svc");
+        let s = f.register();
         let err = f.invoke(SimTime::ZERO, s, Cycles::from_mega(1)).unwrap_err();
         assert_eq!(err, EdgeError::NotInstalled { service: s, ready_at: None });
         let ready = f.install(SimTime::ZERO, s, DataSize::from_mib(100));
@@ -319,7 +257,7 @@ mod tests {
     #[test]
     fn saturated_fleet_queues() {
         let mut f = small_fleet();
-        let s = f.register("svc");
+        let s = f.register();
         f.install(SimTime::ZERO, s, DataSize::from_mib(1));
         let t0 = SimTime::from_secs(1);
         let work = Cycles::from_giga(28); // 10 s each
@@ -328,8 +266,7 @@ mod tests {
         let c = f.invoke(t0, s, work).unwrap();
         assert!(a.queue_wait.is_zero() && b.queue_wait.is_zero());
         assert_eq!(c.queue_wait, SimDuration::from_secs(10));
-        assert_eq!(f.stats(s).queued, 1);
-        assert_eq!(f.stats(s).invocations, 3);
+        assert_eq!([a, b, c].iter().filter(|o| !o.queue_wait.is_zero()).count(), 1);
     }
 
     #[test]
@@ -342,21 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_reflects_busy_time() {
-        let mut f = small_fleet();
-        let s = f.register("svc");
-        f.install(SimTime::ZERO, s, DataSize::from_mib(1));
-        // One 10 s job on a 2-slot fleet observed over 20 s: 10/(2×20) = 0.25.
-        f.invoke(SimTime::from_secs(1), s, Cycles::from_giga(28)).unwrap();
-        let u = f.utilization(SimTime::from_secs(20));
-        assert!((u - 0.25).abs() < 0.01, "u={u}");
-        assert_eq!(f.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
     fn out_of_order_is_rejected() {
         let mut f = small_fleet();
-        let s = f.register("svc");
+        let s = f.register();
         f.install(SimTime::ZERO, s, DataSize::from_mib(1));
         f.invoke(SimTime::from_secs(10), s, Cycles::from_mega(1)).unwrap();
         let err = f.invoke(SimTime::from_secs(5), s, Cycles::from_mega(1)).unwrap_err();

@@ -14,7 +14,7 @@
 //! use ntc_simcore::units::{Cycles, DataSize, SimTime};
 //!
 //! let mut edge = EdgeFleet::new(EdgeConfig::default());
-//! let svc = edge.register("ocr");
+//! let svc = edge.register();
 //! let ready = edge.install(SimTime::ZERO, svc, DataSize::from_mib(80));
 //! let out = edge.invoke(ready, svc, Cycles::from_giga(2))?;
 //! println!("done at {}, fleet bill so far {}", out.finish, edge.infrastructure_cost(out.finish));
@@ -26,4 +26,4 @@
 
 pub mod fleet;
 
-pub use fleet::{EdgeConfig, EdgeError, EdgeFleet, EdgeOutcome, ServiceId, ServiceStats};
+pub use fleet::{EdgeConfig, EdgeError, EdgeFleet, EdgeOutcome, ServiceId};

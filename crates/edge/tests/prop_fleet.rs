@@ -20,7 +20,7 @@ proptest! {
         work_giga in 1u64..60,
     ) {
         let mut fleet = EdgeFleet::new(EdgeConfig { servers, slots_per_server: slots, ..Default::default() });
-        let svc = fleet.register("svc");
+        let svc = fleet.register();
         fleet.install(SimTime::ZERO, svc, DataSize::from_mib(1));
         let mut t = SimTime::from_secs(1);
         let mut intervals: Vec<(SimTime, SimTime)> = Vec::new();
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn exec_time_matches_clock(work_giga in 1u64..200) {
         let mut fleet = EdgeFleet::new(EdgeConfig::default());
-        let svc = fleet.register("svc");
+        let svc = fleet.register();
         fleet.install(SimTime::ZERO, svc, DataSize::from_mib(1));
         let out = fleet.invoke(SimTime::from_secs(1), svc, Cycles::from_giga(work_giga)).unwrap();
         let expected = fleet.config().clock.execution_time(Cycles::from_giga(work_giga));
@@ -50,8 +50,8 @@ proptest! {
         prop_assert!(out.queue_wait.is_zero());
     }
 
-    /// Infrastructure cost is linear in time and server count, and
-    /// utilisation stays in [0, 1].
+    /// Infrastructure cost is linear in time and server count, whatever
+    /// the fleet ran.
     #[test]
     fn cost_and_utilisation_are_bounded(
         servers in 1u32..16,
@@ -60,7 +60,7 @@ proptest! {
     ) {
         let mut fleet =
             EdgeFleet::new(EdgeConfig { servers, slots_per_server: 2, ..Default::default() });
-        let svc = fleet.register("svc");
+        let svc = fleet.register();
         fleet.install(SimTime::ZERO, svc, DataSize::from_mib(1));
         let mut t = SimTime::from_secs(10);
         for _ in 0..n {
@@ -72,7 +72,5 @@ proptest! {
         let per_server_hour = Money::from_usd_f64(0.35);
         let expected = per_server_hour.mul_f64((hours * u64::from(servers)) as f64);
         prop_assert!((cost.as_nano_usd() - expected.as_nano_usd()).abs() <= 1);
-        let u = fleet.utilization(until.max(t));
-        prop_assert!((0.0..=1.0).contains(&u), "utilisation {u}");
     }
 }

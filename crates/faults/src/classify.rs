@@ -158,7 +158,7 @@ mod tests {
     use ntc_simcore::units::DataSize;
 
     fn service_id() -> ServiceId {
-        EdgeFleet::new(EdgeConfig::default()).register("svc")
+        EdgeFleet::new(EdgeConfig::default()).register()
     }
 
     fn function_id() -> FunctionId {

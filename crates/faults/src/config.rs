@@ -65,11 +65,6 @@ impl FaultConfig {
             && self.transfer_drop_rate == 0.0
             && self.site_availability.values().all(|t| t.offline_fraction() == 0.0)
     }
-
-    /// Combined per-attempt probability of any injected invocation fault.
-    pub fn invocation_fault_rate(&self) -> f64 {
-        (self.transient_rate + self.throttle_rate).min(1.0)
-    }
 }
 
 impl Default for FaultConfig {
@@ -86,7 +81,6 @@ mod tests {
     fn none_injects_nothing() {
         let c = FaultConfig::none();
         assert!(c.is_none());
-        assert_eq!(c.invocation_fault_rate(), 0.0);
     }
 
     #[test]
@@ -95,7 +89,6 @@ mod tests {
         assert!(!c.is_none());
         assert_eq!(c.transient_rate, 0.1);
         assert_eq!(c.throttle_rate, 0.0);
-        assert!((c.invocation_fault_rate() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -109,11 +102,5 @@ mod tests {
         let mut c = FaultConfig::none();
         c.site_availability.insert("edge".into(), ConnectivityTrace::flaky());
         assert!(!c.is_none());
-    }
-
-    #[test]
-    fn combined_rate_saturates_at_one() {
-        let c = FaultConfig { transient_rate: 0.8, throttle_rate: 0.7, ..FaultConfig::none() };
-        assert_eq!(c.invocation_fault_rate(), 1.0);
     }
 }

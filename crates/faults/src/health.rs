@@ -95,12 +95,6 @@ impl HealthConfig {
         }
     }
 
-    /// The full overload-aware stance: breakers, admission control and
-    /// hedging all on, at the disabled-default thresholds.
-    pub fn overload_default() -> Self {
-        HealthConfig { breakers: true, admission: true, hedge: true, ..Self::disabled() }
-    }
-
     /// Whether any mechanism is on (off ⇒ the engine must not even
     /// track observations, preserving bit-identical legacy behaviour).
     pub fn enabled(&self) -> bool {
@@ -392,7 +386,14 @@ mod tests {
     }
 
     fn cfg() -> HealthConfig {
-        HealthConfig { failure_threshold: 3, min_samples: 4, ..HealthConfig::overload_default() }
+        HealthConfig {
+            breakers: true,
+            admission: true,
+            hedge: true,
+            failure_threshold: 3,
+            min_samples: 4,
+            ..HealthConfig::disabled()
+        }
     }
 
     fn tripped(cfg: HealthConfig) -> SiteHealth {
@@ -444,7 +445,7 @@ mod tests {
                 error_rate_threshold: 0.4,
                 ewma_alpha: 0.5,
                 min_samples: 4,
-                ..HealthConfig::overload_default()
+                ..cfg()
             },
         );
         let r = rng();

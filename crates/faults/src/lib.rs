@@ -14,8 +14,8 @@
 //!   per-key derived [`RngStream`](ntc_simcore::rng::RngStream)s, so
 //!   plans are reproducible and independent of query order.
 //! * [`RetryPolicy`] — capped exponential backoff with decorrelated
-//!   jitter, an attempt cap, and a [`RetryBudget`] that makes
-//!   time-critical callers give up while NTC callers keep waiting.
+//!   jitter and an attempt cap that makes time-critical callers give up
+//!   while NTC callers keep waiting.
 //! * [`ErrorClass`] / [`FailureCause`] — the retryable-vs-terminal
 //!   classification of every backend error, replacing the engine's old
 //!   all-errors-are-terminal path.
@@ -40,4 +40,4 @@ pub use classify::{
 pub use config::FaultConfig;
 pub use health::{Admission, BreakerState, HealthConfig, SiteHealth};
 pub use plan::{FaultPlan, InjectedFault, SiteOutage};
-pub use retry::{RetryBudget, RetryPolicy};
+pub use retry::RetryPolicy;

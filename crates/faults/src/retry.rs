@@ -1,21 +1,7 @@
 //! Retry policies: how long to back off and when to give up.
 
 use ntc_simcore::rng::{Key, RngStream};
-use ntc_simcore::units::{SimDuration, SimTime};
-
-/// How much failure a caller is willing to absorb before giving up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryBudget {
-    /// Never retry: the first failed attempt is final (time-critical
-    /// baseline behaviour).
-    None,
-    /// Retry for as long as the attempt cap allows: the NTC stance —
-    /// delay-tolerant work waits failures out.
-    Unbounded,
-    /// Retry only while the next attempt would still start before the
-    /// job's deadline: deadline-aware middle ground.
-    Deadline,
-}
+use ntc_simcore::units::SimDuration;
 
 /// Capped exponential backoff with decorrelated jitter.
 ///
@@ -30,21 +16,16 @@ pub struct RetryPolicy {
     pub base: SimDuration,
     /// Upper bound any single backoff can reach.
     pub cap: SimDuration,
-    /// Maximum number of attempts, including the first (`>= 1`).
+    /// Maximum number of attempts, including the first (`>= 1`): 1 never
+    /// retries (the time-critical baselines), `u32::MAX` waits failures
+    /// out (the NTC stance).
     pub max_attempts: u32,
-    /// When to stop retrying.
-    pub budget: RetryBudget,
 }
 
 impl RetryPolicy {
     /// No retries at all: one attempt, terminal on failure.
     pub fn none() -> Self {
-        RetryPolicy {
-            base: SimDuration::ZERO,
-            cap: SimDuration::ZERO,
-            max_attempts: 1,
-            budget: RetryBudget::None,
-        }
+        RetryPolicy { base: SimDuration::ZERO, cap: SimDuration::ZERO, max_attempts: 1 }
     }
 
     /// The NTC default: effectively unlimited patient retries, backing
@@ -54,7 +35,6 @@ impl RetryPolicy {
             base: SimDuration::from_secs(2),
             cap: SimDuration::from_mins(5),
             max_attempts: u32::MAX,
-            budget: RetryBudget::Unbounded,
         }
     }
 
@@ -83,17 +63,9 @@ impl RetryPolicy {
     }
 
     /// Whether another attempt may be made, given that `attempts_made`
-    /// attempts already ran, the retry would start at `resume`, and the
-    /// job's deadline is `deadline`.
-    pub fn allows(&self, attempts_made: u32, resume: SimTime, deadline: SimTime) -> bool {
-        if attempts_made >= self.max_attempts {
-            return false;
-        }
-        match self.budget {
-            RetryBudget::None => false,
-            RetryBudget::Unbounded => true,
-            RetryBudget::Deadline => resume <= deadline,
-        }
+    /// attempts already ran.
+    pub fn allows(&self, attempts_made: u32) -> bool {
+        attempts_made < self.max_attempts
     }
 }
 
@@ -143,7 +115,6 @@ mod tests {
             base: SimDuration::from_secs(2),
             cap: SimDuration::from_secs(60),
             max_attempts: u32::MAX,
-            budget: RetryBudget::Unbounded,
         };
         for k in 1..=50 {
             let b = p.backoff(&rng(3), "k", k);
@@ -160,7 +131,6 @@ mod tests {
             base: SimDuration::from_secs(1),
             cap: SimDuration::from_hours(10),
             max_attempts: u32::MAX,
-            budget: RetryBudget::Unbounded,
         };
         let max_at = |attempt: u32| {
             (0..200).map(|i| p.backoff(&rng(100 + i), "g", attempt)).max().expect("non-empty")
@@ -183,31 +153,16 @@ mod tests {
     #[test]
     fn budget_none_never_allows() {
         let p = RetryPolicy::none();
-        assert!(!p.allows(1, SimTime::ZERO, SimTime::from_secs(1_000_000)));
+        assert!(!p.allows(1));
     }
 
     #[test]
     fn budget_unbounded_respects_only_the_attempt_cap() {
         let p = RetryPolicy { max_attempts: 3, ..RetryPolicy::ntc_default() };
-        let far = SimTime::from_secs(u64::MAX / 2_000_000);
-        assert!(p.allows(1, far, SimTime::ZERO), "deadline must not matter");
-        assert!(p.allows(2, far, SimTime::ZERO));
-        assert!(!p.allows(3, far, SimTime::ZERO), "attempt cap must bind");
-    }
-
-    #[test]
-    fn budget_deadline_stops_at_the_deadline() {
-        let p = RetryPolicy {
-            base: SimDuration::from_secs(1),
-            cap: SimDuration::from_secs(30),
-            max_attempts: 4,
-            budget: RetryBudget::Deadline,
-        };
-        let deadline = SimTime::from_secs(100);
-        assert!(p.allows(1, SimTime::from_secs(99), deadline));
-        assert!(p.allows(1, deadline, deadline), "boundary counts as within");
-        assert!(!p.allows(1, SimTime::from_secs(101), deadline));
-        assert!(!p.allows(4, SimTime::from_secs(50), deadline), "cap still binds");
+        assert!(p.allows(1));
+        assert!(p.allows(2));
+        assert!(!p.allows(3), "attempt cap must bind");
+        assert!(RetryPolicy::ntc_default().allows(u32::MAX - 1));
     }
 
     /// Known answers for the `backoff-{key}-a{attempt}` stream, recorded

@@ -10,11 +10,14 @@ use ntc_simcore::units::{SimDuration, SimTime};
 
 fn config(failure_threshold: u32, error_rate_threshold: f64, alpha: f64) -> HealthConfig {
     HealthConfig {
+        breakers: true,
+        admission: true,
+        hedge: true,
         failure_threshold,
         error_rate_threshold,
         ewma_alpha: alpha,
         min_samples: 4,
-        ..HealthConfig::overload_default()
+        ..HealthConfig::disabled()
     }
 }
 

@@ -84,24 +84,21 @@ impl PathModel {
     }
 }
 
-/// The three-point topology every offloading decision sees: the user
-/// equipment, a nearby edge site, and a cloud region.
+/// The three-point topology every offloading decision sees: the paths
+/// from the user equipment to a nearby edge site and to a cloud region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Path from the UE to the cloud region (WAN).
     pub ue_cloud: PathModel,
     /// Path from the UE to the nearest edge site (LAN / radio access).
     pub ue_edge: PathModel,
-    /// Backhaul path from the edge site to the cloud region.
-    pub edge_cloud: PathModel,
 }
 
 impl Topology {
     /// A metropolitan reference topology:
     ///
     /// * UE → edge: 5 ms, 200 Mbit/s (radio access + one hop);
-    /// * UE → cloud: 40 ms, 50 Mbit/s (access + WAN);
-    /// * edge → cloud: 30 ms, 1 Gbit/s backhaul.
+    /// * UE → cloud: 40 ms, 50 Mbit/s (access + WAN).
     ///
     /// Latency jitter ~10 %, light loss on the radio segment.
     pub fn metro_reference() -> Self {
@@ -117,13 +114,6 @@ impl Topology {
                 LinkModel::new(SimDuration::from_millis(5), Bandwidth::from_megabits_per_sec(200))
                     .with_jitter(0.10)
                     .with_loss(0.005),
-            ),
-            edge_cloud: PathModel::single(
-                LinkModel::new(
-                    SimDuration::from_millis(30),
-                    Bandwidth::from_megabits_per_sec(1000),
-                )
-                .with_jitter(0.05),
             ),
         }
     }
@@ -143,10 +133,6 @@ impl Topology {
                 LinkModel::new(SimDuration::from_millis(12), Bandwidth::from_megabits_per_sec(50))
                     .with_jitter(0.25)
                     .with_loss(0.02),
-            ),
-            edge_cloud: PathModel::single(
-                LinkModel::new(SimDuration::from_millis(40), Bandwidth::from_megabits_per_sec(500))
-                    .with_jitter(0.1),
             ),
         }
     }

@@ -104,13 +104,6 @@ pub struct PlanCost {
     pub weighted: f64,
 }
 
-impl PlanCost {
-    /// Sum of all time components (the sequential-execution bound).
-    pub fn total_time(&self) -> SimDuration {
-        self.device_time + self.cloud_time + self.transfer_time
-    }
-}
-
 /// A task graph plus everything needed to price a partition of it.
 #[derive(Debug, Clone)]
 pub struct PartitionContext<'a> {
@@ -374,8 +367,9 @@ mod tests {
         // Device at 1.5 GHz: 1s + max(2s, 4s) + 1s = 6s.
         assert_eq!(cost.makespan, SimDuration::from_secs(6));
         // The additive total counts both branches: 8s.
-        assert_eq!(cost.total_time(), SimDuration::from_secs(8));
-        assert!(cost.makespan <= cost.total_time());
+        let total = cost.device_time + cost.cloud_time + cost.transfer_time;
+        assert_eq!(total, SimDuration::from_secs(8));
+        assert!(cost.makespan <= total);
     }
 
     #[test]
@@ -396,6 +390,7 @@ mod tests {
         let params = CostParams { weights, ..Default::default() };
         let ctx = PartitionContext::new(&g, DataSize::ZERO, params);
         let cost = ctx.evaluate(&PartitionPlan::all_cloud(&g));
-        assert!((cost.weighted - cost.total_time().as_micros() as f64).abs() < 1e-9);
+        let total = cost.device_time + cost.cloud_time + cost.transfer_time;
+        assert!((cost.weighted - total.as_micros() as f64).abs() < 1e-9);
     }
 }

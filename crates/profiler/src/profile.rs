@@ -157,25 +157,6 @@ impl AppProfiler {
             est.predict(input)
         }
     }
-
-    /// Extracts a linear demand model for `component` by probing the
-    /// estimator at two reference inputs — usable anywhere a static
-    /// [`LinearModel`] annotation is expected (e.g. the partitioner).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `component` is not part of the profiled graph.
-    pub fn fitted_model(&self, component: ComponentId) -> LinearModel {
-        let est = &self.estimators[component.index()];
-        if est.observations() < self.min_observations {
-            return self.fallbacks[component.index()];
-        }
-        let ref_input = DataSize::from_mib(1);
-        let p0 = est.predict(DataSize::ZERO).get() as f64;
-        let p1 = est.predict(ref_input).get() as f64;
-        let slope = (p1 - p0) / ref_input.as_bytes() as f64;
-        LinearModel::scaling(p0, slope)
-    }
 }
 
 #[cfg(test)]
@@ -209,23 +190,29 @@ mod tests {
     }
 
     #[test]
-    fn fitted_model_recovers_slope() {
+    fn warm_predictions_recover_the_slope() {
         let (g, _, c) = graph();
         let mut p = AppProfiler::new(&g, EstimatorKind::Regression);
         for i in 1..=20u64 {
             let input = DataSize::from_kib(i * 10);
             p.observe(c, input, Cycles::new(3 * input.as_bytes() + 500));
         }
-        let m = p.fitted_model(c);
-        assert!((m.per_input_byte - 3.0).abs() < 0.01, "slope {}", m.per_input_byte);
-        assert!((m.fixed - 500.0).abs() < 50.0, "intercept {}", m.fixed);
+        let ref_input = DataSize::from_mib(1);
+        let p0 = p.predict(c, DataSize::ZERO).get() as f64;
+        let p1 = p.predict(c, ref_input).get() as f64;
+        let slope = (p1 - p0) / ref_input.as_bytes() as f64;
+        assert!((slope - 3.0).abs() < 0.01, "slope {slope}");
+        assert!((p0 - 500.0).abs() < 50.0, "intercept {p0}");
     }
 
     #[test]
-    fn fitted_model_falls_back_when_cold() {
+    fn cold_predictions_fall_back_to_the_annotation() {
         let (g, _, c) = graph();
         let p = AppProfiler::new(&g, EstimatorKind::Hybrid);
-        assert_eq!(p.fitted_model(c), LinearModel::scaling(0.0, 2.0));
+        let annotation = LinearModel::scaling(0.0, 2.0);
+        for input in [DataSize::ZERO, DataSize::from_mib(1)] {
+            assert_eq!(p.predict(c, input), annotation.eval_cycles(input));
+        }
     }
 
     #[test]

@@ -36,6 +36,4 @@ pub mod platform;
 pub use billing::BillingModel;
 pub use coldstart::{ColdStartModel, KeepAlive};
 pub use function::{CpuScaling, FunctionConfig, FunctionId};
-pub use platform::{
-    FunctionStats, InvocationOutcome, InvokeError, PlatformConfig, ServerlessPlatform,
-};
+pub use platform::{InvocationOutcome, InvokeError, PlatformConfig, ServerlessPlatform};

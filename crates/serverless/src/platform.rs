@@ -17,7 +17,6 @@ use core::cmp::Reverse;
 use core::fmt;
 use std::collections::BinaryHeap;
 
-use ntc_simcore::metrics::Histogram;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Cycles, Money, SimDuration, SimTime};
 
@@ -207,37 +206,10 @@ struct FunctionState {
     pool: InstancePool,
     provisioned_target: u32,
     provisioned_accrue_from: SimTime,
-    stats: FunctionStats,
-}
-
-/// Per-function counters and cost accumulated so far.
-#[derive(Debug, Clone, Default)]
-pub struct FunctionStats {
-    /// Completed invocations.
-    pub invocations: u64,
-    /// Invocations that required a new instance.
-    pub cold_starts: u64,
-    /// Invocations served by a warm instance.
-    pub warm_starts: u64,
-    /// Invocations that had to wait for capacity.
-    pub queued: u64,
-    /// Invocations that hit the timeout.
-    pub timeouts: u64,
-    /// On-demand invocation cost.
-    pub invocation_cost: Money,
-    /// Cost of held provisioned capacity.
-    pub provisioned_cost: Money,
-    /// Latency distribution (µs).
-    pub latency: Histogram,
-    /// Queue-wait distribution (µs).
-    pub queue_wait: Histogram,
-}
-
-impl FunctionStats {
-    /// Total cost attributed to this function.
-    pub fn total_cost(&self) -> Money {
-        self.invocation_cost + self.provisioned_cost
-    }
+    /// On-demand invocation cost so far.
+    invocation_cost: Money,
+    /// Cost of held provisioned capacity, accrued so far.
+    provisioned_cost: Money,
 }
 
 /// A simulated serverless platform (one cloud region).
@@ -295,11 +267,6 @@ impl ServerlessPlatform {
         self.scale_refill_from = now;
     }
 
-    /// The currently available instant scale-out allowance.
-    pub fn scale_tokens(&self) -> f64 {
-        self.scale_tokens
-    }
-
     /// The platform configuration.
     pub fn config(&self) -> &PlatformConfig {
         &self.config
@@ -313,27 +280,10 @@ impl ServerlessPlatform {
             pool: InstancePool::default(),
             provisioned_target: 0,
             provisioned_accrue_from: SimTime::ZERO,
-            stats: FunctionStats::default(),
+            invocation_cost: Money::ZERO,
+            provisioned_cost: Money::ZERO,
         });
         id
-    }
-
-    /// The registered configuration of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`ServerlessPlatform::register`].
-    pub fn function(&self, id: FunctionId) -> &FunctionConfig {
-        &self.functions[id.index()].config
-    }
-
-    /// Accumulated statistics of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`ServerlessPlatform::register`].
-    pub fn stats(&self, id: FunctionId) -> &FunctionStats {
-        &self.functions[id.index()].stats
     }
 
     /// Total cost across all functions, with provisioned capacity accrued
@@ -342,7 +292,7 @@ impl ServerlessPlatform {
         for i in 0..self.functions.len() {
             self.accrue_provisioned(FunctionId(i as u32), until);
         }
-        self.functions.iter().map(|f| f.stats.total_cost()).sum()
+        self.functions.iter().map(|f| f.invocation_cost + f.provisioned_cost).sum()
     }
 
     /// Sets the number of always-warm provisioned instances for `id`,
@@ -374,7 +324,7 @@ impl ServerlessPlatform {
         if state.provisioned_target > 0 && until > state.provisioned_accrue_from {
             let held = until - state.provisioned_accrue_from;
             let per = self.config.billing.provisioned_cost(state.config.memory(), held);
-            state.stats.provisioned_cost += per.mul_f64(f64::from(state.provisioned_target));
+            state.provisioned_cost += per.mul_f64(f64::from(state.provisioned_target));
         }
         state.provisioned_accrue_from = state.provisioned_accrue_from.max(until);
     }
@@ -454,7 +404,8 @@ impl ServerlessPlatform {
         }
 
         let cost = self.config.billing.invocation_cost(state.config.memory(), exec);
-        let outcome = InvocationOutcome {
+        state.invocation_cost += cost;
+        Ok(InvocationOutcome {
             submitted: at,
             queue_wait,
             cold_start,
@@ -463,25 +414,7 @@ impl ServerlessPlatform {
             cost,
             was_cold,
             timed_out,
-        };
-
-        let stats = &mut state.stats;
-        stats.invocations += 1;
-        if was_cold {
-            stats.cold_starts += 1;
-        } else {
-            stats.warm_starts += 1;
-        }
-        if !queue_wait.is_zero() {
-            stats.queued += 1;
-        }
-        if timed_out {
-            stats.timeouts += 1;
-        }
-        stats.invocation_cost += cost;
-        stats.latency.record_duration(outcome.latency());
-        stats.queue_wait.record_duration(queue_wait);
-        Ok(outcome)
+        })
     }
 }
 
@@ -508,8 +441,6 @@ mod tests {
         assert!(a.was_cold && !a.cold_start.is_zero());
         let b = p.invoke(a.finish, f, Cycles::from_giga(1)).unwrap();
         assert!(!b.was_cold && b.cold_start.is_zero());
-        assert_eq!(p.stats(f).cold_starts, 1);
-        assert_eq!(p.stats(f).warm_starts, 1);
         assert_eq!(p.live_instances(f), 1);
     }
 
@@ -529,12 +460,10 @@ mod tests {
     fn concurrent_arrivals_scale_out() {
         let mut p = platform();
         let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
-        for _ in 0..5 {
-            let out = p.invoke(SimTime::ZERO, f, Cycles::from_giga(10)).unwrap();
-            assert!(out.was_cold);
-        }
+        let outs: Vec<InvocationOutcome> =
+            (0..5).map(|_| p.invoke(SimTime::ZERO, f, Cycles::from_giga(10)).unwrap()).collect();
         assert_eq!(p.live_instances(f), 5);
-        assert_eq!(p.stats(f).cold_starts, 5);
+        assert_eq!(outs.iter().filter(|o| o.was_cold).count(), 5);
     }
 
     #[test]
@@ -543,12 +472,12 @@ mod tests {
         let f = p
             .register(FunctionConfig::new("f", DataSize::from_mib(1769)).with_concurrency_limit(2));
         let a = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap(); // 10 s at 2.5 GHz
-        let _b = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
+        let b = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
         let c = p.invoke(SimTime::from_secs(1), f, Cycles::from_giga(25)).unwrap();
         assert!(!c.queue_wait.is_zero(), "third call should queue");
         assert!(c.finish > a.finish);
         assert_eq!(p.live_instances(f), 2);
-        assert_eq!(p.stats(f).queued, 1);
+        assert_eq!([a, b, c].iter().filter(|o| !o.queue_wait.is_zero()).count(), 1);
     }
 
     #[test]
@@ -562,7 +491,6 @@ mod tests {
         let out = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
         assert!(out.timed_out);
         assert_eq!(out.exec, SimDuration::from_secs(1));
-        assert_eq!(p.stats(f).timeouts, 1);
     }
 
     #[test]
@@ -591,8 +519,7 @@ mod tests {
         assert!(!out.was_cold, "provisioned instance serves warm");
         let cost = p.total_cost(SimTime::from_secs(3600));
         assert!(cost > out.cost, "idle provisioned capacity accrues cost");
-        let stats = p.stats(f);
-        assert!(stats.provisioned_cost > Money::ZERO);
+        assert!(p.functions[f.index()].provisioned_cost > Money::ZERO);
     }
 
     #[test]
@@ -638,12 +565,16 @@ mod tests {
         cfg.cold_start.jitter_sigma = 0.0;
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(9));
         let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1769)));
-        // Four simultaneous long jobs: only three instances may appear.
-        for _ in 0..4 {
-            p.invoke(SimTime::ZERO, f, Cycles::from_giga(250)).unwrap(); // 100 s each
-        }
+        // Four simultaneous long jobs (100 s each): only three instances
+        // may appear.
+        let outs: Vec<InvocationOutcome> =
+            (0..4).map(|_| p.invoke(SimTime::ZERO, f, Cycles::from_giga(250)).unwrap()).collect();
         assert_eq!(p.live_instances(f), 3, "burst allowance is 3");
-        assert_eq!(p.stats(f).queued, 1, "fourth call queues");
+        assert_eq!(
+            outs.iter().filter(|o| !o.queue_wait.is_zero()).count(),
+            1,
+            "fourth call queues"
+        );
         // A second later a token has refilled: scale-out works again.
         let out = p.invoke(SimTime::from_secs(2), f, Cycles::from_giga(250)).unwrap();
         assert!(out.was_cold);
@@ -656,7 +587,7 @@ mod tests {
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(9));
         let f = p.register(FunctionConfig::new("f", DataSize::from_mib(128)));
         p.invoke(SimTime::from_secs(3600), f, Cycles::from_mega(1)).unwrap();
-        assert!(p.scale_tokens() <= 10.0, "refill must cap at the burst size");
+        assert!(p.scale_tokens <= 10.0, "refill must cap at the burst size");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use ntc_check::prelude::*;
 
 use ntc_serverless::{
-    BillingModel, ColdStartModel, FunctionConfig, FunctionId, FunctionStats, InvocationOutcome,
-    InvokeError, KeepAlive, PlatformConfig, ServerlessPlatform,
+    BillingModel, ColdStartModel, FunctionConfig, FunctionId, InvocationOutcome, InvokeError,
+    KeepAlive, PlatformConfig, ServerlessPlatform,
 };
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Cycles, DataSize, Money, SimDuration, SimTime};
@@ -34,7 +34,8 @@ struct ScanFunction {
     instances: Vec<(SimTime, bool)>,
     provisioned_target: u32,
     provisioned_accrue_from: SimTime,
-    stats: FunctionStats,
+    invocation_cost: Money,
+    provisioned_cost: Money,
 }
 
 impl ScanPlatform {
@@ -55,7 +56,8 @@ impl ScanPlatform {
             instances: Vec::new(),
             provisioned_target: 0,
             provisioned_accrue_from: SimTime::ZERO,
-            stats: FunctionStats::default(),
+            invocation_cost: Money::ZERO,
+            provisioned_cost: Money::ZERO,
         });
     }
 
@@ -64,7 +66,7 @@ impl ScanPlatform {
         if state.provisioned_target > 0 && until > state.provisioned_accrue_from {
             let held = until - state.provisioned_accrue_from;
             let per = self.config.billing.provisioned_cost(state.config.memory(), held);
-            state.stats.provisioned_cost += per.mul_f64(f64::from(state.provisioned_target));
+            state.provisioned_cost += per.mul_f64(f64::from(state.provisioned_target));
         }
         state.provisioned_accrue_from = state.provisioned_accrue_from.max(until);
     }
@@ -73,7 +75,7 @@ impl ScanPlatform {
         for f in 0..self.functions.len() {
             self.accrue_provisioned(f, until);
         }
-        self.functions.iter().map(|f| f.stats.total_cost()).sum()
+        self.functions.iter().map(|f| f.invocation_cost + f.provisioned_cost).sum()
     }
 
     fn set_provisioned(&mut self, at: SimTime, f: usize, count: u32) {
@@ -144,7 +146,8 @@ impl ScanPlatform {
         let finish = start + exec;
         state.instances[slot].0 = finish;
         let cost = self.config.billing.invocation_cost(memory, exec);
-        let outcome = InvocationOutcome {
+        state.invocation_cost += cost;
+        Ok(InvocationOutcome {
             submitted: at,
             queue_wait,
             cold_start,
@@ -153,20 +156,7 @@ impl ScanPlatform {
             cost,
             was_cold,
             timed_out,
-        };
-        let stats = &mut state.stats;
-        stats.invocations += 1;
-        if was_cold {
-            stats.cold_starts += 1;
-        } else {
-            stats.warm_starts += 1;
-        }
-        stats.queued += u64::from(!queue_wait.is_zero());
-        stats.timeouts += u64::from(timed_out);
-        stats.invocation_cost += cost;
-        stats.latency.record_duration(outcome.latency());
-        stats.queue_wait.record_duration(queue_wait);
-        Ok(outcome)
+        })
     }
 }
 
@@ -221,9 +211,6 @@ fn run_differential(
     }
     let end = now + SimDuration::from_secs(600);
     prop_assert_eq!(heap.total_cost(end), scan.total_cost(end));
-    for (i, &id) in ids.iter().enumerate() {
-        prop_assert_eq!(format!("{:?}", heap.stats(id)), format!("{:?}", scan.functions[i].stats));
-    }
     Ok(())
 }
 
@@ -232,7 +219,7 @@ proptest! {
 
     /// The heap-indexed instance pool makes the same choices as a linear
     /// scan over creation-ordered instances: identical outcomes, live
-    /// counts, statistics and cost, under finite per-function and
+    /// counts and cost, under finite per-function and
     /// region-wide concurrency, a finite scale-out budget, provisioned
     /// capacity moving up and down, and a finite keep-alive.
     #[test]
@@ -298,12 +285,13 @@ proptest! {
         let f = p.register(
             FunctionConfig::new("f", DataSize::from_mib(1769)).with_concurrency_limit(limit),
         );
+        let mut queued = 0;
         for _ in 0..burst {
-            p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
+            let out = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
+            queued += usize::from(!out.queue_wait.is_zero());
         }
         prop_assert!(p.live_instances(f) <= limit as usize);
-        let queued_expected = burst.saturating_sub(limit as usize) as u64;
-        prop_assert_eq!(p.stats(f).queued, queued_expected);
+        prop_assert_eq!(queued, burst.saturating_sub(limit as usize));
     }
 
     /// Total cost equals the sum of per-invocation costs plus provisioned
@@ -325,17 +313,14 @@ proptest! {
             invoice += p.invoke(t, f, Cycles::from_mega(200)).unwrap().cost;
         }
         let end = t + SimDuration::from_secs(horizon_extra_secs);
-        let total = p.total_cost(end);
-        let stats = p.stats(f);
-        prop_assert_eq!(stats.invocation_cost, invoice);
-        prop_assert_eq!(total, stats.invocation_cost + stats.provisioned_cost);
+        let provisioned_cost = p.total_cost(end) - invoice;
         if provisioned == 0 {
-            prop_assert_eq!(stats.provisioned_cost, Money::ZERO);
+            prop_assert_eq!(provisioned_cost, Money::ZERO);
         } else {
             let expected = BillingModel::aws_like()
                 .provisioned_cost(DataSize::from_mib(512), end - SimTime::ZERO)
                 .mul_f64(f64::from(provisioned));
-            let diff = (stats.provisioned_cost.as_nano_usd() - expected.as_nano_usd()).abs();
+            let diff = (provisioned_cost.as_nano_usd() - expected.as_nano_usd()).abs();
             prop_assert!(diff <= provisioned as i64 + 1, "accrual drift {diff}");
         }
     }

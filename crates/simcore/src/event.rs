@@ -474,7 +474,6 @@ impl<E> fmt::Debug for EventQueue<E> {
 pub struct Simulator<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    processed: u64,
 }
 
 impl<E> Default for Simulator<E> {
@@ -486,17 +485,12 @@ impl<E> Default for Simulator<E> {
 impl<E> Simulator<E> {
     /// Creates a simulator with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Simulator { queue: EventQueue::new(), now: SimTime::ZERO, processed: 0 }
+        Simulator { queue: EventQueue::new(), now: SimTime::ZERO }
     }
 
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
     }
 
     /// Rewinds the clock to [`SimTime::ZERO`] and drops all pending
@@ -511,7 +505,6 @@ impl<E> Simulator<E> {
     pub fn reset(&mut self) {
         self.queue.clear();
         self.now = SimTime::ZERO;
-        self.processed = 0;
     }
 
     /// Schedules `payload` at the absolute instant `at`.
@@ -540,7 +533,6 @@ impl<E> Simulator<E> {
         let (time, payload) = self.queue.pop()?;
         debug_assert!(time >= self.now, "event queue yielded an event from the past");
         self.now = time;
-        self.processed += 1;
         Some((time, payload))
     }
 
@@ -708,7 +700,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
         sim.step();
         assert_eq!(sim.now(), SimTime::from_secs(10));
-        assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]
@@ -729,7 +720,6 @@ mod tests {
         sim.step();
         sim.reset();
         assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.events_processed(), 0);
         assert_eq!(sim.pending(), 0);
         sim.schedule_after(SimDuration::from_secs(1), 3u8);
         assert_eq!(sim.step(), Some((SimTime::from_secs(1), 3u8)));

@@ -308,15 +308,6 @@ impl RngStream {
         self.rng.next_u64()
     }
 
-    /// Fills `dest` with random bytes, one little-endian word per four
-    /// bytes; a partial last chunk still consumes a whole word.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(4) {
-            let w = self.rng.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-    }
-
     /// Draws a uniform float in `[0, 1)` from the top 53 bits of one
     /// `u64` (rand's `Standard` for `f64`).
     #[inline]

@@ -109,11 +109,6 @@ impl TimeSeries {
             .enumerate()
             .map(move |(i, (&c, &s))| (SimTime::from_micros(i as u64 * width), c, s))
     }
-
-    /// The bucket index with the highest count, or `None` when empty.
-    pub fn peak_bucket(&self) -> Option<usize> {
-        (0..self.counts.len()).max_by_key(|&i| self.counts[i])
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +146,6 @@ mod tests {
         assert_eq!(rows[3].0, SimTime::from_secs(3 * 3600));
         assert_eq!(rows[3].1, 1);
         assert_eq!(rows[0].1, 0);
-    }
-
-    #[test]
-    fn peak_bucket_finds_the_mode() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(1));
-        ts.mark(SimTime::from_micros(1));
-        ts.mark(SimTime::from_secs(2));
-        ts.mark(SimTime::from_secs(2));
-        assert_eq!(ts.peak_bucket(), Some(2));
-        assert_eq!(TimeSeries::new(SimDuration::from_secs(1)).peak_bucket(), None);
     }
 
     #[test]

@@ -203,12 +203,6 @@ impl Component {
         self.pinning == Pinning::Offloadable
     }
 
-    /// Whether coalesced jobs share the fixed demand (see
-    /// [`Component::with_batchable`]).
-    pub fn is_batchable(&self) -> bool {
-        self.batchable
-    }
-
     /// The expected cycles for a coalesced batch of `members` jobs with
     /// `sum_input` total input: batchable components amortise the fixed
     /// part; non-batchable ones pay it per member.
@@ -268,8 +262,6 @@ mod tests {
             .with_demand(LinearModel::scaling(1e9, 10.0))
             .with_batchable(false);
         let sum = DataSize::from_mib(10);
-        assert!(shared.is_batchable());
-        assert!(!solo.is_batchable());
         let s = shared.batch_demand_cycles(5, sum).get();
         let n = solo.batch_demand_cycles(5, sum).get();
         assert_eq!(n - s, 4_000_000_000, "four extra fixed parts");

@@ -310,19 +310,6 @@ impl TaskGraph {
         path.reverse();
         (len, path)
     }
-
-    /// Components reachable from `start` (inclusive) following flow
-    /// direction.
-    pub fn reachable_from(&self, start: ComponentId) -> HashSet<ComponentId> {
-        let mut seen = HashSet::new();
-        let mut stack = vec![start];
-        while let Some(u) = stack.pop() {
-            if seen.insert(u) {
-                stack.extend(self.successors(u));
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -438,13 +425,5 @@ mod tests {
     fn total_work_sums_component_demand() {
         let g = diamond();
         assert_eq!(g.total_work(DataSize::ZERO), Cycles::from_mega(5));
-    }
-
-    #[test]
-    fn reachability() {
-        let g = diamond();
-        let r = g.reachable_from(ComponentId::from_index(1));
-        assert_eq!(r.len(), 2); // left and join
-        assert!(r.contains(&ComponentId::from_index(3)));
     }
 }

@@ -90,24 +90,6 @@ proptest! {
             prop_assert!(g.successors(w[0]).any(|s| s == w[1]), "path edge missing");
         }
     }
-
-    /// Reachability from an entry covers every node on some path to an
-    /// exit through it (sanity: entry reaches at least itself and its
-    /// successors transitively).
-    #[test]
-    fn reachability_is_transitive(seed in 0u64..2_000) {
-        let cfg = RandomDagConfig { nodes: 12, layers: 4, ..Default::default() };
-        let g = random_layered_dag(&mut RngStream::root(seed).derive("reach"), &cfg);
-        for &entry in g.entries() {
-            let r = g.reachable_from(entry);
-            prop_assert!(r.contains(&entry));
-            for &node in &r {
-                for succ in g.successors(node) {
-                    prop_assert!(r.contains(&succ), "reachable set not closed under successors");
-                }
-            }
-        }
-    }
 }
 
 proptest! {

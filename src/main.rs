@@ -19,13 +19,22 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut flags = Vec::new();
+    /// Parses `--name value` pairs, refusing any flag outside `allowed`
+    /// and any flag given twice.
+    fn parse(raw: &[String], allowed: &[&str]) -> Result<Args, String> {
+        let mut flags: Vec<(String, String)> = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
+            if !allowed.contains(&name) {
+                let known: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
+                return Err(format!("unknown flag '--{name}' (takes {})", known.join(", ")));
+            }
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(format!("--{name} given twice"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.push((name.to_string(), value.clone()));
         }
@@ -205,6 +214,11 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags each subcommand's usage line lists.
+const SIMULATE_FLAGS: &[&str] = &["archetype", "policy", "rate", "hours", "seed"];
+const COMPARE_FLAGS: &[&str] = &["archetype", "rate", "hours", "seed"];
+const PLAN_FLAGS: &[&str] = &["archetype", "policy", "rate", "seed"];
+
 fn usage() -> &'static str {
     "ntc — computational offloading for non-time-critical applications
 
@@ -228,9 +242,9 @@ fn main() -> ExitCode {
             cmd_archetypes();
             Ok(())
         }
-        "simulate" => Args::parse(rest).and_then(|a| cmd_simulate(&a)),
-        "compare" => Args::parse(rest).and_then(|a| cmd_compare(&a)),
-        "plan" => Args::parse(rest).and_then(|a| cmd_plan(&a)),
+        "simulate" => Args::parse(rest, SIMULATE_FLAGS).and_then(|a| cmd_simulate(&a)),
+        "compare" => Args::parse(rest, COMPARE_FLAGS).and_then(|a| cmd_compare(&a)),
+        "plan" => Args::parse(rest, PLAN_FLAGS).and_then(|a| cmd_plan(&a)),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(())
@@ -248,14 +262,40 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{Args, SimDuration};
+    use super::{Args, SimDuration, COMPARE_FLAGS, PLAN_FLAGS, SIMULATE_FLAGS};
+
+    fn args(raw: &[&str], allowed: &[&str]) -> Result<Args, String> {
+        let raw: Vec<String> = raw.iter().map(|a| a.to_string()).collect();
+        Args::parse(&raw, allowed)
+    }
 
     fn rate(value: &str) -> Result<f64, String> {
-        Args::parse(&["--rate".to_string(), value.to_string()])?.rate()
+        args(&["--rate", value], SIMULATE_FLAGS)?.rate()
     }
 
     fn horizon(value: &str) -> Result<(u64, SimDuration), String> {
-        Args::parse(&["--hours".to_string(), value.to_string()])?.horizon(4)
+        args(&["--hours", value], SIMULATE_FLAGS)?.horizon(4)
+    }
+
+    #[test]
+    fn each_subcommand_refuses_flags_its_usage_does_not_list() {
+        let takes = "(takes --archetype, --policy, --rate, --hours, --seed)";
+        assert_eq!(
+            args(&["--hour", "1"], SIMULATE_FLAGS).err(),
+            Some(format!("unknown flag '--hour' {takes}"))
+        );
+        assert!(args(&["--policy", "cloud-all"], COMPARE_FLAGS).is_err());
+        assert!(args(&["--hours", "1"], PLAN_FLAGS).is_err());
+        assert!(args(&["--policy", "ntc", "--hours", "1"], SIMULATE_FLAGS).is_ok());
+    }
+
+    #[test]
+    fn a_repeated_flag_is_refused() {
+        assert_eq!(
+            args(&["--rate", "0.01", "--rate", "5"], SIMULATE_FLAGS).err(),
+            Some("--rate given twice".to_string())
+        );
+        assert!(args(&["--seed", "1", "--hours", "2", "--seed", "1"], COMPARE_FLAGS).is_err());
     }
 
     #[test]
@@ -272,7 +312,10 @@ mod tests {
         let max = 5_124_095_576;
         assert_eq!(horizon("5124095576"), Ok((max, SimDuration::from_micros(max * 3_600_000_000))));
         assert_eq!(horizon("0"), Ok((0, SimDuration::ZERO)));
-        assert_eq!(Args::parse(&[]).unwrap().horizon(24), Ok((24, SimDuration::from_hours(24))));
+        assert_eq!(
+            args(&[], COMPARE_FLAGS).unwrap().horizon(24),
+            Ok((24, SimDuration::from_hours(24)))
+        );
     }
 
     #[test]
@@ -286,6 +329,6 @@ mod tests {
     #[test]
     fn rate_accepts_zero_and_defaults_when_absent() {
         assert_eq!(rate("0"), Ok(0.0));
-        assert_eq!(Args::parse(&[]).unwrap().rate(), Ok(0.02));
+        assert_eq!(args(&[], SIMULATE_FLAGS).unwrap().rate(), Ok(0.02));
     }
 }

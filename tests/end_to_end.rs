@@ -84,7 +84,7 @@ fn doc_indexing_stays_mostly_local_under_ntc() {
         &rng,
     );
     assert!(
-        d.offloaded_count() <= 1,
+        d.plan.offloaded().count() <= 1,
         "doc-indexing should keep the heavy-data stages local, got {:?}",
         d.plan
     );
@@ -102,7 +102,7 @@ fn sci_sweep_offloads_under_ntc() {
         Archetype::SciSweep.typical_slack(),
         &rng,
     );
-    assert!(d.offloaded_count() >= 2, "sci-sweep compute should offload, got {:?}", d.plan);
+    assert!(d.plan.offloaded().count() >= 2, "sci-sweep compute should offload, got {:?}", d.plan);
 }
 
 #[test]

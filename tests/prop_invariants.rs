@@ -63,7 +63,11 @@ proptest! {
         for policy in [
             DispatchPolicy::Immediate,
             DispatchPolicy::Windowed { window: SimDuration::from_secs(window_s) },
-            DispatchPolicy::SlackMax,
+            DispatchPolicy::OffPeak {
+                window: SimDuration::from_secs(window_s),
+                start_hour: 0,
+                end_hour: 6,
+            },
         ] {
             let d = dispatch_time(policy, arrival, slack, est, margin);
             prop_assert!(d >= arrival, "{policy}: dispatched into the past");
@@ -79,8 +83,8 @@ proptest! {
     }
 
     /// The platform conserves sanity under arbitrary in-order workloads:
-    /// outcomes are causal, warm/cold counts add up, and money is
-    /// monotone in work.
+    /// outcomes are causal, and each latency decomposes into queue wait,
+    /// cold start and execution.
     #[test]
     fn platform_outcomes_are_causal(
         seed in 0u64..10_000,
@@ -93,8 +97,6 @@ proptest! {
         let f = platform.register(FunctionConfig::new("f", DataSize::from_mib(memory_mib)));
         let mut rng = RngStream::root(seed).derive("gaps");
         let mut t = SimTime::ZERO;
-        let mut cold = 0u64;
-        let mut warm = 0u64;
         for _ in 0..n {
             t += SimDuration::from_millis((rng.exponential(mean_gap_ms as f64)) as u64);
             let out = platform.invoke(t, f, Cycles::from_mega(work_mega)).unwrap();
@@ -104,12 +106,7 @@ proptest! {
                 out.queue_wait + out.cold_start + out.exec,
                 "latency decomposition"
             );
-            if out.was_cold { cold += 1 } else { warm += 1 }
         }
-        let stats = platform.stats(f);
-        prop_assert_eq!(stats.cold_starts, cold);
-        prop_assert_eq!(stats.warm_starts, warm);
-        prop_assert_eq!(stats.invocations, n as u64);
     }
 
     /// Billing is monotone: more work never costs less at the same
