@@ -31,8 +31,7 @@ struct Point {
 fn run_one(rate: f64, strategy: WarmStrategy, horizon: SimDuration, seed: u64) -> Point {
     let mut platform = ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(seed));
     let f = platform.register(
-        FunctionConfig::new("infer", DataSize::from_mib(3072))
-            .with_artifact_size(DataSize::from_mib(250)),
+        FunctionConfig::new(DataSize::from_mib(3072)).with_artifact_size(DataSize::from_mib(250)),
     );
     let work = Cycles::from_giga(8);
 

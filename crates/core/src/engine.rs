@@ -44,9 +44,10 @@
 //! # Allocation discipline
 //!
 //! Every run-sized buffer lives in a [`RunScratch`]: the jobs and their
-//! execution-noise table (one slot per job and component, drawn once
-//! per input), the batches, one flat `members` array of job indices
-//! that every batch slices (with the `batch_of` buffer that fills it),
+//! execution-noise memo (one slot per job and component, drawn on first
+//! read, at most once per input), the batches, one flat `members` array
+//! of job indices that every batch slices (with the `batch_of` buffer
+//! that fills it),
 //! the coalescing key map, the keep-warm ping table, per-batch and
 //! per-component state (retry backoff only for the components that
 //! retried), result slots and the event calendar. A fresh run allocates
@@ -56,19 +57,24 @@
 //! replication throughput is bounded by simulation work, not the
 //! allocator.
 //!
-//! The scratch also keeps a [`NormalPump`]: the chunk buffers a run's
-//! `net` normals are served from, and the one helper thread that does
-//! two kinds of work on a second core. It fills those chunks ahead of
-//! the loop, and between chunks it draws the input's noise table, every
-//! job's slots in job order, handed over as soon as the jobs are known.
-//! A run that ends first leaves the fill's cursor where it stopped, and
-//! the next run on the input resumes from there. The loop draws a slot
-//! the helper has not reached yet itself, so it never waits on the
-//! helper for noise. The thread is spawned by the first run that reads
-//! past one chunk (1,024 normals) or finds at least 1,024 slots left to
-//! draw, idles between runs and is joined when the scratch drops, so a
-//! reused scratch pays for the spawn once and a smaller run never wakes
-//! it.
+//! # Random draws
+//!
+//! Every draw the loop makes for a batch derives from the own stream of
+//! its first member ([`Job::rng`]), keyed by what the draw is for: the
+//! execution noise by component, an injected fault by component, site
+//! and try, a backoff by component and attempt, and a transfer's timing
+//! and drops by its kind, components and site. A job's stream depends on
+//! its spec's archetype and rank among that archetype's specs and on its
+//! index within the spec's jobs alone, and a counter-based child costs a
+//! hash, so no draw depends on the order of any other: retries and
+//! hedges re-read their batch's noise, and permuting the specs (one
+//! archetype's among themselves aside) or adding one that makes no jobs
+//! changes nothing. Deployments are made in archetype order for the same
+//! reason: same-instant keep-warm pings of two deployments share the
+//! platform's scale-out budget and its sequential cold-start stream, so
+//! their order must not follow the specs'.
+//! Only the breaker cooldowns draw from a run-level stream, keyed by site
+//! and open count.
 //!
 //! On a large run nearly every batch is in flight at once, so the bytes
 //! per batch, per component and per pending event bound run memory.
@@ -91,7 +97,7 @@ use std::sync::Arc;
 
 use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
 use ntc_simcore::event::Simulator;
-use ntc_simcore::rng::{NormalFeed, NormalPump, RngStream};
+use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Cycles, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::{generate_jobs_into, Archetype, Job, StreamSpec};
@@ -104,7 +110,7 @@ use crate::site::SiteRegistry;
 
 use accounting::{Accounting, HealthMap};
 use admission::{Batch, BatchStates};
-use noise::NoiseTable;
+use noise::NoiseMemo;
 
 /// What a run keeps per job.
 ///
@@ -209,10 +215,6 @@ pub(crate) struct RunCtx<'a> {
     pings: &'a [Ping],
     faults: &'a FaultPlan,
     retry: &'a RetryPolicy,
-    retry_rng: &'a RngStream,
-    /// The `engine/work` stream, which keys the noise slots.
-    work: &'a RngStream,
-    noise: &'a NoiseTable,
     horizon_end: SimTime,
 }
 
@@ -222,10 +224,10 @@ impl<'a> RunCtx<'a> {
         self.batches[bi].members_in(self.members)
     }
 
-    /// The lowest-indexed member of batch `bi`, whose id keys the
-    /// batch's noise, retry and fault streams.
-    fn first_job(&self, bi: usize) -> &'a Job {
-        &self.jobs[self.members(bi)[0] as usize]
+    /// The own stream of batch `bi`'s lowest-indexed member
+    /// ([`Job::rng`]), from which every draw for the batch derives.
+    fn batch_rng(&self, bi: usize) -> RngStream {
+        RngStream::root(self.batches[bi].key)
     }
 
     /// The tightest member deadline of batch `bi`.
@@ -239,10 +241,8 @@ impl<'a> RunCtx<'a> {
 pub(crate) struct RunState<'s> {
     states: &'s mut BatchStates,
     acct: &'s mut Accounting,
-    /// The sequential transfer-noise stream's normals, drawn ahead by the
-    /// scratch's pump: draw order is part of the reproducibility
-    /// contract, so handlers must keep the historical call sequence.
-    net: NormalFeed<'s>,
+    /// The input's execution noise, drawn on first read.
+    noise: &'s mut NoiseMemo,
     /// Per-event device work-list, reused between events.
     member_works: &'s mut Vec<Cycles>,
     /// The per-site health ledger: breakers, latency EWMAs, bounded
@@ -250,8 +250,7 @@ pub(crate) struct RunState<'s> {
     /// layer is disabled.
     health: &'s mut HealthMap,
     /// Cooldown-jitter stream for breaker trips; every draw derives its
-    /// own child keyed by site and open-count, so health randomness
-    /// never perturbs any legacy stream.
+    /// own child keyed by site and open-count.
     health_rng: RngStream,
     /// Invocations whose completion is deferred pending a hedge
     /// decision, keyed by `(batch, component)`.
@@ -259,7 +258,7 @@ pub(crate) struct RunState<'s> {
 }
 
 /// Reusable run buffers: all the run-sized allocations `Engine::run`
-/// needs — the event calendar, the jobs and their execution-noise table,
+/// needs — the event calendar, the jobs and their execution-noise memo,
 /// the batches with their flat member array, its per-job `batch_of` fill
 /// buffer and the coalescing key map, the keep-warm ping table,
 /// per-batch and per-component state and accounting slots. Create once, pass to
@@ -270,24 +269,19 @@ pub(crate) struct RunState<'s> {
 /// The job stream is a function of `(seed, specs, horizon)` alone, so the
 /// scratch records the input its `jobs` were generated from and a run on
 /// the same input (another policy on the same seed, say) reuses them
-/// instead of generating them again. Execution noise is keyed by job and
-/// component alone, so the noise table belongs to the job stream too:
-/// it is drawn once per input, whichever runs on it draw it.
-///
-/// The scratch owns one [`NormalPump`], whose helper thread draws each
-/// run's `net` normals ahead of its event loop and, between them, the
-/// input's noise table from where earlier runs on it stopped; it is
-/// spawned at most once per scratch and joined when the scratch drops.
+/// instead of generating them again. Execution noise is a function of the
+/// job and the component alone, so its memo belongs to the job stream
+/// too: each slot is drawn at most once per input, by the first run that
+/// reads it.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     sim: Simulator<Ev>,
-    /// Shared with the helper's noise job while one runs.
-    jobs: Arc<Vec<Job>>,
+    jobs: Vec<Job>,
     /// The `(seed, specs, horizon)` that generated `jobs`; `None` before
     /// the first run and while a generation is under way.
     jobs_input: Option<(u64, Vec<StreamSpec>, SimDuration)>,
     /// The execution noise of `jobs`, valid exactly as long as they are.
-    noise: NoiseTable,
+    noise: NoiseMemo,
     deployments: Vec<Deployment>,
     deployment_of: DeploymentOf,
     batches: Vec<Batch>,
@@ -301,9 +295,6 @@ pub struct RunScratch {
     member_works: Vec<Cycles>,
     health: HealthMap,
     hedges: HashMap<(usize, ComponentId), HedgePending>,
-    /// Draws the `net` stream's normals and the noise table on a helper
-    /// thread, kept idle between runs.
-    pump: NormalPump,
 }
 
 impl RunScratch {
@@ -331,8 +322,7 @@ impl RunScratch {
             }
         }
         let mut input_specs = self.jobs_input.take().map(|(_, sp, _)| sp).unwrap_or_default();
-        let jobs = noise::unshared(&mut self.jobs);
-        generate_jobs_into(specs, horizon, &rng.derive("jobs"), jobs);
+        generate_jobs_into(specs, horizon, &rng.derive("jobs"), &mut self.jobs);
         self.noise.reset(self.jobs.len(), specs);
         input_specs.clear();
         input_specs.extend_from_slice(specs);
@@ -419,26 +409,22 @@ impl Engine {
     ) -> RunResult {
         let rng = RngStream::root(seed).derive("engine");
         scratch.fill_jobs(seed, specs, horizon, &rng);
-        // The helper draws the input's noise while this thread sets the
-        // run up and starts the loop.
-        scratch.noise.start(rng.derive("work"), &scratch.jobs, &mut scratch.pump);
 
-        // --- Faults and recovery. All fault/retry draws live in their own
-        // derived streams, so a fault-free configuration replays the exact
-        // event sequence of an engine without fault modelling. ---
-        let faults = FaultPlan::shared(Arc::clone(&self.faults), rng.derive("faults"));
-        let retry_rng = rng.derive("retry");
+        // --- Faults and recovery. Every fault and retry draw derives
+        // from its batch's own stream, so a fault-free configuration
+        // replays the exact event sequence of an engine without fault
+        // modelling. ---
+        let faults = FaultPlan::shared(Arc::clone(&self.faults));
         let retry = policy.retry_policy();
 
-        // --- Deployments, one per archetype present in the stream. ---
+        // --- Deployments, one per archetype present in the stream, in
+        // archetype order whatever the order of the specs; an archetype's
+        // first spec sets its rate and slack. ---
         scratch.deployments.clear();
         scratch.deployment_of = Default::default();
-        for spec in specs {
-            let slot = &mut scratch.deployment_of[spec.archetype.index()];
-            if slot.is_some() {
-                continue;
-            }
-            *slot = Some(scratch.deployments.len());
+        for archetype in Archetype::all() {
+            let Some(spec) = specs.iter().find(|s| s.archetype == archetype) else { continue };
+            scratch.deployment_of[archetype.index()] = Some(scratch.deployments.len());
             let slack = spec.archetype.typical_slack().mul_f64(spec.slack_factor);
             let d =
                 deploy(policy, spec.archetype, &self.env, spec.arrivals.mean_rate(), slack, &rng);
@@ -487,7 +473,6 @@ impl Engine {
 
         // --- The loop. ---
         let horizon_end = SimTime::ZERO + horizon;
-        let work = rng.derive("work");
         let ctx = RunCtx {
             env: &self.env,
             deployments: &scratch.deployments,
@@ -498,16 +483,13 @@ impl Engine {
             pings: &scratch.pings,
             faults: &faults,
             retry: &retry,
-            retry_rng: &retry_rng,
-            work: &work,
-            noise: &scratch.noise,
             horizon_end,
         };
         let sim = &mut scratch.sim;
         let mut st = RunState {
             states: &mut scratch.states,
             acct: &mut scratch.acct,
-            net: NormalFeed::new(rng.derive("net"), &mut scratch.pump),
+            noise: &mut scratch.noise,
             member_works: &mut scratch.member_works,
             health: &mut scratch.health,
             health_rng: rng.derive("health"),
@@ -527,9 +509,6 @@ impl Engine {
             }
         }
 
-        // Dropping the feed ends the run on the helper: the noise fill
-        // stops after its current step, for the next run to resume.
-        drop(st);
         let now = scratch.sim.now();
         let health = &mut scratch.health;
         scratch.acct.assemble(policy, &self.env, horizon, horizon_end, now, &mut sites, health)

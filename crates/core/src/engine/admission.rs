@@ -33,7 +33,9 @@ pub(crate) struct Batch {
     pub members: Range<u32>,
     pub dispatch_at: SimTime,
     pub sum_input: DataSize,
-    pub max_input: DataSize,
+    /// The key of the batch's first member, which roots every draw made
+    /// for the batch; kept here so an event reads no job.
+    pub key: u64,
 }
 
 const _: () = assert!(size_of::<Batch>() <= 40);
@@ -317,7 +319,7 @@ pub(crate) fn coalesce_into(
                     members: 0..0,
                     dispatch_at: at,
                     sum_input: DataSize::ZERO,
-                    max_input: DataSize::ZERO,
+                    key: job.key,
                 });
                 let bi = batches.len() - 1;
                 batch_key.insert((di, at), bi);
@@ -328,7 +330,6 @@ pub(crate) fn coalesce_into(
         let b = &mut batches[bi];
         b.members.end += 1;
         b.sum_input += job.input;
-        b.max_input = b.max_input.max(job.input);
     }
     // Second pass: lay the batches out back to back, then scatter the
     // jobs in ascending order, so each slice stays sorted.

@@ -7,7 +7,7 @@
 use ntc_faults::{classify_injected, classify_outage, Admission};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
-use ntc_simcore::rng::{Key, KeyHasher};
+use ntc_simcore::rng::{Key, KeyHasher, RngStream};
 use ntc_simcore::units::{Cycles, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
@@ -99,7 +99,8 @@ pub(crate) fn handle_exec(
     let side = if degraded { Side::Device } else { d.plan.side(comp) };
     let cix = st.states.ix(bi, comp);
     st.states.exec_side[cix] = side;
-    let noise = noise_factor(ctx, bi, comp);
+    let rng = ctx.batch_rng(bi);
+    let noise = noise_factor(ctx, st, &rng, bi, comp);
     match side {
         Side::Device => {
             // Per-member execution on each member's own device: wall-clock
@@ -127,7 +128,7 @@ pub(crate) fn handle_exec(
             let attempt = st.states.attempts[cix];
             let site = chain[pos];
             let outcome =
-                invoke_remote(ctx, sites, t, bi, comp, site, noise, Try::Attempt(attempt));
+                invoke_remote(ctx, sites, &rng, t, bi, comp, site, noise, Try::Attempt(attempt));
             match outcome {
                 Ok(inv) => {
                     st.acct.device_energy += inv.device_energy;
@@ -163,7 +164,7 @@ pub(crate) fn handle_exec(
                     if st.health.enabled() {
                         st.health.observe_failure(site, t, &st.health_rng, cause);
                     }
-                    recovery::recover(ctx, sites, st, sim, t, bi, comp, class, cause);
+                    recovery::recover(ctx, sites, st, sim, &rng, t, bi, comp, class, cause);
                 }
             }
         }
@@ -257,8 +258,9 @@ pub(crate) fn handle_hedge_fire(
     // (batch, component)); its injected-fault key carries a `-hedge`
     // marker so it draws from its own stream without perturbing the
     // per-attempt keys of the retry path.
-    let noise = noise_factor(ctx, bi, comp);
-    match invoke_remote(ctx, sites, t, bi, comp, target, noise, Try::Hedge) {
+    let rng = ctx.batch_rng(bi);
+    let noise = noise_factor(ctx, st, &rng, bi, comp);
+    match invoke_remote(ctx, sites, &rng, t, bi, comp, target, noise, Try::Hedge) {
         Ok(hinv) if hinv.finish < pending.primary_finish => {
             // The duplicate wins: cancel the primary (a deliberate
             // cancellation — not a failure, not an observation) and
@@ -322,14 +324,15 @@ impl Key for Try {
 /// fixed demand and the request fee amortise across members. An injected
 /// fault or a site outage answers instead of the site.
 ///
-/// The injected-fault key is `{first}-{comp}-{site}{try}`, with the
-/// site's name — its spelling is part of the reproducibility
-/// contract. Fault-free plans answer every key with "no fault", so the
-/// key is only hashed when faults are configured.
+/// The injected fault is drawn under the batch's stream `rng` by the key
+/// `{comp}-{site}{try}`, with the site's name — its spelling is part of
+/// the reproducibility contract. Fault-free plans answer every key with
+/// "no fault", so the key is only hashed when faults are configured.
 #[allow(clippy::too_many_arguments)]
 fn invoke_remote(
     ctx: &RunCtx<'_>,
     sites: &mut SiteRegistry,
+    rng: &RngStream,
     t: SimTime,
     bi: usize,
     comp: ComponentId,
@@ -344,8 +347,7 @@ fn invoke_remote(
         .batch_demand_cycles(b.members.len() as u64, b.sum_input);
     let work = Cycles::new((annotated.get() as f64 * noise).round() as u64);
     if ctx.faults.has_invocation_faults() {
-        let first = ctx.first_job(bi).id;
-        if let Some(fault) = ctx.faults.invocation_fault(fault_key(first, comp, site, try_)) {
+        if let Some(fault) = ctx.faults.invocation_fault(rng, fault_key(comp, site, try_)) {
             return Err(classify_injected(fault));
         }
     }
@@ -375,25 +377,26 @@ fn resolve_primary_win(
     sim.schedule_at(pending.primary_finish, Ev::done(bi, comp)).expect("future");
 }
 
-/// The key of component `comp` of the batch whose first member is job
-/// `first`: `{first}-{comp}`. It addresses the batch's noise stream and
-/// its backoff jitter; its spelling is part of the reproducibility
-/// contract, because each child is derived by hashing it.
-pub(super) fn component_key(first: u64, comp: ComponentId) -> impl Key {
-    (first, "-", comp)
-}
-
 /// The injected-fault key of one try of a component on `site`:
-/// `{first}-{comp}-{site}{try}`.
-pub(super) fn fault_key(first: u64, comp: ComponentId, site: Site, try_: Try) -> impl Key {
-    (component_key(first, comp), "-", site, try_)
+/// `{comp}-{site}{try}`. Its spelling is part of the reproducibility
+/// contract, because each child is derived by hashing it.
+pub(super) fn fault_key(comp: ComponentId, site: Site, try_: Try) -> impl Key {
+    (comp, "-", site, try_)
 }
 
-/// The execution noise of component `comp` of batch `bi`, read from the
-/// run's [`NoiseTable`](super::noise::NoiseTable), so retries and hedges
-/// re-observe the same value.
-fn noise_factor(ctx: &RunCtx<'_>, bi: usize, comp: ComponentId) -> f64 {
-    ctx.noise.get(ctx.work, ctx.jobs, ctx.members(bi)[0], comp)
+/// The execution noise of component `comp` of batch `bi`, whose stream
+/// is `rng`: a function of the batch's first member and the component
+/// alone (see [`noise::draw`](super::noise::draw)), so retries and hedges
+/// re-observe the same value. Read through the input's memo.
+fn noise_factor(
+    ctx: &RunCtx<'_>,
+    st: &mut RunState<'_>,
+    rng: &RngStream,
+    bi: usize,
+    comp: ComponentId,
+) -> f64 {
+    let archetype = ctx.deployments[ctx.batches[bi].di].archetype;
+    st.noise.get(ctx.members(bi)[0], comp, archetype, rng)
 }
 
 fn member_work(job: &Job, d: &Deployment, comp: ComponentId, noise: f64) -> Cycles {

@@ -5,20 +5,23 @@
 
 use ntc_faults::{Admission, ErrorClass, FailureCause};
 use ntc_simcore::event::Simulator;
+use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::SimTime;
 use ntc_taskgraph::ComponentId;
 
-use super::{accounting, execute, Ev, RunCtx, RunState};
+use super::{accounting, Ev, RunCtx, RunState};
 use crate::site::SiteRegistry;
 
 /// Acts on a classified attempt failure: wait, retry with backoff, fall
-/// back down the site chain, or fail the batch.
+/// back down the site chain, or fail the batch. The backoff jitter is
+/// drawn under the batch's stream `rng`, keyed by component and attempt.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recover(
     ctx: &RunCtx<'_>,
     sites: &SiteRegistry,
     st: &mut RunState<'_>,
     sim: &mut Simulator<Ev>,
+    rng: &RngStream,
     t: SimTime,
     bi: usize,
     comp: ComponentId,
@@ -41,8 +44,7 @@ pub(crate) fn recover(
         ErrorClass::Retryable => {
             let cix = st.states.ix(bi, comp);
             let attempt = st.states.attempts[cix];
-            let key = execute::component_key(ctx.first_job(bi).id, comp);
-            let backoff = ctx.retry.backoff(ctx.retry_rng, key, attempt);
+            let backoff = ctx.retry.backoff(rng, comp, attempt);
             let resume = t + detect + backoff;
             if ctx.retry.allows(attempt) {
                 st.states.add_backoff(cix, backoff);

@@ -246,14 +246,24 @@ fn aggregates_retention_matches_full_metrics() {
         }
     }
     // Breakers, admission, hedges and retries all live: a batch settled
-    // twice would show up as a job-count mismatch.
+    // twice would show up as a job-count mismatch. One seed sheds or
+    // defers nothing about one time in six, so three seeds run and the
+    // layer must act across them.
     let (env, all_on) = overload_case();
-    let e = Engine::new(env, 7);
-    let full = check_retention_agrees(&e, &all_on, &two_archetypes(0.06), horizon, &mut scratch);
-    let o = full.overload.as_ref().expect("health layer on");
-    assert!(o.hedges > 0 && o.sheds + o.deferrals > 0, "overload layer idle: {o:?}");
-    assert!(o.breaker_transitions.values().any(|&n| n > 0), "no breaker moved: {o:?}");
-    assert!(full.total_retries() > 0, "retries idle: {} failures", full.failures());
+    let (mut hedges, mut holds, mut moves, mut retries) = (0, 0, 0, 0);
+    for seed in 7..=9 {
+        let e = Engine::new(env.clone(), seed);
+        let full =
+            check_retention_agrees(&e, &all_on, &two_archetypes(0.06), horizon, &mut scratch);
+        let o = full.overload.as_ref().expect("health layer on");
+        hedges += o.hedges;
+        holds += o.sheds + o.deferrals;
+        moves += o.breaker_transitions.values().sum::<u32>();
+        retries += full.total_retries();
+    }
+    assert!(hedges > 0 && holds > 0, "overload layer idle: {hedges} hedges, {holds} holds");
+    assert!(moves > 0, "no breaker moved");
+    assert!(retries > 0, "retries idle");
 }
 
 /// Runs `policy` in both retention modes on one scratch, checks that
@@ -267,8 +277,8 @@ fn check_retention_agrees(
     scratch: &mut crate::engine::RunScratch,
 ) -> RunResult {
     use crate::engine::JobRetention;
-    let full = e.run_retained(7, policy, specs, horizon, scratch, JobRetention::Full);
-    let agg = e.run_retained(7, policy, specs, horizon, scratch, JobRetention::Aggregates);
+    let full = e.run_retained(e.seed(), policy, specs, horizon, scratch, JobRetention::Full);
+    let agg = e.run_retained(e.seed(), policy, specs, horizon, scratch, JobRetention::Aggregates);
     assert!(agg.jobs.is_empty(), "{policy}: aggregates mode must not retain jobs");
     assert!(agg.aggregates.is_some(), "{policy}: aggregates missing");
     assert!(full.aggregates.is_none(), "{policy}: full mode must not aggregate");
@@ -384,21 +394,24 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
 
 // --- RNG keys. ---
 
-/// Known answers for the streams the loop keys per batch, recorded from
-/// the formatted labels these keys spell (`7-c1`, `3-c1-edge-a2`,
-/// `up-5-c0`, ...): a respelled key fails here by name, not only through
-/// a run digest.
+/// Known answers for the streams the loop keys per batch under its first
+/// member's own stream, each checked against the formatted label it
+/// spells (`c1`, `inv-c1-edge-a2`, `up-c0-cloud`, ...): a respelled key
+/// fails here by name, not only through a run digest.
 mod keys {
     use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
     use ntc_simcore::rng::RngStream;
     use ntc_taskgraph::ComponentId;
+    use ntc_workloads::Archetype;
 
-    use crate::engine::execute::{component_key, fault_key, Try};
+    use crate::engine::execute::{fault_key, Try};
+    use crate::engine::noise;
     use crate::engine::transfer::{flow_key, return_key, upload_key};
     use crate::site::Site;
 
-    fn engine_rng() -> RngStream {
-        RngStream::root(42).derive("engine")
+    /// The own stream of a job whose key is `key`.
+    fn job(key: u64) -> RngStream {
+        RngStream::root(key)
     }
 
     fn c(i: usize) -> ComponentId {
@@ -407,61 +420,77 @@ mod keys {
 
     #[test]
     fn noise_draws_from_the_component_stream() {
-        let mut r = engine_rng().derive("work").derive(component_key(7, c(1)));
-        assert_eq!(r.lognormal(0.0, 0.1).to_bits(), 0x3ff0_82f9_b794_1880);
+        let a = Archetype::PhotoPipeline;
+        let got = noise::draw(a, &job(7), c(1));
+        let want = a.demand_drift() * job(7).derive("c1").lognormal(0.0, a.demand_noise_sigma());
+        assert_eq!(got.to_bits(), want.to_bits());
+        assert_eq!(got.to_bits(), NOISE_BITS);
     }
 
     #[test]
     fn invocation_faults_draw_from_the_try_stream() {
-        let p = FaultPlan::new(FaultConfig::transient(0.5), engine_rng().derive("faults"));
+        let p = FaultPlan::new(FaultConfig::transient(0.5));
         let hits = |comp, site, try_| {
-            (0..64_u64).fold(0_u64, |m, first| {
-                let fault = p.invocation_fault(fault_key(first, c(comp), site, try_));
-                m | u64::from(fault.is_some()) << first
+            (0..64_u64).fold(0_u64, |m, key| {
+                let fault = p.invocation_fault(&job(key), fault_key(c(comp), site, try_));
+                m | u64::from(fault.is_some()) << key
             })
         };
-        assert_eq!(hits(1, Site::Edge, Try::Attempt(2)), 0x9257_1259_7f90_14ab);
-        assert_eq!(hits(2, Site::Cloud, Try::Hedge), 0xc2d9_6f8c_4b1c_79db);
+        let spelled = |label: &str| {
+            (0..64_u64).fold(0_u64, |m, key| {
+                m | u64::from(p.invocation_fault(&job(key), label).is_some()) << key
+            })
+        };
+        assert_eq!(hits(1, Site::Edge, Try::Attempt(2)), spelled("c1-edge-a2"));
+        assert_eq!(hits(2, Site::Cloud, Try::Hedge), spelled("c2-cloud-hedge"));
+        assert_eq!(hits(1, Site::Edge, Try::Attempt(2)), FAULT_HITS[0]);
+        assert_eq!(hits(2, Site::Cloud, Try::Hedge), FAULT_HITS[1]);
     }
 
     #[test]
     fn backoffs_draw_from_the_component_stream() {
-        let (p, rng) = (RetryPolicy::ntc_default(), engine_rng().derive("retry"));
-        let us: Vec<u64> = (0..4)
-            .map(|first| p.backoff(&rng, component_key(first, c(1)), 3).as_micros())
-            .collect();
-        assert_eq!(us, [33_409_324, 28_390_545, 46_371_399, 5_857_754]);
+        let p = RetryPolicy::ntc_default();
+        let us: Vec<u64> = (0..4).map(|key| p.backoff(&job(key), c(1), 3).as_micros()).collect();
+        let spelled: Vec<u64> =
+            (0..4).map(|key| p.backoff(&job(key), "c1", 3).as_micros()).collect();
+        assert_eq!(us, spelled);
+        assert_eq!(us, BACKOFF_US);
     }
 
     #[test]
     fn transfer_drops_draw_from_the_transfer_streams() {
-        let cfg = FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() };
-        let p = FaultPlan::new(cfg, engine_rng().derive("faults"));
-        let up: Vec<u32> = (0..8).map(|bi| p.transfer_drops(upload_key(bi, c(0)), 8)).collect();
-        let flow: Vec<u32> =
-            (0..8).map(|bi| p.transfer_drops(flow_key(bi, c(1), c(2)), 8)).collect();
-        let ret: Vec<u32> = (0..8).map(|bi| p.transfer_drops(return_key(bi, c(3)), 8)).collect();
-        assert_eq!(up, [0, 8, 1, 1, 1, 1, 0, 2]);
-        assert_eq!(flow, [0, 2, 6, 1, 0, 0, 0, 0]);
-        assert_eq!(ret, [3, 2, 3, 0, 0, 0, 0, 1]);
+        let p = FaultPlan::new(FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() });
+        let drops = |key: &dyn Fn(u64) -> u32| (0..8).map(key).collect::<Vec<u32>>();
+        let up = drops(&|k| p.transfer_drops(&job(k), upload_key(c(0), Site::Cloud), 8));
+        let flow = drops(&|k| p.transfer_drops(&job(k), flow_key(c(1), c(2), Site::Edge), 8));
+        let ret = drops(&|k| p.transfer_drops(&job(k), return_key(c(3), Site::Cloud), 8));
+        assert_eq!(up, drops(&|k| p.transfer_drops(&job(k), "up-c0-cloud", 8)));
+        assert_eq!(flow, drops(&|k| p.transfer_drops(&job(k), "flow-c1-c2-edge", 8)));
+        assert_eq!(ret, drops(&|k| p.transfer_drops(&job(k), "ret-c3-cloud", 8)));
+        assert_eq!([up, flow, ret], TRANSFER_DROPS);
     }
+
+    const NOISE_BITS: u64 = 0x3fea_f63c_7af9_16b7;
+    const FAULT_HITS: [u64; 2] = [0x2a79_6e14_b026_56bc, 0xf48e_56f0_3431_a75a];
+    const BACKOFF_US: [u64; 4] = [32_539_034, 25_699_787, 24_786_019, 23_700_827];
+    const TRANSFER_DROPS: [[u32; 8]; 3] =
+        [[2, 1, 1, 0, 2, 5, 1, 3], [2, 0, 1, 0, 2, 1, 2, 0], [2, 0, 0, 2, 0, 0, 1, 3]];
 }
 
-// --- The execution-noise table. ---
+// --- The execution-noise memo. ---
 
 mod noise {
-    use ntc_simcore::rng::{NormalPump, RngStream};
     use ntc_simcore::units::SimDuration;
     use ntc_taskgraph::ComponentId;
     use ntc_workloads::{Archetype, Job, StreamSpec};
 
-    use crate::engine::execute::component_key;
+    use crate::engine::noise::draw;
     use crate::engine::{Engine, JobRetention, RunScratch};
     use crate::environment::Environment;
     use crate::policy::OffloadPolicy;
 
     /// Photo pipelines (four components) mixed with video transcodes
-    /// (five), so the table is wider than some of its archetypes.
+    /// (five), so the memo is wider than some of its archetypes.
     fn specs() -> [StreamSpec; 2] {
         [
             StreamSpec::poisson(Archetype::PhotoPipeline, 0.02),
@@ -470,24 +499,21 @@ mod noise {
     }
 
     /// The direct draw from the component stream of `comp` of `job`.
-    fn direct(seed: u64, job: &Job, comp: ComponentId) -> f64 {
-        let work = RngStream::root(seed).derive("engine").derive("work");
-        let mut r = work.derive(component_key(job.id, comp));
-        let a = job.archetype;
-        a.demand_drift() * r.lognormal(0.0, a.demand_noise_sigma())
+    fn direct(job: &Job, comp: ComponentId) -> f64 {
+        draw(job.archetype, &job.rng(), comp)
     }
 
     /// Checks every slot the last run on `scratch` read, each batch
     /// head's components, against a direct draw from its component
     /// stream; returns how many (batch head, component) pairs it read.
-    fn check_table(scratch: &RunScratch, seed: u64) -> usize {
+    fn check_table(scratch: &RunScratch) -> usize {
         let mut read = 0;
         for b in &scratch.batches {
             let ji = b.members_in(&scratch.members)[0];
             let first = &scratch.jobs[ji as usize];
             for comp in scratch.deployments[b.di].graph.ids() {
                 let slot = scratch.noise.slot(ji, comp);
-                let want = direct(seed, first, comp);
+                let want = direct(first, comp);
                 assert_eq!(slot.to_bits(), want.to_bits(), "job {}, {comp}", first.id);
                 read += 1;
             }
@@ -498,14 +524,18 @@ mod noise {
     /// Checks every drawn slot of every job against a direct draw from its
     /// component stream, and that no slot past a job's own components is
     /// drawn; returns how many slots are drawn.
-    fn check_drawn(scratch: &RunScratch, seed: u64) -> usize {
+    fn check_drawn(scratch: &RunScratch) -> usize {
         let mut drawn = 0;
         for (ji, job) in scratch.jobs.iter().enumerate() {
             for comp in job.archetype.graph().ids() {
                 let slot = scratch.noise.slot(ji as u32, comp);
                 if !slot.is_nan() {
-                    let want = direct(seed, job, comp);
-                    assert_eq!(slot.to_bits(), want.to_bits(), "job {}, {comp}", job.id);
+                    assert_eq!(
+                        slot.to_bits(),
+                        direct(job, comp).to_bits(),
+                        "job {}, {comp}",
+                        job.id
+                    );
                     drawn += 1;
                 }
             }
@@ -522,7 +552,7 @@ mod noise {
             let mut scratch = RunScratch::new();
             e.run_retained(7, &policy, &specs(), horizon, &mut scratch, JobRetention::Full);
             assert_eq!(scratch.batches.len() < scratch.jobs.len(), batched, "{policy}");
-            let read = check_table(&scratch, 7);
+            let read = check_table(&scratch);
             // A fresh run draws exactly the slots it reads: one stream
             // per (batch head, component).
             assert_eq!(scratch.noise.drawn(), read, "{policy}");
@@ -548,7 +578,7 @@ mod noise {
             };
             let reused = run(&mut scratch);
             assert_eq!(reused, run(&mut RunScratch::new()), "{policy} on seed {seed}");
-            check_table(&scratch, seed);
+            check_table(&scratch);
             drawn.push(scratch.noise.drawn());
         }
         // The unbatched run adds the heads the batched one left undrawn,
@@ -559,9 +589,8 @@ mod noise {
     }
 
     /// A hundred times [`specs`]' rates: over an hour `cloud-all` heads
-    /// one batch per job, about 9,000 of them and 38,000 slots, far past
-    /// the hand-off size, so the helper draws most of the table, and
-    /// under `ntc` the slots of jobs that head no batch too.
+    /// one batch per job, about 9,000 of them and 38,000 slots, and
+    /// `ntc` far fewer.
     fn busy_specs() -> [StreamSpec; 2] {
         [
             StreamSpec::poisson(Archetype::PhotoPipeline, 2.0),
@@ -569,34 +598,24 @@ mod noise {
         ]
     }
 
-    /// A scratch whose pump has a helper whatever the core count.
-    fn helper_scratch() -> RunScratch {
-        RunScratch { pump: NormalPump::with_helper(), ..RunScratch::new() }
-    }
-
     #[test]
-    fn every_slot_the_helper_draws_is_its_component_stream_draw() {
+    fn every_drawn_slot_is_its_component_stream_draw() {
         let e = Engine::new(Environment::metro_reference(), 7);
         let horizon = SimDuration::from_hours(1);
-        for (policy, batched) in [(OffloadPolicy::CloudAll, false), (OffloadPolicy::ntc(), true)] {
-            let mut scratch = helper_scratch();
+        for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
+            let mut scratch = RunScratch::new();
             e.run_retained(7, &policy, &busy_specs(), horizon, &mut scratch, JobRetention::Full);
-            let read = check_table(&scratch, 7);
+            let read = check_table(&scratch);
             assert!(read > 4_000, "{policy}: {read} slots");
-            let drawn = check_drawn(&scratch, 7);
-            if batched {
-                assert!(drawn >= read, "{policy}: {drawn} drawn, {read} read");
-            } else {
-                assert_eq!(drawn, read, "{policy}");
-            }
+            assert_eq!(check_drawn(&scratch), read, "{policy}");
         }
     }
 
     #[test]
-    fn a_helper_scratch_across_inputs_gives_a_fresh_scratchs_results() {
+    fn a_busy_scratch_across_inputs_gives_a_fresh_scratchs_results() {
         let e = Engine::new(Environment::metro_reference(), 7);
         let horizon = SimDuration::from_hours(1);
-        let mut scratch = helper_scratch();
+        let mut scratch = RunScratch::new();
         for (seed, specs) in [(7, busy_specs()), (8, busy_specs()), (7, busy_specs()), (7, specs())]
         {
             for policy in [OffloadPolicy::CloudAll, OffloadPolicy::ntc()] {
@@ -606,7 +625,7 @@ mod noise {
                 };
                 let reused = run(&mut scratch);
                 assert_eq!(reused, run(&mut RunScratch::new()), "{policy} on seed {seed}");
-                check_table(&scratch, seed);
+                check_table(&scratch);
             }
         }
     }
@@ -792,7 +811,7 @@ mod coalescing {
         di: usize,
         dispatch_at: SimTime,
         sum_input: DataSize,
-        max_input: DataSize,
+        key: u64,
         members: Vec<usize>,
     }
 
@@ -829,7 +848,7 @@ mod coalescing {
                         di,
                         dispatch_at: at,
                         sum_input: DataSize::ZERO,
-                        max_input: DataSize::ZERO,
+                        key: job.key,
                         members: Vec::new(),
                     });
                     key.insert((di, at), batches.len() - 1);
@@ -839,7 +858,6 @@ mod coalescing {
             let b = &mut batches[bi];
             b.members.push(ji);
             b.sum_input += job.input;
-            b.max_input = b.max_input.max(job.input);
         }
         batches
     }
@@ -870,7 +888,7 @@ mod coalescing {
                 di: b.di,
                 dispatch_at: b.dispatch_at,
                 sum_input: b.sum_input,
-                max_input: b.max_input,
+                key: b.key,
                 members: b.members_in(&members).iter().map(|&ji| ji as usize).collect(),
             })
             .collect();
@@ -913,6 +931,7 @@ mod coalescing {
                 let archetype = ARCHETYPES[a];
                 Job {
                     id: i as u64,
+                    key: i as u64,
                     archetype,
                     arrival,
                     input: DataSize::from_kib(kib),

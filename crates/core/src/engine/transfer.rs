@@ -1,14 +1,16 @@
 //! Transfer timing: congestion- and outage-aware uploads, inter-component
 //! flows, result returns, and faulty-transfer injection.
 //!
-//! All durations draw from the sequential `net` stream's normals, served
-//! by the run's [`NormalFeed`](ntc_simcore::rng::NormalFeed); the draw
-//! order below is part of the reproducibility contract.
+//! Each transfer of a batch draws from its own child of the batch's
+//! stream, keyed by the transfer's kind, components and site: each
+//! member's duration in member order, the batch's being the slowest
+//! member's. Its drops come from the child `xfer-{key}` of the same
+//! stream.
 
 use ntc_faults::FaultPlan;
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
-use ntc_simcore::rng::Key;
+use ntc_simcore::rng::{Key, RngStream};
 use ntc_simcore::units::{SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
@@ -29,33 +31,39 @@ fn offload_site(chain: &[Site], pos: usize) -> Site {
         .expect("site chains start at a remote site")
 }
 
-/// The drop key of batch `bi`'s upload to entry component `c`:
-/// `up-{bi}-{c}`.
-pub(super) fn upload_key(bi: usize, c: ComponentId) -> impl Key {
-    ("up-", bi, "-", c)
+/// The key of a batch's upload to entry component `c` on `site`:
+/// `up-{c}-{site}`.
+pub(super) fn upload_key(c: ComponentId, site: Site) -> impl Key + Copy {
+    ("up-", c, "-", site)
 }
 
-/// The drop key of batch `bi`'s flow from `from` to `to` across the
-/// device boundary: `flow-{bi}-{from}-{to}`.
-pub(super) fn flow_key(bi: usize, from: ComponentId, to: ComponentId) -> impl Key {
-    ("flow-", bi, "-", from, "-", to)
+/// The key of a batch's flow from `from` to `to`, offloaded work running
+/// on `site`: `flow-{from}-{to}-{site}`.
+pub(super) fn flow_key(from: ComponentId, to: ComponentId, site: Site) -> impl Key + Copy {
+    ("flow-", from, "-", to, "-", site)
 }
 
-/// The drop key of batch `bi`'s result return from exit component
-/// `comp`: `ret-{bi}-{comp}`.
-pub(super) fn return_key(bi: usize, comp: ComponentId) -> impl Key {
-    ("ret-", bi, "-", comp)
+/// The key of a batch's result return from exit component `comp` on
+/// `site`: `ret-{comp}-{site}`.
+pub(super) fn return_key(comp: ComponentId, site: Site) -> impl Key + Copy {
+    ("ret-", comp, "-", site)
 }
 
-/// Scales a transfer duration by the fault plan's drop penalty for `key`.
-/// A fault-free plan leaves the duration untouched without even hashing
-/// the key; the key's spelling is part of the reproducibility contract,
-/// since the plan derives its answer by hashing it.
-fn faulty_transfer(dur: SimDuration, faults: &FaultPlan, key: impl Key) -> SimDuration {
+/// Scales a transfer duration by the fault plan's drop penalty for `key`
+/// under the batch's stream `rng`. A fault-free plan leaves the duration
+/// untouched without even hashing the key; the key's spelling is part of
+/// the reproducibility contract, since the plan derives its answer by
+/// hashing it.
+fn faulty_transfer(
+    dur: SimDuration,
+    faults: &FaultPlan,
+    rng: &RngStream,
+    key: impl Key,
+) -> SimDuration {
     if !faults.has_transfer_faults() {
         return dur;
     }
-    let penalty = faults.transfer_penalty(key);
+    let penalty = faults.transfer_penalty(rng, key);
     if penalty > 1.0 {
         dur.mul_f64(penalty)
     } else {
@@ -89,9 +97,10 @@ pub(crate) fn handle_dispatch(
             }
         }
     }
-    let RunState { states, acct, net, .. } = st;
+    let RunState { states, acct, .. } = st;
     let b = &ctx.batches[bi];
     let d = &ctx.deployments[b.di];
+    let rng = ctx.batch_rng(bi);
     // The upload targets the batch's *current* chain site: identical to
     // the primary unless admission control shed the batch above.
     let primary = offload_site(&d.site_chain, states.chain_pos(bi));
@@ -102,20 +111,22 @@ pub(crate) fn handle_dispatch(
             Side::Cloud => {
                 // Each member uploads its own input, in parallel
                 // across devices; the batch is ready when the
-                // largest upload lands. Offline devices wait for
+                // slowest upload lands. Offline devices wait for
                 // reconnection before transmitting.
                 let online = ctx.env.connectivity.next_online(t);
                 let path = primary.ue_path(ctx.env);
                 let share = primary.wan_share(ctx.env, online);
-                let dur = path.transfer_time_at_share(b.max_input, share, net);
-                let dur = faulty_transfer(dur, ctx.faults, upload_key(bi, c));
+                let key = upload_key(c, primary);
+                let mut net = rng.derive(key);
+                let mut dur = SimDuration::ZERO;
                 for &ji in ctx.members(bi) {
                     let input = ctx.jobs[ji as usize].input;
-                    let jdur = path.transfer_time_at_share(input, share, net);
+                    let jdur = path.transfer_time_at_share(input, share, &mut net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     acct.bytes_up += input;
+                    dur = dur.max(jdur);
                 }
-                online + dur
+                online + faulty_transfer(dur, ctx.faults, &rng, key)
             }
         };
         sim.schedule_at(ready, Ev::exec(bi, c)).expect("ready >= now");
@@ -132,7 +143,7 @@ pub(crate) fn handle_done(
     bi: usize,
     comp: ComponentId,
 ) {
-    let RunState { states, acct, net, health, .. } = st;
+    let RunState { states, acct, health, .. } = st;
     // Release the bounded-queue slot this component's invocation held
     // (before the failed-batch early-out, so slots never leak).
     let cix = states.ix(bi, comp);
@@ -151,17 +162,19 @@ pub(crate) fn handle_done(
     let from_side = states.exec_side[states.ix(bi, comp)];
     let eff = offload_site(chain, pos);
     let degraded = ctx.local_override[bi] || !chain[pos].is_remote();
+    let rng = ctx.batch_rng(bi);
 
     // Propagate data to successors.
     for f in d.graph.flows_from(comp) {
         let (to, payload) = (f.to, &f.payload);
         let to_side = if degraded { Side::Device } else { d.plan.side(to) };
+        let key = flow_key(comp, to, eff);
         let dur = match (from_side, to_side) {
             (Side::Device, Side::Device) => SimDuration::ZERO,
             (Side::Cloud, Side::Cloud) => {
                 // One merged transfer inside the backend.
                 let bytes = payload.eval_bytes(b.sum_input);
-                eff.internal_path(ctx.env).transfer_time(bytes, net)
+                eff.internal_path(ctx.env).transfer_time(bytes, &mut rng.derive(key))
             }
             _ => {
                 // Boundary crossing: per-member payloads move in
@@ -170,17 +183,19 @@ pub(crate) fn handle_done(
                 let online = ctx.env.connectivity.next_online(t);
                 let path = eff.ue_path(ctx.env);
                 let share = eff.wan_share(ctx.env, online);
-                let dur = path.transfer_time_at_share(payload.eval_bytes(b.max_input), share, net);
-                let dur = faulty_transfer(dur, ctx.faults, flow_key(bi, comp, to));
+                let mut net = rng.derive(key);
+                let mut dur = SimDuration::ZERO;
                 for &ji in ctx.members(bi) {
                     let bytes = payload.eval_bytes(ctx.jobs[ji as usize].input);
-                    let jdur = path.transfer_time_at_share(bytes, share, net);
+                    let jdur = path.transfer_time_at_share(bytes, share, &mut net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     match to_side {
                         Side::Cloud => acct.bytes_up += bytes,
                         Side::Device => acct.bytes_down += bytes,
                     }
+                    dur = dur.max(jdur);
                 }
+                let dur = faulty_transfer(dur, ctx.faults, &rng, key);
                 online.saturating_duration_since(t) + dur
             }
         };
@@ -202,8 +217,10 @@ pub(crate) fn handle_done(
                 let online = ctx.env.connectivity.next_online(t);
                 let path = eff.ue_path(ctx.env);
                 let share = eff.wan_share(ctx.env, online);
-                let dur = path.transfer_time_at_share(ctx.env.result_return, share, net);
-                let dur = faulty_transfer(dur, ctx.faults, return_key(bi, comp));
+                let key = return_key(comp, eff);
+                let mut net = rng.derive(key);
+                let dur = path.transfer_time_at_share(ctx.env.result_return, share, &mut net);
+                let dur = faulty_transfer(dur, ctx.faults, &rng, key);
                 acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
                 acct.bytes_down += ctx.env.result_return * b.members.len() as u64;
                 online + dur

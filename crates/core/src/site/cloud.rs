@@ -33,15 +33,11 @@ impl CloudSite {
         comp: ComponentId,
         role: SiteRole,
     ) -> Option<SimDuration> {
+        // Mirrors register like primaries: registration alone accrues no
+        // cost, and nothing is billed unless a mirror is invoked.
         let c = d.graph.component(comp);
-        let name = match role {
-            SiteRole::Primary => format!("{}/{}", d.archetype.name(), c.name()),
-            // Mirrors accrue no cost from registration alone: nothing
-            // is billed unless they are invoked.
-            SiteRole::Mirror => format!("{}/{}@fallback", d.archetype.name(), c.name()),
-        };
         let f = self.platform.register(
-            FunctionConfig::new(name, d.memory[comp.index()]).with_artifact_size(c.artifact_size()),
+            FunctionConfig::new(d.memory[comp.index()]).with_artifact_size(c.artifact_size()),
         );
         self.fns.insert(di, comp, f);
         if role == SiteRole::Primary {

@@ -7,7 +7,7 @@
 //!   heap's exact (time, FIFO) pop order;
 //! * *fresh scratch vs reused scratch, same bytes* — [`RunScratch`] reuse
 //!   must refill buffers, never leak state between runs, including the
-//!   `net` normals and the noise slots its pump's helper thread draws;
+//!   noise memo it keeps per input;
 //! * *1 thread vs N threads, same bytes* — the sweep runner's derived
 //!   seeds and order-stable collection must make thread count invisible.
 //!
@@ -30,13 +30,9 @@ fn specs() -> [StreamSpec; 2] {
     ]
 }
 
-/// Ten times [`specs`]' rates: the point whose runs read the `net` stream
-/// past its feed's first two chunks (1024 normals each, drawn inline), so
-/// the rest comes from the scratch's helper thread where there is a
-/// second core. Over 45 minutes `cloud-all` draws 6,222–6,744 normals per
-/// run at seeds 9–12 and 70–75, four or five chunks from the helper, and
-/// `ntc` 2,254–2,456, one. The first run on each input also hands the
-/// input's noise table to the helper.
+/// Ten times [`specs`]' rates: over 45 minutes about 1,100 jobs per run,
+/// so `cloud-all` heads as many batches and fills the noise memo, which a
+/// later `ntc` run on the same input then reads.
 fn busy_specs() -> [StreamSpec; 2] {
     [
         StreamSpec::poisson(Archetype::PhotoPipeline, 0.3),
@@ -47,11 +43,8 @@ fn busy_specs() -> [StreamSpec; 2] {
 /// fig10's overload point in miniature, at [`busy_specs`]' rates: a
 /// two-slot edge with transient faults under unbatched, edge-primary NTC
 /// with breakers, admission and hedges on. Every job heads its own batch,
-/// so a run reads every slot of the noise table the first run on each
-/// input hands to the helper (4,100–4,500 on both busy points), and its
-/// transfers read past the feed's two inline chunks: noise steps and
-/// `net` chunks share the helper in one run, while retries and hedges
-/// read slots it may not have reached.
+/// so a run reads every slot of the noise memo, and retries and hedges
+/// re-read slots their first attempt drew.
 fn overload() -> (Environment, OffloadPolicy) {
     let mut env = Environment::metro_reference();
     env.edge = EdgeConfig { servers: 1, slots_per_server: 2, ..EdgeConfig::default() };
@@ -112,8 +105,7 @@ fn reused_scratch_matches_fresh_run() {
         .iter()
         .map(|&(seed, p, s)| bytes(&engine, seed, p, s, &mut RunScratch::new()))
         .collect();
-    // One scratch (and so one pump) across all seeds and policies — and
-    // dirty it with a different workload first, so the test fails if any
+    // One scratch across all seeds and policies — and dirty it with a different workload first, so the test fails if any
     // buffer survives reset.
     let mut scratch = RunScratch::new();
     engine.run_retained(

@@ -90,7 +90,7 @@ fn all_remote_sites_dark() -> FaultPlan {
     for site in Site::ALL.into_iter().filter(|s| s.is_remote()) {
         cfg.site_availability.insert(site.name().to_string(), dead.clone());
     }
-    FaultPlan::new(cfg, RngStream::root(1))
+    FaultPlan::new(cfg)
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn identities_and_ranks_are_distinct_and_device_is_last() {
 #[test]
 fn outages_honor_the_fault_plan_on_every_remote_site() {
     let dark = all_remote_sites_dark();
-    let clear = FaultPlan::new(FaultConfig::none(), RngStream::root(1));
+    let clear = FaultPlan::new(FaultConfig::none());
     let at = SimTime::ZERO + SimDuration::from_mins(30);
     for site in Site::ALL {
         if site.is_remote() {

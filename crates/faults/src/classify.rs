@@ -163,7 +163,7 @@ mod tests {
 
     fn function_id() -> FunctionId {
         ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(0))
-            .register(FunctionConfig::new("fn", DataSize::from_mib(128)))
+            .register(FunctionConfig::new(DataSize::from_mib(128)))
     }
 
     #[test]

@@ -585,7 +585,7 @@ mod tests {
     /// here by name.
     #[test]
     fn cooldowns_draw_from_the_site_and_open_count_stream() {
-        for (site, open_until) in [("edge", 67_684_248), ("cloud", 42_183_893)] {
+        for (site, open_until) in [("edge", 45_504_336), ("cloud", 46_547_914)] {
             let mut h = SiteHealth::new(site, cfg());
             let r = rng();
             for _ in 0..cfg().failure_threshold {

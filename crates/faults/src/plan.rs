@@ -29,29 +29,29 @@ pub enum SiteOutage {
 
 /// A deterministic fault plan.
 ///
-/// Every query derives its own child stream from the plan's root by a
-/// caller-chosen key, so results are independent of query order and of
-/// how much randomness other subsystems consumed — the same
-/// common-random-numbers discipline as the rest of the simulator. The
-/// same `(seed, key)` pair always produces the same answer.
+/// Every query derives its own child stream, by a caller-chosen key, from
+/// a stream the caller passes (the engine passes the job's own stream), so
+/// results are independent of query order and of how much randomness
+/// other subsystems consumed — the same common-random-numbers discipline
+/// as the rest of the simulator. The same `(stream, key)` pair always
+/// produces the same answer.
 #[derive(Debug)]
 pub struct FaultPlan {
     /// Shared, not owned: one engine hands the same `Arc` to every
     /// replication instead of deep-cloning the availability traces and
     /// site map per run.
     config: Arc<FaultConfig>,
-    rng: RngStream,
 }
 
 impl FaultPlan {
-    /// Builds a plan for `config`, drawing from `rng`.
-    pub fn new(config: FaultConfig, rng: RngStream) -> Self {
-        Self::shared(Arc::new(config), rng)
+    /// Builds a plan for `config`.
+    pub fn new(config: FaultConfig) -> Self {
+        Self::shared(Arc::new(config))
     }
 
     /// Builds a plan over an already-shared `config` without cloning it.
-    pub fn shared(config: Arc<FaultConfig>, rng: RngStream) -> Self {
-        FaultPlan { config, rng }
+    pub fn shared(config: Arc<FaultConfig>) -> Self {
+        FaultPlan { config }
     }
 
     /// The configuration this plan realises.
@@ -75,18 +75,18 @@ impl FaultPlan {
         self.config.transfer_drop_rate > 0.0
     }
 
-    /// Whether the invocation attempt identified by `key` is hit by an
-    /// injected fault. Keys must be unique per attempt (include the
-    /// batch, component and attempt number) so retries re-roll
-    /// independently. The answer comes from the child stream
+    /// Whether the invocation attempt identified by `key` under `rng` is
+    /// hit by an injected fault. Keys must be unique per attempt (include
+    /// the component, site and attempt number) so retries re-roll
+    /// independently. The answer comes from `rng`'s child stream
     /// `inv-{key}`, derived from the key's spelling, so that spelling is
     /// part of the reproducibility contract.
-    pub fn invocation_fault(&self, key: impl Key) -> Option<InjectedFault> {
+    pub fn invocation_fault(&self, rng: &RngStream, key: impl Key) -> Option<InjectedFault> {
         let (tr, th) = (self.config.transient_rate, self.config.throttle_rate);
         if tr <= 0.0 && th <= 0.0 {
             return None;
         }
-        let mut r = self.rng.derive(("inv-", key));
+        let mut r = rng.derive(("inv-", key));
         let u = r.uniform();
         if u < tr {
             Some(InjectedFault::Transient)
@@ -113,16 +113,17 @@ impl FaultPlan {
         }
     }
 
-    /// How many times the transfer identified by `key` drops mid-flight,
-    /// capped at `max` (each drop re-sends a
+    /// How many times the transfer identified by `key` under `rng` drops
+    /// mid-flight, capped at `max` (each drop re-sends a
     /// [`transfer_progress_loss`](FaultConfig::transfer_progress_loss)
-    /// fraction of the payload), drawn from the child stream `xfer-{key}`.
-    pub fn transfer_drops(&self, key: impl Key, max: u32) -> u32 {
+    /// fraction of the payload), drawn from `rng`'s child stream
+    /// `xfer-{key}`.
+    pub fn transfer_drops(&self, rng: &RngStream, key: impl Key, max: u32) -> u32 {
         let p = self.config.transfer_drop_rate;
         if p <= 0.0 || max == 0 {
             return 0;
         }
-        let mut r = self.rng.derive(("xfer-", key));
+        let mut r = rng.derive(("xfer-", key));
         let mut drops = 0;
         while drops < max && r.chance(p.min(1.0)) {
             drops += 1;
@@ -132,9 +133,10 @@ impl FaultPlan {
 
     /// The latency multiplier a transfer suffers from its injected
     /// drops: `1 + progress_loss × drops`.
-    pub fn transfer_penalty(&self, key: impl Key) -> f64 {
+    pub fn transfer_penalty(&self, rng: &RngStream, key: impl Key) -> f64 {
         const MAX_DROPS: u32 = 8;
-        1.0 + self.config.transfer_progress_loss * f64::from(self.transfer_drops(key, MAX_DROPS))
+        let drops = self.transfer_drops(rng, key, MAX_DROPS);
+        1.0 + self.config.transfer_progress_loss * f64::from(drops)
     }
 }
 
@@ -144,8 +146,9 @@ mod tests {
     use ntc_net::ConnectivityTrace;
     use ntc_simcore::units::SimDuration;
 
-    fn plan(config: FaultConfig, seed: u64) -> FaultPlan {
-        FaultPlan::new(config, RngStream::root(seed).derive("faults"))
+    /// A plan for `config` with the stream its queries draw under.
+    fn plan(config: FaultConfig, seed: u64) -> (FaultPlan, RngStream) {
+        (FaultPlan::new(config), RngStream::root(seed).derive("faults"))
     }
 
     /// A config whose only fault is `site` following `trace`.
@@ -161,59 +164,56 @@ mod tests {
 
     #[test]
     fn fast_path_gates_track_config() {
-        assert!(!plan(FaultConfig::none(), 1).has_invocation_faults());
-        assert!(!plan(FaultConfig::none(), 1).has_transfer_faults());
-        assert!(plan(FaultConfig::transient(0.1), 1).has_invocation_faults());
+        assert!(!FaultPlan::new(FaultConfig::none()).has_invocation_faults());
+        assert!(!FaultPlan::new(FaultConfig::none()).has_transfer_faults());
+        assert!(FaultPlan::new(FaultConfig::transient(0.1)).has_invocation_faults());
         let cfg = FaultConfig { transfer_drop_rate: 0.2, ..FaultConfig::none() };
-        assert!(plan(cfg, 1).has_transfer_faults());
+        assert!(FaultPlan::new(cfg).has_transfer_faults());
     }
 
     #[test]
     fn shared_config_answers_like_owned() {
-        let shared = FaultPlan::shared(
-            std::sync::Arc::new(FaultConfig::transient(0.3)),
-            RngStream::root(42).derive("faults"),
-        );
-        let owned = plan(FaultConfig::transient(0.3), 42);
+        let shared = FaultPlan::shared(std::sync::Arc::new(FaultConfig::transient(0.3)));
+        let (owned, r) = plan(FaultConfig::transient(0.3), 42);
         for i in 0..100_u64 {
-            assert_eq!(shared.invocation_fault(("k", i)), owned.invocation_fault(("k", i)));
+            assert_eq!(shared.invocation_fault(&r, ("k", i)), owned.invocation_fault(&r, ("k", i)));
         }
     }
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let p = plan(FaultConfig::none(), 1);
+        let (p, rp) = plan(FaultConfig::none(), 1);
         for i in 0..1000_u64 {
-            assert_eq!(p.invocation_fault(("k", i)), None);
-            assert_eq!(p.transfer_drops(("k", i), 8), 0);
+            assert_eq!(p.invocation_fault(&rp, ("k", i)), None);
+            assert_eq!(p.transfer_drops(&rp, ("k", i), 8), 0);
         }
     }
 
     #[test]
     fn plans_are_deterministic_and_order_independent() {
-        let a = plan(FaultConfig::transient(0.3), 42);
-        let b = plan(FaultConfig::transient(0.3), 42);
+        let (a, ra) = plan(FaultConfig::transient(0.3), 42);
+        let (b, rb) = plan(FaultConfig::transient(0.3), 42);
         // Query b in reverse order: answers must match a's.
         let keys: Vec<String> = (0..500).map(|i| format!("job{i}-c0-a1")).collect();
-        let from_a: Vec<_> = keys.iter().map(|k| a.invocation_fault(k)).collect();
-        let from_b: Vec<_> = keys.iter().rev().map(|k| b.invocation_fault(k)).collect();
+        let from_a: Vec<_> = keys.iter().map(|k| a.invocation_fault(&ra, k)).collect();
+        let from_b: Vec<_> = keys.iter().rev().map(|k| b.invocation_fault(&rb, k)).collect();
         let from_b_fwd: Vec<_> = from_b.into_iter().rev().collect();
         assert_eq!(from_a, from_b_fwd);
     }
 
     #[test]
     fn different_seeds_give_different_plans() {
-        let a = plan(FaultConfig::transient(0.5), 1);
-        let b = plan(FaultConfig::transient(0.5), 2);
-        let fa: Vec<_> = (0..200_u64).map(|i| a.invocation_fault(("k", i))).collect();
-        let fb: Vec<_> = (0..200_u64).map(|i| b.invocation_fault(("k", i))).collect();
+        let (a, ra) = plan(FaultConfig::transient(0.5), 1);
+        let (b, rb) = plan(FaultConfig::transient(0.5), 2);
+        let fa: Vec<_> = (0..200_u64).map(|i| a.invocation_fault(&ra, ("k", i))).collect();
+        let fb: Vec<_> = (0..200_u64).map(|i| b.invocation_fault(&rb, ("k", i))).collect();
         assert_ne!(fa, fb);
     }
 
     #[test]
     fn fault_frequency_tracks_the_rate() {
-        let p = plan(FaultConfig::transient(0.2), 7);
-        let hits = (0..5000_u64).filter(|&i| p.invocation_fault(("k", i)).is_some()).count();
+        let (p, rp) = plan(FaultConfig::transient(0.2), 7);
+        let hits = (0..5000_u64).filter(|&i| p.invocation_fault(&rp, ("k", i)).is_some()).count();
         let freq = hits as f64 / 5000.0;
         assert!((freq - 0.2).abs() < 0.03, "freq={freq}");
     }
@@ -221,11 +221,11 @@ mod tests {
     #[test]
     fn throttles_and_transients_split_by_rate() {
         let cfg = FaultConfig { transient_rate: 0.1, throttle_rate: 0.1, ..FaultConfig::none() };
-        let p = plan(cfg, 7);
+        let (p, rp) = plan(cfg, 7);
         let mut transients = 0;
         let mut throttles = 0;
         for i in 0..5000_u64 {
-            match p.invocation_fault(("k", i)) {
+            match p.invocation_fault(&rp, ("k", i)) {
                 Some(InjectedFault::Transient) => transients += 1,
                 Some(InjectedFault::Throttled) => throttles += 1,
                 None => {}
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn edge_outage_follows_the_availability_trace() {
-        let p = plan(site_down("edge", ConnectivityTrace::flaky()), 1);
+        let (p, _) = plan(site_down("edge", ConnectivityTrace::flaky()), 1);
         assert_eq!(p.site_outage("edge", SimTime::from_secs(60)), SiteOutage::Online);
         let mid_outage = SimTime::from_secs(110 * 60);
         let back = SiteOutage::Until(SimTime::from_secs(2 * 3600));
@@ -247,13 +247,13 @@ mod tests {
 
     #[test]
     fn permanently_down_edge_reports_forever() {
-        let p = plan(site_down("edge", never_online()), 1);
+        let (p, _) = plan(site_down("edge", never_online()), 1);
         assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Forever);
     }
 
     #[test]
     fn site_outages_follow_the_keyed_availability_map() {
-        let p = plan(site_down("cloud", never_online()), 1);
+        let (p, _) = plan(site_down("cloud", never_online()), 1);
         assert_eq!(p.site_outage("cloud", SimTime::ZERO), SiteOutage::Forever);
         // Unlisted sites are always online.
         assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Online);
@@ -262,12 +262,12 @@ mod tests {
     #[test]
     fn transfer_drops_respect_the_cap_and_seed() {
         let cfg = FaultConfig { transfer_drop_rate: 0.9, ..FaultConfig::none() };
-        let p = plan(cfg.clone(), 3);
-        let q = plan(cfg, 3);
+        let (p, rp) = plan(cfg.clone(), 3);
+        let (q, rq) = plan(cfg, 3);
         for i in 0..200_u64 {
-            let d = p.transfer_drops(("t", i), 4);
+            let d = p.transfer_drops(&rp, ("t", i), 4);
             assert!(d <= 4);
-            assert_eq!(d, q.transfer_drops(("t", i), 4), "same seed, same drops");
+            assert_eq!(d, q.transfer_drops(&rq, ("t", i), 4), "same seed, same drops");
         }
     }
 
@@ -278,11 +278,11 @@ mod tests {
             transfer_progress_loss: 0.25,
             ..FaultConfig::none()
         };
-        let p = plan(cfg, 3);
+        let (p, rp) = plan(cfg, 3);
         // Rate 1.0 always hits the cap of 8 drops.
-        assert!((p.transfer_penalty("k") - 3.0).abs() < 1e-12);
-        let none = plan(FaultConfig::none(), 3);
-        assert_eq!(none.transfer_penalty("k"), 1.0);
+        assert!((p.transfer_penalty(&rp, "k") - 3.0).abs() < 1e-12);
+        let (none, rnone) = plan(FaultConfig::none(), 3);
+        assert_eq!(none.transfer_penalty(&rnone, "k"), 1.0);
     }
 
     /// Known answers for the `inv-{key}` and `xfer-{key}` streams,
@@ -290,12 +290,12 @@ mod tests {
     /// prefix fails here by name.
     #[test]
     fn faults_draw_from_the_inv_and_xfer_streams() {
-        let p = plan(FaultConfig::transient(0.5), 42);
+        let (p, rp) = plan(FaultConfig::transient(0.5), 42);
         let hits = (0..64_u64)
-            .fold(0_u64, |m, i| m | u64::from(p.invocation_fault(("k", i)).is_some()) << i);
-        assert_eq!(hits, 0x8e5d_8498_73bf_783c);
-        let p = plan(FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() }, 3);
-        let drops: Vec<u32> = (0..16_u64).map(|i| p.transfer_drops(("t", i), 8)).collect();
-        assert_eq!(drops, [2, 4, 0, 0, 1, 1, 0, 0, 3, 1, 0, 1, 0, 0, 6, 0]);
+            .fold(0_u64, |m, i| m | u64::from(p.invocation_fault(&rp, ("k", i)).is_some()) << i);
+        assert_eq!(hits, 0x42b0_ed3e_0069_cf6f);
+        let (p, rp) = plan(FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() }, 3);
+        let drops: Vec<u32> = (0..16_u64).map(|i| p.transfer_drops(&rp, ("t", i), 8)).collect();
+        assert_eq!(drops, [0, 1, 0, 2, 2, 0, 1, 1, 1, 1, 2, 0, 0, 1, 3, 0]);
     }
 }

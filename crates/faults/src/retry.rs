@@ -172,6 +172,6 @@ mod tests {
     fn backoffs_draw_from_the_key_and_attempt_stream() {
         let p = RetryPolicy::ntc_default();
         let us: Vec<u64> = (1..=4).map(|k| p.backoff(&rng(9), "b0-c1", k).as_micros()).collect();
-        assert_eq!(us, [3_134_038, 9_410_222, 16_019_074, 64_491_110]);
+        assert_eq!(us, [5_563_943, 16_006_720, 23_583_961, 123_241_766]);
     }
 }

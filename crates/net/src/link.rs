@@ -1,6 +1,6 @@
 //! Single-link network models: latency, jitter, bandwidth, and loss.
 
-use ntc_simcore::rng::Normals;
+use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 
 /// A stochastic model of one network link.
@@ -76,7 +76,7 @@ impl LinkModel {
 
     /// Samples a one-way latency: one standard normal from `rng` when the
     /// link has jitter, none otherwise.
-    pub fn sample_latency(&self, rng: &mut impl Normals) -> SimDuration {
+    pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
         if self.jitter_sigma == 0.0 {
             return self.base_latency;
         }
@@ -100,7 +100,6 @@ mod tests {
 
     use super::*;
     use crate::PathModel;
-    use ntc_simcore::rng::RngStream;
 
     fn rng() -> RngStream {
         RngStream::root(42).derive("link-tests")

@@ -1,6 +1,6 @@
 //! Multi-hop network paths and the UE/edge/cloud topology.
 
-use ntc_simcore::rng::Normals;
+use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{Bandwidth, DataSize, SimDuration};
 
 use crate::link::LinkModel;
@@ -47,14 +47,14 @@ impl PathModel {
 
     /// Samples the one-way latency across all hops: one standard normal
     /// from `rng` per jittered hop, in hop order.
-    pub fn sample_latency(&self, rng: &mut impl Normals) -> SimDuration {
+    pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
         self.links.iter().map(|l| l.sample_latency(rng)).sum()
     }
 
     /// Samples the time to move `size` along the path: per-hop latency plus
     /// serialisation at the slowest hop (store-and-forward pipelining is
     /// approximated by charging serialisation once).
-    pub fn transfer_time(&self, size: DataSize, rng: &mut impl Normals) -> SimDuration {
+    pub fn transfer_time(&self, size: DataSize, rng: &mut RngStream) -> SimDuration {
         self.transfer_time_at_share(size, 1.0, rng)
     }
 
@@ -69,7 +69,7 @@ impl PathModel {
         &self,
         size: DataSize,
         share: f64,
-        rng: &mut impl Normals,
+        rng: &mut RngStream,
     ) -> SimDuration {
         assert!(share > 0.0 && share <= 1.0, "bandwidth share must be in (0, 1]");
         let latency = self.sample_latency(rng);
@@ -141,7 +141,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_simcore::rng::RngStream;
 
     fn rng() -> RngStream {
         RngStream::root(7).derive("path-tests")

@@ -30,14 +30,13 @@ impl fmt::Display for FunctionId {
 /// use ntc_serverless::function::FunctionConfig;
 /// use ntc_simcore::units::{DataSize, SimDuration};
 ///
-/// let f = FunctionConfig::new("thumbnailer", DataSize::from_mib(512))
+/// let f = FunctionConfig::new(DataSize::from_mib(512))
 ///     .with_timeout(SimDuration::from_mins(5))
 ///     .with_concurrency_limit(100);
 /// assert_eq!(f.memory(), DataSize::from_mib(512));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionConfig {
-    name: String,
     memory: DataSize,
     timeout: SimDuration,
     concurrency_limit: u32,
@@ -47,9 +46,8 @@ pub struct FunctionConfig {
 impl FunctionConfig {
     /// Creates a function with the given memory size, a 15-minute timeout,
     /// a concurrency limit of 1000, and a 10 MiB artifact.
-    pub fn new(name: impl Into<String>, memory: DataSize) -> Self {
+    pub fn new(memory: DataSize) -> Self {
         FunctionConfig {
-            name: name.into(),
             memory,
             timeout: SimDuration::from_mins(15),
             concurrency_limit: 1000,
@@ -78,11 +76,6 @@ impl FunctionConfig {
     pub fn with_artifact_size(mut self, size: DataSize) -> Self {
         self.artifact_size = size;
         self
-    }
-
-    /// The function's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The configured memory size.
@@ -162,11 +155,10 @@ mod tests {
 
     #[test]
     fn config_builder_sets_fields() {
-        let f = FunctionConfig::new("f", DataSize::from_mib(256))
+        let f = FunctionConfig::new(DataSize::from_mib(256))
             .with_timeout(SimDuration::from_secs(30))
             .with_concurrency_limit(5)
             .with_artifact_size(DataSize::from_mib(50));
-        assert_eq!(f.name(), "f");
         assert_eq!(f.timeout(), SimDuration::from_secs(30));
         assert_eq!(f.concurrency_limit(), 5);
         assert_eq!(f.artifact_size(), DataSize::from_mib(50));
@@ -175,7 +167,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_concurrency_panics() {
-        let _ = FunctionConfig::new("f", DataSize::from_mib(128)).with_concurrency_limit(0);
+        let _ = FunctionConfig::new(DataSize::from_mib(128)).with_concurrency_limit(0);
     }
 
     #[test]

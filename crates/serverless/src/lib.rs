@@ -19,7 +19,7 @@
 //! use ntc_simcore::units::{Cycles, DataSize, SimTime};
 //!
 //! let mut cloud = ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(7));
-//! let f = cloud.register(FunctionConfig::new("render", DataSize::from_mib(2048)));
+//! let f = cloud.register(FunctionConfig::new(DataSize::from_mib(2048)));
 //! let out = cloud.invoke(SimTime::ZERO, f, Cycles::from_giga(5))?;
 //! println!("finished at {} for {}", out.finish, out.cost);
 //! # Ok::<(), ntc_serverless::InvokeError>(())

@@ -222,7 +222,7 @@ struct FunctionState {
 /// use ntc_simcore::units::{Cycles, DataSize, SimTime};
 ///
 /// let mut platform = ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(1));
-/// let f = platform.register(FunctionConfig::new("resize", DataSize::from_mib(1024)));
+/// let f = platform.register(FunctionConfig::new(DataSize::from_mib(1024)));
 /// let out = platform.invoke(SimTime::ZERO, f, Cycles::from_giga(1)).unwrap();
 /// assert!(out.was_cold);
 /// let again = platform.invoke(out.finish, f, Cycles::from_giga(1)).unwrap();
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn first_call_is_cold_second_is_warm() {
         let mut p = platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1024)));
         let a = p.invoke(SimTime::ZERO, f, Cycles::from_giga(1)).unwrap();
         assert!(a.was_cold && !a.cold_start.is_zero());
         let b = p.invoke(a.finish, f, Cycles::from_giga(1)).unwrap();
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn keep_alive_expiry_forces_cold_start() {
         let mut p = no_jitter_platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1024)));
         let a = p.invoke(SimTime::ZERO, f, Cycles::from_mega(100)).unwrap();
         // Past the 10-minute keep-alive: cold again.
         let later = a.finish + SimDuration::from_mins(11);
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn concurrent_arrivals_scale_out() {
         let mut p = platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1024)));
         let outs: Vec<InvocationOutcome> =
             (0..5).map(|_| p.invoke(SimTime::ZERO, f, Cycles::from_giga(10)).unwrap()).collect();
         assert_eq!(p.live_instances(f), 5);
@@ -469,8 +469,7 @@ mod tests {
     #[test]
     fn concurrency_limit_queues() {
         let mut p = no_jitter_platform();
-        let f = p
-            .register(FunctionConfig::new("f", DataSize::from_mib(1769)).with_concurrency_limit(2));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1769)).with_concurrency_limit(2));
         let a = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap(); // 10 s at 2.5 GHz
         let b = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
         let c = p.invoke(SimTime::from_secs(1), f, Cycles::from_giga(25)).unwrap();
@@ -484,8 +483,7 @@ mod tests {
     fn timeout_truncates_and_flags() {
         let mut p = platform();
         let f = p.register(
-            FunctionConfig::new("f", DataSize::from_mib(1769))
-                .with_timeout(SimDuration::from_secs(1)),
+            FunctionConfig::new(DataSize::from_mib(1769)).with_timeout(SimDuration::from_secs(1)),
         );
         // 25 Gcyc at 2.5 GHz = 10 s > 1 s timeout.
         let out = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
@@ -496,7 +494,7 @@ mod tests {
     #[test]
     fn out_of_order_submission_is_rejected() {
         let mut p = platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(128)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(128)));
         p.invoke(SimTime::from_secs(10), f, Cycles::from_mega(1)).unwrap();
         let err = p.invoke(SimTime::from_secs(5), f, Cycles::from_mega(1)).unwrap_err();
         assert!(matches!(err, InvokeError::OutOfOrder { .. }));
@@ -513,7 +511,7 @@ mod tests {
     #[test]
     fn provisioned_instances_avoid_cold_starts_and_cost_money() {
         let mut p = platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1024)));
         p.set_provisioned(SimTime::ZERO, f, 2);
         let out = p.invoke(SimTime::from_secs(1), f, Cycles::from_giga(1)).unwrap();
         assert!(!out.was_cold, "provisioned instance serves warm");
@@ -525,7 +523,7 @@ mod tests {
     #[test]
     fn set_provisioned_down_removes_instances() {
         let mut p = platform();
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(512)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(512)));
         p.set_provisioned(SimTime::ZERO, f, 3);
         assert_eq!(p.live_instances(f), 3);
         p.set_provisioned(SimTime::from_secs(60), f, 1);
@@ -537,7 +535,7 @@ mod tests {
         let mut cfg = PlatformConfig { region_concurrency: 2, ..Default::default() };
         cfg.cold_start.jitter_sigma = 0.0;
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(1));
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1769)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1769)));
         p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
         p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
         let third = p.invoke(SimTime::ZERO, f, Cycles::from_giga(25)).unwrap();
@@ -548,8 +546,8 @@ mod tests {
     #[test]
     fn bigger_memory_is_faster_but_pricier_per_invocation() {
         let mut p = no_jitter_platform();
-        let small = p.register(FunctionConfig::new("s", DataSize::from_mib(512)));
-        let large = p.register(FunctionConfig::new("l", DataSize::from_mib(1769)));
+        let small = p.register(FunctionConfig::new(DataSize::from_mib(512)));
+        let large = p.register(FunctionConfig::new(DataSize::from_mib(1769)));
         let a = p.invoke(SimTime::ZERO, small, Cycles::from_giga(5)).unwrap();
         let b = p.invoke(SimTime::ZERO, large, Cycles::from_giga(5)).unwrap();
         assert!(b.exec < a.exec);
@@ -564,7 +562,7 @@ mod tests {
         let mut cfg = PlatformConfig { scale_burst: 3, scale_per_minute: 60, ..Default::default() };
         cfg.cold_start.jitter_sigma = 0.0;
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(9));
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1769)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1769)));
         // Four simultaneous long jobs (100 s each): only three instances
         // may appear.
         let outs: Vec<InvocationOutcome> =
@@ -585,7 +583,7 @@ mod tests {
     fn scale_tokens_cap_at_burst() {
         let cfg = PlatformConfig { scale_burst: 10, scale_per_minute: 600, ..Default::default() };
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(9));
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(128)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(128)));
         p.invoke(SimTime::from_secs(3600), f, Cycles::from_mega(1)).unwrap();
         assert!(p.scale_tokens <= 10.0, "refill must cap at the burst size");
     }
@@ -593,8 +591,8 @@ mod tests {
     #[test]
     fn total_cost_sums_functions() {
         let mut p = platform();
-        let f1 = p.register(FunctionConfig::new("a", DataSize::from_mib(256)));
-        let f2 = p.register(FunctionConfig::new("b", DataSize::from_mib(256)));
+        let f1 = p.register(FunctionConfig::new(DataSize::from_mib(256)));
+        let f2 = p.register(FunctionConfig::new(DataSize::from_mib(256)));
         let o1 = p.invoke(SimTime::ZERO, f1, Cycles::from_giga(1)).unwrap();
         let o2 = p.invoke(SimTime::ZERO, f2, Cycles::from_giga(1)).unwrap();
         assert_eq!(p.total_cost(SimTime::from_secs(100)), o1.cost + o2.cost);

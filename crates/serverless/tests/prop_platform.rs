@@ -176,9 +176,8 @@ fn run_differential(
     let mut scan = ScanPlatform::new(cfg.clone(), RngStream::root(seed));
     let ids: Vec<FunctionId> = limits
         .iter()
-        .enumerate()
-        .map(|(i, &limit)| {
-            let config = FunctionConfig::new(format!("f{i}"), DataSize::from_mib(1769))
+        .map(|&limit| {
+            let config = FunctionConfig::new(DataSize::from_mib(1769))
                 .with_concurrency_limit(limit)
                 .with_timeout(SimDuration::from_secs(3));
             scan.register(config.clone());
@@ -266,7 +265,7 @@ proptest! {
         let mut cfg = no_jitter_config();
         cfg.keep_alive = KeepAlive::Fixed(SimDuration::from_secs(ttl_secs));
         let mut p = ServerlessPlatform::new(cfg, RngStream::root(1));
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(1024)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(1024)));
         let first = p.invoke(SimTime::ZERO, f, Cycles::from_mega(work_mega)).unwrap();
         prop_assert!(first.was_cold);
         let at = first.finish + SimDuration::from_secs(gap_secs);
@@ -283,7 +282,7 @@ proptest! {
     ) {
         let mut p = ServerlessPlatform::new(no_jitter_config(), RngStream::root(2));
         let f = p.register(
-            FunctionConfig::new("f", DataSize::from_mib(1769)).with_concurrency_limit(limit),
+            FunctionConfig::new(DataSize::from_mib(1769)).with_concurrency_limit(limit),
         );
         let mut queued = 0;
         for _ in 0..burst {
@@ -304,7 +303,7 @@ proptest! {
         horizon_extra_secs in 0u64..3_600,
     ) {
         let mut p = ServerlessPlatform::new(no_jitter_config(), RngStream::root(3));
-        let f = p.register(FunctionConfig::new("f", DataSize::from_mib(512)));
+        let f = p.register(FunctionConfig::new(DataSize::from_mib(512)));
         p.set_provisioned(SimTime::ZERO, f, provisioned);
         let mut t = SimTime::ZERO;
         let mut invoice = Money::ZERO;

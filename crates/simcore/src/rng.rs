@@ -9,14 +9,22 @@
 //!
 //! # Generator contract
 //!
-//! A stream's words are exactly those of rand 0.8.5's `StdRng` seeded with
-//! `seed_from_u64` from the stream's seed: ChaCha12 with a 64-bit block
-//! counter and a zero nonce, keyed by `rand_core`'s PCG32 seed expansion,
-//! with `next_u64` joining two consecutive words low word first. The
-//! samplers follow rand 0.8.5's algorithms too, so every draw matches the
-//! crate's. Unlike the crate, a stream buffers one 16-word block rather
-//! than four: ChaCha is counter-mode, so the words are the same, and a leaf
-//! stream that draws a few values pays for one block.
+//! A stream is a 64-bit key. Its words are the Philox4x32-10 blocks
+//! (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC
+//! 2011) of counters 0, 1, 2, … under that key, four words per block,
+//! read in pairs: `next_u64` joins the next two words, low word first, and
+//! `next_u32` is the low word of the next pair.
+//! Block `i` is a pure function of `(key, i)`, so a child costs only a
+//! hash: its key is the SplitMix64 finalizer of an FNV-1a hash of the
+//! parent's key and the child's spelling, and no block is computed until
+//! the first draw. A root's key is the finalizer of the master seed.
+//!
+//! The samplers' float math (`ln`, `exp`, and the sine and cosine of
+//! 2πu) is this crate's own ([`math`]), so a draw is the same bits on
+//! every platform whatever its libm. A normal is one half of a
+//! Box–Muller pair: the first of two uniforms (in `(0, 1]`) sets the
+//! radius, the second the angle, and the stream serves the cosine branch
+//! first and the sine branch on its next normal.
 //!
 //! # Examples
 //!
@@ -46,9 +54,7 @@
 
 use core::fmt;
 
-mod feed;
-
-pub use feed::{Background, NormalFeed, NormalPump};
+pub mod math;
 
 /// The FNV-1a 64-bit hash state that folds a key's spelling into a child
 /// seed. A [`Key`] feeds it the bytes of its label, in order.
@@ -169,173 +175,117 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-const BLOCK_WORDS: usize = 16;
-
-#[inline(always)]
-fn quarter_round(x: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
-    x[a] = x[a].wrapping_add(x[b]);
-    x[d] = (x[d] ^ x[a]).rotate_left(16);
-    x[c] = x[c].wrapping_add(x[d]);
-    x[b] = (x[b] ^ x[c]).rotate_left(12);
-    x[a] = x[a].wrapping_add(x[b]);
-    x[d] = (x[d] ^ x[a]).rotate_left(8);
-    x[c] = x[c].wrapping_add(x[d]);
-    x[b] = (x[b] ^ x[c]).rotate_left(7);
-}
-
-/// One ChaCha block: `double_rounds` column-and-diagonal rounds over the
-/// constants, `key`, a 64-bit block counter in words 12–13 and a zero
-/// nonce, added back to the input.
-fn chacha_block(key: &[u32; 8], counter: u64, double_rounds: usize) -> [u32; BLOCK_WORDS] {
-    let mut init = [0u32; BLOCK_WORDS];
-    init[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
-    init[4..12].copy_from_slice(key);
-    init[12] = counter as u32;
-    init[13] = (counter >> 32) as u32;
-    let mut x = init;
-    for _ in 0..double_rounds {
-        quarter_round(&mut x, 0, 4, 8, 12);
-        quarter_round(&mut x, 1, 5, 9, 13);
-        quarter_round(&mut x, 2, 6, 10, 14);
-        quarter_round(&mut x, 3, 7, 11, 15);
-        quarter_round(&mut x, 0, 5, 10, 15);
-        quarter_round(&mut x, 1, 6, 11, 12);
-        quarter_round(&mut x, 2, 7, 8, 13);
-        quarter_round(&mut x, 3, 4, 9, 14);
-    }
-    for (w, i) in x.iter_mut().zip(init) {
-        *w = w.wrapping_add(i);
-    }
-    x
-}
-
-/// The ChaCha12 keystream of rand 0.8.5's `StdRng`, one block buffered.
-struct ChaCha12 {
-    key: [u32; 8],
-    /// Counter of the next block to compute.
-    counter: u64,
-    block: [u32; BLOCK_WORDS],
-    /// Next unread word of `block`; `BLOCK_WORDS` when it is used up.
-    index: usize,
-}
-
-impl ChaCha12 {
-    /// `rand_core` 0.6's `SeedableRng::seed_from_u64`: each PCG32 output
-    /// is one little-endian key word. No block is computed until the
-    /// first draw.
-    fn seed_from_u64(mut state: u64) -> Self {
-        const MUL: u64 = 6364136223846793005;
-        const INC: u64 = 11634580027462260723;
-        let key = core::array::from_fn(|_| {
-            state = state.wrapping_mul(MUL).wrapping_add(INC);
-            let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
-            xorshifted.rotate_right((state >> 59) as u32)
-        });
-        ChaCha12 { key, counter: 0, block: [0; BLOCK_WORDS], index: BLOCK_WORDS }
-    }
-
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        if self.index >= BLOCK_WORDS {
-            self.block = chacha_block(&self.key, self.counter, 6);
-            self.counter = self.counter.wrapping_add(1);
-            self.index = 0;
+/// One Philox4x32-10 block (Salmon et al., SC 2011): ten rounds of two
+/// 32×32→64-bit multiplies over the 128-bit `counter`, the 64-bit `key`
+/// bumped by the Weyl constants between rounds.
+#[inline]
+fn philox4x32_10(counter: [u32; 4], key: [u32; 2]) -> [u32; 4] {
+    const M0: u64 = 0xd251_1f53;
+    const M1: u64 = 0xcd9e_8d57;
+    const W0: u32 = 0x9e37_79b9;
+    const W1: u32 = 0xbb67_ae85;
+    let (mut c, mut k) = (counter, key);
+    for round in 0..10 {
+        if round > 0 {
+            k = [k[0].wrapping_add(W0), k[1].wrapping_add(W1)];
         }
-        let w = self.block[self.index];
-        self.index += 1;
-        w
+        let p0 = M0 * u64::from(c[0]);
+        let p1 = M1 * u64::from(c[2]);
+        c = [
+            (p1 >> 32) as u32 ^ c[1] ^ k[0],
+            p1 as u32,
+            (p0 >> 32) as u32 ^ c[3] ^ k[1],
+            p0 as u32,
+        ];
     }
-
-    /// Two consecutive words, low word first — across a block boundary
-    /// too, as rand's `BlockRng` does at the end of its buffer.
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let i = self.index;
-        if i + 1 < BLOCK_WORDS {
-            self.index = i + 2;
-            u64::from(self.block[i + 1]) << 32 | u64::from(self.block[i])
-        } else {
-            let lo = self.next_u32();
-            u64::from(self.next_u32()) << 32 | u64::from(lo)
-        }
-    }
+    c
 }
 
 /// A named, deterministic random stream.
 ///
 /// Streams form a tree: [`RngStream::root`] creates the root from a master
 /// seed, and [`RngStream::derive`] creates children addressed by label.
-/// Deriving reads only the stream's identity (seed + label), never its
-/// position, so the set of children is independent of how many values have
-/// been drawn from the parent.
+/// Deriving reads only the stream's key, never its position, so the set of
+/// children is independent of how many values have been drawn from the
+/// parent.
 pub struct RngStream {
-    rng: ChaCha12,
-    derivation_seed: u64,
+    /// The Philox key of every block, and the seed its children's keys
+    /// are hashed from.
+    key: u64,
+    /// Index of the next block to compute.
+    counter: u64,
+    /// The current block as two `u64`s, each two words low word first.
+    block: [u64; 2],
+    /// Next unread `u64` of `block`; 2 when it is used up.
+    index: usize,
+    /// The radius and angle of the last Box–Muller pair, whose sine
+    /// branch is the stream's next normal.
+    spare: Option<(f64, f64)>,
 }
 
 impl RngStream {
-    fn from_derivation_seed(derivation_seed: u64) -> Self {
-        RngStream {
-            rng: ChaCha12::seed_from_u64(splitmix64(derivation_seed ^ 0x5eed)),
-            derivation_seed,
-        }
+    fn with_key(key: u64) -> Self {
+        RngStream { key, counter: 0, block: [0; 2], index: 2, spare: None }
     }
 
     /// Creates the root stream of a seed tree.
     pub fn root(master_seed: u64) -> Self {
-        Self::from_derivation_seed(splitmix64(master_seed))
+        Self::with_key(splitmix64(master_seed))
     }
 
-    /// Derives an independent child stream addressed by `key`.
+    /// Derives an independent child stream addressed by `key`: a hash of
+    /// the parent's key and the spelling, and no block.
     ///
     /// The same `(parent, spelling)` pair always yields the same stream,
     /// whatever mix of text, integers and tuples spells it.
-    pub fn derive(&self, key: impl Key) -> RngStream {
-        let mut h = KeyHasher::new(self.derivation_seed);
-        key.spell(&mut h);
-        Self::from_derivation_seed(splitmix64(h.0))
-    }
-
-    /// The next 32 random bits.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        self.rng.next_u32()
+    pub fn derive(&self, key: impl Key) -> RngStream {
+        let mut h = KeyHasher::new(self.key);
+        key.spell(&mut h);
+        Self::with_key(splitmix64(h.0))
     }
 
-    /// The next 64 random bits: two words, low word first.
+    /// The next 64 random bits: two consecutive words, low word first.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        if self.index >= 2 {
+            let c = self.counter;
+            let key = [self.key as u32, (self.key >> 32) as u32];
+            let w = philox4x32_10([c as u32, (c >> 32) as u32, 0, 0], key);
+            self.block =
+                [u64::from(w[1]) << 32 | u64::from(w[0]), u64::from(w[3]) << 32 | u64::from(w[2])];
+            self.counter = c.wrapping_add(1);
+            self.index = 0;
+        }
+        let x = self.block[self.index];
+        self.index += 1;
+        x
+    }
+
+    /// The next 32 random bits: the low half of [`next_u64`](Self::next_u64).
+    #[inline]
+    pub fn next_u32(&mut self) -> u32 {
+        self.next_u64() as u32
     }
 
     /// Draws a uniform float in `[0, 1)` from the top 53 bits of one
-    /// `u64` (rand's `Standard` for `f64`).
+    /// `u64`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        SCALE * (self.rng.next_u64() >> 11) as f64
+        SCALE * (self.next_u64() >> 11) as f64
     }
 
-    /// Draws a uniform float in `[low, high)` the way rand's
-    /// `UniformFloat::sample_single` does: a `[1, 2)` float built from 52
-    /// bits, shifted and scaled, redrawn with the scale one ulp smaller
-    /// whenever rounding lands on `high`. Over `[f64::MIN_POSITIVE, 1)`,
-    /// the only range drawn from, rounding never lands there, so each
-    /// call reads exactly one `u64`.
-    fn uniform_between(&mut self, low: f64, high: f64) -> f64 {
-        let mut scale = high - low;
-        loop {
-            let value1_2 = f64::from_bits((self.rng.next_u64() >> 12) | (1023u64 << 52));
-            let res = (value1_2 - 1.0) * scale + low;
-            if res < high {
-                return res;
-            }
-            scale = f64::from_bits(scale.to_bits() - 1);
-        }
+    /// Draws a uniform float in `(0, 1]` from the top 53 bits of one
+    /// `u64`: the logarithm's domain, never zero.
+    #[inline]
+    fn uniform_open0(&mut self) -> f64 {
+        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+        SCALE * ((self.next_u64() >> 11) + 1) as f64
     }
 
-    /// Draws a uniform integer in `[low, high)` (rand's `UniformInt`:
-    /// a widening multiply, rejecting low halves above the zone).
+    /// Draws a uniform integer in `[low, high)`: a widening multiply,
+    /// rejecting low halves above the zone.
     ///
     /// # Panics
     ///
@@ -346,7 +296,7 @@ impl RngStream {
         let range = high - low;
         let zone = (range << range.leading_zeros()).wrapping_sub(1);
         loop {
-            let m = u128::from(self.rng.next_u64()) * u128::from(range);
+            let m = u128::from(self.next_u64()) * u128::from(range);
             if m as u64 <= zone {
                 return low + (m >> 64) as u64;
             }
@@ -358,17 +308,24 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `mean` is not positive and finite.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean.is_finite() && mean > 0.0, "exponential mean must be positive");
-        let u = self.uniform_between(f64::MIN_POSITIVE, 1.0);
-        -mean * u.ln()
+        -mean * math::ln(self.uniform_open0())
     }
 
-    /// Draws a standard normal variate via Box–Muller.
+    /// Draws a standard normal variate. Box–Muller turns one block's two
+    /// uniforms into two normals: the cosine branch is returned, and the
+    /// sine branch is the next call's, computed only if it comes.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        let u1 = self.uniform_between(f64::MIN_POSITIVE, 1.0);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+        if let Some((r, u)) = self.spare.take() {
+            return r * math::sin_2pi(u);
+        }
+        let r = (-2.0 * math::ln(self.uniform_open0())).sqrt();
+        let u = self.uniform();
+        self.spare = Some((r, u));
+        r * math::cos_2pi(u)
     }
 
     /// Draws a normal variate with the given mean and standard deviation.
@@ -376,8 +333,9 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `std_dev` is negative or either parameter is not finite.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        check_normal(mean, std_dev);
+        assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
         mean + std_dev * self.standard_normal()
     }
 
@@ -387,8 +345,9 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics as [`RngStream::normal`] does.
+    #[inline]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
+        math::exp(self.normal(mu, sigma))
     }
 
     /// Returns `true` with probability `p`.
@@ -396,6 +355,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.uniform() < p
@@ -412,44 +372,9 @@ impl RngStream {
     }
 }
 
-/// The parameter check of every normal sampler.
-fn check_normal(mean: f64, std_dev: f64) {
-    assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
-}
-
-/// A source of standard normal variates, in a fixed order.
-///
-/// [`RngStream`] draws them on the spot; a [`NormalFeed`] serves one
-/// stream's draws, in the same order, from chunks that may be computed
-/// on another thread. A sampler generic over `Normals` therefore sees the
-/// same values from either.
-pub trait Normals {
-    /// The next standard normal variate.
-    fn standard_normal(&mut self) -> f64;
-
-    /// Draws a lognormal variate from the next standard normal `z`:
-    /// `(mu + sigma * z).exp()`, bit for bit [`RngStream::lognormal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RngStream::normal`] does, before drawing.
-    #[inline]
-    fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        check_normal(mu, sigma);
-        (mu + sigma * self.standard_normal()).exp()
-    }
-}
-
-impl Normals for RngStream {
-    #[inline]
-    fn standard_normal(&mut self) -> f64 {
-        RngStream::standard_normal(self)
-    }
-}
-
 impl fmt::Debug for RngStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RngStream").field("derivation_seed", &self.derivation_seed).finish()
+        f.debug_struct("RngStream").field("key", &self.key).finish()
     }
 }
 
@@ -457,20 +382,80 @@ impl fmt::Debug for RngStream {
 mod tests {
     use super::*;
 
+    /// A second, plain transcription of the Philox4x32-10 round function
+    /// as the paper and Random123's `philox.h` state it: the multiply
+    /// spelled out as high and low halves, the key schedule kept as an
+    /// array of round keys.
+    fn philox_reference(ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {
+        fn mulhilo(a: u32, b: u32) -> (u32, u32) {
+            let product = a as u64 * b as u64;
+            ((product >> 32) as u32, (product & 0xffff_ffff) as u32)
+        }
+        let mut round_keys = [key; 10];
+        for r in 1..10 {
+            round_keys[r][0] = round_keys[r - 1][0].wrapping_add(0x9E37_79B9);
+            round_keys[r][1] = round_keys[r - 1][1].wrapping_add(0xBB67_AE85);
+        }
+        let mut x = ctr;
+        for k in round_keys {
+            let (hi0, lo0) = mulhilo(0xD251_1F53, x[0]);
+            let (hi1, lo1) = mulhilo(0xCD9E_8D57, x[2]);
+            x = [hi1 ^ x[1] ^ k[0], lo1, hi0 ^ x[3] ^ k[1], lo0];
+        }
+        x
+    }
+
     #[test]
-    fn chacha20_block_matches_rfc7539_zero_key_vector() {
-        // RFC 7539 appendix A.1, test vector 1: all-zero key, nonce and
-        // counter, 20 rounds.
-        let expected = [
-            0x76, 0xb8, 0xe0, 0xad, 0xa0, 0xf1, 0x3d, 0x90, 0x40, 0x5d, 0x6a, 0xe5, 0x53, 0x86,
-            0xbd, 0x28, 0xbd, 0xd2, 0x19, 0xb8, 0xa0, 0x8d, 0xed, 0x1a, 0xa8, 0x36, 0xef, 0xcc,
-            0x8b, 0x77, 0x0d, 0xc7, 0xda, 0x41, 0x59, 0x7c, 0x51, 0x57, 0x48, 0x8d, 0x77, 0x24,
-            0xe0, 0x3f, 0xb8, 0xd8, 0x4a, 0x37, 0x6a, 0x43, 0xb8, 0xf4, 0x15, 0x18, 0xa1, 0x1c,
-            0xc3, 0x87, 0xb6, 0x69, 0xb2, 0xee, 0x65, 0x86,
+    fn philox_matches_the_random123_known_answers() {
+        // Random123's kat_vectors for philox4x32 at 10 rounds.
+        let cases = [
+            ([0; 4], [0; 2], [0x6627_e8d5, 0xe169_c58d, 0xbc57_ac4c, 0x9b00_dbd8]),
+            ([u32::MAX; 4], [u32::MAX; 2], [0x408f_276d, 0x41c8_3b0e, 0xa20b_c7c6, 0x6d54_51fd]),
+            (
+                [0x243f_6a88, 0x85a3_08d3, 0x1319_8a2e, 0x0370_7344],
+                [0xa409_3822, 0x299f_31d0],
+                [0xd16c_fe09, 0x94fd_cceb, 0x5001_e420, 0x2412_6ea1],
+            ),
         ];
-        let bytes: Vec<u8> =
-            chacha_block(&[0; 8], 0, 10).iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(bytes, expected);
+        for (ctr, key, want) in cases {
+            assert_eq!(philox4x32_10(ctr, key), want, "ctr {ctr:x?}, key {key:x?}");
+            assert_eq!(philox_reference(ctr, key), want, "ctr {ctr:x?}, key {key:x?}");
+        }
+    }
+
+    #[test]
+    fn philox_matches_the_plain_transcription() {
+        let mut r = RngStream::root(17);
+        for _ in 0..10_000 {
+            let ctr = [r.next_u32(), r.next_u32(), r.next_u32(), r.next_u32()];
+            let key = [r.next_u32(), r.next_u32()];
+            assert_eq!(philox4x32_10(ctr, key), philox_reference(ctr, key));
+        }
+    }
+
+    #[test]
+    fn a_streams_words_are_its_keys_blocks_in_counter_order() {
+        let mut s = RngStream::root(3).derive("x");
+        let key = [s.key as u32, (s.key >> 32) as u32];
+        for i in 0..6 {
+            let w = philox_reference([i, 0, 0, 0], key);
+            let pair = |lo: u32, hi: u32| u64::from(hi) << 32 | u64::from(lo);
+            assert_eq!(s.next_u64(), pair(w[0], w[1]), "block {i}, low half");
+            assert_eq!(s.next_u32(), w[2], "block {i}, high half's low word");
+        }
+    }
+
+    #[test]
+    fn box_muller_serves_both_branches() {
+        let mut s = RngStream::root(9).derive("bm");
+        let mut u = RngStream::root(9).derive("bm");
+        for _ in 0..100 {
+            let (z0, z1) = (s.standard_normal(), s.standard_normal());
+            let r = (-2.0 * math::ln(u.uniform_open0())).sqrt();
+            let a = u.uniform();
+            let (cos, sin) = (math::cos_2pi(a), math::sin_2pi(a));
+            assert_eq!((z0.to_bits(), z1.to_bits()), ((r * cos).to_bits(), (r * sin).to_bits()));
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Known-answer vectors for [`RngStream`]: the words of six checks
 //! (root streams, mixed and aligned word reads, uniform floats and
 //! integers, exponential and normal variates), recorded at two
-//! `(master, label)` pairs so the generator stays pinned without an
-//! external oracle.
+//! `(master, label)` pairs so the generator, its key derivation and its
+//! samplers stay pinned.
 //!
 //! Each check turns its draws into a trace of `u64` words (`u32` reads
-//! widened, floats as their bits). A recording holds
-//! the trace's length, its words at a few positions around the 32-word
-//! buffer refills, and an FNV-1a digest of the whole trace. The values
-//! were taken from `RngStream` while a differential test held it equal,
-//! word for word, to rand 0.8.5's `StdRng`, so they are rand's words too.
+//! widened, floats as their bits). A recording holds the trace's length,
+//! its words at a few positions, and an FNV-1a digest of the whole trace.
+//! The values were taken from `RngStream` itself; the Philox block under
+//! it is pinned separately, by Random123's known answers and a second,
+//! plain implementation (`rng.rs`'s unit tests), and the float math by
+//! `math_against_std.rs`.
 
 use ntc_simcore::rng::RngStream;
 
@@ -17,9 +18,7 @@ use ntc_simcore::rng::RngStream;
 /// check uses the masters alone.
 const PAIRS: [(u64, &str); 2] = [(42, "work"), (u64::MAX, "inv-3-c1-edge-a1")];
 
-/// Trace positions recorded word for word, besides the last word: the
-/// first two, and the two 32-word buffer refills a `u64` trace crosses
-/// first.
+/// Trace positions recorded word for word, besides the last word.
 const POSITIONS: [usize; 5] = [0, 1, 31, 32, 64];
 
 /// One check's recording at one pair.
@@ -157,104 +156,104 @@ const ROOT: [Known; 2] = [
     Known {
         len: 80,
         words: [
-            0xcfabf0acb22c16de,
-            0xf975fad01e962977,
-            0x37ac89d3093fc52a,
-            0x297a8d7f4968f05c,
-            0x83077c3a27ac91ac,
+            0x4306b273a1d7a484,
+            0x8a9e1b8531c5804d,
+            0x4897fbaa6f57b21d,
+            0x68ef344004581d3d,
+            0x9623d9610840ec4c,
         ],
-        last: 0x3ba7e9eee0ec9256,
-        digest: 0x8f8b2c2797cc14b2,
+        last: 0x752b31c92776b2d9,
+        digest: 0x299c39f4767e7080,
     },
     Known {
         len: 80,
         words: [
-            0x4150f90102b1ee30,
-            0x9ffaa6f631b66571,
-            0x00564e9fa8b99acb,
-            0x84c207b076364790,
-            0x1e2310166e0ed688,
+            0xe87638da67a0d152,
+            0x29e034149a4df249,
+            0xdd4b81acb735733c,
+            0x9424abf74ee2d393,
+            0x3d7c3d975a7556e6,
         ],
-        last: 0xec4033a337af8670,
-        digest: 0x9ef33b183f8e9443,
+        last: 0x6dc0a58337734991,
+        digest: 0x312b89e5c7d74abc,
     },
 ];
 const MIXED: [Known; 2] = [
     Known {
         len: 182,
         words: [
-            0x00000000eeabb7b9,
-            0x00000000f3a07334,
-            0x000000006577225b,
-            0x00000000fe808511,
-            0xa2e638172cf81dde,
+            0x000000003ef846f1,
+            0x00000000253b99bf,
+            0x00000000bbb544ba,
+            0x000000003f5c37e8,
+            0x2ed6acd74dcc788d,
         ],
-        last: 0x3d9413d73636794d,
-        digest: 0x6a132300f0347f66,
+        last: 0x39a0e857e34f8ae3,
+        digest: 0x8107d268fe678e0b,
     },
     Known {
         len: 182,
         words: [
-            0x00000000632185a8,
-            0x00000000ee7ba49e,
-            0x00000000f314eff5,
-            0x000000000aecea66,
-            0xe6eeb76fc50d6195,
+            0x00000000f0c07d4d,
+            0x0000000006a53e46,
+            0x0000000008a4594d,
+            0x00000000f6afbf19,
+            0xd12de62a811fccb6,
         ],
-        last: 0x6d2e66be656cbd13,
-        digest: 0xb49c89f5c26fe8bc,
+        last: 0x290f7185d51e4e3e,
+        digest: 0xb6e02915821332d5,
     },
 ];
 const ALIGNED: [Known; 2] = [
     Known {
         len: 100,
         words: [
-            0xf3a07334eeabb7b9,
-            0x96c46984d6333019,
-            0x5b83d510e9d0f477,
-            0x145cf30c981832a7,
-            0xc9c3af143158362e,
+            0xe47d76af3ef846f1,
+            0x51d98914253b99bf,
+            0x18520b90bbb544ba,
+            0x8f98f2533f5c37e8,
+            0x2ed6acd74dcc788d,
         ],
-        last: 0xa77053b6b86d6b72,
-        digest: 0xa9dc5b2b62b099bd,
+        last: 0x364c13c3243d624c,
+        digest: 0xafae5dfb85817ad3,
     },
     Known {
         len: 100,
         words: [
-            0xee7ba49e632185a8,
-            0x6f765b3d841c0266,
-            0x180405c3c8ee19d4,
-            0x5089e7ee9d7856d0,
-            0x6abe1e6491444834,
+            0x729f28a7f0c07d4d,
+            0x6d160f4406a53e46,
+            0xb709090c08a4594d,
+            0xc124857df6afbf19,
+            0xd12de62a811fccb6,
         ],
-        last: 0xdfc67f1cd62d7f91,
-        digest: 0x2e3076546d947704,
+        last: 0x8ce32e3a9cff91be,
+        digest: 0xcd2b6a6524080bf8,
     },
 ];
 const UNIFORM: [Known; 2] = [
     Known {
         len: 100,
         words: [
-            0x3fee740e669dd576,
-            0x3fe2d88d309ac666,
-            0x3fd6e0f5443a743c,
-            0x3fb45cf30c981830,
-            0x3fe93875e2862b06,
+            0x3fec8faed5e7df08,
+            0x3fd4766245094ee6,
+            0x3fb8520b90bbb540,
+            0x3fe1f31e4a67eb86,
+            0x3fc76b566ba6e63c,
         ],
-        last: 0x3fe4ee0a76d70dad,
-        digest: 0x3cb369b8150ffae9,
+        last: 0x3fcb2609e1921eb0,
+        digest: 0x2e99f74ec4f05319,
     },
     Known {
         len: 100,
         words: [
-            0x3fedcf7493cc6430,
-            0x3fdbdd96cf610700,
-            0x3fb80405c3c8ee18,
-            0x3fd42279fba75e14,
-            0x3fdaaf8799245112,
+            0x3fdca7ca29fc301e,
+            0x3fdb4583d101a94e,
+            0x3fe6e1212181148b,
+            0x3fe82490afbed5f7,
+            0x3fea25bcc55023f9,
         ],
-        last: 0x3febf8cfe39ac5af,
-        digest: 0xaccfe0aedad8c0d5,
+        last: 0x3fe19c65c7539ff2,
+        digest: 0xb813e77ad4e3eb7a,
     },
 ];
 const UNIFORM_RANGE: [Known; 2] = [
@@ -267,8 +266,8 @@ const UNIFORM_RANGE: [Known; 2] = [
             0x0000000000000000,
             0x0000000000000001,
         ],
-        last: 0x6c1b858d5df03a3e,
-        digest: 0x9813043e01632c69,
+        last: 0x66ffd81dd6e7a097,
+        digest: 0x403124868150260d,
     },
     Known {
         len: 448,
@@ -279,33 +278,33 @@ const UNIFORM_RANGE: [Known; 2] = [
             0x0000000000000000,
             0x0000000000000003,
         ],
-        last: 0x48003d37f5920c95,
-        digest: 0x97f41f4bd8430bc3,
+        last: 0x4d29b5ab135804ca,
+        digest: 0x0c325283d7cc3737,
     },
 ];
 const EXPONENTIAL_NORMAL: [Known; 2] = [
     Known {
         len: 128,
         words: [
-            0x3fbfb4a52e21e17d,
-            0x3fdff454fe053df7,
-            0xbff733eac0c396b0,
-            0x3fec6aeca3ffa098,
-            0x3fd1d75ef86e83e7,
+            0x3fd23085614e6a60,
+            0xbff40948d3f70ecb,
+            0xbfefacc74b42f24f,
+            0x3ff7206516d69789,
+            0x4010fc15845606ad,
         ],
-        last: 0xbfe5f2947fa7c302,
-        digest: 0x81cb1e3328ae5147,
+        last: 0xbfd995df130d6cd5,
+        digest: 0x23b73d3b16e0d7ed,
     },
     Known {
         len: 128,
         words: [
-            0x3fc6ae72c8852102,
-            0xbff33129477a3371,
-            0x3fe5bf932a837cfa,
-            0x400191de82eb7f11,
-            0x3fe9608540eb19a2,
+            0x400012202f897c34,
+            0x3fa2c422f632e2f0,
+            0x3fcab50c2275608b,
+            0x3fe68a34c6ea1598,
+            0x3fe028aac6284fa6,
         ],
-        last: 0xbff771ccefa6a629,
-        digest: 0x7b58fa63177a52fd,
+        last: 0x3ff2111fd34e548f,
+        digest: 0xc6085ea12d75bd0d,
     },
 ];

@@ -12,6 +12,10 @@ use crate::arrivals::ArrivalProcess;
 pub struct Job {
     /// Stream-unique id, dense from 0 in arrival order.
     pub id: u64,
+    /// The job's identity: the `n`-th `u64` of its spec's `keys` stream
+    /// for the spec's `n`-th job, so it depends on the spec's stream and
+    /// `n` alone, never on the other specs. It roots [`Job::rng`].
+    pub key: u64,
     /// The application being invoked.
     pub archetype: Archetype,
     /// Submission instant.
@@ -26,6 +30,14 @@ impl Job {
     /// The hard completion deadline.
     pub fn deadline(&self) -> SimTime {
         self.arrival + self.slack
+    }
+
+    /// The job's own stream, rooted at its [`key`](Self::key): every draw
+    /// made for the job derives from it, so a draw depends on what it is
+    /// for and on the job, not on the order of any other draw.
+    #[inline]
+    pub fn rng(&self) -> RngStream {
+        RngStream::root(self.key)
     }
 }
 
@@ -91,6 +103,15 @@ impl StreamSpec {
 /// Generates the merged, time-ordered job stream of several specs over a
 /// horizon.
 ///
+/// Each spec draws from its own child of `rng`, `stream-{archetype}-{n}`
+/// for the `n`-th spec of its archetype, so a spec's jobs do not depend on
+/// its position among other archetypes' specs or on their number:
+/// permuting the list, save the order of one archetype's specs, or adding
+/// a spec leaves every other spec's jobs as they were. A sweep over one
+/// spec's rate or slack keeps its stream, so its points share their
+/// random numbers. Jobs sort by arrival, then by key, so the merged order
+/// is a function of the jobs alone.
+///
 /// Jitter: each job's slack is its archetype's typical slack scaled by the
 /// spec's factor and ±20 % lognormal noise, so deadlines are not lockstep.
 ///
@@ -123,19 +144,22 @@ pub fn generate_jobs_into(
 ) {
     jobs.clear();
     for (si, spec) in specs.iter().enumerate() {
-        let stream_rng = rng.derive(("stream-", si, "-", spec.archetype.name()));
+        let rank = specs[..si].iter().filter(|s| s.archetype == spec.archetype).count();
+        let stream_rng = rng.derive(("stream-", spec.archetype.name(), "-", rank));
         let mut arr_rng = stream_rng.derive("arrivals");
         let mut body_rng = stream_rng.derive("bodies");
+        let mut key_rng = stream_rng.derive("keys");
         for arrival in spec.arrivals.generate(horizon, &mut arr_rng) {
             let input = spec.archetype.sample_input(&mut body_rng);
             let slack = spec
                 .archetype
                 .typical_slack()
                 .mul_f64(spec.slack_factor * body_rng.lognormal(0.0, 0.2));
-            jobs.push(Job { id: 0, archetype: spec.archetype, arrival, input, slack });
+            let key = key_rng.next_u64();
+            jobs.push(Job { id: 0, key, archetype: spec.archetype, arrival, input, slack });
         }
     }
-    jobs.sort_by_key(|j| (j.arrival, j.archetype.name()));
+    jobs.sort_by_key(|j| (j.arrival, j.key));
     for (i, job) in jobs.iter_mut().enumerate() {
         job.id = i as u64;
     }
@@ -179,6 +203,7 @@ mod tests {
     fn deadline_is_arrival_plus_slack() {
         let j = Job {
             id: 0,
+            key: 0,
             archetype: Archetype::SciSweep,
             arrival: SimTime::from_secs(100),
             input: DataSize::from_kib(1),

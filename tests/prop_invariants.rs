@@ -94,7 +94,7 @@ proptest! {
         work_mega in 1u64..50_000,
     ) {
         let mut platform = ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(seed));
-        let f = platform.register(FunctionConfig::new("f", DataSize::from_mib(memory_mib)));
+        let f = platform.register(FunctionConfig::new(DataSize::from_mib(memory_mib)));
         let mut rng = RngStream::root(seed).derive("gaps");
         let mut t = SimTime::ZERO;
         for _ in 0..n {
