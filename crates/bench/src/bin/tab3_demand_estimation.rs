@@ -11,7 +11,7 @@ use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_profiler::{evaluate, EstimatorKind};
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, DataSize};
+use ntc_simcore::units::{round_to_u64, Cycles, DataSize};
 use ntc_workloads::Archetype;
 
 #[derive(Debug, ToJson)]
@@ -35,7 +35,7 @@ fn trace(a: Archetype, n: usize, seed: u64) -> Vec<(DataSize, Cycles)> {
         .map(|_| {
             let input = a.sample_input(&mut rng);
             let actual = heavy.demand_cycles(input).get() as f64 * rng.lognormal(0.0, sigma);
-            (input, Cycles::new(actual.round() as u64))
+            (input, Cycles::new(round_to_u64(actual)))
         })
         .collect()
 }

@@ -7,7 +7,7 @@ use core::fmt;
 use ntc_partition::{CostParams, MinCutPartitioner, PartitionContext, PartitionPlan, Partitioner};
 use ntc_profiler::{AppProfiler, EstimatorKind};
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, DataSize, SimDuration};
+use ntc_simcore::units::{round_to_u64, Cycles, DataSize, SimDuration};
 use ntc_taskgraph::TaskGraph;
 
 use crate::artifact::{Artifact, ArtifactRegistry, ContentHash};
@@ -250,7 +250,7 @@ impl Pipeline {
                     let annotated = c.demand_cycles(cfg.reference_input).get() as f64;
                     let measured =
                         annotated * spec.demand_factor * rng.lognormal(0.0, spec.noise_sigma);
-                    profiler.observe(id, cfg.reference_input, Cycles::new(measured.round() as u64));
+                    profiler.observe(id, cfg.reference_input, Cycles::new(round_to_u64(measured)));
                 }
                 elapsed += cfg.profile_invocation_time;
             }

@@ -13,7 +13,7 @@ use ntc_partition::{
 };
 use ntc_profiler::{AppProfiler, EstimatorKind};
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, DataSize, SimDuration};
+use ntc_simcore::units::{round_to_u64, Cycles, DataSize, SimDuration};
 use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Archetype;
 
@@ -150,7 +150,7 @@ fn train_profiler(graph: &TaskGraph, archetype: Archetype, rng: &RngStream) -> A
         let input = archetype.sample_input(&mut r);
         for (id, c) in graph.components() {
             let actual = c.demand_cycles(input).get() as f64 * drift * r.lognormal(0.0, sigma);
-            profiler.observe(id, input, Cycles::new(actual.round() as u64));
+            profiler.observe(id, input, Cycles::new(round_to_u64(actual)));
         }
     }
     profiler

@@ -86,13 +86,13 @@
 mod accounting;
 mod admission;
 mod execute;
+mod hash;
 mod noise;
 mod recovery;
 #[cfg(test)]
 mod tests;
 mod transfer;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
@@ -110,6 +110,7 @@ use crate::site::SiteRegistry;
 
 use accounting::{Accounting, HealthMap};
 use admission::{Batch, BatchStates};
+use hash::FastMap;
 use noise::NoiseMemo;
 
 /// What a run keeps per job.
@@ -254,7 +255,7 @@ pub(crate) struct RunState<'s> {
     health_rng: RngStream,
     /// Invocations whose completion is deferred pending a hedge
     /// decision, keyed by `(batch, component)`.
-    hedges: &'s mut HashMap<(usize, ComponentId), HedgePending>,
+    hedges: &'s mut FastMap<(usize, ComponentId), HedgePending>,
 }
 
 /// Reusable run buffers: all the run-sized allocations `Engine::run`
@@ -287,14 +288,14 @@ pub struct RunScratch {
     batches: Vec<Batch>,
     members: Vec<u32>,
     batch_of: Vec<u32>,
-    batch_key: HashMap<(usize, SimTime), usize>,
+    batch_key: FastMap<(usize, SimTime), usize>,
     local_override: Vec<bool>,
     pings: Vec<Ping>,
     states: BatchStates,
     acct: Accounting,
     member_works: Vec<Cycles>,
     health: HealthMap,
-    hedges: HashMap<(usize, ComponentId), HedgePending>,
+    hedges: FastMap<(usize, ComponentId), HedgePending>,
 }
 
 impl RunScratch {

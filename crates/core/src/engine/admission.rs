@@ -8,7 +8,7 @@
 //! [`RunScratch`](crate::engine::RunScratch)): a reused scratch re-walks
 //! the same allocations run after run instead of re-growing them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use ntc_alloc::dispatch_time;
@@ -18,6 +18,7 @@ use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
 
 use super::accounting::HealthMap;
+use super::hash::FastMap;
 use super::{DeploymentOf, RunCtx};
 use crate::deploy::Deployment;
 use crate::environment::Environment;
@@ -139,6 +140,9 @@ impl BatchStates {
     /// Batch `bi`'s retry backoff: the largest of its components' sums,
     /// not their total, so it never exceeds the batch's latency.
     pub fn batch_backoff(&self, bi: usize) -> SimDuration {
+        if self.backoff.is_empty() {
+            return SimDuration::ZERO;
+        }
         let r = self.range(bi);
         let sums = self.backoff.range(r.start as u32..r.end as u32);
         sums.map(|(_, &b)| b).max().unwrap_or(SimDuration::ZERO)
@@ -273,7 +277,7 @@ pub(crate) fn coalesce_into(
     jobs: &[Job],
     batches: &mut Vec<Batch>,
     batch_of: &mut Vec<u32>,
-    batch_key: &mut HashMap<(usize, SimTime), usize>,
+    batch_key: &mut FastMap<(usize, SimTime), usize>,
     members: &mut Vec<u32>,
 ) {
     // Every job, batch and member index below fits in u32 once this holds.
@@ -286,6 +290,12 @@ pub(crate) fn coalesce_into(
     const MIN_PRUNE: usize = 64;
     batches.clear();
     batch_key.clear();
+    // Room for the most keys `Immediate` dispatch holds between prunes,
+    // twice over so that deleted slots rehash in place: the map then
+    // allocates nothing between the reallocations of the run-sized
+    // vectors, where a resize could keep the heap from growing them in
+    // place (2.5 MiB of peak RSS on `scale_100k`).
+    batch_key.reserve(2 * MIN_PRUNE);
     batch_of.clear();
     batch_of.reserve_exact(jobs.len());
     let mut prune_at = MIN_PRUNE;

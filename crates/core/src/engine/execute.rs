@@ -8,7 +8,7 @@ use ntc_faults::{classify_injected, classify_outage, Admission};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
-use ntc_simcore::units::{Cycles, SimTime};
+use ntc_simcore::units::{round_to_u64, Cycles, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
 
@@ -345,7 +345,7 @@ fn invoke_remote(
         .graph
         .component(comp)
         .batch_demand_cycles(b.members.len() as u64, b.sum_input);
-    let work = Cycles::new((annotated.get() as f64 * noise).round() as u64);
+    let work = Cycles::new(round_to_u64(annotated.get() as f64 * noise));
     if ctx.faults.has_invocation_faults() {
         if let Some(fault) = ctx.faults.invocation_fault(rng, fault_key(comp, site, try_)) {
             return Err(classify_injected(fault));
@@ -401,5 +401,5 @@ fn noise_factor(
 
 fn member_work(job: &Job, d: &Deployment, comp: ComponentId, noise: f64) -> Cycles {
     let annotated = d.graph.component(comp).demand_cycles(job.input).get() as f64;
-    Cycles::new((annotated * noise).round() as u64)
+    Cycles::new(round_to_u64(annotated * noise))
 }

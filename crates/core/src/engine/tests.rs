@@ -798,6 +798,7 @@ mod coalescing {
 
     use crate::deploy::{deploy, Deployment};
     use crate::engine::admission::{coalesce_into, Batch};
+    use crate::engine::hash::FastMap;
     use crate::engine::DeploymentOf;
     use crate::environment::Environment;
     use crate::policy::OffloadPolicy;
@@ -871,7 +872,7 @@ mod coalescing {
         jobs: &[Job],
     ) -> (Vec<Formed>, usize) {
         let (mut batches, mut batch_of, mut key, mut members) =
-            (Vec::<Batch>::new(), Vec::new(), HashMap::new(), Vec::new());
+            (Vec::<Batch>::new(), Vec::new(), FastMap::default(), Vec::new());
         coalesce_into(
             env,
             deployments,

@@ -114,14 +114,13 @@ pub(crate) fn handle_dispatch(
                 // slowest upload lands. Offline devices wait for
                 // reconnection before transmitting.
                 let online = ctx.env.connectivity.next_online(t);
-                let path = primary.ue_path(ctx.env);
-                let share = primary.wan_share(ctx.env, online);
+                let path = primary.ue_path(ctx.env).at_share(primary.wan_share(ctx.env, online));
                 let key = upload_key(c, primary);
                 let mut net = rng.derive(key);
                 let mut dur = SimDuration::ZERO;
                 for &ji in ctx.members(bi) {
                     let input = ctx.jobs[ji as usize].input;
-                    let jdur = path.transfer_time_at_share(input, share, &mut net);
+                    let jdur = path.transfer_time(input, &mut net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     acct.bytes_up += input;
                     dur = dur.max(jdur);
@@ -174,20 +173,19 @@ pub(crate) fn handle_done(
             (Side::Cloud, Side::Cloud) => {
                 // One merged transfer inside the backend.
                 let bytes = payload.eval_bytes(b.sum_input);
-                eff.internal_path(ctx.env).transfer_time(bytes, &mut rng.derive(key))
+                eff.internal_path(ctx.env).at_share(1.0).transfer_time(bytes, &mut rng.derive(key))
             }
             _ => {
                 // Boundary crossing: per-member payloads move in
                 // parallel over each member's own radio link,
                 // waiting out any outage first.
                 let online = ctx.env.connectivity.next_online(t);
-                let path = eff.ue_path(ctx.env);
-                let share = eff.wan_share(ctx.env, online);
+                let path = eff.ue_path(ctx.env).at_share(eff.wan_share(ctx.env, online));
                 let mut net = rng.derive(key);
                 let mut dur = SimDuration::ZERO;
                 for &ji in ctx.members(bi) {
                     let bytes = payload.eval_bytes(ctx.jobs[ji as usize].input);
-                    let jdur = path.transfer_time_at_share(bytes, share, &mut net);
+                    let jdur = path.transfer_time(bytes, &mut net);
                     acct.device_energy += ctx.env.device.radio_energy(jdur);
                     match to_side {
                         Side::Cloud => acct.bytes_up += bytes,
@@ -215,11 +213,9 @@ pub(crate) fn handle_done(
             Side::Device => t,
             Side::Cloud => {
                 let online = ctx.env.connectivity.next_online(t);
-                let path = eff.ue_path(ctx.env);
-                let share = eff.wan_share(ctx.env, online);
+                let path = eff.ue_path(ctx.env).at_share(eff.wan_share(ctx.env, online));
                 let key = return_key(comp, eff);
-                let mut net = rng.derive(key);
-                let dur = path.transfer_time_at_share(ctx.env.result_return, share, &mut net);
+                let dur = path.transfer_time(ctx.env.result_return, &mut rng.derive(key));
                 let dur = faulty_transfer(dur, ctx.faults, &rng, key);
                 acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
                 acct.bytes_down += ctx.env.result_return * b.members.len() as u64;

@@ -376,30 +376,41 @@ impl RunResult {
         if self.aggregates.is_some() {
             return (totals.latency.summary(), breakdown);
         }
-        // Each archetype's subsequence of the globally value-sorted
-        // buffer is exactly its own ascending sort (ties are
-        // bit-identical f64s), so every Summary field matches the
+        // Latencies sort as integer microseconds, tagged with their
+        // archetype's index. Seconds are a monotone function of them, so
+        // the converted buffer is the ascending sort of the seconds, and
+        // each archetype's subsequence is exactly its own ascending sort
+        // (ties are bit-identical f64s): every Summary field matches the
         // sort-per-archetype result bit for bit.
-        let mut tagged: Vec<(f64, Archetype)> =
-            self.jobs.iter().map(|j| (j.latency().as_secs_f64(), j.archetype)).collect();
-        tagged.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for b in &mut breakdown {
-            let own: Vec<f64> = tagged.iter().filter(|t| t.1 == b.archetype).map(|t| t.0).collect();
-            b.latency = Summary::of_sorted(&own);
+        let mut tagged: Vec<(u64, usize)> =
+            self.jobs.iter().map(|j| (j.latency().as_micros(), j.archetype.index())).collect();
+        tagged.sort_unstable();
+        let mut own: [Vec<f64>; Archetype::all().len()] = Default::default();
+        let mut sorted = Vec::with_capacity(tagged.len());
+        for &(us, a) in &tagged {
+            let secs = SimDuration::from_micros(us).as_secs_f64();
+            own[a].push(secs);
+            sorted.push(secs);
         }
-        let sorted: Vec<f64> = tagged.iter().map(|&(v, _)| v).collect();
+        for b in &mut breakdown {
+            b.latency = Summary::of_sorted(&own[b.archetype.index()]);
+        }
         (Summary::of_sorted(&sorted), breakdown)
     }
 
     /// Latency summary in seconds, or `None` for an empty run. Exact in
-    /// `Full` retention; percentiles within the histogram bound in
-    /// `Aggregates`.
+    /// `Full` retention, from an integer sort of the latencies in
+    /// microseconds (see [`metrics`](Self::metrics)); percentiles within
+    /// the histogram bound in `Aggregates`.
     pub fn latency_summary(&self) -> Option<Summary> {
         if let Some(a) = &self.aggregates {
             return a.latency.summary();
         }
-        let xs: Vec<f64> = self.jobs.iter().map(|j| j.latency().as_secs_f64()).collect();
-        Summary::of(&xs)
+        let mut micros: Vec<u64> = self.jobs.iter().map(|j| j.latency().as_micros()).collect();
+        micros.sort_unstable();
+        let secs: Vec<f64> =
+            micros.into_iter().map(|us| SimDuration::from_micros(us).as_secs_f64()).collect();
+        Summary::of_sorted(&secs)
     }
 
     /// Per-archetype outcome breakdown, sorted by archetype name.
@@ -757,6 +768,50 @@ mod tests {
                 got <= exact * (1.0 + Histogram::RELATIVE_ERROR_BOUND),
                 "q={q}: {got} exceeds bound over {exact}"
             );
+        }
+    }
+
+    /// Every field of a summary as bits, so `-0.0` and `0.0` differ.
+    fn bits(s: Option<Summary>) -> Option<(u64, [u64; 6])> {
+        s.map(|s| (s.count, [s.mean, s.min, s.p50, s.p95, s.p99, s.max].map(f64::to_bits)))
+    }
+
+    #[test]
+    fn integer_sorted_summaries_keep_every_float_summary_bit() {
+        let archetypes = [Archetype::PhotoPipeline, Archetype::SciSweep, Archetype::MlInference];
+        let at = |id: u64, latency_us: u64, a: usize| JobResult {
+            archetype: archetypes[a],
+            arrival: SimTime::from_micros(id * 7),
+            dispatched: SimTime::from_micros(id * 7),
+            finish: SimTime::from_micros(id * 7 + latency_us),
+            ..job(id, 0, 0, 0, false)
+        };
+        let mut x = 0x9e37_79b9_u64;
+        let mut jobs = Vec::new();
+        for id in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few distinct latencies, so ties within and across
+            // archetypes are everywhere, zero included.
+            let latency_us = (x % 40) * 250_001;
+            jobs.push(at(id, latency_us, (x >> 20) as usize % 3));
+        }
+        // A lone job of a fourth archetype: its own one-job summary.
+        jobs.push(JobResult { archetype: Archetype::DocIndexing, ..at(9_999, 1_234_567, 0) });
+        let float_summary = |jobs: &[JobResult]| {
+            Summary::of(&jobs.iter().map(|j| j.latency().as_secs_f64()).collect::<Vec<_>>())
+        };
+        for jobs in [jobs.clone(), jobs[..1].to_vec(), vec![at(0, 0, 1)]] {
+            let r = run(jobs.clone());
+            assert_eq!(bits(r.latency_summary()), bits(float_summary(&jobs)));
+            let (summary, breakdown) = r.metrics();
+            assert_eq!(bits(summary), bits(float_summary(&jobs)));
+            for b in &breakdown {
+                let own: Vec<JobResult> =
+                    jobs.iter().filter(|j| j.archetype == b.archetype).copied().collect();
+                assert_eq!(bits(b.latency), bits(float_summary(&own)), "{:?}", b.archetype);
+            }
         }
     }
 

@@ -62,6 +62,20 @@ impl FailureCause {
     pub fn is_cancellation(self) -> bool {
         matches!(self, FailureCause::HedgeCancelled)
     }
+
+    /// Whether a [`FaultConfig`](crate::FaultConfig) injects this cause:
+    /// a transient or throttled invocation, or a site down under its
+    /// availability schedule. Timeouts, capacity, deployment and ordering
+    /// failures arise from the simulated system itself, faults or not.
+    pub fn is_injected(self) -> bool {
+        matches!(
+            self,
+            FailureCause::Transient
+                | FailureCause::Throttled
+                | FailureCause::EdgeOutage
+                | FailureCause::SiteOutage
+        )
+    }
 }
 
 impl fmt::Display for FailureCause {
@@ -255,6 +269,33 @@ mod tests {
         assert!(FailureCause::HedgeCancelled.is_cancellation());
         assert!(!FailureCause::Timeout.is_cancellation());
         assert!(!FailureCause::Transient.is_cancellation());
+    }
+
+    #[test]
+    fn injected_causes_are_the_fault_plans_and_the_outages() {
+        let injected = [
+            FailureCause::Transient,
+            FailureCause::Throttled,
+            FailureCause::EdgeOutage,
+            FailureCause::SiteOutage,
+        ];
+        for fault in [InjectedFault::Transient, InjectedFault::Throttled] {
+            assert!(classify_injected(fault).1.is_injected());
+        }
+        for site in ["edge", "cloud"] {
+            let (_, cause) = classify_outage(site, Outage::Forever).unwrap();
+            assert!(cause.is_injected(), "{site}");
+        }
+        for cause in [
+            FailureCause::Timeout,
+            FailureCause::Capacity,
+            FailureCause::Deployment,
+            FailureCause::Ordering,
+            FailureCause::HedgeCancelled,
+        ] {
+            assert!(!cause.is_injected(), "{cause}");
+            assert!(!injected.contains(&cause));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! for the once-per-run transition report stringified at report build.
 
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{SimDuration, SimTime};
+use ntc_simcore::units::{round_to_u64, SimDuration, SimTime};
 
 /// Tunables of the overload-aware health layer.
 ///
@@ -326,7 +326,7 @@ impl SiteHealth {
             return SimDuration::ZERO;
         }
         let waves = f64::from(self.in_flight) / f64::from(width.max(1));
-        SimDuration::from_micros((self.latency_us * waves).round() as u64)
+        SimDuration::from_micros(round_to_u64(self.latency_us * waves))
     }
 
     /// The p99-derived hedge delay: latency EWMA plus
@@ -339,7 +339,7 @@ impl SiteHealth {
             return None;
         }
         let p99 = self.latency_us + self.cfg.hedge_quantile * self.latency_var_us2.max(0.0).sqrt();
-        Some(SimDuration::from_micros(p99.round() as u64).max(self.cfg.hedge_min_delay))
+        Some(SimDuration::from_micros(round_to_u64(p99)).max(self.cfg.hedge_min_delay))
     }
 
     fn observe(&mut self, failed: bool, latency_us: f64) {

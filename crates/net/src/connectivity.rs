@@ -84,6 +84,7 @@ impl ConnectivityTrace {
         self.period
     }
 
+    #[inline]
     fn segment_index(&self, at: SimTime) -> usize {
         let offset = SimDuration::from_micros(at.as_micros() % self.period.as_micros());
         match self.segments.binary_search_by(|&(o, _)| o.cmp(&offset)) {
@@ -94,6 +95,7 @@ impl ConnectivityTrace {
     }
 
     /// Whether the device can reach the network at `at`.
+    #[inline]
     pub fn is_online(&self, at: SimTime) -> bool {
         self.segments[self.segment_index(at)].1
     }
@@ -104,11 +106,18 @@ impl ConnectivityTrace {
     /// # Panics
     ///
     /// Panics if the schedule has no online segment at all.
+    #[inline]
     pub fn next_online(&self, at: SimTime) -> SimTime {
-        assert!(self.segments.iter().any(|&(_, on)| on), "schedule is never online");
         if self.is_online(at) {
-            return at;
+            at
+        } else {
+            self.next_reconnect(at)
         }
+    }
+
+    /// [`next_online`](Self::next_online) for an `at` that is offline.
+    fn next_reconnect(&self, at: SimTime) -> SimTime {
+        assert!(self.segments.iter().any(|&(_, on)| on), "schedule is never online");
         let period_us = self.period.as_micros();
         let cycle_start = at.as_micros() - at.as_micros() % period_us;
         // Scan forward within this cycle, then wrap to the next.

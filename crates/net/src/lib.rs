@@ -37,5 +37,5 @@ pub mod trace;
 
 pub use connectivity::ConnectivityTrace;
 pub use link::LinkModel;
-pub use path::{PathModel, Topology};
+pub use path::{PathModel, SharedPath, Topology};
 pub use trace::BandwidthTrace;

@@ -76,6 +76,7 @@ impl LinkModel {
 
     /// Samples a one-way latency: one standard normal from `rng` when the
     /// link has jitter, none otherwise.
+    #[inline]
     pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
         if self.jitter_sigma == 0.0 {
             return self.base_latency;
@@ -85,6 +86,7 @@ impl LinkModel {
 
     /// The deterministic serialisation time for `size` at full rate,
     /// inflated for retransmissions, excluding propagation latency.
+    #[inline]
     pub fn serialisation_time(&self, size: DataSize) -> SimDuration {
         if size.is_zero() {
             return SimDuration::ZERO;

@@ -47,6 +47,7 @@ impl PathModel {
 
     /// Samples the one-way latency across all hops: one standard normal
     /// from `rng` per jittered hop, in hop order.
+    #[inline]
     pub fn sample_latency(&self, rng: &mut RngStream) -> SimDuration {
         self.links.iter().map(|l| l.sample_latency(rng)).sum()
     }
@@ -71,16 +72,49 @@ impl PathModel {
         share: f64,
         rng: &mut RngStream,
     ) -> SimDuration {
+        self.at_share(share).transfer_time(size, rng)
+    }
+
+    /// This path's transfers at `share` (0, 1] of the bottleneck
+    /// bandwidth: the share is checked, the bottleneck hop found and the
+    /// slowdown `1 / share` computed once, for every transfer a batch's
+    /// members make at one instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `share` is not in `(0, 1]`.
+    pub fn at_share(&self, share: f64) -> SharedPath<'_> {
         assert!(share > 0.0 && share <= 1.0, "bandwidth share must be in (0, 1]");
-        let latency = self.sample_latency(rng);
-        if size.is_zero() {
-            return latency;
-        }
         // Charge serialisation once, on the bottleneck hop (store-and-forward
         // pipelining approximation), including that hop's loss inflation.
         let bottleneck =
             self.links.iter().min_by_key(|l| l.bandwidth()).expect("path is non-empty");
-        latency + bottleneck.serialisation_time(size).mul_f64(1.0 / share)
+        SharedPath { path: self, bottleneck, slowdown: 1.0 / share }
+    }
+}
+
+/// A [`PathModel`] at one bandwidth share, made by
+/// [`PathModel::at_share`]: each [`transfer_time`](Self::transfer_time)
+/// makes the same draws, in the same order, and returns the same
+/// duration as [`PathModel::transfer_time_at_share`] at that share.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedPath<'a> {
+    path: &'a PathModel,
+    bottleneck: &'a LinkModel,
+    slowdown: f64,
+}
+
+impl SharedPath<'_> {
+    /// Samples the time to move `size` along the path at this share: the
+    /// hops' latencies plus the bottleneck's serialisation, slowed by the
+    /// share.
+    #[inline]
+    pub fn transfer_time(&self, size: DataSize, rng: &mut RngStream) -> SimDuration {
+        let latency = self.path.sample_latency(rng);
+        if size.is_zero() {
+            return latency;
+        }
+        latency + self.bottleneck.serialisation_time(size).mul_f64(self.slowdown)
     }
 }
 
@@ -206,6 +240,55 @@ mod tests {
             SimDuration::from_millis(2010),
             "latency unchanged, serialisation doubled"
         );
+    }
+
+    /// A transfer as timed before paths had a per-share plan: every hop's
+    /// latency in hop order, then the bottleneck found and the share
+    /// divided out for this one transfer.
+    fn unplanned(path: &PathModel, size: DataSize, share: f64, rng: &mut RngStream) -> SimDuration {
+        let latency: SimDuration = path.links().iter().map(|l| l.sample_latency(rng)).sum();
+        if size.is_zero() {
+            return latency;
+        }
+        let bottleneck = path.links().iter().min_by_key(|l| l.bandwidth()).unwrap();
+        latency + bottleneck.serialisation_time(size).mul_f64(1.0 / share)
+    }
+
+    #[test]
+    fn a_shared_path_draws_like_transfer_time_at_share() {
+        let (metro, rural) = (Topology::metro_reference(), Topology::rural_reference());
+        let paths = [&metro.ue_cloud, &metro.ue_edge, &rural.ue_cloud, &rural.ue_edge];
+        let sizes = [0, 1, 999, 65_536, 3 << 20, 700 << 20].map(DataSize::from_bytes);
+        for (pi, path) in paths.into_iter().enumerate() {
+            for share in [1.0, 0.999, 0.5, 0.37, 0.01] {
+                let plan = path.at_share(share);
+                // Both sides read one stream each, from the same key: a
+                // draw taken out of turn would shift every later value.
+                let mut a = rng().derive(("shared", pi));
+                let mut b = rng().derive(("shared", pi));
+                let mut c = rng().derive(("shared", pi));
+                for _ in 0..50 {
+                    for size in sizes {
+                        let want = unplanned(path, size, share, &mut c);
+                        let why = format!("path {pi}, share {share}, {size}");
+                        assert_eq!(plan.transfer_time(size, &mut a), want, "{why}");
+                        assert_eq!(path.transfer_time_at_share(size, share, &mut b), want, "{why}");
+                    }
+                }
+                let next = c.next_u64();
+                assert_eq!(
+                    (a.next_u64(), b.next_u64()),
+                    (next, next),
+                    "path {pi}: streams in step"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share")]
+    fn a_shared_path_checks_its_share() {
+        let _ = Topology::metro_reference().ue_edge.at_share(1.5);
     }
 
     #[test]

@@ -77,6 +77,7 @@ impl BandwidthTrace {
     }
 
     /// The bandwidth share in effect at instant `at`.
+    #[inline]
     pub fn share_at(&self, at: SimTime) -> f64 {
         let offset = SimDuration::from_micros(at.as_micros() % self.period.as_micros());
         let idx = match self.segments.binary_search_by(|&(o, _)| o.cmp(&offset)) {

@@ -3,6 +3,7 @@
 
 use core::fmt;
 
+use ntc_simcore::units::round_to_u64;
 use ntc_taskgraph::{ComponentId, FlowNetwork};
 
 use crate::context::PartitionContext;
@@ -63,7 +64,7 @@ fn to_cap(cost: f64) -> u64 {
     if cost.is_infinite() {
         FlowNetwork::INF
     } else {
-        (cost.round() as u64).min(FlowNetwork::INF - 1)
+        round_to_u64(cost).min(FlowNetwork::INF - 1)
     }
 }
 

@@ -4,7 +4,7 @@
 use core::fmt;
 use std::collections::VecDeque;
 
-use ntc_simcore::units::{Cycles, DataSize};
+use ntc_simcore::units::{round_to_u64, Cycles, DataSize};
 
 /// One observed execution: the job input size and the cycles it consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ impl DemandEstimator for EwmaEstimator {
     }
 
     fn predict(&self, _input: DataSize) -> Cycles {
-        Cycles::new(self.mean.round() as u64)
+        Cycles::new(round_to_u64(self.mean))
     }
 
     fn observations(&self) -> u64 {
@@ -144,7 +144,7 @@ impl DemandEstimator for QuantileEstimator {
         }
         let mut sorted: Vec<u64> = self.window.iter().copied().collect();
         sorted.sort_unstable();
-        let pos = (self.q * (sorted.len() - 1) as f64).round() as usize;
+        let pos = round_to_u64(self.q * (sorted.len() - 1) as f64) as usize;
         Cycles::new(sorted[pos])
     }
 
@@ -234,8 +234,8 @@ impl DemandEstimator for RegressionEstimator {
 
     fn predict(&self, input: DataSize) -> Cycles {
         match self.coefficients() {
-            Some((a, b)) => Cycles::new((a + b * input.as_bytes() as f64).max(0.0).round() as u64),
-            None => Cycles::new(self.mean_y().round() as u64),
+            Some((a, b)) => Cycles::new(round_to_u64((a + b * input.as_bytes() as f64).max(0.0))),
+            None => Cycles::new(round_to_u64(self.mean_y())),
         }
     }
 
@@ -302,7 +302,7 @@ impl DemandEstimator for HoltEstimator {
     }
 
     fn predict(&self, _input: DataSize) -> Cycles {
-        Cycles::new((self.level + self.trend).max(0.0).round() as u64)
+        Cycles::new(round_to_u64((self.level + self.trend).max(0.0)))
     }
 
     fn observations(&self) -> u64 {

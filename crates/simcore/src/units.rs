@@ -69,6 +69,63 @@ macro_rules! impl_scalar_ops {
     };
 }
 
+/// 2^52: every `f64` at or above it is an integer, and adding it to a
+/// smaller non-negative `f64` rounds that to an integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// Rounds `x` to the nearest integer, ties away from zero: the value of
+/// `x.round() as u64` for every `f64`, without the out-of-line call that
+/// `f64::round` compiles to on baseline x86-64.
+///
+/// Below 2^52, `x + 2^52` rounds `x` to the nearest integer, ties to
+/// even, and that integer is the sum's mantissa bits. `x` minus it is
+/// exact, and is +0.5 exactly when a tie went down, which ties away from
+/// zero must round up. From 2^52 on every `f64` is an integer, so the
+/// saturating cast is exact there, as it is for the negative inputs and
+/// `NaN` that round to 0.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    if (0.0..TWO_52).contains(&x) {
+        let shifted = x + TWO_52;
+        let even = shifted - TWO_52;
+        (shifted.to_bits() - TWO_52.to_bits()) + u64::from(x - even == 0.5)
+    } else {
+        x as u64
+    }
+}
+
+/// The signed twin of [`round_to_u64`]: the value of `x.round() as i64`
+/// for every `f64`, ties away from zero, saturating at `i64::MIN` and
+/// `i64::MAX`, and 0 for `NaN`.
+#[inline]
+pub fn round_to_i64(x: f64) -> i64 {
+    let magnitude = x.abs();
+    if magnitude < TWO_52 {
+        let rounded = round_to_u64(magnitude) as i64;
+        if x < 0.0 {
+            -rounded
+        } else {
+            rounded
+        }
+    } else {
+        x as i64
+    }
+}
+
+/// `amount * 10^6 / rate`, rounded up, as microseconds: in `u64` when the
+/// product fits, as it does for every transfer and execution a run
+/// makes, and in `u128` otherwise, saturating at [`SimDuration::MAX`].
+#[inline]
+fn micros_div_ceil(amount: u64, rate: u64) -> SimDuration {
+    match amount.checked_mul(1_000_000) {
+        Some(scaled) => SimDuration(scaled.div_ceil(rate)),
+        None => {
+            let micros = (u128::from(amount) * 1_000_000).div_ceil(u128::from(rate));
+            SimDuration(u64::try_from(micros).unwrap_or(u64::MAX))
+        }
+    }
+}
+
 /// An instant on the simulated clock, measured in microseconds since the
 /// start of the simulation.
 ///
@@ -197,9 +254,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "duration must be finite and non-negative");
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(round_to_u64(secs * 1e6))
     }
 
     /// Length in microseconds.
@@ -233,9 +291,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
@@ -329,9 +388,10 @@ impl DataSize {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        DataSize((self.0 as f64 * factor).round() as u64)
+        DataSize(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -371,6 +431,7 @@ impl Bandwidth {
     ///
     /// Rounds up to the next microsecond so a transfer never finishes
     /// "for free". A zero rate yields [`SimDuration::MAX`].
+    #[inline]
     pub fn transfer_time(self, size: DataSize) -> SimDuration {
         if size.is_zero() {
             return SimDuration::ZERO;
@@ -378,9 +439,7 @@ impl Bandwidth {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        // micros = bytes * 1e6 / rate, rounded up; u128 avoids overflow.
-        let micros = (size.as_bytes() as u128 * 1_000_000).div_ceil(self.0 as u128);
-        SimDuration(u64::try_from(micros).unwrap_or(u64::MAX))
+        micros_div_ceil(size.as_bytes(), self.0)
     }
 
     /// Multiplies by a non-negative float factor (e.g. a contention share).
@@ -388,9 +447,10 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        Bandwidth((self.0 as f64 * factor).round() as u64)
+        Bandwidth(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -440,9 +500,10 @@ impl Cycles {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        Cycles((self.0 as f64 * factor).round() as u64)
+        Cycles(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -486,6 +547,7 @@ impl ClockSpeed {
     ///
     /// Rounds up to the next microsecond. A zero speed yields
     /// [`SimDuration::MAX`].
+    #[inline]
     pub fn execution_time(self, work: Cycles) -> SimDuration {
         if work.is_zero() {
             return SimDuration::ZERO;
@@ -493,8 +555,7 @@ impl ClockSpeed {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        let micros = (work.get() as u128 * 1_000_000).div_ceil(self.0 as u128);
-        SimDuration(u64::try_from(micros).unwrap_or(u64::MAX))
+        micros_div_ceil(work.get(), self.0)
     }
 
     /// Multiplies by a non-negative float factor (e.g. a fractional
@@ -503,9 +564,10 @@ impl ClockSpeed {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        ClockSpeed((self.0 as f64 * factor).round() as u64)
+        ClockSpeed(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -549,9 +611,10 @@ impl Money {
     /// # Panics
     ///
     /// Panics if `usd` is not finite.
+    #[inline]
     pub fn from_usd_f64(usd: f64) -> Self {
         assert!(usd.is_finite(), "money must be finite");
-        Money((usd * 1e9).round() as i64)
+        Money(round_to_i64(usd * 1e9))
     }
 
     /// The amount in nano-dollars.
@@ -569,9 +632,10 @@ impl Money {
     /// # Panics
     ///
     /// Panics if `factor` is not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor.is_finite(), "factor must be finite");
-        Money((self.0 as f64 * factor).round() as i64)
+        Money(round_to_i64(self.0 as f64 * factor))
     }
 }
 
@@ -682,6 +746,7 @@ impl Power {
     }
 
     /// The energy consumed by sustaining this draw for `d`.
+    #[inline]
     pub fn energy_over(self, d: SimDuration) -> Energy {
         // mW * µs = nJ exactly.
         let nj = self.0 as u128 * d.as_micros() as u128;
@@ -778,6 +843,130 @@ mod tests {
         assert_eq!(d.as_secs(), 4);
         let m: Money = (0..4).map(|_| Money::from_cents(25)).sum();
         assert_eq!(m, Money::from_usd(1));
+    }
+
+    /// `round_to_u64` and `round_to_i64` against the casts of
+    /// `f64::round` they replace, bit pattern by bit pattern.
+    fn assert_rounds_like_std(x: f64) {
+        assert_eq!(round_to_u64(x), x.round() as u64, "round_to_u64({x:e}) [{:#x}]", x.to_bits());
+        assert_eq!(round_to_i64(x), x.round() as i64, "round_to_i64({x:e}) [{:#x}]", x.to_bits());
+    }
+
+    /// `x` and its neighbours a few ulps either side, in both signs.
+    fn around(x: f64) -> impl Iterator<Item = f64> {
+        (-4_i64..=4).flat_map(move |d| {
+            let y = f64::from_bits(x.to_bits().wrapping_add_signed(d));
+            [y, -y]
+        })
+    }
+
+    #[test]
+    fn rounding_matches_std_on_ties_and_the_largest_non_tie() {
+        for k in 0..100_000u64 {
+            for x in [k as f64 + 0.5, k as f64 + 0.25, k as f64 + 0.75] {
+                assert_rounds_like_std(x);
+                assert_rounds_like_std(-x);
+            }
+        }
+        // The largest double below one half, which `(x + 0.5).floor()`
+        // rounds to 1.
+        let below_half = 0.499_999_999_999_999_94;
+        assert_eq!(below_half, f64::from_bits(0.5f64.to_bits() - 1));
+        for x in around(below_half).chain(around(0.5)).chain(around(1.5)) {
+            assert_rounds_like_std(x);
+        }
+    }
+
+    #[test]
+    fn rounding_matches_std_at_the_integer_and_range_boundaries() {
+        for p in [52, 53, 63, 64, 65, 100, 1023] {
+            for x in around(2f64.powi(p)) {
+                assert_rounds_like_std(x);
+            }
+        }
+        // Ties just below 2^52, where the fraction's last bit is 1/2.
+        for k in 1..1_000u64 {
+            assert_rounds_like_std(TWO_52 - k as f64 + 0.5);
+            assert_rounds_like_std(-(TWO_52 - k as f64 + 0.5));
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            u64::MAX as f64,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            for y in around(x) {
+                assert_rounds_like_std(y);
+            }
+        }
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+        assert_eq!(round_to_i64(f64::NEG_INFINITY), i64::MIN);
+        assert_eq!(round_to_u64(-3.7), 0);
+        assert_eq!(round_to_i64(f64::NAN), 0);
+    }
+
+    #[test]
+    fn rounding_matches_std_on_a_million_random_doubles() {
+        let mut rng = crate::rng::RngStream::root(27).derive("round");
+        for i in 0..1_000_000u32 {
+            // Alternate raw bit patterns (every sign, exponent, NaN and
+            // infinity) with magnitudes the simulation actually rounds.
+            let x = match i % 4 {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => rng.uniform() * 1e7,
+                2 => (rng.uniform() - 0.5) * 1e13,
+                _ => (rng.next_u64() >> 11) as f64 / 1024.0,
+            };
+            assert_rounds_like_std(x);
+        }
+    }
+
+    /// `micros_div_ceil`'s `u128` reference, for every operand.
+    fn wide_micros(amount: u64, rate: u64) -> u64 {
+        let micros = (u128::from(amount) * 1_000_000).div_ceil(u128::from(rate));
+        u64::try_from(micros).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn narrow_division_matches_the_wide_one_across_the_overflow_boundary() {
+        let fits = u64::MAX / 1_000_000;
+        assert!(
+            fits.checked_mul(1_000_000).is_some() && (fits + 1).checked_mul(1_000_000).is_none()
+        );
+        let amounts =
+            [1, 999_999, 1_000_001, fits - 1, fits, fits + 1, fits + 2, u64::MAX / 2, u64::MAX];
+        let rates = [1, 2, 3, 7, 125_000, 1_000_000, 1_000_001, 6_250_000, fits, u64::MAX];
+        for &amount in &amounts {
+            for &rate in &rates {
+                let want = wide_micros(amount, rate);
+                let size = DataSize::from_bytes(amount);
+                assert_eq!(
+                    Bandwidth::from_bytes_per_sec(rate).transfer_time(size).as_micros(),
+                    want,
+                    "{amount} B at {rate} B/s"
+                );
+                let work = Cycles::new(amount);
+                assert_eq!(
+                    ClockSpeed(rate).execution_time(work).as_micros(),
+                    want,
+                    "{amount} cycles at {rate} Hz"
+                );
+            }
+        }
+        let mut rng = crate::rng::RngStream::root(27).derive("div");
+        for _ in 0..100_000 {
+            // Amounts on both sides of the boundary, rates of any width.
+            let amount = rng.next_u64() >> rng.uniform_range(0, 64);
+            let rate = (rng.next_u64() >> rng.uniform_range(0, 64)).max(1);
+            assert_eq!(micros_div_ceil(amount, rate).as_micros(), wide_micros(amount, rate));
+        }
     }
 
     #[test]

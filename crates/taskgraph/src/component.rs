@@ -4,7 +4,7 @@
 use core::fmt;
 
 use ntc_simcore::rng::{Key, KeyHasher};
-use ntc_simcore::units::{Cycles, DataSize};
+use ntc_simcore::units::{round_to_u64, Cycles, DataSize};
 
 /// Identifier of a component within its [`crate::TaskGraph`].
 ///
@@ -71,18 +71,21 @@ impl LinearModel {
 
     /// Evaluates the model for a job of the given input size, clamped at
     /// zero.
+    #[inline]
     pub fn eval(&self, input: DataSize) -> f64 {
         (self.fixed + self.per_input_byte * input.as_bytes() as f64).max(0.0)
     }
 
     /// Evaluates the model and rounds to a cycle count.
+    #[inline]
     pub fn eval_cycles(&self, input: DataSize) -> Cycles {
-        Cycles::new(self.eval(input).round() as u64)
+        Cycles::new(round_to_u64(self.eval(input)))
     }
 
     /// Evaluates the model and rounds to a data size.
+    #[inline]
     pub fn eval_bytes(&self, input: DataSize) -> DataSize {
-        DataSize::from_bytes(self.eval(input).round() as u64)
+        DataSize::from_bytes(round_to_u64(self.eval(input)))
     }
 }
 
@@ -216,9 +219,9 @@ impl Component {
             self.demand.eval_cycles(sum_input)
         } else {
             let per_byte = self.demand.per_input_byte * sum_input.as_bytes() as f64;
-            Cycles::new(
-                (self.demand.fixed.max(0.0) * members as f64 + per_byte.max(0.0)).round() as u64
-            )
+            Cycles::new(round_to_u64(
+                self.demand.fixed.max(0.0) * members as f64 + per_byte.max(0.0),
+            ))
         }
     }
 }

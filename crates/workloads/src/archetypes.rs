@@ -6,7 +6,7 @@ use core::fmt;
 
 use ntc_json::ToJson;
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{DataSize, SimDuration};
+use ntc_simcore::units::{round_to_u64, DataSize, SimDuration};
 use ntc_taskgraph::{Component, LinearModel, Pinning, TaskGraph, TaskGraphBuilder};
 
 /// The seven reference applications of the evaluation.
@@ -95,7 +95,7 @@ impl Archetype {
             Archetype::DocIndexing => (30.0 * 1024.0, 0.6),
         };
         let kib = median_kib * rng.lognormal(0.0, sigma);
-        DataSize::from_bytes((kib * 1024.0).round() as u64)
+        DataSize::from_bytes(round_to_u64(kib * 1024.0))
     }
 
     /// The typical deadline slack of this use case — the quantity that
