@@ -36,13 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod batching;
-pub mod capabilities;
 pub mod keepwarm;
 pub mod memory;
 pub mod sizing;
 
 pub use batching::{dispatch_time, DispatchPolicy, HeldJob};
-pub use capabilities::{recommend_for_site, SiteCapabilities};
 pub use keepwarm::{hourly_overhead, recommend, WarmStrategy};
 pub use memory::{pareto_frontier, select_memory, standard_sizes, sweep, MemoryPoint};
 pub use sizing::{allocate, allocate_default, required_concurrency, Allocation, AllocationRequest};

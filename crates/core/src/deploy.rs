@@ -6,7 +6,7 @@
 //! contribution C1 (profile), C3 (partition), C2 (allocate) and C5
 //! (batching), exactly as the CI/CD pipeline stages do.
 
-use ntc_alloc::{allocate, recommend_for_site, AllocationRequest, DispatchPolicy, WarmStrategy};
+use ntc_alloc::{allocate, recommend, AllocationRequest, DispatchPolicy, WarmStrategy};
 use ntc_partition::{
     CostParams, FullOffload, KeepLocal, MinCutPartitioner, PartitionContext, PartitionPlan,
     Partitioner, Side,
@@ -206,10 +206,9 @@ pub fn deploy(
     let graph = archetype.graph();
     let rng = rng.derive(("deploy-", archetype.name()));
     let backend = policy.backend();
-    // The primary's declared capabilities (metered? warmable?
-    // timeout-bound?) gate the decisions below.
+    // Whether the primary is serverless (metered, warmable,
+    // timeout-bound) gates the sizing, warming and batch caps below.
     let site = Site::from(backend);
-    let caps = site.capabilities();
     let (input, tail_input) = reference_inputs(archetype, &rng);
 
     // --- C1: demands. ---
@@ -261,7 +260,11 @@ pub fn deploy(
             } else {
                 SimDuration::from_hours(24 * 365)
             };
-            let warm = recommend_for_site(&caps, interarrival, env.platform.keep_alive.idle_ttl());
+            let warm = if site.is_serverless() {
+                recommend(interarrival, env.platform.keep_alive.idle_ttl())
+            } else {
+                WarmStrategy::PlatformOnly
+            };
             (dispatch, warm)
         }
         _ => (DispatchPolicy::Immediate, WarmStrategy::PlatformOnly),
@@ -284,10 +287,10 @@ pub fn deploy(
     // --- C2: memory sizes, dimensioned for the expected batch. ---
     let memory: Vec<DataSize> = match policy {
         // C2 disabled: the platform's untuned default size.
-        OffloadPolicy::Ntc(cfg) if !cfg.use_allocator && caps.metered => {
+        OffloadPolicy::Ntc(cfg) if !cfg.use_allocator && site.is_serverless() => {
             graph.ids().map(|id| UNTUNED_MEMORY.max(graph.component(id).memory())).collect()
         }
-        OffloadPolicy::Ntc(cfg) if cfg.use_allocator && caps.metered => graph
+        OffloadPolicy::Ntc(cfg) if cfg.use_allocator && site.is_serverless() => graph
             .ids()
             .map(|id| {
                 if plan.side(id) == Side::Cloud {
@@ -402,7 +405,7 @@ pub fn deploy(
     // function timeout, leaving room for input tails and demand noise.
     let (max_batch_members, max_batch_bytes) =
         if matches!(dispatch, DispatchPolicy::Windowed { .. } | DispatchPolicy::OffPeak { .. })
-            && caps.invocation_timeout.is_some()
+            && site.is_serverless()
         {
             // A chunk must finish within 5 minutes at estimated demand — with
             // the 2x noise margin that is still under the 15-minute timeout.
@@ -575,6 +578,48 @@ mod tests {
         let edge_first =
             OffloadPolicy::Ntc(NtcConfig { primary_backend: Backend::Edge, ..Default::default() });
         assert_eq!(chain(&edge_first), [Site::Edge, Site::Cloud, Site::Device]);
+    }
+
+    /// An NTC deployment of report rendering at `rate_per_sec` whose
+    /// primary is `backend`.
+    fn ntc_on(backend: Backend, rate_per_sec: f64) -> Deployment {
+        let policy =
+            OffloadPolicy::Ntc(NtcConfig { primary_backend: backend, ..Default::default() });
+        let a = Archetype::ReportRendering;
+        deploy(&policy, a, &env(), rate_per_sec, a.typical_slack(), &rng())
+    }
+
+    /// One job an hour: sparser than the keep-alive TTL, dense enough
+    /// that a warmer ping pays.
+    const SPARSE: f64 = 1.0 / 3600.0;
+
+    #[test]
+    fn non_serverless_primaries_are_never_kept_warm() {
+        let a = Archetype::ReportRendering;
+        let edge_all =
+            deploy(&OffloadPolicy::EdgeAll, a, &env(), SPARSE, a.typical_slack(), &rng());
+        assert_eq!(edge_all.warm, WarmStrategy::PlatformOnly);
+        assert_eq!(ntc_on(Backend::Edge, SPARSE).warm, WarmStrategy::PlatformOnly);
+    }
+
+    #[test]
+    fn serverless_primaries_defer_to_recommend() {
+        let cloud = ntc_on(Backend::Cloud, SPARSE);
+        let ttl = env().platform.keep_alive.idle_ttl();
+        assert_eq!(cloud.warm, recommend(SimDuration::from_hours(1), ttl));
+        assert!(matches!(cloud.warm, WarmStrategy::Warmer { .. }), "{}", cloud.warm);
+    }
+
+    #[test]
+    fn only_serverless_primaries_cap_their_batches() {
+        let edge = ntc_on(Backend::Edge, 0.05);
+        assert!(matches!(edge.dispatch, DispatchPolicy::Windowed { .. }));
+        assert_eq!(edge.max_batch_members, u32::MAX);
+        assert_eq!(edge.max_batch_bytes, DataSize::from_bytes(u64::MAX));
+
+        let cloud = ntc_on(Backend::Cloud, 0.05);
+        assert!(matches!(cloud.dispatch, DispatchPolicy::Windowed { .. }));
+        assert!((1..=64).contains(&cloud.max_batch_members), "{}", cloud.max_batch_members);
     }
 
     #[test]

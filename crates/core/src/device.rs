@@ -47,6 +47,19 @@ impl DeviceModel {
         self.active_power.energy_over(self.execution_time(work))
     }
 
+    /// Runs each member's share of one component on the member's own
+    /// device, in parallel: returns the wall-clock of the slowest member
+    /// and the battery energy of all of them, folded in member order.
+    /// Device execution cannot fail.
+    pub fn execute_members(
+        &self,
+        works: impl IntoIterator<Item = Cycles>,
+    ) -> (SimDuration, Energy) {
+        works.into_iter().fold((SimDuration::ZERO, Energy::ZERO), |(slowest, energy), work| {
+            (slowest.max(self.execution_time(work)), energy + self.compute_energy(work))
+        })
+    }
+
     /// Battery energy consumed keeping the radio up for `d`.
     pub fn radio_energy(&self, d: SimDuration) -> Energy {
         self.tx_power.energy_over(d)

@@ -93,12 +93,10 @@ mod recovery;
 mod tests;
 mod transfer;
 
-use std::sync::Arc;
-
-use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
+use ntc_faults::RetryPolicy;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, SimDuration, SimTime};
+use ntc_simcore::units::{SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::{generate_jobs_into, Archetype, Job, StreamSpec};
 
@@ -214,7 +212,6 @@ pub(crate) struct RunCtx<'a> {
     members: &'a [u32],
     local_override: &'a [bool],
     pings: &'a [Ping],
-    faults: &'a FaultPlan,
     retry: &'a RetryPolicy,
     horizon_end: SimTime,
 }
@@ -244,8 +241,6 @@ pub(crate) struct RunState<'s> {
     acct: &'s mut Accounting,
     /// The input's execution noise, drawn on first read.
     noise: &'s mut NoiseMemo,
-    /// Per-event device work-list, reused between events.
-    member_works: &'s mut Vec<Cycles>,
     /// The per-site health ledger: breakers, latency EWMAs, bounded
     /// queues. Empty (and never consulted) when the policy's health
     /// layer is disabled.
@@ -293,7 +288,6 @@ pub struct RunScratch {
     pings: Vec<Ping>,
     states: BatchStates,
     acct: Accounting,
-    member_works: Vec<Cycles>,
     health: HealthMap,
     hedges: FastMap<(usize, ComponentId), HedgePending>,
 }
@@ -353,17 +347,12 @@ impl RunScratch {
 pub struct Engine {
     env: Environment,
     seed: u64,
-    /// The environment's fault config, shared once here so every run (and
-    /// every replication in a sweep) hands the same `Arc` to its
-    /// [`FaultPlan`] instead of deep-cloning traces per run.
-    faults: Arc<FaultConfig>,
 }
 
 impl Engine {
     /// Creates an engine over `env` with a master seed.
     pub fn new(env: Environment, seed: u64) -> Self {
-        let faults = Arc::new(env.faults.clone());
-        Engine { env, seed, faults }
+        Engine { env, seed }
     }
 
     /// The environment this engine simulates.
@@ -411,11 +400,9 @@ impl Engine {
         let rng = RngStream::root(seed).derive("engine");
         scratch.fill_jobs(seed, specs, horizon, &rng);
 
-        // --- Faults and recovery. Every fault and retry draw derives
-        // from its batch's own stream, so a fault-free configuration
-        // replays the exact event sequence of an engine without fault
-        // modelling. ---
-        let faults = FaultPlan::shared(Arc::clone(&self.faults));
+        // --- Recovery. Every fault and retry draw derives from its
+        // batch's own stream, so a fault-free configuration replays the
+        // exact event sequence of an engine without fault modelling. ---
         let retry = policy.retry_policy();
 
         // --- Deployments, one per archetype present in the stream, in
@@ -482,7 +469,6 @@ impl Engine {
             members: &scratch.members,
             local_override: &scratch.local_override,
             pings: &scratch.pings,
-            faults: &faults,
             retry: &retry,
             horizon_end,
         };
@@ -491,7 +477,6 @@ impl Engine {
             states: &mut scratch.states,
             acct: &mut scratch.acct,
             noise: &mut scratch.noise,
-            member_works: &mut scratch.member_works,
             health: &mut scratch.health,
             health_rng: rng.derive("health"),
             hedges: &mut scratch.hedges,

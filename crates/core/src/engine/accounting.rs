@@ -175,12 +175,12 @@ impl Accounting {
         let mut cloud_cost = Money::ZERO;
         let mut edge_cost = Money::ZERO;
         for site in Site::ALL {
-            // Metered bills are cloud cost; every other site's bill is
-            // flat-rate infrastructure, reported separately. The device
-            // bills nothing: its work is paid in battery, under
+            // Serverless bills are cloud cost; every other site's bill
+            // is flat-rate infrastructure, reported separately. The
+            // device bills nothing: its work is paid in battery, under
             // `device_energy`.
             let cost = sites.cost(site, end, horizon_end);
-            if site.capabilities().metered {
+            if site.is_serverless() {
                 cloud_cost += cost;
             } else {
                 edge_cost += cost;

@@ -4,7 +4,7 @@
 //! devices), breaker-aware site selection, and deadline-budgeted hedged
 //! requests.
 
-use ntc_faults::{classify_injected, classify_outage, Admission};
+use ntc_faults::{classify_injected, Admission, ErrorClass, FailureCause};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
@@ -14,7 +14,7 @@ use ntc_workloads::Job;
 
 use super::{recovery, Ev, HedgePending, Ping, RunCtx, RunState};
 use crate::deploy::Deployment;
-use crate::site::{InvokeRequest, Site, SiteOutcome, SiteRegistry, SiteRole};
+use crate::site::{Site, SiteRegistry, SiteRole};
 
 /// Provisions every deployment's offloaded components on every remote
 /// site of its preference chain: the primary hosts the live functions or
@@ -105,23 +105,13 @@ pub(crate) fn handle_exec(
         Side::Device => {
             // Per-member execution on each member's own device: wall-clock
             // is the slowest member; energy is paid by every member.
-            st.member_works.clear();
-            st.member_works.extend(
-                ctx.members(bi)
-                    .iter()
-                    .map(|&ji| member_work(&ctx.jobs[ji as usize], d, comp, noise)),
-            );
-            let req = InvokeRequest {
-                at: t,
-                di: b.di,
-                comp,
-                work: Cycles::new(0),
-                member_works: st.member_works.as_slice(),
-                device: &ctx.env.device,
-            };
-            let inv = req.on_device();
-            st.acct.device_energy += inv.device_energy;
-            sim.schedule_at(inv.finish, Ev::done(bi, comp)).expect("future");
+            let works = ctx
+                .members(bi)
+                .iter()
+                .map(|&ji| member_work(&ctx.jobs[ji as usize], d, comp, noise));
+            let (slowest, energy) = ctx.env.device.execute_members(works);
+            st.acct.device_energy += energy;
+            sim.schedule_after(slowest, Ev::done(bi, comp));
         }
         Side::Cloud => {
             st.states.attempts[cix] += 1;
@@ -130,12 +120,11 @@ pub(crate) fn handle_exec(
             let outcome =
                 invoke_remote(ctx, sites, &rng, t, bi, comp, site, noise, Try::Attempt(attempt));
             match outcome {
-                Ok(inv) => {
-                    st.acct.device_energy += inv.device_energy;
+                Ok(finish) => {
                     if st.health.enabled() {
                         st.health.site_mut(site).enter();
                         st.states.inflight_site[cix] = Some(site);
-                        let latency = inv.finish.saturating_duration_since(t);
+                        let latency = finish.saturating_duration_since(t);
                         // A straggler past the site's p99-derived hedge
                         // delay defers its completion: at `t + delay` a
                         // duplicate may race it on the next healthy
@@ -147,18 +136,17 @@ pub(crate) fn handle_exec(
                                     (bi, comp),
                                     HedgePending {
                                         start: t,
-                                        primary_finish: inv.finish,
+                                        primary_finish: finish,
                                         from_pos: pos,
                                     },
                                 );
-                                sim.schedule_at(t + delay, Ev::hedge_fire(bi, comp))
-                                    .expect("future");
+                                sim.schedule_after(delay, Ev::hedge_fire(bi, comp));
                                 return;
                             }
                         }
                         st.health.site_mut(site).record_success(latency);
                     }
-                    sim.schedule_at(inv.finish, Ev::done(bi, comp)).expect("future");
+                    sim.schedule_at(finish, Ev::done(bi, comp)).expect("future");
                 }
                 Err((class, cause)) => {
                     if st.health.enabled() {
@@ -261,14 +249,13 @@ pub(crate) fn handle_hedge_fire(
     let rng = ctx.batch_rng(bi);
     let noise = noise_factor(ctx, st, &rng, bi, comp);
     match invoke_remote(ctx, sites, &rng, t, bi, comp, target, noise, Try::Hedge) {
-        Ok(hinv) if hinv.finish < pending.primary_finish => {
+        Ok(finish) if finish < pending.primary_finish => {
             // The duplicate wins: cancel the primary (a deliberate
             // cancellation — not a failure, not an observation) and
             // complete from the duplicate's site.
             st.acct.overload.hedges_won += 1;
             st.acct.overload.hedge_cancelled += 1;
-            st.acct.device_energy += hinv.device_energy;
-            st.health.site_mut(target).record_success(hinv.finish.saturating_duration_since(t));
+            st.health.site_mut(target).record_success(finish.saturating_duration_since(t));
             st.health.site_mut(primary).record_cancelled();
             st.health.site_mut(primary).leave();
             st.health.site_mut(target).enter();
@@ -276,7 +263,7 @@ pub(crate) fn handle_hedge_fire(
             // Route downstream flows over the winning site. `max`:
             // another component may have already fallen back further.
             st.states.set_chain_pos(bi, st.states.chain_pos(bi).max(target_pos));
-            sim.schedule_at(hinv.finish, Ev::done(bi, comp)).expect("future");
+            sim.schedule_at(finish, Ev::done(bi, comp)).expect("future");
         }
         Ok(_) => {
             // The duplicate loses the race before it even finishes:
@@ -322,7 +309,8 @@ impl Key for Try {
 /// Invokes one component of batch `bi` on remote `site` at `t`: one
 /// invocation for the whole batch, on the concatenated input, so the
 /// fixed demand and the request fee amortise across members. An injected
-/// fault or a site outage answers instead of the site.
+/// fault or a site outage answers instead of the site. Returns the
+/// completion instant.
 ///
 /// The injected fault is drawn under the batch's stream `rng` by the key
 /// `{comp}-{site}{try}`, with the site's name — its spelling is part of
@@ -339,25 +327,23 @@ fn invoke_remote(
     site: Site,
     noise: f64,
     try_: Try,
-) -> SiteOutcome {
+) -> Result<SimTime, (ErrorClass, FailureCause)> {
     let b = &ctx.batches[bi];
     let annotated = ctx.deployments[b.di]
         .graph
         .component(comp)
         .batch_demand_cycles(b.members.len() as u64, b.sum_input);
     let work = Cycles::new(round_to_u64(annotated.get() as f64 * noise));
-    if ctx.faults.has_invocation_faults() {
-        if let Some(fault) = ctx.faults.invocation_fault(rng, fault_key(comp, site, try_)) {
+    let faults = &ctx.env.faults;
+    if faults.has_invocation_faults() {
+        if let Some(fault) = faults.invocation_fault(rng, fault_key(comp, site, try_)) {
             return Err(classify_injected(fault));
         }
     }
-    if let Some(err) = classify_outage(site.name(), site.outage(ctx.faults, t)) {
+    if let Some(err) = site.outage(faults, t) {
         return Err(err);
     }
-    sites.invoke(
-        site,
-        &InvokeRequest { at: t, di: b.di, comp, work, member_works: &[], device: &ctx.env.device },
-    )
+    sites.invoke(site, t, b.di, comp, work)
 }
 
 /// Completes a hedged invocation from its deferred primary: records the

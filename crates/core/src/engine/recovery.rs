@@ -45,10 +45,9 @@ pub(crate) fn recover(
             let cix = st.states.ix(bi, comp);
             let attempt = st.states.attempts[cix];
             let backoff = ctx.retry.backoff(rng, comp, attempt);
-            let resume = t + detect + backoff;
             if ctx.retry.allows(attempt) {
                 st.states.add_backoff(cix, backoff);
-                sim.schedule_at(resume, Ev::exec(bi, comp)).expect("future");
+                sim.schedule_after(detect + backoff, Ev::exec(bi, comp));
             } else {
                 fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause);
             }
@@ -96,7 +95,7 @@ pub(crate) fn fall_back_or_fail(
         Some(i) => {
             st.states.set_chain_pos(bi, i);
             st.states.fallbacks[bi] += 1;
-            sim.schedule_at(t + detect, Ev::exec(bi, comp)).expect("future");
+            sim.schedule_after(detect, Ev::exec(bi, comp));
         }
         None => {
             accounting::settle_batch(ctx, st.states, st.acct, bi, t, Some(cause));

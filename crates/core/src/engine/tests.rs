@@ -399,7 +399,7 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
 /// spells (`c1`, `inv-c1-edge-a2`, `up-c0-cloud`, ...): a respelled key
 /// fails here by name, not only through a run digest.
 mod keys {
-    use ntc_faults::{FaultConfig, FaultPlan, RetryPolicy};
+    use ntc_faults::{FaultConfig, RetryPolicy};
     use ntc_simcore::rng::RngStream;
     use ntc_taskgraph::ComponentId;
     use ntc_workloads::Archetype;
@@ -429,7 +429,7 @@ mod keys {
 
     #[test]
     fn invocation_faults_draw_from_the_try_stream() {
-        let p = FaultPlan::new(FaultConfig::transient(0.5));
+        let p = FaultConfig::transient(0.5);
         let hits = |comp, site, try_| {
             (0..64_u64).fold(0_u64, |m, key| {
                 let fault = p.invocation_fault(&job(key), fault_key(c(comp), site, try_));
@@ -459,7 +459,7 @@ mod keys {
 
     #[test]
     fn transfer_drops_draw_from_the_transfer_streams() {
-        let p = FaultPlan::new(FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() });
+        let p = FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() };
         let drops = |key: &dyn Fn(u64) -> u32| (0..8).map(key).collect::<Vec<u32>>();
         let up = drops(&|k| p.transfer_drops(&job(k), upload_key(c(0), Site::Cloud), 8));
         let flow = drops(&|k| p.transfer_drops(&job(k), flow_key(c(1), c(2), Site::Edge), 8));

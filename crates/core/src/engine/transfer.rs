@@ -7,7 +7,7 @@
 //! member's. Its drops come from the child `xfer-{key}` of the same
 //! stream.
 
-use ntc_faults::FaultPlan;
+use ntc_faults::FaultConfig;
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, RngStream};
@@ -49,14 +49,14 @@ pub(super) fn return_key(comp: ComponentId, site: Site) -> impl Key + Copy {
     ("ret-", comp, "-", site)
 }
 
-/// Scales a transfer duration by the fault plan's drop penalty for `key`
-/// under the batch's stream `rng`. A fault-free plan leaves the duration
-/// untouched without even hashing the key; the key's spelling is part of
-/// the reproducibility contract, since the plan derives its answer by
-/// hashing it.
+/// Scales a transfer duration by the drop penalty `faults` inject for
+/// `key` under the batch's stream `rng`. A fault-free config leaves the
+/// duration untouched without even hashing the key; the key's spelling
+/// is part of the reproducibility contract, since the answer is derived
+/// by hashing it.
 fn faulty_transfer(
     dur: SimDuration,
-    faults: &FaultPlan,
+    faults: &FaultConfig,
     rng: &RngStream,
     key: impl Key,
 ) -> SimDuration {
@@ -125,7 +125,7 @@ pub(crate) fn handle_dispatch(
                     acct.bytes_up += input;
                     dur = dur.max(jdur);
                 }
-                online + faulty_transfer(dur, ctx.faults, &rng, key)
+                online + faulty_transfer(dur, &ctx.env.faults, &rng, key)
             }
         };
         sim.schedule_at(ready, Ev::exec(bi, c)).expect("ready >= now");
@@ -193,7 +193,7 @@ pub(crate) fn handle_done(
                     }
                     dur = dur.max(jdur);
                 }
-                let dur = faulty_transfer(dur, ctx.faults, &rng, key);
+                let dur = faulty_transfer(dur, &ctx.env.faults, &rng, key);
                 online.saturating_duration_since(t) + dur
             }
         };
@@ -216,7 +216,7 @@ pub(crate) fn handle_done(
                 let path = eff.ue_path(ctx.env).at_share(eff.wan_share(ctx.env, online));
                 let key = return_key(comp, eff);
                 let dur = path.transfer_time(ctx.env.result_return, &mut rng.derive(key));
-                let dur = faulty_transfer(dur, ctx.faults, &rng, key);
+                let dur = faulty_transfer(dur, &ctx.env.faults, &rng, key);
                 acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
                 acct.bytes_down += ctx.env.result_return * b.members.len() as u64;
                 online + dur

@@ -15,7 +15,7 @@
 //! * [`mod@deploy`] — policy → [`deploy::Deployment`] (profile, partition,
 //!   allocate, batching plan).
 //! * [`site`] — the [`Site`] enum (edge, cloud, device in fallback
-//!   order) with per-site paths, outages, costs and capabilities, and the
+//!   order) with per-site paths, outages and costs, and the
 //!   [`SiteRegistry`] of stateful remote simulators it dispatches to.
 //! * [`engine`] — the discrete-event execution [`Engine`] replaying job
 //!   streams over the three sites, with deterministic fault
@@ -68,4 +68,4 @@ pub use report::{
 pub use runner::{
     across, default_threads, run_replications, run_sweep, run_sweep_with, MetricSummary,
 };
-pub use site::{InvokeRequest, Invoked, Site, SiteOutcome, SiteRegistry, SiteRole};
+pub use site::{Site, SiteRegistry, SiteRole};

@@ -1,13 +1,13 @@
 //! The cloud serverless simulator behind [`Site::Cloud`](super::Site::Cloud).
 
 use ntc_alloc::WarmStrategy;
-use ntc_faults::{classify_invoke, classify_timeout};
+use ntc_faults::{classify_invoke, classify_timeout, ErrorClass, FailureCause};
 use ntc_serverless::{FunctionConfig, FunctionId, PlatformConfig, ServerlessPlatform};
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, Energy, Money, SimDuration, SimTime};
+use ntc_simcore::units::{Cycles, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
-use super::{ByComponent, InvokeRequest, Invoked, SiteOutcome, SiteRole};
+use super::{ByComponent, SiteRole};
 use crate::deploy::Deployment;
 
 /// A metered serverless platform behind the WAN: cold starts, queueing,
@@ -56,12 +56,16 @@ impl CloudSite {
         self.fns.get(di, comp).is_some()
     }
 
-    pub(super) fn invoke(&mut self, req: &InvokeRequest<'_>) -> SiteOutcome {
-        let f = self.fns.get(req.di, req.comp).expect("invoked a function never provisioned");
-        match self.platform.invoke(req.at, f, req.work) {
-            Ok(out) if !out.timed_out => {
-                Ok(Invoked { finish: out.finish, device_energy: Energy::ZERO })
-            }
+    pub(super) fn invoke(
+        &mut self,
+        at: SimTime,
+        di: usize,
+        comp: ComponentId,
+        work: Cycles,
+    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
+        let f = self.fns.get(di, comp).expect("invoked a function never provisioned");
+        match self.platform.invoke(at, f, work) {
+            Ok(out) if !out.timed_out => Ok(out.finish),
             Ok(_) => Err(classify_timeout()),
             Err(e) => Err(classify_invoke(&e)),
         }

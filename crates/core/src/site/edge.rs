@@ -1,11 +1,11 @@
 //! The edge fleet simulator behind [`Site::Edge`](super::Site::Edge).
 
 use ntc_edge::{EdgeConfig, EdgeFleet, ServiceId};
-use ntc_faults::classify_edge;
-use ntc_simcore::units::{Energy, Money, SimTime};
+use ntc_faults::{classify_edge, ErrorClass, FailureCause};
+use ntc_simcore::units::{Cycles, Money, SimTime};
 use ntc_taskgraph::ComponentId;
 
-use super::{ByComponent, InvokeRequest, Invoked, SiteOutcome};
+use super::ByComponent;
 use crate::deploy::Deployment;
 
 /// A pre-paid edge fleet on the metro LAN: slot admission, installation
@@ -42,11 +42,17 @@ impl EdgeSite {
         self.svcs.get(di, comp).is_some()
     }
 
-    pub(super) fn invoke(&mut self, req: &InvokeRequest<'_>) -> SiteOutcome {
-        let s = self.svcs.get(req.di, req.comp).expect("invoked a service never provisioned");
-        match self.fleet.invoke(req.at, s, req.work) {
-            Ok(out) => Ok(Invoked { finish: out.finish, device_energy: Energy::ZERO }),
-            Err(e) => Err(classify_edge(&e, req.at)),
+    pub(super) fn invoke(
+        &mut self,
+        at: SimTime,
+        di: usize,
+        comp: ComponentId,
+        work: Cycles,
+    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
+        let s = self.svcs.get(di, comp).expect("invoked a service never provisioned");
+        match self.fleet.invoke(at, s, work) {
+            Ok(out) => Ok(out.finish),
+            Err(e) => Err(classify_edge(&e, at)),
         }
     }
 

@@ -3,7 +3,7 @@
 //! A [`Site`] names one tier and answers every stateless question the
 //! engine and the planner ask of it — UE and internal network paths,
 //! WAN congestion share, outage lookup, execution speed, marginal cost,
-//! capabilities, concurrency and fallback order — from the
+//! whether it is serverless, concurrency and fallback order — from the
 //! [`Environment`]. The [`SiteRegistry`] holds the two stateful
 //! simulators behind the remote tiers and dispatches provisioning,
 //! invocation, keep-warm pings and billing with a `match`:
@@ -14,7 +14,10 @@
 //!   ([`ntc_serverless`]): cold starts, queueing, per-invocation
 //!   billing, WAN congestion.
 //! * [`Site::Device`] — the members' own devices: no transfers, no
-//!   faults, battery energy instead of money.
+//!   faults, battery energy instead of money. The engine runs device
+//!   work per member through
+//!   [`DeviceModel::execute_members`](crate::device::DeviceModel::execute_members),
+//!   never through the registry.
 //!
 //! Adding a tier means adding a variant; the compiler lists every
 //! `match` that must learn about it.
@@ -24,16 +27,13 @@ mod edge;
 
 use core::fmt;
 
-pub use ntc_alloc::SiteCapabilities;
-
-use ntc_faults::{ErrorClass, FailureCause, FaultPlan, SiteOutage};
+use ntc_faults::{classify_outage, ErrorClass, FailureCause, FaultConfig};
 use ntc_net::PathModel;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
-use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Energy, Money, SimDuration, SimTime};
+use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
 use crate::deploy::Deployment;
-use crate::device::DeviceModel;
 use crate::environment::Environment;
 use crate::policy::Backend;
 use cloud::CloudSite;
@@ -81,6 +81,19 @@ impl Site {
         match self {
             Site::Edge | Site::Cloud => true,
             Site::Device => false,
+        }
+    }
+
+    /// Whether this site is a metered serverless platform: work is billed
+    /// per invocation, so memory sizing trades money against latency;
+    /// instances go cold and can be kept warm; and an invocation timeout
+    /// caps how much work one coalesced batch may carry. Only the cloud
+    /// is: the edge is pre-paid and always resident, and the device pays
+    /// in battery.
+    pub fn is_serverless(self) -> bool {
+        match self {
+            Site::Cloud => true,
+            Site::Edge | Site::Device => false,
         }
     }
 
@@ -133,14 +146,20 @@ impl Site {
         }
     }
 
-    /// The site's availability at `at` under `faults`. A member's device
-    /// is, by definition, reachable from itself.
-    pub fn outage(self, faults: &FaultPlan, at: SimTime) -> SiteOutage {
-        if self.is_remote() {
-            faults.site_outage(self.name(), at)
-        } else {
-            SiteOutage::Online
-        }
+    /// The error an invocation on this site at `at` meets from the
+    /// site's availability schedule in `faults`: `None` while it is
+    /// online, a free wait when the outage has a known end and a
+    /// fallback when it has none (see [`classify_outage`]). The edge
+    /// reports [`FailureCause::EdgeOutage`], the cloud the generic
+    /// [`FailureCause::SiteOutage`]. A member's device is, by
+    /// definition, reachable from itself.
+    pub fn outage(self, faults: &FaultConfig, at: SimTime) -> Option<(ErrorClass, FailureCause)> {
+        let cause = match self {
+            Site::Edge => FailureCause::EdgeOutage,
+            Site::Cloud => FailureCause::SiteOutage,
+            Site::Device => return None,
+        };
+        classify_outage(cause, faults.site_outage(self.name(), at))
     }
 
     /// Execution speed of one invocation at `memory` (planning).
@@ -162,15 +181,6 @@ impl Site {
                 (env.platform.billing.per_gb_second.mul_f64(gb), env.platform.billing.per_request)
             }
             Site::Edge | Site::Device => (Money::ZERO, Money::ZERO),
-        }
-    }
-
-    /// What allocation may assume about this site.
-    pub fn capabilities(self) -> SiteCapabilities {
-        match self {
-            Site::Cloud => SiteCapabilities::metered_faas(SimDuration::from_mins(15)),
-            Site::Edge => SiteCapabilities::flat_rate(),
-            Site::Device => SiteCapabilities::local(),
         }
     }
 
@@ -223,52 +233,6 @@ pub enum SiteRole {
     Mirror,
 }
 
-/// One invocation request, covering both remote coalesced execution and
-/// per-member device execution.
-#[derive(Debug)]
-pub struct InvokeRequest<'a> {
-    /// Submission instant.
-    pub at: SimTime,
-    /// Deployment index the component belongs to.
-    pub di: usize,
-    /// The component to execute.
-    pub comp: ComponentId,
-    /// Coalesced batch work (what remote sites execute once).
-    pub work: Cycles,
-    /// Per-member work (what each member's own device executes).
-    pub member_works: &'a [Cycles],
-    /// The UE hardware model, for device-side execution and energy.
-    pub device: &'a DeviceModel,
-}
-
-impl InvokeRequest<'_> {
-    /// Executes on the members' own devices: each member runs its own
-    /// share in parallel, so wall-clock is the slowest member and every
-    /// member pays battery energy. Device execution cannot fail.
-    pub(crate) fn on_device(&self) -> Invoked {
-        let mut slowest = SimDuration::ZERO;
-        let mut energy = Energy::ZERO;
-        for &work in self.member_works {
-            slowest = slowest.max(self.device.execution_time(work));
-            energy += self.device.compute_energy(work);
-        }
-        Invoked { finish: self.at + slowest, device_energy: energy }
-    }
-}
-
-/// A successful invocation: when it finishes and what it cost the
-/// members' batteries (zero for remote sites).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Invoked {
-    /// Completion instant.
-    pub finish: SimTime,
-    /// Battery energy drawn on the members' devices.
-    pub device_energy: Energy,
-}
-
-/// Outcome of one invocation attempt on a site.
-pub type SiteOutcome = Result<Invoked, (ErrorClass, FailureCause)>;
-
 /// What a remote site registered for each provisioned component, indexed
 /// densely by deployment, then component: a lookup on every invocation
 /// and every chain walk is two bounds-checked loads, not a hash.
@@ -299,8 +263,8 @@ impl<T: Copy> ByComponent<T> {
 }
 
 /// The stateful simulators behind the remote sites of one engine run.
-/// The device needs no state: it is provisioned nowhere, bills nothing
-/// and executes through [`InvokeRequest`] alone.
+/// The device needs no state: it is provisioned nowhere and bills
+/// nothing.
 #[derive(Debug)]
 pub struct SiteRegistry {
     cloud: CloudSite,
@@ -357,12 +321,31 @@ impl SiteRegistry {
         }
     }
 
-    /// Executes one attempt on `site`.
-    pub fn invoke(&mut self, site: Site, req: &InvokeRequest<'_>) -> SiteOutcome {
+    /// Executes one attempt of `work` for `comp` of deployment `di` on
+    /// remote `site` at `at`: one invocation for a whole coalesced batch.
+    /// Returns its completion instant, or the failure's recovery class
+    /// and cause.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Site::Device`], which the engine never invokes here:
+    /// it runs device work per member through
+    /// [`DeviceModel::execute_members`](crate::device::DeviceModel::execute_members).
+    pub fn invoke(
+        &mut self,
+        site: Site,
+        at: SimTime,
+        di: usize,
+        comp: ComponentId,
+        work: Cycles,
+    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
         match site {
-            Site::Cloud => self.cloud.invoke(req),
-            Site::Edge => self.edge.invoke(req),
-            Site::Device => Ok(req.on_device()),
+            Site::Cloud => self.cloud.invoke(at, di, comp, work),
+            Site::Edge => self.edge.invoke(at, di, comp, work),
+            Site::Device => unreachable!(
+                "device work runs on the members' own devices: the engine invokes only \
+                 remote chain positions, and hedges only remote sites"
+            ),
         }
     }
 
@@ -411,34 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn backends_map_to_their_sites() {
-        assert_eq!(Site::from(Backend::Cloud), Site::Cloud);
-        assert_eq!(Site::from(Backend::Edge), Site::Edge);
+    fn only_the_cloud_is_serverless() {
+        let serverless: Vec<Site> = Site::ALL.into_iter().filter(|s| s.is_serverless()).collect();
+        assert_eq!(serverless, [Site::Cloud]);
     }
 
     #[test]
-    fn device_execution_waits_for_the_slowest_member_and_bills_every_battery() {
-        let device = Environment::metro_reference().device;
-        let works = [Cycles::new(2_000_000_000), Cycles::new(500_000_000)];
-        let at = SimTime::ZERO + SimDuration::from_mins(5);
-        let req = InvokeRequest {
-            at,
-            di: 0,
-            comp: ComponentId::from_index(0),
-            work: Cycles::new(0),
-            member_works: &works,
-            device: &device,
-        };
-        let inv = req.on_device();
-        assert_eq!(inv.finish, at + device.execution_time(works[0]));
-        assert_eq!(
-            inv.device_energy,
-            device.compute_energy(works[0]) + device.compute_energy(works[1])
-        );
-        let mut sites =
-            SiteRegistry::standard(&Environment::metro_reference(), &RngStream::root(1));
-        assert_eq!(sites.invoke(Site::Device, &req), Ok(inv));
-        assert_eq!(sites.cost(Site::Device, at, at), Money::ZERO);
+    fn backends_map_to_their_sites() {
+        assert_eq!(Site::from(Backend::Cloud), Site::Cloud);
+        assert_eq!(Site::from(Backend::Edge), Site::Edge);
     }
 
     #[test]

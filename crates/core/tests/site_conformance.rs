@@ -1,24 +1,23 @@
 //! Behavioral conformance suite for the execution sites.
 //!
 //! Every site obligation gets one `#[test]`, exercised against all of
-//! [`Site::ALL`] through the same fixture, so a new `Site` variant
-//! inherits the whole suite (and joins [`fixture`]'s provisioning loop if
-//! it needs provisioning).
+//! [`Site::ALL`] — the invocation obligations against every remote site
+//! through the same fixture, the device's through
+//! [`DeviceModel::execute_members`](ntc_core::DeviceModel::execute_members)
+//! — so a new `Site` variant inherits the whole suite (and joins
+//! [`fixture`]'s provisioning loop if it needs provisioning).
 
-use ntc_core::{
-    deploy, Deployment, Environment, InvokeRequest, OffloadPolicy, Site, SiteRegistry, SiteRole,
-};
-use ntc_faults::{FaultConfig, FaultPlan, SiteOutage};
+use ntc_core::{deploy, Deployment, Environment, OffloadPolicy, Site, SiteRegistry, SiteRole};
+use ntc_faults::{ErrorClass, FailureCause, FaultConfig};
 use ntc_net::ConnectivityTrace;
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{Cycles, SimDuration, SimTime};
+use ntc_simcore::units::{Cycles, Energy, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Archetype;
 
 /// A registry with one provisioned deployment per remote site: index 0 is
 /// cloud-backed, index 1 is edge-backed. Deterministic for a given seed.
 struct Fixture {
-    env: Environment,
     registry: SiteRegistry,
     deployments: Vec<Deployment>,
 }
@@ -45,14 +44,13 @@ fn fixture(seed: u64) -> Fixture {
         registry.attach(site);
         registry.provision(site, di, d, comp, SiteRole::Primary);
     }
-    Fixture { env, registry, deployments }
+    Fixture { registry, deployments }
 }
 
 impl Fixture {
-    /// The provisioned remote cases plus the (provision-free) device case.
+    /// The provisioned remote cases, one per remote site.
     fn cases(&self) -> Vec<Case> {
-        let mut cases: Vec<Case> = self
-            .deployments
+        self.deployments
             .iter()
             .enumerate()
             .map(|(di, d)| Case {
@@ -60,37 +58,39 @@ impl Fixture {
                 di,
                 comp: d.plan.offloaded().next().expect("offloaded component"),
             })
-            .collect();
-        cases.push(Case { site: Site::Device, di: 0, comp: ComponentId::from_index(0) });
-        cases
+            .collect()
     }
 
-    /// Runs one batch-sized invocation of `case` at `at` and returns the
-    /// outcome. Remote sites get the coalesced work, the device the
-    /// per-member split of the same total.
-    fn invoke(&mut self, case: &Case, at: SimTime, work: Cycles) -> ntc_core::SiteOutcome {
-        let member_works = [work];
-        let remote = case.site.is_remote();
-        let req = InvokeRequest {
-            at,
-            di: case.di,
-            comp: case.comp,
-            work: if remote { work } else { Cycles::new(0) },
-            member_works: if remote { &[] } else { &member_works },
-            device: &self.env.device,
-        };
-        self.registry.invoke(case.site, &req)
+    /// Runs one batch-sized invocation of `case` at `at` and returns its
+    /// completion instant or failure.
+    fn invoke(
+        &mut self,
+        case: &Case,
+        at: SimTime,
+        work: Cycles,
+    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
+        self.registry.invoke(case.site, at, case.di, case.comp, work)
     }
 }
 
-/// A fault plan in which every *remote* site is permanently offline.
-fn all_remote_sites_dark() -> FaultPlan {
+/// A schedule that is offline from its start and never comes back.
+fn never_online() -> ConnectivityTrace {
+    ConnectivityTrace::new(SimDuration::from_hours(1), vec![(SimDuration::ZERO, false)])
+}
+
+/// A fault config in which every site in `down` follows `trace`.
+fn sites_down(down: &[Site], trace: &ConnectivityTrace) -> FaultConfig {
     let mut cfg = FaultConfig::none();
-    let dead = ConnectivityTrace::new(SimDuration::from_hours(1), vec![(SimDuration::ZERO, false)]);
-    for site in Site::ALL.into_iter().filter(|s| s.is_remote()) {
-        cfg.site_availability.insert(site.name().to_string(), dead.clone());
+    for site in down {
+        cfg.site_availability.insert(site.name().to_string(), trace.clone());
     }
-    FaultPlan::new(cfg)
+    cfg
+}
+
+/// A fault config in which every *remote* site is permanently offline.
+fn all_remote_sites_dark() -> FaultConfig {
+    let remote: Vec<Site> = Site::ALL.into_iter().filter(|s| s.is_remote()).collect();
+    sites_down(&remote, &never_online())
 }
 
 #[test]
@@ -109,22 +109,43 @@ fn identities_and_ranks_are_distinct_and_device_is_last() {
 #[test]
 fn outages_honor_the_fault_plan_on_every_remote_site() {
     let dark = all_remote_sites_dark();
-    let clear = FaultPlan::new(FaultConfig::none());
+    let clear = FaultConfig::none();
     let at = SimTime::ZERO + SimDuration::from_mins(30);
     for site in Site::ALL {
         if site.is_remote() {
-            assert_eq!(
-                site.outage(&dark, at),
-                SiteOutage::Forever,
-                "{site}: a permanently-dark schedule must read as Forever"
+            assert!(
+                matches!(site.outage(&dark, at), Some((ErrorClass::Fallback, _))),
+                "{site}: a permanently-dark schedule must send the work down the chain"
             );
         } else {
             // A member's device is reachable from itself even when every
             // remote site is dark.
-            assert_eq!(site.outage(&dark, at), SiteOutage::Online, "{site}");
+            assert_eq!(site.outage(&dark, at), None, "{site}");
         }
-        assert_eq!(site.outage(&clear, at), SiteOutage::Online, "{site}");
+        assert_eq!(site.outage(&clear, at), None, "{site}");
     }
+}
+
+#[test]
+fn an_edge_outage_names_the_edge_and_a_cloud_outage_is_generic() {
+    // The flaky schedule is down from 100 to 120 minutes.
+    let (mid_outage, back) = (SimTime::from_secs(110 * 60), SimTime::from_secs(2 * 3600));
+    let cause = |site: Site| match site {
+        Site::Edge => FailureCause::EdgeOutage,
+        Site::Cloud | Site::Device => FailureCause::SiteOutage,
+    };
+    for down in Site::ALL.into_iter().filter(|s| s.is_remote()) {
+        let faults = sites_down(&[down], &ConnectivityTrace::flaky());
+        for site in Site::ALL {
+            let want = (site == down).then_some((ErrorClass::WaitUntil(back), cause(site)));
+            assert_eq!(site.outage(&faults, mid_outage), want, "{site} with {down} down");
+        }
+        let dead = sites_down(&[down], &never_online());
+        assert_eq!(down.outage(&dead, mid_outage), Some((ErrorClass::Fallback, cause(down))));
+    }
+    // The device is always online, even when its name is scheduled dark.
+    let dark_device = sites_down(&[Site::Device], &never_online());
+    assert_eq!(Site::Device.outage(&dark_device, mid_outage), None);
 }
 
 #[test]
@@ -171,8 +192,8 @@ fn cost_is_monotone_in_work() {
             "{}: cost must not decrease with work ({cheap} vs {dear})",
             case.site
         );
-        if case.site.capabilities().metered {
-            assert!(dear > cheap, "{}: metered sites bill execution time", case.site);
+        if case.site.is_serverless() {
+            assert!(dear > cheap, "{}: serverless sites bill execution time", case.site);
         }
     }
 }
@@ -187,8 +208,37 @@ fn invocations_are_deterministic_under_a_fixed_seed() {
         let ra = a.invoke(case, at, work).expect("clean invocation succeeds");
         let rb = b.invoke(case, at, work).expect("clean invocation succeeds");
         assert_eq!(ra, rb, "{}: same seed must replay the same outcome", case.site);
-        assert!(ra.finish >= at, "{}: completion cannot precede submission", case.site);
+        assert!(ra >= at, "{}: completion cannot precede submission", case.site);
     }
+}
+
+#[test]
+fn device_execution_waits_for_the_slowest_member_and_bills_every_battery() {
+    let env = Environment::metro_reference();
+    let device = env.device;
+    let works = [Cycles::new(500_000_000), Cycles::new(2_000_000_000), Cycles::new(0)];
+    let (slowest, energy) = device.execute_members(works);
+    assert_eq!(slowest, device.execution_time(works[1]), "the slowest member sets the wall-clock");
+    let batteries = works.iter().fold(Energy::ZERO, |e, &w| e + device.compute_energy(w));
+    assert_eq!(energy, batteries, "every member's battery pays");
+    assert!(energy > Energy::ZERO);
+    assert_eq!(device.execute_members(works), (slowest, energy), "device execution is pure");
+    let doubled = device.execute_members(works.map(|w| Cycles::new(w.get() * 2)));
+    assert!(doubled.0 > slowest && doubled.1 > energy, "more work takes longer and drains more");
+    assert_eq!(device.execute_members([]), (SimDuration::ZERO, Energy::ZERO));
+    // Its work is paid in battery, never in money.
+    let mut registry = SiteRegistry::standard(&env, &RngStream::root(1));
+    let end = SimTime::ZERO + SimDuration::from_hours(10);
+    assert_eq!(registry.cost(Site::Device, end, end), Money::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "members' own devices")]
+fn the_registry_never_invokes_the_device() {
+    let env = Environment::metro_reference();
+    let mut registry = SiteRegistry::standard(&env, &RngStream::root(1));
+    let _ =
+        registry.invoke(Site::Device, SimTime::ZERO, 0, ComponentId::from_index(0), Cycles::new(1));
 }
 
 #[test]

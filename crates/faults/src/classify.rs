@@ -130,13 +130,11 @@ pub fn classify_invoke(err: &InvokeError) -> (ErrorClass, FailureCause) {
     }
 }
 
-/// Classifies an outage of the execution site identified by `site`:
-/// `None` while the site is online, a free deterministic wait when the
-/// outage has a known end, and a fallback down the site chain when it
-/// does not. The edge keeps its historical `edge-outage` cause; every
-/// other site reports the generic `site-outage`.
-pub fn classify_outage(site: &str, outage: Outage) -> Option<(ErrorClass, FailureCause)> {
-    let cause = if site == "edge" { FailureCause::EdgeOutage } else { FailureCause::SiteOutage };
+/// Classifies a site's outage, reported as `cause` (the site decides
+/// which): `None` while the site is online, a free deterministic wait
+/// when the outage has a known end, and a fallback down the site chain
+/// when it does not.
+pub fn classify_outage(cause: FailureCause, outage: Outage) -> Option<(ErrorClass, FailureCause)> {
     match outage {
         Outage::Online => None,
         Outage::Until(resume) => Some((ErrorClass::WaitUntil(resume), cause)),
@@ -154,7 +152,8 @@ pub fn classify_timeout() -> (ErrorClass, FailureCause) {
     (ErrorClass::Fallback, FailureCause::Timeout)
 }
 
-/// Classifies an injected fault from a [`FaultPlan`](crate::FaultPlan).
+/// Classifies an injected fault drawn by
+/// [`FaultConfig::invocation_fault`](crate::FaultConfig::invocation_fault).
 /// Both kinds are transient by construction: each attempt re-rolls.
 pub fn classify_injected(fault: InjectedFault) -> (ErrorClass, FailureCause) {
     match fault {
@@ -282,9 +281,9 @@ mod tests {
         for fault in [InjectedFault::Transient, InjectedFault::Throttled] {
             assert!(classify_injected(fault).1.is_injected());
         }
-        for site in ["edge", "cloud"] {
-            let (_, cause) = classify_outage(site, Outage::Forever).unwrap();
-            assert!(cause.is_injected(), "{site}");
+        for outage in [FailureCause::EdgeOutage, FailureCause::SiteOutage] {
+            let (_, cause) = classify_outage(outage, Outage::Forever).unwrap();
+            assert!(cause.is_injected(), "{outage}");
         }
         for cause in [
             FailureCause::Timeout,
@@ -300,19 +299,17 @@ mod tests {
 
     #[test]
     fn outages_wait_when_bounded_and_fall_back_when_not() {
-        assert_eq!(classify_outage("edge", Outage::Online), None);
+        let edge = FailureCause::EdgeOutage;
+        assert_eq!(classify_outage(edge, Outage::Online), None);
         let resume = SimTime::from_secs(90);
         assert_eq!(
-            classify_outage("edge", Outage::Until(resume)),
-            Some((ErrorClass::WaitUntil(resume), FailureCause::EdgeOutage))
+            classify_outage(edge, Outage::Until(resume)),
+            Some((ErrorClass::WaitUntil(resume), edge))
         );
+        assert_eq!(classify_outage(edge, Outage::Forever), Some((ErrorClass::Fallback, edge)));
+        // The cause is reported as given.
         assert_eq!(
-            classify_outage("edge", Outage::Forever),
-            Some((ErrorClass::Fallback, FailureCause::EdgeOutage))
-        );
-        // Non-edge sites report the generic cause.
-        assert_eq!(
-            classify_outage("cloud", Outage::Forever),
+            classify_outage(FailureCause::SiteOutage, Outage::Forever),
             Some((ErrorClass::Fallback, FailureCause::SiteOutage))
         );
     }

@@ -15,12 +15,12 @@
 //! name and the breaker's open-count, so replays are bit-identical and
 //! independent of what any other subsystem draws.
 //!
-//! The engine keeps one `SiteHealth` per registered site in a dense
-//! ledger sharing the registry's fallback-rank order, addressed by the
-//! site's interned token index — never by string lookup on the hot
-//! path. The `site` name stored here exists for the cooldown derivation
-//! keys (whose byte layout is part of the reproducibility contract) and
-//! for the once-per-run transition report stringified at report build.
+//! The engine keeps one `SiteHealth` per site in a dense ledger in
+//! fallback order, indexed by the site's position in that order — never
+//! by string lookup on the hot path. The `site` name stored here exists
+//! for the cooldown derivation keys (whose byte layout is part of the
+//! reproducibility contract) and for the once-per-run transition report
+//! stringified at report build.
 
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{round_to_u64, SimDuration, SimTime};
@@ -146,7 +146,7 @@ pub struct SiteHealth {
     cfg: HealthConfig,
     /// The site's stable name, baked into cooldown-jitter derivation
     /// keys.
-    site: String,
+    site: &'static str,
     state: BreakerState,
     consecutive_failures: u32,
     /// EWMA of the failure indicator (1 = failed attempt).
@@ -174,10 +174,10 @@ pub struct SiteHealth {
 impl SiteHealth {
     /// Fresh health for the site named `site` under `cfg`: breaker
     /// Closed, no observations.
-    pub fn new(site: impl Into<String>, cfg: HealthConfig) -> Self {
+    pub fn new(site: &'static str, cfg: HealthConfig) -> Self {
         SiteHealth {
             cfg,
-            site: site.into(),
+            site,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             failure_rate: 0.0,
@@ -193,8 +193,8 @@ impl SiteHealth {
     }
 
     /// The site this health belongs to.
-    pub fn site(&self) -> &str {
-        &self.site
+    pub fn site(&self) -> &'static str {
+        self.site
     }
 
     /// Current breaker state (without the time-driven Open → HalfOpen
@@ -372,7 +372,7 @@ impl SiteHealth {
         let base = self.cfg.cooldown_base.as_micros().max(1);
         let cap = self.cfg.cooldown_cap.as_micros().max(base);
         let hi = base.saturating_mul(2u64.saturating_pow(self.opens.min(40))).min(cap);
-        let mut r = rng.derive(("cooldown-", self.site.as_str(), "-", self.opens));
+        let mut r = rng.derive(("cooldown-", self.site, "-", self.opens));
         self.open_until = at + SimDuration::from_micros(r.uniform_range(base, hi + 1));
     }
 }
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn cooldowns_are_deterministic_per_seed_and_site() {
-        let trip = |site: &str, seed: u64| {
+        let trip = |site: &'static str, seed: u64| {
             let mut h = SiteHealth::new(site, cfg());
             let r = RngStream::root(seed).derive("health");
             for _ in 0..3 {

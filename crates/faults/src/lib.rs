@@ -6,13 +6,13 @@
 //! which must hold for failures as much as for latency. This crate
 //! provides the three pieces the engine composes into that behaviour:
 //!
-//! * [`FaultConfig`] / [`FaultPlan`] — a seeded plan of injected faults:
-//!   transient invocation errors, throttling, edge-site outage windows
+//! * [`FaultConfig`] — the injected faults and their queries:
+//!   transient invocation errors, throttling, site outage windows
 //!   (an availability schedule analogous to
 //!   [`ConnectivityTrace`](ntc_net::ConnectivityTrace)), and mid-flight
 //!   transfer drops with partial-progress loss. All draws come from
 //!   per-key derived [`RngStream`](ntc_simcore::rng::RngStream)s, so
-//!   plans are reproducible and independent of query order.
+//!   answers are reproducible and independent of query order.
 //! * [`RetryPolicy`] — capped exponential backoff with decorrelated
 //!   jitter and an attempt cap that makes time-critical callers give up
 //!   while NTC callers keep waiting.
@@ -39,5 +39,5 @@ pub use classify::{
 };
 pub use config::FaultConfig;
 pub use health::{Admission, BreakerState, HealthConfig, SiteHealth};
-pub use plan::{FaultPlan, InjectedFault, SiteOutage};
+pub use plan::{InjectedFault, SiteOutage};
 pub use retry::RetryPolicy;

@@ -1,6 +1,4 @@
-//! A seeded, queryable realisation of a [`FaultConfig`].
-
-use std::sync::Arc;
+//! The faults a [`FaultConfig`] injects, queried one key at a time.
 
 use ntc_simcore::rng::{Key, RngStream};
 use ntc_simcore::units::SimTime;
@@ -27,44 +25,21 @@ pub enum SiteOutage {
     Forever,
 }
 
-/// A deterministic fault plan.
+/// The deterministic fault queries.
 ///
-/// Every query derives its own child stream, by a caller-chosen key, from
-/// a stream the caller passes (the engine passes the job's own stream), so
-/// results are independent of query order and of how much randomness
-/// other subsystems consumed — the same common-random-numbers discipline
-/// as the rest of the simulator. The same `(stream, key)` pair always
-/// produces the same answer.
-#[derive(Debug)]
-pub struct FaultPlan {
-    /// Shared, not owned: one engine hands the same `Arc` to every
-    /// replication instead of deep-cloning the availability traces and
-    /// site map per run.
-    config: Arc<FaultConfig>,
-}
-
-impl FaultPlan {
-    /// Builds a plan for `config`.
-    pub fn new(config: FaultConfig) -> Self {
-        Self::shared(Arc::new(config))
-    }
-
-    /// Builds a plan over an already-shared `config` without cloning it.
-    pub fn shared(config: Arc<FaultConfig>) -> Self {
-        FaultPlan { config }
-    }
-
-    /// The configuration this plan realises.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
+/// Every random query derives its own child stream, by a caller-chosen
+/// key, from a stream the caller passes (the engine passes the job's own
+/// stream), so results are independent of query order and of how much
+/// randomness other subsystems consumed — the same
+/// common-random-numbers discipline as the rest of the simulator. The
+/// same `(stream, key)` pair always produces the same answer.
+impl FaultConfig {
     /// Whether any invocation-fault rate is non-zero. A `false` lets
     /// callers skip building per-attempt keys entirely —
     /// [`invocation_fault`](Self::invocation_fault) would answer `None`
     /// for every key anyway.
     pub fn has_invocation_faults(&self) -> bool {
-        self.config.transient_rate > 0.0 || self.config.throttle_rate > 0.0
+        self.transient_rate > 0.0 || self.throttle_rate > 0.0
     }
 
     /// Whether transfers can drop. Mirrors
@@ -72,7 +47,7 @@ impl FaultPlan {
     /// transfer-key fast path: `false` means
     /// [`transfer_penalty`](Self::transfer_penalty) is 1 for every key.
     pub fn has_transfer_faults(&self) -> bool {
-        self.config.transfer_drop_rate > 0.0
+        self.transfer_drop_rate > 0.0
     }
 
     /// Whether the invocation attempt identified by `key` under `rng` is
@@ -82,7 +57,7 @@ impl FaultPlan {
     /// `inv-{key}`, derived from the key's spelling, so that spelling is
     /// part of the reproducibility contract.
     pub fn invocation_fault(&self, rng: &RngStream, key: impl Key) -> Option<InjectedFault> {
-        let (tr, th) = (self.config.transient_rate, self.config.throttle_rate);
+        let (tr, th) = (self.transient_rate, self.throttle_rate);
         if tr <= 0.0 && th <= 0.0 {
             return None;
         }
@@ -98,10 +73,10 @@ impl FaultPlan {
     }
 
     /// The availability of the execution site named `site` at `at`, from
-    /// its [`site_availability`](FaultConfig::site_availability) trace;
+    /// its [`site_availability`](Self::site_availability) trace;
     /// sites absent from the map are always online.
     pub fn site_outage(&self, site: &str, at: SimTime) -> SiteOutage {
-        let Some(trace) = self.config.site_availability.get(site) else {
+        let Some(trace) = self.site_availability.get(site) else {
             return SiteOutage::Online;
         };
         if trace.is_online(at) {
@@ -115,11 +90,11 @@ impl FaultPlan {
 
     /// How many times the transfer identified by `key` under `rng` drops
     /// mid-flight, capped at `max` (each drop re-sends a
-    /// [`transfer_progress_loss`](FaultConfig::transfer_progress_loss)
+    /// [`transfer_progress_loss`](Self::transfer_progress_loss)
     /// fraction of the payload), drawn from `rng`'s child stream
     /// `xfer-{key}`.
     pub fn transfer_drops(&self, rng: &RngStream, key: impl Key, max: u32) -> u32 {
-        let p = self.config.transfer_drop_rate;
+        let p = self.transfer_drop_rate;
         if p <= 0.0 || max == 0 {
             return 0;
         }
@@ -136,7 +111,7 @@ impl FaultPlan {
     pub fn transfer_penalty(&self, rng: &RngStream, key: impl Key) -> f64 {
         const MAX_DROPS: u32 = 8;
         let drops = self.transfer_drops(rng, key, MAX_DROPS);
-        1.0 + self.config.transfer_progress_loss * f64::from(drops)
+        1.0 + self.transfer_progress_loss * f64::from(drops)
     }
 }
 
@@ -146,9 +121,9 @@ mod tests {
     use ntc_net::ConnectivityTrace;
     use ntc_simcore::units::SimDuration;
 
-    /// A plan for `config` with the stream its queries draw under.
-    fn plan(config: FaultConfig, seed: u64) -> (FaultPlan, RngStream) {
-        (FaultPlan::new(config), RngStream::root(seed).derive("faults"))
+    /// `config` with the stream its queries draw under.
+    fn plan(config: FaultConfig, seed: u64) -> (FaultConfig, RngStream) {
+        (config, RngStream::root(seed).derive("faults"))
     }
 
     /// A config whose only fault is `site` following `trace`.
@@ -164,20 +139,11 @@ mod tests {
 
     #[test]
     fn fast_path_gates_track_config() {
-        assert!(!FaultPlan::new(FaultConfig::none()).has_invocation_faults());
-        assert!(!FaultPlan::new(FaultConfig::none()).has_transfer_faults());
-        assert!(FaultPlan::new(FaultConfig::transient(0.1)).has_invocation_faults());
+        assert!(!FaultConfig::none().has_invocation_faults());
+        assert!(!FaultConfig::none().has_transfer_faults());
+        assert!(FaultConfig::transient(0.1).has_invocation_faults());
         let cfg = FaultConfig { transfer_drop_rate: 0.2, ..FaultConfig::none() };
-        assert!(FaultPlan::new(cfg).has_transfer_faults());
-    }
-
-    #[test]
-    fn shared_config_answers_like_owned() {
-        let shared = FaultPlan::shared(std::sync::Arc::new(FaultConfig::transient(0.3)));
-        let (owned, r) = plan(FaultConfig::transient(0.3), 42);
-        for i in 0..100_u64 {
-            assert_eq!(shared.invocation_fault(&r, ("k", i)), owned.invocation_fault(&r, ("k", i)));
-        }
+        assert!(cfg.has_transfer_faults());
     }
 
     #[test]

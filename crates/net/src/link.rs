@@ -170,8 +170,8 @@ mod tests {
             Bandwidth::from_megabits_per_sec(8),
         ));
         let size = DataSize::from_bytes(1_000_000);
-        let full = path.transfer_time_at_share(size, 1.0, &mut rng());
-        let half = path.transfer_time_at_share(size, 0.5, &mut rng());
+        let full = path.at_share(1.0).transfer_time(size, &mut rng());
+        let half = path.at_share(0.5).transfer_time(size, &mut rng());
         assert_eq!(half.as_micros(), full.as_micros() * 2);
     }
 

@@ -56,29 +56,14 @@ impl PathModel {
     /// serialisation at the slowest hop (store-and-forward pipelining is
     /// approximated by charging serialisation once).
     pub fn transfer_time(&self, size: DataSize, rng: &mut RngStream) -> SimDuration {
-        self.transfer_time_at_share(size, 1.0, rng)
-    }
-
-    /// Like [`PathModel::transfer_time`] but with only `share` (0, 1] of
-    /// the bottleneck bandwidth available — the hook for time-varying
-    /// congestion ([`crate::BandwidthTrace`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share` is not in `(0, 1]`.
-    pub fn transfer_time_at_share(
-        &self,
-        size: DataSize,
-        share: f64,
-        rng: &mut RngStream,
-    ) -> SimDuration {
-        self.at_share(share).transfer_time(size, rng)
+        self.at_share(1.0).transfer_time(size, rng)
     }
 
     /// This path's transfers at `share` (0, 1] of the bottleneck
-    /// bandwidth: the share is checked, the bottleneck hop found and the
-    /// slowdown `1 / share` computed once, for every transfer a batch's
-    /// members make at one instant.
+    /// bandwidth — the hook for time-varying congestion
+    /// ([`crate::BandwidthTrace`]): the share is checked, the bottleneck
+    /// hop found and the slowdown `1 / share` computed once, for every
+    /// transfer a batch's members make at one instant.
     ///
     /// # Panics
     ///
@@ -94,9 +79,7 @@ impl PathModel {
 }
 
 /// A [`PathModel`] at one bandwidth share, made by
-/// [`PathModel::at_share`]: each [`transfer_time`](Self::transfer_time)
-/// makes the same draws, in the same order, and returns the same
-/// duration as [`PathModel::transfer_time_at_share`] at that share.
+/// [`PathModel::at_share`].
 #[derive(Debug, Clone, Copy)]
 pub struct SharedPath<'a> {
     path: &'a PathModel,
@@ -232,8 +215,8 @@ mod tests {
             Bandwidth::from_megabits_per_sec(8),
         ));
         let size = DataSize::from_bytes(1_000_000); // 1 s at full rate
-        let full = p.transfer_time_at_share(size, 1.0, &mut rng());
-        let half = p.transfer_time_at_share(size, 0.5, &mut rng());
+        let full = p.at_share(1.0).transfer_time(size, &mut rng());
+        let half = p.at_share(0.5).transfer_time(size, &mut rng());
         assert_eq!(full, SimDuration::from_millis(1010));
         assert_eq!(
             half,
@@ -265,22 +248,15 @@ mod tests {
                 // Both sides read one stream each, from the same key: a
                 // draw taken out of turn would shift every later value.
                 let mut a = rng().derive(("shared", pi));
-                let mut b = rng().derive(("shared", pi));
                 let mut c = rng().derive(("shared", pi));
                 for _ in 0..50 {
                     for size in sizes {
                         let want = unplanned(path, size, share, &mut c);
                         let why = format!("path {pi}, share {share}, {size}");
                         assert_eq!(plan.transfer_time(size, &mut a), want, "{why}");
-                        assert_eq!(path.transfer_time_at_share(size, share, &mut b), want, "{why}");
                     }
                 }
-                let next = c.next_u64();
-                assert_eq!(
-                    (a.next_u64(), b.next_u64()),
-                    (next, next),
-                    "path {pi}: streams in step"
-                );
+                assert_eq!(a.next_u64(), c.next_u64(), "path {pi}: streams in step");
             }
         }
     }
@@ -298,7 +274,7 @@ mod tests {
             SimDuration::ZERO,
             Bandwidth::from_megabits_per_sec(1),
         ));
-        let _ = p.transfer_time_at_share(DataSize::from_kib(1), 0.0, &mut rng());
+        let _ = p.at_share(0.0).transfer_time(DataSize::from_kib(1), &mut rng());
     }
 
     #[test]
