@@ -24,44 +24,37 @@ pub enum DispatchPolicy {
         window: SimDuration,
     },
     /// Hold jobs until the next `window` boundary that falls inside the
-    /// off-peak band `[start_hour, end_hour)` of the simulated day
-    /// (wrapping past midnight when `start_hour > end_hour`); jobs whose
+    /// nightly off-peak band, 00:00–06:00 of the simulated day; jobs whose
     /// deadline cannot reach the band fall back to windowed behaviour.
     OffPeak {
         /// Batching-window length inside the band.
         window: SimDuration,
-        /// First off-peak hour (0–23).
-        start_hour: u8,
-        /// First hour after the band (0–24, may be below `start_hour`).
-        end_hour: u8,
     },
 }
+
+/// First hour of the nightly off-peak band.
+const OFF_PEAK_START_HOUR: u64 = 0;
+
+/// First hour after the nightly off-peak band.
+const OFF_PEAK_END_HOUR: u64 = 6;
 
 impl fmt::Display for DispatchPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DispatchPolicy::Immediate => f.write_str("immediate"),
             DispatchPolicy::Windowed { window } => write!(f, "windowed({window})"),
-            DispatchPolicy::OffPeak { window, start_hour, end_hour } => {
-                write!(f, "off-peak({window}, {start_hour}h-{end_hour}h)")
+            DispatchPolicy::OffPeak { window } => {
+                write!(f, "off-peak({window}, {OFF_PEAK_START_HOUR}h-{OFF_PEAK_END_HOUR}h)")
             }
         }
     }
 }
 
-/// Whether the instant `t` falls inside the daily hour band
-/// `[start_hour, end_hour)`, wrapping past midnight when
-/// `start_hour > end_hour`.
-pub fn in_hour_band(t: SimTime, start_hour: u8, end_hour: u8) -> bool {
+/// Whether the instant `t` falls inside the nightly off-peak band of its
+/// simulated day.
+fn in_off_peak_band(t: SimTime) -> bool {
     let hour = (t.as_micros() / 3_600_000_000) % 24;
-    let (s, e) = (u64::from(start_hour), u64::from(end_hour));
-    if s == e {
-        true // degenerate band covers the whole day
-    } else if s < e {
-        hour >= s && hour < e
-    } else {
-        hour >= s || hour < e
-    }
+    (OFF_PEAK_START_HOUR..OFF_PEAK_END_HOUR).contains(&hour)
 }
 
 /// The latest instant a job may be dispatched and still meet its deadline,
@@ -101,7 +94,7 @@ pub fn dispatch_time(
             let next_boundary = SimTime::from_micros(arrival.as_micros().div_ceil(w) * w);
             next_boundary.min(latest).max(arrival)
         }
-        DispatchPolicy::OffPeak { window, start_hour, end_hour } => {
+        DispatchPolicy::OffPeak { window } => {
             if window.is_zero() {
                 return arrival;
             }
@@ -112,7 +105,7 @@ pub fn dispatch_time(
             // deadline forecloses the wait.
             let mut steps = 0u32;
             while candidate <= latest && steps < 100_000 {
-                if in_hour_band(candidate, start_hour, end_hour) {
+                if in_off_peak_band(candidate) {
                     return candidate.max(arrival);
                 }
                 candidate += window;
@@ -182,11 +175,7 @@ mod tests {
         for policy in [
             DispatchPolicy::Immediate,
             DispatchPolicy::Windowed { window: SimDuration::from_mins(30) },
-            DispatchPolicy::OffPeak {
-                window: SimDuration::from_mins(30),
-                start_hour: 0,
-                end_hour: 6,
-            },
+            DispatchPolicy::OffPeak { window: SimDuration::from_mins(30) },
         ] {
             let d = dispatch_time(policy, arrival, SimDuration::ZERO, EST, MARGIN);
             assert_eq!(d, arrival, "{policy} must not hold a zero-slack job");
@@ -237,11 +226,7 @@ mod tests {
                     for policy in [
                         DispatchPolicy::Immediate,
                         DispatchPolicy::Windowed { window: SimDuration::from_mins(15) },
-                        DispatchPolicy::OffPeak {
-                            window: SimDuration::from_mins(15),
-                            start_hour: 0,
-                            end_hour: 6,
-                        },
+                        DispatchPolicy::OffPeak { window: SimDuration::from_mins(15) },
                     ] {
                         let arrival = SimTime::from_secs(a);
                         let slack = SimDuration::from_secs(s);
@@ -267,11 +252,7 @@ mod tests {
     fn off_peak_waits_for_the_band() {
         // Arrive at 14:00 with 24 h slack; off-peak band 00:00–06:00.
         let arrival = SimTime::from_secs(14 * 3600);
-        let policy = DispatchPolicy::OffPeak {
-            window: SimDuration::from_hours(1),
-            start_hour: 0,
-            end_hour: 6,
-        };
+        let policy = DispatchPolicy::OffPeak { window: SimDuration::from_hours(1) };
         let d = dispatch_time(policy, arrival, SimDuration::from_hours(24), EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(24 * 3600), "released at midnight");
     }
@@ -279,11 +260,7 @@ mod tests {
     #[test]
     fn off_peak_inside_band_goes_at_next_boundary() {
         let arrival = SimTime::from_secs(2 * 3600 + 100);
-        let policy = DispatchPolicy::OffPeak {
-            window: SimDuration::from_hours(1),
-            start_hour: 0,
-            end_hour: 6,
-        };
+        let policy = DispatchPolicy::OffPeak { window: SimDuration::from_hours(1) };
         let d = dispatch_time(policy, arrival, SimDuration::from_hours(12), EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(3 * 3600));
     }
@@ -293,11 +270,7 @@ mod tests {
         // Arrive just past 08:00 with 2 h slack: the midnight band is out
         // of reach.
         let arrival = SimTime::from_secs(8 * 3600 + 100);
-        let policy = DispatchPolicy::OffPeak {
-            window: SimDuration::from_mins(30),
-            start_hour: 0,
-            end_hour: 6,
-        };
+        let policy = DispatchPolicy::OffPeak { window: SimDuration::from_mins(30) };
         let slack = SimDuration::from_hours(2);
         let d = dispatch_time(policy, arrival, slack, EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(8 * 3600 + 1800), "windowed fallback");
@@ -306,11 +279,7 @@ mod tests {
 
     #[test]
     fn off_peak_respects_deadlines() {
-        let policy = DispatchPolicy::OffPeak {
-            window: SimDuration::from_hours(1),
-            start_hour: 22,
-            end_hour: 6,
-        };
+        let policy = DispatchPolicy::OffPeak { window: SimDuration::from_hours(1) };
         for a in [0u64, 3600, 10 * 3600, 23 * 3600] {
             for s in [600u64, 7200, 86_400] {
                 let arrival = SimTime::from_secs(a);
@@ -325,13 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn hour_band_wraps_midnight() {
-        assert!(in_hour_band(SimTime::from_secs(23 * 3600), 22, 6));
-        assert!(in_hour_band(SimTime::from_secs(3 * 3600), 22, 6));
-        assert!(!in_hour_band(SimTime::from_secs(12 * 3600), 22, 6));
-        assert!(in_hour_band(SimTime::from_secs(12 * 3600), 5, 5), "degenerate band is always on");
-        // Second day wraps too.
-        assert!(in_hour_band(SimTime::from_secs((24 + 2) * 3600), 22, 6));
+    fn off_peak_band_is_midnight_to_six_every_day() {
+        let at = |h: u64| in_off_peak_band(SimTime::from_secs(h * 3600));
+        assert!(at(0) && at(5) && at(24 + 2));
+        assert!(!at(6) && !at(12) && !at(23) && !at(24 + 6));
+        assert!(in_off_peak_band(SimTime::from_secs(6 * 3600 - 1)));
     }
 
     #[test]
@@ -352,6 +319,10 @@ mod tests {
     #[test]
     fn policy_display() {
         assert_eq!(DispatchPolicy::Immediate.to_string(), "immediate");
+        assert_eq!(
+            DispatchPolicy::OffPeak { window: SimDuration::from_hours(1) }.to_string(),
+            "off-peak(1.00h, 0h-6h)"
+        );
         assert!(DispatchPolicy::Windowed { window: SimDuration::from_mins(5) }
             .to_string()
             .starts_with("windowed("));

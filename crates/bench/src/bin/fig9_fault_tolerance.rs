@@ -12,7 +12,7 @@
 use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, FailureCause, FaultConfig, JobRetention, NtcConfig,
-    OffloadPolicy, RetryPolicy, RunScratch,
+    OffloadPolicy, RunScratch,
 };
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -45,11 +45,8 @@ fn main() {
         StreamSpec::poisson(Archetype::LogAnalytics, 0.006),
     ];
 
-    let no_retry = OffloadPolicy::Ntc(NtcConfig {
-        retry: RetryPolicy::none(),
-        fallback: false,
-        ..Default::default()
-    });
+    let no_retry =
+        OffloadPolicy::Ntc(NtcConfig { retry: false, fallback: false, ..Default::default() });
     let policies =
         [OffloadPolicy::CloudAll, OffloadPolicy::EdgeAll, no_retry, OffloadPolicy::ntc()];
 

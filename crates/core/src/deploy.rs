@@ -248,7 +248,7 @@ pub fn deploy(
             let dispatch = if cfg.use_batching && !slack.is_zero() && plan.offloaded().count() > 0 {
                 let window = slack.mul_f64(0.1);
                 if cfg.off_peak {
-                    DispatchPolicy::OffPeak { window, start_hour: 0, end_hour: 6 }
+                    DispatchPolicy::OffPeak { window }
                 } else {
                     DispatchPolicy::Windowed { window }
                 }
@@ -277,7 +277,7 @@ pub fn deploy(
     // separate instances, so each invocation still carries roughly one
     // window's worth of traffic.
     let expected_members = match dispatch {
-        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window, .. } => {
+        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window } => {
             (rate_per_sec * window.as_secs_f64() * 2.0).ceil().max(1.0) as u64
         }
         _ => 1,
@@ -354,9 +354,7 @@ pub fn deploy(
     // covers the *expected batch* (conservatively, annotation demands at
     // the batch-sized input).
     let window_of = |d: DispatchPolicy| match d {
-        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window, .. } => {
-            Some(window)
-        }
+        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window } => Some(window),
         _ => None,
     };
     let mut est_completion = if let Some(window) = window_of(dispatch) {

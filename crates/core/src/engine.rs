@@ -93,7 +93,6 @@ mod recovery;
 mod tests;
 mod transfer;
 
-use ntc_faults::RetryPolicy;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{SimDuration, SimTime};
@@ -212,7 +211,8 @@ pub(crate) struct RunCtx<'a> {
     members: &'a [u32],
     local_override: &'a [bool],
     pings: &'a [Ping],
-    retry: &'a RetryPolicy,
+    /// Whether retryable failures are retried ([`OffloadPolicy::retry_enabled`]).
+    retry: bool,
     horizon_end: SimTime,
 }
 
@@ -403,7 +403,7 @@ impl Engine {
         // --- Recovery. Every fault and retry draw derives from its
         // batch's own stream, so a fault-free configuration replays the
         // exact event sequence of an engine without fault modelling. ---
-        let retry = policy.retry_policy();
+        let retry = policy.retry_enabled();
 
         // --- Deployments, one per archetype present in the stream, in
         // archetype order whatever the order of the specs; an archetype's
@@ -469,7 +469,7 @@ impl Engine {
             members: &scratch.members,
             local_override: &scratch.local_override,
             pings: &scratch.pings,
-            retry: &retry,
+            retry,
             horizon_end,
         };
         let sim = &mut scratch.sim;

@@ -189,15 +189,18 @@ impl BatchStates {
     }
 }
 
+/// Deferrals one batch may accumulate before it must shed instead.
+const MAX_DEFERRALS: u32 = 24;
+
 /// The admission controller's answer for one batch at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// Dispatch now, at the current chain position.
     Admit,
     /// The target site is overloaded but the batch has slack: hold it
-    /// and re-dispatch at the given instant. NTC work is delay-tolerant
+    /// and re-dispatch after the given delay. NTC work is delay-tolerant
     /// — deferring is the graceful response to overload.
-    Defer(SimTime),
+    Defer(SimDuration),
     /// The target site is overloaded and the batch cannot afford to
     /// wait: shed it to the given chain position and dispatch there.
     Shed(usize),
@@ -236,12 +239,10 @@ pub(crate) fn admission_verdict(
         return Verdict::Admit;
     }
     // Overloaded. Delay-tolerant batches wait the overload out…
-    let cfg = health.cfg();
-    let retry_at = t + cfg.defer_step;
-    if states.deferrals[bi] < cfg.max_deferrals
-        && retry_at + d.est_completion + margin <= min_deadline
+    let step = health.cfg().defer_step;
+    if states.deferrals[bi] < MAX_DEFERRALS && t + step + d.est_completion + margin <= min_deadline
     {
-        return Verdict::Defer(retry_at);
+        return Verdict::Defer(step);
     }
     // …and tight-deadline batches shed to the next chain site (every
     // later chain site mirrors the deployment, and the device serves

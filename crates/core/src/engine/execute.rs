@@ -277,7 +277,7 @@ pub(crate) fn handle_hedge_fire(
         Err((_class, cause)) => {
             // The duplicate failed outright: that *is* an observation
             // against its site, but the primary is still in flight —
-            // no retry budget is spent and the batch loses nothing.
+            // nothing is retried and the batch loses nothing.
             st.acct.overload.hedges_lost += 1;
             st.health.observe_failure(target, t, &st.health_rng, cause);
             resolve_primary_win(st, sim, bi, comp, primary, &pending);

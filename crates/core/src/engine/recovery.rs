@@ -3,14 +3,18 @@
 //! deployment's site-preference chain (preferring sites whose breaker
 //! admits when the health layer is on).
 
-use ntc_faults::{Admission, ErrorClass, FailureCause};
+use ntc_faults::{backoff, Admission, ErrorClass, FailureCause};
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::SimTime;
+use ntc_simcore::units::{SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
 use super::{accounting, Ev, RunCtx, RunState};
 use crate::site::SiteRegistry;
+
+/// How long the caller takes to observe a failed attempt (error
+/// propagation and detection), charged before any retry or fallback.
+const DETECT: SimDuration = SimDuration::from_millis(500);
 
 /// Acts on a classified attempt failure: wait, retry with backoff, fall
 /// back down the site chain, or fail the batch. The backoff jitter is
@@ -30,29 +34,25 @@ pub(crate) fn recover(
 ) {
     if cause.is_cancellation() {
         // Hedge-loser cancellations are deliberate, not failures: they
-        // consume no retry budget and trigger no fallback. (Defensive —
+        // are never retried and trigger no fallback. (Defensive —
         // the hedge path resolves losers without ever calling here.)
         return;
     }
-    let detect = ctx.env.faults.error_detect_latency;
     match class {
         ErrorClass::WaitUntil(r) => {
             // A deterministic wait (service still installing, outage
-            // with a known end): free, no retry budget consumed.
-            sim.schedule_at(r.max(t), Ev::exec(bi, comp)).expect("future");
+            // with a known end): free, and not a retry.
+            sim.schedule_after(r.saturating_duration_since(t), Ev::exec(bi, comp));
         }
-        ErrorClass::Retryable => {
+        ErrorClass::Retryable if ctx.retry => {
             let cix = st.states.ix(bi, comp);
-            let attempt = st.states.attempts[cix];
-            let backoff = ctx.retry.backoff(rng, comp, attempt);
-            if ctx.retry.allows(attempt) {
-                st.states.add_backoff(cix, backoff);
-                sim.schedule_after(detect + backoff, Ev::exec(bi, comp));
-            } else {
-                fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause);
-            }
+            let wait = backoff(rng, comp, st.states.attempts[cix]);
+            st.states.add_backoff(cix, wait);
+            sim.schedule_after(DETECT + wait, Ev::exec(bi, comp));
         }
-        ErrorClass::Fallback => fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause),
+        ErrorClass::Retryable | ErrorClass::Fallback => {
+            fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause);
+        }
         ErrorClass::Terminal => {
             accounting::settle_batch(ctx, st.states, st.acct, bi, t, Some(cause));
         }
@@ -78,7 +78,6 @@ pub(crate) fn fall_back_or_fail(
     comp: ComponentId,
     cause: FailureCause,
 ) {
-    let detect = ctx.env.faults.error_detect_latency;
     let di = ctx.batches[bi].di;
     let chain = &ctx.deployments[di].site_chain;
     let pos = st.states.chain_pos(bi);
@@ -95,7 +94,7 @@ pub(crate) fn fall_back_or_fail(
         Some(i) => {
             st.states.set_chain_pos(bi, i);
             st.states.fallbacks[bi] += 1;
-            sim.schedule_after(detect, Ev::exec(bi, comp));
+            sim.schedule_after(DETECT, Ev::exec(bi, comp));
         }
         None => {
             accounting::settle_batch(ctx, st.states, st.acct, bi, t, Some(cause));

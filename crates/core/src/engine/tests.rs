@@ -217,7 +217,6 @@ fn overload_case() -> (Environment, OffloadPolicy) {
         hedge: true,
         queue_bound: 6,
         defer_step: SimDuration::from_mins(5),
-        ..ntc_faults::HealthConfig::disabled()
     };
     let policy = OffloadPolicy::Ntc(crate::NtcConfig {
         use_batching: false,
@@ -399,7 +398,7 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
 /// spells (`c1`, `inv-c1-edge-a2`, `up-c0-cloud`, ...): a respelled key
 /// fails here by name, not only through a run digest.
 mod keys {
-    use ntc_faults::{FaultConfig, RetryPolicy};
+    use ntc_faults::{backoff, FaultConfig};
     use ntc_simcore::rng::RngStream;
     use ntc_taskgraph::ComponentId;
     use ntc_workloads::Archetype;
@@ -449,10 +448,8 @@ mod keys {
 
     #[test]
     fn backoffs_draw_from_the_component_stream() {
-        let p = RetryPolicy::ntc_default();
-        let us: Vec<u64> = (0..4).map(|key| p.backoff(&job(key), c(1), 3).as_micros()).collect();
-        let spelled: Vec<u64> =
-            (0..4).map(|key| p.backoff(&job(key), "c1", 3).as_micros()).collect();
+        let us: Vec<u64> = (0..4).map(|key| backoff(&job(key), c(1), 3).as_micros()).collect();
+        let spelled: Vec<u64> = (0..4).map(|key| backoff(&job(key), "c1", 3).as_micros()).collect();
         assert_eq!(us, spelled);
         assert_eq!(us, BACKOFF_US);
     }
@@ -959,7 +956,6 @@ mod coalescing {
         fn coalescing_matches_the_unpruned_reference(
             kind in 0u8..3,
             window_mins in 1u64..120,
-            band in (0u8..24, 0u8..25),
             caps in (1u32..6, 1u64..64),
             spec in prop::collection::vec((gaps(), 0usize..3, 1u64..16, 0.0f64..2.0), 1..400),
         ) {
@@ -967,7 +963,7 @@ mod coalescing {
             let dispatch = match kind {
                 0 => DispatchPolicy::Immediate,
                 1 => DispatchPolicy::Windowed { window },
-                _ => DispatchPolicy::OffPeak { window, start_hour: band.0, end_hour: band.1 },
+                _ => DispatchPolicy::OffPeak { window },
             };
             let env = Environment::metro_reference();
             let (deployments, deployment_of) =

@@ -85,10 +85,10 @@ pub(crate) fn handle_dispatch(
     if st.health.admission() {
         match admission::admission_verdict(ctx, st.health, st.states, t, bi) {
             Verdict::Admit => {}
-            Verdict::Defer(at) => {
+            Verdict::Defer(step) => {
                 st.states.deferrals[bi] += 1;
                 st.acct.overload.deferrals += 1;
-                sim.schedule_at(at, Ev::dispatch(bi)).expect("future");
+                sim.schedule_after(step, Ev::dispatch(bi));
                 return;
             }
             Verdict::Shed(next) => {
@@ -106,8 +106,8 @@ pub(crate) fn handle_dispatch(
     let primary = offload_site(&d.site_chain, states.chain_pos(bi));
     for &c in d.graph.entries() {
         let side = if ctx.local_override[bi] { Side::Device } else { d.plan.side(c) };
-        let ready = match side {
-            Side::Device => t,
+        let wait = match side {
+            Side::Device => SimDuration::ZERO,
             Side::Cloud => {
                 // Each member uploads its own input, in parallel
                 // across devices; the batch is ready when the
@@ -125,10 +125,11 @@ pub(crate) fn handle_dispatch(
                     acct.bytes_up += input;
                     dur = dur.max(jdur);
                 }
-                online + faulty_transfer(dur, &ctx.env.faults, &rng, key)
+                online.saturating_duration_since(t)
+                    + faulty_transfer(dur, &ctx.env.faults, &rng, key)
             }
         };
-        sim.schedule_at(ready, Ev::exec(bi, c)).expect("ready >= now");
+        sim.schedule_after(wait, Ev::exec(bi, c));
     }
 }
 
@@ -202,8 +203,7 @@ pub(crate) fn handle_done(
         states.ready_at[ti] = states.ready_at[ti].max(arrival);
         states.remaining_preds[ti] -= 1;
         if states.remaining_preds[ti] == 0 {
-            let ready = states.ready_at[ti].max(t);
-            sim.schedule_at(ready, Ev::exec(bi, to)).expect("future");
+            sim.schedule_after(states.ready_at[ti].saturating_duration_since(t), Ev::exec(bi, to));
         }
     }
 

@@ -59,7 +59,7 @@ pub use deploy::{deploy, Deployment};
 pub use device::DeviceModel;
 pub use engine::{Engine, JobRetention, RunScratch};
 pub use environment::Environment;
-pub use ntc_faults::{FailureCause, FaultConfig, HealthConfig, RetryPolicy};
+pub use ntc_faults::{FailureCause, FaultConfig, HealthConfig};
 pub use policy::{Backend, NtcConfig, OffloadPolicy};
 pub use report::{
     ArchetypeAggregate, ArchetypeBreakdown, CauseCount, JobResult, LatencyDigest, OverloadStats,

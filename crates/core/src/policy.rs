@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use ntc_faults::{HealthConfig, RetryPolicy};
+use ntc_faults::HealthConfig;
 
 /// Where offloaded components execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,10 +39,12 @@ pub struct NtcConfig {
     /// (00:00–06:00) when their slack reaches it, to ride uncongested
     /// WAN bandwidth and bigger coalesced batches.
     pub off_peak: bool,
-    /// How failed offloaded attempts are retried. NTC work is
-    /// delay-tolerant, so the default retries patiently with capped
-    /// exponential backoff; baselines never retry.
-    pub retry: RetryPolicy,
+    /// Patient retries: a retryable failure of an offloaded attempt is
+    /// tried again after a capped exponential backoff
+    /// ([`ntc_faults::backoff`]), as often as it takes. NTC work is
+    /// delay-tolerant, so the default retries; off, the first retryable
+    /// failure falls back or fails the batch, as under the baselines.
+    pub retry: bool,
     /// Failure-driven backend fallback: when a backend declares an
     /// attempt unrecoverable (outage, exhausted capacity, timeout), move
     /// the batch down the chain edge → cloud → device instead of losing
@@ -69,7 +71,7 @@ impl Default for NtcConfig {
             use_allocator: true,
             use_batching: true,
             off_peak: false,
-            retry: RetryPolicy::ntc_default(),
+            retry: true,
             fallback: true,
             primary_backend: Backend::Cloud,
             health: HealthConfig::disabled(),
@@ -107,13 +109,13 @@ impl OffloadPolicy {
         }
     }
 
-    /// How failed offloaded attempts are retried under this policy. The
+    /// Whether retryable failures are retried under this policy. The
     /// baselines model conventional latency-critical deployments: the
     /// first failure is final.
-    pub fn retry_policy(&self) -> RetryPolicy {
+    pub fn retry_enabled(&self) -> bool {
         match self {
             OffloadPolicy::Ntc(cfg) => cfg.retry,
-            _ => RetryPolicy::none(),
+            _ => false,
         }
     }
 
@@ -158,7 +160,7 @@ impl OffloadPolicy {
                     if !cfg.use_batching {
                         offs.push("batching");
                     }
-                    if cfg.retry == RetryPolicy::none() {
+                    if !cfg.retry {
                         offs.push("retry");
                     }
                     if !cfg.fallback {
@@ -215,8 +217,7 @@ mod tests {
         assert_eq!(OffloadPolicy::ntc().name(), "ntc");
         let ablated = OffloadPolicy::Ntc(NtcConfig { use_batching: false, ..Default::default() });
         assert_eq!(ablated.name(), "ntc[-batching]");
-        let no_retry =
-            OffloadPolicy::Ntc(NtcConfig { retry: RetryPolicy::none(), ..Default::default() });
+        let no_retry = OffloadPolicy::Ntc(NtcConfig { retry: false, ..Default::default() });
         assert_eq!(no_retry.name(), "ntc[-retry]");
         let edge_first =
             OffloadPolicy::Ntc(NtcConfig { primary_backend: Backend::Edge, ..Default::default() });
@@ -230,7 +231,7 @@ mod tests {
         });
         assert_eq!(hedged.name(), "ntc[+hedge]");
         let tuned = OffloadPolicy::Ntc(NtcConfig {
-            retry: RetryPolicy { max_attempts: 5, ..RetryPolicy::ntc_default() },
+            health: HealthConfig { queue_bound: 6, ..HealthConfig::disabled() },
             ..Default::default()
         });
         assert_eq!(tuned.name(), "ntc[custom]");
@@ -257,10 +258,10 @@ mod tests {
 
     #[test]
     fn baselines_never_retry_but_ntc_does() {
-        assert_eq!(OffloadPolicy::CloudAll.retry_policy(), RetryPolicy::none());
-        assert_eq!(OffloadPolicy::EdgeAll.retry_policy(), RetryPolicy::none());
-        assert_eq!(OffloadPolicy::LocalOnly.retry_policy(), RetryPolicy::none());
-        assert_eq!(OffloadPolicy::ntc().retry_policy(), RetryPolicy::ntc_default());
+        assert!(!OffloadPolicy::CloudAll.retry_enabled());
+        assert!(!OffloadPolicy::EdgeAll.retry_enabled());
+        assert!(!OffloadPolicy::LocalOnly.retry_enabled());
+        assert!(OffloadPolicy::ntc().retry_enabled());
         assert!(OffloadPolicy::ntc().fallback_enabled());
         assert!(!OffloadPolicy::CloudAll.fallback_enabled());
     }

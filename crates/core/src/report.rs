@@ -445,7 +445,7 @@ pub struct OverloadStats {
     /// Hedges whose duplicate lost (or failed outright).
     pub hedges_lost: u64,
     /// Invocations cancelled as hedge losers (never counted as failures
-    /// and never charged against retry budget).
+    /// and never retried).
     pub hedge_cancelled: u64,
     /// Breaker state transitions per site, keyed by site name.
     pub breaker_transitions: BTreeMap<String, u32>,

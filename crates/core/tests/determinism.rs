@@ -55,7 +55,6 @@ fn overload() -> (Environment, OffloadPolicy) {
         hedge: true,
         queue_bound: 6,
         defer_step: SimDuration::from_mins(5),
-        ..HealthConfig::disabled()
     };
     let policy = OffloadPolicy::Ntc(NtcConfig {
         use_batching: false,

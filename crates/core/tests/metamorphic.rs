@@ -60,7 +60,6 @@ fn policies() -> Vec<OffloadPolicy> {
         hedge: true,
         queue_bound: 6,
         defer_step: SimDuration::from_mins(5),
-        ..HealthConfig::disabled()
     };
     vec![
         OffloadPolicy::LocalOnly,

@@ -4,16 +4,15 @@
 
 use ntc_check::prelude::*;
 
-use ntc_core::{Engine, Environment, FaultConfig, NtcConfig, OffloadPolicy};
-use ntc_faults::RetryPolicy;
+use ntc_core::{Engine, Environment, FaultConfig, OffloadPolicy};
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{Archetype, StreamSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any transient/throttle fault rate below 1.0, combined with an
-    /// unbounded retry budget, yields zero NTC job loss; every job makes
+    /// Any transient/throttle fault rate below 1.0, met by the default
+    /// NTC policy's patient retries, yields zero NTC job loss; every job makes
     /// at least one attempt; and backoff time fits inside the job's
     /// dispatch-to-finish span.
     #[test]
@@ -30,14 +29,7 @@ proptest! {
             transfer_drop_rate: drop_rate,
             ..FaultConfig::none()
         };
-        let policy = OffloadPolicy::Ntc(NtcConfig {
-            retry: RetryPolicy {
-                base: SimDuration::from_secs(1),
-                cap: SimDuration::from_secs(60),
-                max_attempts: u32::MAX,
-            },
-            ..Default::default()
-        });
+        let policy = OffloadPolicy::ntc();
         let specs = [StreamSpec::poisson(Archetype::LogAnalytics, 0.01)];
         let engine = Engine::new(env, seed);
         let r = engine.run(&policy, &specs, SimDuration::from_hours(2));

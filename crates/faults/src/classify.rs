@@ -35,8 +35,8 @@ pub enum FailureCause {
     /// the caller, never worth retrying).
     Ordering,
     /// A hedged duplicate was deliberately cancelled because its twin
-    /// finished first. Not a fault: cancellations consume no retry
-    /// budget and never feed a site's failure-rate EWMA.
+    /// finished first. Not a fault: cancellations are never retried and
+    /// never feed a site's failure-rate EWMA.
     HedgeCancelled,
 }
 
@@ -57,8 +57,8 @@ impl FailureCause {
     }
 
     /// Whether this cause describes a deliberate cancellation rather
-    /// than a genuine failure. Cancellations must not burn retry budget
-    /// or move failure-rate EWMAs.
+    /// than a genuine failure. Cancellations must not be retried or
+    /// move failure-rate EWMAs.
     pub fn is_cancellation(self) -> bool {
         matches!(self, FailureCause::HedgeCancelled)
     }
@@ -89,7 +89,7 @@ impl fmt::Display for FailureCause {
 pub enum ErrorClass {
     /// The failure resolves itself at a known instant: wait until then
     /// and re-attempt. This is a deterministic wait (e.g. a service
-    /// still installing), not a gamble, so it consumes no retry budget.
+    /// still installing), not a gamble, so it is not a retry.
     WaitUntil(SimTime),
     /// The attempt may succeed if simply retried after a backoff.
     Retryable,

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use ntc_net::ConnectivityTrace;
-use ntc_simcore::units::SimDuration;
 
 /// Fault-injection parameters for one environment.
 ///
@@ -30,9 +29,6 @@ pub struct FaultConfig {
     /// Fraction of the transfer re-done after each mid-flight drop
     /// (partial-progress loss), in `[0, 1]`.
     pub transfer_progress_loss: f64,
-    /// How long the caller takes to observe a failed attempt (error
-    /// propagation + detection), charged before any recovery action.
-    pub error_detect_latency: SimDuration,
 }
 
 impl FaultConfig {
@@ -44,7 +40,6 @@ impl FaultConfig {
             site_availability: BTreeMap::new(),
             transfer_drop_rate: 0.0,
             transfer_progress_loss: 0.5,
-            error_detect_latency: SimDuration::from_millis(500),
         }
     }
 

@@ -25,7 +25,40 @@
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{round_to_u64, SimDuration, SimTime};
 
-/// Tunables of the overload-aware health layer.
+/// Consecutive failures on one site that trip its breaker Open.
+pub const FAILURE_THRESHOLD: u32 = 5;
+
+/// Failure-rate EWMA level that trips the breaker even without a
+/// consecutive run (flapping sites fail *often*, not *in a row*).
+pub const ERROR_RATE_THRESHOLD: f64 = 0.5;
+
+/// Smoothing factor of the failure-rate and latency EWMAs; higher weighs
+/// recent observations more.
+pub const EWMA_ALPHA: f64 = 0.2;
+
+/// Observations required before the rate threshold, the queue-delay
+/// estimate and the hedge delay bind (EWMAs are meaningless on two
+/// samples).
+pub const MIN_SAMPLES: u64 = 8;
+
+/// Base Open → HalfOpen cooldown; the realised cooldown is jittered
+/// uniformly in `[base, min(cap, base·2^opens)]` from a seeded stream, so
+/// repeatedly-tripped sites back off longer.
+pub const COOLDOWN_BASE: SimDuration = SimDuration::from_secs(30);
+
+/// Upper bound on any single cooldown.
+pub const COOLDOWN_CAP: SimDuration = SimDuration::from_mins(10);
+
+/// Floor on the hedge delay (hedging below network jitter buys nothing
+/// and doubles cost).
+pub const HEDGE_MIN_DELAY: SimDuration = SimDuration::from_secs(2);
+
+/// Standard-normal quantile the hedge delay adds to the latency EWMA:
+/// `hedge = mean + q·std`, with 2.33 approximating p99.
+pub const HEDGE_QUANTILE: f64 = 2.33;
+
+/// Switches and sizes of the overload-aware health layer; its thresholds
+/// are this module's constants.
 ///
 /// The default ([`HealthConfig::disabled`]) switches every mechanism
 /// off, so configurations that predate the health layer behave exactly
@@ -33,7 +66,7 @@ use ntc_simcore::units::{round_to_u64, SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Per-site circuit breakers: skip sites whose breaker is Open
-    /// instead of burning retry budget (and stalled waits) on them.
+    /// instead of burning retries (and stalled waits) on them.
     pub breakers: bool,
     /// Admission control at dispatch: defer or shed batches whose
     /// queue-delay estimate exceeds their deadline slack.
@@ -41,36 +74,11 @@ pub struct HealthConfig {
     /// Hedged requests: duplicate an invocation that exceeds its
     /// p99-derived hedge delay onto the next healthy site.
     pub hedge: bool,
-    /// Consecutive failures on one site that trip its breaker Open.
-    pub failure_threshold: u32,
-    /// Failure-rate EWMA level that trips the breaker even without a
-    /// consecutive run (flapping sites fail *often*, not *in a row*).
-    pub error_rate_threshold: f64,
-    /// Smoothing factor of the failure-rate and latency EWMAs, in
-    /// `(0, 1]`; higher weighs recent observations more.
-    pub ewma_alpha: f64,
-    /// Observations required before the rate threshold and the hedge
-    /// delay bind (EWMAs are meaningless on two samples).
-    pub min_samples: u32,
-    /// Base Open → HalfOpen cooldown; the realised cooldown is jittered
-    /// uniformly in `[base, min(cap, base·2^opens)]` from a seeded
-    /// stream, so repeatedly-tripped sites back off longer.
-    pub cooldown_base: SimDuration,
-    /// Upper bound on any single cooldown.
-    pub cooldown_cap: SimDuration,
     /// Bounded per-site queue: in-flight invocations admitted before
     /// the admission controller treats the site as saturated.
     pub queue_bound: u32,
     /// How far a deferred batch's dispatch is pushed per deferral.
     pub defer_step: SimDuration,
-    /// Deferrals one batch may accumulate before it must shed instead.
-    pub max_deferrals: u32,
-    /// Floor on the hedge delay (hedging below network jitter buys
-    /// nothing and doubles cost).
-    pub hedge_min_delay: SimDuration,
-    /// Standard-normal quantile the hedge delay adds to the latency
-    /// EWMA: `hedge = mean + q·std`. The default 2.33 approximates p99.
-    pub hedge_quantile: f64,
 }
 
 impl HealthConfig {
@@ -81,17 +89,8 @@ impl HealthConfig {
             breakers: false,
             admission: false,
             hedge: false,
-            failure_threshold: 5,
-            error_rate_threshold: 0.5,
-            ewma_alpha: 0.2,
-            min_samples: 8,
-            cooldown_base: SimDuration::from_secs(30),
-            cooldown_cap: SimDuration::from_mins(10),
             queue_bound: 64,
             defer_step: SimDuration::from_mins(10),
-            max_deferrals: 24,
-            hedge_min_delay: SimDuration::from_secs(2),
-            hedge_quantile: 2.33,
         }
     }
 
@@ -267,10 +266,10 @@ impl SiteHealth {
         }
     }
 
-    /// Records a failed attempt at `at`. Trips the breaker when the
-    /// consecutive-failure threshold or (past
-    /// [`min_samples`](HealthConfig::min_samples)) the failure-rate EWMA
-    /// threshold is reached; a HalfOpen probe failure re-opens
+    /// Records a failed attempt at `at`. Trips the breaker when
+    /// [`FAILURE_THRESHOLD`] failures come in a row or (past
+    /// [`MIN_SAMPLES`]) the failure-rate EWMA reaches
+    /// [`ERROR_RATE_THRESHOLD`]; a HalfOpen probe failure re-opens
     /// immediately. `rng` is the health layer's root stream — the
     /// cooldown draw derives its own child per `(site, open-count)`.
     pub fn record_failure(&mut self, at: SimTime, rng: &RngStream) {
@@ -278,13 +277,11 @@ impl SiteHealth {
         // EWMA only.
         self.observe(true, self.latency_us);
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        let rate_tripped = self.samples >= u64::from(self.cfg.min_samples)
-            && self.failure_rate >= self.cfg.error_rate_threshold;
+        let rate_tripped = self.samples >= MIN_SAMPLES && self.failure_rate >= ERROR_RATE_THRESHOLD;
         match self.state {
             BreakerState::HalfOpen => self.open(at, rng),
             BreakerState::Closed
-                if self.consecutive_failures >= self.cfg.failure_threshold.max(1)
-                    || rate_tripped =>
+                if self.consecutive_failures >= FAILURE_THRESHOLD || rate_tripped =>
             {
                 self.open(at, rng);
             }
@@ -322,38 +319,35 @@ impl SiteHealth {
     /// EWMA times the queue occupancy ahead of it, divided by the
     /// site's concurrency (`width`). Zero until enough samples.
     pub fn queue_delay(&self, width: u32) -> SimDuration {
-        if self.samples < u64::from(self.cfg.min_samples) {
+        if self.samples < MIN_SAMPLES {
             return SimDuration::ZERO;
         }
         let waves = f64::from(self.in_flight) / f64::from(width.max(1));
         SimDuration::from_micros(round_to_u64(self.latency_us * waves))
     }
 
-    /// The p99-derived hedge delay: latency EWMA plus
-    /// [`hedge_quantile`](HealthConfig::hedge_quantile) standard
-    /// deviations, floored at
-    /// [`hedge_min_delay`](HealthConfig::hedge_min_delay). `None` until
+    /// The p99-derived hedge delay: latency EWMA plus [`HEDGE_QUANTILE`]
+    /// standard deviations, floored at [`HEDGE_MIN_DELAY`]. `None` until
     /// enough samples — hedging on guesswork duplicates everything.
     pub fn hedge_delay(&self) -> Option<SimDuration> {
-        if !self.cfg.hedge || self.samples < u64::from(self.cfg.min_samples) {
+        if !self.cfg.hedge || self.samples < MIN_SAMPLES {
             return None;
         }
-        let p99 = self.latency_us + self.cfg.hedge_quantile * self.latency_var_us2.max(0.0).sqrt();
-        Some(SimDuration::from_micros(round_to_u64(p99)).max(self.cfg.hedge_min_delay))
+        let p99 = self.latency_us + HEDGE_QUANTILE * self.latency_var_us2.max(0.0).sqrt();
+        Some(SimDuration::from_micros(round_to_u64(p99)).max(HEDGE_MIN_DELAY))
     }
 
     fn observe(&mut self, failed: bool, latency_us: f64) {
-        let a = self.cfg.ewma_alpha.clamp(1e-6, 1.0);
         if self.samples == 0 {
             self.failure_rate = if failed { 1.0 } else { 0.0 };
             self.latency_us = latency_us;
             self.latency_var_us2 = 0.0;
         } else {
-            self.failure_rate += a * (if failed { 1.0 } else { 0.0 } - self.failure_rate);
+            self.failure_rate += EWMA_ALPHA * (if failed { 1.0 } else { 0.0 } - self.failure_rate);
             if !failed {
                 let dev = latency_us - self.latency_us;
-                self.latency_us += a * dev;
-                self.latency_var_us2 += a * (dev * dev - self.latency_var_us2);
+                self.latency_us += EWMA_ALPHA * dev;
+                self.latency_var_us2 += EWMA_ALPHA * (dev * dev - self.latency_var_us2);
             }
         }
         self.samples += 1;
@@ -369,8 +363,7 @@ impl SiteHealth {
         self.state = BreakerState::Open;
         self.transitions += 1;
         self.probe_outstanding = false;
-        let base = self.cfg.cooldown_base.as_micros().max(1);
-        let cap = self.cfg.cooldown_cap.as_micros().max(base);
+        let (base, cap) = (COOLDOWN_BASE.as_micros(), COOLDOWN_CAP.as_micros());
         let hi = base.saturating_mul(2u64.saturating_pow(self.opens.min(40))).min(cap);
         let mut r = rng.derive(("cooldown-", self.site, "-", self.opens));
         self.open_until = at + SimDuration::from_micros(r.uniform_range(base, hi + 1));
@@ -386,20 +379,13 @@ mod tests {
     }
 
     fn cfg() -> HealthConfig {
-        HealthConfig {
-            breakers: true,
-            admission: true,
-            hedge: true,
-            failure_threshold: 3,
-            min_samples: 4,
-            ..HealthConfig::disabled()
-        }
+        HealthConfig { breakers: true, admission: true, hedge: true, ..HealthConfig::disabled() }
     }
 
     fn tripped(cfg: HealthConfig) -> SiteHealth {
         let mut h = SiteHealth::new("edge", cfg);
         let r = rng();
-        for _ in 0..cfg.failure_threshold.max(1) {
+        for _ in 0..FAILURE_THRESHOLD {
             h.record_failure(SimTime::from_secs(10), &r);
         }
         assert_eq!(h.state(), BreakerState::Open);
@@ -423,33 +409,29 @@ mod tests {
 
     #[test]
     fn consecutive_failures_trip_the_breaker() {
-        // Rate threshold out of reach: only the consecutive run counts.
-        let mut h = SiteHealth::new("edge", HealthConfig { error_rate_threshold: 2.0, ..cfg() });
+        // Seven observations stay under MIN_SAMPLES, so the rate EWMA
+        // cannot trip: only the consecutive run counts.
+        let mut h = SiteHealth::new("edge", cfg());
         let r = rng();
         h.record_failure(SimTime::ZERO, &r);
         h.record_success(SimDuration::from_secs(1));
-        h.record_failure(SimTime::ZERO, &r);
-        h.record_failure(SimTime::ZERO, &r);
+        for _ in 1..FAILURE_THRESHOLD {
+            h.record_failure(SimTime::ZERO, &r);
+        }
         assert_eq!(h.state(), BreakerState::Closed, "run broken by a success");
         h.record_failure(SimTime::ZERO, &r);
-        assert_eq!(h.state(), BreakerState::Open, "third consecutive failure trips");
-        assert_eq!(h.opens(), 1);
+        assert_eq!(h.state(), BreakerState::Open, "fifth consecutive failure trips");
+        assert_eq!((FAILURE_THRESHOLD, h.samples(), h.opens()), (5, 7, 1));
     }
 
     #[test]
     fn failure_rate_ewma_trips_without_a_consecutive_run() {
-        let mut h = SiteHealth::new(
-            "edge",
-            HealthConfig {
-                failure_threshold: 100,
-                error_rate_threshold: 0.4,
-                ewma_alpha: 0.5,
-                min_samples: 4,
-                ..cfg()
-            },
-        );
+        let mut h = SiteHealth::new("edge", cfg());
         let r = rng();
-        // Alternate success/failure: never 2 in a row, but a ~50% rate.
+        // Alternate failure/success: never 2 in a row, but the rate EWMA
+        // (alpha 0.2) settles between 0.44 and 0.56 and sits at 0.67 on
+        // the 7th observation, which is still under MIN_SAMPLES. The 9th,
+        // a failure, lifts it to 0.63 and trips.
         for i in 0..20 {
             if i % 2 == 0 {
                 h.record_failure(SimTime::from_secs(i), &r);
@@ -457,6 +439,9 @@ mod tests {
                 h.record_success(SimDuration::from_secs(1));
             }
             if h.state() == BreakerState::Open {
+                assert_eq!((i, MIN_SAMPLES), (8, 8), "first failure past MIN_SAMPLES trips");
+                assert!(h.failure_rate() >= ERROR_RATE_THRESHOLD);
+                assert!((h.failure_rate() - 0.630_12).abs() < 1e-5, "{}", h.failure_rate());
                 return;
             }
         }
@@ -468,7 +453,7 @@ mod tests {
         let mut h = tripped(cfg());
         assert_eq!(h.check(SimTime::from_secs(11)), Admission::Unavailable);
         // Cooldown is jittered within [base, cap]; far future must admit.
-        let later = SimTime::from_secs(10) + HealthConfig::disabled().cooldown_cap;
+        let later = SimTime::from_secs(10) + COOLDOWN_CAP;
         assert_eq!(h.check(later), Admission::Probe);
         assert_eq!(h.state(), BreakerState::HalfOpen);
         // Only one probe slot.
@@ -482,7 +467,7 @@ mod tests {
     fn probe_failure_reopens_with_longer_cooldown() {
         let mut h = tripped(cfg());
         let r = rng();
-        let probe_at = SimTime::from_secs(10) + HealthConfig::disabled().cooldown_cap;
+        let probe_at = SimTime::from_secs(10) + COOLDOWN_CAP;
         assert_eq!(h.check(probe_at), Admission::Probe);
         h.record_failure(probe_at, &r);
         assert_eq!(h.state(), BreakerState::Open);
@@ -490,12 +475,42 @@ mod tests {
         assert_eq!(h.check(probe_at), Admission::Unavailable, "fresh cooldown runs again");
     }
 
+    /// The k-th open's cooldown is drawn from `[30 s, min(10 min,
+    /// 30 s·2^k)]`: the window doubles per open until the cap binds.
+    #[test]
+    fn cooldowns_grow_per_open_up_to_the_cap() {
+        let mut longest = [0_u64; 7];
+        for seed in 0..64 {
+            let r = RngStream::root(seed).derive("health");
+            let mut h = SiteHealth::new("edge", cfg());
+            let mut at = SimTime::from_secs(10);
+            for _ in 0..FAILURE_THRESHOLD {
+                h.record_failure(at, &r);
+            }
+            for (k, longest) in longest.iter_mut().enumerate() {
+                let cooldown = (h.open_until - at).as_micros();
+                let hi = (30_000_000_u64 << (k + 1)).min(600_000_000);
+                assert!((30_000_000..=hi).contains(&cooldown), "open {}: {cooldown} us", k + 1);
+                *longest = (*longest).max(cooldown);
+                at = h.open_until;
+                assert_eq!(h.check(at), Admission::Probe);
+                h.record_failure(at, &r);
+            }
+        }
+        let secs = longest.map(|us| us / 1_000_000);
+        assert!(secs[0] >= 55 && secs[3] > 400 && secs[6] > 550, "{secs:?}");
+        assert_eq!(
+            (COOLDOWN_BASE, COOLDOWN_CAP),
+            (SimDuration::from_secs(30), SimDuration::from_mins(10))
+        );
+    }
+
     #[test]
     fn cooldowns_are_deterministic_per_seed_and_site() {
         let trip = |site: &'static str, seed: u64| {
             let mut h = SiteHealth::new(site, cfg());
             let r = RngStream::root(seed).derive("health");
-            for _ in 0..3 {
+            for _ in 0..FAILURE_THRESHOLD {
                 h.record_failure(SimTime::ZERO, &r);
             }
             h.open_until
@@ -517,7 +532,7 @@ mod tests {
         assert_eq!(h.failure_rate(), rate, "cancellation must not move the rate EWMA");
         assert_eq!(h.samples(), samples);
         assert_eq!(h.consecutive_failures, run, "nor the consecutive-failure run");
-        assert_eq!(h.state(), BreakerState::Closed, "two failures + cancels stay under 3");
+        assert_eq!(h.state(), BreakerState::Closed, "two failures + cancels stay under 5");
     }
 
     #[test]
@@ -558,7 +573,8 @@ mod tests {
         for _ in 0..16 {
             h.record_success(SimDuration::from_millis(100));
         }
-        assert_eq!(h.hedge_delay(), Some(HealthConfig::disabled().hedge_min_delay));
+        assert_eq!(h.hedge_delay(), Some(SimDuration::from_secs(2)));
+        assert_eq!(HEDGE_MIN_DELAY, SimDuration::from_secs(2));
         // Wide latencies: mean + 2.33σ clears the floor.
         let mut w = SiteHealth::new("cloud", cfg());
         for i in 0..32 {
@@ -573,7 +589,7 @@ mod tests {
     fn transitions_count_every_edge() {
         let mut h = tripped(cfg()); // Closed → Open
         assert_eq!(h.transitions(), 1);
-        let probe_at = SimTime::from_secs(10) + HealthConfig::disabled().cooldown_cap;
+        let probe_at = SimTime::from_secs(10) + COOLDOWN_CAP;
         assert_eq!(h.check(probe_at), Admission::Probe); // Open → HalfOpen
         assert_eq!(h.transitions(), 2);
         h.record_success(SimDuration::from_secs(1)); // HalfOpen → Closed
@@ -588,7 +604,7 @@ mod tests {
         for (site, open_until) in [("edge", 45_504_336), ("cloud", 46_547_914)] {
             let mut h = SiteHealth::new(site, cfg());
             let r = rng();
-            for _ in 0..cfg().failure_threshold {
+            for _ in 0..FAILURE_THRESHOLD {
                 h.record_failure(SimTime::from_secs(10), &r);
             }
             assert_eq!(h.opens(), 1);

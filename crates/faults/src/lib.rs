@@ -4,7 +4,7 @@
 //! engine. The paper's thesis is that non-time-critical work can tolerate
 //! the cloud's drawbacks because *delay-tolerant work can simply wait* —
 //! which must hold for failures as much as for latency. This crate
-//! provides the three pieces the engine composes into that behaviour:
+//! provides the pieces the engine composes into that behaviour:
 //!
 //! * [`FaultConfig`] — the injected faults and their queries:
 //!   transient invocation errors, throttling, site outage windows
@@ -13,9 +13,8 @@
 //!   transfer drops with partial-progress loss. All draws come from
 //!   per-key derived [`RngStream`](ntc_simcore::rng::RngStream)s, so
 //!   answers are reproducible and independent of query order.
-//! * [`RetryPolicy`] — capped exponential backoff with decorrelated
-//!   jitter and an attempt cap that makes time-critical callers give up
-//!   while NTC callers keep waiting.
+//! * [`backoff`] — capped exponential backoff with decorrelated jitter,
+//!   the wait before each retry of a caller that waits failures out.
 //! * [`ErrorClass`] / [`FailureCause`] — the retryable-vs-terminal
 //!   classification of every backend error, replacing the engine's old
 //!   all-errors-are-terminal path.
@@ -40,4 +39,4 @@ pub use classify::{
 pub use config::FaultConfig;
 pub use health::{Admission, BreakerState, HealthConfig, SiteHealth};
 pub use plan::{InjectedFault, SiteOutage};
-pub use retry::RetryPolicy;
+pub use retry::backoff;

@@ -4,46 +4,35 @@
 
 use ntc_check::prelude::*;
 
-use ntc_faults::health::{Admission, BreakerState, HealthConfig, SiteHealth};
+use ntc_faults::health::{
+    Admission, BreakerState, HealthConfig, SiteHealth, COOLDOWN_CAP, FAILURE_THRESHOLD,
+};
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{SimDuration, SimTime};
 
-fn config(failure_threshold: u32, error_rate_threshold: f64, alpha: f64) -> HealthConfig {
-    HealthConfig {
-        breakers: true,
-        admission: true,
-        hedge: true,
-        failure_threshold,
-        error_rate_threshold,
-        ewma_alpha: alpha,
-        min_samples: 4,
-        ..HealthConfig::disabled()
-    }
+fn config() -> HealthConfig {
+    HealthConfig { breakers: true, admission: true, hedge: true, ..HealthConfig::disabled() }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// However the breaker was tripped (any failure pattern, any
-    /// threshold configuration), once the site recovers — every probe
-    /// from now on succeeds — the breaker reaches Closed again in a
-    /// bounded number of cooldown cycles. It never stays Open forever.
+    /// However the breaker was tripped (any run of failures), once the
+    /// site recovers — every probe from now on succeeds — the breaker
+    /// reaches Closed again in a bounded number of cooldown cycles. It
+    /// never stays Open forever.
     #[test]
     fn breaker_never_stays_open_under_a_recovering_site(
         seed in 0u64..1024,
-        failure_threshold in 1u32..8,
-        error_rate_threshold in 0.2f64..0.9,
-        alpha in 0.05f64..0.6,
         failures in 1u32..64,
     ) {
-        let cfg = config(failure_threshold, error_rate_threshold, alpha);
-        let mut h = SiteHealth::new("edge", cfg);
+        let mut h = SiteHealth::new("edge", config());
         let rng = RngStream::root(seed).derive("health");
 
         // Arbitrary outage: hammer the site with at least enough
         // consecutive failures to trip whichever threshold binds first.
         let mut t = SimTime::ZERO;
-        for _ in 0..failures.max(failure_threshold) {
+        for _ in 0..failures.max(FAILURE_THRESHOLD) {
             h.record_failure(t, &rng);
             t += SimDuration::from_secs(1);
         }
@@ -57,13 +46,13 @@ proptest! {
             if h.state() == BreakerState::Closed {
                 break;
             }
-            t += cfg.cooldown_cap;
+            t += COOLDOWN_CAP;
             match h.check(t) {
                 Admission::Probe => h.record_success(SimDuration::from_secs(1)),
                 Admission::Ready => {}
                 Admission::Unavailable => prop_assert!(
                     false,
-                    "breaker unavailable a full cooldown_cap after opening at {t}"
+                    "breaker unavailable a full COOLDOWN_CAP after opening at {t}"
                 ),
             }
         }
@@ -79,34 +68,37 @@ proptest! {
 
     /// A Closed breaker never answers `Probe`: probes are reserved for
     /// the HalfOpen recovery handshake, so healthy sites see normal
-    /// traffic only — regardless of how many sub-threshold failures and
-    /// successes they absorb.
+    /// traffic only, whatever failures and successes they absorb (and
+    /// however often the breaker trips and recovers in between). A site
+    /// that fails at most once in four observations never trips at all.
     #[test]
     fn closed_sites_are_never_probed(
         seed in 0u64..1024,
         pattern in 0u64..u64::MAX,
         steps in 1u32..200,
+        sparse in any::<bool>(),
     ) {
-        // High thresholds keep the breaker Closed through the whole run.
-        let cfg = config(u32::MAX, 1.1, 0.2);
-        let mut h = SiteHealth::new("cloud", cfg);
+        let mut h = SiteHealth::new("cloud", config());
         let rng = RngStream::root(seed).derive("health");
 
         let mut t = SimTime::ZERO;
         for i in 0..steps {
-            prop_assert_eq!(h.state(), BreakerState::Closed);
+            let closed = h.state() == BreakerState::Closed;
             let adm = h.check(t);
             prop_assert!(
-                adm == Admission::Ready,
+                !closed || adm == Admission::Ready,
                 "closed site answered {:?} at step {}", adm, i
             );
-            if (pattern >> (i % 64)) & 1 == 1 {
+            let fails = (pattern >> (i % 64)) & 1 == 1 && (!sparse || i % 4 == 0);
+            if fails {
                 h.record_failure(t, &rng);
             } else {
                 h.record_success(SimDuration::from_secs(2));
             }
             t += SimDuration::from_secs(30);
         }
-        prop_assert_eq!(h.transitions(), 0, "a closed-forever site transitions never");
+        if sparse {
+            prop_assert_eq!(h.transitions(), 0, "a sparsely failing site transitions never");
+        }
     }
 }

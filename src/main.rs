@@ -60,6 +60,22 @@ impl Args {
         }
     }
 
+    /// `--rate` for a run of `hours` hours, counted as at least one:
+    /// refused when it expects more jobs, rate × hours × 3600, than the
+    /// engine's `u32` job index holds.
+    fn rate_for(&self, hours: u64) -> Result<f64, String> {
+        let rate = self.rate()?;
+        let hours = hours.max(1);
+        let jobs = rate * hours as f64 * 3600.0;
+        if jobs > f64::from(u32::MAX) {
+            return Err(format!(
+                "--rate {rate} over {hours} h expects {jobs:.3e} jobs; a run holds at most {}",
+                u32::MAX
+            ));
+        }
+        Ok(rate)
+    }
+
     fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.get(name) {
             Some(v) => v.parse().map_err(|_| format!("--{name}: '{v}' is not an integer")),
@@ -138,8 +154,8 @@ fn cmd_archetypes() {
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("ntc"))?;
-    let rate = args.rate()?;
     let (hours, horizon) = args.horizon(4)?;
+    let rate = args.rate_for(hours)?;
     let seed = args.u64_or("seed", 42)?;
 
     let engine = Engine::new(Environment::metro_reference(), seed);
@@ -152,8 +168,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
-    let rate = args.rate()?;
     let (hours, horizon) = args.horizon(24)?;
+    let rate = args.rate_for(hours)?;
     let seed = args.u64_or("seed", 42)?;
 
     let engine = Engine::new(Environment::metro_reference(), seed);
@@ -178,7 +194,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("ntc"))?;
-    let rate = args.rate()?;
+    // A plan is sized for an hour of traffic.
+    let rate = args.rate_for(1)?;
     let seed = args.u64_or("seed", 42)?;
 
     let env = Environment::metro_reference();
@@ -324,6 +341,26 @@ mod tests {
         assert_eq!(rate("nan"), Err("--rate: 'NaN' is not a finite, non-negative rate".into()));
         assert_eq!(rate("inf"), Err("--rate: 'inf' is not a finite, non-negative rate".into()));
         assert_eq!(rate("x"), Err("--rate: 'x' is not a number".into()));
+    }
+
+    #[test]
+    fn rates_the_job_index_cannot_hold_are_refused() {
+        let simulate = |raw: &[&str]| {
+            let a = args(raw, SIMULATE_FLAGS)?;
+            a.rate_for(a.horizon(4)?.0)
+        };
+        let plan = |raw: &[&str]| args(raw, PLAN_FLAGS)?.rate_for(1);
+        assert_eq!(
+            plan(&["--rate", "1e12"]),
+            Err("--rate 1000000000000 over 1 h expects 3.600e15 jobs; a run holds at most 4294967295"
+                .into())
+        );
+        assert!(simulate(&["--rate", "1e12", "--hours", "0"]).is_err());
+        assert!(simulate(&["--hours", "5124095576"]).is_err(), "3.7e11 jobs at the default rate");
+        assert!(simulate(&["--rate", "1e6", "--hours", "2"]).is_err());
+        assert_eq!(simulate(&["--rate", "1e6", "--hours", "1"]), Ok(1e6));
+        assert_eq!(simulate(&["--rate", "0.02", "--hours", "59652323"]), Ok(0.02));
+        assert_eq!(plan(&[]), Ok(0.02));
     }
 
     #[test]

@@ -63,11 +63,7 @@ proptest! {
         for policy in [
             DispatchPolicy::Immediate,
             DispatchPolicy::Windowed { window: SimDuration::from_secs(window_s) },
-            DispatchPolicy::OffPeak {
-                window: SimDuration::from_secs(window_s),
-                start_hour: 0,
-                end_hour: 6,
-            },
+            DispatchPolicy::OffPeak { window: SimDuration::from_secs(window_s) },
         ] {
             let d = dispatch_time(policy, arrival, slack, est, margin);
             prop_assert!(d >= arrival, "{policy}: dispatched into the past");
