@@ -117,35 +117,6 @@ pub fn dispatch_time(
     }
 }
 
-/// Decision record for one held job (used by the execution engine to
-/// requeue the job at its release instant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeldJob {
-    /// When the job arrived.
-    pub arrival: SimTime,
-    /// When it will be released to the platform.
-    pub dispatch_at: SimTime,
-    /// Its hard completion deadline.
-    pub deadline: SimTime,
-}
-
-impl HeldJob {
-    /// Plans a job's release under `policy`.
-    pub fn plan(
-        policy: DispatchPolicy,
-        arrival: SimTime,
-        slack: SimDuration,
-        estimated_completion: SimDuration,
-        margin: SimDuration,
-    ) -> HeldJob {
-        HeldJob {
-            arrival,
-            dispatch_at: dispatch_time(policy, arrival, slack, estimated_completion, margin),
-            deadline: arrival + slack,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,15 +276,15 @@ mod tests {
     fn held_job_records_hold_time() {
         // The next window boundary (1 h) lies past the latest safe
         // dispatch (500 s), so the job is held exactly until then.
-        let job = HeldJob::plan(
+        let arrival = SimTime::from_secs(100);
+        let d = dispatch_time(
             DispatchPolicy::Windowed { window: SimDuration::from_hours(1) },
-            SimTime::from_secs(100),
+            arrival,
             SimDuration::from_secs(500),
             SimDuration::from_secs(100),
             SimDuration::ZERO,
         );
-        assert_eq!(job.dispatch_at - job.arrival, SimDuration::from_secs(400));
-        assert_eq!(job.deadline, SimTime::from_secs(600));
+        assert_eq!(d - arrival, SimDuration::from_secs(400));
     }
 
     #[test]

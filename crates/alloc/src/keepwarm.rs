@@ -1,11 +1,9 @@
-//! Cold-start mitigation strategies and their expected-cost comparison
+//! Cold-start mitigation strategies and the choice between them
 //! (Figure 2 of the reconstructed evaluation).
 
 use core::fmt;
 
-use ntc_simcore::units::{DataSize, Money, SimDuration};
-
-use ntc_serverless::BillingModel;
+use ntc_simcore::units::SimDuration;
 
 /// A strategy for keeping latency tails down between sporadic arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,26 +30,6 @@ impl fmt::Display for WarmStrategy {
             WarmStrategy::PlatformOnly => f.write_str("platform-only"),
             WarmStrategy::Warmer { period } => write!(f, "warmer({period})"),
             WarmStrategy::Provisioned { count } => write!(f, "provisioned({count})"),
-        }
-    }
-}
-
-/// The expected *extra* hourly cost of a strategy (beyond the work
-/// itself), for a function of the given memory size.
-pub fn hourly_overhead(strategy: WarmStrategy, memory: DataSize, billing: &BillingModel) -> Money {
-    match strategy {
-        WarmStrategy::PlatformOnly => Money::ZERO,
-        WarmStrategy::Warmer { period } => {
-            if period.is_zero() {
-                return Money::ZERO;
-            }
-            let pings_per_hour = 3600.0 / period.as_secs_f64();
-            // A warmer ping is a minimal invocation: one billing granule.
-            let per_ping = billing.invocation_cost(memory, SimDuration::from_micros(1));
-            per_ping.mul_f64(pings_per_hour)
-        }
-        WarmStrategy::Provisioned { count } => {
-            billing.provisioned_cost(memory, SimDuration::from_hours(1)).mul_f64(f64::from(count))
         }
     }
 }
@@ -114,32 +92,5 @@ mod tests {
             recommend(SimDuration::from_secs(1), SimDuration::ZERO),
             WarmStrategy::Provisioned { count: 1 }
         );
-    }
-
-    #[test]
-    fn overhead_ordering_is_sane() {
-        let billing = BillingModel::aws_like();
-        let mem = DataSize::from_mib(1024);
-        let none = hourly_overhead(WarmStrategy::PlatformOnly, mem, &billing);
-        let warmer = hourly_overhead(
-            WarmStrategy::Warmer { period: SimDuration::from_mins(9) },
-            mem,
-            &billing,
-        );
-        let prov = hourly_overhead(WarmStrategy::Provisioned { count: 1 }, mem, &billing);
-        assert_eq!(none, Money::ZERO);
-        assert!(warmer > none);
-        assert!(prov > warmer, "provisioned ({prov}) should out-cost pinging ({warmer})");
-    }
-
-    #[test]
-    fn zero_period_warmer_is_free() {
-        let billing = BillingModel::aws_like();
-        let c = hourly_overhead(
-            WarmStrategy::Warmer { period: SimDuration::ZERO },
-            DataSize::from_mib(128),
-            &billing,
-        );
-        assert_eq!(c, Money::ZERO);
     }
 }

@@ -9,10 +9,7 @@
 //!   and cheapest-under-deadline selection (Figure 3).
 //! * [`batching`] — deadline-aware dispatch policies that exploit slack
 //!   without ever violating a deadline (Figure 4).
-//! * [`keepwarm`] — cold-start mitigation strategies and their expected
-//!   overhead (Figure 2).
-//! * [`sizing`] — Little's-law concurrency sizing and the full
-//!   [`sizing::Allocation`] decision.
+//! * [`keepwarm`] — cold-start mitigation strategies (Figure 2).
 //!
 //! # Examples
 //!
@@ -38,9 +35,7 @@
 pub mod batching;
 pub mod keepwarm;
 pub mod memory;
-pub mod sizing;
 
-pub use batching::{dispatch_time, DispatchPolicy, HeldJob};
-pub use keepwarm::{hourly_overhead, recommend, WarmStrategy};
+pub use batching::{dispatch_time, DispatchPolicy};
+pub use keepwarm::{recommend, WarmStrategy};
 pub use memory::{pareto_frontier, select_memory, standard_sizes, sweep, MemoryPoint};
-pub use sizing::{allocate, allocate_default, required_concurrency, Allocation, AllocationRequest};

@@ -165,6 +165,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_slack_budget_gets_the_fastest_size() {
+        // A zero-slack job's budget is 1 µs: nothing fits, so the fastest
+        // size wins (8192 MiB ties 10240 MiB at the CPU cap and is
+        // cheaper).
+        let (cpu, billing) = models();
+        let work = Cycles::from_giga(10);
+        let p = select_memory(work, SimDuration::from_micros(1), &cpu, &billing, &standard_sizes())
+            .unwrap();
+        assert_eq!(p.memory, DataSize::from_mib(8192));
+    }
+
+    #[test]
+    fn ample_slack_gets_at_most_the_full_vcpu_size() {
+        // Eight hours of slack, half of it for the one offloaded
+        // component.
+        let (cpu, billing) = models();
+        let work = Cycles::from_giga(10);
+        let pick = |budget| select_memory(work, budget, &cpu, &billing, &standard_sizes()).unwrap();
+        let ample = pick(SimDuration::from_hours(4));
+        assert!(ample.memory <= DataSize::from_mib(1769), "{ample:?}");
+        assert!(ample.cost <= pick(SimDuration::from_micros(1)).cost);
+    }
+
+    #[test]
     fn empty_ladder_returns_none() {
         let (cpu, billing) = models();
         assert!(select_memory(

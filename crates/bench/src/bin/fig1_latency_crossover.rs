@@ -117,29 +117,27 @@ fn main() {
         let ctx = PartitionContext::new(&graph, input, CostParams::default());
         let local_plan = KeepLocal.partition(&ctx);
         let remote_plan = FullOffload.partition(&ctx);
-        let lat = |plan: &ntc_partition::PartitionPlan, backend| {
+        let lat = |plan: &ntc_partition::PartitionPlan, site: ntc_core::Site| {
             let d = ntc_core::Deployment {
                 archetype: Archetype::PhotoPipeline, // unused by the estimate
                 graph: graph.clone(),
                 plan: plan.clone(),
-                backend,
                 memory: graph.ids().map(|_| ntc_core::deploy::DEFAULT_MEMORY).collect(),
                 dispatch: ntc_alloc::DispatchPolicy::Immediate,
                 warm: ntc_alloc::WarmStrategy::PlatformOnly,
                 est_completion: ntc_simcore::units::SimDuration::ZERO,
                 demands: vec![],
-                reference_input: input,
                 max_batch_members: u32::MAX,
                 max_batch_bytes: ntc_simcore::units::DataSize::from_bytes(u64::MAX),
                 est_local: ntc_simcore::units::SimDuration::ZERO,
                 fallback_local: false,
-                site_chain: vec![backend.into()],
+                site_chain: vec![site],
             };
             d.estimated_latency(&env, input).as_secs_f64()
         };
-        let l = lat(&local_plan, ntc_core::Backend::Cloud);
-        let e = lat(&remote_plan, ntc_core::Backend::Edge);
-        let c = lat(&remote_plan, ntc_core::Backend::Cloud);
+        let l = lat(&local_plan, ntc_core::Site::Cloud);
+        let e = lat(&remote_plan, ntc_core::Site::Edge);
+        let c = lat(&remote_plan, ntc_core::Site::Cloud);
         let winner = if l <= e && l <= c {
             "local"
         } else if e <= c {

@@ -6,7 +6,7 @@
 //! contribution C1 (profile), C3 (partition), C2 (allocate) and C5
 //! (batching), exactly as the CI/CD pipeline stages do.
 
-use ntc_alloc::{allocate, recommend, AllocationRequest, DispatchPolicy, WarmStrategy};
+use ntc_alloc::{recommend, select_memory, standard_sizes, DispatchPolicy, WarmStrategy};
 use ntc_partition::{
     CostParams, FullOffload, KeepLocal, MinCutPartitioner, PartitionContext, PartitionPlan,
     Partitioner, Side,
@@ -18,7 +18,7 @@ use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Archetype;
 
 use crate::environment::Environment;
-use crate::policy::{Backend, OffloadPolicy};
+use crate::policy::OffloadPolicy;
 use crate::site::Site;
 
 /// The memory size granting one full vCPU — the baseline policies'
@@ -44,10 +44,8 @@ pub struct Deployment {
     pub archetype: Archetype,
     /// Its task graph.
     pub graph: TaskGraph,
-    /// Component → side assignment (Cloud side = the policy's backend).
+    /// Component → side assignment (Cloud side = the chain's primary).
     pub plan: PartitionPlan,
-    /// Where offloaded components run.
-    pub backend: Backend,
     /// Per-component function memory size (meaningful for offloaded
     /// components on the cloud backend).
     pub memory: Vec<DataSize>,
@@ -59,8 +57,6 @@ pub struct Deployment {
     pub est_completion: SimDuration,
     /// The per-component demand estimates the decisions were based on.
     pub demands: Vec<Cycles>,
-    /// The representative input the estimates refer to.
-    pub reference_input: DataSize,
     /// Largest number of jobs one coalesced invocation may carry before
     /// the window is split into chunks (keeps batch executions far from
     /// the function timeout even under demand-noise and input tails).
@@ -99,7 +95,7 @@ impl Deployment {
         // not the conservative planning estimate used to hold jobs.
         estimate_completion(
             env,
-            Site::from(self.backend),
+            self.site_chain[0],
             &self.graph,
             &self.plan,
             &self.memory,
@@ -205,10 +201,9 @@ pub fn deploy(
 ) -> Deployment {
     let graph = archetype.graph();
     let rng = rng.derive(("deploy-", archetype.name()));
-    let backend = policy.backend();
     // Whether the primary is serverless (metered, warmable,
     // timeout-bound) gates the sizing, warming and batch caps below.
-    let site = Site::from(backend);
+    let site = Site::from(policy.backend());
     let (input, tail_input) = reference_inputs(archetype, &rng);
 
     // --- C1: demands. ---
@@ -242,7 +237,6 @@ pub fn deploy(
     // --- C5: dispatch + warming (decided first: batching determines how
     // much work one invocation will carry). ---
     let slack = expected_slack;
-    let offloaded = plan.offloaded().count().max(1);
     let (dispatch, warm) = match policy {
         OffloadPolicy::Ntc(cfg) => {
             let dispatch = if cfg.use_batching && !slack.is_zero() && plan.offloaded().count() > 0 {
@@ -276,15 +270,32 @@ pub fn deploy(
     // but the engine splits it into byte-capped chunks that execute on
     // separate instances, so each invocation still carries roughly one
     // window's worth of traffic.
-    let expected_members = match dispatch {
-        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window } => {
-            (rate_per_sec * window.as_secs_f64() * 2.0).ceil().max(1.0) as u64
-        }
-        _ => 1,
+    let window = match dispatch {
+        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window } => Some(window),
+        DispatchPolicy::Immediate => None,
     };
+    let expected_members =
+        window.map_or(1, |w| (rate_per_sec * w.as_secs_f64() * 2.0).ceil().max(1.0) as u64);
     let batch_input = input * expected_members;
 
-    // --- C2: memory sizes, dimensioned for the expected batch. ---
+    // What the profiler learned about each component, relative to its
+    // annotation (drift recovery), floored at a quarter.
+    let learned_ratio: Vec<f64> = graph
+        .ids()
+        .map(|id| {
+            let ann_single = graph.component(id).demand_cycles(input).get().max(1);
+            (demands[id.index()].get() as f64 / ann_single as f64).max(0.25)
+        })
+        .collect();
+
+    // --- C2: memory sizes, dimensioned for the expected batch: the
+    // cheapest size that runs it within the component's share of half
+    // the slack, or the fastest one for zero-slack jobs. ---
+    let budget = if slack.is_zero() {
+        SimDuration::from_micros(1)
+    } else {
+        slack.mul_f64(0.5 / plan.offloaded().count().max(1) as f64)
+    };
     let memory: Vec<DataSize> = match policy {
         // C2 disabled: the platform's untuned default size.
         OffloadPolicy::Ntc(cfg) if !cfg.use_allocator && site.is_serverless() => {
@@ -301,9 +312,6 @@ pub fn deploy(
                         .component(id)
                         .batch_demand_cycles(expected_members, batch_input)
                         .get();
-                    // What the profiler learned about this component,
-                    // relative to its annotation (drift recovery).
-                    let learned_ratio = demands[id.index()].get() as f64 / ann_single as f64;
                     let factor = ann_batch as f64 / ann_single as f64;
                     let work = demands[id.index()].mul_f64(factor.max(1.0));
                     // Timeout safety must also survive a lone tail-input
@@ -311,30 +319,26 @@ pub fn deploy(
                     let tail_work = graph
                         .component(id)
                         .demand_cycles(tail_input)
-                        .mul_f64(2.0 * learned_ratio.max(0.25));
+                        .mul_f64(2.0 * learned_ratio[id.index()]);
                     let guard_work = work.max(tail_work);
-                    let req = AllocationRequest {
+                    let cheapest = select_memory(
                         work,
-                        rate_per_sec,
-                        slack,
-                        slack_share: 0.5 / offloaded as f64,
-                    };
-                    let a = allocate(
-                        &req,
+                        budget,
                         &env.platform.cpu,
                         &env.platform.billing,
-                        env.platform.keep_alive,
-                    );
+                        &standard_sizes(),
+                    )
+                    .expect("standard ladder is non-empty");
                     // Respect the component's own footprint floor, and never
                     // pick a size whose batch execution could hit the
                     // function timeout.
-                    let mut pick = a.memory.memory.max(graph.component(id).memory());
+                    let mut pick = cheapest.memory.max(graph.component(id).memory());
                     let timeout_guard = |m: DataSize| {
                         site.execution_speed(env, m).execution_time(guard_work)
                             <= SimDuration::from_mins(10)
                     };
                     if !timeout_guard(pick) {
-                        let bumped = ntc_alloc::standard_sizes()
+                        let bumped = standard_sizes()
                             .into_iter()
                             .find(|&candidate| candidate > pick && timeout_guard(candidate));
                         // No ladder size is safe: take the largest.
@@ -353,22 +357,16 @@ pub fn deploy(
     // window's worth of jobs coalesce into one invocation, so the estimate
     // covers the *expected batch* (conservatively, annotation demands at
     // the batch-sized input).
-    let window_of = |d: DispatchPolicy| match d {
-        DispatchPolicy::Windowed { window } | DispatchPolicy::OffPeak { window } => Some(window),
-        _ => None,
-    };
-    let mut est_completion = if let Some(window) = window_of(dispatch) {
+    let mut est_completion = if let Some(window) = window {
         let expected = (rate_per_sec * window.as_secs_f64()).ceil().max(1.0) as u64;
         let est_batch_input = input * expected;
         let batch_demands: Vec<Cycles> = graph
             .ids()
             .map(|id| {
-                let ann_single = graph.component(id).demand_cycles(input).get().max(1);
-                let learned_ratio = demands[id.index()].get() as f64 / ann_single as f64;
                 graph
                     .component(id)
                     .batch_demand_cycles(expected, est_batch_input)
-                    .mul_f64(learned_ratio.max(0.25))
+                    .mul_f64(learned_ratio[id.index()])
             })
             .collect();
         estimate_completion(
@@ -401,42 +399,38 @@ pub fn deploy(
     // Cap coalesced batch size: a chunk's estimated execution at its
     // component's memory must stay within a third of the 15-minute
     // function timeout, leaving room for input tails and demand noise.
-    let (max_batch_members, max_batch_bytes) =
-        if matches!(dispatch, DispatchPolicy::Windowed { .. } | DispatchPolicy::OffPeak { .. })
-            && site.is_serverless()
-        {
-            // A chunk must finish within 5 minutes at estimated demand — with
-            // the 2x noise margin that is still under the 15-minute timeout.
-            let budget_secs = 300.0;
-            let noise_margin = 2.0;
-            let budget = SimDuration::from_secs_f64(budget_secs / noise_margin);
-            let mut byte_cap = u64::MAX;
-            let mut member_cap = 64u64;
-            for id in plan.offloaded() {
-                let speed = site.execution_speed(env, memory[id.index()]);
-                let model = graph.component(id).demand();
-                // Input-proportional demand bounds the chunk's total bytes.
-                if model.per_input_byte > 0.0 {
-                    let cycles_budget =
-                        speed.as_hz() as f64 * budget_secs / noise_margin - model.fixed;
-                    let cap = (cycles_budget / model.per_input_byte).max(0.0) as u64;
-                    byte_cap = byte_cap.min(cap);
-                }
-                // Non-batchable fixed demand bounds the member count directly.
-                let mut k = 1u64;
-                while k < 64 {
-                    let w = graph.component(id).batch_demand_cycles(k + 1, input * (k + 1));
-                    if speed.execution_time(w) > budget {
-                        break;
-                    }
-                    k += 1;
-                }
-                member_cap = member_cap.min(k);
+    let (max_batch_members, max_batch_bytes) = if window.is_some() && site.is_serverless() {
+        // A chunk must finish within 5 minutes at estimated demand — with
+        // the 2x noise margin that is still under the 15-minute timeout.
+        let budget_secs = 300.0;
+        let noise_margin = 2.0;
+        let budget = SimDuration::from_secs_f64(budget_secs / noise_margin);
+        let mut byte_cap = u64::MAX;
+        let mut member_cap = 64u64;
+        for id in plan.offloaded() {
+            let speed = site.execution_speed(env, memory[id.index()]);
+            let model = graph.component(id).demand();
+            // Input-proportional demand bounds the chunk's total bytes.
+            if model.per_input_byte > 0.0 {
+                let cycles_budget = speed.as_hz() as f64 * budget_secs / noise_margin - model.fixed;
+                let cap = (cycles_budget / model.per_input_byte).max(0.0) as u64;
+                byte_cap = byte_cap.min(cap);
             }
-            (member_cap.max(1) as u32, DataSize::from_bytes(byte_cap))
-        } else {
-            (u32::MAX, DataSize::from_bytes(u64::MAX))
-        };
+            // Non-batchable fixed demand bounds the member count directly.
+            let mut k = 1u64;
+            while k < 64 {
+                let w = graph.component(id).batch_demand_cycles(k + 1, input * (k + 1));
+                if speed.execution_time(w) > budget {
+                    break;
+                }
+                k += 1;
+            }
+            member_cap = member_cap.min(k);
+        }
+        (member_cap.max(1) as u32, DataSize::from_bytes(byte_cap))
+    } else {
+        (u32::MAX, DataSize::from_bytes(u64::MAX))
+    };
 
     let site_chain = site.fallback_chain(policy.fallback_enabled());
 
@@ -444,13 +438,11 @@ pub fn deploy(
         archetype,
         graph,
         plan,
-        backend,
         memory,
         dispatch,
         warm,
         est_completion,
         demands,
-        reference_input: input,
         max_batch_members,
         max_batch_bytes,
         est_local,
@@ -462,7 +454,7 @@ pub fn deploy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::NtcConfig;
+    use crate::policy::{Backend, NtcConfig};
 
     fn env() -> Environment {
         Environment::metro_reference()
@@ -497,7 +489,7 @@ mod tests {
             &rng(),
         );
         assert_eq!(d.plan.offloaded().count(), d.graph.len() - 1); // entry pinned
-        assert_eq!(d.backend, Backend::Cloud);
+        assert_eq!(d.site_chain[0], Site::Cloud);
     }
 
     #[test]
@@ -510,7 +502,7 @@ mod tests {
             Archetype::MlInference.typical_slack(),
             &rng(),
         );
-        assert_eq!(d.backend, Backend::Edge);
+        assert_eq!(d.site_chain[0], Site::Edge);
         assert!(d.plan.offloaded().count() > 0);
     }
 
@@ -645,16 +637,12 @@ mod tests {
 
     #[test]
     fn profiler_estimates_are_near_annotations() {
-        let d = deploy(
-            &OffloadPolicy::ntc(),
-            Archetype::PhotoPipeline,
-            &env(),
-            0.1,
-            Archetype::PhotoPipeline.typical_slack(),
-            &rng(),
-        );
+        let a = Archetype::PhotoPipeline;
+        let d = deploy(&OffloadPolicy::ntc(), a, &env(), 0.1, a.typical_slack(), &rng());
+        // The reference input the estimates refer to, as `deploy` draws it.
+        let (input, _) = reference_inputs(a, &rng().derive(("deploy-", a.name())));
         for (id, c) in d.graph.components() {
-            let annotated = c.demand_cycles(d.reference_input).get() as f64;
+            let annotated = c.demand_cycles(input).get() as f64;
             let estimated = d.demands[id.index()].get() as f64;
             if annotated > 0.0 {
                 let rel = (estimated - annotated).abs() / annotated;

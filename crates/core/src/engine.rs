@@ -451,10 +451,7 @@ impl Engine {
             &mut scratch.local_override,
         );
         for (bi, b) in scratch.batches.iter().enumerate() {
-            scratch
-                .sim
-                .schedule_at(b.dispatch_at, Ev::dispatch(bi))
-                .expect("dispatch scheduled from t=0");
+            scratch.sim.schedule_after(b.dispatch_at - SimTime::ZERO, Ev::dispatch(bi));
         }
         scratch.states.reset(&scratch.deployments, &scratch.batches);
         scratch.acct.reset(scratch.jobs.len(), retention);

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use ntc_faults::{FailureCause, HealthConfig, SiteHealth};
+use ntc_faults::{Admission, FailureCause, HealthConfig, SiteHealth};
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::timeseries::TimeSeries;
 use ntc_simcore::units::{DataSize, Energy, Money, SimDuration, SimTime};
@@ -64,6 +64,19 @@ impl HealthMap {
     /// Mutable access to the health record of `site`.
     pub(crate) fn site_mut(&mut self, site: Site) -> &mut SiteHealth {
         &mut self.sites[site.index()]
+    }
+
+    /// The first position of `chain` at or past `from` whose site's
+    /// breaker admits a request at `t`, or `None` when every breaker
+    /// refuses. The scan stops at the first admitting site, so at most
+    /// one HalfOpen probe slot is handed out per call.
+    pub(crate) fn first_admitting(
+        &mut self,
+        chain: &[Site],
+        from: usize,
+        t: SimTime,
+    ) -> Option<usize> {
+        (from..chain.len()).find(|&i| self.site_mut(chain[i]).check(t) != Admission::Unavailable)
     }
 
     /// Records a failed attempt against `site` — unless the cause is a

@@ -4,11 +4,11 @@
 //! devices), breaker-aware site selection, and deadline-budgeted hedged
 //! requests.
 
-use ntc_faults::{classify_injected, Admission, ErrorClass, FailureCause};
+use ntc_faults::{classify_injected, ErrorClass, FailureCause};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
-use ntc_simcore::units::{round_to_u64, Cycles, SimTime};
+use ntc_simcore::units::{round_to_u64, Cycles, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 use ntc_workloads::Job;
 
@@ -87,7 +87,7 @@ pub(crate) fn handle_exec(
     // breakers: no remote invocation happens, so an admitted probe slot
     // could never resolve.
     if st.health.breakers() && !ctx.local_override[bi] && d.plan.side(comp) == Side::Cloud {
-        if let Some(next) = breaker_site(ctx, sites, st, t, bi, comp, pos) {
+        if let Some(next) = st.health.first_admitting(chain, pos, t) {
             if next != pos {
                 st.states.set_chain_pos(bi, next);
                 st.acct.overload.breaker_skips += 1;
@@ -120,23 +120,21 @@ pub(crate) fn handle_exec(
             let outcome =
                 invoke_remote(ctx, sites, &rng, t, bi, comp, site, noise, Try::Attempt(attempt));
             match outcome {
-                Ok(finish) => {
+                Ok(latency) => {
                     if st.health.enabled() {
                         st.health.site_mut(site).enter();
                         st.states.inflight_site[cix] = Some(site);
-                        let latency = finish.saturating_duration_since(t);
                         // A straggler past the site's p99-derived hedge
                         // delay defers its completion: at `t + delay` a
                         // duplicate may race it on the next healthy
-                        // site, and the earlier finisher wins.
+                        // remote site, and the earlier finisher wins.
                         if let Some(delay) = st.health.site(site).hedge_delay() {
-                            if latency > delay && hedge_candidate_exists(ctx, sites, bi, comp, pos)
-                            {
+                            if latency > delay && chain[pos + 1..].iter().any(|s| s.is_remote()) {
                                 st.hedges.insert(
                                     (bi, comp),
                                     HedgePending {
                                         start: t,
-                                        primary_finish: finish,
+                                        primary_finish: t + latency,
                                         from_pos: pos,
                                     },
                                 );
@@ -146,57 +144,17 @@ pub(crate) fn handle_exec(
                         }
                         st.health.site_mut(site).record_success(latency);
                     }
-                    sim.schedule_at(finish, Ev::done(bi, comp)).expect("future");
+                    sim.schedule_after(latency, Ev::done(bi, comp));
                 }
                 Err((class, cause)) => {
                     if st.health.enabled() {
                         st.health.observe_failure(site, t, &st.health_rng, cause);
                     }
-                    recovery::recover(ctx, sites, st, sim, &rng, t, bi, comp, class, cause);
+                    recovery::recover(ctx, st, sim, &rng, t, bi, comp, class, cause);
                 }
             }
         }
     }
-}
-
-/// The first chain position at or past `pos` whose site's breaker admits
-/// a request at `t` (and which can serve the component), or `None` when
-/// every breaker refuses. The scan stops at the first admitting site so
-/// at most one HalfOpen probe slot is handed out per call.
-fn breaker_site(
-    ctx: &RunCtx<'_>,
-    sites: &SiteRegistry,
-    st: &mut RunState<'_>,
-    t: SimTime,
-    bi: usize,
-    comp: ComponentId,
-    pos: usize,
-) -> Option<usize> {
-    let di = ctx.batches[bi].di;
-    let chain = &ctx.deployments[di].site_chain;
-    (pos..chain.len()).find(|&i| {
-        let site = chain[i];
-        if i > pos && !sites.can_serve(site, di, comp) {
-            return false;
-        }
-        st.health.site_mut(site).check(t) != Admission::Unavailable
-    })
-}
-
-/// Whether any chain site strictly past `pos` could host a hedged
-/// duplicate of this component (remote and provisioned). Breaker
-/// admission is checked later, when the hedge actually fires.
-fn hedge_candidate_exists(
-    ctx: &RunCtx<'_>,
-    sites: &SiteRegistry,
-    bi: usize,
-    comp: ComponentId,
-    pos: usize,
-) -> bool {
-    let di = ctx.batches[bi].di;
-    ctx.deployments[di].site_chain[pos + 1..]
-        .iter()
-        .any(|&site| site.is_remote() && sites.can_serve(site, di, comp))
 }
 
 /// A straggling invocation's hedge delay elapsed: launch a speculative
@@ -216,8 +174,7 @@ pub(crate) fn handle_hedge_fire(
 ) {
     let Some(pending) = st.hedges.remove(&(bi, comp)) else { return };
     let cix = st.states.ix(bi, comp);
-    let di = ctx.batches[bi].di;
-    let chain = &ctx.deployments[di].site_chain;
+    let chain = &ctx.deployments[ctx.batches[bi].di].site_chain;
     let primary = chain[pending.from_pos];
     if st.states.failed[bi] {
         // Another component already failed the whole batch; release the
@@ -227,16 +184,12 @@ pub(crate) fn handle_hedge_fire(
         return;
     }
     // The duplicate goes to the first breaker-admitting remote site
-    // strictly past the primary's position.
-    let target = (pending.from_pos + 1..chain.len()).find(|&i| {
-        let site = chain[i];
-        site.is_remote()
-            && sites.can_serve(site, di, comp)
-            && st.health.site_mut(site).check(t) != Admission::Unavailable
-    });
-    let Some(target_pos) = target else {
+    // strictly past the primary's position; remote sites lead every
+    // chain.
+    let remote = &chain[..chain.iter().take_while(|s| s.is_remote()).count()];
+    let Some(target_pos) = st.health.first_admitting(remote, pending.from_pos + 1, t) else {
         // Nobody healthy to race against: the primary wins by default.
-        resolve_primary_win(st, sim, bi, comp, primary, &pending);
+        resolve_primary_win(st, sim, t, bi, comp, primary, &pending);
         return;
     };
     let target = chain[target_pos];
@@ -249,13 +202,13 @@ pub(crate) fn handle_hedge_fire(
     let rng = ctx.batch_rng(bi);
     let noise = noise_factor(ctx, st, &rng, bi, comp);
     match invoke_remote(ctx, sites, &rng, t, bi, comp, target, noise, Try::Hedge) {
-        Ok(finish) if finish < pending.primary_finish => {
+        Ok(latency) if t + latency < pending.primary_finish => {
             // The duplicate wins: cancel the primary (a deliberate
             // cancellation — not a failure, not an observation) and
             // complete from the duplicate's site.
             st.acct.overload.hedges_won += 1;
             st.acct.overload.hedge_cancelled += 1;
-            st.health.site_mut(target).record_success(finish.saturating_duration_since(t));
+            st.health.site_mut(target).record_success(latency);
             st.health.site_mut(primary).record_cancelled();
             st.health.site_mut(primary).leave();
             st.health.site_mut(target).enter();
@@ -263,7 +216,7 @@ pub(crate) fn handle_hedge_fire(
             // Route downstream flows over the winning site. `max`:
             // another component may have already fallen back further.
             st.states.set_chain_pos(bi, st.states.chain_pos(bi).max(target_pos));
-            sim.schedule_at(finish, Ev::done(bi, comp)).expect("future");
+            sim.schedule_after(latency, Ev::done(bi, comp));
         }
         Ok(_) => {
             // The duplicate loses the race before it even finishes:
@@ -272,7 +225,7 @@ pub(crate) fn handle_hedge_fire(
             st.acct.overload.hedges_lost += 1;
             st.acct.overload.hedge_cancelled += 1;
             st.health.site_mut(target).record_cancelled();
-            resolve_primary_win(st, sim, bi, comp, primary, &pending);
+            resolve_primary_win(st, sim, t, bi, comp, primary, &pending);
         }
         Err((_class, cause)) => {
             // The duplicate failed outright: that *is* an observation
@@ -280,7 +233,7 @@ pub(crate) fn handle_hedge_fire(
             // nothing is retried and the batch loses nothing.
             st.acct.overload.hedges_lost += 1;
             st.health.observe_failure(target, t, &st.health_rng, cause);
-            resolve_primary_win(st, sim, bi, comp, primary, &pending);
+            resolve_primary_win(st, sim, t, bi, comp, primary, &pending);
         }
     }
 }
@@ -310,7 +263,7 @@ impl Key for Try {
 /// invocation for the whole batch, on the concatenated input, so the
 /// fixed demand and the request fee amortise across members. An injected
 /// fault or a site outage answers instead of the site. Returns the
-/// completion instant.
+/// invocation's latency from `t`.
 ///
 /// The injected fault is drawn under the batch's stream `rng` by the key
 /// `{comp}-{site}{try}`, with the site's name — its spelling is part of
@@ -327,7 +280,7 @@ fn invoke_remote(
     site: Site,
     noise: f64,
     try_: Try,
-) -> Result<SimTime, (ErrorClass, FailureCause)> {
+) -> Result<SimDuration, (ErrorClass, FailureCause)> {
     let b = &ctx.batches[bi];
     let annotated = ctx.deployments[b.di]
         .graph
@@ -346,12 +299,13 @@ fn invoke_remote(
     sites.invoke(site, t, b.di, comp, work)
 }
 
-/// Completes a hedged invocation from its deferred primary: records the
-/// primary's success (measured from its original submission) and
-/// schedules the completion it was holding back.
+/// Completes a hedged invocation from its deferred primary at `t`:
+/// records the primary's success (measured from its original
+/// submission) and schedules the completion it was holding back.
 fn resolve_primary_win(
     st: &mut RunState<'_>,
     sim: &mut Simulator<Ev>,
+    t: SimTime,
     bi: usize,
     comp: ComponentId,
     primary: Site,
@@ -360,7 +314,7 @@ fn resolve_primary_win(
     st.health
         .site_mut(primary)
         .record_success(pending.primary_finish.saturating_duration_since(pending.start));
-    sim.schedule_at(pending.primary_finish, Ev::done(bi, comp)).expect("future");
+    sim.schedule_after(pending.primary_finish - t, Ev::done(bi, comp));
 }
 
 /// The injected-fault key of one try of a component on `site`:

@@ -3,14 +3,13 @@
 //! deployment's site-preference chain (preferring sites whose breaker
 //! admits when the health layer is on).
 
-use ntc_faults::{backoff, Admission, ErrorClass, FailureCause};
+use ntc_faults::{backoff, ErrorClass, FailureCause};
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
 use super::{accounting, Ev, RunCtx, RunState};
-use crate::site::SiteRegistry;
 
 /// How long the caller takes to observe a failed attempt (error
 /// propagation and detection), charged before any retry or fallback.
@@ -22,7 +21,6 @@ const DETECT: SimDuration = SimDuration::from_millis(500);
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recover(
     ctx: &RunCtx<'_>,
-    sites: &SiteRegistry,
     st: &mut RunState<'_>,
     sim: &mut Simulator<Ev>,
     rng: &RngStream,
@@ -51,7 +49,7 @@ pub(crate) fn recover(
             sim.schedule_after(DETECT + wait, Ev::exec(bi, comp));
         }
         ErrorClass::Retryable | ErrorClass::Fallback => {
-            fall_back_or_fail(ctx, sites, st, sim, t, bi, comp, cause);
+            fall_back_or_fail(ctx, st, sim, t, bi, comp, cause);
         }
         ErrorClass::Terminal => {
             accounting::settle_batch(ctx, st.states, st.acct, bi, t, Some(cause));
@@ -59,18 +57,16 @@ pub(crate) fn recover(
     }
 }
 
-/// Advances the batch to the next site in its preference chain that can
-/// serve this component, or fails it when the chain is exhausted. With
-/// breakers on, sites whose breaker refuses admission are skipped —
-/// falling back onto a site that is known-bad burns the attempt the
-/// walk was trying to save — but the walk fails open: when every
-/// candidate's breaker refuses, the plain chain walk decides, so the
-/// health layer can never fail a batch the legacy path would have
-/// saved.
-#[allow(clippy::too_many_arguments)]
+/// Advances the batch to the next site in its preference chain (every
+/// later site mirrors the deployment's offloaded components, and the
+/// device serves anything), or fails it when the chain is exhausted.
+/// With breakers on, sites whose breaker refuses admission are skipped
+/// — falling back onto a site that is known-bad burns the attempt the
+/// walk was trying to save — but the walk fails open: when every later
+/// breaker refuses, the next site is taken anyway, so the health layer
+/// can never fail a batch the plain walk would have saved.
 pub(crate) fn fall_back_or_fail(
     ctx: &RunCtx<'_>,
-    sites: &SiteRegistry,
     st: &mut RunState<'_>,
     sim: &mut Simulator<Ev>,
     t: SimTime,
@@ -78,17 +74,13 @@ pub(crate) fn fall_back_or_fail(
     comp: ComponentId,
     cause: FailureCause,
 ) {
-    let di = ctx.batches[bi].di;
-    let chain = &ctx.deployments[di].site_chain;
+    let chain = &ctx.deployments[ctx.batches[bi].di].site_chain;
     let pos = st.states.chain_pos(bi);
-    let serves = |i: &usize| sites.can_serve(chain[*i], di, comp);
+    let plain = (pos + 1 < chain.len()).then_some(pos + 1);
     let next = if st.health.breakers() {
-        (pos + 1..chain.len())
-            .filter(&serves)
-            .find(|&i| st.health.site_mut(chain[i]).check(t) != Admission::Unavailable)
-            .or_else(|| (pos + 1..chain.len()).find(&serves))
+        st.health.first_admitting(chain, pos + 1, t).or(plain)
     } else {
-        (pos + 1..chain.len()).find(&serves)
+        plain
     };
     match next {
         Some(i) => {

@@ -196,6 +196,52 @@ fn different_seeds_differ() {
     assert_ne!(a.jobs, b.jobs);
 }
 
+/// Every remote site of every chain hosts every offloaded component:
+/// the breaker, hedge and fallback walks rely on it when they move a
+/// batch along its chain without asking whether the site can serve it.
+/// The baselines never fall back; NTC runs with either primary, with
+/// fallback on and off.
+#[test]
+fn provisioned_chains_serve_every_offloaded_component() {
+    use ntc_simcore::event::Simulator;
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::{Cycles, SimTime};
+
+    use crate::deploy::{deploy, Deployment};
+    use crate::policy::NtcConfig;
+    use crate::site::SiteRegistry;
+
+    let env = Environment::metro_reference();
+    let rng = RngStream::root(7);
+    let mut policies =
+        vec![OffloadPolicy::LocalOnly, OffloadPolicy::EdgeAll, OffloadPolicy::CloudAll];
+    for primary_backend in [Backend::Cloud, Backend::Edge] {
+        for fallback in [true, false] {
+            let cfg = NtcConfig { primary_backend, fallback, ..Default::default() };
+            policies.push(OffloadPolicy::Ntc(cfg));
+        }
+    }
+    for policy in policies {
+        let deployments: Vec<Deployment> = Archetype::all()
+            .into_iter()
+            .map(|a| deploy(&policy, a, &env, 0.05, a.typical_slack(), &rng))
+            .collect();
+        let mut sites = SiteRegistry::standard(&env, &rng);
+        let (mut sim, mut pings) = (Simulator::new(), Vec::new());
+        super::execute::provision_deployments(&deployments, &mut sites, &mut sim, &mut pings);
+        // An hour in, every edge installation has finished.
+        let at = SimTime::from_hours(1);
+        for (di, d) in deployments.iter().enumerate() {
+            for comp in d.plan.offloaded() {
+                for &site in d.site_chain.iter().filter(|s| s.is_remote()) {
+                    let out = sites.invoke(site, at, di, comp, Cycles::new(1_000_000));
+                    assert!(out.is_ok(), "{}: {} on {site}: {out:?}", policy.name(), d.archetype);
+                }
+            }
+        }
+    }
+}
+
 // --- Job retention modes. ---
 
 /// A fig10-style overload setting: a flaky two-slot edge (transient

@@ -11,11 +11,12 @@ use ntc_faults::FaultConfig;
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, RngStream};
-use ntc_simcore::units::{SimDuration, SimTime};
+use ntc_simcore::units::{DataSize, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
 
+use super::accounting::{self, Accounting};
 use super::admission::{self, Verdict};
-use super::{accounting, Ev, RunCtx, RunState};
+use super::{Ev, RunCtx, RunState};
 use crate::site::Site;
 
 /// The site whose network paths carry this batch's offloaded traffic: the
@@ -71,6 +72,43 @@ fn faulty_transfer(
     }
 }
 
+/// Moves one payload per member of batch `bi` between the members'
+/// devices and `site`, towards `to`, starting at `t`: each member's
+/// `bytes(input)` crosses its own radio link, in parallel with the
+/// others, once the devices are back online. Charges every member's
+/// radio energy and bytes, and returns the wait from `t` until the
+/// slowest member's transfer lands, drop penalty included. The members'
+/// durations are drawn in member order from the batch stream's child
+/// `key`.
+#[allow(clippy::too_many_arguments)]
+fn member_transfer(
+    ctx: &RunCtx<'_>,
+    acct: &mut Accounting,
+    rng: &RngStream,
+    t: SimTime,
+    bi: usize,
+    site: Site,
+    key: impl Key + Copy,
+    to: Side,
+    bytes: impl Fn(DataSize) -> DataSize,
+) -> SimDuration {
+    let online = ctx.env.connectivity.next_online(t);
+    let path = site.ue_path(ctx.env).at_share(site.wan_share(ctx.env, online));
+    let mut net = rng.derive(key);
+    let mut slowest = SimDuration::ZERO;
+    for &ji in ctx.members(bi) {
+        let size = bytes(ctx.jobs[ji as usize].input);
+        let dur = path.transfer_time(size, &mut net);
+        acct.device_energy += ctx.env.device.radio_energy(dur);
+        match to {
+            Side::Cloud => acct.bytes_up += size,
+            Side::Device => acct.bytes_down += size,
+        }
+        slowest = slowest.max(dur);
+    }
+    online.saturating_duration_since(t) + faulty_transfer(slowest, &ctx.env.faults, rng, key)
+}
+
 /// Releases a batch: consults the admission controller (which may defer
 /// the release or shed the batch down its chain), then schedules every
 /// entry component, timing the upload of offloaded entries over the
@@ -108,25 +146,11 @@ pub(crate) fn handle_dispatch(
         let side = if ctx.local_override[bi] { Side::Device } else { d.plan.side(c) };
         let wait = match side {
             Side::Device => SimDuration::ZERO,
+            // Each member uploads its own input; the batch is ready when
+            // the slowest upload lands.
             Side::Cloud => {
-                // Each member uploads its own input, in parallel
-                // across devices; the batch is ready when the
-                // slowest upload lands. Offline devices wait for
-                // reconnection before transmitting.
-                let online = ctx.env.connectivity.next_online(t);
-                let path = primary.ue_path(ctx.env).at_share(primary.wan_share(ctx.env, online));
                 let key = upload_key(c, primary);
-                let mut net = rng.derive(key);
-                let mut dur = SimDuration::ZERO;
-                for &ji in ctx.members(bi) {
-                    let input = ctx.jobs[ji as usize].input;
-                    let jdur = path.transfer_time(input, &mut net);
-                    acct.device_energy += ctx.env.device.radio_energy(jdur);
-                    acct.bytes_up += input;
-                    dur = dur.max(jdur);
-                }
-                online.saturating_duration_since(t)
-                    + faulty_transfer(dur, &ctx.env.faults, &rng, key)
+                member_transfer(ctx, acct, &rng, t, bi, primary, key, Side::Cloud, |input| input)
             }
         };
         sim.schedule_after(wait, Ev::exec(bi, c));
@@ -176,27 +200,11 @@ pub(crate) fn handle_done(
                 let bytes = payload.eval_bytes(b.sum_input);
                 eff.internal_path(ctx.env).at_share(1.0).transfer_time(bytes, &mut rng.derive(key))
             }
-            _ => {
-                // Boundary crossing: per-member payloads move in
-                // parallel over each member's own radio link,
-                // waiting out any outage first.
-                let online = ctx.env.connectivity.next_online(t);
-                let path = eff.ue_path(ctx.env).at_share(eff.wan_share(ctx.env, online));
-                let mut net = rng.derive(key);
-                let mut dur = SimDuration::ZERO;
-                for &ji in ctx.members(bi) {
-                    let bytes = payload.eval_bytes(ctx.jobs[ji as usize].input);
-                    let jdur = path.transfer_time(bytes, &mut net);
-                    acct.device_energy += ctx.env.device.radio_energy(jdur);
-                    match to_side {
-                        Side::Cloud => acct.bytes_up += bytes,
-                        Side::Device => acct.bytes_down += bytes,
-                    }
-                    dur = dur.max(jdur);
-                }
-                let dur = faulty_transfer(dur, &ctx.env.faults, &rng, key);
-                online.saturating_duration_since(t) + dur
-            }
+            // Boundary crossing: per-member payloads over each member's
+            // own radio link.
+            _ => member_transfer(ctx, acct, &rng, t, bi, eff, key, to_side, |input| {
+                payload.eval_bytes(input)
+            }),
         };
         let arrival = t + dur;
         let ti = states.ix(bi, to);

@@ -5,8 +5,8 @@
 //! WAN congestion share, outage lookup, execution speed, marginal cost,
 //! whether it is serverless, concurrency and fallback order — from the
 //! [`Environment`]. The [`SiteRegistry`] holds the two stateful
-//! simulators behind the remote tiers and dispatches provisioning,
-//! invocation, keep-warm pings and billing with a `match`:
+//! simulators behind the remote tiers and does provisioning,
+//! invocation, keep-warm pings and billing in one `match` arm per site:
 //!
 //! * [`Site::Edge`] — a pre-paid edge fleet ([`ntc_edge`]): slot
 //!   admission, installation delay, flat standing cost, LAN paths.
@@ -22,13 +22,16 @@
 //! Adding a tier means adding a variant; the compiler lists every
 //! `match` that must learn about it.
 
-mod cloud;
-mod edge;
-
 use core::fmt;
 
-use ntc_faults::{classify_outage, ErrorClass, FailureCause, FaultConfig};
+use ntc_alloc::WarmStrategy;
+use ntc_edge::{EdgeFleet, ServiceId};
+use ntc_faults::{
+    classify_edge, classify_invoke, classify_outage, classify_timeout, ErrorClass, FailureCause,
+    FaultConfig,
+};
 use ntc_net::PathModel;
+use ntc_serverless::{FunctionConfig, FunctionId, ServerlessPlatform};
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
 use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
@@ -36,8 +39,6 @@ use ntc_taskgraph::ComponentId;
 use crate::deploy::Deployment;
 use crate::environment::Environment;
 use crate::policy::Backend;
-use cloud::CloudSite;
-use edge::EdgeSite;
 
 /// One execution tier, declared in fallback order: a failure walks from
 /// a site towards the device, the fallback of last resort.
@@ -262,13 +263,21 @@ impl<T: Copy> ByComponent<T> {
     }
 }
 
-/// The stateful simulators behind the remote sites of one engine run.
+/// The stateful simulators behind the remote sites of one engine run:
+/// the metered serverless platform behind the cloud and the pre-paid
+/// edge fleet, each with what it registered per provisioned component.
 /// The device needs no state: it is provisioned nowhere and bills
 /// nothing.
 #[derive(Debug)]
 pub struct SiteRegistry {
-    cloud: CloudSite,
-    edge: EdgeSite,
+    platform: ServerlessPlatform,
+    fns: ByComponent<FunctionId>,
+    fleet: EdgeFleet,
+    svcs: ByComponent<ServiceId>,
+    /// Whether any deployment targets the edge as its primary; its
+    /// standing infrastructure cost is billed from the moment one does,
+    /// busy or idle.
+    edge_attached: bool,
 }
 
 impl SiteRegistry {
@@ -276,8 +285,11 @@ impl SiteRegistry {
     /// randomness from `rng`.
     pub fn standard(env: &Environment, rng: &RngStream) -> Self {
         SiteRegistry {
-            cloud: CloudSite::new(env.platform.clone(), rng.derive("platform")),
-            edge: EdgeSite::new(env.edge),
+            platform: ServerlessPlatform::new(env.platform.clone(), rng.derive("platform")),
+            fns: ByComponent::default(),
+            fleet: EdgeFleet::new(env.edge),
+            svcs: ByComponent::default(),
+            edge_attached: false,
         }
     }
 
@@ -285,14 +297,15 @@ impl SiteRegistry {
     /// infrastructure cost is billed even if no work ever arrives.
     /// Only the flat-rate edge has standing cost.
     pub fn attach(&mut self, site: Site) {
-        match site {
-            Site::Edge => self.edge.attach(),
-            Site::Cloud | Site::Device => {}
+        if site == Site::Edge {
+            self.edge_attached = true;
         }
     }
 
-    /// Provisions `comp` of deployment `di` on `site`. Returns the
-    /// keep-warm ping period the engine should schedule, if any.
+    /// Provisions `comp` of deployment `di` on `site`: a function on the
+    /// cloud, a service installing from t = 0 on the edge, nothing on the
+    /// device. Returns the keep-warm ping period the engine should
+    /// schedule, if the primary's strategy uses a warmer.
     pub fn provision(
         &mut self,
         site: Site,
@@ -301,35 +314,47 @@ impl SiteRegistry {
         comp: ComponentId,
         role: SiteRole,
     ) -> Option<SimDuration> {
+        let artifact = d.graph.component(comp).artifact_size();
         match site {
-            Site::Cloud => self.cloud.provision(di, d, comp, role),
-            Site::Edge => {
-                self.edge.provision(di, d, comp);
-                None
+            Site::Cloud => {
+                // Mirrors register like primaries: registration alone
+                // accrues no cost, and nothing is billed unless a mirror
+                // is invoked.
+                let config = FunctionConfig::new(d.memory[comp.index()]);
+                let f = self.platform.register(config.with_artifact_size(artifact));
+                self.fns.insert(di, comp, f);
+                if role == SiteRole::Primary {
+                    match d.warm {
+                        WarmStrategy::Provisioned { count } => {
+                            self.platform.set_provisioned(SimTime::ZERO, f, count);
+                        }
+                        WarmStrategy::Warmer { period } if !period.is_zero() => {
+                            return Some(period)
+                        }
+                        _ => {}
+                    }
+                }
             }
-            Site::Device => None,
+            Site::Edge => {
+                let s = self.fleet.register();
+                self.fleet.install(SimTime::ZERO, s, artifact);
+                self.svcs.insert(di, comp, s);
+            }
+            Site::Device => {}
         }
-    }
-
-    /// Whether `comp` of deployment `di` can execute on `site` (it was
-    /// provisioned there, or the site needs no provisioning).
-    pub fn can_serve(&self, site: Site, di: usize, comp: ComponentId) -> bool {
-        match site {
-            Site::Cloud => self.cloud.can_serve(di, comp),
-            Site::Edge => self.edge.can_serve(di, comp),
-            Site::Device => true,
-        }
+        None
     }
 
     /// Executes one attempt of `work` for `comp` of deployment `di` on
     /// remote `site` at `at`: one invocation for a whole coalesced batch.
-    /// Returns its completion instant, or the failure's recovery class
+    /// Returns its latency from `at`, or the failure's recovery class
     /// and cause.
     ///
     /// # Panics
     ///
-    /// Panics on [`Site::Device`], which the engine never invokes here:
-    /// it runs device work per member through
+    /// Panics if `comp` was never provisioned on `site`, and on
+    /// [`Site::Device`], which the engine never invokes here: it runs
+    /// device work per member through
     /// [`DeviceModel::execute_members`](crate::device::DeviceModel::execute_members).
     pub fn invoke(
         &mut self,
@@ -338,10 +363,23 @@ impl SiteRegistry {
         di: usize,
         comp: ComponentId,
         work: Cycles,
-    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
+    ) -> Result<SimDuration, (ErrorClass, FailureCause)> {
         match site {
-            Site::Cloud => self.cloud.invoke(at, di, comp, work),
-            Site::Edge => self.edge.invoke(at, di, comp, work),
+            Site::Cloud => {
+                let f = self.fns.get(di, comp).expect("invoked a function never provisioned");
+                match self.platform.invoke(at, f, work) {
+                    Ok(out) if !out.timed_out => Ok(out.finish - at),
+                    Ok(_) => Err(classify_timeout()),
+                    Err(e) => Err(classify_invoke(&e)),
+                }
+            }
+            Site::Edge => {
+                let s = self.svcs.get(di, comp).expect("invoked a service never provisioned");
+                match self.fleet.invoke(at, s, work) {
+                    Ok(out) => Ok(out.finish - at),
+                    Err(e) => Err(classify_edge(&e, at)),
+                }
+            }
             Site::Device => unreachable!(
                 "device work runs on the members' own devices: the engine invokes only \
                  remote chain positions, and hedges only remote sites"
@@ -353,9 +391,10 @@ impl SiteRegistry {
     /// Only serverless functions go cold; edge services stay resident
     /// once installed.
     pub fn keep_warm(&mut self, site: Site, at: SimTime, di: usize, comp: ComponentId) {
-        match site {
-            Site::Cloud => self.cloud.keep_warm(at, di, comp),
-            Site::Edge | Site::Device => {}
+        if site == Site::Cloud {
+            if let Some(f) = self.fns.get(di, comp) {
+                let _ = self.platform.invoke(at, f, Cycles::new(1_000));
+            }
         }
     }
 
@@ -365,9 +404,9 @@ impl SiteRegistry {
     /// bills nothing (its work is paid in battery).
     pub fn cost(&mut self, site: Site, drained_end: SimTime, horizon_end: SimTime) -> Money {
         match site {
-            Site::Cloud => self.cloud.cost(drained_end),
-            Site::Edge => self.edge.cost(horizon_end),
-            Site::Device => Money::ZERO,
+            Site::Cloud => self.platform.total_cost(drained_end),
+            Site::Edge if self.edge_attached => self.fleet.infrastructure_cost(horizon_end),
+            Site::Edge | Site::Device => Money::ZERO,
         }
     }
 }

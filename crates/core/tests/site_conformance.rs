@@ -40,7 +40,7 @@ fn fixture(seed: u64) -> Fixture {
     ];
     for (di, d) in deployments.iter().enumerate() {
         let comp = d.plan.offloaded().next().expect("full offload has offloaded components");
-        let site = Site::from(d.backend);
+        let site = d.site_chain[0];
         registry.attach(site);
         registry.provision(site, di, d, comp, SiteRole::Primary);
     }
@@ -54,7 +54,7 @@ impl Fixture {
             .iter()
             .enumerate()
             .map(|(di, d)| Case {
-                site: Site::from(d.backend),
+                site: d.site_chain[0],
                 di,
                 comp: d.plan.offloaded().next().expect("offloaded component"),
             })
@@ -62,13 +62,13 @@ impl Fixture {
     }
 
     /// Runs one batch-sized invocation of `case` at `at` and returns its
-    /// completion instant or failure.
+    /// latency or failure.
     fn invoke(
         &mut self,
         case: &Case,
         at: SimTime,
         work: Cycles,
-    ) -> Result<SimTime, (ErrorClass, FailureCause)> {
+    ) -> Result<SimDuration, (ErrorClass, FailureCause)> {
         self.registry.invoke(case.site, at, case.di, case.comp, work)
     }
 }
@@ -149,28 +149,6 @@ fn an_edge_outage_names_the_edge_and_a_cloud_outage_is_generic() {
 }
 
 #[test]
-fn provisioning_gates_can_serve_on_remote_sites_only() {
-    let env = Environment::metro_reference();
-    let registry = SiteRegistry::standard(&env, &RngStream::root(3));
-    let comp = ComponentId::from_index(0);
-    for site in Site::ALL {
-        assert_eq!(
-            registry.can_serve(site, 0, comp),
-            !site.is_remote(),
-            "{site}: fresh remote sites serve nothing; the device serves anything"
-        );
-    }
-    let fx = fixture(7);
-    for case in fx.cases() {
-        assert!(
-            fx.registry.can_serve(case.site, case.di, case.comp),
-            "{}: provisioned component must be servable",
-            case.site
-        );
-    }
-}
-
-#[test]
 fn cost_is_monotone_in_work() {
     let at = SimTime::ZERO + SimDuration::from_hours(1);
     let light = Cycles::new(1_000_000);
@@ -208,7 +186,7 @@ fn invocations_are_deterministic_under_a_fixed_seed() {
         let ra = a.invoke(case, at, work).expect("clean invocation succeeds");
         let rb = b.invoke(case, at, work).expect("clean invocation succeeds");
         assert_eq!(ra, rb, "{}: same seed must replay the same outcome", case.site);
-        assert!(ra >= at, "{}: completion cannot precede submission", case.site);
+        assert!(ra > SimDuration::ZERO, "{}: work takes time", case.site);
     }
 }
 

@@ -3,7 +3,8 @@
 //! [`EventQueue`] is a time-ordered priority queue with a stable FIFO
 //! tie-break: two events scheduled for the same instant pop in the order
 //! they were pushed. [`Simulator`] wraps a queue with a virtual clock and
-//! enforces causality (no scheduling in the past).
+//! schedules every event a non-negative delay after its current instant,
+//! so no event lands in the past.
 //!
 //! Internally the queue is a calendar queue — a ring of buckets indexed
 //! by `time >> width_shift` — rather than a binary heap. Each bucket is a
@@ -52,24 +53,6 @@
 use core::fmt;
 
 use crate::units::{SimDuration, SimTime};
-
-/// Error returned when an event would be scheduled before the current
-/// simulated instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleInPastError {
-    /// The instant the caller asked for.
-    pub requested: SimTime,
-    /// The simulator's current instant.
-    pub now: SimTime,
-}
-
-impl fmt::Display for ScheduleInPastError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "event scheduled at {} which is before current time {}", self.requested, self.now)
-    }
-}
-
-impl std::error::Error for ScheduleInPastError {}
 
 /// Marks the end of a bucket list or of the free list.
 const NIL: u32 = u32::MAX;
@@ -467,9 +450,9 @@ impl<E> fmt::Debug for EventQueue<E> {
 
 /// A virtual clock driving an [`EventQueue`].
 ///
-/// Popping an event advances the clock to the event's instant; scheduling
-/// before the current instant is rejected, which makes causality violations
-/// loud instead of silently reordering history.
+/// Popping an event advances the clock to the event's instant; an event is
+/// scheduled a delay after the current instant, so none can rewrite
+/// history.
 #[derive(Debug)]
 pub struct Simulator<E> {
     queue: EventQueue<E>,
@@ -505,19 +488,6 @@ impl<E> Simulator<E> {
     pub fn reset(&mut self) {
         self.queue.clear();
         self.now = SimTime::ZERO;
-    }
-
-    /// Schedules `payload` at the absolute instant `at`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleInPastError`] if `at` is earlier than [`Self::now`].
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> Result<(), ScheduleInPastError> {
-        if at < self.now {
-            return Err(ScheduleInPastError { requested: at, now: self.now });
-        }
-        self.queue.push(at, payload);
-        Ok(())
     }
 
     /// Schedules `payload` to fire `delay` after the current instant.
@@ -700,16 +670,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
         sim.step();
         assert_eq!(sim.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn scheduling_in_past_is_rejected() {
-        let mut sim = Simulator::new();
-        sim.schedule_after(SimDuration::from_secs(10), 1u8);
-        sim.step();
-        let err = sim.schedule_at(SimTime::from_secs(5), 2u8).unwrap_err();
-        assert_eq!(err.now, SimTime::from_secs(10));
-        assert!(err.to_string().contains("before current time"));
     }
 
     #[test]

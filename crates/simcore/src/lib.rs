@@ -10,7 +10,7 @@
 //!   bandwidth, CPU work, money, and energy, so accounting is exact and
 //!   event ordering is total.
 //! * [`event`] — a stable time-ordered [`event::EventQueue`] and a clocked
-//!   [`event::Simulator`] that enforces causality.
+//!   [`event::Simulator`] that schedules only into the future.
 //! * [`rng`] — hierarchically splittable named random streams
 //!   ([`rng::RngStream`]) so adding a consumer of randomness never perturbs
 //!   other consumers' draws.
@@ -32,10 +32,10 @@
 //!
 //! let mut sim = Simulator::new();
 //! let mut rng = RngStream::root(1).derive("arrivals");
-//! let mut t = SimTime::ZERO;
+//! let mut at = SimDuration::ZERO;
 //! for id in 0..100 {
-//!     t = t + SimDuration::from_secs_f64(rng.exponential(1.0));
-//!     sim.schedule_at(t, Ev::Arrival(id)).unwrap();
+//!     at += SimDuration::from_secs_f64(rng.exponential(1.0));
+//!     sim.schedule_after(at, Ev::Arrival(id));
 //! }
 //!
 //! let service = SimDuration::from_millis(500);
@@ -47,7 +47,7 @@
 //!             let start = now.max(busy_until);
 //!             busy_until = start + service;
 //!             waits.record_duration(start - now);
-//!             sim.schedule_at(busy_until, Ev::Departure(id)).unwrap();
+//!             sim.schedule_after(busy_until - now, Ev::Departure(id));
 //!         }
 //!         Ev::Departure(_) => {}
 //!     }

@@ -204,7 +204,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     println!("{} deployment of {archetype} (rate {rate}/s, seed {seed}):", policy.name());
     for (id, c) in d.graph.components() {
         let placement = if d.is_offloaded(id) {
-            format!("{} @ {}", d.backend, d.memory[id.index()])
+            format!("{} @ {}", d.site_chain[0], d.memory[id.index()])
         } else {
             "device".into()
         };
