@@ -81,7 +81,9 @@
 //! Indices into run-sized arrays are therefore stored as `u32`:
 //! coalescing checks once that the job count (and with it the batch count
 //! and every member offset) fits, and the per-batch state checks the
-//! component total when it sizes its arrays.
+//! component total when it sizes its arrays. Counts that a graph's shape
+//! or a constant bounds (predecessors, exits, fallbacks, deferrals) are
+//! `u8`, and the calendar is sized once for the up-front dispatches.
 
 mod accounting;
 mod admission;
@@ -159,6 +161,7 @@ pub(crate) enum Ev {
 }
 
 const _: () = assert!(size_of::<Ev>() <= 12);
+const _: () = assert!(ntc_simcore::event::EventQueue::<Ev>::BYTES_PER_EVENT <= 28);
 
 impl Ev {
     pub(crate) fn dispatch(bi: usize) -> Ev {
@@ -206,8 +209,8 @@ pub(crate) struct RunCtx<'a> {
     deployments: &'a [Deployment],
     jobs: &'a [Job],
     batches: &'a [Batch],
-    /// Every batch's member job indices, concatenated; batch `bi` owns
-    /// `batches[bi].members`.
+    /// Every batch's member job indices, concatenated; batch `bi` owns the
+    /// slice from its `members_start` to the next batch's.
     members: &'a [u32],
     local_override: &'a [bool],
     pings: &'a [Ping],
@@ -219,7 +222,12 @@ pub(crate) struct RunCtx<'a> {
 impl<'a> RunCtx<'a> {
     /// The job indices of batch `bi`, in ascending order.
     fn members(&self, bi: usize) -> &'a [u32] {
-        self.batches[bi].members_in(self.members)
+        admission::members_of(self.batches, self.members, bi)
+    }
+
+    /// The deployment batch `bi` runs under.
+    fn deployment(&self, bi: usize) -> &'a Deployment {
+        &self.deployments[self.batches[bi].di as usize]
     }
 
     /// The own stream of batch `bi`'s lowest-indexed member
@@ -450,10 +458,11 @@ impl Engine {
             &scratch.members,
             &mut scratch.local_override,
         );
+        scratch.sim.reserve(scratch.batches.len());
         for (bi, b) in scratch.batches.iter().enumerate() {
             scratch.sim.schedule_after(b.dispatch_at - SimTime::ZERO, Ev::dispatch(bi));
         }
-        scratch.states.reset(&scratch.deployments, &scratch.batches);
+        scratch.states.reset(&scratch.deployments, &scratch.batches, scratch.health.enabled());
         scratch.acct.reset(scratch.jobs.len(), retention);
 
         // --- The loop. ---

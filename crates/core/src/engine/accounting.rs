@@ -272,7 +272,7 @@ pub(crate) fn settle_batch(
                 failed: cause.is_some(),
                 attempts,
                 backoff,
-                fallbacks: states.fallbacks[bi],
+                fallbacks: u32::from(states.fallbacks[bi]),
                 cause,
             },
         );

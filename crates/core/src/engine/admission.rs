@@ -14,7 +14,7 @@ use std::ops::Range;
 use ntc_alloc::dispatch_time;
 use ntc_partition::Side;
 use ntc_simcore::units::{DataSize, SimDuration, SimTime};
-use ntc_taskgraph::ComponentId;
+use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Job;
 
 use super::accounting::HealthMap;
@@ -28,10 +28,13 @@ use crate::site::Site;
 /// released together.
 #[derive(Debug)]
 pub(crate) struct Batch {
-    pub di: usize,
-    /// This batch's slice of the run's flat member array: its job
-    /// indices, in ascending order.
-    pub members: Range<u32>,
+    /// The batch's deployment: an index into the run's deployments, of
+    /// which there is one per archetype.
+    pub di: u32,
+    /// Where this batch's slice of the run's flat member array starts: its
+    /// job indices, in ascending order, run up to the next batch's start
+    /// (see [`members_of`]).
+    pub members_start: u32,
     pub dispatch_at: SimTime,
     pub sum_input: DataSize,
     /// The key of the batch's first member, which roots every draw made
@@ -39,13 +42,13 @@ pub(crate) struct Batch {
     pub key: u64,
 }
 
-const _: () = assert!(size_of::<Batch>() <= 40);
+const _: () = assert!(size_of::<Batch>() <= 32);
 
-impl Batch {
-    /// This batch's job indices within the run's flat member array.
-    pub fn members_in<'m>(&self, members: &'m [u32]) -> &'m [u32] {
-        &members[self.members.start as usize..self.members.end as usize]
-    }
+/// Batch `bi`'s job indices within the run's flat member array `members`,
+/// which the batches slice back to back.
+pub(crate) fn members_of<'m>(batches: &[Batch], members: &'m [u32], bi: usize) -> &'m [u32] {
+    let end = batches.get(bi + 1).map_or(members.len(), |next| next.members_start as usize);
+    &members[batches[bi].members_start as usize..end]
 }
 
 /// Execution state of every batch, flattened struct-of-arrays style: the
@@ -55,16 +58,19 @@ impl Batch {
 /// event loop's state accesses contiguous and lets a reused scratch
 /// re-initialise with zero allocation.
 ///
-/// Counts and offsets are `u32`: [`reset`](Self::reset) checks once that
-/// the component total fits, which bounds every offset, predecessor
-/// count and exit count. A chain position is a `u8`, since a site chain
-/// never repeats a [`Site`].
+/// Offsets and attempts are `u32`: [`reset`](Self::reset) checks once that
+/// the component total fits, which bounds every offset. The other counts
+/// are `u8`. `reset` checks that every graph's in-degrees and exit count
+/// fit ([`check_u8_counts`]). A chain position is a `u8`, since a site
+/// chain never repeats a [`Site`]; a batch falls back only by advancing
+/// it, so its fallback count is less than its chain's length; and its
+/// deferrals stop at [`MAX_DEFERRALS`].
 #[derive(Debug, Default)]
 pub(crate) struct BatchStates {
     /// Prefix offsets into the per-component arrays; `batches + 1` long.
     off: Vec<u32>,
     /// Per component: predecessors not yet delivered.
-    pub remaining_preds: Vec<u32>,
+    pub remaining_preds: Vec<u8>,
     /// Per component: latest input-arrival instant seen.
     pub ready_at: Vec<SimTime>,
     /// Per component: execution attempts (0 = never attempted).
@@ -77,7 +83,7 @@ pub(crate) struct BatchStates {
     /// its outputs after a mid-graph fallback).
     pub exec_side: Vec<Side>,
     /// Per batch: exit components still outstanding.
-    pub outstanding_exits: Vec<u32>,
+    pub outstanding_exits: Vec<u8>,
     /// Per batch: latest exit completion seen.
     pub finish: Vec<SimTime>,
     /// Per batch: terminally failed.
@@ -88,16 +94,41 @@ pub(crate) struct BatchStates {
     /// 0 is the primary site; failure-driven fallback advances it.
     chain_pos: Vec<u8>,
     /// Per batch: site fallback switches performed.
-    pub fallbacks: Vec<u32>,
+    pub fallbacks: Vec<u8>,
     /// Per batch: dispatch deferrals granted by admission control.
-    pub deferrals: Vec<u32>,
+    pub deferrals: Vec<u8>,
     /// Per component: the site whose bounded queue this component's
-    /// in-flight invocation occupies, if any. Only maintained when the
-    /// health layer is enabled.
+    /// in-flight invocation occupies, if any. Sized and maintained only
+    /// when the health layer is enabled, and empty otherwise.
     pub inflight_site: Vec<Option<Site>>,
 }
 
 const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
+// Bytes of state per component (`ready_at`, `remaining_preds`,
+// `attempts`, `exec_side`, and `inflight_site` with the health layer on)
+// and per batch (`off`, `outstanding_exits`, `finish`, `failed`,
+// `finished`, `chain_pos`, `fallbacks`, `deferrals`).
+const _: () = assert!(
+    size_of::<SimTime>()
+        + size_of::<u8>()
+        + size_of::<u32>()
+        + size_of::<Side>()
+        + size_of::<Option<Site>>()
+        <= 15
+);
+const _: () = assert!(size_of::<SimTime>() + size_of::<u32>() + 6 * size_of::<u8>() <= 18);
+
+/// Panics unless every in-degree and the exit count of `g` fit the `u8`
+/// counters of [`BatchStates`].
+pub(crate) fn check_u8_counts(g: &TaskGraph) {
+    let in_degree = g.ids().map(|c| g.predecessors(c).count()).max().unwrap_or(0);
+    let widest = in_degree.max(g.exits().len());
+    assert!(
+        u8::try_from(widest).is_ok(),
+        "batch state counts predecessors and exits as u8: graph `{}` needs {widest}",
+        g.name()
+    );
+}
 
 /// Clears `v` and refills it with `n` copies of `value` in an allocation
 /// of exactly `n` when it must grow.
@@ -149,15 +180,19 @@ impl BatchStates {
     }
 
     /// Re-initialises for a fresh run over `batches`, reusing every
-    /// array's capacity. The totals come first, so each array is sized
-    /// once, exactly, rather than grown batch by batch.
-    pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch]) {
+    /// array's capacity; `inflight_site` is sized only if `health` is on.
+    /// The totals come first, so each array is sized once, exactly, rather
+    /// than grown batch by batch.
+    pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch], health: bool) {
         let n = batches.len();
-        let comps: usize = batches.iter().map(|b| deployments[b.di].graph.len()).sum();
+        let comps: usize = batches.iter().map(|b| deployments[b.di as usize].graph.len()).sum();
         assert!(
             u32::try_from(comps).is_ok(),
             "batch state indexes components as u32: {comps} components exceed u32::MAX"
         );
+        for d in deployments {
+            check_u8_counts(&d.graph);
+        }
 
         self.off.clear();
         self.off.reserve_exact(n + 1);
@@ -168,9 +203,9 @@ impl BatchStates {
         let mut total = 0;
         self.off.push(0);
         for b in batches {
-            let g = &deployments[b.di].graph;
-            self.remaining_preds.extend(g.ids().map(|c| g.predecessors(c).count() as u32));
-            self.outstanding_exits.push(g.exits().len() as u32);
+            let g = &deployments[b.di as usize].graph;
+            self.remaining_preds.extend(g.ids().map(|c| g.predecessors(c).count() as u8));
+            self.outstanding_exits.push(g.exits().len() as u8);
             total += g.len() as u32;
             self.off.push(total);
         }
@@ -178,7 +213,7 @@ impl BatchStates {
         refill(&mut self.ready_at, comps, SimTime::ZERO);
         refill(&mut self.attempts, comps, 0);
         refill(&mut self.exec_side, comps, Side::Device);
-        refill(&mut self.inflight_site, comps, None);
+        refill(&mut self.inflight_site, if health { comps } else { 0 }, None);
         refill(&mut self.finish, n, SimTime::ZERO);
         refill(&mut self.failed, n, false);
         refill(&mut self.finished, n, false);
@@ -190,7 +225,7 @@ impl BatchStates {
 }
 
 /// Deferrals one batch may accumulate before it must shed instead.
-const MAX_DEFERRALS: u32 = 24;
+const MAX_DEFERRALS: u8 = 24;
 
 /// The admission controller's answer for one batch at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,8 +253,7 @@ pub(crate) fn admission_verdict(
     t: SimTime,
     bi: usize,
 ) -> Verdict {
-    let b = &ctx.batches[bi];
-    let d = &ctx.deployments[b.di];
+    let d = ctx.deployment(bi);
     if !health.admission() || ctx.local_override[bi] || d.plan.offloaded().count() == 0 {
         return Verdict::Admit;
     }
@@ -300,8 +334,9 @@ pub(crate) fn coalesce_into(
     batch_of.clear();
     batch_of.reserve_exact(jobs.len());
     let mut prune_at = MIN_PRUNE;
-    // First pass: assign each job its batch. A batch's `members` holds
-    // `0..count` until the second pass places it in the flat array.
+    // First pass: assign each job its batch. A batch's `members_start`
+    // holds its member count until the second pass places it in the flat
+    // array.
     for job in jobs {
         if batch_key.len() >= prune_at {
             batch_key.retain(|&(_, at), _| at >= job.arrival);
@@ -318,7 +353,7 @@ pub(crate) fn coalesce_into(
             env.completion_margin,
         );
         let fits = |b: &Batch| {
-            b.members.end < d.max_batch_members
+            b.members_start < d.max_batch_members
                 && b.sum_input.as_bytes().saturating_add(job.input.as_bytes())
                     <= d.max_batch_bytes.as_bytes()
         };
@@ -326,8 +361,8 @@ pub(crate) fn coalesce_into(
             Some(&bi) if fits(&batches[bi]) => bi,
             _ => {
                 batches.push(Batch {
-                    di,
-                    members: 0..0,
+                    di: di as u32,
+                    members_start: 0,
                     dispatch_at: at,
                     sum_input: DataSize::ZERO,
                     key: job.key,
@@ -339,22 +374,23 @@ pub(crate) fn coalesce_into(
         };
         batch_of.push(bi as u32);
         let b = &mut batches[bi];
-        b.members.end += 1;
+        b.members_start += 1;
         b.sum_input += job.input;
     }
-    // Second pass: lay the batches out back to back, then scatter the
-    // jobs in ascending order, so each slice stays sorted.
-    let mut start = 0;
+    // Second pass: lay the batches out back to back, each start parked
+    // at its slice's end, then scatter the jobs in descending order, each
+    // moving its batch's start down one, so each slice fills sorted and
+    // every start ends where its slice begins.
+    let mut end = 0;
     for b in batches.iter_mut() {
-        let count = b.members.end;
-        b.members = start..start;
-        start += count;
+        end += b.members_start;
+        b.members_start = end;
     }
     refill(members, jobs.len(), 0);
-    for (ji, &bi) in batch_of.iter().enumerate() {
-        let r = &mut batches[bi as usize].members;
-        members[r.end as usize] = ji as u32;
-        r.end += 1;
+    for (ji, &bi) in batch_of.iter().enumerate().rev() {
+        let start = &mut batches[bi as usize].members_start;
+        *start -= 1;
+        members[*start as usize] = ji as u32;
     }
 }
 
@@ -371,12 +407,12 @@ pub(crate) fn local_overrides_into(
     out: &mut Vec<bool>,
 ) {
     out.clear();
-    out.extend(batches.iter().map(|b| {
-        let d = &deployments[b.di];
+    out.extend(batches.iter().enumerate().map(|(bi, b)| {
+        let d = &deployments[b.di as usize];
         if !d.fallback_local || d.plan.offloaded().count() == 0 {
             return false;
         }
-        let min_deadline = min_deadline(jobs, b.members_in(members));
+        let min_deadline = min_deadline(jobs, members_of(batches, members, bi));
         // Only outages that can actually intersect this batch's
         // execution window count against offloading.
         let outage = env.connectivity.worst_wait_within(b.dispatch_at, min_deadline);

@@ -75,8 +75,7 @@ pub(crate) fn handle_exec(
     if st.states.failed[bi] {
         return;
     }
-    let b = &ctx.batches[bi];
-    let d = &ctx.deployments[b.di];
+    let d = ctx.deployment(bi);
     let chain = &d.site_chain;
     let mut pos = st.states.chain_pos(bi);
     // Breaker-aware selection: rather than burning an attempt (and the
@@ -174,7 +173,7 @@ pub(crate) fn handle_hedge_fire(
 ) {
     let Some(pending) = st.hedges.remove(&(bi, comp)) else { return };
     let cix = st.states.ix(bi, comp);
-    let chain = &ctx.deployments[ctx.batches[bi].di].site_chain;
+    let chain = &ctx.deployment(bi).site_chain;
     let primary = chain[pending.from_pos];
     if st.states.failed[bi] {
         // Another component already failed the whole batch; release the
@@ -282,10 +281,11 @@ fn invoke_remote(
     try_: Try,
 ) -> Result<SimDuration, (ErrorClass, FailureCause)> {
     let b = &ctx.batches[bi];
-    let annotated = ctx.deployments[b.di]
+    let annotated = ctx
+        .deployment(bi)
         .graph
         .component(comp)
-        .batch_demand_cycles(b.members.len() as u64, b.sum_input);
+        .batch_demand_cycles(ctx.members(bi).len() as u64, b.sum_input);
     let work = Cycles::new(round_to_u64(annotated.get() as f64 * noise));
     let faults = &ctx.env.faults;
     if faults.has_invocation_faults() {
@@ -296,7 +296,7 @@ fn invoke_remote(
     if let Some(err) = site.outage(faults, t) {
         return Err(err);
     }
-    sites.invoke(site, t, b.di, comp, work)
+    sites.invoke(site, t, b.di as usize, comp, work)
 }
 
 /// Completes a hedged invocation from its deferred primary at `t`:
@@ -335,7 +335,7 @@ fn noise_factor(
     bi: usize,
     comp: ComponentId,
 ) -> f64 {
-    let archetype = ctx.deployments[ctx.batches[bi].di].archetype;
+    let archetype = ctx.deployment(bi).archetype;
     st.noise.get(ctx.members(bi)[0], comp, archetype, rng)
 }
 

@@ -74,7 +74,7 @@ pub(crate) fn fall_back_or_fail(
     comp: ComponentId,
     cause: FailureCause,
 ) {
-    let chain = &ctx.deployments[ctx.batches[bi].di].site_chain;
+    let chain = &ctx.deployment(bi).site_chain;
     let pos = st.states.chain_pos(bi);
     let plain = (pos + 1 < chain.len()).then_some(pos + 1);
     let next = if st.health.breakers() {

@@ -527,6 +527,7 @@ mod noise {
     use ntc_taskgraph::ComponentId;
     use ntc_workloads::{Archetype, Job, StreamSpec};
 
+    use crate::engine::admission::members_of;
     use crate::engine::noise::draw;
     use crate::engine::{Engine, JobRetention, RunScratch};
     use crate::environment::Environment;
@@ -551,10 +552,10 @@ mod noise {
     /// stream; returns how many (batch head, component) pairs it read.
     fn check_table(scratch: &RunScratch) -> usize {
         let mut read = 0;
-        for b in &scratch.batches {
-            let ji = b.members_in(&scratch.members)[0];
+        for (bi, b) in scratch.batches.iter().enumerate() {
+            let ji = members_of(&scratch.batches, &scratch.members, bi)[0];
             let first = &scratch.jobs[ji as usize];
-            for comp in scratch.deployments[b.di].graph.ids() {
+            for comp in scratch.deployments[b.di as usize].graph.ids() {
                 let slot = scratch.noise.slot(ji, comp);
                 let want = direct(first, comp);
                 assert_eq!(slot.to_bits(), want.to_bits(), "job {}, {comp}", first.id);
@@ -708,6 +709,7 @@ fn fault_free_runs_record_single_attempts() {
 
 #[test]
 fn a_batch_backs_off_for_its_largest_component_sum() {
+    use crate::engine::admission::members_of;
     use crate::engine::{JobRetention, RunScratch};
     let e = Engine::new(faulty_env(0.3), 7);
     let mut scratch = RunScratch::new();
@@ -720,12 +722,12 @@ fn a_batch_backs_off_for_its_largest_component_sum() {
         JobRetention::Full,
     );
     let mut pinned = 0;
-    for (bi, b) in scratch.batches.iter().enumerate() {
+    for bi in 0..scratch.batches.len() {
         let comps = scratch.states.range(bi);
         let sums: Vec<SimDuration> =
             comps.filter_map(|cix| scratch.states.backoff.get(&(cix as u32)).copied()).collect();
         let largest = sums.iter().copied().max().unwrap_or(SimDuration::ZERO);
-        for &ji in b.members_in(&scratch.members) {
+        for &ji in members_of(&scratch.batches, &scratch.members, bi) {
             assert_eq!(r.jobs[ji as usize].backoff, largest, "job {ji}");
         }
         if sums.len() >= 2 {
@@ -840,7 +842,7 @@ mod coalescing {
     use ntc_workloads::{Archetype, Job};
 
     use crate::deploy::{deploy, Deployment};
-    use crate::engine::admission::{coalesce_into, Batch};
+    use crate::engine::admission::{coalesce_into, members_of, Batch};
     use crate::engine::hash::FastMap;
     use crate::engine::DeploymentOf;
     use crate::environment::Environment;
@@ -928,12 +930,13 @@ mod coalescing {
         );
         let formed = batches
             .iter()
-            .map(|b| Formed {
-                di: b.di,
+            .enumerate()
+            .map(|(bi, b)| Formed {
+                di: b.di as usize,
                 dispatch_at: b.dispatch_at,
                 sum_input: b.sum_input,
                 key: b.key,
-                members: b.members_in(&members).iter().map(|&ji| ji as usize).collect(),
+                members: members_of(&batches, &members, bi).iter().map(|&ji| ji as usize).collect(),
             })
             .collect();
         (formed, key.len())
@@ -1030,5 +1033,34 @@ mod coalescing {
         let (formed, keys) = coalesce(&env, &deployments, &deployment_of, &jobs);
         assert_eq!(formed.len(), jobs.len(), "distinct arrivals never share a batch");
         assert!(keys <= 128, "{keys} keys retained for {} batches", formed.len());
+    }
+}
+
+mod batch_state {
+    use ntc_taskgraph::{Component, LinearModel, TaskGraphBuilder};
+    use ntc_workloads::Archetype;
+
+    use crate::engine::admission::check_u8_counts;
+
+    #[test]
+    fn every_archetype_fits_the_u8_counters() {
+        for a in Archetype::all() {
+            let g = a.graph();
+            let in_degree = g.ids().map(|c| g.predecessors(c).count()).max().unwrap_or(0);
+            assert!(in_degree <= usize::from(u8::MAX), "{}: in-degree {in_degree}", a.name());
+            assert!(g.exits().len() <= usize::from(u8::MAX), "{}: exits", a.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch state counts predecessors and exits as u8: graph `fan-in`")]
+    fn a_fan_in_past_u8_is_refused() {
+        let mut b = TaskGraphBuilder::new("fan-in");
+        let sink = b.add_component(Component::new("sink"));
+        for i in 0..256 {
+            let source = b.add_component(Component::new(format!("s{i}")));
+            b.add_flow(source, sink, LinearModel::constant(1.0));
+        }
+        check_u8_counts(&b.build().expect("a valid DAG"));
     }
 }

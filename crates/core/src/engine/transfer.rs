@@ -136,8 +136,7 @@ pub(crate) fn handle_dispatch(
         }
     }
     let RunState { states, acct, .. } = st;
-    let b = &ctx.batches[bi];
-    let d = &ctx.deployments[b.di];
+    let d = ctx.deployment(bi);
     let rng = ctx.batch_rng(bi);
     // The upload targets the batch's *current* chain site: identical to
     // the primary unless admission control shed the batch above.
@@ -171,14 +170,14 @@ pub(crate) fn handle_done(
     // Release the bounded-queue slot this component's invocation held
     // (before the failed-batch early-out, so slots never leak).
     let cix = states.ix(bi, comp);
-    if let Some(site) = states.inflight_site[cix].take() {
+    if let Some(site) = states.inflight_site.get_mut(cix).and_then(Option::take) {
         health.site_mut(site).leave();
     }
     if states.failed[bi] {
         return;
     }
     let b = &ctx.batches[bi];
-    let d = &ctx.deployments[b.di];
+    let d = ctx.deployment(bi);
     let chain = &d.site_chain;
     let pos = states.chain_pos(bi);
     // What the component actually ran on (it may have fallen back
@@ -225,8 +224,9 @@ pub(crate) fn handle_done(
                 let key = return_key(comp, eff);
                 let dur = path.transfer_time(ctx.env.result_return, &mut rng.derive(key));
                 let dur = faulty_transfer(dur, &ctx.env.faults, &rng, key);
-                acct.device_energy += ctx.env.device.radio_energy(dur) * (b.members.len() as u64);
-                acct.bytes_down += ctx.env.result_return * b.members.len() as u64;
+                let n = ctx.members(bi).len() as u64;
+                acct.device_energy += ctx.env.device.radio_energy(dur) * n;
+                acct.bytes_down += ctx.env.result_return * n;
                 online + dur
             }
         };

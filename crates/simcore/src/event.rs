@@ -8,16 +8,20 @@
 //!
 //! Internally the queue is a calendar queue — a ring of buckets indexed
 //! by `time >> width_shift` — rather than a binary heap. Each bucket is a
-//! list sorted by `(time, seq)` and linked through one slot arena, so the
-//! queue holds the peak number of pending events plus a head and a tail
-//! index per bucket, and re-bucketing relinks slots in place. Ordering is
-//! identical to the old heap: pop returns the minimum `(time, seq)` entry,
-//! so same-time events still pop in push order. The heap survives in
-//! `tests/prop_event_queue.rs`, as the oracle the differential tests
-//! check the calendar against.
+//! list sorted by time and linked through one slot arena, so the queue
+//! holds the peak number of pending events plus a head and a tail index
+//! per bucket, and re-bucketing relinks slots in place. A slot stores no
+//! push counter: a push links its entry after every entry whose time is
+//! at or before its own, so each list keeps equal times in push order.
+//! Two entries with equal times always share a day and so a bucket, and a
+//! re-bucketing relinks each list in list order by the same rule, so it
+//! keeps them in that order too. Pop therefore returns the entry a
+//! `(time, push order)` heap would: the earliest, and among equal times
+//! the first pushed. The heap survives in `tests/prop_event_queue.rs`, as
+//! the oracle the differential tests check the calendar against.
 //!
 //! A push walks its bucket's list to its place, which is O(1) when it is
-//! later than everything already there. A pop reads one list head per day
+//! at or after everything already there. A pop reads one list head per day
 //! from the cursor until it reaches the earliest day. Both are O(1)
 //! amortised only while the bucket width fits the spacing of the entries
 //! near the clock: too narrow and pops step through empty days, too wide
@@ -62,13 +66,6 @@ const NIL: u32 = u32::MAX;
 struct Link {
     time: SimTime,
     next: u32,
-}
-
-/// The rest of an arena slot: the push order, which breaks ties in time,
-/// and the payload, `None` once spent.
-struct Slot<E> {
-    seq: u64,
-    payload: Option<E>,
 }
 
 /// Buckets the queue starts with; grows by doubling as the population does.
@@ -122,17 +119,19 @@ impl ScanMeter {
 pub struct EventQueue<E> {
     /// Ring of bucket lists; an entry with day `d = time >> width_shift`
     /// is linked into the list headed at `heads[d & mask]`. Each list is
-    /// sorted by `(time, seq)`, so its head is its earliest entry.
+    /// sorted by time, equal times in push order, so its head is its
+    /// earliest entry.
     heads: Vec<u32>,
-    /// The last slot of each bucket list, or [`NIL`], so a push later than
-    /// everything in its bucket appends without walking the list.
+    /// The last slot of each bucket list, or [`NIL`], so a push at or
+    /// after everything in its bucket appends without walking the list.
     tails: Vec<u32>,
-    /// Arena every list links into, split into `links` and `slots` with
-    /// one entry per slot each. Spent slots are reused before it grows, so
-    /// it holds at most the peak number of pending events, and
-    /// re-bucketing relinks slots without moving them.
+    /// Arena every list links into, split into `links` and `payloads`
+    /// with one entry per slot each; a payload is `None` once spent. Spent
+    /// slots are reused before it grows, so it holds at most the peak
+    /// number of pending events, and re-bucketing relinks slots without
+    /// moving them.
     links: Vec<Link>,
-    slots: Vec<Slot<E>>,
+    payloads: Vec<Option<E>>,
     /// Head of the free list of spent slots.
     free: u32,
     /// `heads.len() - 1`; the ring size is always a power of two.
@@ -145,7 +144,6 @@ pub struct EventQueue<E> {
     /// one verified-empty day at a time.
     cursor_day: u64,
     len: usize,
-    next_seq: u64,
     meter: ScanMeter,
 }
 
@@ -156,19 +154,23 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Arena bytes per pending event: a slot's time and link plus its
+    /// payload. The ring's head and tail indices come on top, 8 bytes per
+    /// bucket.
+    pub const BYTES_PER_EVENT: usize = size_of::<Link>() + size_of::<Option<E>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heads: vec![NIL; INITIAL_BUCKETS],
             tails: vec![NIL; INITIAL_BUCKETS],
             links: Vec::new(),
-            slots: Vec::new(),
+            payloads: Vec::new(),
             free: NIL,
             mask: INITIAL_BUCKETS - 1,
             width_shift: INITIAL_WIDTH_SHIFT,
             cursor_day: 0,
             len: 0,
-            next_seq: 0,
             meter: ScanMeter::default(),
         }
     }
@@ -180,18 +182,18 @@ impl<E> EventQueue<E> {
 
     /// The times of every pending entry, in arena order.
     fn pending(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.links.iter().zip(&self.slots).filter(|(_, s)| s.payload.is_some()).map(|(l, _)| l.time)
+        self.links.iter().zip(&self.payloads).filter(|(_, p)| p.is_some()).map(|(l, _)| l.time)
     }
 
-    /// Whether slot `a` sorts after slot `b`: later, or pushed later at
-    /// the same time.
+    /// Whether slot `a` goes after slot `b` in a list: at the same time or
+    /// later. Linking a slot after every entry it goes after keeps equal
+    /// times in the order they were linked.
     fn after(&self, a: u32, b: u32) -> bool {
-        let (ta, tb) = (self.links[a as usize].time, self.links[b as usize].time);
-        ta > tb || ta == tb && self.slots[a as usize].seq > self.slots[b as usize].seq
+        self.links[a as usize].time >= self.links[b as usize].time
     }
 
-    /// Links `slot` into its bucket's list after every entry that sorts
-    /// before it; returns how many entries it examined.
+    /// Links `slot` into its bucket's list after every entry at or before
+    /// its time; returns how many entries it examined.
     fn link(&mut self, slot: u32) -> u64 {
         let bucket = (self.day_of(self.links[slot as usize].time) as usize) & self.mask;
         let tail = self.tails[bucket];
@@ -220,28 +222,36 @@ impl<E> EventQueue<E> {
         examined
     }
 
+    /// Makes room for at least `additional` more pending events than the
+    /// queue holds now, so that many pushes allocate nothing. The arena is
+    /// sized exactly, rather than doubled up to a power of two as pushes
+    /// grow it.
+    pub fn reserve(&mut self, additional: usize) {
+        let more = (self.len + additional).saturating_sub(self.links.len());
+        self.links.reserve_exact(more);
+        self.payloads.reserve_exact(more);
+    }
+
     /// Schedules `payload` to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let day = self.day_of(time);
         if self.len == 0 || day < self.cursor_day {
             self.cursor_day = day;
         }
-        let (link, entry) = (Link { time, next: NIL }, Slot { seq, payload: Some(payload) });
+        let link = Link { time, next: NIL };
         let slot = if self.free == NIL {
             let slot = u32::try_from(self.links.len())
                 .ok()
                 .filter(|&slot| slot != NIL)
                 .expect("fewer than 2^32 - 1 pending events");
             self.links.push(link);
-            self.slots.push(entry);
+            self.payloads.push(Some(payload));
             slot
         } else {
             let slot = self.free;
             self.free = self.links[slot as usize].next;
             self.links[slot as usize] = link;
-            self.slots[slot as usize] = entry;
+            self.payloads[slot as usize] = Some(payload);
             slot
         };
         let examined = self.link(slot);
@@ -267,10 +277,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Re-lays the ring out as `size` buckets of width `1 << shift` by
-    /// relinking every slot into its new bucket's list, in order. Slots
-    /// stay where they are and nothing is allocated beyond the larger
-    /// ring. Layout-only: every list stays sorted by `(time, seq)`, so pop
-    /// order is unchanged. `cursor_day` must not exceed the minimum
+    /// relinking every slot into its new bucket's list, in list order.
+    /// Slots stay where they are and nothing is allocated beyond the larger
+    /// ring. Layout-only: equal times share one list before and after, and
+    /// relinking in list order keeps them in push order, so pop order is
+    /// unchanged. `cursor_day` must not exceed the minimum
     /// entry's new day.
     fn relayout(&mut self, size: usize, shift: u32, cursor_day: u64) {
         debug_assert!(size.is_power_of_two() && size >= self.heads.len());
@@ -293,7 +304,8 @@ impl<E> EventQueue<E> {
         self.meter.since_rebuild = 0;
     }
 
-    /// Locates the minimum `(time, seq)` entry without mutating anything:
+    /// Locates the earliest entry, the first pushed among equal times,
+    /// without mutating anything:
     /// returns `(bucket, day, cost)`, where the entry heads `bucket` and
     /// `cost` counts the days and entries examined. Scans forward from the
     /// cursor one day at a time, reading only each day's list head; after
@@ -353,8 +365,7 @@ impl<E> EventQueue<E> {
             self.tails[bucket] = NIL;
         }
         self.free = slot;
-        let payload =
-            self.slots[slot as usize].payload.take().expect("a linked slot holds a payload");
+        let payload = self.payloads[slot as usize].take().expect("a linked slot holds a payload");
         self.len -= 1;
         self.meter_pop(time, cost);
         Some((time, payload))
@@ -429,11 +440,10 @@ impl<E> EventQueue<E> {
         self.heads.fill(NIL);
         self.tails.fill(NIL);
         self.links.clear();
-        self.slots.clear();
+        self.payloads.clear();
         self.free = NIL;
         self.len = 0;
         self.cursor_day = 0;
-        self.next_seq = 0;
         self.meter = ScanMeter::default();
     }
 }
@@ -488,6 +498,12 @@ impl<E> Simulator<E> {
     pub fn reset(&mut self) {
         self.queue.clear();
         self.now = SimTime::ZERO;
+    }
+
+    /// Makes room for at least `additional` more pending events; see
+    /// [`EventQueue::reserve`].
+    pub fn reserve(&mut self, additional: usize) {
+        self.queue.reserve(additional);
     }
 
     /// Schedules `payload` to fire `delay` after the current instant.
@@ -576,6 +592,77 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.pop().unwrap().1, "far");
         assert_eq!(q.pop(), None);
+    }
+
+    /// Asserts that `popped` is in time order and, among equal times, in
+    /// push order, where each payload is its push's position.
+    fn assert_fifo(popped: &[(SimTime, u64)]) {
+        for (i, w) in popped.windows(2).enumerate() {
+            let ((ta, a), (tb, b)) = (w[0], w[1]);
+            assert!(ta < tb || ta == tb && a < b, "pop {i}: ({ta:?}, {a}) then ({tb:?}, {b})");
+        }
+    }
+
+    #[test]
+    fn equal_time_bursts_pop_in_push_order_across_relayouts() {
+        let mut q = EventQueue::new();
+        let mut order = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, t: SimTime| {
+            q.push(t, order);
+            order += 1;
+        };
+
+        // Across ring growth: 64 instants, 8 pushes each, every burst
+        // interleaved with the others', grow the ring from 16 to 256
+        // buckets while the bursts are half pushed.
+        for round in 0..8 {
+            for k in 0..64u64 {
+                push(&mut q, SimTime::from_millis((k * 37 + round) % 64 * 250));
+            }
+        }
+        assert_eq!(q.heads.len(), 256);
+        let popped: Vec<_> = core::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped.len(), 512);
+        assert_fifo(&popped);
+
+        // Across a width refit: a dense head 1 ms apart, each pop of which
+        // pushes a finish onto one of 256 instants 2.5 s apart, so every
+        // instant collects a burst of 16 while the ring is refit away from
+        // the head's width.
+        for i in 0..4096 {
+            push(&mut q, SimTime::from_millis(i));
+        }
+        let (buckets, head_shift) = (q.heads.len(), q.width_shift);
+        let mut popped = Vec::new();
+        let mut tail = 0u64;
+        while let Some(e) = q.pop() {
+            popped.push(e);
+            if tail < 4096 {
+                push(
+                    &mut q,
+                    SimTime::from_secs(40) + SimDuration::from_millis(tail * 97 % 256 * 2500),
+                );
+                tail += 1;
+            }
+        }
+        assert_eq!(q.heads.len(), buckets, "no ring growth here");
+        assert_ne!(q.width_shift, head_shift, "the tail was refit");
+        assert_eq!(popped.len(), 8192);
+        assert_fifo(&popped);
+
+        // After `clear`: the reused ring and arena keep bursts in order.
+        for i in 0..100 {
+            push(&mut q, SimTime::from_secs(i));
+        }
+        q.clear();
+        for round in 0..4 {
+            for k in 0..50u64 {
+                push(&mut q, SimTime::from_secs((k * 7 + round) % 50));
+            }
+        }
+        let popped: Vec<_> = core::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped.len(), 200);
+        assert_fifo(&popped);
     }
 
     /// Pops every event, pushing an event at `follow(popped time)` after

@@ -6,7 +6,11 @@
 //! $ ntc compare  --archetype report-rendering --rate 0.01 --hours 24
 //! $ ntc plan     --archetype sci-sweep --policy ntc --rate 0.002
 //! ```
+//!
+//! Output goes through one locked stdout. A reader that closes the pipe
+//! early (`ntc plan | head -1`) ends the command quietly, with status 0.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use ntc_core::{deploy, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch};
@@ -98,6 +102,27 @@ impl Args {
     }
 }
 
+/// Why a subcommand stopped early.
+#[derive(Debug)]
+enum Failure {
+    /// A bad command line: printed as `error: …`, status 1.
+    Usage(String),
+    /// Writing the output failed.
+    Io(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Usage(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Io(e)
+    }
+}
+
 fn parse_archetype(name: &str) -> Result<Archetype, String> {
     Archetype::all()
         .into_iter()
@@ -118,10 +143,15 @@ fn parse_policy(name: &str) -> Result<OffloadPolicy, String> {
     }
 }
 
-fn print_run(policy: &OffloadPolicy, r: &ntc_core::RunResult) {
+fn print_run(
+    out: &mut impl Write,
+    policy: &OffloadPolicy,
+    r: &ntc_core::RunResult,
+) -> io::Result<()> {
     let s = r.latency_summary();
     let (p50, p95) = s.map(|s| (s.p50, s.p95)).unwrap_or((0.0, 0.0));
-    println!(
+    writeln!(
+        out,
         "{:<13} {:>6} jobs  p50 {:>9.2}s  p95 {:>9.2}s  miss {:>5.1}%  total ${:<9.4} UE {:>10}  up {}",
         policy.name(),
         r.jobs.len(),
@@ -131,27 +161,30 @@ fn print_run(policy: &OffloadPolicy, r: &ntc_core::RunResult) {
         r.total_cost().as_usd_f64(),
         r.device_energy.to_string(),
         r.bytes_up,
-    );
+    )
 }
 
-fn cmd_archetypes() {
-    println!(
+fn cmd_archetypes(out: &mut impl Write) -> Result<(), Failure> {
+    writeln!(
+        out,
         "{:<18} {:>10} {:>12} {:>8} {:>7}",
         "archetype", "components", "slack", "noise", "drift"
-    );
+    )?;
     for a in Archetype::all() {
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>10} {:>12} {:>8.2} {:>7.2}",
             a.name(),
             a.graph().len(),
             a.typical_slack().to_string(),
             a.demand_noise_sigma(),
             a.demand_drift(),
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
+fn cmd_simulate(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("ntc"))?;
     let (hours, horizon) = args.horizon(4)?;
@@ -161,12 +194,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let engine = Engine::new(Environment::metro_reference(), seed);
     let specs = [StreamSpec::poisson(archetype, rate)];
     let r = engine.run(&policy, &specs, horizon);
-    println!("{archetype} at {rate}/s for {hours}h (seed {seed}):");
-    print_run(&policy, &r);
+    writeln!(out, "{archetype} at {rate}/s for {hours}h (seed {seed}):")?;
+    print_run(out, &policy, &r)?;
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let (hours, horizon) = args.horizon(24)?;
     let rate = args.rate_for(hours)?;
@@ -177,7 +210,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     // One scratch for all four policies: they share the seed's job
     // stream, which the scratch generates once.
     let mut scratch = RunScratch::new();
-    println!("{archetype} at {rate}/s for {hours}h (seed {seed}):");
+    writeln!(out, "{archetype} at {rate}/s for {hours}h (seed {seed}):")?;
     for policy in [
         OffloadPolicy::LocalOnly,
         OffloadPolicy::EdgeAll,
@@ -186,12 +219,12 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     ] {
         let r =
             engine.run_retained(seed, &policy, &specs, horizon, &mut scratch, JobRetention::Full);
-        print_run(&policy, &r);
+        print_run(out, &policy, &r)?;
     }
     Ok(())
 }
 
-fn cmd_plan(args: &Args) -> Result<(), String> {
+fn cmd_plan(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let archetype = parse_archetype(args.get("archetype").unwrap_or("photo-pipeline"))?;
     let policy = parse_policy(args.get("policy").unwrap_or("ntc"))?;
     // A plan is sized for an hour of traffic.
@@ -201,22 +234,27 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     let env = Environment::metro_reference();
     let rng = RngStream::root(seed).derive("engine");
     let d = deploy(&policy, archetype, &env, rate, archetype.typical_slack(), &rng);
-    println!("{} deployment of {archetype} (rate {rate}/s, seed {seed}):", policy.name());
+    writeln!(out, "{} deployment of {archetype} (rate {rate}/s, seed {seed}):", policy.name())?;
     for (id, c) in d.graph.components() {
         let placement = if d.is_offloaded(id) {
             format!("{} @ {}", d.site_chain[0], d.memory[id.index()])
         } else {
             "device".into()
         };
-        println!(
+        writeln!(
+            out,
             "  {:<16} demand {:<12} -> {placement}",
             c.name(),
             d.demands[id.index()].to_string(),
-        );
+        )?;
     }
-    println!("  dispatch: {}", d.dispatch);
-    println!("  warming:  {}", d.warm);
-    println!("  est. completion: {} (local fallback: {})", d.est_completion, d.fallback_local);
+    writeln!(out, "  dispatch: {}", d.dispatch)?;
+    writeln!(out, "  warming:  {}", d.warm)?;
+    writeln!(
+        out,
+        "  est. completion: {} (local fallback: {})",
+        d.est_completion, d.fallback_local
+    )?;
     let byte_cap = if d.max_batch_bytes.as_bytes() == u64::MAX {
         "unbounded".to_string()
     } else {
@@ -227,7 +265,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     } else {
         d.max_batch_members.to_string()
     };
-    println!("  batch caps: {member_cap} members / {byte_cap}");
+    writeln!(out, "  batch caps: {member_cap} members / {byte_cap}")?;
     Ok(())
 }
 
@@ -248,29 +286,34 @@ USAGE:
 POLICIES: local-only | edge-all | cloud-all | ntc | ntc+offpeak"
 }
 
+/// Runs subcommand `cmd` with arguments `rest`, writing to `out`.
+fn run(cmd: &str, rest: &[String], out: &mut impl Write) -> Result<(), Failure> {
+    match cmd {
+        "archetypes" => cmd_archetypes(out)?,
+        "simulate" => cmd_simulate(&Args::parse(rest, SIMULATE_FLAGS)?, out)?,
+        "compare" => cmd_compare(&Args::parse(rest, COMPARE_FLAGS)?, out)?,
+        "plan" => cmd_plan(&Args::parse(rest, PLAN_FLAGS)?, out)?,
+        "help" | "--help" | "-h" => writeln!(out, "{}", usage())?,
+        other => return Err(format!("unknown command '{other}'\n\n{}", usage()).into()),
+    }
+    Ok(out.flush()?)
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "archetypes" => {
-            cmd_archetypes();
-            Ok(())
-        }
-        "simulate" => Args::parse(rest, SIMULATE_FLAGS).and_then(|a| cmd_simulate(&a)),
-        "compare" => Args::parse(rest, COMPARE_FLAGS).and_then(|a| cmd_compare(&a)),
-        "plan" => Args::parse(rest, PLAN_FLAGS).and_then(|a| cmd_plan(&a)),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{}", usage())),
-    };
-    match result {
+    match run(cmd, rest, &mut io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader has all it wanted.
+        Err(Failure::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Io(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
