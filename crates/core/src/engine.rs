@@ -114,19 +114,14 @@ use noise::NoiseMemo;
 
 /// What a run keeps per job.
 ///
-/// `Full` retains one [`JobResult`](crate::report::JobResult) per job in
-/// [`RunResult::jobs`] — the historical behaviour, and the default; every
-/// report metric is exact and the run replays byte-identically to
-/// pre-knob engines. Its counters are folded from `jobs`, in arrival
-/// order, through the same [`RunAggregates`](crate::report::RunAggregates)
-/// that `Aggregates` streams into, so both modes share one definition of
-/// every counter. `Aggregates` never materialises the per-job vector:
-/// outcomes fold into streaming `RunAggregates` (Welford moments plus
-/// a log-bucketed latency histogram) at record time, so run memory is
-/// O(1) in the job count — the mode the million-user scale experiment
-/// (fig11) runs in. The simulation itself is identical either way:
-/// retention touches no RNG stream and schedules no events, so counts,
-/// rates and totals agree exactly between modes; only latency
+/// `Full`, the default, retains one [`JobResult`](crate::report::JobResult)
+/// per job in [`RunResult::jobs`], so every report metric is exact.
+/// `Aggregates` retains none: outcomes stream into a
+/// [`RunAggregates`](crate::report::RunAggregates) (Welford moments plus a
+/// log-bucketed latency histogram), so run memory is O(1) in the job count
+/// — the mode fig11's million-user runs use. Both modes count with the same
+/// `RunAggregates`, and retention touches no RNG stream and schedules no
+/// events, so counts, rates and totals agree exactly; only latency
 /// percentiles carry the histogram's documented error bound.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobRetention {
@@ -390,12 +385,7 @@ impl Engine {
     /// replication path. The result for a given `(seed, policy, specs,
     /// horizon)` is bit-identical to `Engine::new(env, seed).run(policy,
     /// specs, horizon)` under `Full`, regardless of what the scratch was
-    /// previously used for. `Aggregates` runs the same simulation (same
-    /// RNG draws, same event sequence) but streams job outcomes into
-    /// constant-memory [`RunAggregates`] (`RunResult::aggregates`)
-    /// instead of retaining `RunResult::jobs`.
-    ///
-    /// [`RunAggregates`]: crate::report::RunAggregates
+    /// previously used for; `Aggregates` runs the same simulation.
     pub fn run_retained(
         &self,
         seed: u64,

@@ -103,15 +103,19 @@ impl HealthMap {
     }
 }
 
+/// Where settled outcomes go, by [`JobRetention`]: one slot per job, or
+/// the streaming fold (run memory then stays O(1) in the job count).
+#[derive(Debug)]
+enum Outcomes {
+    Full(Vec<Option<JobResult>>),
+    Aggregates(RunAggregates),
+}
+
 /// The run's accumulating ledgers: per-job outcomes, the device-side
 /// energy and traffic totals, and the overload layer's counters.
 #[derive(Debug)]
 pub(crate) struct Accounting {
-    /// One outcome slot per job under `JobRetention::Full`; else empty.
-    pub results: Vec<Option<JobResult>>,
-    /// The streaming fold, present only under `JobRetention::Aggregates`
-    /// (run memory then stays O(1) in the job count).
-    aggregates: Option<RunAggregates>,
+    outcomes: Outcomes,
     /// Job completions (failed jobs included) per simulated hour.
     completions: TimeSeries,
     pub device_energy: Energy,
@@ -125,8 +129,7 @@ pub(crate) struct Accounting {
 impl Default for Accounting {
     fn default() -> Self {
         Accounting {
-            results: Vec::new(),
-            aggregates: None,
+            outcomes: Outcomes::Full(Vec::new()),
             completions: TimeSeries::new(SimDuration::from_hours(1)),
             device_energy: Energy::ZERO,
             bytes_up: DataSize::ZERO,
@@ -137,29 +140,29 @@ impl Default for Accounting {
 }
 
 impl Accounting {
-    /// Re-initialises for a run over `jobs` jobs. `Full` retention
-    /// reuses the result buffer's capacity; `Aggregates` leaves it
-    /// empty and starts a fresh streaming fold instead.
+    /// Re-initialises for a run over `jobs` jobs, reusing the previous
+    /// `Full` run's slot buffer.
     pub(crate) fn reset(&mut self, jobs: usize, retention: JobRetention) {
-        let mut results = std::mem::take(&mut self.results);
-        results.clear();
-        let aggregates = match retention {
-            JobRetention::Full => {
+        let previous = std::mem::replace(&mut self.outcomes, Outcomes::Full(Vec::new()));
+        let outcomes = match (retention, previous) {
+            (JobRetention::Full, Outcomes::Full(mut results)) => {
+                results.clear();
                 results.resize(jobs, None);
-                None
+                Outcomes::Full(results)
             }
-            JobRetention::Aggregates => Some(RunAggregates::default()),
+            (JobRetention::Full, _) => Outcomes::Full(vec![None; jobs]),
+            (JobRetention::Aggregates, _) => Outcomes::Aggregates(RunAggregates::default()),
         };
-        *self = Accounting { results, aggregates, ..Self::default() };
+        *self = Accounting { outcomes, ..Self::default() };
     }
 
     /// Records one job's final outcome: into its result slot under
     /// `Full`, into the streaming fold under `Aggregates`.
     fn record(&mut self, ji: usize, r: JobResult) {
         self.completions.mark(r.finish);
-        match &mut self.aggregates {
-            Some(a) => a.record(&r),
-            None => self.results[ji] = Some(r),
+        match &mut self.outcomes {
+            Outcomes::Full(results) => results[ji] = Some(r),
+            Outcomes::Aggregates(a) => a.record(&r),
         }
     }
 
@@ -176,11 +179,15 @@ impl Accounting {
         sites: &mut SiteRegistry,
         health: &HealthMap,
     ) -> RunResult {
-        let jobs = self.results.drain(..).flatten().collect();
-        let aggregates = self.aggregates.take().map(|mut a| {
-            a.finalize();
-            a
-        });
+        // A `Full` run is counted here, once, in arrival order, which
+        // fixes each archetype's float `hold_s` sum bit for bit.
+        let (jobs, mut totals): (Vec<JobResult>, _) = match &mut self.outcomes {
+            Outcomes::Full(results) => (results.drain(..).flatten().collect(), Default::default()),
+            Outcomes::Aggregates(a) => (Vec::new(), std::mem::take(a)),
+        };
+        jobs.iter().for_each(|j| _ = totals.count(j));
+        totals.finalize();
+        let aggregates = matches!(self.outcomes, Outcomes::Aggregates(_)).then(|| totals.clone());
         let completions_per_hour =
             std::mem::replace(&mut self.completions, TimeSeries::new(SimDuration::from_hours(1)));
 
@@ -216,6 +223,7 @@ impl Accounting {
                 ..std::mem::take(&mut self.overload)
             }),
             aggregates,
+            totals,
         }
     }
 }

@@ -4,7 +4,6 @@
 //! `FailureCause` as variant names, and the two optional sections left
 //! out while they are `None`.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use ntc_faults::FailureCause;
@@ -32,8 +31,9 @@ pub struct JobResult {
     pub deadline: SimTime,
     /// Whether a cloud/edge failure lost the job.
     pub failed: bool,
-    /// Execution attempts made for the job's batch (1 = first attempt
-    /// succeeded; the maximum across the graph's components).
+    /// Remote executions of the job's batch: the most any one component
+    /// made, and at least 1. Re-executions after a backoff, an outage wait
+    /// (`ErrorClass::WaitUntil`) or a fallback hop to a remote site count.
     pub attempts: u32,
     /// Time the job's batch spent waiting in retry backoff (the maximum
     /// cumulative backoff across components, so it never exceeds
@@ -131,10 +131,10 @@ pub struct ArchetypeAggregate {
 /// the methods of [`RunResult`] report, folded one job at a time with
 /// O(1) memory in the job count.
 ///
-/// A `JobRetention::Aggregates` run streams its outcomes in at record
-/// time and carries the result in [`RunResult::aggregates`]; a `Full`
-/// run's methods fold its `jobs` through the same [`record`](Self::record)
-/// on demand. Counts, rates, means and totals are exact; latency
+/// A `JobRetention::Aggregates` run streams its outcomes in at settlement
+/// and carries a copy in [`RunResult::aggregates`]; a `Full` run counts
+/// its `jobs` once, at assembly, and leaves the latency sketches empty
+/// for exact sorts. Counts, rates, means and totals are exact; latency
 /// percentiles carry the histogram's documented error bound.
 #[derive(Debug, Clone, Default, ToJson)]
 pub struct RunAggregates {
@@ -144,7 +144,7 @@ pub struct RunAggregates {
     pub deadline_misses: u64,
     /// Jobs lost to platform failures.
     pub failures: u64,
-    /// Total execution attempts (≥ the job count).
+    /// Total [`attempts`](JobResult::attempts) (≥ the job count).
     pub total_attempts: u64,
     /// Total retry-backoff wait.
     pub total_backoff: SimDuration,
@@ -159,10 +159,17 @@ pub struct RunAggregates {
 }
 
 impl RunAggregates {
-    /// Folds one job outcome into the aggregates. The few-element cause
-    /// and archetype tables use linear probes — both are bounded by the
-    /// enum sizes, not the job count.
+    /// Folds one job outcome into the aggregates, latency included.
     pub fn record(&mut self, r: &JobResult) {
+        let i = self.count(r);
+        self.latency.observe(r.latency());
+        self.by_archetype[i].latency.observe(r.latency());
+    }
+
+    /// Counts one job outcome, latency aside, and returns its archetype's
+    /// index. The cause and archetype tables use linear probes: both are
+    /// bounded by the enum sizes, not the job count.
+    pub(crate) fn count(&mut self, r: &JobResult) -> usize {
         self.jobs += 1;
         if !r.met_deadline() {
             self.deadline_misses += 1;
@@ -179,9 +186,8 @@ impl RunAggregates {
                 None => self.failure_causes.push(CauseCount { cause: c, count: 1 }),
             }
         }
-        self.latency.observe(r.latency());
-        let slot = match self.by_archetype.iter_mut().find(|a| a.archetype == r.archetype) {
-            Some(a) => a,
+        let i = match self.by_archetype.iter().position(|a| a.archetype == r.archetype) {
+            Some(i) => i,
             None => {
                 self.by_archetype.push(ArchetypeAggregate {
                     archetype: r.archetype,
@@ -191,9 +197,10 @@ impl RunAggregates {
                     latency: LatencyDigest::default(),
                     hold_s: 0.0,
                 });
-                self.by_archetype.last_mut().expect("just pushed")
+                self.by_archetype.len() - 1
             }
         };
+        let slot = &mut self.by_archetype[i];
         slot.jobs += 1;
         if !r.met_deadline() {
             slot.misses += 1;
@@ -201,21 +208,8 @@ impl RunAggregates {
         if r.failed {
             slot.failures += 1;
         }
-        slot.latency.observe(r.latency());
         slot.hold_s += (r.dispatched - r.arrival).as_secs_f64();
-    }
-
-    /// Folds `jobs` in order and finalizes: what a `Full` run's counters
-    /// are read from. Given in arrival order, each archetype's float
-    /// `hold_s` sum is fixed, so `mean_hold_s` is reproducible bit for
-    /// bit.
-    fn of(jobs: &[JobResult]) -> Self {
-        let mut a = RunAggregates::default();
-        for j in jobs {
-            a.record(j);
-        }
-        a.finalize();
-        a
+        i
     }
 
     /// Sorts the cause and archetype tables into their committed name
@@ -223,21 +217,6 @@ impl RunAggregates {
     pub fn finalize(&mut self) {
         self.failure_causes.sort_by_key(|e| e.cause.name());
         self.by_archetype.sort_by_key(|a| a.archetype.name());
-    }
-
-    /// The per-archetype breakdown served from the sketch.
-    fn breakdown(&self) -> Vec<ArchetypeBreakdown> {
-        self.by_archetype
-            .iter()
-            .map(|a| ArchetypeBreakdown {
-                archetype: a.archetype,
-                jobs: a.jobs as usize,
-                misses: a.misses,
-                failures: a.failures,
-                latency: a.latency.summary(),
-                mean_hold_s: a.hold_s / a.jobs as f64,
-            })
-            .collect()
     }
 }
 
@@ -274,13 +253,15 @@ pub struct RunResult {
     #[json(skip_if_none)]
     pub overload: Option<OverloadStats>,
     /// Streaming aggregates: `Some` exactly for `JobRetention::Aggregates`
-    /// runs (where `jobs` is empty) and `None` for every `Full` run, whose
-    /// counters are folded from `jobs` instead. Consumers branch on it —
-    /// the benchmark's run check and digest read per-job data exactly
-    /// when it is `None` — and `None` reproduces the legacy report byte
-    /// for byte.
+    /// runs (where `jobs` is empty), and left out of a `Full` run's report.
+    /// Consumers branch on it: the benchmark's run check and digest read
+    /// per-job data exactly when it is `None`.
     #[json(skip_if_none)]
     pub aggregates: Option<RunAggregates>,
+    /// The counters every method reads, counted once at assembly; the
+    /// report writes `jobs` or `aggregates` instead.
+    #[json(skip)]
+    pub(crate) totals: RunAggregates,
 }
 
 impl RunResult {
@@ -289,28 +270,19 @@ impl RunResult {
         self.cloud_cost + self.edge_cost + self.device_energy_cost
     }
 
-    /// The run's counters: the streamed aggregates of an `Aggregates`
-    /// run, or a `Full` run's jobs folded in arrival order.
-    fn totals(&self) -> Cow<'_, RunAggregates> {
-        match &self.aggregates {
-            Some(a) => Cow::Borrowed(a),
-            None => Cow::Owned(RunAggregates::of(&self.jobs)),
-        }
-    }
-
     /// Total jobs in the run, whichever retention mode produced it.
     pub fn job_count(&self) -> u64 {
-        self.totals().jobs
+        self.totals.jobs
     }
 
     /// Number of jobs that missed their deadline or failed.
     pub fn deadline_misses(&self) -> u64 {
-        self.totals().deadline_misses
+        self.totals.deadline_misses
     }
 
     /// Deadline-miss rate in `[0, 1]`; zero for an empty run.
     pub fn miss_rate(&self) -> f64 {
-        let t = self.totals();
+        let t = &self.totals;
         if t.jobs == 0 {
             0.0
         } else {
@@ -326,55 +298,66 @@ impl RunResult {
         if hours <= 0.0 {
             return 0.0;
         }
-        let t = self.totals();
-        (t.jobs - t.deadline_misses) as f64 / hours
+        (self.totals.jobs - self.totals.deadline_misses) as f64 / hours
     }
 
     /// Number of jobs lost to platform failures.
     pub fn failures(&self) -> u64 {
-        self.totals().failures
+        self.totals.failures
     }
 
-    /// Total execution attempts across all jobs (≥ the job count).
+    /// Total [`attempts`](JobResult::attempts) across all jobs (≥ the
+    /// job count).
     pub fn total_attempts(&self) -> u64 {
-        self.totals().total_attempts
+        self.totals.total_attempts
     }
 
     /// Total retries: attempts beyond each job's first. Every job records
     /// at least one attempt, so this is the attempts in excess of the
-    /// job count.
+    /// job count: the re-executions after an outage wait or a fallback
+    /// hop count too, not only backoff retries.
     pub fn total_retries(&self) -> u64 {
-        let t = self.totals();
-        t.total_attempts.saturating_sub(t.jobs)
+        self.totals.total_attempts.saturating_sub(self.totals.jobs)
     }
 
     /// Total time jobs spent waiting in retry backoff.
     pub fn total_backoff(&self) -> SimDuration {
-        self.totals().total_backoff
+        self.totals.total_backoff
     }
 
     /// Total backend fallback switches across all jobs.
     pub fn total_fallbacks(&self) -> u64 {
-        self.totals().total_fallbacks
+        self.totals.total_fallbacks
     }
 
     /// Failed-job counts keyed by failure cause name, sorted by name.
     pub fn failure_causes(&self) -> BTreeMap<&'static str, u64> {
-        self.totals().failure_causes.iter().map(|e| (e.cause.name(), e.count)).collect()
+        self.totals.failure_causes.iter().map(|e| (e.cause.name(), e.count)).collect()
     }
 
     /// The whole-run latency summary and the per-archetype breakdown,
     /// computed together. An `Aggregates` run serves both from the
-    /// streaming sketch; a `Full` run replaces the sketched latencies
-    /// with exact summaries taken from a single value-sort of its jobs.
+    /// streaming sketch; a `Full` run, whose sketches are empty, takes
+    /// exact summaries from a single value-sort of its jobs.
     /// Callers that need both should call this once instead of
     /// [`latency_summary`](Self::latency_summary) plus
     /// [`by_archetype`](Self::by_archetype), which each redo the work.
     pub fn metrics(&self) -> (Option<Summary>, Vec<ArchetypeBreakdown>) {
-        let totals = self.totals();
-        let mut breakdown = totals.breakdown();
+        let t = &self.totals;
+        let mut breakdown: Vec<_> = t
+            .by_archetype
+            .iter()
+            .map(|a| ArchetypeBreakdown {
+                archetype: a.archetype,
+                jobs: a.jobs as usize,
+                misses: a.misses,
+                failures: a.failures,
+                latency: a.latency.summary(),
+                mean_hold_s: a.hold_s / a.jobs as f64,
+            })
+            .collect();
         if self.aggregates.is_some() {
-            return (totals.latency.summary(), breakdown);
+            return (t.latency.summary(), breakdown);
         }
         // Latencies sort as integer microseconds, tagged with their
         // archetype's index. Seconds are a monotone function of them, so
@@ -403,8 +386,8 @@ impl RunResult {
     /// microseconds (see [`metrics`](Self::metrics)); percentiles within
     /// the histogram bound in `Aggregates`.
     pub fn latency_summary(&self) -> Option<Summary> {
-        if let Some(a) = &self.aggregates {
-            return a.latency.summary();
+        if self.aggregates.is_some() {
+            return self.totals.latency.summary();
         }
         let mut micros: Vec<u64> = self.jobs.iter().map(|j| j.latency().as_micros()).collect();
         micros.sort_unstable();
@@ -488,7 +471,13 @@ mod tests {
         }
     }
 
+    /// A `Full` run of `jobs`, counted as the engine's assembly counts it.
     fn run(jobs: Vec<JobResult>) -> RunResult {
+        let mut totals = RunAggregates::default();
+        for j in &jobs {
+            totals.count(j);
+        }
+        totals.finalize();
         RunResult {
             policy: "test".into(),
             jobs,
@@ -502,15 +491,19 @@ mod tests {
             horizon: SimDuration::from_hours(1),
             overload: None,
             aggregates: None,
+            totals,
         }
     }
 
     /// The same run served through streaming aggregates instead of the
     /// per-job vector.
     fn aggregated(jobs: Vec<JobResult>) -> RunResult {
-        let mut r = run(vec![]);
-        r.aggregates = Some(RunAggregates::of(&jobs));
-        r
+        let mut totals = RunAggregates::default();
+        for j in &jobs {
+            totals.record(j);
+        }
+        totals.finalize();
+        RunResult { aggregates: Some(totals.clone()), totals, ..run(vec![]) }
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //!   heap's exact (time, FIFO) pop order;
 //! * *fresh scratch vs reused scratch, same bytes* — [`RunScratch`] reuse
 //!   must refill buffers, never leak state between runs, including the
-//!   noise memo it keeps per input;
+//!   noise memo it keeps per input and the retention its accounting
+//!   was last reset for (on fixed inputs, and as a property over random
+//!   run sequences);
 //! * *1 thread vs N threads, same bytes* — the sweep runner's derived
 //!   seeds and order-stable collection must make thread count invisible.
 //!
 //! "Same bytes" is literal: results are compared through
 //! `RunResult::to_json`, the writer behind every file the fig/tab
 //! binaries commit to `results/`.
+
+use ntc_check::prelude::*;
 
 use ntc_core::{
     run_replications, Backend, Engine, Environment, FaultConfig, HealthConfig, JobRetention,
@@ -124,6 +128,63 @@ fn reused_scratch_matches_fresh_run() {
             "reused scratch diverged: {} at {rate}/s, seed {seed}",
             p.name()
         );
+    }
+}
+
+/// The specs a run of [`reuse_matches_fresh`] picks one or two of: few, so
+/// that whole inputs repeat within a sequence. The third differs from the
+/// first only in its slack factor.
+fn spec_pool() -> [StreamSpec; 4] {
+    [
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.03),
+        StreamSpec::poisson(Archetype::MlInference, 0.01),
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.03).with_slack_factor(1.5),
+        StreamSpec::poisson(Archetype::LogAnalytics, 0.02),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Over random sequences of (seed, specs, policy, horizon, retention),
+    /// with seeds drawn from three so that inputs repeat, every run on one
+    /// reused scratch writes the bytes it writes on a fresh one.
+    #[test]
+    fn reuse_matches_fresh(
+        runs in prop::collection::vec(
+            (
+                0u64..3,
+                prop::collection::vec(0usize..4, 1..3),
+                0u8..5,
+                1u64..3,
+                any::<bool>(),
+            ),
+            2..6,
+        ),
+    ) {
+        let (env, overload_policy) = overload();
+        let engine = Engine::new(env, 0);
+        let pool = spec_pool();
+        let policies = [
+            OffloadPolicy::LocalOnly,
+            OffloadPolicy::EdgeAll,
+            OffloadPolicy::CloudAll,
+            OffloadPolicy::ntc(),
+            overload_policy,
+        ];
+        let mut scratch = RunScratch::new();
+        for (i, (seed, picks, kind, hours, aggregates)) in runs.iter().enumerate() {
+            let specs: Vec<StreamSpec> = picks.iter().map(|&k| pool[k].clone()).collect();
+            let policy = &policies[usize::from(*kind)];
+            let horizon = SimDuration::from_hours(*hours);
+            let retention =
+                if *aggregates { JobRetention::Aggregates } else { JobRetention::Full };
+            let run = |scratch: &mut RunScratch| {
+                engine.run_retained(*seed, policy, &specs, horizon, scratch, retention).to_json()
+            };
+            let reused = run(&mut scratch);
+            prop_assert!(reused == run(&mut RunScratch::new()), "run {} diverged on reuse", i);
+        }
     }
 }
 

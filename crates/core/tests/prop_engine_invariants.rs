@@ -1,6 +1,6 @@
 //! Whole-engine invariants over random policies, health settings, faults
-//! and loads: whatever the configuration, every generated job gets
-//! exactly one result with a consistent timeline, and `Full` and
+//! and archetype mixes: whatever the configuration, every generated job
+//! gets exactly one result with a consistent timeline, and `Full` and
 //! `Aggregates` retention report the same run.
 
 use ntc_check::prelude::*;
@@ -11,17 +11,24 @@ use ntc_core::{
 };
 use ntc_edge::EdgeConfig;
 use ntc_net::ConnectivityTrace;
+use ntc_simcore::metrics::Histogram;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::SimDuration;
 use ntc_workloads::{generate_jobs_into, Archetype, StreamSpec};
 
 /// The metro reference with a one-server, two-slot edge, so that queues,
-/// admission and hedges bind, failing `transient` of its invocations and,
-/// with `outage`, down the last 12 minutes of every hour.
-fn environment(transient: f64, outage: bool) -> Environment {
+/// admission and hedges bind, failing and throttling the given shares of
+/// its invocations, dropping the given share of transfers and, with
+/// `outage`, down the last 12 minutes of every hour.
+fn environment(faults: (f64, f64, f64, bool)) -> Environment {
+    let (transient, throttle, drop, outage) = faults;
     let mut env = Environment::metro_reference();
     env.edge = EdgeConfig { servers: 1, slots_per_server: 2, ..EdgeConfig::default() };
-    env.faults = FaultConfig::transient(transient);
+    env.faults = FaultConfig {
+        throttle_rate: throttle,
+        transfer_drop_rate: drop,
+        ..FaultConfig::transient(transient)
+    };
     if outage {
         env.faults.site_availability.insert(
             "edge".to_string(),
@@ -53,14 +60,23 @@ fn policy(kind: u8, ntc: (bool, bool, bool, bool), health: HealthConfig) -> Offl
     }
 }
 
-/// The counters a run reports, read through the accessors that fold
-/// `Full` runs' jobs and read `Aggregates` runs' fold.
+/// Everything a run reports that retention must not change: the counters,
+/// each archetype's counts, and the latency count, min and max, which the
+/// `Aggregates` sketch keeps exactly.
 fn counters(r: &RunResult) -> String {
+    let archetypes: Vec<_> = r
+        .by_archetype()
+        .iter()
+        .map(|b| (b.archetype, b.jobs, b.misses, b.failures, b.latency.map(|l| l.count)))
+        .collect();
+    let latency = r.latency_summary().map(|s| (s.count, s.min, s.max));
     format!(
-        "jobs {} misses {} failures {} attempts {} retries {} backoff {:?} fallbacks {} \
-         causes {:?} goodput {} cloud {:?} edge {:?} energy {:?} up {:?} down {:?} overload {:?}",
+        "jobs {} misses {} miss rate {} failures {} attempts {} retries {} backoff {:?} \
+         fallbacks {} causes {:?} goodput {} cloud {:?} edge {:?} energy {:?} up {:?} down {:?} \
+         completions {:?} overload {:?} archetypes {archetypes:?} latency {latency:?}",
         r.job_count(),
         r.deadline_misses(),
+        r.miss_rate(),
         r.failures(),
         r.total_attempts(),
         r.total_retries(),
@@ -73,6 +89,7 @@ fn counters(r: &RunResult) -> String {
         r.device_energy,
         r.bytes_up,
         r.bytes_down,
+        r.completions_per_hour,
         r.overload,
     )
 }
@@ -86,10 +103,10 @@ proptest! {
         ntc in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
         switches in (any::<bool>(), any::<bool>(), any::<bool>()),
         sizes in (1u32..16, 1u64..30),
-        transient in 0.0f64..0.3,
-        outage in any::<bool>(),
-        seed in 0u64..1_000,
-        load in (1u64..4, 0.005f64..0.05),
+        faults in (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.2, any::<bool>()),
+        run in (0u64..1_000, 1u64..4),
+        mix in prop::collection::btree_set(0usize..Archetype::all().len(), 1..4),
+        loads in prop::collection::vec((0.002f64..0.03, 0.05f64..4.0), 3..4),
     ) {
         let (breakers, admission, hedge) = switches;
         let health = HealthConfig {
@@ -100,12 +117,16 @@ proptest! {
             defer_step: SimDuration::from_mins(sizes.1),
         };
         let policy = policy(kind, ntc, health);
-        let horizon = SimDuration::from_hours(load.0);
-        let specs = [
-            StreamSpec::poisson(Archetype::PhotoPipeline, load.1),
-            StreamSpec::poisson(Archetype::MlInference, load.1).with_slack_factor(0.5),
-        ];
-        let engine = Engine::new(environment(transient, outage), seed);
+        let (seed, hours) = run;
+        let horizon = SimDuration::from_hours(hours);
+        let specs: Vec<StreamSpec> = mix
+            .iter()
+            .zip(&loads)
+            .map(|(&a, &(rate, slack))| {
+                StreamSpec::poisson(Archetype::all()[a], rate).with_slack_factor(slack)
+            })
+            .collect();
+        let engine = Engine::new(environment(faults), seed);
         let full = engine.run_retained(
             seed, &policy, &specs, horizon, &mut RunScratch::new(), JobRetention::Full,
         );
@@ -136,6 +157,33 @@ proptest! {
             );
         }
 
+        prop_assert!(
+            agg.jobs.is_empty() && agg.aggregates.is_some() && full.aggregates.is_none(),
+            "{}: each retention keeps what it names", policy
+        );
         prop_assert_eq!(counters(&full), counters(&agg), "{}: retention changed a counter", policy);
+
+        // What the sketch approximates: the mean to the float error of
+        // another summation order, the hold likewise, and each
+        // percentile as a bucket upper bound within the histogram's
+        // bound over the exact rank-ceil order statistic of `Full`'s jobs.
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+        let bound = 1.0 + Histogram::RELATIVE_ERROR_BOUND;
+        for (f, a) in full.by_archetype().iter().zip(&agg.by_archetype()) {
+            prop_assert!(close(a.mean_hold_s, f.mean_hold_s), "{}: {:?} hold", policy, f.archetype);
+        }
+        let mut lats: Vec<f64> = full.jobs.iter().map(|j| j.latency().as_secs_f64()).collect();
+        lats.sort_by(f64::total_cmp);
+        if let (Some(fs), Some(as_)) = (full.latency_summary(), agg.latency_summary()) {
+            prop_assert!(close(as_.mean, fs.mean), "{}: mean {} vs {}", policy, as_.mean, fs.mean);
+            for (q, got) in [(0.50, as_.p50), (0.95, as_.p95), (0.99, as_.p99)] {
+                let k = ((q * lats.len() as f64).ceil() as usize).max(1);
+                let exact = lats[k - 1];
+                prop_assert!(
+                    got + 1e-9 >= exact && got <= exact * bound + 1e-9,
+                    "{}: p{} sketch {} outside the bound over {}", policy, q * 100.0, got, exact
+                );
+            }
+        }
     }
 }

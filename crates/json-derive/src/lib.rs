@@ -8,11 +8,11 @@
 //! * a tuple struct with one field, written as that field's value;
 //! * an enum whose variants are all units, written as the variant name.
 //!
-//! One field attribute exists: `#[json(skip_if_none)]` leaves an
-//! `Option` field out of the object while it is `None`. Generics, a
-//! `where` clause, unit or multi-field tuple structs, unions, variants
-//! with data or discriminants, and any other `#[json(..)]` are compile
-//! errors. The `ntc-json` crate docs show each case.
+//! Two field attributes exist: `#[json(skip)]` leaves a field out of the
+//! object, `#[json(skip_if_none)]` an `Option` field while it is `None`.
+//! Generics, a `where` clause, unit or multi-field tuple structs, unions,
+//! variants with data or discriminants, and any other `#[json(..)]` are
+//! compile errors. The `ntc-json` crate docs show each case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +30,19 @@ pub fn derive_to_json(input: TokenStream) -> TokenStream {
     code.parse().expect("generated code is valid Rust")
 }
 
-const FIELDS_ONLY: &str = "ToJson: `#[json(skip_if_none)]` applies to named fields only";
+const FIELDS_ONLY: &str = "ToJson: `#[json(..)]` applies to named fields only";
+const KNOWN: &str = "only `#[json(skip)]` and `#[json(skip_if_none)]` exist";
+
+/// A named field's `#[json(..)]` attribute.
+enum Attr {
+    Skip,
+    SkipIfNone,
+}
 
 fn expand(input: TokenStream) -> Result<String, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    if skip_attributes(&tokens, &mut i)? {
+    if skip_attributes(&tokens, &mut i)?.is_some() {
         return Err(FIELDS_ONLY.to_string());
     }
     skip_visibility(&tokens, &mut i);
@@ -55,13 +62,13 @@ fn expand(input: TokenStream) -> Result<String, String> {
     let write = match (kind.as_str(), body.delimiter()) {
         ("struct", Delimiter::Brace) => {
             let mut code = String::from("let mut o = ::ntc_json::Object::begin(out, depth);");
-            for (field, skip_if_none) in named_fields(body.stream())? {
+            for (field, attr) in named_fields(body.stream())? {
                 let write = format!("o.field({field:?}, &self.{field});");
-                if skip_if_none {
-                    code += &format!("if self.{field}.is_some() {{ {write} }}");
-                } else {
-                    code += &write;
-                }
+                code += &match attr {
+                    None => write,
+                    Some(Attr::Skip) => continue,
+                    Some(Attr::SkipIfNone) => format!("if self.{field}.is_some() {{ {write} }}"),
+                };
             }
             code + "o.end();"
         }
@@ -70,7 +77,7 @@ fn expand(input: TokenStream) -> Result<String, String> {
             if fields.len() != 1 {
                 return Err(shape());
             }
-            if skip_attributes(&fields[0], &mut 0)? {
+            if skip_attributes(&fields[0], &mut 0)?.is_some() {
                 return Err(FIELDS_ONLY.to_string());
             }
             "::ntc_json::ToJson::write_json(&self.0, out, depth);".to_string()
@@ -98,10 +105,10 @@ fn ident_at(tokens: &[TokenTree], i: usize) -> Option<String> {
     }
 }
 
-/// Steps over `#[...]` attributes; returns whether one of them was
-/// `#[json(skip_if_none)]`. Any other `#[json(..)]` is an error.
-fn skip_attributes(tokens: &[TokenTree], i: &mut usize) -> Result<bool, String> {
-    let mut skip_if_none = false;
+/// Steps over `#[...]` attributes; returns the `#[json(..)]` one among
+/// them. One other than `skip` and `skip_if_none` is an error.
+fn skip_attributes(tokens: &[TokenTree], i: &mut usize) -> Result<Option<Attr>, String> {
+    let mut found = None;
     while let Some(TokenTree::Punct(p)) = tokens.get(*i) {
         if p.as_char() != '#' {
             break;
@@ -113,17 +120,20 @@ fn skip_attributes(tokens: &[TokenTree], i: &mut usize) -> Result<bool, String> 
                 Some(TokenTree::Group(g)) if inner.len() == 2 => g.stream().to_string(),
                 _ => String::new(),
             };
-            if args.trim() != "skip_if_none" {
-                return Err(format!(
-                    "ToJson: unknown attribute `#[{}]`; only `#[json(skip_if_none)]` exists",
-                    attr.stream()
-                ));
-            }
-            skip_if_none = true;
+            found = Some(match args.trim() {
+                "skip" => Attr::Skip,
+                "skip_if_none" => Attr::SkipIfNone,
+                _ => {
+                    return Err(format!(
+                        "ToJson: unknown attribute `#[{}]`; {KNOWN}",
+                        attr.stream()
+                    ))
+                }
+            });
         }
         *i += 2;
     }
-    Ok(skip_if_none)
+    Ok(found)
 }
 
 /// Steps over `pub`, `pub(crate)` and the like.
@@ -162,16 +172,16 @@ fn split_top_level(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     items
 }
 
-/// Each named field with whether it carries `#[json(skip_if_none)]`.
-fn named_fields(stream: TokenStream) -> Result<Vec<(String, bool)>, String> {
+/// Each named field with its `#[json(..)]` attribute.
+fn named_fields(stream: TokenStream) -> Result<Vec<(String, Option<Attr>)>, String> {
     split_top_level(stream)
         .iter()
         .map(|tokens| {
             let mut i = 0;
-            let skip_if_none = skip_attributes(tokens, &mut i)?;
+            let attr = skip_attributes(tokens, &mut i)?;
             skip_visibility(tokens, &mut i);
             let name = ident_at(tokens, i).ok_or("ToJson: expected a field name")?;
-            Ok((name, skip_if_none))
+            Ok((name, attr))
         })
         .collect()
 }
@@ -181,7 +191,7 @@ fn unit_variants(stream: TokenStream, name: &str) -> Result<Vec<String>, String>
         .iter()
         .map(|tokens| {
             let mut i = 0;
-            if skip_attributes(tokens, &mut i)? {
+            if skip_attributes(tokens, &mut i)?.is_some() {
                 return Err(FIELDS_ONLY.to_string());
             }
             match (ident_at(tokens, i), tokens.len() == i + 1) {

@@ -31,9 +31,11 @@
 //!     /// Left out of the object when `None`.
 //!     #[json(skip_if_none)]
 //!     note: Option<String>,
+//!     #[json(skip)]
+//!     visits: u32,
 //! }
 //!
-//! let row = Row { site: Site::Edge, took: Millis(7), note: None };
+//! let row = Row { site: Site::Edge, took: Millis(7), note: None, visits: 3 };
 //! assert_eq!(to_string_pretty(&row), "{\n  \"site\": \"Edge\",\n  \"took\": 7\n}");
 //! ```
 //!
@@ -56,7 +58,7 @@
 //! }
 //! ```
 //!
-//! An attribute other than `skip_if_none`:
+//! An attribute other than `skip` and `skip_if_none`:
 //!
 //! ```compile_fail
 //! #[derive(ntc_json::ToJson)]

@@ -57,9 +57,9 @@ impl Histogram {
     /// (`1/32 ≈ 3.1%`).
     pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / SUB_BUCKETS as f64;
 
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; the first record allocates its buckets.
     pub fn new() -> Self {
-        Histogram { counts: vec![0; BUCKET_COUNT], total: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histogram { counts: Vec::new(), total: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
     // Values below 32 index directly. Otherwise the value is normalised by a
@@ -88,6 +88,9 @@ impl Histogram {
 
     /// Records one observation of `value`.
     pub fn record(&mut self, value: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKET_COUNT];
+        }
         self.counts[Self::bucket_index(value)] += 1;
         self.total += 1;
         self.sum += u128::from(value);
@@ -156,6 +159,7 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        self.counts.resize(BUCKET_COUNT, 0);
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -235,6 +239,10 @@ mod tests {
         assert_eq!(a.count(), both.count());
         assert_eq!(a.mean(), both.mean());
         assert_eq!(a.value_at_quantile(0.9), both.value_at_quantile(0.9));
+        // An empty histogram holds no buckets until it merges or records.
+        let mut empty = Histogram::new();
+        empty.merge(&both);
+        assert_eq!(empty.value_at_quantile(0.9), both.value_at_quantile(0.9));
     }
 
     #[test]
