@@ -46,9 +46,6 @@ fn main() {
             let cb = rb.total_cost().as_usd_f64();
             let cu = ru.total_cost().as_usd_f64();
             let saving = if cu > 0.0 { 1.0 - cb / cu } else { 0.0 };
-            let hold: f64 =
-                rb.jobs.iter().map(|j| (j.dispatched - j.arrival).as_secs_f64()).sum::<f64>()
-                    / rb.jobs.len().max(1) as f64;
             let slack_hours =
                 Archetype::ReportRendering.typical_slack().as_secs_f64() * factor / 3600.0;
             Point {
@@ -59,7 +56,7 @@ fn main() {
                 saving_pct: saving * 100.0,
                 misses_batched: rb.deadline_misses(),
                 misses_unbatched: ru.deadline_misses(),
-                mean_hold_s: hold,
+                mean_hold_s: rb.mean_hold_s(),
             }
         });
     let mut table =

@@ -55,10 +55,6 @@ fn main() {
                     .collect()
             });
             let p95 = r.latency_summary().map(|s| s.p95).unwrap_or(0.0);
-            let hold: f64 =
-                r.jobs.iter().map(|j| (j.dispatched - j.arrival).as_secs_f64()).sum::<f64>()
-                    / r.jobs.len().max(1) as f64
-                    / 60.0;
             let row = Row {
                 policy: policy.name(),
                 jobs: r.jobs.len(),
@@ -66,7 +62,7 @@ fn main() {
                 misses: r.deadline_misses(),
                 p95_s: p95,
                 device_energy_j: r.device_energy.as_joules_f64(),
-                mean_hold_min: hold,
+                mean_hold_min: r.mean_hold_s() / 60.0,
             };
             (row, profile)
         });

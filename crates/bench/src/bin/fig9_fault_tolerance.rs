@@ -65,9 +65,6 @@ fn main() {
             let r = engine.run_retained(seed, policy, &specs, horizon, scratch, JobRetention::Full);
             let per_job =
                 |n: u64| if r.jobs.is_empty() { 0.0 } else { n as f64 / r.jobs.len() as f64 };
-            let lost_to = |hit: fn(FailureCause) -> bool| {
-                r.jobs.iter().filter(|j| j.cause.is_some_and(hit)).count() as u64
-            };
             let row = Row {
                 policy: policy.name(),
                 fault_rate: rate,
@@ -81,7 +78,7 @@ fn main() {
                 miss_rate: r.miss_rate(),
                 total_cost_usd: r.total_cost().as_usd_f64(),
             };
-            (row, (lost_to(FailureCause::is_injected), lost_to(|c| c == FailureCause::Timeout)))
+            (row, (r.lost_to(FailureCause::is_injected), r.lost_to(|c| c == FailureCause::Timeout)))
         },
     )
     .into_iter()

@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use ntc_faults::{Admission, FailureCause, HealthConfig, SiteHealth};
-use ntc_simcore::rng::RngStream;
 use ntc_simcore::timeseries::TimeSeries;
 use ntc_simcore::units::{DataSize, Energy, Money, SimDuration, SimTime};
 
@@ -77,24 +76,6 @@ impl HealthMap {
         t: SimTime,
     ) -> Option<usize> {
         (from..chain.len()).find(|&i| self.site_mut(chain[i]).check(t) != Admission::Unavailable)
-    }
-
-    /// Records a failed attempt against `site` — unless the cause is a
-    /// deliberate hedge cancellation, which says nothing about the
-    /// site's health and must not move the EWMAs.
-    pub(crate) fn observe_failure(
-        &mut self,
-        site: Site,
-        at: SimTime,
-        rng: &RngStream,
-        cause: FailureCause,
-    ) {
-        let h = self.site_mut(site);
-        if cause.is_cancellation() {
-            h.record_cancelled();
-        } else {
-            h.record_failure(at, rng);
-        }
     }
 
     /// Breaker transitions per site over the run, keyed by site name.

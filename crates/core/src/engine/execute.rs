@@ -4,7 +4,7 @@
 //! devices), breaker-aware site selection, and deadline-budgeted hedged
 //! requests.
 
-use ntc_faults::{classify_injected, ErrorClass, FailureCause};
+use ntc_faults::{ErrorClass, FailureCause};
 use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
@@ -147,7 +147,7 @@ pub(crate) fn handle_exec(
                 }
                 Err((class, cause)) => {
                     if st.health.enabled() {
-                        st.health.observe_failure(site, t, &st.health_rng, cause);
+                        st.health.site_mut(site).record_failure(t, &st.health_rng);
                     }
                     recovery::recover(ctx, st, sim, &rng, t, bi, comp, class, cause);
                 }
@@ -226,12 +226,12 @@ pub(crate) fn handle_hedge_fire(
             st.health.site_mut(target).record_cancelled();
             resolve_primary_win(st, sim, t, bi, comp, primary, &pending);
         }
-        Err((_class, cause)) => {
+        Err(_) => {
             // The duplicate failed outright: that *is* an observation
             // against its site, but the primary is still in flight —
             // nothing is retried and the batch loses nothing.
             st.acct.overload.hedges_lost += 1;
-            st.health.observe_failure(target, t, &st.health_rng, cause);
+            st.health.site_mut(target).record_failure(t, &st.health_rng);
             resolve_primary_win(st, sim, t, bi, comp, primary, &pending);
         }
     }
@@ -261,8 +261,8 @@ impl Key for Try {
 /// Invokes one component of batch `bi` on remote `site` at `t`: one
 /// invocation for the whole batch, on the concatenated input, so the
 /// fixed demand and the request fee amortise across members. An injected
-/// fault or a site outage answers instead of the site. Returns the
-/// invocation's latency from `t`.
+/// fault (retryable: each attempt re-rolls) or a site outage answers
+/// instead of the site. Returns the invocation's latency from `t`.
 ///
 /// The injected fault is drawn under the batch's stream `rng` by the key
 /// `{comp}-{site}{try}`, with the site's name — its spelling is part of
@@ -288,10 +288,8 @@ fn invoke_remote(
         .batch_demand_cycles(ctx.members(bi).len() as u64, b.sum_input);
     let work = Cycles::new(round_to_u64(annotated.get() as f64 * noise));
     let faults = &ctx.env.faults;
-    if faults.has_invocation_faults() {
-        if let Some(fault) = faults.invocation_fault(rng, fault_key(comp, site, try_)) {
-            return Err(classify_injected(fault));
-        }
+    if let Some(cause) = faults.invocation_fault(rng, fault_key(comp, site, try_)) {
+        return Err((ErrorClass::Retryable, cause));
     }
     if let Some(err) = site.outage(faults, t) {
         return Err(err);

@@ -30,12 +30,6 @@ pub(crate) fn recover(
     class: ErrorClass,
     cause: FailureCause,
 ) {
-    if cause.is_cancellation() {
-        // Hedge-loser cancellations are deliberate, not failures: they
-        // are never retried and trigger no fallback. (Defensive —
-        // the hedge path resolves losers without ever calling here.)
-        return;
-    }
     match class {
         ErrorClass::WaitUntil(r) => {
             // A deterministic wait (service still installing, outage

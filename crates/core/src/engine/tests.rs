@@ -120,6 +120,20 @@ fn batching_coalesces_jobs_and_meets_deadlines() {
 }
 
 #[test]
+fn mean_hold_is_the_arrival_order_fold_of_a_full_run() {
+    let specs = [
+        StreamSpec::poisson(Archetype::ReportRendering, 0.01),
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.02),
+    ];
+    let r = engine().run(&OffloadPolicy::ntc(), &specs, SimDuration::from_hours(4));
+    let fold: f64 = r.jobs.iter().map(|j| (j.dispatched - j.arrival).as_secs_f64()).sum();
+    assert!(fold > 0.0, "batching should hold some jobs");
+    assert_eq!(r.mean_hold_s().to_bits(), (fold / r.jobs.len() as f64).to_bits());
+    let empty = engine().run(&OffloadPolicy::ntc(), &[], SimDuration::from_hours(1));
+    assert_eq!(empty.mean_hold_s().to_bits(), 0.0_f64.to_bits());
+}
+
+#[test]
 fn sparse_traffic_deployment_warms_and_stays_mostly_warm() {
     // 1 job / 25 min < the 10-min platform TTL: the deployment picks a
     // warmer, and the engine's periodic pings keep tails down.
@@ -675,6 +689,28 @@ fn ntc_retries_through_transient_faults() {
     assert_eq!(r.failures(), 0, "NTC must ride out transient faults by retrying");
     assert!(r.total_retries() > 0, "a 10% fault rate must trigger retries");
     assert!(r.total_backoff() > SimDuration::ZERO);
+}
+
+#[test]
+fn injected_faults_are_retryable() {
+    // Only a retryable failure backs off: a fallback hop or a terminal
+    // failure waits nothing.
+    for (transient_rate, throttle_rate) in [(0.1, 0.0), (0.0, 0.1)] {
+        let mut env = Environment::metro_reference();
+        env.faults = ntc_faults::FaultConfig {
+            transient_rate,
+            throttle_rate,
+            ..ntc_faults::FaultConfig::none()
+        };
+        let r = Engine::new(env, 7).run(
+            &OffloadPolicy::ntc(),
+            &photo_specs(0.02),
+            SimDuration::from_hours(2),
+        );
+        assert_eq!(r.failures(), 0, "throttle rate {throttle_rate}");
+        assert_eq!(r.total_fallbacks(), 0, "throttle rate {throttle_rate}");
+        assert!(r.total_backoff() > SimDuration::ZERO, "throttle rate {throttle_rate}");
+    }
 }
 
 #[test]

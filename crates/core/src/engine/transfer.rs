@@ -61,9 +61,6 @@ fn faulty_transfer(
     rng: &RngStream,
     key: impl Key,
 ) -> SimDuration {
-    if !faults.has_transfer_faults() {
-        return dur;
-    }
     let penalty = faults.transfer_penalty(rng, key);
     if penalty > 1.0 {
         dur.mul_f64(penalty)

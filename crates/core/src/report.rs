@@ -156,6 +156,11 @@ pub struct RunAggregates {
     pub latency: LatencyDigest,
     /// Per-archetype aggregates, sorted by archetype name.
     pub by_archetype: Vec<ArchetypeAggregate>,
+    /// Total deliberate hold before dispatch, in seconds, summed in the
+    /// order the jobs were counted (a `Full` run's arrival order). Left
+    /// out of the report: each archetype's `hold_s` carries it.
+    #[json(skip)]
+    pub hold_s: f64,
 }
 
 impl RunAggregates {
@@ -181,7 +186,7 @@ impl RunAggregates {
         self.total_backoff += r.backoff;
         self.total_fallbacks += u64::from(r.fallbacks);
         if let Some(c) = r.cause {
-            match self.failure_causes.iter_mut().find(|e| e.cause.name() == c.name()) {
+            match self.failure_causes.iter_mut().find(|e| e.cause == c) {
                 Some(e) => e.count += 1,
                 None => self.failure_causes.push(CauseCount { cause: c, count: 1 }),
             }
@@ -208,7 +213,9 @@ impl RunAggregates {
         if r.failed {
             slot.failures += 1;
         }
-        slot.hold_s += (r.dispatched - r.arrival).as_secs_f64();
+        let hold = (r.dispatched - r.arrival).as_secs_f64();
+        slot.hold_s += hold;
+        self.hold_s += hold;
         i
     }
 
@@ -333,6 +340,23 @@ impl RunResult {
     /// Failed-job counts keyed by failure cause name, sorted by name.
     pub fn failure_causes(&self) -> BTreeMap<&'static str, u64> {
         self.totals.failure_causes.iter().map(|e| (e.cause.name(), e.count)).collect()
+    }
+
+    /// Jobs lost to any failure cause that `hit` accepts.
+    pub fn lost_to(&self, hit: impl Fn(FailureCause) -> bool) -> u64 {
+        self.totals.failure_causes.iter().filter(|e| hit(e.cause)).map(|e| e.count).sum()
+    }
+
+    /// Mean deliberate hold before dispatch over every job, in seconds;
+    /// zero for an empty run. A `Full` run's is the arrival-order sum of
+    /// its jobs' holds over the job count, bit for bit.
+    pub fn mean_hold_s(&self) -> f64 {
+        let t = &self.totals;
+        if t.jobs == 0 {
+            0.0
+        } else {
+            t.hold_s / t.jobs as f64
+        }
     }
 
     /// The whole-run latency summary and the per-archetype breakdown,
@@ -574,6 +598,8 @@ mod tests {
         let causes = r.failure_causes();
         assert_eq!(causes.get("timeout"), Some(&1));
         assert_eq!(causes.len(), 1);
+        assert_eq!(r.lost_to(|c| c == FailureCause::Timeout), 1);
+        assert_eq!(r.lost_to(FailureCause::is_injected), 0);
     }
 
     #[test]
@@ -721,6 +747,7 @@ mod tests {
         assert_eq!(agg.total_backoff(), full.total_backoff());
         assert_eq!(agg.total_fallbacks(), full.total_fallbacks());
         assert_eq!(agg.failure_causes(), full.failure_causes());
+        assert_eq!(agg.mean_hold_s(), full.mean_hold_s());
         let (fs, fb) = full.metrics();
         let (as_, ab) = agg.metrics();
         let (fs, as_) = (fs.unwrap(), as_.unwrap());

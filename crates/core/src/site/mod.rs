@@ -25,13 +25,10 @@
 use core::fmt;
 
 use ntc_alloc::WarmStrategy;
-use ntc_edge::{EdgeFleet, ServiceId};
-use ntc_faults::{
-    classify_edge, classify_invoke, classify_outage, classify_timeout, ErrorClass, FailureCause,
-    FaultConfig,
-};
+use ntc_edge::{EdgeError, EdgeFleet, ServiceId};
+use ntc_faults::{ErrorClass, FailureCause, FaultConfig};
 use ntc_net::PathModel;
-use ntc_serverless::{FunctionConfig, FunctionId, ServerlessPlatform};
+use ntc_serverless::{FunctionConfig, FunctionId, InvokeError, ServerlessPlatform};
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
 use ntc_simcore::units::{ClockSpeed, Cycles, DataSize, Money, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
@@ -150,8 +147,8 @@ impl Site {
     /// The error an invocation on this site at `at` meets from the
     /// site's availability schedule in `faults`: `None` while it is
     /// online, a free wait when the outage has a known end and a
-    /// fallback when it has none (see [`classify_outage`]). The edge
-    /// reports [`FailureCause::EdgeOutage`], the cloud the generic
+    /// fallback when it has none (see [`FaultConfig::site_outage`]). The
+    /// edge reports [`FailureCause::EdgeOutage`], the cloud the generic
     /// [`FailureCause::SiteOutage`]. A member's device is, by
     /// definition, reachable from itself.
     pub fn outage(self, faults: &FaultConfig, at: SimTime) -> Option<(ErrorClass, FailureCause)> {
@@ -160,7 +157,7 @@ impl Site {
             Site::Cloud => FailureCause::SiteOutage,
             Site::Device => return None,
         };
-        classify_outage(cause, faults.site_outage(self.name(), at))
+        Some((faults.site_outage(self.name(), at)?, cause))
     }
 
     /// Execution speed of one invocation at `memory` (planning).
@@ -348,7 +345,7 @@ impl SiteRegistry {
     /// Executes one attempt of `work` for `comp` of deployment `di` on
     /// remote `site` at `at`: one invocation for a whole coalesced batch.
     /// Returns its latency from `at`, or the failure's recovery class
-    /// and cause.
+    /// and cause, classified here from the simulator's error or timeout.
     ///
     /// # Panics
     ///
@@ -369,15 +366,18 @@ impl SiteRegistry {
                 let f = self.fns.get(di, comp).expect("invoked a function never provisioned");
                 match self.platform.invoke(at, f, work) {
                     Ok(out) if !out.timed_out => Ok(out.finish - at),
-                    Ok(_) => Err(classify_timeout()),
-                    Err(e) => Err(classify_invoke(&e)),
+                    // The engine fixes an invocation's compute noise per
+                    // (batch, component), so the same work would time out
+                    // on this backend again: only another one can help.
+                    Ok(_) => Err((ErrorClass::Fallback, FailureCause::Timeout)),
+                    Err(e) => Err(cloud_failure(&e)),
                 }
             }
             Site::Edge => {
                 let s = self.svcs.get(di, comp).expect("invoked a service never provisioned");
                 match self.fleet.invoke(at, s, work) {
                     Ok(out) => Ok(out.finish - at),
-                    Err(e) => Err(classify_edge(&e, at)),
+                    Err(e) => Err(edge_failure(&e, at)),
                 }
             }
             Site::Device => unreachable!(
@@ -411,9 +411,50 @@ impl SiteRegistry {
     }
 }
 
+/// The recovery class and cause of a serverless-platform error.
+fn cloud_failure(err: &InvokeError) -> (ErrorClass, FailureCause) {
+    match err {
+        InvokeError::UnknownFunction(_) => (ErrorClass::Terminal, FailureCause::Deployment),
+        // Capacity never frees up (the platform documents the region as
+        // permanently exhausted), so retrying the same backend is futile.
+        InvokeError::CapacityExhausted => (ErrorClass::Fallback, FailureCause::Capacity),
+        InvokeError::OutOfOrder { .. } => (ErrorClass::Terminal, FailureCause::Ordering),
+    }
+}
+
+/// The recovery class and cause of an edge-fleet error observed at `now`.
+fn edge_failure(err: &EdgeError, now: SimTime) -> (ErrorClass, FailureCause) {
+    match err {
+        EdgeError::UnknownService(_) => (ErrorClass::Terminal, FailureCause::Deployment),
+        EdgeError::NotInstalled { ready_at: Some(ready), .. } if *ready > now => {
+            (ErrorClass::WaitUntil(*ready), FailureCause::Deployment)
+        }
+        // Already-ready according to the fleet, yet the invoke failed:
+        // a race worth one more try.
+        EdgeError::NotInstalled { ready_at: Some(_), .. } => {
+            (ErrorClass::Retryable, FailureCause::Deployment)
+        }
+        EdgeError::NotInstalled { ready_at: None, .. } => {
+            (ErrorClass::Fallback, FailureCause::Deployment)
+        }
+        EdgeError::OutOfOrder { .. } => (ErrorClass::Terminal, FailureCause::Ordering),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntc_edge::EdgeConfig;
+    use ntc_serverless::PlatformConfig;
+
+    fn service_id() -> ServiceId {
+        EdgeFleet::new(EdgeConfig::default()).register()
+    }
+
+    fn function_id() -> FunctionId {
+        ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(0))
+            .register(FunctionConfig::new(DataSize::from_mib(128)))
+    }
 
     #[test]
     fn all_lists_sites_in_fallback_order() {
@@ -450,5 +491,77 @@ mod tests {
         assert_eq!(Site::Cloud.fallback_chain(true), [Site::Cloud, Site::Device]);
         assert_eq!(Site::Edge.fallback_chain(false), [Site::Edge]);
         assert_eq!(Site::Cloud.fallback_chain(false), [Site::Cloud]);
+    }
+
+    #[test]
+    fn unknown_service_is_terminal() {
+        let (class, cause) = edge_failure(&EdgeError::UnknownService(service_id()), SimTime::ZERO);
+        assert_eq!(class, ErrorClass::Terminal);
+        assert_eq!(cause, FailureCause::Deployment);
+    }
+
+    #[test]
+    fn installing_service_waits_until_ready() {
+        let ready = SimTime::from_secs(30);
+        let err = EdgeError::NotInstalled { service: service_id(), ready_at: Some(ready) };
+        let (class, cause) = edge_failure(&err, SimTime::from_secs(10));
+        assert_eq!(class, ErrorClass::WaitUntil(ready));
+        assert_eq!(cause, FailureCause::Deployment);
+    }
+
+    #[test]
+    fn ready_but_rejected_service_is_retryable() {
+        let err = EdgeError::NotInstalled {
+            service: service_id(),
+            ready_at: Some(SimTime::from_secs(5)),
+        };
+        let (class, _) = edge_failure(&err, SimTime::from_secs(10));
+        assert_eq!(class, ErrorClass::Retryable);
+    }
+
+    #[test]
+    fn never_installable_service_falls_back() {
+        let err = EdgeError::NotInstalled { service: service_id(), ready_at: None };
+        let (class, cause) = edge_failure(&err, SimTime::ZERO);
+        assert_eq!(class, ErrorClass::Fallback);
+        assert_eq!(cause, FailureCause::Deployment);
+    }
+
+    #[test]
+    fn out_of_order_submissions_are_terminal_bugs() {
+        let e = EdgeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
+        assert_eq!(edge_failure(&e, SimTime::ZERO), (ErrorClass::Terminal, FailureCause::Ordering));
+        let i = InvokeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
+        assert_eq!(cloud_failure(&i), (ErrorClass::Terminal, FailureCause::Ordering));
+    }
+
+    #[test]
+    fn exhausted_capacity_falls_back() {
+        let (class, cause) = cloud_failure(&InvokeError::CapacityExhausted);
+        assert_eq!(class, ErrorClass::Fallback);
+        assert_eq!(cause, FailureCause::Capacity);
+    }
+
+    #[test]
+    fn unknown_function_is_terminal() {
+        let (class, cause) = cloud_failure(&InvokeError::UnknownFunction(function_id()));
+        assert_eq!(class, ErrorClass::Terminal);
+        assert_eq!(cause, FailureCause::Deployment);
+    }
+
+    #[test]
+    fn timeouts_fall_back_rather_than_retry() {
+        let env = Environment::metro_reference();
+        let mut sites = SiteRegistry::standard(&env, &RngStream::root(0));
+        let comp = ComponentId::from_index(0);
+        let config = FunctionConfig::new(DataSize::from_mib(1769));
+        let f = sites.platform.register(config.with_timeout(SimDuration::from_secs(1)));
+        sites.fns.insert(0, comp, f);
+        // 25 Gcyc takes 10 s at the 1769 MiB share of the CPU.
+        let work = Cycles::from_giga(25);
+        assert_eq!(
+            sites.invoke(Site::Cloud, SimTime::ZERO, 0, comp, work),
+            Err((ErrorClass::Fallback, FailureCause::Timeout))
+        );
     }
 }

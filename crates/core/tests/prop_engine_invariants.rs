@@ -164,11 +164,14 @@ proptest! {
         prop_assert_eq!(counters(&full), counters(&agg), "{}: retention changed a counter", policy);
 
         // What the sketch approximates: the mean to the float error of
-        // another summation order, the hold likewise, and each
-        // percentile as a bucket upper bound within the histogram's
-        // bound over the exact rank-ceil order statistic of `Full`'s jobs.
+        // another summation order, the holds likewise (`Aggregates` sums
+        // them in settlement order, `Full` in arrival order, so they can
+        // differ in the last bit), and each percentile as a bucket upper
+        // bound within the histogram's bound over the exact rank-ceil
+        // order statistic of `Full`'s jobs.
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
         let bound = 1.0 + Histogram::RELATIVE_ERROR_BOUND;
+        prop_assert!(close(agg.mean_hold_s(), full.mean_hold_s()), "{}: run hold", policy);
         for (f, a) in full.by_archetype().iter().zip(&agg.by_archetype()) {
             prop_assert!(close(a.mean_hold_s, f.mean_hold_s), "{}: {:?} hold", policy, f.archetype);
         }

@@ -1,17 +1,15 @@
-//! Retryable-vs-terminal classification of backend errors.
+//! The failure vocabulary: what a failed attempt admits
+//! ([`ErrorClass`]) and why it failed ([`FailureCause`]).
 //!
-//! The engine used to treat every error as terminal. This module maps
-//! each failure mode onto a recovery action ([`ErrorClass`]) and a
-//! reportable [`FailureCause`], so that delay-tolerant work can wait
-//! faults out while misconfiguration still fails fast.
+//! Each failure is classified once, where it is raised: the fault
+//! queries of [`FaultConfig`](crate::FaultConfig) answer in these types,
+//! and so does the engine's site registry for its simulators' errors and
+//! timeouts. Delay-tolerant work can then wait faults out while
+//! misconfiguration still fails fast.
 
-use ntc_edge::EdgeError;
 use ntc_json::ToJson;
-use ntc_serverless::InvokeError;
 use ntc_simcore::units::SimTime;
 use std::fmt;
-
-use crate::plan::{InjectedFault, SiteOutage as Outage};
 
 /// Why an attempt (or, ultimately, a job) failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, ToJson)]
@@ -34,10 +32,6 @@ pub enum FailureCause {
     /// The simulation submitted invocations out of time order (a bug in
     /// the caller, never worth retrying).
     Ordering,
-    /// A hedged duplicate was deliberately cancelled because its twin
-    /// finished first. Not a fault: cancellations are never retried and
-    /// never feed a site's failure-rate EWMA.
-    HedgeCancelled,
 }
 
 impl FailureCause {
@@ -52,15 +46,7 @@ impl FailureCause {
             FailureCause::Capacity => "capacity",
             FailureCause::Deployment => "deployment",
             FailureCause::Ordering => "ordering",
-            FailureCause::HedgeCancelled => "hedge-cancelled",
         }
-    }
-
-    /// Whether this cause describes a deliberate cancellation rather
-    /// than a genuine failure. Cancellations must not be retried or
-    /// move failure-rate EWMAs.
-    pub fn is_cancellation(self) -> bool {
-        matches!(self, FailureCause::HedgeCancelled)
     }
 
     /// Whether a [`FaultConfig`](crate::FaultConfig) injects this cause:
@@ -100,174 +86,19 @@ pub enum ErrorClass {
     Terminal,
 }
 
-/// Classifies an edge-fleet error observed at `now`.
-pub fn classify_edge(err: &EdgeError, now: SimTime) -> (ErrorClass, FailureCause) {
-    match err {
-        EdgeError::UnknownService(_) => (ErrorClass::Terminal, FailureCause::Deployment),
-        EdgeError::NotInstalled { ready_at: Some(ready), .. } if *ready > now => {
-            (ErrorClass::WaitUntil(*ready), FailureCause::Deployment)
-        }
-        // Already-ready according to the fleet, yet the invoke failed:
-        // a race worth one more try.
-        EdgeError::NotInstalled { ready_at: Some(_), .. } => {
-            (ErrorClass::Retryable, FailureCause::Deployment)
-        }
-        EdgeError::NotInstalled { ready_at: None, .. } => {
-            (ErrorClass::Fallback, FailureCause::Deployment)
-        }
-        EdgeError::OutOfOrder { .. } => (ErrorClass::Terminal, FailureCause::Ordering),
-    }
-}
-
-/// Classifies a serverless-platform error.
-pub fn classify_invoke(err: &InvokeError) -> (ErrorClass, FailureCause) {
-    match err {
-        InvokeError::UnknownFunction(_) => (ErrorClass::Terminal, FailureCause::Deployment),
-        // Capacity never frees up (the platform documents the region as
-        // permanently exhausted), so retrying the same backend is futile.
-        InvokeError::CapacityExhausted => (ErrorClass::Fallback, FailureCause::Capacity),
-        InvokeError::OutOfOrder { .. } => (ErrorClass::Terminal, FailureCause::Ordering),
-    }
-}
-
-/// Classifies a site's outage, reported as `cause` (the site decides
-/// which): `None` while the site is online, a free deterministic wait
-/// when the outage has a known end, and a fallback down the site chain
-/// when it does not.
-pub fn classify_outage(cause: FailureCause, outage: Outage) -> Option<(ErrorClass, FailureCause)> {
-    match outage {
-        Outage::Online => None,
-        Outage::Until(resume) => Some((ErrorClass::WaitUntil(resume), cause)),
-        Outage::Forever => Some((ErrorClass::Fallback, cause)),
-    }
-}
-
-/// Classifies an execution timeout.
-///
-/// The engine fixes an invocation's compute noise per `(batch,
-/// component)`, so re-running the same work on the same backend would
-/// time out again deterministically — the only way out is a different
-/// backend.
-pub fn classify_timeout() -> (ErrorClass, FailureCause) {
-    (ErrorClass::Fallback, FailureCause::Timeout)
-}
-
-/// Classifies an injected fault drawn by
-/// [`FaultConfig::invocation_fault`](crate::FaultConfig::invocation_fault).
-/// Both kinds are transient by construction: each attempt re-rolls.
-pub fn classify_injected(fault: InjectedFault) -> (ErrorClass, FailureCause) {
-    match fault {
-        InjectedFault::Transient => (ErrorClass::Retryable, FailureCause::Transient),
-        InjectedFault::Throttled => (ErrorClass::Retryable, FailureCause::Throttled),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_edge::{EdgeConfig, EdgeFleet, ServiceId};
-    use ntc_serverless::{FunctionConfig, FunctionId, PlatformConfig, ServerlessPlatform};
+    use crate::FaultConfig;
+    use ntc_net::ConnectivityTrace;
     use ntc_simcore::rng::RngStream;
-    use ntc_simcore::units::DataSize;
-
-    fn service_id() -> ServiceId {
-        EdgeFleet::new(EdgeConfig::default()).register()
-    }
-
-    fn function_id() -> FunctionId {
-        ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(0))
-            .register(FunctionConfig::new(DataSize::from_mib(128)))
-    }
-
-    #[test]
-    fn unknown_service_is_terminal() {
-        let (class, cause) = classify_edge(&EdgeError::UnknownService(service_id()), SimTime::ZERO);
-        assert_eq!(class, ErrorClass::Terminal);
-        assert_eq!(cause, FailureCause::Deployment);
-    }
-
-    #[test]
-    fn installing_service_waits_until_ready() {
-        let ready = SimTime::from_secs(30);
-        let err = EdgeError::NotInstalled { service: service_id(), ready_at: Some(ready) };
-        let (class, cause) = classify_edge(&err, SimTime::from_secs(10));
-        assert_eq!(class, ErrorClass::WaitUntil(ready));
-        assert_eq!(cause, FailureCause::Deployment);
-    }
-
-    #[test]
-    fn ready_but_rejected_service_is_retryable() {
-        let err = EdgeError::NotInstalled {
-            service: service_id(),
-            ready_at: Some(SimTime::from_secs(5)),
-        };
-        let (class, _) = classify_edge(&err, SimTime::from_secs(10));
-        assert_eq!(class, ErrorClass::Retryable);
-    }
-
-    #[test]
-    fn never_installable_service_falls_back() {
-        let err = EdgeError::NotInstalled { service: service_id(), ready_at: None };
-        let (class, cause) = classify_edge(&err, SimTime::ZERO);
-        assert_eq!(class, ErrorClass::Fallback);
-        assert_eq!(cause, FailureCause::Deployment);
-    }
-
-    #[test]
-    fn out_of_order_submissions_are_terminal_bugs() {
-        let e = EdgeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
-        assert_eq!(
-            classify_edge(&e, SimTime::ZERO),
-            (ErrorClass::Terminal, FailureCause::Ordering)
-        );
-        let i = InvokeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
-        assert_eq!(classify_invoke(&i), (ErrorClass::Terminal, FailureCause::Ordering));
-    }
-
-    #[test]
-    fn exhausted_capacity_falls_back() {
-        let (class, cause) = classify_invoke(&InvokeError::CapacityExhausted);
-        assert_eq!(class, ErrorClass::Fallback);
-        assert_eq!(cause, FailureCause::Capacity);
-    }
-
-    #[test]
-    fn unknown_function_is_terminal() {
-        let (class, cause) = classify_invoke(&InvokeError::UnknownFunction(function_id()));
-        assert_eq!(class, ErrorClass::Terminal);
-        assert_eq!(cause, FailureCause::Deployment);
-    }
-
-    #[test]
-    fn timeouts_fall_back_rather_than_retry() {
-        assert_eq!(classify_timeout(), (ErrorClass::Fallback, FailureCause::Timeout));
-    }
-
-    #[test]
-    fn injected_faults_are_retryable() {
-        assert_eq!(
-            classify_injected(InjectedFault::Transient),
-            (ErrorClass::Retryable, FailureCause::Transient)
-        );
-        assert_eq!(
-            classify_injected(InjectedFault::Throttled),
-            (ErrorClass::Retryable, FailureCause::Throttled)
-        );
-    }
+    use ntc_simcore::units::SimDuration;
 
     #[test]
     fn cause_names_are_stable() {
         assert_eq!(FailureCause::Transient.to_string(), "transient");
         assert_eq!(FailureCause::EdgeOutage.name(), "edge-outage");
         assert_eq!(FailureCause::SiteOutage.name(), "site-outage");
-        assert_eq!(FailureCause::HedgeCancelled.name(), "hedge-cancelled");
-    }
-
-    #[test]
-    fn only_hedge_cancellation_is_a_cancellation() {
-        assert!(FailureCause::HedgeCancelled.is_cancellation());
-        assert!(!FailureCause::Timeout.is_cancellation());
-        assert!(!FailureCause::Transient.is_cancellation());
     }
 
     #[test]
@@ -278,39 +109,39 @@ mod tests {
             FailureCause::EdgeOutage,
             FailureCause::SiteOutage,
         ];
-        for fault in [InjectedFault::Transient, InjectedFault::Throttled] {
-            assert!(classify_injected(fault).1.is_injected());
+        let rng = RngStream::root(1);
+        let always = |transient_rate, throttle_rate| FaultConfig {
+            transient_rate,
+            throttle_rate,
+            ..FaultConfig::none()
+        };
+        for cfg in [always(1.0, 0.0), always(0.0, 1.0)] {
+            assert!(cfg.invocation_fault(&rng, "k").is_some_and(FailureCause::is_injected));
         }
-        for outage in [FailureCause::EdgeOutage, FailureCause::SiteOutage] {
-            let (_, cause) = classify_outage(outage, Outage::Forever).unwrap();
-            assert!(cause.is_injected(), "{outage}");
+        for cause in injected {
+            assert!(cause.is_injected(), "{cause}");
         }
         for cause in [
             FailureCause::Timeout,
             FailureCause::Capacity,
             FailureCause::Deployment,
             FailureCause::Ordering,
-            FailureCause::HedgeCancelled,
         ] {
             assert!(!cause.is_injected(), "{cause}");
-            assert!(!injected.contains(&cause));
         }
     }
 
     #[test]
     fn outages_wait_when_bounded_and_fall_back_when_not() {
-        let edge = FailureCause::EdgeOutage;
-        assert_eq!(classify_outage(edge, Outage::Online), None);
+        let hour = SimDuration::from_hours(1);
+        let mut cfg = FaultConfig::none();
+        let bounded = vec![(SimDuration::ZERO, false), (SimDuration::from_secs(90), true)];
+        cfg.site_availability.insert("edge".into(), ConnectivityTrace::new(hour, bounded));
+        let never = vec![(SimDuration::ZERO, false)];
+        cfg.site_availability.insert("cloud".into(), ConnectivityTrace::new(hour, never));
         let resume = SimTime::from_secs(90);
-        assert_eq!(
-            classify_outage(edge, Outage::Until(resume)),
-            Some((ErrorClass::WaitUntil(resume), edge))
-        );
-        assert_eq!(classify_outage(edge, Outage::Forever), Some((ErrorClass::Fallback, edge)));
-        // The cause is reported as given.
-        assert_eq!(
-            classify_outage(FailureCause::SiteOutage, Outage::Forever),
-            Some((ErrorClass::Fallback, FailureCause::SiteOutage))
-        );
+        assert_eq!(cfg.site_outage("edge", SimTime::ZERO), Some(ErrorClass::WaitUntil(resume)));
+        assert_eq!(cfg.site_outage("edge", resume), None);
+        assert_eq!(cfg.site_outage("cloud", SimTime::ZERO), Some(ErrorClass::Fallback));
     }
 }

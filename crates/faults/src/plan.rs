@@ -1,31 +1,20 @@
-//! The faults a [`FaultConfig`] injects, queried one key at a time.
+//! The faults of one environment: how unreliable the world is, and the
+//! deterministic queries that answer in [`FailureCause`] and
+//! [`ErrorClass`].
 
+use std::collections::BTreeMap;
+
+use ntc_net::ConnectivityTrace;
 use ntc_simcore::rng::{Key, RngStream};
 use ntc_simcore::units::SimTime;
 
-use crate::config::FaultConfig;
+use crate::classify::{ErrorClass, FailureCause};
 
-/// One injected invocation fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The attempt failed with a transient error.
-    Transient,
-    /// The attempt was throttled by the platform.
-    Throttled,
-}
-
-/// An execution site's availability at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteOutage {
-    /// The site is up.
-    Online,
-    /// The site is down and comes back at the contained instant.
-    Until(SimTime),
-    /// The site never comes back within this schedule.
-    Forever,
-}
-
-/// The deterministic fault queries.
+/// Fault-injection parameters for one environment.
+///
+/// Rates are per-attempt probabilities in `[0, 1]`. The default
+/// ([`FaultConfig::none`]) injects nothing, so environments that predate
+/// fault modelling behave exactly as before.
 ///
 /// Every random query derives its own child stream, by a caller-chosen
 /// key, from a stream the caller passes (the engine passes the job's own
@@ -33,30 +22,65 @@ pub enum SiteOutage {
 /// randomness other subsystems consumed — the same
 /// common-random-numbers discipline as the rest of the simulator. The
 /// same `(stream, key)` pair always produces the same answer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultConfig {
+    /// Probability that one offloaded invocation attempt fails with a
+    /// transient error (instance crash, dropped response, 5xx).
+    pub transient_rate: f64,
+    /// Probability that one offloaded invocation attempt is throttled by
+    /// the platform (429-style admission rejection).
+    pub throttle_rate: f64,
+    /// When each execution site is reachable at all, keyed by site name
+    /// (`"edge"` or `"cloud"`): outage windows during which every
+    /// invocation on that site is rejected. Plays the same role for a
+    /// site that the UE `ConnectivityTrace` plays for the device radio.
+    /// Sites absent from the map are always online.
+    pub site_availability: BTreeMap<String, ConnectivityTrace>,
+    /// Probability that a UE-side transfer drops mid-flight and must
+    /// re-send part of its payload.
+    pub transfer_drop_rate: f64,
+    /// Fraction of the transfer re-done after each mid-flight drop
+    /// (partial-progress loss), in `[0, 1]`.
+    pub transfer_progress_loss: f64,
+}
+
+impl Default for FaultConfig {
+    fn default() -> Self {
+        Self::none()
+    }
+}
+
 impl FaultConfig {
-    /// Whether any invocation-fault rate is non-zero. A `false` lets
-    /// callers skip building per-attempt keys entirely —
-    /// [`invocation_fault`](Self::invocation_fault) would answer `None`
-    /// for every key anyway.
-    pub fn has_invocation_faults(&self) -> bool {
-        self.transient_rate > 0.0 || self.throttle_rate > 0.0
+    /// A world without injected faults.
+    pub fn none() -> Self {
+        FaultConfig {
+            transient_rate: 0.0,
+            throttle_rate: 0.0,
+            site_availability: BTreeMap::new(),
+            transfer_drop_rate: 0.0,
+            transfer_progress_loss: 0.5,
+        }
     }
 
-    /// Whether transfers can drop. Mirrors
-    /// [`has_invocation_faults`](Self::has_invocation_faults) for the
-    /// transfer-key fast path: `false` means
-    /// [`transfer_penalty`](Self::transfer_penalty) is 1 for every key.
-    pub fn has_transfer_faults(&self) -> bool {
-        self.transfer_drop_rate > 0.0
+    /// Only transient invocation errors, at the given per-attempt rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside `[0, 1]`.
+    pub fn transient(rate: f64) -> Self {
+        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
+        FaultConfig { transient_rate: rate, ..FaultConfig::none() }
     }
 
-    /// Whether the invocation attempt identified by `key` under `rng` is
-    /// hit by an injected fault. Keys must be unique per attempt (include
-    /// the component, site and attempt number) so retries re-roll
-    /// independently. The answer comes from `rng`'s child stream
-    /// `inv-{key}`, derived from the key's spelling, so that spelling is
-    /// part of the reproducibility contract.
-    pub fn invocation_fault(&self, rng: &RngStream, key: impl Key) -> Option<InjectedFault> {
+    /// The injected fault, if any, that hits the invocation attempt
+    /// identified by `key` under `rng`: [`FailureCause::Transient`] or
+    /// [`FailureCause::Throttled`], each retryable since every attempt
+    /// re-rolls. Keys must be unique per attempt (include the component,
+    /// site and attempt number) so retries re-roll independently. The
+    /// answer comes from `rng`'s child stream `inv-{key}`, derived from
+    /// the key's spelling, so that spelling is part of the
+    /// reproducibility contract.
+    pub fn invocation_fault(&self, rng: &RngStream, key: impl Key) -> Option<FailureCause> {
         let (tr, th) = (self.transient_rate, self.throttle_rate);
         if tr <= 0.0 && th <= 0.0 {
             return None;
@@ -64,27 +88,29 @@ impl FaultConfig {
         let mut r = rng.derive(("inv-", key));
         let u = r.uniform();
         if u < tr {
-            Some(InjectedFault::Transient)
+            Some(FailureCause::Transient)
         } else if u < tr + th {
-            Some(InjectedFault::Throttled)
+            Some(FailureCause::Throttled)
         } else {
             None
         }
     }
 
-    /// The availability of the execution site named `site` at `at`, from
-    /// its [`site_availability`](Self::site_availability) trace;
-    /// sites absent from the map are always online.
-    pub fn site_outage(&self, site: &str, at: SimTime) -> SiteOutage {
-        let Some(trace) = self.site_availability.get(site) else {
-            return SiteOutage::Online;
-        };
+    /// What an invocation on the execution site named `site` at `at`
+    /// meets from its [`site_availability`](Self::site_availability)
+    /// trace: `None` while the site is online (sites absent from the map
+    /// always are), a free [`ErrorClass::WaitUntil`] the instant it comes
+    /// back when the outage has a known end, and an
+    /// [`ErrorClass::Fallback`] down the site chain when the trace is
+    /// never online.
+    pub fn site_outage(&self, site: &str, at: SimTime) -> Option<ErrorClass> {
+        let trace = self.site_availability.get(site)?;
         if trace.is_online(at) {
-            SiteOutage::Online
+            None
         } else if trace.offline_fraction() >= 1.0 {
-            SiteOutage::Forever
+            Some(ErrorClass::Fallback)
         } else {
-            SiteOutage::Until(trace.next_online(at))
+            Some(ErrorClass::WaitUntil(trace.next_online(at)))
         }
     }
 
@@ -118,7 +144,6 @@ impl FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_net::ConnectivityTrace;
     use ntc_simcore::units::SimDuration;
 
     /// `config` with the stream its queries draw under.
@@ -138,12 +163,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_gates_track_config() {
-        assert!(!FaultConfig::none().has_invocation_faults());
-        assert!(!FaultConfig::none().has_transfer_faults());
-        assert!(FaultConfig::transient(0.1).has_invocation_faults());
-        let cfg = FaultConfig { transfer_drop_rate: 0.2, ..FaultConfig::none() };
-        assert!(cfg.has_transfer_faults());
+    fn transient_sets_only_the_transient_rate() {
+        let c = FaultConfig::transient(0.1);
+        assert_eq!(c.transient_rate, 0.1);
+        assert_eq!(c.throttle_rate, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn transient_rejects_out_of_range_rates() {
+        let _ = FaultConfig::transient(1.5);
     }
 
     #[test]
@@ -192,9 +221,9 @@ mod tests {
         let mut throttles = 0;
         for i in 0..5000_u64 {
             match p.invocation_fault(&rp, ("k", i)) {
-                Some(InjectedFault::Transient) => transients += 1,
-                Some(InjectedFault::Throttled) => throttles += 1,
-                None => {}
+                Some(FailureCause::Transient) => transients += 1,
+                Some(FailureCause::Throttled) => throttles += 1,
+                other => assert_eq!(other, None),
             }
         }
         assert!(transients > 0 && throttles > 0);
@@ -205,24 +234,24 @@ mod tests {
     #[test]
     fn edge_outage_follows_the_availability_trace() {
         let (p, _) = plan(site_down("edge", ConnectivityTrace::flaky()), 1);
-        assert_eq!(p.site_outage("edge", SimTime::from_secs(60)), SiteOutage::Online);
+        assert_eq!(p.site_outage("edge", SimTime::from_secs(60)), None);
         let mid_outage = SimTime::from_secs(110 * 60);
-        let back = SiteOutage::Until(SimTime::from_secs(2 * 3600));
-        assert_eq!(p.site_outage("edge", mid_outage), back);
+        let back = ErrorClass::WaitUntil(SimTime::from_secs(2 * 3600));
+        assert_eq!(p.site_outage("edge", mid_outage), Some(back));
     }
 
     #[test]
     fn permanently_down_edge_reports_forever() {
         let (p, _) = plan(site_down("edge", never_online()), 1);
-        assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Forever);
+        assert_eq!(p.site_outage("edge", SimTime::ZERO), Some(ErrorClass::Fallback));
     }
 
     #[test]
     fn site_outages_follow_the_keyed_availability_map() {
         let (p, _) = plan(site_down("cloud", never_online()), 1);
-        assert_eq!(p.site_outage("cloud", SimTime::ZERO), SiteOutage::Forever);
+        assert_eq!(p.site_outage("cloud", SimTime::ZERO), Some(ErrorClass::Fallback));
         // Unlisted sites are always online.
-        assert_eq!(p.site_outage("edge", SimTime::ZERO), SiteOutage::Online);
+        assert_eq!(p.site_outage("edge", SimTime::ZERO), None);
     }
 
     #[test]

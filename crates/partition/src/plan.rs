@@ -127,15 +127,6 @@ impl PartitionPlan {
             .map(|(i, _)| ComponentId::from_index(i))
     }
 
-    /// Ids kept on the device, in id order.
-    pub fn on_device(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, s)| *s == Side::Device)
-            .map(|(i, _)| ComponentId::from_index(i))
-    }
-
     /// Flows of `graph` that cross the device/cloud boundary.
     pub fn cut_flows<'a>(
         &'a self,

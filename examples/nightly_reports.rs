@@ -32,9 +32,6 @@ fn main() {
         );
         let cb = batched.total_cost().as_usd_f64();
         let ce = eager.total_cost().as_usd_f64();
-        let hold: f64 =
-            batched.jobs.iter().map(|j| (j.dispatched - j.arrival).as_secs_f64()).sum::<f64>()
-                / batched.jobs.len().max(1) as f64;
         println!(
             "{:>7.1}h {:>6} {:>12.4} {:>12.4} {:>8.1}% {:>10.1}m {:>8}",
             8.0 * factor,
@@ -42,7 +39,7 @@ fn main() {
             cb,
             ce,
             (1.0 - cb / ce) * 100.0,
-            hold / 60.0,
+            batched.mean_hold_s() / 60.0,
             batched.deadline_misses(),
         );
     }
