@@ -13,7 +13,8 @@
 //! non-time-critical job does not care about.
 
 use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
-use ntc_core::{deploy, run_sweep, Environment, OffloadPolicy};
+use ntc_core::deploy::{estimated_latency, DEFAULT_MEMORY};
+use ntc_core::{deploy, run_sweep, Environment, OffloadPolicy, Site};
 use ntc_json::ToJson;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::DataSize;
@@ -110,34 +111,20 @@ fn main() {
     let intensities = [5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 3000.0, 10_000.0];
     let intensity_series: Vec<IntensityPoint> = run_sweep(&intensities, threads, |&k, _| {
         let graph = synthetic_graph(k);
-        // Deterministic per-plan latency via the same estimator: build the
-        // three plans by hand on the synthetic graph.
+        // Deterministic per-plan latency from the deployments' estimator,
+        // on plans built by hand for the synthetic graph.
         use ntc_partition::CostParams;
         use ntc_partition::{FullOffload, KeepLocal, PartitionContext, Partitioner};
         let ctx = PartitionContext::new(&graph, input, CostParams::default());
         let local_plan = KeepLocal.partition(&ctx);
         let remote_plan = FullOffload.partition(&ctx);
-        let lat = |plan: &ntc_partition::PartitionPlan, site: ntc_core::Site| {
-            let d = ntc_core::Deployment {
-                archetype: Archetype::PhotoPipeline, // unused by the estimate
-                graph: graph.clone(),
-                plan: plan.clone(),
-                memory: graph.ids().map(|_| ntc_core::deploy::DEFAULT_MEMORY).collect(),
-                dispatch: ntc_alloc::DispatchPolicy::Immediate,
-                warm: ntc_alloc::WarmStrategy::PlatformOnly,
-                est_completion: ntc_simcore::units::SimDuration::ZERO,
-                demands: vec![],
-                max_batch_members: u32::MAX,
-                max_batch_bytes: ntc_simcore::units::DataSize::from_bytes(u64::MAX),
-                est_local: ntc_simcore::units::SimDuration::ZERO,
-                fallback_local: false,
-                site_chain: vec![site],
-            };
-            d.estimated_latency(&env, input).as_secs_f64()
+        let memory: Vec<DataSize> = graph.ids().map(|_| DEFAULT_MEMORY).collect();
+        let lat = |plan: &ntc_partition::PartitionPlan, site: Site| {
+            estimated_latency(&env, site, &graph, plan, &memory, input).as_secs_f64()
         };
-        let l = lat(&local_plan, ntc_core::Site::Cloud);
-        let e = lat(&remote_plan, ntc_core::Site::Edge);
-        let c = lat(&remote_plan, ntc_core::Site::Cloud);
+        let l = lat(&local_plan, Site::Cloud);
+        let e = lat(&remote_plan, Site::Edge);
+        let c = lat(&remote_plan, Site::Cloud);
         let winner = if l <= e && l <= c {
             "local"
         } else if e <= c {

@@ -75,7 +75,9 @@ pub struct Deployment {
     pub fallback_local: bool,
     /// Failure-driven site-preference chain, primary first: where the
     /// engine provisions this deployment and, on unrecoverable errors,
-    /// the order it degrades along.
+    /// the order it degrades along. Built by [`Site::fallback_chain`]:
+    /// the remote sites lead, the primary first, and the device, when
+    /// fallback reaches it, comes last.
     pub site_chain: Vec<Site>,
 }
 
@@ -85,25 +87,41 @@ impl Deployment {
         self.plan.side(id) == Side::Cloud
     }
 
-    /// Deterministic end-to-end latency estimate of one job with the
-    /// given input under this deployment (annotation demands, base
-    /// network latencies, no queueing or cold starts).
-    pub fn estimated_latency(&self, env: &Environment, input: DataSize) -> SimDuration {
-        let demands: Vec<Cycles> =
-            self.graph.ids().map(|id| self.graph.component(id).demand_cycles(input)).collect();
-        // Nominal (uncongested) conditions: this is a descriptive figure,
-        // not the conservative planning estimate used to hold jobs.
-        estimate_completion(
-            env,
-            self.site_chain[0],
-            &self.graph,
-            &self.plan,
-            &self.memory,
-            &demands,
-            input,
-            Some(1.0),
-        )
+    /// The remote head of [`site_chain`](Self::site_chain): every site
+    /// before the device, the primary first. Never empty, since a chain
+    /// starts at its remote primary; a chain position past it is the
+    /// device's.
+    #[inline]
+    pub fn remote_sites(&self) -> &[Site] {
+        let n = self.site_chain.iter().take_while(|s| s.is_remote()).count();
+        &self.site_chain[..n]
     }
+
+    /// Deterministic end-to-end latency estimate of one job with the
+    /// given input under this deployment: [`estimated_latency`] on its
+    /// primary site.
+    pub fn estimated_latency(&self, env: &Environment, input: DataSize) -> SimDuration {
+        estimated_latency(env, self.site_chain[0], &self.graph, &self.plan, &self.memory, input)
+    }
+}
+
+/// Deterministic end-to-end latency estimate of one job with the given
+/// input when `plan` runs `graph`'s offloaded components on `site` at
+/// `memory` (annotation demands, base network latencies, no queueing or
+/// cold starts).
+pub fn estimated_latency(
+    env: &Environment,
+    site: Site,
+    graph: &TaskGraph,
+    plan: &PartitionPlan,
+    memory: &[DataSize],
+    input: DataSize,
+) -> SimDuration {
+    let demands: Vec<Cycles> =
+        graph.ids().map(|id| graph.component(id).demand_cycles(input)).collect();
+    // Nominal (uncongested) conditions: this is a descriptive figure,
+    // not the conservative planning estimate used to hold jobs.
+    estimate_completion(env, site, graph, plan, memory, &demands, input, Some(1.0))
 }
 
 fn cost_params(env: &Environment, site: Site) -> CostParams {
@@ -384,8 +402,9 @@ pub fn deploy(
     };
     if matches!(dispatch, DispatchPolicy::OffPeak { .. }) {
         // A nightly release may hand this job a *full* byte-capped chunk:
-        // by construction such a chunk runs up to 5 min at estimated
-        // demand (10 min with the 2x noise margin). Reserve for it.
+        // by construction such a chunk runs up to 150 s at estimated
+        // demand, 5 min with the 2x noise margin. The reserve covers two
+        // such noise-inflated chunks.
         est_completion += SimDuration::from_mins(10);
     }
 
@@ -397,11 +416,13 @@ pub fn deploy(
     let fallback_local = matches!(policy, OffloadPolicy::Ntc(_));
 
     // Cap coalesced batch size: a chunk's estimated execution at its
-    // component's memory must stay within a third of the 15-minute
-    // function timeout, leaving room for input tails and demand noise.
+    // component's memory, inflated by demand noise, must stay within a
+    // third of the 15-minute function timeout, leaving room for input
+    // tails.
     let (max_batch_members, max_batch_bytes) = if window.is_some() && site.is_serverless() {
-        // A chunk must finish within 5 minutes at estimated demand — with
-        // the 2x noise margin that is still under the 15-minute timeout.
+        // A chunk must finish within 150 s at estimated demand: 300 s
+        // over the 2x noise margin, so 5 minutes with noise, a third of
+        // the 15-minute timeout.
         let budget_secs = 300.0;
         let noise_margin = 2.0;
         let budget = SimDuration::from_secs_f64(budget_secs / noise_margin);
@@ -432,7 +453,7 @@ pub fn deploy(
         (u32::MAX, DataSize::from_bytes(u64::MAX))
     };
 
-    let site_chain = site.fallback_chain(policy.fallback_enabled());
+    let site_chain = Site::fallback_chain(policy.backend(), policy.fallback_enabled());
 
     Deployment {
         archetype,

@@ -9,21 +9,43 @@
 //! cloud → device) that recovery walks on unrecoverable failures; the
 //! stateful remote simulators sit behind the run's [`SiteRegistry`].
 //!
-//! The loop's concerns live in focused submodules:
+//! # The run
+//!
+//! One run of the loop is one `Run` value: the run's [`SiteRegistry`],
+//! its event calendar and its mutable state (batch state, accounting,
+//! the noise memo, the health ledger, pending hedges), reading what no
+//! handler mutates (environment, deployments, jobs, batches) through one
+//! `&RunCtx`. Its methods are the handlers, one per event — `dispatch`,
+//! `exec`, `done`, `ping` and `hedge_fire` — and the steps they share:
+//! `recover` and its fallback walk, `record_exit` and `settle`. Each
+//! lives in the submodule of its concern:
 //!
 //! * [`admission`](self) — job coalescing into batches, latest-safe
-//!   dispatch, the pre-dispatch local override, and overload-aware
-//!   admission control (defer delay-tolerant batches, shed
-//!   tight-deadline ones down the chain);
-//! * `transfer` — congestion- and outage-aware transfer timing plus
-//!   faulty-transfer injection;
-//! * `execute` — provisioning and per-site invocation through the
-//!   registry, breaker-aware site selection, and deadline-budgeted hedged
-//!   requests for stragglers;
-//! * `recovery` — retry backoff and fallback down the site chain,
-//!   skipping sites whose breaker is Open;
-//! * `accounting` — energy, cost, per-site health ledgers and report
-//!   assembly.
+//!   dispatch, the pre-dispatch local override, `dispatch` and its
+//!   overload-aware admission control (defer delay-tolerant batches,
+//!   shed tight-deadline ones down the chain);
+//! * `transfer` — `done`: congestion- and outage-aware flow and
+//!   result-return timing plus faulty-transfer injection;
+//! * `execute` — provisioning, `ping`, and `exec`'s per-site invocation
+//!   through the registry with breaker-aware site selection, and
+//!   `hedge_fire`'s deadline-budgeted hedged requests for stragglers;
+//! * `recovery` — `recover`: retry backoff and fallback down the site
+//!   chain, skipping sites whose breaker is Open;
+//! * `accounting` — energy, cost, per-site health ledgers, `settle` and
+//!   report assembly.
+//!
+//! Where work runs is decided once per question. A batch runs every
+//! component on its members' devices under the local override or once
+//! its chain position is the device (`RunCtx::on_device`); otherwise a
+//! component runs where the plan puts it (`RunCtx::side`). Every chain
+//! is [`Site::fallback_chain`](crate::site::Site::fallback_chain) of a
+//! remote backend: remote sites first, the device, if present, last. So
+//! [`Deployment::remote_sites`] is never empty, and it alone answers
+//! where offloaded traffic routes, which sites host mirrors and where a
+//! hedge may go. Every archetype pins its entry components to the
+//! device, where the members' inputs are (`BatchStates::reset` refuses a
+//! plan that does not): a dispatch makes its entries ready at once, and
+//! an input leaves the device only as an entry's flow.
 //!
 //! The overload layer (see `DESIGN.md` §6) is entirely opt-in via
 //! [`NtcConfig::health`](crate::policy::NtcConfig): with every mechanism
@@ -95,6 +117,7 @@ mod recovery;
 mod tests;
 mod transfer;
 
+use ntc_partition::Side;
 use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::{SimDuration, SimTime};
@@ -235,25 +258,68 @@ impl<'a> RunCtx<'a> {
     fn min_deadline(&self, bi: usize) -> SimTime {
         admission::min_deadline(self.jobs, self.members(bi))
     }
+
+    /// Whether batch `bi` at position `pos` of its site chain runs every
+    /// component on its members' own devices: under the local override,
+    /// or once its chain has reached the device.
+    #[inline]
+    fn on_device(&self, bi: usize, pos: usize) -> bool {
+        self.local_override[bi] || !self.deployment(bi).site_chain[pos].is_remote()
+    }
+
+    /// Where component `comp` of batch `bi` runs at position `pos` of its
+    /// site chain: on the device when the whole batch does
+    /// ([`on_device`](Self::on_device)), and otherwise on the side the
+    /// plan gives it, `Cloud` meaning the chain's site at `pos`.
+    #[inline]
+    fn side(&self, bi: usize, pos: usize, comp: ComponentId) -> Side {
+        if self.on_device(bi, pos) {
+            Side::Device
+        } else {
+            self.deployment(bi).plan.side(comp)
+        }
+    }
 }
 
-/// The mutable run state the event handlers thread through the loop;
-/// borrows the scratch's buffers.
-pub(crate) struct RunState<'s> {
-    states: &'s mut BatchStates,
-    acct: &'s mut Accounting,
+/// One run of the event loop: the run's remote sites, its calendar and
+/// its mutable state, with [`RunCtx`] read through one reference. Its
+/// methods are the handlers, one per [`Ev`] variant (see the module
+/// docs' *The run*).
+pub(crate) struct Run<'r> {
+    ctx: &'r RunCtx<'r>,
+    /// The stateful simulators behind the remote sites.
+    sites: SiteRegistry,
+    /// The event calendar.
+    sim: &'r mut Simulator<Ev>,
+    states: &'r mut BatchStates,
+    acct: &'r mut Accounting,
     /// The input's execution noise, drawn on first read.
-    noise: &'s mut NoiseMemo,
+    noise: &'r mut NoiseMemo,
     /// The per-site health ledger: breakers, latency EWMAs, bounded
     /// queues. Empty (and never consulted) when the policy's health
     /// layer is disabled.
-    health: &'s mut HealthMap,
+    health: &'r mut HealthMap,
     /// Cooldown-jitter stream for breaker trips; every draw derives its
     /// own child keyed by site and open-count.
     health_rng: RngStream,
     /// Invocations whose completion is deferred pending a hedge
     /// decision, keyed by `(batch, component)`.
-    hedges: &'s mut FastMap<(usize, ComponentId), HedgePending>,
+    hedges: &'r mut FastMap<(usize, ComponentId), HedgePending>,
+}
+
+impl Run<'_> {
+    /// Handles every event in time order until the calendar is empty.
+    fn drain(&mut self) {
+        while let Some((t, ev)) = self.sim.step() {
+            match ev {
+                Ev::Ping(pi) => self.ping(t, pi),
+                Ev::Dispatch(bi) => self.dispatch(t, bi as usize),
+                Ev::Exec(bi, c) => self.exec(t, bi as usize, c),
+                Ev::Done(bi, c) => self.done(t, bi as usize, c),
+                Ev::HedgeFire(bi, c) => self.hedge_fire(t, bi as usize, c),
+            }
+        }
+    }
 }
 
 /// Reusable run buffers: all the run-sized allocations `Engine::run`
@@ -468,8 +534,10 @@ impl Engine {
             retry,
             horizon_end,
         };
-        let sim = &mut scratch.sim;
-        let mut st = RunState {
+        let mut run = Run {
+            ctx: &ctx,
+            sites,
+            sim: &mut scratch.sim,
             states: &mut scratch.states,
             acct: &mut scratch.acct,
             noise: &mut scratch.noise,
@@ -477,22 +545,9 @@ impl Engine {
             health_rng: rng.derive("health"),
             hedges: &mut scratch.hedges,
         };
-        while let Some((t, ev)) = sim.step() {
-            match ev {
-                Ev::Ping(pi) => execute::handle_ping(&ctx, &mut sites, sim, t, pi),
-                Ev::Dispatch(bi) => transfer::handle_dispatch(&ctx, &mut st, sim, t, bi as usize),
-                Ev::Exec(bi, c) => {
-                    execute::handle_exec(&ctx, &mut sites, &mut st, sim, t, bi as usize, c);
-                }
-                Ev::Done(bi, c) => transfer::handle_done(&ctx, &mut st, sim, t, bi as usize, c),
-                Ev::HedgeFire(bi, c) => {
-                    execute::handle_hedge_fire(&ctx, &mut sites, &mut st, sim, t, bi as usize, c);
-                }
-            }
-        }
+        run.drain();
 
-        let now = scratch.sim.now();
-        let health = &mut scratch.health;
-        scratch.acct.assemble(policy, &self.env, horizon, horizon_end, now, &mut sites, health)
+        let now = run.sim.now();
+        run.acct.assemble(policy, &self.env, horizon, horizon_end, now, &mut run.sites, run.health)
     }
 }

@@ -8,7 +8,7 @@ use ntc_faults::{Admission, FailureCause, HealthConfig, SiteHealth};
 use ntc_simcore::timeseries::TimeSeries;
 use ntc_simcore::units::{DataSize, Energy, Money, SimDuration, SimTime};
 
-use super::{BatchStates, JobRetention, RunCtx};
+use super::{JobRetention, Run};
 use crate::environment::Environment;
 use crate::policy::OffloadPolicy;
 use crate::report::{JobResult, OverloadStats, RunAggregates, RunResult};
@@ -68,13 +68,19 @@ impl HealthMap {
     /// The first position of `chain` at or past `from` whose site's
     /// breaker admits a request at `t`, or `None` when every breaker
     /// refuses. The scan stops at the first admitting site, so at most
-    /// one HalfOpen probe slot is handed out per call.
+    /// one HalfOpen probe slot is handed out per call. With breakers off
+    /// every site admits: the answer is `from` itself, while it is on the
+    /// chain.
+    #[inline]
     pub(crate) fn first_admitting(
         &mut self,
         chain: &[Site],
         from: usize,
         t: SimTime,
     ) -> Option<usize> {
+        if !self.breakers() {
+            return (from < chain.len()).then_some(from);
+        }
         (from..chain.len()).find(|&i| self.site_mut(chain[i]).check(t) != Admission::Unavailable)
     }
 
@@ -209,61 +215,53 @@ impl Accounting {
     }
 }
 
-/// Records one exit-component completion; when the last exit lands, the
-/// batch settles.
-pub(crate) fn record_exit(
-    ctx: &RunCtx<'_>,
-    states: &mut BatchStates,
-    acct: &mut Accounting,
-    bi: usize,
-    finish: SimTime,
-) {
-    states.finish[bi] = states.finish[bi].max(finish);
-    states.outstanding_exits[bi] -= 1;
-    if states.outstanding_exits[bi] == 0 {
-        let finish = states.finish[bi];
-        settle_batch(ctx, states, acct, bi, finish, None);
+impl Run<'_> {
+    /// Records one exit-component completion; when the last exit lands,
+    /// the batch settles.
+    pub(super) fn record_exit(&mut self, bi: usize, finish: SimTime) {
+        let states = &mut *self.states;
+        states.finish[bi] = states.finish[bi].max(finish);
+        states.outstanding_exits[bi] -= 1;
+        if states.outstanding_exits[bi] == 0 {
+            let finish = states.finish[bi];
+            self.settle(bi, finish, None);
+        }
     }
-}
 
-/// Settles batch `bi` at `finish`: every member receives its
-/// [`JobResult`], failed with `cause` when one is given. A batch settles
-/// once; later calls are no-ops.
-pub(crate) fn settle_batch(
-    ctx: &RunCtx<'_>,
-    states: &mut BatchStates,
-    acct: &mut Accounting,
-    bi: usize,
-    finish: SimTime,
-    cause: Option<FailureCause>,
-) {
-    if states.finished[bi] {
-        return;
-    }
-    states.finished[bi] = true;
-    states.failed[bi] = cause.is_some();
-    let comps = states.range(bi);
-    let attempts = states.attempts[comps].iter().copied().max().unwrap_or(0).max(1);
-    let backoff = states.batch_backoff(bi);
-    // Every member was keyed on the batch's dispatch instant.
-    let dispatched = ctx.batches[bi].dispatch_at;
-    for &ji in ctx.members(bi) {
-        let job = &ctx.jobs[ji as usize];
-        acct.record(
-            ji as usize,
-            JobResult {
-                id: job.id,
-                archetype: job.archetype,
-                arrival: job.arrival,
-                dispatched,
-                finish,
-                deadline: job.deadline(),
-                failed: cause.is_some(),
-                attempts,
-                backoff,
-                fallbacks: u32::from(states.fallbacks[bi]),
-                cause,
-            },
-        );
+    /// Settles batch `bi` at `finish`: every member receives its
+    /// [`JobResult`], failed with `cause` when one is given. A batch
+    /// settles once; later calls are no-ops.
+    pub(super) fn settle(&mut self, bi: usize, finish: SimTime, cause: Option<FailureCause>) {
+        let states = &mut *self.states;
+        if states.finished[bi] {
+            return;
+        }
+        states.finished[bi] = true;
+        states.failed[bi] = cause.is_some();
+        let comps = states.range(bi);
+        let attempts = states.attempts[comps].iter().copied().max().unwrap_or(0).max(1);
+        let backoff = states.batch_backoff(bi);
+        let ctx = self.ctx;
+        // Every member was keyed on the batch's dispatch instant.
+        let dispatched = ctx.batches[bi].dispatch_at;
+        for &ji in ctx.members(bi) {
+            let job = &ctx.jobs[ji as usize];
+            self.acct.record(
+                ji as usize,
+                JobResult {
+                    id: job.id,
+                    archetype: job.archetype,
+                    arrival: job.arrival,
+                    dispatched,
+                    finish,
+                    deadline: job.deadline(),
+                    failed: cause.is_some(),
+                    attempts,
+                    backoff,
+                    fallbacks: u32::from(states.fallbacks[bi]),
+                    cause,
+                },
+            );
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Admission: coalescing jobs into batches, latest-safe dispatch timing,
 //! the pre-dispatch local override, per-batch state initialisation, and
-//! the overload-aware admission controller (bounded per-site queues:
-//! defer delay-tolerant batches, shed tight-deadline ones down the
-//! chain).
+//! the dispatch handler with its overload-aware admission controller
+//! (bounded per-site queues: defer delay-tolerant batches, shed
+//! tight-deadline ones down the chain).
 //!
-//! Everything here fills caller-owned buffers (see
+//! Everything before the loop fills caller-owned buffers (see
 //! [`RunScratch`](crate::engine::RunScratch)): a reused scratch re-walks
 //! the same allocations run after run instead of re-growing them.
 
@@ -17,9 +17,8 @@ use ntc_simcore::units::{DataSize, SimDuration, SimTime};
 use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Job;
 
-use super::accounting::HealthMap;
 use super::hash::FastMap;
-use super::{DeploymentOf, RunCtx};
+use super::{DeploymentOf, Ev, Run};
 use crate::deploy::Deployment;
 use crate::environment::Environment;
 use crate::site::Site;
@@ -183,6 +182,13 @@ impl BatchStates {
     /// array's capacity; `inflight_site` is sized only if `health` is on.
     /// The totals come first, so each array is sized once, exactly, rather
     /// than grown batch by batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a deployment's graph overflows a `u8` count
+    /// ([`check_u8_counts`]) or its plan runs an entry component off the
+    /// device: every archetype pins its entry to the device, where the
+    /// members' inputs are.
     pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch], health: bool) {
         let n = batches.len();
         let comps: usize = batches.iter().map(|b| deployments[b.di as usize].graph.len()).sum();
@@ -192,6 +198,11 @@ impl BatchStates {
         );
         for d in deployments {
             check_u8_counts(&d.graph);
+            assert!(
+                d.graph.entries().iter().all(|&c| d.plan.side(c) == Side::Device),
+                "dispatch starts entry components on the device: `{}`'s plan offloads one",
+                d.graph.name()
+            );
         }
 
         self.off.clear();
@@ -241,50 +252,72 @@ pub(crate) enum Verdict {
     Shed(usize),
 }
 
-/// Decides whether a batch may dispatch to its current chain site, must
-/// wait out the overload, or must shed down the chain. Consulted only
-/// when [`HealthConfig::admission`](ntc_faults::HealthConfig) is on; the
-/// decision is a pure function of the health ledger and the batch's
-/// deadline slack, so replays are bit-identical.
-pub(crate) fn admission_verdict(
-    ctx: &RunCtx<'_>,
-    health: &HealthMap,
-    states: &BatchStates,
-    t: SimTime,
-    bi: usize,
-) -> Verdict {
-    let d = ctx.deployment(bi);
-    if !health.admission() || ctx.local_override[bi] || d.plan.offloaded().count() == 0 {
-        return Verdict::Admit;
+impl Run<'_> {
+    /// Releases a batch: consults the admission controller (which may
+    /// defer the release or shed the batch down its chain), then makes
+    /// every entry component ready at once. Entries run on the device
+    /// ([`BatchStates::reset`] checks every plan for it), so each member
+    /// uploads nothing here: its input leaves the device as the payload
+    /// of an entry's flow.
+    pub(super) fn dispatch(&mut self, t: SimTime, bi: usize) {
+        match self.admission_verdict(t, bi) {
+            Verdict::Admit => {}
+            Verdict::Defer(step) => {
+                self.states.deferrals[bi] += 1;
+                self.acct.overload.deferrals += 1;
+                self.sim.schedule_after(step, Ev::dispatch(bi));
+                return;
+            }
+            Verdict::Shed(next) => {
+                self.states.set_chain_pos(bi, next);
+                self.acct.overload.sheds += 1;
+            }
+        }
+        for &c in self.ctx.deployment(bi).graph.entries() {
+            self.sim.schedule_after(SimDuration::ZERO, Ev::exec(bi, c));
+        }
     }
-    let chain = &d.site_chain;
-    let pos = states.chain_pos(bi);
-    let site = chain[pos];
-    if !site.is_remote() {
-        // The device is the terminal site: it scales per member and is
-        // never overloaded.
-        return Verdict::Admit;
+
+    /// Decides whether a batch may dispatch to its current chain site,
+    /// must wait out the overload, or must shed down the chain. Always
+    /// admits unless [`HealthConfig::admission`](ntc_faults::HealthConfig)
+    /// is on; the decision is a pure function of the health ledger and
+    /// the batch's deadline slack, so replays are bit-identical.
+    #[inline]
+    fn admission_verdict(&self, t: SimTime, bi: usize) -> Verdict {
+        if !self.health.admission() {
+            return Verdict::Admit;
+        }
+        let ctx = self.ctx;
+        let d = ctx.deployment(bi);
+        let pos = self.states.chain_pos(bi);
+        // The device is never overloaded: it scales per member.
+        if ctx.on_device(bi, pos) || d.plan.offloaded().count() == 0 {
+            return Verdict::Admit;
+        }
+        let site = d.site_chain[pos];
+        let h = self.health.site(site);
+        let wait = h.queue_delay(site.concurrency(ctx.env));
+        let margin = ctx.env.completion_margin;
+        let min_deadline = ctx.min_deadline(bi);
+        if !h.saturated() && t + wait + d.est_completion + margin <= min_deadline {
+            return Verdict::Admit;
+        }
+        // Overloaded. Delay-tolerant batches wait the overload out…
+        let step = self.health.cfg().defer_step;
+        if self.states.deferrals[bi] < MAX_DEFERRALS
+            && t + step + d.est_completion + margin <= min_deadline
+        {
+            return Verdict::Defer(step);
+        }
+        // …and tight-deadline batches shed to the next chain site (every
+        // later chain site mirrors the deployment, and the device serves
+        // anything), rather than queueing into a miss.
+        if pos + 1 < d.site_chain.len() {
+            return Verdict::Shed(pos + 1);
+        }
+        Verdict::Admit
     }
-    let h = health.site(site);
-    let wait = h.queue_delay(site.concurrency(ctx.env));
-    let margin = ctx.env.completion_margin;
-    let min_deadline = ctx.min_deadline(bi);
-    if !h.saturated() && t + wait + d.est_completion + margin <= min_deadline {
-        return Verdict::Admit;
-    }
-    // Overloaded. Delay-tolerant batches wait the overload out…
-    let step = health.cfg().defer_step;
-    if states.deferrals[bi] < MAX_DEFERRALS && t + step + d.est_completion + margin <= min_deadline
-    {
-        return Verdict::Defer(step);
-    }
-    // …and tight-deadline batches shed to the next chain site (every
-    // later chain site mirrors the deployment, and the device serves
-    // anything), rather than queueing into a miss.
-    if pos + 1 < chain.len() {
-        return Verdict::Shed(pos + 1);
-    }
-    Verdict::Admit
 }
 
 /// The tightest deadline among the jobs `members` indexes.

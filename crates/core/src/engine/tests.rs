@@ -255,6 +255,54 @@ fn provisioned_chains_serve_every_offloaded_component() {
     }
 }
 
+/// A cloud-primary NTC batch that admission sheds down its
+/// `[cloud, device]` chain runs every component on its members' devices:
+/// it invokes nothing and sends nothing up. One in-flight invocation
+/// saturates the cloud, and a tenth of the usual slack leaves no room to
+/// defer, so a batch dispatched while another runs sheds.
+#[test]
+fn a_batch_shed_to_the_device_runs_every_component_there() {
+    use ntc_faults::HealthConfig;
+    use ntc_partition::Side;
+
+    use crate::engine::admission::members_of;
+    use crate::engine::{JobRetention, RunScratch};
+    use crate::policy::NtcConfig;
+    use crate::site::Site;
+
+    let health = HealthConfig { admission: true, queue_bound: 1, ..HealthConfig::disabled() };
+    let policy =
+        OffloadPolicy::Ntc(NtcConfig { use_batching: false, health, ..Default::default() });
+    let specs = [StreamSpec::poisson(Archetype::PhotoPipeline, 0.05).with_slack_factor(0.1)];
+    let mut scratch = RunScratch::new();
+    let horizon = SimDuration::from_hours(2);
+    let r = engine().run_retained(7, &policy, &specs, horizon, &mut scratch, JobRetention::Full);
+    let d = &scratch.deployments[0];
+    assert_eq!(d.site_chain, [Site::Cloud, Site::Device]);
+    let (shed, admitted): (Vec<usize>, Vec<usize>) =
+        (0..scratch.batches.len()).partition(|&bi| scratch.states.chain_pos(bi) == 1);
+    assert_eq!(r.overload.as_ref().expect("health layer on").sheds, shed.len() as u64);
+    assert!(!shed.is_empty() && !admitted.is_empty(), "{} shed", shed.len());
+    for &bi in &shed {
+        for cix in scratch.states.range(bi) {
+            assert_eq!(scratch.states.exec_side[cix], Side::Device, "batch {bi}");
+            assert_eq!(scratch.states.attempts[cix], 0, "batch {bi}");
+        }
+    }
+    // Every byte up is an admitted member's input crossing the plan's
+    // device-to-cloud flows.
+    let uploads: Vec<_> =
+        d.plan.cut_flows(&d.graph).filter(|f| d.plan.side(f.from) == Side::Device).collect();
+    let admitted_up: DataSize = admitted
+        .iter()
+        .flat_map(|&bi| members_of(&scratch.batches, &scratch.members, bi))
+        .flat_map(|&ji| uploads.iter().map(move |f| (ji, f)))
+        .map(|(ji, f)| f.payload.eval_bytes(scratch.jobs[ji as usize].input))
+        .fold(DataSize::ZERO, |a, b| a + b);
+    assert_eq!(r.bytes_up, admitted_up);
+    assert_eq!(r.failures(), 0);
+}
+
 // --- Job retention modes. ---
 
 /// A fig10-style overload setting: a flaky two-slot edge (transient
@@ -382,7 +430,7 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
 
 /// Known answers for the streams the loop keys per batch under its first
 /// member's own stream, each checked against the formatted label it
-/// spells (`c1`, `inv-c1-edge-a2`, `up-c0-cloud`, ...): a respelled key
+/// spells (`c1`, `c1-edge-a2`, `flow-c1-c2-edge`, ...): a respelled key
 /// fails here by name, not only through a run digest.
 mod keys {
     use ntc_faults::{backoff, FaultConfig};
@@ -392,7 +440,7 @@ mod keys {
 
     use crate::engine::execute::{fault_key, Try};
     use crate::engine::noise;
-    use crate::engine::transfer::{flow_key, return_key, upload_key};
+    use crate::engine::transfer::{flow_key, return_key};
     use crate::site::Site;
 
     /// The own stream of a job whose key is `key`.
@@ -445,20 +493,17 @@ mod keys {
     fn transfer_drops_draw_from_the_transfer_streams() {
         let p = FaultConfig { transfer_drop_rate: 0.5, ..FaultConfig::none() };
         let drops = |key: &dyn Fn(u64) -> u32| (0..8).map(key).collect::<Vec<u32>>();
-        let up = drops(&|k| p.transfer_drops(&job(k), upload_key(c(0), Site::Cloud), 8));
         let flow = drops(&|k| p.transfer_drops(&job(k), flow_key(c(1), c(2), Site::Edge), 8));
         let ret = drops(&|k| p.transfer_drops(&job(k), return_key(c(3), Site::Cloud), 8));
-        assert_eq!(up, drops(&|k| p.transfer_drops(&job(k), "up-c0-cloud", 8)));
         assert_eq!(flow, drops(&|k| p.transfer_drops(&job(k), "flow-c1-c2-edge", 8)));
         assert_eq!(ret, drops(&|k| p.transfer_drops(&job(k), "ret-c3-cloud", 8)));
-        assert_eq!([up, flow, ret], TRANSFER_DROPS);
+        assert_eq!([flow, ret], TRANSFER_DROPS);
     }
 
     const NOISE_BITS: u64 = 0x3fea_f63c_7af9_16b7;
     const FAULT_HITS: [u64; 2] = [0x2a79_6e14_b026_56bc, 0xf48e_56f0_3431_a75a];
     const BACKOFF_US: [u64; 4] = [32_539_034, 25_699_787, 24_786_019, 23_700_827];
-    const TRANSFER_DROPS: [[u32; 8]; 3] =
-        [[2, 1, 1, 0, 2, 5, 1, 3], [2, 0, 1, 0, 2, 1, 2, 0], [2, 0, 0, 2, 0, 0, 1, 3]];
+    const TRANSFER_DROPS: [[u32; 8]; 2] = [[2, 0, 1, 0, 2, 1, 2, 0], [2, 0, 0, 2, 0, 0, 1, 3]];
 }
 
 // --- The execution-noise memo. ---
@@ -1000,10 +1045,15 @@ mod coalescing {
 }
 
 mod batch_state {
+    use ntc_partition::{PartitionPlan, Side};
+    use ntc_simcore::rng::RngStream;
     use ntc_taskgraph::{Component, LinearModel, TaskGraphBuilder};
     use ntc_workloads::Archetype;
 
-    use crate::engine::admission::check_u8_counts;
+    use crate::deploy::{deploy, Deployment};
+    use crate::engine::admission::{check_u8_counts, BatchStates};
+    use crate::environment::Environment;
+    use crate::policy::OffloadPolicy;
 
     #[test]
     fn every_archetype_fits_the_u8_counters() {
@@ -1025,5 +1075,17 @@ mod batch_state {
             b.add_flow(source, sink, LinearModel::constant(1.0));
         }
         check_u8_counts(&b.build().expect("a valid DAG"));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "dispatch starts entry components on the device: `photo-pipeline`'s plan"
+    )]
+    fn an_entry_off_the_device_is_refused() {
+        let (env, a) = (Environment::metro_reference(), Archetype::PhotoPipeline);
+        let d =
+            deploy(&OffloadPolicy::CloudAll, a, &env, 0.01, a.typical_slack(), &RngStream::root(7));
+        let plan = PartitionPlan::new(vec![Side::Cloud; d.graph.len()]);
+        BatchStates::default().reset(&[Deployment { plan, ..d }], &[], false);
     }
 }

@@ -96,13 +96,17 @@ impl Site {
     }
 
     /// The failure-driven site-preference chain of a deployment whose
-    /// primary is `self`: the primary, then every later site in fallback
-    /// order. With fallback disabled the chain is just the primary.
-    pub fn fallback_chain(self, fallback_enabled: bool) -> Vec<Site> {
+    /// primary is `primary`'s site: the primary, then every later site in
+    /// fallback order. With fallback disabled the chain is just the
+    /// primary. Every backend is remote and the device is the last site
+    /// of [`Site::ALL`], so the chain's remote sites come first and the
+    /// device, if present, last.
+    pub fn fallback_chain(primary: Backend, fallback_enabled: bool) -> Vec<Site> {
+        let primary = Site::from(primary);
         if fallback_enabled {
-            Site::ALL[self.index()..].to_vec()
+            Site::ALL[primary.index()..].to_vec()
         } else {
-            vec![self]
+            vec![primary]
         }
     }
 
@@ -377,7 +381,7 @@ impl SiteRegistry {
                 let s = self.svcs.get(di, comp).expect("invoked a service never provisioned");
                 match self.fleet.invoke(at, s, work) {
                     Ok(out) => Ok(out.finish - at),
-                    Err(e) => Err(edge_failure(&e, at)),
+                    Err(e) => Err(edge_failure(&e)),
                 }
             }
             Site::Device => unreachable!(
@@ -422,17 +426,14 @@ fn cloud_failure(err: &InvokeError) -> (ErrorClass, FailureCause) {
     }
 }
 
-/// The recovery class and cause of an edge-fleet error observed at `now`.
-fn edge_failure(err: &EdgeError, now: SimTime) -> (ErrorClass, FailureCause) {
+/// The recovery class and cause of an edge-fleet error. A service
+/// still installing is ready strictly after the failed invocation
+/// ([`EdgeError::NotInstalled`]), so it is waited for.
+fn edge_failure(err: &EdgeError) -> (ErrorClass, FailureCause) {
     match err {
         EdgeError::UnknownService(_) => (ErrorClass::Terminal, FailureCause::Deployment),
-        EdgeError::NotInstalled { ready_at: Some(ready), .. } if *ready > now => {
+        EdgeError::NotInstalled { ready_at: Some(ready), .. } => {
             (ErrorClass::WaitUntil(*ready), FailureCause::Deployment)
-        }
-        // Already-ready according to the fleet, yet the invoke failed:
-        // a race worth one more try.
-        EdgeError::NotInstalled { ready_at: Some(_), .. } => {
-            (ErrorClass::Retryable, FailureCause::Deployment)
         }
         EdgeError::NotInstalled { ready_at: None, .. } => {
             (ErrorClass::Fallback, FailureCause::Deployment)
@@ -487,15 +488,16 @@ mod tests {
 
     #[test]
     fn fallback_chains_walk_fallback_order() {
-        assert_eq!(Site::Edge.fallback_chain(true), [Site::Edge, Site::Cloud, Site::Device]);
-        assert_eq!(Site::Cloud.fallback_chain(true), [Site::Cloud, Site::Device]);
-        assert_eq!(Site::Edge.fallback_chain(false), [Site::Edge]);
-        assert_eq!(Site::Cloud.fallback_chain(false), [Site::Cloud]);
+        let chain = Site::fallback_chain;
+        assert_eq!(chain(Backend::Edge, true), [Site::Edge, Site::Cloud, Site::Device]);
+        assert_eq!(chain(Backend::Cloud, true), [Site::Cloud, Site::Device]);
+        assert_eq!(chain(Backend::Edge, false), [Site::Edge]);
+        assert_eq!(chain(Backend::Cloud, false), [Site::Cloud]);
     }
 
     #[test]
     fn unknown_service_is_terminal() {
-        let (class, cause) = edge_failure(&EdgeError::UnknownService(service_id()), SimTime::ZERO);
+        let (class, cause) = edge_failure(&EdgeError::UnknownService(service_id()));
         assert_eq!(class, ErrorClass::Terminal);
         assert_eq!(cause, FailureCause::Deployment);
     }
@@ -504,25 +506,15 @@ mod tests {
     fn installing_service_waits_until_ready() {
         let ready = SimTime::from_secs(30);
         let err = EdgeError::NotInstalled { service: service_id(), ready_at: Some(ready) };
-        let (class, cause) = edge_failure(&err, SimTime::from_secs(10));
+        let (class, cause) = edge_failure(&err);
         assert_eq!(class, ErrorClass::WaitUntil(ready));
         assert_eq!(cause, FailureCause::Deployment);
     }
 
     #[test]
-    fn ready_but_rejected_service_is_retryable() {
-        let err = EdgeError::NotInstalled {
-            service: service_id(),
-            ready_at: Some(SimTime::from_secs(5)),
-        };
-        let (class, _) = edge_failure(&err, SimTime::from_secs(10));
-        assert_eq!(class, ErrorClass::Retryable);
-    }
-
-    #[test]
     fn never_installable_service_falls_back() {
         let err = EdgeError::NotInstalled { service: service_id(), ready_at: None };
-        let (class, cause) = edge_failure(&err, SimTime::ZERO);
+        let (class, cause) = edge_failure(&err);
         assert_eq!(class, ErrorClass::Fallback);
         assert_eq!(cause, FailureCause::Deployment);
     }
@@ -530,7 +522,7 @@ mod tests {
     #[test]
     fn out_of_order_submissions_are_terminal_bugs() {
         let e = EdgeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
-        assert_eq!(edge_failure(&e, SimTime::ZERO), (ErrorClass::Terminal, FailureCause::Ordering));
+        assert_eq!(edge_failure(&e), (ErrorClass::Terminal, FailureCause::Ordering));
         let i = InvokeError::OutOfOrder { submitted: SimTime::ZERO, latest: SimTime::from_secs(1) };
         assert_eq!(cloud_failure(&i), (ErrorClass::Terminal, FailureCause::Ordering));
     }

@@ -62,7 +62,10 @@ pub enum EdgeError {
     NotInstalled {
         /// The service being invoked.
         service: ServiceId,
-        /// When (if ever) the service becomes ready.
+        /// When (if ever) the service becomes ready: `None` if it was
+        /// never installed, and otherwise strictly after the refused
+        /// invocation's time, since an installed service is invoked from
+        /// its ready time on.
         ready_at: Option<SimTime>,
     },
     /// Invocations must be submitted in non-decreasing time order.
