@@ -8,7 +8,7 @@
 //! falsely rolled back.
 
 use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
-use ntc_cicd::{Outcome, Pipeline, PipelineConfig, ReleaseSpec, Stage};
+use ntc_cicd::{Outcome, Pipeline, ReleaseSpec, Stage};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_simcore::rng::RngStream;
@@ -27,8 +27,8 @@ struct Summary {
 }
 
 fn run_variant(offloading: bool, releases: u32, seed: u64) -> Summary {
-    let cfg = PipelineConfig { offloading_stages: offloading, ..Default::default() };
-    let mut pipeline = Pipeline::new(cfg, RngStream::root(seed));
+    let root = RngStream::root(seed);
+    let mut pipeline = if offloading { Pipeline::new(root) } else { Pipeline::conventional(root) };
     let mut rng = RngStream::root(seed).derive("inject");
     let graph = Archetype::ReportRendering.graph();
 

@@ -9,11 +9,15 @@
 //!
 //! * [`artifact`] — content-addressed, versioned artifact registry.
 //! * [`pipeline`] — the stage machine ([`Pipeline`]) with canary + rollback.
+//!   [`Pipeline::new`] runs the offloading stages and
+//!   [`Pipeline::conventional`] skips them; the stage budgets and the
+//!   canary's 1.5× SLO are constants of the module.
+//! * [`monitor`] — post-promotion drift watch ([`ProductionMonitor`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use ntc_cicd::{Outcome, Pipeline, PipelineConfig, ReleaseSpec};
+//! use ntc_cicd::{Outcome, Pipeline, ReleaseSpec};
 //! use ntc_simcore::rng::RngStream;
 //! use ntc_taskgraph::{TaskGraphBuilder, Component, LinearModel};
 //!
@@ -21,7 +25,7 @@
 //! b.add_component(Component::new("work").with_demand(LinearModel::constant(1e9)));
 //! let graph = b.build().unwrap();
 //!
-//! let mut pipe = Pipeline::new(PipelineConfig::default(), RngStream::root(3));
+//! let mut pipe = Pipeline::new(RngStream::root(3));
 //! let ok = pipe.run(&ReleaseSpec { version: 1, graph: graph.clone(), demand_factor: 1.0, noise_sigma: 0.05 });
 //! assert!(matches!(ok.outcome, Outcome::Promoted { .. }));
 //! // A 4× demand regression is caught by the canary and rolled back.
@@ -38,4 +42,4 @@ pub mod pipeline;
 
 pub use artifact::{Artifact, ArtifactRegistry, ContentHash};
 pub use monitor::{MonitorAction, ProductionMonitor};
-pub use pipeline::{Outcome, Pipeline, PipelineConfig, PipelineReport, ReleaseSpec, Stage};
+pub use pipeline::{Outcome, Pipeline, PipelineReport, ReleaseSpec, Stage};

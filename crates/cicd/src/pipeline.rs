@@ -12,6 +12,26 @@ use ntc_taskgraph::TaskGraph;
 
 use crate::artifact::{Artifact, ArtifactRegistry, ContentHash};
 
+/// Nominal build-stage duration (jittered per release).
+const BUILD_TIME: SimDuration = SimDuration::from_mins(3);
+/// Nominal test-stage duration (jittered per release).
+const TEST_TIME: SimDuration = SimDuration::from_mins(4);
+/// Profiling invocations per component.
+const PROFILE_INVOCATIONS: u32 = 30;
+/// Duration of one profiling invocation batch.
+const PROFILE_INVOCATION_TIME: SimDuration = SimDuration::from_millis(400);
+/// Representative job input size for profiling and partitioning.
+const REFERENCE_INPUT: DataSize = DataSize::from_mib(1);
+/// Deployment time per MiB of artifact uploaded.
+const DEPLOY_PER_MIB: SimDuration = SimDuration::from_millis(50);
+/// Canary invocations routed to the new release.
+const CANARY_INVOCATIONS: u64 = 20;
+/// Duration of one canary invocation.
+const CANARY_INVOCATION_TIME: SimDuration = SimDuration::from_millis(500);
+/// The canary fails when measured demand exceeds the last good release
+/// by this factor (+50 %).
+const SLO_REGRESSION_FACTOR: f64 = 1.5;
+
 /// The stages of an offloading-aware release pipeline, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -52,53 +72,6 @@ impl fmt::Display for Stage {
     }
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineConfig {
-    /// Whether the offloading stages (profile/partition/canary) run at
-    /// all; `false` models a conventional pipeline.
-    pub offloading_stages: bool,
-    /// Profiling invocations per component.
-    pub profile_invocations: u32,
-    /// Mean duration of one profiling invocation batch.
-    pub profile_invocation_time: SimDuration,
-    /// Canary invocations routed to the new release.
-    pub canary_invocations: u32,
-    /// Mean duration of one canary invocation.
-    pub canary_invocation_time: SimDuration,
-    /// Canary fails when measured demand exceeds the last good release by
-    /// this factor (e.g. 1.5 = +50 %).
-    pub slo_regression_factor: f64,
-    /// Fixed build-stage duration.
-    pub build_time: SimDuration,
-    /// Fixed test-stage duration.
-    pub test_time: SimDuration,
-    /// Deployment time per MiB of artifact uploaded.
-    pub deploy_per_mib: SimDuration,
-    /// Environment for the partition stage.
-    pub cost_params: CostParams,
-    /// Representative job input size for partitioning.
-    pub reference_input: DataSize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            offloading_stages: true,
-            profile_invocations: 30,
-            profile_invocation_time: SimDuration::from_millis(400),
-            canary_invocations: 20,
-            canary_invocation_time: SimDuration::from_millis(500),
-            slo_regression_factor: 1.5,
-            build_time: SimDuration::from_mins(3),
-            test_time: SimDuration::from_mins(4),
-            deploy_per_mib: SimDuration::from_millis(50),
-            cost_params: CostParams::default(),
-            reference_input: DataSize::from_mib(1),
-        }
-    }
-}
-
 /// A release entering the pipeline.
 ///
 /// `demand_factor` models how the *actual* runtime demand of this build
@@ -128,11 +101,6 @@ pub enum Outcome {
     RolledBack {
         /// Measured demand relative to the last good release.
         regression: f64,
-    },
-    /// A stage failed outright (test failures, deploy error).
-    Failed {
-        /// The stage that failed.
-        stage: Stage,
     },
 }
 
@@ -170,7 +138,7 @@ struct GoodRelease {
 /// # Examples
 ///
 /// ```
-/// use ntc_cicd::pipeline::{Pipeline, PipelineConfig, ReleaseSpec, Outcome};
+/// use ntc_cicd::pipeline::{Pipeline, ReleaseSpec, Outcome};
 /// use ntc_simcore::rng::RngStream;
 /// use ntc_taskgraph::{TaskGraphBuilder, Component, LinearModel};
 ///
@@ -178,13 +146,13 @@ struct GoodRelease {
 /// let c = b.add_component(Component::new("work").with_demand(LinearModel::constant(2e9)));
 /// let graph = b.build().unwrap();
 ///
-/// let mut pipeline = Pipeline::new(PipelineConfig::default(), RngStream::root(1));
+/// let mut pipeline = Pipeline::new(RngStream::root(1));
 /// let report = pipeline.run(&ReleaseSpec { version: 1, graph, demand_factor: 1.0, noise_sigma: 0.05 });
 /// assert!(matches!(report.outcome, Outcome::Promoted { .. }));
 /// ```
 #[derive(Debug)]
 pub struct Pipeline {
-    config: PipelineConfig,
+    offloading: bool,
     rng: RngStream,
     registry: ArtifactRegistry,
     last_good: Option<GoodRelease>,
@@ -192,10 +160,22 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Creates a pipeline.
-    pub fn new(config: PipelineConfig, rng: RngStream) -> Self {
+    /// Creates an offloading-aware pipeline: profiling, partitioning and
+    /// the canary run as release stages.
+    pub fn new(rng: RngStream) -> Self {
+        Self::with_offloading(true, rng)
+    }
+
+    /// Creates a conventional pipeline: no profile, partition or canary
+    /// stage, every component stays on the device, and every artifact is
+    /// deployed.
+    pub fn conventional(rng: RngStream) -> Self {
+        Self::with_offloading(false, rng)
+    }
+
+    fn with_offloading(offloading: bool, rng: RngStream) -> Self {
         Pipeline {
-            config,
+            offloading,
             rng: rng.derive("cicd"),
             registry: ArtifactRegistry::new(),
             last_good: None,
@@ -233,38 +213,37 @@ impl Pipeline {
     /// Runs the pipeline for one release.
     pub fn run(&mut self, spec: &ReleaseSpec) -> PipelineReport {
         let mut stages: Vec<(Stage, SimDuration)> = Vec::new();
-        let cfg = self.config.clone();
         let mut rng = self.rng.derive(("release-", spec.version));
 
-        stages.push((Stage::Build, cfg.build_time.mul_f64(rng.lognormal(0.0, 0.1))));
-        stages.push((Stage::Test, cfg.test_time.mul_f64(rng.lognormal(0.0, 0.1))));
+        stages.push((Stage::Build, BUILD_TIME.mul_f64(rng.lognormal(0.0, 0.1))));
+        stages.push((Stage::Test, TEST_TIME.mul_f64(rng.lognormal(0.0, 0.1))));
 
         // --- Profile: measure demands on the new build. ---
         let mut profiler =
             AppProfiler::new(&spec.graph, EstimatorKind::Hybrid).with_min_observations(1);
         let mut measured_total = 0.0;
-        if cfg.offloading_stages {
+        if self.offloading {
             let mut elapsed = SimDuration::ZERO;
-            for _ in 0..cfg.profile_invocations {
+            for _ in 0..PROFILE_INVOCATIONS {
                 for (id, c) in spec.graph.components() {
-                    let annotated = c.demand_cycles(cfg.reference_input).get() as f64;
+                    let annotated = c.demand_cycles(REFERENCE_INPUT).get() as f64;
                     let measured =
                         annotated * spec.demand_factor * rng.lognormal(0.0, spec.noise_sigma);
-                    profiler.observe(id, cfg.reference_input, Cycles::new(round_to_u64(measured)));
+                    profiler.observe(id, REFERENCE_INPUT, Cycles::new(round_to_u64(measured)));
                 }
-                elapsed += cfg.profile_invocation_time;
+                elapsed += PROFILE_INVOCATION_TIME;
             }
             for id in spec.graph.ids() {
-                measured_total += profiler.predict(id, cfg.reference_input).get() as f64;
+                measured_total += profiler.predict(id, REFERENCE_INPUT).get() as f64;
             }
             stages.push((Stage::Profile, elapsed));
         }
 
         // --- Partition: plan from fitted demands. ---
-        let plan = if cfg.offloading_stages {
+        let plan = if self.offloading {
             let demands: Vec<Cycles> =
-                spec.graph.ids().map(|id| profiler.predict(id, cfg.reference_input)).collect();
-            let ctx = PartitionContext::new(&spec.graph, cfg.reference_input, cfg.cost_params)
+                spec.graph.ids().map(|id| profiler.predict(id, REFERENCE_INPUT)).collect();
+            let ctx = PartitionContext::new(&spec.graph, REFERENCE_INPUT, CostParams::default())
                 .with_demands(demands);
             let plan = MinCutPartitioner.partition(&ctx);
             stages.push((Stage::Partition, SimDuration::from_millis(200)));
@@ -290,17 +269,16 @@ impl Pipeline {
         // --- Deploy: upload offloaded partitions. ---
         let offloaded_bytes: DataSize =
             plan.offloaded().map(|id| spec.graph.component(id).artifact_size()).sum();
-        let deploy_bytes = if cfg.offloading_stages { offloaded_bytes } else { package_bytes };
-        stages.push((Stage::Deploy, cfg.deploy_per_mib.mul_f64(deploy_bytes.as_mib_f64())));
+        let deploy_bytes = if self.offloading { offloaded_bytes } else { package_bytes };
+        stages.push((Stage::Deploy, DEPLOY_PER_MIB.mul_f64(deploy_bytes.as_mib_f64())));
 
         // --- Canary: compare measured demand to the last good release. ---
-        if cfg.offloading_stages {
-            let canary_time = cfg.canary_invocation_time * u64::from(cfg.canary_invocations);
-            stages.push((Stage::Canary, canary_time));
+        if self.offloading {
+            stages.push((Stage::Canary, CANARY_INVOCATION_TIME * CANARY_INVOCATIONS));
             if let Some(good) = &self.last_good {
                 let regression =
                     if good.mean_demand > 0.0 { measured_total / good.mean_demand } else { 1.0 };
-                if regression > cfg.slo_regression_factor {
+                if regression > SLO_REGRESSION_FACTOR {
                     stages.push((Stage::Rollback, SimDuration::from_secs(30)));
                     return PipelineReport {
                         version: spec.version,
@@ -315,10 +293,10 @@ impl Pipeline {
         stages.push((Stage::Promote, SimDuration::from_secs(10)));
         self.last_good = Some(GoodRelease {
             version: spec.version,
-            mean_demand: if cfg.offloading_stages {
+            mean_demand: if self.offloading {
                 measured_total
             } else {
-                spec.graph.total_work(cfg.reference_input).get() as f64
+                spec.graph.total_work(REFERENCE_INPUT).get() as f64
             },
         });
         self.plan_history.push((spec.version, plan.clone()));
@@ -348,7 +326,7 @@ mod tests {
     }
 
     fn pipeline() -> Pipeline {
-        Pipeline::new(PipelineConfig::default(), RngStream::root(11))
+        Pipeline::new(RngStream::root(11))
     }
 
     #[test]
@@ -391,8 +369,7 @@ mod tests {
 
     #[test]
     fn conventional_pipeline_skips_offload_stages() {
-        let cfg = PipelineConfig { offloading_stages: false, ..Default::default() };
-        let mut p = Pipeline::new(cfg, RngStream::root(2));
+        let mut p = Pipeline::conventional(RngStream::root(2));
         let report = p.run(&release(1, 1.0));
         assert!(report.stage(Stage::Profile).is_none());
         assert!(report.stage(Stage::Partition).is_none());
@@ -405,10 +382,7 @@ mod tests {
     #[test]
     fn offload_stages_add_bounded_overhead() {
         let mut with = pipeline();
-        let mut without = Pipeline::new(
-            PipelineConfig { offloading_stages: false, ..Default::default() },
-            RngStream::root(11),
-        );
+        let mut without = Pipeline::conventional(RngStream::root(11));
         let a = with.run(&release(1, 1.0)).total();
         let b = without.run(&release(1, 1.0)).total();
         assert!(a > b, "offload stages take time");

@@ -1,7 +1,7 @@
 //! Scenario tests of the release pipeline: long release sequences,
 //! repeated regressions, recovery, and audit-trail integrity.
 
-use ntc_cicd::{Outcome, Pipeline, PipelineConfig, ReleaseSpec, Stage};
+use ntc_cicd::{Outcome, Pipeline, ReleaseSpec, Stage};
 use ntc_simcore::rng::RngStream;
 use ntc_taskgraph::TaskGraph;
 use ntc_workloads::Archetype;
@@ -16,7 +16,7 @@ fn release(version: u64, demand_factor: f64) -> ReleaseSpec {
 
 #[test]
 fn long_healthy_sequence_promotes_everything() {
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(10));
+    let mut p = Pipeline::new(RngStream::root(10));
     for v in 1..=20 {
         let r = p.run(&release(v, 1.0));
         assert!(matches!(r.outcome, Outcome::Promoted { .. }), "v{v} should promote");
@@ -27,7 +27,7 @@ fn long_healthy_sequence_promotes_everything() {
 
 #[test]
 fn consecutive_regressions_all_bounce_off_the_same_baseline() {
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(11));
+    let mut p = Pipeline::new(RngStream::root(11));
     p.run(&release(1, 1.0));
     for v in 2..=5 {
         let r = p.run(&release(v, 2.5));
@@ -45,7 +45,7 @@ fn consecutive_regressions_all_bounce_off_the_same_baseline() {
 fn gradual_drift_under_the_slo_is_never_caught() {
     // Each release drifts +20% against the previous *accepted* baseline —
     // under the 1.5x SLO, so the canary (by design) lets the frog boil.
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(12));
+    let mut p = Pipeline::new(RngStream::root(12));
     let mut factor = 1.0;
     for v in 1..=6 {
         let r = p.run(&release(v, factor));
@@ -60,7 +60,7 @@ fn gradual_drift_under_the_slo_is_never_caught() {
 
 #[test]
 fn sudden_regression_after_drift_is_still_caught() {
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(13));
+    let mut p = Pipeline::new(RngStream::root(13));
     p.run(&release(1, 1.0));
     p.run(&release(2, 1.3));
     let bad = p.run(&release(3, 1.3 * 2.0));
@@ -70,7 +70,7 @@ fn sudden_regression_after_drift_is_still_caught() {
 
 #[test]
 fn first_release_has_no_baseline_and_always_promotes() {
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(14));
+    let mut p = Pipeline::new(RngStream::root(14));
     // Even a terrible first release promotes: there is nothing to compare
     // against (and nothing already in production to protect).
     let r = p.run(&release(1, 10.0));
@@ -79,7 +79,7 @@ fn first_release_has_no_baseline_and_always_promotes() {
 
 #[test]
 fn stage_durations_are_positive_and_ordered() {
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(15));
+    let mut p = Pipeline::new(RngStream::root(15));
     let r = p.run(&release(1, 1.0));
     let order: Vec<Stage> = r.stages.iter().map(|&(s, _)| s).collect();
     let expected_prefix = [Stage::Build, Stage::Test, Stage::Profile, Stage::Partition];
@@ -94,7 +94,7 @@ fn stage_durations_are_positive_and_ordered() {
 #[test]
 fn pipelines_are_deterministic_per_seed() {
     let run = |seed: u64| {
-        let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(seed));
+        let mut p = Pipeline::new(RngStream::root(seed));
         (1..=5).map(|v| p.run(&release(v, if v == 3 { 3.0 } else { 1.0 }))).collect::<Vec<_>>()
     };
     let a = run(99);
@@ -110,7 +110,7 @@ fn pipelines_are_deterministic_per_seed() {
 fn monitor_closes_the_iteration_loop() {
     use ntc_cicd::{MonitorAction, ProductionMonitor};
 
-    let mut p = Pipeline::new(PipelineConfig::default(), RngStream::root(16));
+    let mut p = Pipeline::new(RngStream::root(16));
     p.run(&release(1, 1.0));
     let mut monitor: ProductionMonitor = p.start_monitor().expect("live release");
 
@@ -124,24 +124,21 @@ fn monitor_closes_the_iteration_loop() {
 
     // The team iterates: a new release re-profiles the drifted demand.
     // (demand_factor carries the drift; the canary compares against v1's
-    // baseline and tolerates it only because 1.6 > 1.5 — so this release
-    // rolls back, forcing an explicit SLO renegotiation.)
+    // baseline, and 1.6 is past the fixed 1.5x SLO, so this release rolls
+    // back.)
     let attempted = p.run(&release(2, 1.6));
     assert!(matches!(attempted.outcome, Outcome::RolledBack { .. }));
 
-    // With the SLO consciously relaxed for the re-baseline release, the
-    // iteration lands and the monitor is re-armed on the new normal.
-    let relaxed_cfg = PipelineConfig { slo_regression_factor: 2.0, ..Default::default() };
-    let mut p2 = Pipeline::new(relaxed_cfg, RngStream::root(16));
-    p2.run(&release(1, 1.0));
-    let ok = p2.run(&release(2, 1.6));
+    // A release just under the SLO lands, and the monitor is re-armed on
+    // the new normal.
+    let ok = p.run(&release(3, 1.4));
     assert!(matches!(ok.outcome, Outcome::Promoted { .. }));
-    let m2 = p2.start_monitor().expect("live release");
+    let m2 = p.start_monitor().expect("live release");
     assert!(m2.baseline_demand() > baseline * 1.3, "monitor re-baselined on the new demand");
 }
 
 #[test]
 fn monitor_absent_before_any_promotion() {
-    let p = Pipeline::new(PipelineConfig::default(), RngStream::root(17));
+    let p = Pipeline::new(RngStream::root(17));
     assert!(p.start_monitor().is_none());
 }

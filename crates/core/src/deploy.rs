@@ -136,7 +136,6 @@ fn cost_params(env: &Environment, site: Site) -> CostParams {
         device_tx_power: env.device.tx_power,
         cloud_money_per_sec: money_per_sec,
         money_per_request: per_request,
-        weights: Default::default(),
     }
 }
 

@@ -497,7 +497,6 @@ impl Engine {
 
         // --- Admission: coalesce jobs into batches and schedule them. ---
         admission::coalesce_into(
-            &self.env,
             &scratch.deployments,
             &scratch.deployment_of,
             &scratch.jobs,

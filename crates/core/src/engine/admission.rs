@@ -23,6 +23,11 @@ use crate::deploy::Deployment;
 use crate::environment::Environment;
 use crate::site::Site;
 
+/// The safety margin a batch keeps before its tightest member deadline:
+/// latest-safe dispatch holds, admission and the local override all
+/// reserve it on top of the batch's completion estimate.
+pub(crate) const COMPLETION_MARGIN: SimDuration = SimDuration::from_secs(60);
+
 /// One execution unit: one or more coalesced jobs of the same deployment
 /// released together.
 #[derive(Debug)]
@@ -298,15 +303,14 @@ impl Run<'_> {
         let site = d.site_chain[pos];
         let h = self.health.site(site);
         let wait = h.queue_delay(site.concurrency(ctx.env));
-        let margin = ctx.env.completion_margin;
         let min_deadline = ctx.min_deadline(bi);
-        if !h.saturated() && t + wait + d.est_completion + margin <= min_deadline {
+        if !h.saturated() && t + wait + d.est_completion + COMPLETION_MARGIN <= min_deadline {
             return Verdict::Admit;
         }
         // Overloaded. Delay-tolerant batches wait the overload out…
         let step = self.health.cfg().defer_step;
         if self.states.deferrals[bi] < MAX_DEFERRALS
-            && t + step + d.est_completion + margin <= min_deadline
+            && t + step + d.est_completion + COMPLETION_MARGIN <= min_deadline
         {
             return Verdict::Defer(step);
         }
@@ -337,9 +341,7 @@ pub(crate) fn min_deadline(jobs: &[Job], members: &[u32]) -> SimTime {
 /// `Immediate` dispatch the map then holds about 64 entries at most
 /// instead of one per batch; the batches formed are exactly those of
 /// the unpruned map.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn coalesce_into(
-    env: &Environment,
     deployments: &[Deployment],
     deployment_of: &DeploymentOf,
     jobs: &[Job],
@@ -378,13 +380,8 @@ pub(crate) fn coalesce_into(
         let di =
             deployment_of[job.archetype.index()].expect("every job's archetype has a deployment");
         let d = &deployments[di];
-        let at = dispatch_time(
-            d.dispatch,
-            job.arrival,
-            job.slack,
-            d.est_completion,
-            env.completion_margin,
-        );
+        let at =
+            dispatch_time(d.dispatch, job.arrival, job.slack, d.est_completion, COMPLETION_MARGIN);
         let fits = |b: &Batch| {
             b.members_start < d.max_batch_members
                 && b.sum_input.as_bytes().saturating_add(job.input.as_bytes())
@@ -449,8 +446,8 @@ pub(crate) fn local_overrides_into(
         // Only outages that can actually intersect this batch's
         // execution window count against offloading.
         let outage = env.connectivity.worst_wait_within(b.dispatch_at, min_deadline);
-        let reserve = d.est_completion + outage + env.completion_margin;
-        let local_reserve = d.est_local + env.completion_margin;
+        let reserve = d.est_completion + outage + COMPLETION_MARGIN;
+        let local_reserve = d.est_local + COMPLETION_MARGIN;
         b.dispatch_at + reserve > min_deadline && b.dispatch_at + local_reserve <= min_deadline
     }));
 }

@@ -850,7 +850,7 @@ mod coalescing {
     use ntc_workloads::{Archetype, Job};
 
     use crate::deploy::{deploy, Deployment};
-    use crate::engine::admission::{coalesce_into, members_of, Batch};
+    use crate::engine::admission::{coalesce_into, members_of, Batch, COMPLETION_MARGIN};
     use crate::engine::hash::FastMap;
     use crate::engine::DeploymentOf;
     use crate::environment::Environment;
@@ -873,7 +873,6 @@ mod coalescing {
     /// the key map was pruned: a member `Vec` per batch, and one key per
     /// batch kept for the whole run.
     fn reference(
-        env: &Environment,
         deployments: &[Deployment],
         deployment_of: &DeploymentOf,
         jobs: &[Job],
@@ -888,7 +887,7 @@ mod coalescing {
                 job.arrival,
                 job.slack,
                 d.est_completion,
-                env.completion_margin,
+                COMPLETION_MARGIN,
             );
             let fits = |b: &Formed| {
                 b.members.len() < d.max_batch_members as usize
@@ -919,7 +918,6 @@ mod coalescing {
     /// Runs the engine's coalescing; returns its batches and how many
     /// keys its map still holds.
     fn coalesce(
-        env: &Environment,
         deployments: &[Deployment],
         deployment_of: &DeploymentOf,
         jobs: &[Job],
@@ -927,7 +925,6 @@ mod coalescing {
         let (mut batches, mut batch_of, mut key, mut members) =
             (Vec::<Batch>::new(), Vec::new(), FastMap::default(), Vec::new());
         coalesce_into(
-            env,
             deployments,
             deployment_of,
             jobs,
@@ -1026,8 +1023,8 @@ mod coalescing {
             let (deployments, deployment_of) =
                 deployments(&env, dispatch, caps.0, DataSize::from_kib(caps.1));
             let jobs = jobs(&spec);
-            let (formed, _) = coalesce(&env, &deployments, &deployment_of, &jobs);
-            prop_assert_eq!(formed, reference(&env, &deployments, &deployment_of, &jobs));
+            let (formed, _) = coalesce(&deployments, &deployment_of, &jobs);
+            prop_assert_eq!(formed, reference(&deployments, &deployment_of, &jobs));
         }
     }
 
@@ -1038,7 +1035,7 @@ mod coalescing {
             deployments(&env, DispatchPolicy::Immediate, 8, DataSize::from_mib(64));
         let spec: Vec<_> = (0..10_000).map(|i| (1 + i % 3, (i % 3) as usize, 4, 1.0)).collect();
         let jobs = jobs(&spec);
-        let (formed, keys) = coalesce(&env, &deployments, &deployment_of, &jobs);
+        let (formed, keys) = coalesce(&deployments, &deployment_of, &jobs);
         assert_eq!(formed.len(), jobs.len(), "distinct arrivals never share a batch");
         assert!(keys <= 128, "{keys} keys retained for {} batches", formed.len());
     }

@@ -33,8 +33,6 @@ pub struct Environment {
     pub result_return: DataSize,
     /// Electricity-equivalent price of UE energy, per joule.
     pub energy_price_per_joule: Money,
-    /// Safety margin subtracted from deadlines when holding jobs.
-    pub completion_margin: SimDuration,
     /// Injected faults: transient invocation errors, throttling, edge
     /// outage windows and transfer drops. Defaults to none.
     pub faults: FaultConfig,
@@ -63,7 +61,6 @@ impl Environment {
             result_return: DataSize::from_kib(100),
             // ~\$0.45/kWh mobile-charging equivalent = \$1.25e-7 per joule.
             energy_price_per_joule: Money::from_nano_usd(125),
-            completion_margin: SimDuration::from_secs(60),
             faults: FaultConfig::none(),
         }
     }

@@ -9,6 +9,8 @@
 
 use ntc_simcore::units::{SimDuration, SimTime};
 
+use crate::step::StepTable;
+
 /// A periodic on/off connectivity schedule.
 ///
 /// Like [`crate::BandwidthTrace`], the schedule repeats with its period,
@@ -26,18 +28,13 @@ use ntc_simcore::units::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnectivityTrace {
-    period: SimDuration,
-    // (offset from period start, online); sorted, first at ZERO.
-    segments: Vec<(SimDuration, bool)>,
+    table: StepTable<bool>,
 }
 
 impl ConnectivityTrace {
     /// A schedule that is always online.
     pub fn always() -> Self {
-        ConnectivityTrace {
-            period: SimDuration::from_hours(24),
-            segments: vec![(SimDuration::ZERO, true)],
-        }
+        ConnectivityTrace::new(SimDuration::from_hours(24), vec![(SimDuration::ZERO, true)])
     }
 
     /// Builds a schedule from `(offset, online)` segments repeating every
@@ -48,11 +45,7 @@ impl ConnectivityTrace {
     /// Panics if `segments` is empty, unsorted, does not start at offset
     /// zero, or reaches past `period`.
     pub fn new(period: SimDuration, segments: Vec<(SimDuration, bool)>) -> Self {
-        assert!(!segments.is_empty(), "trace needs at least one segment");
-        assert_eq!(segments[0].0, SimDuration::ZERO, "first segment must start at zero");
-        assert!(segments.windows(2).all(|w| w[0].0 < w[1].0), "segments must be sorted");
-        assert!(segments.last().expect("non-empty").0 < period, "segments must fit in the period");
-        ConnectivityTrace { period, segments }
+        ConnectivityTrace { table: StepTable::new(period, segments) }
     }
 
     /// A commuter's day: offline 08:00–08:45 and 17:30–18:15 (subway),
@@ -81,23 +74,13 @@ impl ConnectivityTrace {
 
     /// The repeat period.
     pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    #[inline]
-    fn segment_index(&self, at: SimTime) -> usize {
-        let offset = SimDuration::from_micros(at.as_micros() % self.period.as_micros());
-        match self.segments.binary_search_by(|&(o, _)| o.cmp(&offset)) {
-            Ok(i) => i,
-            Err(0) => unreachable!("first segment starts at zero"),
-            Err(i) => i - 1,
-        }
+        self.table.period()
     }
 
     /// Whether the device can reach the network at `at`.
     #[inline]
     pub fn is_online(&self, at: SimTime) -> bool {
-        self.segments[self.segment_index(at)].1
+        self.table.at(at)
     }
 
     /// The earliest instant `>= at` at which the device is online
@@ -117,19 +100,16 @@ impl ConnectivityTrace {
 
     /// [`next_online`](Self::next_online) for an `at` that is offline.
     fn next_reconnect(&self, at: SimTime) -> SimTime {
-        assert!(self.segments.iter().any(|&(_, on)| on), "schedule is never online");
-        let period_us = self.period.as_micros();
+        let segments = self.table.segments();
+        let first_on = segments.iter().find(|&&(_, on)| on).expect("schedule is never online").0;
+        let period_us = self.period().as_micros();
         let cycle_start = at.as_micros() - at.as_micros() % period_us;
         // Scan forward within this cycle, then wrap to the next.
-        let idx = self.segment_index(at);
-        for &(offset, on) in &self.segments[idx + 1..] {
-            if on {
-                return SimTime::from_micros(cycle_start + offset.as_micros());
-            }
+        let idx = self.table.index_at(at);
+        match segments[idx + 1..].iter().find(|&&(_, on)| on) {
+            Some(&(offset, _)) => SimTime::from_micros(cycle_start + offset.as_micros()),
+            None => SimTime::from_micros(cycle_start + period_us + first_on.as_micros()),
         }
-        let next_cycle = cycle_start + period_us;
-        let first_on = self.segments.iter().find(|&&(_, on)| on).expect("checked above").0;
-        SimTime::from_micros(next_cycle + first_on.as_micros())
     }
 
     /// The worst-case wait a transfer initiated anywhere in
@@ -143,10 +123,10 @@ impl ConnectivityTrace {
         let mut worst = self.next_online(from).saturating_duration_since(from);
         // A transfer started the instant an outage begins waits the whole
         // window: check every offline segment start inside the interval.
-        let period_us = self.period.as_micros();
+        let period_us = self.period().as_micros();
         let mut cycle_start = from.as_micros() - from.as_micros() % period_us;
         while cycle_start <= until.as_micros() {
-            for &(offset, on) in &self.segments {
+            for &(offset, on) in self.table.segments() {
                 if !on {
                     let s = cycle_start + offset.as_micros();
                     if s >= from.as_micros() && s <= until.as_micros() {
@@ -165,30 +145,19 @@ impl ConnectivityTrace {
 
     /// The longest single offline window in one period.
     pub fn longest_offline(&self) -> SimDuration {
-        let mut longest = SimDuration::ZERO;
-        for (i, &(start, on)) in self.segments.iter().enumerate() {
-            if !on {
-                let end = self.segments.get(i + 1).map(|&(o, _)| o).unwrap_or(self.period);
-                let span = end - start;
-                if span > longest {
-                    longest = span;
-                }
-            }
-        }
-        longest
+        self.offline_spans().max().unwrap_or(SimDuration::ZERO)
     }
 
     /// Total offline time per period, as a fraction in `[0, 1]`
     /// (exactly `1.0` for a schedule that is never online).
     pub fn offline_fraction(&self) -> f64 {
-        let mut offline = SimDuration::ZERO;
-        for (i, &(start, on)) in self.segments.iter().enumerate() {
-            if !on {
-                let end = self.segments.get(i + 1).map(|&(o, _)| o).unwrap_or(self.period);
-                offline += end - start;
-            }
-        }
-        offline.as_secs_f64() / self.period.as_secs_f64()
+        let offline: SimDuration = self.offline_spans().sum();
+        offline.as_secs_f64() / self.period().as_secs_f64()
+    }
+
+    /// The length of each offline segment in one period.
+    fn offline_spans(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        self.table.spans().filter(|&(on, _)| !on).map(|(_, length)| length)
     }
 }
 

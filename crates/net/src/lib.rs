@@ -33,6 +33,7 @@
 pub mod connectivity;
 pub mod link;
 pub mod path;
+mod step;
 pub mod trace;
 
 pub use connectivity::ConnectivityTrace;

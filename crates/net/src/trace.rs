@@ -2,6 +2,8 @@
 
 use ntc_simcore::units::{SimDuration, SimTime};
 
+use crate::step::StepTable;
+
 /// A piecewise-constant multiplier on nominal bandwidth over time.
 ///
 /// The schedule repeats with the configured period, so a 24-hour diurnal
@@ -21,18 +23,13 @@ use ntc_simcore::units::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTrace {
-    period: SimDuration,
-    // (offset from period start, share); sorted by offset, first at ZERO.
-    segments: Vec<(SimDuration, f64)>,
+    table: StepTable<f64>,
 }
 
 impl BandwidthTrace {
     /// A trace that always grants the full nominal bandwidth.
     pub fn constant() -> Self {
-        BandwidthTrace {
-            period: SimDuration::from_hours(24),
-            segments: vec![(SimDuration::ZERO, 1.0)],
-        }
+        BandwidthTrace::new(SimDuration::from_hours(24), vec![(SimDuration::ZERO, 1.0)])
     }
 
     /// Builds a trace from `(offset, share)` segments repeating every
@@ -43,12 +40,12 @@ impl BandwidthTrace {
     /// Panics if `segments` is empty, unsorted, does not start at offset
     /// zero, reaches past `period`, or contains a share outside `(0, 1]`.
     pub fn new(period: SimDuration, segments: Vec<(SimDuration, f64)>) -> Self {
-        assert!(!segments.is_empty(), "trace needs at least one segment");
-        assert_eq!(segments[0].0, SimDuration::ZERO, "first segment must start at zero");
-        assert!(segments.windows(2).all(|w| w[0].0 < w[1].0), "segments must be sorted");
-        assert!(segments.last().expect("non-empty").0 < period, "segments must fit in the period");
-        assert!(segments.iter().all(|&(_, s)| s > 0.0 && s <= 1.0), "shares must be in (0, 1]");
-        BandwidthTrace { period, segments }
+        let table = StepTable::new(period, segments);
+        assert!(
+            table.segments().iter().all(|&(_, s)| s > 0.0 && s <= 1.0),
+            "shares must be in (0, 1]"
+        );
+        BandwidthTrace { table }
     }
 
     /// A reference diurnal profile: full bandwidth overnight, mild
@@ -68,24 +65,18 @@ impl BandwidthTrace {
 
     /// The repeat period of the schedule.
     pub fn period(&self) -> SimDuration {
-        self.period
+        self.table.period()
     }
 
     /// The smallest share anywhere in the schedule (worst-case planning).
     pub fn min_share(&self) -> f64 {
-        self.segments.iter().map(|&(_, s)| s).fold(1.0, f64::min)
+        self.table.segments().iter().map(|&(_, s)| s).fold(1.0, f64::min)
     }
 
     /// The bandwidth share in effect at instant `at`.
     #[inline]
     pub fn share_at(&self, at: SimTime) -> f64 {
-        let offset = SimDuration::from_micros(at.as_micros() % self.period.as_micros());
-        let idx = match self.segments.binary_search_by(|&(o, _)| o.cmp(&offset)) {
-            Ok(i) => i,
-            Err(0) => unreachable!("first segment starts at zero"),
-            Err(i) => i - 1,
-        };
-        self.segments[idx].1
+        self.table.at(at)
     }
 }
 

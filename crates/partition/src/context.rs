@@ -5,7 +5,8 @@
 //! CloneCloud lineage): the sum over components of the execution cost on
 //! their assigned side plus the transfer cost of every boundary-crossing
 //! flow, with time, money, and UE energy folded into one scalar through
-//! explicit exchange-rate [`CostWeights`]. The min-cut partitioner is
+//! fixed exchange rates: 1 second of latency is worth 2 joules of battery
+//! or $0.01 of cloud spend. The min-cut partitioner is
 //! provably optimal for exactly this objective; the evaluation here uses
 //! the very same terms so that claim is testable.
 
@@ -16,29 +17,18 @@ use ntc_taskgraph::{ComponentId, TaskGraph};
 
 use crate::plan::{PartitionPlan, Side};
 
-/// Exchange rates folding time, money and UE energy into one scalar cost.
-///
-/// Units: cost-units per microsecond, per nano-dollar, and per microjoule.
-/// The defaults value 1 second of latency like 2 joules of battery or
-/// $0.01 of cloud spend — a delay-tolerant profile where money and energy
-/// matter comparably to time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Cost units per microsecond of (summed) execution/transfer time.
-    pub per_us: f64,
-    /// Cost units per nano-dollar of cloud spend.
-    pub per_nano_usd: f64,
-    /// Cost units per microjoule of UE battery drain.
-    pub per_uj: f64,
-}
+// Exchange rates folding time, money and UE energy into one scalar cost.
+// They value 1 second of latency like 2 joules of battery or $0.01 of
+// cloud spend — a delay-tolerant profile where money and energy matter
+// comparably to time: 1 s == 10^6 units; $0.01 == 10^7 nano$ × 0.1 ==
+// 10^6 units; 2 J == 2×10^6 µJ × 0.5 == 10^6 units.
 
-impl Default for CostWeights {
-    fn default() -> Self {
-        // 1 s == 10^6 units; $0.01 == 10^7 nano$ × 0.1 == 10^6 units;
-        // 2 J == 2×10^6 µJ × 0.5 == 10^6 units.
-        CostWeights { per_us: 1.0, per_nano_usd: 0.1, per_uj: 0.5 }
-    }
-}
+/// Cost units per microsecond of (summed) execution/transfer time.
+const PER_US: f64 = 1.0;
+/// Cost units per nano-dollar of cloud spend.
+const PER_NANO_USD: f64 = 0.1;
+/// Cost units per microjoule of UE battery drain.
+const PER_UJ: f64 = 0.5;
 
 /// Scalar environment parameters for partitioning decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +49,6 @@ pub struct CostParams {
     pub cloud_money_per_sec: Money,
     /// Flat cloud fee per offloaded component per job.
     pub money_per_request: Money,
-    /// Exchange rates.
-    pub weights: CostWeights,
 }
 
 impl Default for CostParams {
@@ -74,7 +62,6 @@ impl Default for CostParams {
             device_tx_power: Power::from_milliwatts(1200),
             cloud_money_per_sec: Money::from_usd_f64(0.0000166667), // 1 GB function
             money_per_request: Money::from_usd_f64(0.0000002),
-            weights: CostWeights::default(),
         }
     }
 }
@@ -160,8 +147,7 @@ impl<'a> PartitionContext<'a> {
     pub fn device_cost(&self, id: ComponentId) -> f64 {
         let t = self.params.device_speed.execution_time(self.demand(id));
         let e = self.params.device_active_power.energy_over(t);
-        self.params.weights.per_us * t.as_micros() as f64
-            + self.params.weights.per_uj * (e.as_nanojoules() as f64 / 1e3)
+        PER_US * t.as_micros() as f64 + PER_UJ * (e.as_nanojoules() as f64 / 1e3)
     }
 
     /// Cost of executing `id` on the cloud, in weighted units, or
@@ -173,16 +159,14 @@ impl<'a> PartitionContext<'a> {
         let t = self.params.cloud_speed.execution_time(self.demand(id));
         let money = self.params.cloud_money_per_sec.mul_f64(t.as_secs_f64())
             + self.params.money_per_request;
-        self.params.weights.per_us * t.as_micros() as f64
-            + self.params.weights.per_nano_usd * money.as_nano_usd() as f64
+        PER_US * t.as_micros() as f64 + PER_NANO_USD * money.as_nano_usd() as f64
     }
 
     /// Cost of a boundary crossing moving `bytes`, in weighted units.
     pub fn transfer_cost(&self, bytes: DataSize) -> f64 {
         let t = self.params.link_latency + self.params.link_bandwidth.transfer_time(bytes);
         let e = self.params.device_tx_power.energy_over(t);
-        self.params.weights.per_us * t.as_micros() as f64
-            + self.params.weights.per_uj * (e.as_nanojoules() as f64 / 1e3)
+        PER_US * t.as_micros() as f64 + PER_UJ * (e.as_nanojoules() as f64 / 1e3)
     }
 
     /// Evaluates `plan` exactly under the additive objective, returning
@@ -224,10 +208,9 @@ impl<'a> PartitionContext<'a> {
         }
 
         let makespan = self.makespan(plan);
-        let w = &self.params.weights;
-        let weighted = w.per_us * (device_time + cloud_time + transfer_time).as_micros() as f64
-            + w.per_nano_usd * money.as_nano_usd() as f64
-            + w.per_uj * (energy.as_nanojoules() as f64 / 1e3);
+        let weighted = PER_US * (device_time + cloud_time + transfer_time).as_micros() as f64
+            + PER_NANO_USD * money.as_nano_usd() as f64
+            + PER_UJ * (energy.as_nanojoules() as f64 / 1e3);
         PlanCost {
             device_time,
             cloud_time,
@@ -381,16 +364,5 @@ mod tests {
         // Offloading the 3 Gcyc component: 40 ms latency + 1 MB transfer
         // beats 2 s of device execution even on the critical path.
         assert!(ctx.makespan(&offload) < ctx.makespan(&local));
-    }
-
-    #[test]
-    fn time_only_weights_ignore_money() {
-        let g = graph();
-        let weights = CostWeights { per_us: 1.0, per_nano_usd: 0.0, per_uj: 0.0 };
-        let params = CostParams { weights, ..Default::default() };
-        let ctx = PartitionContext::new(&g, DataSize::ZERO, params);
-        let cost = ctx.evaluate(&PartitionPlan::all_cloud(&g));
-        let total = cost.device_time + cost.cloud_time + cost.transfer_time;
-        assert!((cost.weighted - total.as_micros() as f64).abs() < 1e-9);
     }
 }

@@ -8,8 +8,8 @@
 //! * [`plan`] — [`PartitionPlan`]: per-component [`plan::Side`]
 //!   assignments with validation against pinning constraints.
 //! * [`context`] — the additive cost objective ([`PartitionContext`],
-//!   [`context::CostWeights`]) folding time, money and UE energy into one
-//!   scalar, and exact plan evaluation.
+//!   [`CostParams`]) folding time, money and UE energy into one scalar at
+//!   fixed exchange rates, and exact plan evaluation.
 //! * [`algorithms`] — the [`Partitioner`] roster: keep-local,
 //!   full-offload, greedy hill-climbing, chain DP, exhaustive optimum, and
 //!   the provably optimal [`algorithms::MinCutPartitioner`].
@@ -43,5 +43,5 @@ pub use algorithms::{
     standard_roster, ChainDpPartitioner, ExhaustivePartitioner, FullOffload, GreedyPartitioner,
     KeepLocal, MinCutPartitioner, Partitioner,
 };
-pub use context::{CostParams, CostWeights, PartitionContext, PlanCost};
+pub use context::{CostParams, PartitionContext, PlanCost};
 pub use plan::{PartitionPlan, PlanError, Side};

@@ -32,19 +32,18 @@ impl fmt::Display for Drift {
 ///
 /// Feed it a stream of values (typically `observed / expected` ratios,
 /// which hover around 1.0 in steady state). It maintains cumulative
-/// deviations from the running mean in both directions; when either
-/// exceeds `lambda`, the corresponding [`Drift`] fires and the detector
-/// resets.
-///
-/// * `delta` — per-observation tolerance (noise allowance);
-/// * `lambda` — detection threshold (bigger = fewer, later detections).
+/// deviations from the running mean in both directions, each less a
+/// per-observation noise allowance of 0.1; when either exceeds the
+/// detection threshold of 3.0, the corresponding [`Drift`] fires and the
+/// detector resets. So it tolerates ~10 % noise and fires after a
+/// sustained ~30 % shift.
 ///
 /// # Examples
 ///
 /// ```
 /// use ntc_profiler::drift::{Drift, PageHinkley};
 ///
-/// let mut d = PageHinkley::new(0.05, 2.0);
+/// let mut d = PageHinkley::for_demand_ratios();
 /// // Stable phase: no alarms.
 /// for _ in 0..100 {
 ///     assert_eq!(d.observe(1.0), None);
@@ -55,8 +54,6 @@ impl fmt::Display for Drift {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageHinkley {
-    delta: f64,
-    lambda: f64,
     count: u64,
     mean: f64,
     cum_up: f64,
@@ -65,32 +62,17 @@ pub struct PageHinkley {
     max_down: f64,
 }
 
-impl PageHinkley {
-    /// Creates a detector with noise tolerance `delta` and threshold
-    /// `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is negative or `lambda` is not positive.
-    pub fn new(delta: f64, lambda: f64) -> Self {
-        assert!(delta >= 0.0 && delta.is_finite(), "delta must be non-negative");
-        assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be positive");
-        PageHinkley {
-            delta,
-            lambda,
-            count: 0,
-            mean: 0.0,
-            cum_up: 0.0,
-            min_up: 0.0,
-            cum_down: 0.0,
-            max_down: 0.0,
-        }
-    }
+/// [`PageHinkley`]'s per-observation tolerance (noise allowance).
+const DELTA: f64 = 0.1;
+/// [`PageHinkley`]'s detection threshold (bigger = fewer, later
+/// detections).
+const LAMBDA: f64 = 3.0;
 
-    /// A configuration suited to demand ratios (`observed/expected`):
-    /// tolerates ~10 % noise, fires after a sustained ~30 % shift.
+impl PageHinkley {
+    /// A detector for demand ratios (`observed/expected`), with no
+    /// history.
     pub fn for_demand_ratios() -> Self {
-        Self::new(0.1, 3.0)
+        PageHinkley { count: 0, mean: 0.0, cum_up: 0.0, min_up: 0.0, cum_down: 0.0, max_down: 0.0 }
     }
 
     /// Observations since the last reset.
@@ -100,7 +82,7 @@ impl PageHinkley {
 
     /// Clears all state (fresh baseline).
     pub fn reset(&mut self) {
-        *self = PageHinkley::new(self.delta, self.lambda);
+        *self = PageHinkley::for_demand_ratios();
     }
 
     /// Feeds one value; returns a [`Drift`] if a change is detected
@@ -109,16 +91,16 @@ impl PageHinkley {
         self.count += 1;
         self.mean += (x - self.mean) / self.count as f64;
 
-        self.cum_up += x - self.mean - self.delta;
+        self.cum_up += x - self.mean - DELTA;
         self.min_up = self.min_up.min(self.cum_up);
-        self.cum_down += x - self.mean + self.delta;
+        self.cum_down += x - self.mean + DELTA;
         self.max_down = self.max_down.max(self.cum_down);
 
-        if self.cum_up - self.min_up > self.lambda {
+        if self.cum_up - self.min_up > LAMBDA {
             self.reset();
             return Some(Drift::Up);
         }
-        if self.max_down - self.cum_down > self.lambda {
+        if self.max_down - self.cum_down > LAMBDA {
             self.reset();
             return Some(Drift::Down);
         }
@@ -165,7 +147,7 @@ mod tests {
 
     #[test]
     fn detector_resets_after_firing() {
-        let mut d = PageHinkley::new(0.05, 1.0);
+        let mut d = PageHinkley::for_demand_ratios();
         for _ in 0..50 {
             d.observe(1.0);
         }
@@ -180,17 +162,11 @@ mod tests {
 
     #[test]
     fn manual_reset_clears_history() {
-        let mut d = PageHinkley::new(0.0, 5.0);
+        let mut d = PageHinkley::for_demand_ratios();
         for _ in 0..100 {
             d.observe(1.0);
         }
         d.reset();
         assert_eq!(d.observations(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda")]
-    fn non_positive_lambda_panics() {
-        let _ = PageHinkley::new(0.1, 0.0);
     }
 }

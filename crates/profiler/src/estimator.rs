@@ -42,34 +42,19 @@ pub trait DemandEstimator: fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-/// Exponentially weighted moving average of demand, ignoring input size.
+/// [`EwmaEstimator`]'s smoothing factor: the weight of the newest
+/// observation.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Exponentially weighted moving average of demand, ignoring input size,
+/// with smoothing factor 0.2 (the weight of the newest observation).
 ///
 /// Best for components whose demand is stationary and uncorrelated with
 /// input (e.g. fixed-size model inference).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EwmaEstimator {
-    alpha: f64,
     mean: f64,
     count: u64,
-}
-
-impl EwmaEstimator {
-    /// Creates an estimator with smoothing factor `alpha` in `(0, 1]`
-    /// (weight of the newest observation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        EwmaEstimator { alpha, mean: 0.0, count: 0 }
-    }
-}
-
-impl Default for EwmaEstimator {
-    fn default() -> Self {
-        Self::new(0.2)
-    }
 }
 
 impl DemandEstimator for EwmaEstimator {
@@ -78,7 +63,7 @@ impl DemandEstimator for EwmaEstimator {
         if self.count == 0 {
             self.mean = x;
         } else {
-            self.mean = self.alpha * x + (1.0 - self.alpha) * self.mean;
+            self.mean = EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.mean;
         }
         self.count += 1;
     }
@@ -96,42 +81,25 @@ impl DemandEstimator for EwmaEstimator {
     }
 }
 
-/// Windowed quantile estimator: predicts the `q`-quantile of the last `w`
-/// observations.
+/// [`QuantileEstimator`]'s quantile.
+const QUANTILE_Q: f64 = 0.9;
+/// [`QuantileEstimator`]'s window, in observations.
+const QUANTILE_WINDOW: usize = 100;
+
+/// Windowed quantile estimator: predicts the 90th percentile of the last
+/// 100 observations.
 ///
 /// A conservative (high-quantile) setting is useful when under-prediction
 /// is costly — e.g. when the prediction feeds a function-timeout choice.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuantileEstimator {
-    q: f64,
     window: VecDeque<u64>,
-    capacity: usize,
     count: u64,
-}
-
-impl QuantileEstimator {
-    /// Creates an estimator of the `q`-quantile over a window of
-    /// `capacity` observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or `capacity` is zero.
-    pub fn new(q: f64, capacity: usize) -> Self {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        assert!(capacity > 0, "window capacity must be positive");
-        QuantileEstimator { q, window: VecDeque::with_capacity(capacity), capacity, count: 0 }
-    }
-}
-
-impl Default for QuantileEstimator {
-    fn default() -> Self {
-        Self::new(0.9, 100)
-    }
 }
 
 impl DemandEstimator for QuantileEstimator {
     fn observe(&mut self, obs: Observation) {
-        if self.window.len() == self.capacity {
+        if self.window.len() == QUANTILE_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(obs.cycles.get());
@@ -144,7 +112,7 @@ impl DemandEstimator for QuantileEstimator {
         }
         let mut sorted: Vec<u64> = self.window.iter().copied().collect();
         sorted.sort_unstable();
-        let pos = round_to_u64(self.q * (sorted.len() - 1) as f64) as usize;
+        let pos = round_to_u64(QUANTILE_Q * (sorted.len() - 1) as f64) as usize;
         Cycles::new(sorted[pos])
     }
 
@@ -248,39 +216,23 @@ impl DemandEstimator for RegressionEstimator {
     }
 }
 
+/// [`HoltEstimator`]'s level-smoothing factor.
+const HOLT_ALPHA: f64 = 0.3;
+/// [`HoltEstimator`]'s trend-smoothing factor.
+const HOLT_BETA: f64 = 0.1;
+
 /// Holt double-exponential smoothing: tracks a *level* and a *trend*, so
 /// steadily growing (or shrinking) demand is anticipated instead of
 /// lagged — the failure mode of plain EWMA under monotone drift.
 ///
 /// Input-agnostic like [`EwmaEstimator`]; predictions are
-/// `level + trend` (one step ahead), clamped at zero.
-#[derive(Debug, Clone)]
+/// `level + trend` (one step ahead), clamped at zero. The level smooths
+/// with factor 0.3, the trend with 0.1.
+#[derive(Debug, Clone, Default)]
 pub struct HoltEstimator {
-    alpha: f64,
-    beta: f64,
     level: f64,
     trend: f64,
     count: u64,
-}
-
-impl HoltEstimator {
-    /// Creates an estimator with level-smoothing `alpha` and
-    /// trend-smoothing `beta`, both in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either factor is outside `(0, 1]`.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0, 1]");
-        HoltEstimator { alpha, beta, level: 0.0, trend: 0.0, count: 0 }
-    }
-}
-
-impl Default for HoltEstimator {
-    fn default() -> Self {
-        Self::new(0.3, 0.1)
-    }
 }
 
 impl DemandEstimator for HoltEstimator {
@@ -294,8 +246,8 @@ impl DemandEstimator for HoltEstimator {
             }
             _ => {
                 let prev_level = self.level;
-                self.level = self.alpha * x + (1.0 - self.alpha) * (self.level + self.trend);
-                self.trend = self.beta * (self.level - prev_level) + (1.0 - self.beta) * self.trend;
+                self.level = HOLT_ALPHA * x + (1.0 - HOLT_ALPHA) * (self.level + self.trend);
+                self.trend = HOLT_BETA * (self.level - prev_level) + (1.0 - HOLT_BETA) * self.trend;
             }
         }
         self.count += 1;
@@ -314,43 +266,25 @@ impl DemandEstimator for HoltEstimator {
     }
 }
 
+/// [`HybridEstimator`]'s r² switch-over threshold.
+const HYBRID_R2_THRESHOLD: f64 = 0.7;
+/// Observations [`HybridEstimator`] takes before it may switch over.
+const HYBRID_WARMUP: u64 = 10;
+
 /// Hybrid estimator: uses the regression when the input correlation is
-/// strong (r² above a threshold after a warm-up), otherwise the EWMA.
-#[derive(Debug, Clone)]
+/// strong (r² at least 0.7 after a 10-observation warm-up), otherwise the
+/// EWMA.
+#[derive(Debug, Clone, Default)]
 pub struct HybridEstimator {
     ewma: EwmaEstimator,
     regression: RegressionEstimator,
-    r2_threshold: f64,
-    warmup: u64,
 }
 
 impl HybridEstimator {
-    /// Creates a hybrid with the given r² switch-over threshold and
-    /// warm-up observation count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r2_threshold` is outside `[0, 1]`.
-    pub fn new(r2_threshold: f64, warmup: u64) -> Self {
-        assert!((0.0..=1.0).contains(&r2_threshold), "threshold must be in [0, 1]");
-        HybridEstimator {
-            ewma: EwmaEstimator::default(),
-            regression: RegressionEstimator::new(),
-            r2_threshold,
-            warmup,
-        }
-    }
-
     /// Whether the regression branch is currently active.
     pub fn using_regression(&self) -> bool {
-        self.regression.observations() >= self.warmup
-            && self.regression.r_squared().is_some_and(|r2| r2 >= self.r2_threshold)
-    }
-}
-
-impl Default for HybridEstimator {
-    fn default() -> Self {
-        Self::new(0.7, 10)
+        self.regression.observations() >= HYBRID_WARMUP
+            && self.regression.r_squared().is_some_and(|r2| r2 >= HYBRID_R2_THRESHOLD)
     }
 }
 
@@ -396,7 +330,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_to_stationary_mean() {
-        let mut e = EwmaEstimator::new(0.3);
+        let mut e = EwmaEstimator::default();
         for _ in 0..100 {
             e.observe(obs(0, 1000));
         }
@@ -406,7 +340,7 @@ mod tests {
 
     #[test]
     fn ewma_tracks_level_shift() {
-        let mut e = EwmaEstimator::new(0.5);
+        let mut e = EwmaEstimator::default();
         for _ in 0..20 {
             e.observe(obs(0, 100));
         }
@@ -419,7 +353,7 @@ mod tests {
 
     #[test]
     fn quantile_is_conservative() {
-        let mut e = QuantileEstimator::new(0.9, 100);
+        let mut e = QuantileEstimator::default();
         for i in 1..=100u64 {
             e.observe(obs(0, i));
         }
@@ -429,14 +363,16 @@ mod tests {
 
     #[test]
     fn quantile_window_slides() {
-        let mut e = QuantileEstimator::new(0.5, 10);
-        for _ in 0..50 {
-            e.observe(obs(0, 1));
-        }
-        for _ in 0..10 {
+        // The 100-observation window: a full window of small values
+        // pushes every high one out, so even the 90th percentile drops.
+        let mut e = QuantileEstimator::default();
+        for _ in 0..100 {
             e.observe(obs(0, 1000));
         }
-        assert_eq!(e.predict(DataSize::ZERO), Cycles::new(1000), "old values left the window");
+        for _ in 0..100 {
+            e.observe(obs(0, 1));
+        }
+        assert_eq!(e.predict(DataSize::ZERO), Cycles::new(1), "old values left the window");
     }
 
     #[test]
@@ -494,12 +430,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn bad_alpha_panics() {
-        let _ = EwmaEstimator::new(0.0);
-    }
-
-    #[test]
     fn holt_anticipates_linear_growth() {
         let mut holt = HoltEstimator::default();
         let mut ewma = EwmaEstimator::default();
@@ -527,7 +457,7 @@ mod tests {
 
     #[test]
     fn holt_clamps_negative_extrapolation() {
-        let mut holt = HoltEstimator::new(0.9, 0.9);
+        let mut holt = HoltEstimator::default();
         holt.observe(obs(0, 10_000));
         holt.observe(obs(0, 100));
         holt.observe(obs(0, 0));

@@ -14,7 +14,7 @@ use crate::estimator::{
 /// Which estimator family to instantiate per component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EstimatorKind {
-    /// [`EwmaEstimator`] with default smoothing.
+    /// [`EwmaEstimator`] (smoothing factor 0.2).
     Ewma,
     /// [`QuantileEstimator`] (p90 over a 100-observation window).
     Quantile,

@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --example cicd_rollout`
 
-use ntc_cicd::{Outcome, Pipeline, PipelineConfig, ReleaseSpec, Stage};
+use ntc_cicd::{Outcome, Pipeline, ReleaseSpec, Stage};
 use ntc_simcore::rng::RngStream;
 use ntc_workloads::Archetype;
 
 fn main() {
-    let mut pipeline = Pipeline::new(PipelineConfig::default(), RngStream::root(2024));
+    let mut pipeline = Pipeline::new(RngStream::root(2024));
     let graph = Archetype::ReportRendering.graph();
 
     let releases = [
@@ -43,7 +43,6 @@ fn main() {
                     "  => ROLLED BACK: canary measured {regression:.2}x the last good demand (SLO 1.5x)\n"
                 );
             }
-            Outcome::Failed { stage } => println!("  => FAILED at {stage}\n"),
         }
         assert!(
             report.stage(Stage::Partition).is_some(),
