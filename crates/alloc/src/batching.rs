@@ -75,7 +75,9 @@ pub fn latest_safe_dispatch(
 /// Computes the dispatch instant for a job under `policy`.
 ///
 /// Never returns earlier than `arrival`, and never later than the latest
-/// safe dispatch for the given estimate and margin.
+/// safe dispatch for the given estimate and margin. Every window boundary
+/// it considers is at or after `arrival`, and
+/// [`latest_safe_dispatch`] is too, so neither bound needs a clamp here.
 pub fn dispatch_time(
     policy: DispatchPolicy,
     arrival: SimTime,
@@ -92,7 +94,7 @@ pub fn dispatch_time(
             }
             let w = window.as_micros();
             let next_boundary = SimTime::from_micros(arrival.as_micros().div_ceil(w) * w);
-            next_boundary.min(latest).max(arrival)
+            next_boundary.min(latest)
         }
         DispatchPolicy::OffPeak { window } => {
             if window.is_zero() {
@@ -106,13 +108,13 @@ pub fn dispatch_time(
             let mut steps = 0u32;
             while candidate <= latest && steps < 100_000 {
                 if in_off_peak_band(candidate) {
-                    return candidate.max(arrival);
+                    return candidate;
                 }
                 candidate += window;
                 steps += 1;
             }
             // Band unreachable within the slack: behave like Windowed.
-            first_boundary.min(latest).max(arrival)
+            first_boundary.min(latest)
         }
     }
 }
@@ -198,6 +200,8 @@ mod tests {
                         DispatchPolicy::Immediate,
                         DispatchPolicy::Windowed { window: SimDuration::from_mins(15) },
                         DispatchPolicy::OffPeak { window: SimDuration::from_mins(15) },
+                        DispatchPolicy::Windowed { window: SimDuration::ZERO },
+                        DispatchPolicy::OffPeak { window: SimDuration::ZERO },
                     ] {
                         let arrival = SimTime::from_secs(a);
                         let slack = SimDuration::from_secs(s);
@@ -226,6 +230,12 @@ mod tests {
         let policy = DispatchPolicy::OffPeak { window: SimDuration::from_hours(1) };
         let d = dispatch_time(policy, arrival, SimDuration::from_hours(24), EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(24 * 3600), "released at midnight");
+        // Arrive at 20:00 with a slack whose latest safe dispatch is
+        // midnight exactly: that boundary is still in reach.
+        let arrival = SimTime::from_secs(20 * 3600);
+        let slack = SimDuration::from_hours(4) + EST + MARGIN;
+        let d = dispatch_time(policy, arrival, slack, EST, MARGIN);
+        assert_eq!(d, SimTime::from_secs(24 * 3600), "released at the latest instant");
     }
 
     #[test]
@@ -246,6 +256,13 @@ mod tests {
         let d = dispatch_time(policy, arrival, slack, EST, MARGIN);
         assert_eq!(d, SimTime::from_secs(8 * 3600 + 1800), "windowed fallback");
         assert!(d + EST + MARGIN <= arrival + slack);
+        // The walk gives up after 100 000 windows: at a quarter-second
+        // window, midnight is 172 800 windows past noon, so a noon arrival
+        // behaves like Windowed although its day of slack reaches the band.
+        let noon = SimTime::from_secs(12 * 3600);
+        let policy = DispatchPolicy::OffPeak { window: SimDuration::from_millis(250) };
+        let d = dispatch_time(policy, noon, SimDuration::from_hours(24), EST, MARGIN);
+        assert_eq!(d, noon, "the walk is bounded");
     }
 
     #[test]

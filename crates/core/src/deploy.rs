@@ -13,7 +13,7 @@ use ntc_partition::{
 };
 use ntc_profiler::{AppProfiler, EstimatorKind};
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::units::{round_to_u64, Cycles, DataSize, SimDuration};
+use ntc_simcore::units::{round_to_u64, ClockSpeed, Cycles, DataSize, SimDuration};
 use ntc_taskgraph::{ComponentId, TaskGraph};
 use ntc_workloads::Archetype;
 
@@ -169,6 +169,13 @@ fn train_profiler(graph: &TaskGraph, archetype: Archetype, rng: &RngStream) -> A
     profiler
 }
 
+/// Whether `work` runs within `budget` at `speed`, the limit included:
+/// the planner's one test of a memory size or a chunk against a time
+/// limit.
+fn runs_within(speed: ClockSpeed, work: Cycles, budget: SimDuration) -> bool {
+    speed.execution_time(work) <= budget
+}
+
 /// Estimates the sequential completion time of one job under a plan:
 /// device execution + remote execution at the chosen memory + boundary
 /// transfers + the result return. Transfers run at `share_override` of
@@ -266,11 +273,8 @@ pub fn deploy(
             } else {
                 DispatchPolicy::Immediate
             };
-            let interarrival = if rate_per_sec > 0.0 {
-                SimDuration::from_secs_f64((1.0 / rate_per_sec).min(3.15e7))
-            } else {
-                SimDuration::from_hours(24 * 365)
-            };
+            // About a year at most, which a zero rate's infinite gap meets.
+            let interarrival = SimDuration::from_secs_f64((1.0 / rate_per_sec).min(3.15e7));
             let warm = if site.is_serverless() {
                 recommend(interarrival, env.platform.keep_alive.idle_ttl())
             } else {
@@ -296,23 +300,20 @@ pub fn deploy(
     let batch_input = input * expected_members;
 
     // What the profiler learned about each component, relative to its
-    // annotation (drift recovery), floored at a quarter.
+    // annotation (drift recovery).
     let learned_ratio: Vec<f64> = graph
         .ids()
         .map(|id| {
             let ann_single = graph.component(id).demand_cycles(input).get().max(1);
-            (demands[id.index()].get() as f64 / ann_single as f64).max(0.25)
+            demands[id.index()].get() as f64 / ann_single as f64
         })
         .collect();
 
     // --- C2: memory sizes, dimensioned for the expected batch: the
     // cheapest size that runs it within the component's share of half
-    // the slack, or the fastest one for zero-slack jobs. ---
-    let budget = if slack.is_zero() {
-        SimDuration::from_micros(1)
-    } else {
-        slack.mul_f64(0.5 / plan.offloaded().count().max(1) as f64)
-    };
+    // the slack, or the fastest one for zero-slack jobs (no size meets a
+    // zero budget). ---
+    let budget = slack.mul_f64(0.5 / plan.offloaded().count().max(1) as f64);
     let memory: Vec<DataSize> = match policy {
         // C2 disabled: the platform's untuned default size.
         OffloadPolicy::Ntc(cfg) if !cfg.use_allocator && site.is_serverless() => {
@@ -329,8 +330,9 @@ pub fn deploy(
                         .component(id)
                         .batch_demand_cycles(expected_members, batch_input)
                         .get();
+                    // At least 1: a batch carries at least one job.
                     let factor = ann_batch as f64 / ann_single as f64;
-                    let work = demands[id.index()].mul_f64(factor.max(1.0));
+                    let work = demands[id.index()].mul_f64(factor);
                     // Timeout safety must also survive a lone tail-input
                     // job with worst-case demand noise (~2x).
                     let tail_work = graph
@@ -351,13 +353,18 @@ pub fn deploy(
                     // function timeout.
                     let mut pick = cheapest.memory.max(graph.component(id).memory());
                     let timeout_guard = |m: DataSize| {
-                        site.execution_speed(env, m).execution_time(guard_work)
-                            <= SimDuration::from_mins(10)
+                        runs_within(
+                            site.execution_speed(env, m),
+                            guard_work,
+                            SimDuration::from_mins(10),
+                        )
                     };
                     if !timeout_guard(pick) {
+                        // Speed does not fall with memory, so only a
+                        // larger size can pass where `pick` fails.
                         let bumped = standard_sizes()
                             .into_iter()
-                            .find(|&candidate| candidate > pick && timeout_guard(candidate));
+                            .find(|&candidate| timeout_guard(candidate));
                         // No ladder size is safe: take the largest.
                         pick = bumped.unwrap_or(DataSize::from_mib(10240)).max(pick);
                     }
@@ -433,21 +440,22 @@ pub fn deploy(
             // Input-proportional demand bounds the chunk's total bytes.
             if model.per_input_byte > 0.0 {
                 let cycles_budget = speed.as_hz() as f64 * budget_secs / noise_margin - model.fixed;
-                let cap = (cycles_budget / model.per_input_byte).max(0.0) as u64;
+                // `as` saturates: a negative budget caps at 0 bytes.
+                let cap = (cycles_budget / model.per_input_byte) as u64;
                 byte_cap = byte_cap.min(cap);
             }
             // Non-batchable fixed demand bounds the member count directly.
             let mut k = 1u64;
             while k < 64 {
                 let w = graph.component(id).batch_demand_cycles(k + 1, input * (k + 1));
-                if speed.execution_time(w) > budget {
+                if !runs_within(speed, w, budget) {
                     break;
                 }
                 k += 1;
             }
             member_cap = member_cap.min(k);
         }
-        (member_cap.max(1) as u32, DataSize::from_bytes(byte_cap))
+        (member_cap as u32, DataSize::from_bytes(byte_cap))
     } else {
         (u32::MAX, DataSize::from_bytes(u64::MAX))
     };
@@ -539,6 +547,19 @@ mod tests {
         assert!(d.plan.offloaded().count() >= 1, "the 60 Gcyc simulate step must offload");
         assert!(matches!(d.dispatch, DispatchPolicy::Windowed { .. }));
         assert!(d.est_completion > SimDuration::ZERO);
+        // Components kept on the device are not sized by the allocator.
+        for id in d.graph.ids().filter(|&id| d.plan.side(id) == Side::Device) {
+            assert_eq!(d.memory[id.index()], DEFAULT_MEMORY);
+        }
+        // Zero-slack jobs are never held, so never windowed.
+        let a = Archetype::SciSweep;
+        let d = deploy(&OffloadPolicy::ntc(), a, &env(), 0.01, SimDuration::ZERO, &rng());
+        assert_eq!(d.dispatch, DispatchPolicy::Immediate);
+        // A stream at rate 0 (`ntc plan --rate 0`) is windowed, and its
+        // batches are sized and estimated as one job.
+        let d = deploy(&OffloadPolicy::ntc(), a, &env(), 0.0, a.typical_slack(), &rng());
+        assert!(matches!(d.dispatch, DispatchPolicy::Windowed { .. }));
+        assert!(d.est_completion > SimDuration::ZERO);
     }
 
     #[test]
@@ -573,6 +594,24 @@ mod tests {
         for id in no_alloc.graph.ids() {
             let floor = no_alloc.graph.component(id).memory();
             assert_eq!(no_alloc.memory[id.index()], UNTUNED_MEMORY.max(floor));
+        }
+        // The untuned size is the serverless platform's: an edge service
+        // keeps the default size either way.
+        let edge_no_alloc = deploy(
+            &OffloadPolicy::Ntc(NtcConfig {
+                use_allocator: false,
+                primary_backend: Backend::Edge,
+                ..Default::default()
+            }),
+            Archetype::ReportRendering,
+            &env(),
+            0.05,
+            Archetype::ReportRendering.typical_slack(),
+            &rng(),
+        );
+        for id in edge_no_alloc.graph.ids() {
+            let floor = edge_no_alloc.graph.component(id).memory();
+            assert_eq!(edge_no_alloc.memory[id.index()], DEFAULT_MEMORY.max(floor));
         }
     }
 
@@ -630,6 +669,15 @@ mod tests {
         let cloud = ntc_on(Backend::Cloud, 0.05);
         assert!(matches!(cloud.dispatch, DispatchPolicy::Windowed { .. }));
         assert!((1..=64).contains(&cloud.max_batch_members), "{}", cloud.max_batch_members);
+    }
+
+    /// A size or a chunk that takes exactly its time limit passes it.
+    #[test]
+    fn a_budget_is_met_at_its_limit() {
+        let speed = ClockSpeed::from_ghz_tenths(10);
+        let budget = SimDuration::from_secs(150);
+        assert!(runs_within(speed, Cycles::from_giga(150), budget));
+        assert!(!runs_within(speed, Cycles::from_giga(150) + Cycles::new(1), budget));
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!   through the registry with breaker-aware site selection, and
 //!   `hedge_fire`'s deadline-budgeted hedged requests for stragglers;
 //! * `recovery` — `recover`: retry backoff and fallback down the site
-//!   chain, skipping sites whose breaker is Open;
+//!   chain (the breakers are asked where a site is invoked, in `exec`
+//!   and `hedge_fire`, not by the walk);
 //! * `accounting` — energy, cost, per-site health ledgers, `settle` and
 //!   report assembly.
 //!

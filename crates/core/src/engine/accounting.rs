@@ -37,17 +37,7 @@ impl HealthMap {
 
     /// Whether any health mechanism is on for this run.
     pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled() && !self.sites.is_empty()
-    }
-
-    /// Whether breaker-aware site selection is on.
-    pub(crate) fn breakers(&self) -> bool {
-        self.enabled() && self.cfg.breakers
-    }
-
-    /// Whether dispatch-time admission control is on.
-    pub(crate) fn admission(&self) -> bool {
-        self.enabled() && self.cfg.admission
+        self.cfg.enabled()
     }
 
     /// The run's health tunables.
@@ -69,8 +59,8 @@ impl HealthMap {
     /// breaker admits a request at `t`, or `None` when every breaker
     /// refuses. The scan stops at the first admitting site, so at most
     /// one HalfOpen probe slot is handed out per call. With breakers off
-    /// every site admits: the answer is `from` itself, while it is on the
-    /// chain.
+    /// every site admits: the answer is `from` itself, which every caller
+    /// keeps on the chain.
     #[inline]
     pub(crate) fn first_admitting(
         &mut self,
@@ -78,8 +68,8 @@ impl HealthMap {
         from: usize,
         t: SimTime,
     ) -> Option<usize> {
-        if !self.breakers() {
-            return (from < chain.len()).then_some(from);
+        if !self.cfg.breakers {
+            return Some(from);
         }
         (from..chain.len()).find(|&i| self.site_mut(chain[i]).check(t) != Admission::Unavailable)
     }
@@ -108,6 +98,9 @@ pub(crate) struct Accounting {
     pub device_energy: Energy,
     pub bytes_up: DataSize,
     pub bytes_down: DataSize,
+    /// Retries after a backoff, summed over jobs: each job counts its
+    /// batch's largest per-component retry count.
+    pub retries: u64,
     /// The overload layer's counters; `breaker_transitions` is filled in
     /// from the health ledger at assembly.
     pub overload: OverloadStats,
@@ -121,6 +114,7 @@ impl Default for Accounting {
             device_energy: Energy::ZERO,
             bytes_up: DataSize::ZERO,
             bytes_down: DataSize::ZERO,
+            retries: 0,
             overload: OverloadStats::default(),
         }
     }
@@ -173,6 +167,7 @@ impl Accounting {
             Outcomes::Aggregates(a) => (Vec::new(), std::mem::take(a)),
         };
         jobs.iter().for_each(|j| _ = totals.count(j));
+        totals.total_retries = self.retries;
         totals.finalize();
         let aggregates = matches!(self.outcomes, Outcomes::Aggregates(_)).then(|| totals.clone());
         let completions_per_hour =
@@ -240,8 +235,9 @@ impl Run<'_> {
         states.failed[bi] = cause.is_some();
         let comps = states.range(bi);
         let attempts = states.attempts[comps].iter().copied().max().unwrap_or(0).max(1);
-        let backoff = states.batch_backoff(bi);
+        let (backoff, retries) = states.batch_retries(bi);
         let ctx = self.ctx;
+        self.acct.retries += u64::from(retries) * ctx.members(bi).len() as u64;
         // Every member was keyed on the batch's dispatch instant.
         let dispatched = ctx.batches[bi].dispatch_at;
         for &ji in ctx.members(bi) {

@@ -79,10 +79,10 @@ pub(crate) struct BatchStates {
     pub ready_at: Vec<SimTime>,
     /// Per component: execution attempts (0 = never attempted).
     pub attempts: Vec<u32>,
-    /// Summed retry backoff of each component that retried, keyed by
-    /// its per-component index. Sparse: most components never retry,
-    /// and a fault-free run leaves the map empty.
-    pub backoff: BTreeMap<u32, SimDuration>,
+    /// Summed retry backoff and retry count of each component that
+    /// retried, keyed by its per-component index. Sparse: most components
+    /// never retry, and a fault-free run leaves the map empty.
+    pub retried: BTreeMap<u32, (SimDuration, u32)>,
     /// Per component: the side it actually last executed on (for routing
     /// its outputs after a mid-graph fallback).
     pub exec_side: Vec<Side>,
@@ -167,20 +167,22 @@ impl BatchStates {
         self.chain_pos[bi] = pos as u8;
     }
 
-    /// Adds `backoff` to component `cix`'s summed retry backoff.
-    pub fn add_backoff(&mut self, cix: usize, backoff: SimDuration) {
-        *self.backoff.entry(cix as u32).or_default() += backoff;
+    /// Records one retry of component `cix` after `backoff`.
+    pub fn add_retry(&mut self, cix: usize, backoff: SimDuration) {
+        let (sum, count) = self.retried.entry(cix as u32).or_default();
+        *sum += backoff;
+        *count += 1;
     }
 
-    /// Batch `bi`'s retry backoff: the largest of its components' sums,
-    /// not their total, so it never exceeds the batch's latency.
-    pub fn batch_backoff(&self, bi: usize) -> SimDuration {
-        if self.backoff.is_empty() {
-            return SimDuration::ZERO;
-        }
+    /// Batch `bi`'s retry backoff and retry count: the largest of its
+    /// components' sums and counts, not their totals, so the backoff never
+    /// exceeds the batch's latency and the count is per job, as
+    /// `attempts` is.
+    pub fn batch_retries(&self, bi: usize) -> (SimDuration, u32) {
         let r = self.range(bi);
-        let sums = self.backoff.range(r.start as u32..r.end as u32);
-        sums.map(|(_, &b)| b).max().unwrap_or(SimDuration::ZERO)
+        let retried = self.retried.range(r.start as u32..r.end as u32);
+        retried
+            .fold((SimDuration::ZERO, 0), |(b, n), (_, &(sum, count))| (b.max(sum), n.max(count)))
     }
 
     /// Re-initialises for a fresh run over `batches`, reusing every
@@ -236,7 +238,7 @@ impl BatchStates {
         refill(&mut self.chain_pos, n, 0);
         refill(&mut self.fallbacks, n, 0);
         refill(&mut self.deferrals, n, 0);
-        self.backoff.clear();
+        self.retried.clear();
     }
 }
 
@@ -289,8 +291,8 @@ impl Run<'_> {
     /// is on; the decision is a pure function of the health ledger and
     /// the batch's deadline slack, so replays are bit-identical.
     #[inline]
-    fn admission_verdict(&self, t: SimTime, bi: usize) -> Verdict {
-        if !self.health.admission() {
+    pub(super) fn admission_verdict(&self, t: SimTime, bi: usize) -> Verdict {
+        if !self.health.cfg().admission {
             return Verdict::Admit;
         }
         let ctx = self.ctx;
@@ -427,7 +429,9 @@ pub(crate) fn coalesce_into(
 /// Local fallback: a batch whose offloaded completion estimate (which
 /// reserves for outages, chunking and noise) cannot meet its tightest
 /// member deadline — but whose device execution can — runs entirely on
-/// the members' own devices. Refills `out` with one flag per batch.
+/// the members' own devices. Refills `out` with one flag per batch. A
+/// plan that offloads nothing may be overridden too: its components run
+/// on the device either way.
 pub(crate) fn local_overrides_into(
     env: &Environment,
     deployments: &[Deployment],
@@ -439,7 +443,7 @@ pub(crate) fn local_overrides_into(
     out.clear();
     out.extend(batches.iter().enumerate().map(|(bi, b)| {
         let d = &deployments[b.di as usize];
-        if !d.fallback_local || d.plan.offloaded().count() == 0 {
+        if !d.fallback_local {
             return false;
         }
         let min_deadline = min_deadline(jobs, members_of(batches, members, bi));

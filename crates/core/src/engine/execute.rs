@@ -14,7 +14,7 @@ use ntc_workloads::Job;
 
 use super::{Ev, HedgePending, Ping, Run};
 use crate::deploy::Deployment;
-use crate::site::{Site, SiteRegistry, SiteRole};
+use crate::site::{Site, SiteRegistry};
 
 /// Provisions every deployment's offloaded components on every remote
 /// site of its preference chain: the primary hosts the live functions or
@@ -32,9 +32,8 @@ pub(crate) fn provision_deployments(
         let remote = d.remote_sites();
         sites.attach(remote[0]);
         for comp in d.plan.offloaded() {
-            for (ci, &site) in remote.iter().enumerate() {
-                let role = if ci == 0 { SiteRole::Primary } else { SiteRole::Mirror };
-                if let Some(period) = sites.provision(site, di, d, comp, role) {
+            for &site in remote {
+                if let Some(period) = sites.provision(site, di, d, comp) {
                     let pi = u32::try_from(pings.len()).expect("ping count fits in u32");
                     pings.push((di, comp, period));
                     sim.schedule_after(period, Ev::Ping(pi));

@@ -1,7 +1,6 @@
 //! Recovery: acting on classified attempt failures — deterministic waits,
 //! retry with decorrelated-jitter backoff, and fallback down the
-//! deployment's site-preference chain (preferring sites whose breaker
-//! admits when the health layer is on).
+//! deployment's site-preference chain.
 
 use ntc_faults::{backoff, ErrorClass, FailureCause};
 use ntc_simcore::rng::RngStream;
@@ -37,7 +36,7 @@ impl Run<'_> {
             ErrorClass::Retryable if self.ctx.retry => {
                 let cix = self.states.ix(bi, comp);
                 let wait = backoff(rng, comp, self.states.attempts[cix]);
-                self.states.add_backoff(cix, wait);
+                self.states.add_retry(cix, wait);
                 self.sim.schedule_after(DETECT + wait, Ev::exec(bi, comp));
             }
             ErrorClass::Retryable | ErrorClass::Fallback => {
@@ -50,17 +49,14 @@ impl Run<'_> {
     /// Advances the batch to the next site in its preference chain (every
     /// later site mirrors the deployment's offloaded components, and the
     /// device serves anything), or fails it when the chain is exhausted.
-    /// With breakers on, sites whose breaker refuses admission are
-    /// skipped — falling back onto a site that is known-bad burns the
-    /// attempt the walk was trying to save — but the walk fails open:
-    /// when every later breaker refuses, the next site is taken anyway,
-    /// so the health layer can never fail a batch the plain walk would
-    /// have saved.
+    /// The walk asks no breaker: the re-execution, [`DETECT`] later,
+    /// starts at the first site from the new position whose breaker
+    /// admits it (`exec`'s selection). A breaker asked here as well would
+    /// hand out a HalfOpen probe slot that `exec`'s second question then
+    /// refuses, and the slot would stay taken for the rest of the run.
     fn fall_back_or_fail(&mut self, t: SimTime, bi: usize, comp: ComponentId, cause: FailureCause) {
-        let chain = &self.ctx.deployment(bi).site_chain;
         let next = self.states.chain_pos(bi) + 1;
-        if next < chain.len() {
-            let next = self.health.first_admitting(chain, next, t).unwrap_or(next);
+        if next < self.ctx.deployment(bi).site_chain.len() {
             self.states.set_chain_pos(bi, next);
             self.states.fallbacks[bi] += 1;
             self.sim.schedule_after(DETECT, Ev::exec(bi, comp));

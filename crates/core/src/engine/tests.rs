@@ -15,6 +15,43 @@ fn photo_specs(rate: f64) -> [StreamSpec; 1] {
     [StreamSpec::poisson(Archetype::PhotoPipeline, rate)]
 }
 
+/// Runs `f` on a `Run` over what a finished run under `env` left in its
+/// scratch `s` (deployments, batches, ledgers, a drained calendar) and a
+/// fresh site registry, to replay one decision of the loop in a state
+/// the test sets up.
+fn replay<R>(
+    env: &Environment,
+    s: &mut crate::engine::RunScratch,
+    f: impl FnOnce(&mut crate::engine::Run<'_>) -> R,
+) -> R {
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::SimTime;
+
+    let rng = RngStream::root(7).derive("engine");
+    let ctx = crate::engine::RunCtx {
+        env,
+        deployments: &s.deployments,
+        jobs: &s.jobs,
+        batches: &s.batches,
+        members: &s.members,
+        local_override: &s.local_override,
+        pings: &s.pings,
+        retry: true,
+        horizon_end: SimTime::ZERO + SimDuration::from_hours(1),
+    };
+    f(&mut crate::engine::Run {
+        ctx: &ctx,
+        sites: crate::site::SiteRegistry::standard(env, &rng),
+        sim: &mut s.sim,
+        states: &mut s.states,
+        acct: &mut s.acct,
+        noise: &mut s.noise,
+        health: &mut s.health,
+        health_rng: rng.derive("health"),
+        hedges: &mut s.hedges,
+    })
+}
+
 #[test]
 fn all_jobs_complete_under_every_policy() {
     let e = engine();
@@ -72,6 +109,22 @@ fn edge_all_pays_infrastructure_even_when_idle() {
     let r = e.run(&OffloadPolicy::EdgeAll, &photo_specs(0.001), SimDuration::from_hours(1));
     assert!(r.edge_cost > ntc_simcore::units::Money::ZERO);
     assert_eq!(r.cloud_cost, ntc_simcore::units::Money::ZERO);
+}
+
+/// Provisioned concurrency, NTC's warming on a platform that reaps at
+/// once, is billed to the horizon even when the run drains earlier: here
+/// no job arrives at all.
+#[test]
+fn provisioned_concurrency_is_billed_to_the_horizon() {
+    let mut env = Environment::metro_reference();
+    env.platform.keep_alive = ntc_serverless::KeepAlive::None;
+    let e = Engine::new(env, 7);
+    let cost = |hours| {
+        let r = e.run(&OffloadPolicy::ntc(), &photo_specs(0.0), SimDuration::from_hours(hours));
+        assert_eq!(r.job_count(), 0);
+        r.cloud_cost
+    };
+    assert!(cost(2) > cost(1) && cost(1) > ntc_simcore::units::Money::ZERO);
 }
 
 #[test]
@@ -301,6 +354,129 @@ fn a_batch_shed_to_the_device_runs_every_component_there() {
         .fold(DataSize::ZERO, |a, b| a + b);
     assert_eq!(r.bytes_up, admitted_up);
     assert_eq!(r.failures(), 0);
+}
+
+/// An unbatched NTC run under admission control with every health
+/// switch but admission off, over `specs` for two hours at seed 7.
+fn admission_run(
+    specs: &[StreamSpec],
+    queue_bound: u32,
+    defer_step: SimDuration,
+) -> (crate::report::RunResult, crate::engine::RunScratch) {
+    use crate::engine::{JobRetention, RunScratch};
+    let health = ntc_faults::HealthConfig {
+        admission: true,
+        queue_bound,
+        defer_step,
+        ..ntc_faults::HealthConfig::disabled()
+    };
+    let policy =
+        OffloadPolicy::Ntc(crate::NtcConfig { use_batching: false, health, ..Default::default() });
+    let mut scratch = RunScratch::new();
+    let horizon = SimDuration::from_hours(2);
+    let r = engine().run_retained(7, &policy, specs, horizon, &mut scratch, JobRetention::Full);
+    (r, scratch)
+}
+
+/// Admission asks no queue about a batch that runs on its members'
+/// devices: one under the local override (video transcodes whose tenth
+/// of the usual slack the remote estimate cannot keep), or one whose plan
+/// offloads nothing (doc indexing at this rate). Neither is deferred or
+/// shed while a busy photo stream keeps the one-slot cloud saturated.
+#[test]
+fn batches_on_the_device_skip_admission() {
+    let specs = [
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.05),
+        StreamSpec::poisson(Archetype::VideoTranscode, 0.01).with_slack_factor(0.01),
+        StreamSpec::poisson(Archetype::DocIndexing, 0.01),
+    ];
+    let (r, s) = admission_run(&specs, 1, SimDuration::from_mins(10));
+    let o = r.overload.as_ref().expect("health layer on");
+    assert!(o.sheds > 0 && o.deferrals > 0, "saturation idle: {o:?}");
+    let local = |bi: usize| s.deployments[s.batches[bi].di as usize].plan.offloaded().count() == 0;
+    let overridden = (0..s.batches.len()).filter(|&bi| s.local_override[bi]).count();
+    let nothing_offloaded = (0..s.batches.len()).filter(|&bi| local(bi)).count();
+    assert!(overridden > 0 && nothing_offloaded > 0, "{overridden}, {nothing_offloaded}");
+    for bi in (0..s.batches.len()).filter(|&bi| s.local_override[bi] || local(bi)) {
+        assert_eq!((s.states.deferrals[bi], s.states.chain_pos(bi)), (0, 0), "batch {bi}");
+    }
+}
+
+/// A batch defers at most `MAX_DEFERRALS` (24) times, which also keeps
+/// its `u8` count from wrapping: under a one-slot cloud held by
+/// minutes-long science sweeps, a one-second defer step and a day of
+/// slack, some batches use every deferral, and their 25th dispatch sheds
+/// or admits.
+#[test]
+fn deferrals_stop_at_the_cap() {
+    let specs = [StreamSpec::poisson(Archetype::SciSweep, 0.02)];
+    let (r, s) = admission_run(&specs, 1, SimDuration::from_secs(1));
+    let most = s.states.deferrals.iter().copied().max().unwrap_or(0);
+    assert_eq!(most, 24, "{:?}", r.overload);
+}
+
+/// Admission's tests to the microsecond, replayed on one edge-primary
+/// log-analytics batch: it is admitted while its dispatch instant, plus the site's
+/// queue-delay estimate, its completion estimate and
+/// [`COMPLETION_MARGIN`](crate::engine::admission::COMPLETION_MARGIN),
+/// still meets its deadline, and shed a microsecond later; on a
+/// saturated site it is deferred while one more defer step fits the same
+/// way, and shed once it has used `MAX_DEFERRALS` (24), unless it is at
+/// its chain's last site.
+#[test]
+fn admission_keeps_the_queue_delay_and_the_margin_to_the_microsecond() {
+    use ntc_faults::health::MIN_SAMPLES;
+    use ntc_faults::HealthConfig;
+    use ntc_simcore::units::SimTime;
+
+    use crate::engine::admission::{members_of, min_deadline, Verdict, COMPLETION_MARGIN};
+    use crate::engine::{JobRetention, RunScratch};
+
+    let env = Environment::metro_reference();
+    let health = HealthConfig { admission: true, queue_bound: 2, ..HealthConfig::disabled() };
+    let policy = OffloadPolicy::Ntc(crate::NtcConfig {
+        use_batching: false,
+        primary_backend: Backend::Edge,
+        health,
+        ..Default::default()
+    });
+    let specs = [StreamSpec::poisson(Archetype::LogAnalytics, 0.01)];
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    engine().run_retained(7, &policy, &specs, horizon, &mut s, JobRetention::Full);
+    let bi = (0..s.batches.len()).find(|&bi| !s.local_override[bi]).expect("a remote batch");
+    let (est, site) = (s.deployments[0].est_completion, s.deployments[0].site_chain[0]);
+    let deadline = min_deadline(&s.jobs, members_of(&s.batches, &s.members, bi));
+    // The latest admissible instant, as a duration since the epoch.
+    let latest = deadline - SimTime::ZERO - est - COMPLETION_MARGIN;
+    let at = |since: SimDuration| SimTime::ZERO + since;
+    s.health.reset(health);
+    s.states.set_chain_pos(bi, 0);
+    s.states.deferrals[bi] = 0;
+    let us = SimDuration::from_micros(1);
+    replay(&env, &mut s, |run| {
+        assert_eq!(run.admission_verdict(at(latest), bi), Verdict::Admit);
+        assert_eq!(run.admission_verdict(at(latest + us), bi), Verdict::Shed(1));
+        // One invocation ahead, on a site with eight 100 s observations.
+        for _ in 0..MIN_SAMPLES {
+            run.health.site_mut(site).record_success(SimDuration::from_secs(100));
+        }
+        run.health.site_mut(site).enter();
+        let wait = run.health.site(site).queue_delay(site.concurrency(&env));
+        assert!(wait > SimDuration::ZERO);
+        assert_eq!(run.admission_verdict(at(latest - wait), bi), Verdict::Admit);
+        assert_eq!(run.admission_verdict(at(latest - wait + us), bi), Verdict::Shed(1));
+        run.health.site_mut(site).enter();
+        let step = run.health.cfg().defer_step;
+        assert_eq!(run.admission_verdict(at(latest - step), bi), Verdict::Defer(step));
+        assert_eq!(run.admission_verdict(at(latest - step + us), bi), Verdict::Shed(1));
+        run.states.deferrals[bi] = 24;
+        assert_eq!(run.admission_verdict(at(latest - step), bi), Verdict::Shed(1));
+    });
+    // With no later site to shed to, the batch is admitted where it is.
+    s.deployments[0].site_chain.truncate(1);
+    let admitted = replay(&env, &mut s, |run| run.admission_verdict(at(latest), bi));
+    assert_eq!(admitted, Verdict::Admit);
 }
 
 // --- Job retention modes. ---
@@ -669,28 +845,27 @@ fn faulty_env(rate: f64) -> Environment {
     env
 }
 
+/// Every job records one attempt, including a local-only job whose
+/// batch invokes no remote site (attempts never fall below 1).
 #[test]
 fn fault_free_runs_record_single_attempts() {
     use crate::engine::{JobRetention, RunScratch};
     let mut scratch = RunScratch::new();
     let specs = photo_specs(0.02);
     let horizon = SimDuration::from_hours(1);
-    let r = engine().run_retained(
-        7,
-        &OffloadPolicy::ntc(),
-        &specs,
-        horizon,
-        &mut scratch,
-        JobRetention::Full,
-    );
-    assert!(scratch.states.backoff.is_empty(), "{:?}", scratch.states.backoff);
-    for j in &r.jobs {
-        assert_eq!(j.attempts, 1);
-        assert_eq!(j.backoff, SimDuration::ZERO);
-        assert_eq!(j.fallbacks, 0);
-        assert!(j.cause.is_none());
+    for policy in [OffloadPolicy::ntc(), OffloadPolicy::LocalOnly] {
+        let r =
+            engine().run_retained(7, &policy, &specs, horizon, &mut scratch, JobRetention::Full);
+        assert!(scratch.states.retried.is_empty(), "{:?}", scratch.states.retried);
+        assert!(!r.jobs.is_empty(), "{policy}");
+        for j in &r.jobs {
+            assert_eq!(j.attempts, 1, "{policy}");
+            assert_eq!(j.backoff, SimDuration::ZERO);
+            assert_eq!(j.fallbacks, 0);
+            assert!(j.cause.is_none());
+        }
+        assert_eq!(r.total_retries(), 0);
     }
-    assert_eq!(r.total_retries(), 0);
 }
 
 #[test]
@@ -707,13 +882,17 @@ fn a_batch_backs_off_for_its_largest_component_sum() {
         &mut scratch,
         JobRetention::Full,
     );
-    let mut pinned = 0;
+    let (mut pinned, mut retries) = (0, 0);
     for bi in 0..scratch.batches.len() {
         let comps = scratch.states.range(bi);
-        let sums: Vec<SimDuration> =
-            comps.filter_map(|cix| scratch.states.backoff.get(&(cix as u32)).copied()).collect();
+        let retried: Vec<(SimDuration, u32)> =
+            comps.filter_map(|cix| scratch.states.retried.get(&(cix as u32)).copied()).collect();
+        let sums: Vec<SimDuration> = retried.iter().map(|&(sum, _)| sum).collect();
         let largest = sums.iter().copied().max().unwrap_or(SimDuration::ZERO);
-        for &ji in members_of(&scratch.batches, &scratch.members, bi) {
+        let members = members_of(&scratch.batches, &scratch.members, bi);
+        let most = retried.iter().map(|&(_, count)| count).max().unwrap_or(0);
+        retries += u64::from(most) * members.len() as u64;
+        for &ji in members {
             assert_eq!(r.jobs[ji as usize].backoff, largest, "job {ji}");
         }
         if sums.len() >= 2 {
@@ -724,6 +903,41 @@ fn a_batch_backs_off_for_its_largest_component_sum() {
         }
     }
     assert!(pinned > 0, "no batch retried two components");
+    assert_eq!(r.total_retries(), retries, "a job counts its batch's most-retried component");
+}
+
+/// Retries are re-executions after a backoff, so policies that never
+/// retry report none under an hourly edge outage and transient faults,
+/// although they re-execute after each outage wait (more attempts than
+/// jobs). NTC with retries on does retry, and every retry is an attempt.
+#[test]
+fn policies_that_never_retry_report_no_retries() {
+    let mut env = faulty_env(0.05);
+    env.faults.site_availability.insert(
+        "edge".to_string(),
+        ntc_net::ConnectivityTrace::new(
+            SimDuration::from_hours(1),
+            vec![(SimDuration::ZERO, true), (SimDuration::from_mins(48), false)],
+        ),
+    );
+    let e = Engine::new(env, 7);
+    let edge = |retry: bool| {
+        OffloadPolicy::Ntc(crate::NtcConfig {
+            retry,
+            fallback: false,
+            primary_backend: Backend::Edge,
+            ..Default::default()
+        })
+    };
+    let horizon = SimDuration::from_hours(3);
+    for policy in [OffloadPolicy::EdgeAll, edge(false)] {
+        let r = e.run(&policy, &photo_specs(0.05), horizon);
+        assert!(r.total_attempts() > r.job_count(), "{policy}: no outage wait");
+        assert_eq!(r.total_retries(), 0, "{policy}");
+    }
+    let r = e.run(&edge(true), &photo_specs(0.05), horizon);
+    assert!(r.total_retries() > 0);
+    assert!(r.total_retries() <= r.total_attempts() - r.job_count());
 }
 
 #[test]
@@ -836,6 +1050,318 @@ fn edge_outage_without_fallback_fails_jobs() {
     let r = e.run(&policy, &photo_specs(0.02), SimDuration::from_hours(2));
     assert!(r.failures() > 0);
     assert!(r.failure_causes().contains_key("edge-outage"));
+}
+
+// --- Hedging. ---
+
+/// A hedge delay that elapses after another component failed the batch
+/// launches no duplicate: it only releases the primary's queue slot. The
+/// decision is replayed over what a finished edge-primary run leaves.
+#[test]
+fn a_failed_batch_launches_no_hedge_duplicate() {
+    use ntc_faults::HealthConfig;
+    use ntc_simcore::units::SimTime;
+
+    use crate::engine::{HedgePending, JobRetention, RunScratch};
+    use crate::site::Site;
+
+    let env = Environment::metro_reference();
+    let policy = OffloadPolicy::Ntc(crate::NtcConfig {
+        use_batching: false,
+        primary_backend: Backend::Edge,
+        health: HealthConfig { hedge: true, ..HealthConfig::disabled() },
+        ..Default::default()
+    });
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    let e = Engine::new(env.clone(), 7);
+    e.run_retained(7, &policy, &photo_specs(0.02), horizon, &mut s, JobRetention::Full);
+    let comp = s.deployments[0].plan.offloaded().next().expect("photo offloads");
+    let (bi, t) = (0, SimTime::from_secs(1));
+    let cix = s.states.ix(bi, comp);
+    s.states.failed[bi] = true;
+    s.states.inflight_site[cix] = Some(Site::Edge);
+    s.health.site_mut(Site::Edge).enter();
+    let primary_finish = t + SimDuration::from_mins(1);
+    s.hedges.insert((bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
+    replay(&env, &mut s, |run| {
+        run.hedge_fire(t, bi, comp);
+        assert_eq!(run.acct.overload.hedges, 0, "a duplicate was launched");
+        assert_eq!(run.health.site(Site::Edge).in_flight(), 0, "the primary's slot is kept");
+        assert_eq!(run.states.inflight_site[cix], None);
+        assert!(run.sim.step().is_none(), "something was scheduled");
+    });
+}
+
+/// Replays one hedge race on batch 0 of `s`, an edge-primary photo run
+/// under hedging: its first offloaded component straggles on the edge
+/// with its primary due at `primary_finish`, the batch is at chain
+/// position `pos`, and the hedge delay elapses at `t`. The duplicate goes
+/// to the cloud, provisioned as a run provisions it. Returns the hedges
+/// won and lost, the batch's chain position after, and how long after
+/// `t` the completion is scheduled.
+fn hedge_race(
+    s: &mut crate::engine::RunScratch,
+    t: ntc_simcore::units::SimTime,
+    pos: usize,
+    primary_finish: ntc_simcore::units::SimTime,
+) -> (u64, u64, usize, SimDuration) {
+    use ntc_faults::HealthConfig;
+
+    use crate::engine::execute::provision_deployments;
+    use crate::engine::HedgePending;
+    use crate::site::Site;
+
+    let env = Environment::metro_reference();
+    let comp = s.deployments[0].plan.offloaded().next().expect("photo offloads");
+    let bi = 0;
+    let cix = s.states.ix(bi, comp);
+    s.health.reset(HealthConfig { hedge: true, ..HealthConfig::disabled() });
+    s.acct.overload = Default::default();
+    s.states.failed[bi] = false;
+    s.states.set_chain_pos(bi, pos);
+    s.states.inflight_site[cix] = Some(Site::Edge);
+    s.hedges.insert((bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
+    replay(&env, s, |run| {
+        provision_deployments(run.ctx.deployments, &mut run.sites, run.sim, &mut Vec::new());
+        while run.sim.step().is_some() {}
+        run.health.site_mut(Site::Edge).enter();
+        run.hedge_fire(t, bi, comp);
+        let now = run.sim.now();
+        let (at, _) = run.sim.step().expect("a completion is scheduled");
+        let o = &run.acct.overload;
+        (o.hedges_won, o.hedges_lost, run.states.chain_pos(bi), at - now)
+    })
+}
+
+/// An edge-primary photo run under hedging at seed 7, for
+/// [`hedge_race`].
+fn hedged_scratch() -> crate::engine::RunScratch {
+    use ntc_faults::HealthConfig;
+
+    use crate::engine::{JobRetention, RunScratch};
+
+    let policy = OffloadPolicy::Ntc(crate::NtcConfig {
+        use_batching: false,
+        primary_backend: Backend::Edge,
+        health: HealthConfig { hedge: true, ..HealthConfig::disabled() },
+        ..Default::default()
+    });
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    engine().run_retained(7, &policy, &photo_specs(0.02), horizon, &mut s, JobRetention::Full);
+    s
+}
+
+/// A duplicate wins only by finishing strictly before the primary: a
+/// tie to the microsecond goes to the primary, which was submitted first.
+#[test]
+fn a_hedge_tie_goes_to_the_primary() {
+    use ntc_simcore::units::SimTime;
+
+    let mut s = hedged_scratch();
+    let t = SimTime::from_secs(1);
+    let far = t + SimDuration::from_hours(1);
+    let (won, lost, _, latency) = hedge_race(&mut s, t, 0, far);
+    assert_eq!((won, lost), (1, 0), "the duplicate beats a primary an hour out");
+    let (won, lost, _, _) = hedge_race(&mut s, t, 0, t + latency);
+    assert_eq!((won, lost), (0, 1), "a tie goes to the primary");
+    let us = SimDuration::from_micros(1);
+    let (won, lost, _, _) = hedge_race(&mut s, t, 0, t + latency + us);
+    assert_eq!((won, lost), (1, 0), "a microsecond earlier wins");
+}
+
+/// A duplicate that wins routes the batch's later flows over its site,
+/// but never moves the batch back up its chain: another component may
+/// already have fallen back further (here, to the device).
+#[test]
+fn a_hedge_win_never_moves_its_batch_back_up_the_chain() {
+    use ntc_simcore::units::SimTime;
+
+    let mut s = hedged_scratch();
+    let t = SimTime::from_secs(1);
+    let far = t + SimDuration::from_hours(1);
+    let (won, _, pos, _) = hedge_race(&mut s, t, 0, far);
+    assert_eq!((won, pos), (1, 1), "a win from the primary moves to the cloud");
+    let (won, _, pos, _) = hedge_race(&mut s, t, 2, far);
+    assert_eq!((won, pos), (1, 2), "a batch already on the device stays there");
+}
+
+// --- A batch's last steps. ---
+
+/// Runs the photo pipeline under NTC for an hour at seed 7 and returns
+/// the scratch with batch 0's entry component (on the device) and its
+/// first successor.
+fn finished_photo_run(
+) -> (crate::engine::RunScratch, ntc_taskgraph::ComponentId, ntc_taskgraph::ComponentId) {
+    use crate::engine::{JobRetention, RunScratch};
+
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    let policy = OffloadPolicy::ntc();
+    engine().run_retained(7, &policy, &photo_specs(0.02), horizon, &mut s, JobRetention::Full);
+    let graph = &s.deployments[0].graph;
+    let entry = graph.entries()[0];
+    let next = graph.flows_from(entry).next().expect("the entry has a successor").to;
+    (s, entry, next)
+}
+
+/// Once a batch has failed, nothing more of it runs or moves: a
+/// component whose inputs arrive (`exec`) starts nothing, and one that
+/// finishes (`done`) delivers no output, so a failed batch schedules no
+/// more work.
+#[test]
+fn a_failed_batch_runs_and_routes_nothing_more() {
+    use ntc_simcore::units::SimTime;
+
+    let (mut s, entry, next) = finished_photo_run();
+    let (bi, t) = (0, SimTime::from_secs(1));
+    let ti = s.states.ix(bi, next);
+    s.states.failed[bi] = true;
+    s.states.remaining_preds[ti] = 1;
+    replay(&Environment::metro_reference(), &mut s, |run| {
+        run.exec(t, bi, entry);
+        run.done(t, bi, entry);
+        assert!(run.sim.step().is_none(), "a failed batch scheduled work");
+    });
+    assert_eq!(s.states.remaining_preds[ti], 1, "an output was delivered");
+}
+
+/// A component starts when its latest input lands, whatever order its
+/// inputs are routed in: one that lands before an input already routed
+/// does not pull the start forward.
+#[test]
+fn a_component_waits_for_its_latest_input() {
+    use ntc_simcore::units::SimTime;
+
+    let (mut s, entry, next) = finished_photo_run();
+    let (bi, t) = (0, SimTime::from_secs(1));
+    let ti = s.states.ix(bi, next);
+    let late = t + SimDuration::from_hours(5);
+    s.states.failed[bi] = false;
+    s.states.remaining_preds[ti] = 1;
+    s.states.ready_at[ti] = late;
+    let wait = replay(&Environment::metro_reference(), &mut s, |run| {
+        run.done(t, bi, entry);
+        let now = run.sim.now();
+        let (at, _) = run.sim.step().expect("the successor is released");
+        at - now
+    });
+    assert_eq!(wait, late - t, "released before its latest input");
+    assert_eq!(s.states.ready_at[ti], late);
+}
+
+/// A batch settles once, when its last exit lands, at the latest of its
+/// exits' finishes (an exit recorded later may land earlier: its return
+/// transfer is shorter). A later settle, say for a straggler's failure,
+/// changes nothing.
+#[test]
+fn a_batch_settles_once_at_its_latest_exit() {
+    use ntc_faults::FailureCause;
+    use ntc_simcore::units::SimTime;
+
+    let (mut s, _, _) = finished_photo_run();
+    let (bi, early, late) = (0, SimTime::from_secs(10), SimTime::from_secs(20));
+    s.states.finished[bi] = false;
+    s.states.failed[bi] = false;
+    s.states.outstanding_exits[bi] = 2;
+    s.states.finish[bi] = SimTime::ZERO;
+    s.acct.reset(s.jobs.len(), crate::engine::JobRetention::Full);
+    replay(&Environment::metro_reference(), &mut s, |run| {
+        run.record_exit(bi, late);
+        assert!(!run.states.finished[bi], "settled before its last exit");
+        run.record_exit(bi, early);
+        run.settle(bi, SimTime::from_secs(30), Some(FailureCause::Timeout));
+    });
+    assert_eq!(s.states.finish[bi], late, "settled at an earlier exit");
+    assert!(s.states.finished[bi] && !s.states.failed[bi], "settled twice");
+}
+
+// --- Breaker probe slots. ---
+
+/// The breakers are asked once per invocation. A batch that falls back
+/// onto a HalfOpen site asks when it re-executes there and gets the
+/// probe, and its outcome closes the breaker. A second question from
+/// the same batch (the old fallback walk asked before `exec` asked
+/// again) would take the slot and then be refused it, leaving the site
+/// HalfOpen with nobody to resolve the probe.
+#[test]
+fn a_fallback_onto_a_half_open_site_spends_its_probe() {
+    use ntc_faults::health::{COOLDOWN_CAP, FAILURE_THRESHOLD};
+    use ntc_faults::{BreakerState, HealthConfig};
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::SimTime;
+
+    use crate::engine::accounting::HealthMap;
+    use crate::site::Site;
+
+    let chain = [Site::Edge, Site::Cloud, Site::Device];
+    let mut health = HealthMap::default();
+    health.reset(HealthConfig { breakers: true, ..HealthConfig::disabled() });
+    let trip = |health: &mut HealthMap, at: SimTime| {
+        for _ in 0..FAILURE_THRESHOLD {
+            health.site_mut(Site::Cloud).record_failure(at, &RngStream::root(7));
+        }
+        at + COOLDOWN_CAP
+    };
+    let cooled = trip(&mut health, SimTime::from_secs(10));
+    assert_eq!(health.first_admitting(&chain, 1, cooled), Some(1), "the re-execution probes");
+    assert_eq!(health.first_admitting(&chain, 1, cooled), Some(2), "one slot per HalfOpen site");
+    health.site_mut(Site::Cloud).record_success(SimDuration::from_secs(1));
+    assert_eq!(health.site(Site::Cloud).state(), BreakerState::Closed);
+
+    let cooled = trip(&mut health, cooled);
+    assert_eq!(health.first_admitting(&chain, 1, cooled), Some(1), "a walk that asks");
+    let later = [SimDuration::from_millis(500), SimDuration::from_hours(5)];
+    for wait in later {
+        assert_eq!(health.first_admitting(&chain, 1, cooled + wait), Some(2), "{wait}");
+    }
+    assert_eq!(health.site(Site::Cloud).state(), BreakerState::HalfOpen, "stranded");
+}
+
+/// Under a dead edge and a cloud that is down for the first ten
+/// minutes of every hour, batches fall back from the edge onto the
+/// cloud while the cloud's breaker cycles through Open and HalfOpen.
+/// Every probe slot handed out is resolved by an invocation, so once the
+/// run drains no breaker is left HalfOpen, and the cloud, up when the
+/// last batches ran, ends Closed.
+#[test]
+fn every_probe_slot_is_resolved_by_its_invocation() {
+    use ntc_faults::{BreakerState, HealthConfig};
+    use ntc_net::ConnectivityTrace;
+
+    use crate::engine::{JobRetention, RunScratch};
+    use crate::site::Site;
+
+    let mut env = Environment::metro_reference();
+    let hour = SimDuration::from_hours(1);
+    let down = vec![(SimDuration::ZERO, false)];
+    env.faults.site_availability.insert("edge".into(), ConnectivityTrace::new(hour, down));
+    let cloud = vec![(SimDuration::ZERO, false), (SimDuration::from_mins(10), true)];
+    env.faults.site_availability.insert("cloud".into(), ConnectivityTrace::new(hour, cloud));
+    let policy = OffloadPolicy::Ntc(crate::NtcConfig {
+        primary_backend: Backend::Edge,
+        use_batching: false,
+        health: HealthConfig { breakers: true, ..HealthConfig::disabled() },
+        ..Default::default()
+    });
+    let mut scratch = RunScratch::new();
+    let horizon = SimDuration::from_hours(6);
+    let r = Engine::new(env, 7).run_retained(
+        7,
+        &policy,
+        &photo_specs(0.02),
+        horizon,
+        &mut scratch,
+        JobRetention::Full,
+    );
+    for site in [Site::Edge, Site::Cloud] {
+        assert_ne!(scratch.health.site(site).state(), BreakerState::HalfOpen, "{site}");
+    }
+    assert_eq!(scratch.health.site(Site::Cloud).state(), BreakerState::Closed);
+    let o = r.overload.as_ref().expect("health layer on");
+    assert!(o.breaker_transitions["cloud"] >= 6, "{:?}", o.breaker_transitions);
+    assert!(r.total_fallbacks() > 0);
 }
 
 // --- Coalescing. ---
@@ -1075,6 +1601,18 @@ mod batch_state {
     }
 
     #[test]
+    #[should_panic(expected = "batch state counts predecessors and exits as u8: graph `fan-out`")]
+    fn a_fan_out_past_u8_exits_is_refused() {
+        let mut b = TaskGraphBuilder::new("fan-out");
+        let source = b.add_component(Component::new("source"));
+        for i in 0..256 {
+            let exit = b.add_component(Component::new(format!("x{i}")));
+            b.add_flow(source, exit, LinearModel::constant(1.0));
+        }
+        check_u8_counts(&b.build().expect("a valid DAG"));
+    }
+
+    #[test]
     #[should_panic(
         expected = "dispatch starts entry components on the device: `photo-pipeline`'s plan"
     )]
@@ -1085,4 +1623,57 @@ mod batch_state {
         let plan = PartitionPlan::new(vec![Side::Cloud; d.graph.len()]);
         BatchStates::default().reset(&[Deployment { plan, ..d }], &[], false);
     }
+}
+
+// --- The local override. ---
+
+/// The pre-dispatch override, case by case, for one job dispatched at
+/// once: a remote estimate of 10 min and a device estimate of 2 min, each
+/// with [`COMPLETION_MARGIN`](crate::engine::admission::COMPLETION_MARGIN)
+/// (1 min) on top, and the outage ahead of the batch added to the remote
+/// reserve.
+#[test]
+fn the_local_override_needs_a_remote_miss_and_a_local_fit() {
+    use ntc_net::ConnectivityTrace;
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::SimTime;
+    use ntc_workloads::Job;
+
+    use crate::deploy::{deploy, Deployment};
+    use crate::engine::admission::{local_overrides_into, Batch};
+
+    let mins = |m: f64| SimDuration::from_secs_f64(m * 60.0);
+    let mut env = Environment::metro_reference();
+    let a = Archetype::LogAnalytics;
+    let d = deploy(&OffloadPolicy::ntc(), a, &env, 0.01, a.typical_slack(), &RngStream::root(7));
+    let d = Deployment { est_completion: mins(10.0), est_local: mins(2.0), ..d };
+    let overridden = |env: &Environment, d: &Deployment, slack: SimDuration| {
+        let job = Job {
+            id: 0,
+            key: 7,
+            archetype: a,
+            arrival: SimTime::ZERO,
+            input: DataSize::from_mib(1),
+            slack,
+        };
+        let batch = Batch {
+            di: 0,
+            members_start: 0,
+            dispatch_at: SimTime::ZERO,
+            sum_input: job.input,
+            key: job.key,
+        };
+        let mut out = Vec::new();
+        local_overrides_into(env, std::slice::from_ref(d), &[job], &[batch], &[0], &mut out);
+        out[0]
+    };
+    assert!(!overridden(&env, &d, mins(2.5)), "local cannot keep the margin");
+    assert!(overridden(&env, &d, mins(3.5)), "local keeps it, remote cannot");
+    assert!(overridden(&env, &d, mins(10.5)), "remote cannot keep the margin");
+    assert!(!overridden(&env, &d, mins(11.5)), "remote keeps it");
+    let no_fallback = Deployment { fallback_local: false, ..d.clone() };
+    assert!(!overridden(&env, &no_fallback, mins(3.5)), "the policy has no local fallback");
+    let outage = vec![(SimDuration::ZERO, false), (mins(5.0), true)];
+    env.connectivity = ConnectivityTrace::new(SimDuration::from_hours(1), outage);
+    assert!(overridden(&env, &d, mins(11.5)), "the outage ahead breaks the remote reserve");
 }

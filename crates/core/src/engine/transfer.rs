@@ -30,22 +30,17 @@ pub(super) fn return_key(comp: ComponentId, site: Site) -> impl Key + Copy {
 }
 
 /// Scales a transfer duration by the drop penalty `faults` inject for
-/// `key` under the batch's stream `rng`. A fault-free config leaves the
-/// duration untouched without even hashing the key; the key's spelling
-/// is part of the reproducibility contract, since the answer is derived
-/// by hashing it.
+/// `key` under the batch's stream `rng` (1.0, which leaves it unchanged,
+/// without a drop). A fault-free config answers without even hashing the
+/// key; the key's spelling is part of the reproducibility contract, since
+/// the answer is derived by hashing it.
 fn faulty_transfer(
     dur: SimDuration,
     faults: &FaultConfig,
     rng: &RngStream,
     key: impl Key,
 ) -> SimDuration {
-    let penalty = faults.transfer_penalty(rng, key);
-    if penalty > 1.0 {
-        dur.mul_f64(penalty)
-    } else {
-        dur
-    }
+    dur.mul_f64(faults.transfer_penalty(rng, key))
 }
 
 impl Run<'_> {

@@ -68,4 +68,4 @@ pub use report::{
 pub use runner::{
     across, default_threads, run_replications, run_sweep, run_sweep_with, MetricSummary,
 };
-pub use site::{Site, SiteRegistry, SiteRole};
+pub use site::{Site, SiteRegistry};

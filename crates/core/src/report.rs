@@ -32,8 +32,10 @@ pub struct JobResult {
     /// Whether a cloud/edge failure lost the job.
     pub failed: bool,
     /// Remote executions of the job's batch: the most any one component
-    /// made, and at least 1. Re-executions after a backoff, an outage wait
-    /// (`ErrorClass::WaitUntil`) or a fallback hop to a remote site count.
+    /// made, and at least 1. Every remote execution counts: the first, a
+    /// retry after a backoff, and a re-execution after an outage wait
+    /// (`ErrorClass::WaitUntil`) or a fallback hop to a remote site.
+    /// [`RunResult::total_retries`] counts only the retries.
     pub attempts: u32,
     /// Time the job's batch spent waiting in retry backoff (the maximum
     /// cumulative backoff across components, so it never exceeds
@@ -150,6 +152,12 @@ pub struct RunAggregates {
     pub total_backoff: SimDuration,
     /// Total backend fallback switches.
     pub total_fallbacks: u64,
+    /// Total retries after a backoff (see [`RunResult::total_retries`]).
+    /// A [`JobResult`] does not carry them, so the engine sets this once
+    /// the run's jobs are counted, and counting a job leaves it alone.
+    /// Left out of the report.
+    #[json(skip)]
+    pub total_retries: u64,
     /// Lost-job counts per failure cause, sorted by cause name.
     pub failure_causes: Vec<CauseCount>,
     /// Whole-run latency sketch.
@@ -319,12 +327,15 @@ impl RunResult {
         self.totals.total_attempts
     }
 
-    /// Total retries: attempts beyond each job's first. Every job records
-    /// at least one attempt, so this is the attempts in excess of the
-    /// job count: the re-executions after an outage wait or a fallback
-    /// hop count too, not only backoff retries.
+    /// Total retries: the re-executions that recovery schedules after a
+    /// backoff, for a retryable failure under a retrying policy. Each job
+    /// counts its batch's largest per-component retry count, as
+    /// [`attempts`](JobResult::attempts) does. A re-execution after an
+    /// outage wait (`ErrorClass::WaitUntil`) or a fallback hop is an
+    /// attempt but not a retry; [`total_fallbacks`](Self::total_fallbacks)
+    /// counts the hops.
     pub fn total_retries(&self) -> u64 {
-        self.totals.total_attempts.saturating_sub(self.totals.jobs)
+        self.totals.total_retries
     }
 
     /// Total time jobs spent waiting in retry backoff.
@@ -592,7 +603,7 @@ mod tests {
         b.cause = Some(FailureCause::Timeout);
         let r = run(vec![a, b]);
         assert_eq!(r.total_attempts(), 8);
-        assert_eq!(r.total_retries(), 6);
+        assert_eq!(r.total_retries(), 0, "retries are the engine's count, not attempts − jobs");
         assert_eq!(r.total_backoff(), SimDuration::from_secs(10));
         assert_eq!(r.total_fallbacks(), 1);
         let causes = r.failure_causes();

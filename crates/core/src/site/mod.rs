@@ -225,16 +225,6 @@ impl From<Backend> for Site {
     }
 }
 
-/// Why a component is being provisioned on a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteRole {
-    /// The deployment's first-choice site.
-    Primary,
-    /// A standby mirror, provisioned so a failure on an earlier chain
-    /// entry can re-route mid-run. Mirrors are never kept warm.
-    Mirror,
-}
-
 /// What a remote site registered for each provisioned component, indexed
 /// densely by deployment, then component: a lookup on every invocation
 /// and every chain walk is two bounds-checked loads, not a hash.
@@ -306,14 +296,15 @@ impl SiteRegistry {
     /// Provisions `comp` of deployment `di` on `site`: a function on the
     /// cloud, a service installing from t = 0 on the edge, nothing on the
     /// device. Returns the keep-warm ping period the engine should
-    /// schedule, if the primary's strategy uses a warmer.
+    /// schedule, if the deployment's strategy uses a warmer. Only a
+    /// serverless primary's deployment is warmed, so a cloud mirror
+    /// behind an edge primary never is.
     pub fn provision(
         &mut self,
         site: Site,
         di: usize,
         d: &Deployment,
         comp: ComponentId,
-        role: SiteRole,
     ) -> Option<SimDuration> {
         let artifact = d.graph.component(comp).artifact_size();
         match site {
@@ -324,16 +315,12 @@ impl SiteRegistry {
                 let config = FunctionConfig::new(d.memory[comp.index()]);
                 let f = self.platform.register(config.with_artifact_size(artifact));
                 self.fns.insert(di, comp, f);
-                if role == SiteRole::Primary {
-                    match d.warm {
-                        WarmStrategy::Provisioned { count } => {
-                            self.platform.set_provisioned(SimTime::ZERO, f, count);
-                        }
-                        WarmStrategy::Warmer { period } if !period.is_zero() => {
-                            return Some(period)
-                        }
-                        _ => {}
+                match d.warm {
+                    WarmStrategy::Provisioned { count } => {
+                        self.platform.set_provisioned(SimTime::ZERO, f, count);
                     }
+                    WarmStrategy::Warmer { period } if !period.is_zero() => return Some(period),
+                    _ => {}
                 }
             }
             Site::Edge => {

@@ -7,7 +7,7 @@
 //! — so a new `Site` variant inherits the whole suite (and joins
 //! [`fixture`]'s provisioning loop if it needs provisioning).
 
-use ntc_core::{deploy, Deployment, Environment, OffloadPolicy, Site, SiteRegistry, SiteRole};
+use ntc_core::{deploy, Deployment, Environment, OffloadPolicy, Site, SiteRegistry};
 use ntc_faults::{ErrorClass, FailureCause, FaultConfig};
 use ntc_net::ConnectivityTrace;
 use ntc_simcore::rng::RngStream;
@@ -42,7 +42,7 @@ fn fixture(seed: u64) -> Fixture {
         let comp = d.plan.offloaded().next().expect("full offload has offloaded components");
         let site = d.site_chain[0];
         registry.attach(site);
-        registry.provision(site, di, d, comp, SiteRole::Primary);
+        registry.provision(site, di, d, comp);
     }
     Fixture { registry, deployments }
 }

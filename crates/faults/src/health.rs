@@ -293,11 +293,10 @@ impl SiteHealth {
     /// observation. Neither the failure-rate EWMA, the latency EWMA nor
     /// the consecutive-failure run moves — a cancelled duplicate says
     /// nothing about the site's health. Only the probe slot is released
-    /// if the cancelled request was the HalfOpen probe.
+    /// if the cancelled request was the HalfOpen probe (the flag is read
+    /// only while HalfOpen).
     pub fn record_cancelled(&mut self) {
-        if self.state == BreakerState::HalfOpen && self.probe_outstanding {
-            self.probe_outstanding = false;
-        }
+        self.probe_outstanding = false;
     }
 
     /// Marks one invocation as entering this site's bounded queue.
@@ -333,7 +332,9 @@ impl SiteHealth {
         if !self.cfg.hedge || self.samples < MIN_SAMPLES {
             return None;
         }
-        let p99 = self.latency_us + HEDGE_QUANTILE * self.latency_var_us2.max(0.0).sqrt();
+        // The variance EWMA moves a fraction `EWMA_ALPHA` < 1 of the way
+        // from a non-negative value to a square, so it never falls below 0.
+        let p99 = self.latency_us + HEDGE_QUANTILE * self.latency_var_us2.sqrt();
         Some(SimDuration::from_micros(round_to_u64(p99)).max(HEDGE_MIN_DELAY))
     }
 
@@ -362,7 +363,6 @@ impl SiteHealth {
         self.opens = self.opens.saturating_add(1);
         self.state = BreakerState::Open;
         self.transitions += 1;
-        self.probe_outstanding = false;
         let (base, cap) = (COOLDOWN_BASE.as_micros(), COOLDOWN_CAP.as_micros());
         let hi = base.saturating_mul(2u64.saturating_pow(self.opens.min(40))).min(cap);
         let mut r = rng.derive(("cooldown-", self.site, "-", self.opens));
@@ -541,12 +541,15 @@ mod tests {
         h.enter();
         h.enter();
         assert_eq!(h.queue_delay(1), SimDuration::ZERO, "no samples, no estimate");
-        for _ in 0..8 {
+        for _ in 1..MIN_SAMPLES {
             h.record_success(SimDuration::from_secs(10));
         }
+        assert_eq!(h.queue_delay(1), SimDuration::ZERO, "seven samples are still a guess");
+        h.record_success(SimDuration::from_secs(10));
         let two_deep = h.queue_delay(1);
         assert!(two_deep >= SimDuration::from_secs(19), "2 in flight × ~10 s each: {two_deep}");
         assert!(h.queue_delay(2) < two_deep, "wider sites queue less");
+        assert_eq!(h.queue_delay(0), h.queue_delay(1), "a zero-width site counts one slot");
         h.leave();
         assert!(h.queue_delay(1) < two_deep, "draining shortens the estimate");
         h.leave();
@@ -563,6 +566,11 @@ mod tests {
         assert!(h.saturated());
         h.leave();
         assert!(!h.saturated());
+        // A zero bound admits one invocation, as a bound of one does.
+        let mut h = SiteHealth::new("edge", HealthConfig { queue_bound: 0, ..cfg() });
+        assert!(!h.saturated());
+        h.enter();
+        assert!(h.saturated());
     }
 
     #[test]

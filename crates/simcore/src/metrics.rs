@@ -156,18 +156,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.counts.resize(BUCKET_COUNT, 0);
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -219,30 +207,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.mean(), 20.0);
-    }
-
-    #[test]
-    fn histogram_merge_equals_combined() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in 0..500u64 {
-            let v = v * 7 + 3;
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.mean(), both.mean());
-        assert_eq!(a.value_at_quantile(0.9), both.value_at_quantile(0.9));
-        // An empty histogram holds no buckets until it merges or records.
-        let mut empty = Histogram::new();
-        empty.merge(&both);
-        assert_eq!(empty.value_at_quantile(0.9), both.value_at_quantile(0.9));
     }
 
     #[test]

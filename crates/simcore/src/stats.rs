@@ -64,24 +64,6 @@ impl Welford {
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-    }
 }
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `sorted` using linear
@@ -230,30 +212,6 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..37] {
-            left.record(x);
-        }
-        for &x in &xs[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.sample_variance() - all.sample_variance()).abs() < 1e-9);
-        // Merging an empty accumulator is a no-op.
-        let before = left;
-        left.merge(&Welford::new());
-        assert_eq!(left, before);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use ntc_check::prelude::*;
 use ntc_simcore::event::EventQueue;
 use ntc_simcore::metrics::Histogram;
 use ntc_simcore::rng::RngStream;
-use ntc_simcore::stats::{quantile, Welford};
+use ntc_simcore::stats::quantile;
 use ntc_simcore::units::{Bandwidth, DataSize, Money, SimDuration, SimTime};
 
 proptest! {
@@ -66,32 +66,6 @@ proptest! {
         }
         let exact = values.iter().sum::<u64>() as f64 / values.len() as f64;
         prop_assert!((h.mean() - exact).abs() < 1e-6);
-    }
-
-    /// Welford merge is order-independent and matches a single pass.
-    #[test]
-    fn welford_merge_is_associative(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..100),
-        ys in prop::collection::vec(-1e6f64..1e6, 1..100),
-    ) {
-        let mut all = Welford::new();
-        for &x in xs.iter().chain(&ys) {
-            all.record(x);
-        }
-        let mut a = Welford::new();
-        for &x in &xs {
-            a.record(x);
-        }
-        let mut b = Welford::new();
-        for &y in &ys {
-            b.record(y);
-        }
-        a.merge(&b);
-        prop_assert!((a.mean() - all.mean()).abs() < 1e-6 * all.mean().abs().max(1.0));
-        prop_assert!(
-            (a.sample_variance() - all.sample_variance()).abs()
-                < 1e-6 * all.sample_variance().abs().max(1.0)
-        );
     }
 
     /// quantile() is monotone in q and bounded by min/max.
