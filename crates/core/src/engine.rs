@@ -17,7 +17,7 @@
 //! handler mutates (environment, deployments, jobs, batches) through one
 //! `&RunCtx`. Its methods are the handlers, one per event — `dispatch`,
 //! `exec`, `done`, `ping` and `hedge_fire` — and the steps they share:
-//! `recover` and its fallback walk, `record_exit` and `settle`. Each
+//! `recover` and its fallback walk, and `settle`. Each
 //! lives in the submodule of its concern:
 //!
 //! * [`admission`](self) — job coalescing into batches, latest-safe
@@ -25,7 +25,9 @@
 //!   overload-aware admission control (defer delay-tolerant batches,
 //!   shed tight-deadline ones down the chain);
 //! * `transfer` — `done`: congestion- and outage-aware flow and
-//!   result-return timing plus faulty-transfer injection;
+//!   result-return timing plus faulty-transfer injection, releasing each
+//!   successor when its inputs have landed and settling the batch when
+//!   its exit's result has;
 //! * `execute` — provisioning, `ping`, and `exec`'s per-site invocation
 //!   through the registry with breaker-aware site selection, and
 //!   `hedge_fire`'s deadline-budgeted hedged requests for stragglers;
@@ -72,8 +74,9 @@
 //! of job indices that every batch slices (with the `batch_of` buffer
 //! that fills it),
 //! the coalescing key map, the keep-warm ping table, per-batch and
-//! per-component state (retry backoff only for the components that
-//! retried), result slots and the event calendar. A fresh run allocates
+//! per-component state (arrivals only for partly delivered joins, retry
+//! backoff only for the components that retried), result slots and the
+//! event calendar. A fresh run allocates
 //! them once; reusing the scratch across runs (as
 //! [`run_retained`](Engine::run_retained) encourages and the sweep runner
 //! does per worker thread) re-fills the same allocations, so steady-state
@@ -105,8 +108,12 @@
 //! coalescing checks once that the job count (and with it the batch count
 //! and every member offset) fits, and the per-batch state checks the
 //! component total when it sizes its arrays. Counts that a graph's shape
-//! or a constant bounds (predecessors, exits, fallbacks, deferrals) are
-//! `u8`, and the calendar is sized once for the up-front dispatches.
+//! or a constant bounds are `u8`: a partly delivered join's inputs still
+//! due (`BatchStates::reset` checks every in-degree), a batch's fallbacks
+//! (fewer than its chain is long) and its deferrals (capped). State is
+//! kept only where a graph's shape needs it: a component with one input
+//! holds no arrival slot, and a batch no exit count, since every graph
+//! has one exit. The calendar is sized once for the up-front dispatches.
 
 mod accounting;
 mod admission;
@@ -180,7 +187,7 @@ pub(crate) enum Ev {
 }
 
 const _: () = assert!(size_of::<Ev>() <= 12);
-const _: () = assert!(ntc_simcore::event::EventQueue::<Ev>::BYTES_PER_EVENT <= 28);
+const _: () = assert!(ntc_simcore::event::EventQueue::<Ev>::BYTES_PER_EVENT <= 24);
 
 impl Ev {
     pub(crate) fn dispatch(bi: usize) -> Ev {
@@ -393,6 +400,42 @@ impl RunScratch {
         input_specs.extend_from_slice(specs);
         self.jobs_input = Some((seed, input_specs, horizon));
     }
+}
+
+#[cfg(test)]
+impl RunScratch {
+    /// Bytes the run-sized buffers reserve: each one's capacity times its
+    /// element size, summed over the calendar's arena and ring, the jobs
+    /// and their noise memo, the batches with their members, `batch_of`
+    /// and key map, the overrides, pings, batch state, result slots,
+    /// health ledger and pending hedges. Unlike a resident-set reading it
+    /// depends on the runs alone, not on the allocator or the host.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.sim.reserved_bytes()
+            + vec_bytes(&self.jobs)
+            + self.noise.reserved_bytes()
+            + vec_bytes(&self.batches)
+            + vec_bytes(&self.members)
+            + vec_bytes(&self.batch_of)
+            + map_bytes(&self.batch_key)
+            + vec_bytes(&self.local_override)
+            + vec_bytes(&self.pings)
+            + self.states.reserved_bytes()
+            + self.acct.reserved_bytes(&self.health)
+            + map_bytes(&self.hedges)
+    }
+}
+
+/// Bytes `v` reserves: its capacity times its element size.
+#[cfg(test)]
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+/// Bytes `m` reserves: its capacity times its entry size.
+#[cfg(test)]
+fn map_bytes<K, V>(m: &FastMap<K, V>) -> usize {
+    m.capacity() * size_of::<(K, V)>()
 }
 
 /// The simulation engine: one environment, reusable across policies.

@@ -137,6 +137,17 @@ impl Accounting {
         *self = Accounting { outcomes, ..Self::default() };
     }
 
+    /// Bytes the run-sized ledgers reserve: a `Full` run's result slots
+    /// and the health ledger. An `Aggregates` fold is O(1) in the jobs.
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self, health: &HealthMap) -> usize {
+        let slots = match &self.outcomes {
+            Outcomes::Full(results) => super::vec_bytes(results),
+            Outcomes::Aggregates(_) => 0,
+        };
+        slots + super::vec_bytes(&health.sites)
+    }
+
     /// Records one job's final outcome: into its result slot under
     /// `Full`, into the streaming fold under `Aggregates`.
     fn record(&mut self, ji: usize, r: JobResult) {
@@ -211,18 +222,6 @@ impl Accounting {
 }
 
 impl Run<'_> {
-    /// Records one exit-component completion; when the last exit lands,
-    /// the batch settles.
-    pub(super) fn record_exit(&mut self, bi: usize, finish: SimTime) {
-        let states = &mut *self.states;
-        states.finish[bi] = states.finish[bi].max(finish);
-        states.outstanding_exits[bi] -= 1;
-        if states.outstanding_exits[bi] == 0 {
-            let finish = states.finish[bi];
-            self.settle(bi, finish, None);
-        }
-    }
-
     /// Settles batch `bi` at `finish`: every member receives its
     /// [`JobResult`], failed with `cause` when one is given. A batch
     /// settles once; later calls are no-ops.

@@ -8,7 +8,6 @@
 //! [`RunScratch`](crate::engine::RunScratch)): a reused scratch re-walks
 //! the same allocations run after run instead of re-growing them.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use ntc_alloc::dispatch_time;
@@ -62,10 +61,18 @@ pub(crate) fn members_of<'m>(batches: &[Batch], members: &'m [u32], bi: usize) -
 /// event loop's state accesses contiguous and lets a reused scratch
 /// re-initialise with zero allocation.
 ///
+/// Only what the graphs need is stored per unit. A component with one
+/// predecessor needs no arrival slot: it is released when its input
+/// lands. Only a join (two or more predecessors) waits for its latest
+/// input, and only while it is partly delivered does it hold an entry in
+/// the sparse [`joins`](Self::joins) map. Every graph has one exit
+/// (`reset` refuses a second), so a batch settles when that exit's
+/// result lands, and needs no exit counter.
+///
 /// Offsets and attempts are `u32`: [`reset`](Self::reset) checks once that
 /// the component total fits, which bounds every offset. The other counts
-/// are `u8`. `reset` checks that every graph's in-degrees and exit count
-/// fit ([`check_u8_counts`]). A chain position is a `u8`, since a site
+/// are `u8`. `reset` checks that every graph's in-degrees fit
+/// ([`check_u8_counts`]). A chain position is a `u8`, since a site
 /// chain never repeats a [`Site`]; a batch falls back only by advancing
 /// it, so its fallback count is less than its chain's length; and its
 /// deferrals stop at [`MAX_DEFERRALS`].
@@ -73,26 +80,23 @@ pub(crate) fn members_of<'m>(batches: &[Batch], members: &'m [u32], bi: usize) -
 pub(crate) struct BatchStates {
     /// Prefix offsets into the per-component arrays; `batches + 1` long.
     off: Vec<u32>,
-    /// Per component: predecessors not yet delivered.
-    pub remaining_preds: Vec<u8>,
-    /// Per component: latest input-arrival instant seen.
-    pub ready_at: Vec<SimTime>,
+    /// The inputs still due and the latest input arrival of each join
+    /// that has received some but not all of its inputs, keyed by its
+    /// per-component index. An entry is made at a join's first input and
+    /// removed when the join is released.
+    pub joins: FastMap<u32, (u8, SimTime)>,
     /// Per component: execution attempts (0 = never attempted).
     pub attempts: Vec<u32>,
     /// Summed retry backoff and retry count of each component that
     /// retried, keyed by its per-component index. Sparse: most components
     /// never retry, and a fault-free run leaves the map empty.
-    pub retried: BTreeMap<u32, (SimDuration, u32)>,
+    pub retried: FastMap<u32, (SimDuration, u32)>,
     /// Per component: the side it actually last executed on (for routing
     /// its outputs after a mid-graph fallback).
     pub exec_side: Vec<Side>,
-    /// Per batch: exit components still outstanding.
-    pub outstanding_exits: Vec<u8>,
-    /// Per batch: latest exit completion seen.
-    pub finish: Vec<SimTime>,
     /// Per batch: terminally failed.
     pub failed: Vec<bool>,
-    /// Per batch: all exits landed (or failure recorded).
+    /// Per batch: settled, at its exit's result or its failure.
     pub finished: Vec<bool>,
     /// Per batch: position in the deployment's site-preference chain.
     /// 0 is the primary site; failure-driven fallback advances it.
@@ -108,28 +112,19 @@ pub(crate) struct BatchStates {
 }
 
 const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
-// Bytes of state per component (`ready_at`, `remaining_preds`,
-// `attempts`, `exec_side`, and `inflight_site` with the health layer on)
-// and per batch (`off`, `outstanding_exits`, `finish`, `failed`,
-// `finished`, `chain_pos`, `fallbacks`, `deferrals`).
-const _: () = assert!(
-    size_of::<SimTime>()
-        + size_of::<u8>()
-        + size_of::<u32>()
-        + size_of::<Side>()
-        + size_of::<Option<Site>>()
-        <= 15
-);
-const _: () = assert!(size_of::<SimTime>() + size_of::<u32>() + 6 * size_of::<u8>() <= 18);
+// Bytes of state per component (`attempts`, `exec_side`, and
+// `inflight_site` with the health layer on) and per batch (`off`,
+// `failed`, `finished`, `chain_pos`, `fallbacks`, `deferrals`).
+const _: () = assert!(size_of::<u32>() + size_of::<Side>() + size_of::<Option<Site>>() <= 6);
+const _: () = assert!(size_of::<u32>() + 5 * size_of::<u8>() <= 9);
 
-/// Panics unless every in-degree and the exit count of `g` fit the `u8`
-/// counters of [`BatchStates`].
+/// Panics unless every in-degree of `g` fits the `u8` count of inputs
+/// still due that [`BatchStates::joins`] keeps.
 pub(crate) fn check_u8_counts(g: &TaskGraph) {
     let in_degree = g.ids().map(|c| g.predecessors(c).count()).max().unwrap_or(0);
-    let widest = in_degree.max(g.exits().len());
     assert!(
-        u8::try_from(widest).is_ok(),
-        "batch state counts predecessors and exits as u8: graph `{}` needs {widest}",
+        u8::try_from(in_degree).is_ok(),
+        "batch state counts predecessors as u8: graph `{}` needs {in_degree}",
         g.name()
     );
 }
@@ -167,6 +162,40 @@ impl BatchStates {
         self.chain_pos[bi] = pos as u8;
     }
 
+    /// Bytes the state's arrays and maps reserve.
+    #[cfg(test)]
+    pub fn reserved_bytes(&self) -> usize {
+        use super::{map_bytes, vec_bytes};
+        vec_bytes(&self.off)
+            + map_bytes(&self.joins)
+            + vec_bytes(&self.attempts)
+            + map_bytes(&self.retried)
+            + vec_bytes(&self.exec_side)
+            + vec_bytes(&self.failed)
+            + vec_bytes(&self.finished)
+            + vec_bytes(&self.chain_pos)
+            + vec_bytes(&self.fallbacks)
+            + vec_bytes(&self.deferrals)
+            + vec_bytes(&self.inflight_site)
+    }
+
+    /// Delivers one of the `preds` inputs of join `ti` (its per-component
+    /// index), arriving at `arrival`. Returns when the join is released,
+    /// the latest of its inputs' arrivals, once this was the last input
+    /// due, and `None` while another is still due.
+    pub fn join(&mut self, ti: usize, preds: usize, arrival: SimTime) -> Option<SimTime> {
+        let key = ti as u32;
+        let (due, latest) = self.joins.entry(key).or_insert((preds as u8, SimTime::ZERO));
+        *due -= 1;
+        *latest = (*latest).max(arrival);
+        if *due > 0 {
+            return None;
+        }
+        let latest = *latest;
+        self.joins.remove(&key);
+        Some(latest)
+    }
+
     /// Records one retry of component `cix` after `backoff`.
     pub fn add_retry(&mut self, cix: usize, backoff: SimDuration) {
         let (sum, count) = self.retried.entry(cix as u32).or_default();
@@ -177,12 +206,14 @@ impl BatchStates {
     /// Batch `bi`'s retry backoff and retry count: the largest of its
     /// components' sums and counts, not their totals, so the backoff never
     /// exceeds the batch's latency and the count is per job, as
-    /// `attempts` is.
+    /// `attempts` is. Probes the map once per component of the batch,
+    /// and not at all while no component has retried.
     pub fn batch_retries(&self, bi: usize) -> (SimDuration, u32) {
-        let r = self.range(bi);
-        let retried = self.retried.range(r.start as u32..r.end as u32);
-        retried
-            .fold((SimDuration::ZERO, 0), |(b, n), (_, &(sum, count))| (b.max(sum), n.max(count)))
+        if self.retried.is_empty() {
+            return (SimDuration::ZERO, 0);
+        }
+        let retried = self.range(bi).filter_map(|cix| self.retried.get(&(cix as u32)));
+        retried.fold((SimDuration::ZERO, 0), |(b, n), &(sum, count)| (b.max(sum), n.max(count)))
     }
 
     /// Re-initialises for a fresh run over `batches`, reusing every
@@ -193,9 +224,10 @@ impl BatchStates {
     /// # Panics
     ///
     /// Panics if a deployment's graph overflows a `u8` count
-    /// ([`check_u8_counts`]) or its plan runs an entry component off the
-    /// device: every archetype pins its entry to the device, where the
-    /// members' inputs are.
+    /// ([`check_u8_counts`]) or has more than one exit, or if its plan
+    /// runs an entry component off the device: every archetype has one
+    /// exit and pins its entry to the device, where the members' inputs
+    /// are.
     pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch], health: bool) {
         let n = batches.len();
         let comps: usize = batches.iter().map(|b| deployments[b.di as usize].graph.len()).sum();
@@ -206,6 +238,12 @@ impl BatchStates {
         for d in deployments {
             check_u8_counts(&d.graph);
             assert!(
+                d.graph.exits().len() == 1,
+                "a batch settles at its one exit: graph `{}` has {}",
+                d.graph.name(),
+                d.graph.exits().len()
+            );
+            assert!(
                 d.graph.entries().iter().all(|&c| d.plan.side(c) == Side::Device),
                 "dispatch starts entry components on the device: `{}`'s plan offloads one",
                 d.graph.name()
@@ -214,25 +252,17 @@ impl BatchStates {
 
         self.off.clear();
         self.off.reserve_exact(n + 1);
-        self.remaining_preds.clear();
-        self.remaining_preds.reserve_exact(comps);
-        self.outstanding_exits.clear();
-        self.outstanding_exits.reserve_exact(n);
         let mut total = 0;
         self.off.push(0);
         for b in batches {
-            let g = &deployments[b.di as usize].graph;
-            self.remaining_preds.extend(g.ids().map(|c| g.predecessors(c).count() as u8));
-            self.outstanding_exits.push(g.exits().len() as u8);
-            total += g.len() as u32;
+            total += deployments[b.di as usize].graph.len() as u32;
             self.off.push(total);
         }
 
-        refill(&mut self.ready_at, comps, SimTime::ZERO);
+        self.joins.clear();
         refill(&mut self.attempts, comps, 0);
         refill(&mut self.exec_side, comps, Side::Device);
         refill(&mut self.inflight_site, if health { comps } else { 0 }, None);
-        refill(&mut self.finish, n, SimTime::ZERO);
         refill(&mut self.failed, n, false);
         refill(&mut self.finished, n, false);
         refill(&mut self.chain_pos, n, 0);

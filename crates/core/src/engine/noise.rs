@@ -23,6 +23,12 @@ pub(crate) struct NoiseMemo {
 }
 
 impl NoiseMemo {
+    /// Bytes the memo's slots reserve.
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        super::vec_bytes(&self.slots)
+    }
+
     /// Marks every slot of a new input of `jobs` jobs, generated from
     /// `specs`, not drawn.
     pub(crate) fn reset(&mut self, jobs: usize, specs: &[StreamSpec]) {

@@ -602,6 +602,59 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
     }
 }
 
+// --- Reserved memory. ---
+
+/// fig11's population, at 2,000 users instead of a million: log-analytics
+/// at 0.002 jobs/s per user and 5 % of its typical slack, over 30 min
+/// under `Aggregates`, cloud-all then edge-all on one scratch (7,200
+/// jobs). The buffers it reserves, per job, are what a million users
+/// cost. With an arrival slot and a predecessor count per component, an
+/// exit count and finish per batch and 16 B calendar links, the same
+/// runs reserved 238 B per job; without them, 189 B.
+#[test]
+fn fig11s_population_reserves_a_bounded_count_of_bytes_per_job() {
+    use crate::engine::{JobRetention, RunScratch};
+
+    let specs =
+        [StreamSpec::poisson(Archetype::LogAnalytics, 2_000.0 * 0.002).with_slack_factor(0.05)];
+    let horizon = SimDuration::from_mins(30);
+    let mut s = RunScratch::new();
+    let mut jobs = 0;
+    for policy in [OffloadPolicy::CloudAll, OffloadPolicy::EdgeAll] {
+        let r =
+            engine().run_retained(42, &policy, &specs, horizon, &mut s, JobRetention::Aggregates);
+        jobs = r.job_count() as usize;
+    }
+    let per_job = s.reserved_bytes() / jobs;
+    assert!(per_job <= 189, "{jobs} jobs reserve {per_job} B per job");
+}
+
+/// Cycling one scratch through sixteen seeds of a faulty two-slot edge
+/// with breakers, admission and hedges on, each run reserves no more than
+/// the first cycle did: the tenth cycle leaves every buffer as large as
+/// the first left it.
+#[test]
+fn a_scratch_stops_growing_after_one_cycle_of_inputs() {
+    use crate::engine::{JobRetention, RunScratch};
+
+    let specs = [
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.06),
+        StreamSpec::poisson(Archetype::LogAnalytics, 0.03),
+    ];
+    let (env, all_on) = overload_case();
+    let horizon = SimDuration::from_hours(1);
+    let mut s = RunScratch::new();
+    let mut after = Vec::new();
+    for _ in 0..10 {
+        for seed in 1..=16 {
+            let e = Engine::new(env.clone(), seed);
+            e.run_retained(seed, &all_on, &specs, horizon, &mut s, JobRetention::Full);
+        }
+        after.push(s.reserved_bytes());
+    }
+    assert_eq!(after[9], after[0], "reserved bytes after each cycle: {after:?}");
+}
+
 // --- RNG keys. ---
 
 /// Known answers for the streams the loop keys per batch under its first
@@ -1206,6 +1259,26 @@ fn finished_photo_run(
     (s, entry, next)
 }
 
+/// The component of the finished run's photo graph named `name`.
+fn photo_component(s: &crate::engine::RunScratch, name: &str) -> ntc_taskgraph::ComponentId {
+    let g = &s.deployments[0].graph;
+    g.ids().find(|&c| g.component(c).name() == name).expect("a photo-pipeline component")
+}
+
+/// The wait from the calendar's clock to each `Exec` event still pending,
+/// in pop order; drains the calendar.
+fn pending_execs(
+    sim: &mut ntc_simcore::event::Simulator<crate::engine::Ev>,
+) -> Vec<(SimDuration, ntc_taskgraph::ComponentId)> {
+    let now = sim.now();
+    std::iter::from_fn(|| sim.step())
+        .filter_map(|(at, ev)| match ev {
+            crate::engine::Ev::Exec(_, c) => Some((at - now, c)),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Once a batch has failed, nothing more of it runs or moves: a
 /// component whose inputs arrive (`exec`) starts nothing, and one that
 /// finishes (`done`) delivers no output, so a failed batch schedules no
@@ -1214,67 +1287,120 @@ fn finished_photo_run(
 fn a_failed_batch_runs_and_routes_nothing_more() {
     use ntc_simcore::units::SimTime;
 
-    let (mut s, entry, next) = finished_photo_run();
+    let (mut s, entry, _) = finished_photo_run();
     let (bi, t) = (0, SimTime::from_secs(1));
-    let ti = s.states.ix(bi, next);
     s.states.failed[bi] = true;
-    s.states.remaining_preds[ti] = 1;
     replay(&Environment::metro_reference(), &mut s, |run| {
         run.exec(t, bi, entry);
         run.done(t, bi, entry);
         assert!(run.sim.step().is_none(), "a failed batch scheduled work");
     });
-    assert_eq!(s.states.remaining_preds[ti], 1, "an output was delivered");
+    assert!(s.states.joins.is_empty(), "an output was delivered");
 }
 
-/// A component starts when its latest input lands, whatever order its
-/// inputs are routed in: one that lands before an input already routed
-/// does not pull the start forward.
+/// A component with one input starts when that input lands, not when
+/// its producer finishes: the device's `capture` hands its image to an
+/// offloaded `enhance` over each member's radio link, which takes time.
+#[test]
+fn a_single_input_component_starts_when_its_input_lands() {
+    use ntc_partition::Side;
+    use ntc_simcore::units::SimTime;
+
+    let (mut s, capture, enhance) = finished_photo_run();
+    let bi = (0..s.batches.len()).find(|&bi| !s.local_override[bi]).expect("an offloaded batch");
+    assert_eq!(s.deployments[0].plan.side(enhance), Side::Cloud, "NTC offloads enhance");
+    s.states.failed[bi] = false;
+    let released = replay(&Environment::metro_reference(), &mut s, |run| {
+        run.done(SimTime::from_secs(1), bi, capture);
+        pending_execs(run.sim)
+    });
+    assert_eq!(released.len(), 1);
+    let (wait, c) = released[0];
+    assert_eq!(c, enhance);
+    assert!(wait > SimDuration::ZERO, "released before its input crossed the radio link");
+}
+
+/// A join starts when its latest input lands, whatever order its inputs
+/// are routed in: photo-pipeline's `publish` waits for `enhance` and
+/// `thumbnail`, and an input routed first but landing last holds it back.
+/// Its entry in the join map lives from its first input to its release.
 #[test]
 fn a_component_waits_for_its_latest_input() {
     use ntc_simcore::units::SimTime;
 
-    let (mut s, entry, next) = finished_photo_run();
-    let (bi, t) = (0, SimTime::from_secs(1));
-    let ti = s.states.ix(bi, next);
-    let late = t + SimDuration::from_hours(5);
+    let (mut s, _, _) = finished_photo_run();
+    let [enhance, thumbnail, publish] =
+        ["enhance", "thumbnail", "publish"].map(|name| photo_component(&s, name));
+    let (bi, early) = (0, SimTime::from_secs(1));
+    let late = early + SimDuration::from_hours(5);
+    let ti = s.states.ix(bi, publish) as u32;
     s.states.failed[bi] = false;
-    s.states.remaining_preds[ti] = 1;
-    s.states.ready_at[ti] = late;
-    let wait = replay(&Environment::metro_reference(), &mut s, |run| {
-        run.done(t, bi, entry);
-        let now = run.sim.now();
-        let (at, _) = run.sim.step().expect("the successor is released");
-        at - now
-    });
-    assert_eq!(wait, late - t, "released before its latest input");
-    assert_eq!(s.states.ready_at[ti], late);
+    for (first, second) in [(enhance, thumbnail), (thumbnail, enhance)] {
+        replay(&Environment::metro_reference(), &mut s, |run| {
+            run.done(late, bi, first);
+            let (due, latest) = run.states.joins[&ti];
+            assert_eq!(due, 1, "one input still due");
+            assert!(latest >= late);
+            run.done(early, bi, second);
+            assert!(!run.states.joins.contains_key(&ti), "a released join kept its entry");
+            let released: Vec<_> = pending_execs(run.sim);
+            let waits: Vec<_> = released.iter().filter(|&&(_, c)| c == publish).collect();
+            assert_eq!(waits.len(), 1, "publish released once");
+            assert_eq!(waits[0].0, latest - early, "released before its latest input");
+        });
+    }
 }
 
-/// A batch settles once, when its last exit lands, at the latest of its
-/// exits' finishes (an exit recorded later may land earlier: its return
-/// transfer is shorter). A later settle, say for a straggler's failure,
-/// changes nothing.
+/// A batch settles once, when its exit's result lands (on the device, as
+/// soon as the exit finishes). A later settle, say for a straggler's
+/// failure, changes nothing.
 #[test]
 fn a_batch_settles_once_at_its_latest_exit() {
     use ntc_faults::FailureCause;
+    use ntc_partition::Side;
     use ntc_simcore::units::SimTime;
 
     let (mut s, _, _) = finished_photo_run();
-    let (bi, early, late) = (0, SimTime::from_secs(10), SimTime::from_secs(20));
+    let publish = photo_component(&s, "publish");
+    let (bi, t) = (0, SimTime::from_secs(10));
+    let cix = s.states.ix(bi, publish);
     s.states.finished[bi] = false;
     s.states.failed[bi] = false;
-    s.states.outstanding_exits[bi] = 2;
-    s.states.finish[bi] = SimTime::ZERO;
+    s.states.exec_side[cix] = Side::Device;
     s.acct.reset(s.jobs.len(), crate::engine::JobRetention::Full);
-    replay(&Environment::metro_reference(), &mut s, |run| {
-        run.record_exit(bi, late);
-        assert!(!run.states.finished[bi], "settled before its last exit");
-        run.record_exit(bi, early);
+    let env = Environment::metro_reference();
+    let horizon = SimDuration::from_hours(1);
+    let r = replay(&env, &mut s, |run| {
+        run.done(t, bi, publish);
+        assert!(run.states.finished[bi], "the exit's result landed unsettled");
         run.settle(bi, SimTime::from_secs(30), Some(FailureCause::Timeout));
+        let end = SimTime::ZERO + horizon;
+        run.acct.assemble(&OffloadPolicy::ntc(), &env, horizon, end, t, &mut run.sites, run.health)
     });
-    assert_eq!(s.states.finish[bi], late, "settled at an earlier exit");
     assert!(s.states.finished[bi] && !s.states.failed[bi], "settled twice");
+    let members = crate::engine::admission::members_of(&s.batches, &s.members, bi);
+    assert_eq!(r.jobs.len(), members.len(), "only batch 0 settled");
+    assert!(r.jobs.iter().all(|j| j.finish == t && !j.failed), "settled twice or late");
+}
+
+/// Every join entry is removed at its release, so a fault-free run, in
+/// which every join is released, leaves the map empty.
+#[test]
+fn a_drained_fault_free_run_leaves_no_join_entry() {
+    use crate::engine::{JobRetention, RunScratch};
+
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    let r = engine().run_retained(
+        7,
+        &OffloadPolicy::ntc(),
+        &photo_specs(0.02),
+        horizon,
+        &mut s,
+        JobRetention::Full,
+    );
+    assert!(!r.jobs.is_empty() && r.failures() == 0);
+    assert!(s.states.joins.is_empty(), "{} joins left", s.states.joins.len());
 }
 
 // --- Breaker probe slots. ---
@@ -1584,12 +1710,12 @@ mod batch_state {
             let g = a.graph();
             let in_degree = g.ids().map(|c| g.predecessors(c).count()).max().unwrap_or(0);
             assert!(in_degree <= usize::from(u8::MAX), "{}: in-degree {in_degree}", a.name());
-            assert!(g.exits().len() <= usize::from(u8::MAX), "{}: exits", a.name());
+            assert_eq!(g.exits().len(), 1, "{}: a batch settles at its one exit", a.name());
         }
     }
 
     #[test]
-    #[should_panic(expected = "batch state counts predecessors and exits as u8: graph `fan-in`")]
+    #[should_panic(expected = "batch state counts predecessors as u8: graph `fan-in`")]
     fn a_fan_in_past_u8_is_refused() {
         let mut b = TaskGraphBuilder::new("fan-in");
         let sink = b.add_component(Component::new("sink"));
@@ -1601,15 +1727,26 @@ mod batch_state {
     }
 
     #[test]
-    #[should_panic(expected = "batch state counts predecessors and exits as u8: graph `fan-out`")]
-    fn a_fan_out_past_u8_exits_is_refused() {
-        let mut b = TaskGraphBuilder::new("fan-out");
+    #[should_panic(expected = "a batch settles at its one exit: graph `two-exits` has 2")]
+    fn a_second_exit_is_refused() {
+        let mut b = TaskGraphBuilder::new("two-exits");
         let source = b.add_component(Component::new("source"));
-        for i in 0..256 {
-            let exit = b.add_component(Component::new(format!("x{i}")));
+        for name in ["x0", "x1"] {
+            let exit = b.add_component(Component::new(name));
             b.add_flow(source, exit, LinearModel::constant(1.0));
         }
-        check_u8_counts(&b.build().expect("a valid DAG"));
+        let graph = b.build().expect("a valid DAG");
+        let (env, a) = (Environment::metro_reference(), Archetype::PhotoPipeline);
+        let d = deploy(
+            &OffloadPolicy::LocalOnly,
+            a,
+            &env,
+            0.01,
+            a.typical_slack(),
+            &RngStream::root(7),
+        );
+        let plan = PartitionPlan::new(vec![Side::Device; graph.len()]);
+        BatchStates::default().reset(&[Deployment { graph, plan, ..d }], &[], false);
     }
 
     #[test]

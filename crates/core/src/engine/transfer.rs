@@ -81,7 +81,8 @@ impl Run<'_> {
     }
 
     /// Routes a finished component's outputs to its successors and, for
-    /// exit components, returns results to each member device.
+    /// the exit component, returns results to each member device and
+    /// settles the batch.
     pub(super) fn done(&mut self, t: SimTime, bi: usize, comp: ComponentId) {
         // Release the bounded-queue slot this component's invocation held
         // (before the failed-batch early-out, so slots never leak).
@@ -125,18 +126,22 @@ impl Run<'_> {
                 _ => self
                     .member_transfer(t, bi, eff, key, to_side, |input| payload.eval_bytes(input)),
             };
+            // A component with one input starts when it lands; a join
+            // when its latest does.
             let arrival = t + dur;
-            let states = &mut *self.states;
-            let ti = states.ix(bi, to);
-            states.ready_at[ti] = states.ready_at[ti].max(arrival);
-            states.remaining_preds[ti] -= 1;
-            if states.remaining_preds[ti] == 0 {
-                let wait = states.ready_at[ti].saturating_duration_since(t);
-                self.sim.schedule_after(wait, Ev::exec(bi, to));
+            let preds = d.graph.predecessors(to).count();
+            let ready = if preds == 1 {
+                Some(arrival)
+            } else {
+                self.states.join(self.states.ix(bi, to), preds, arrival)
+            };
+            if let Some(at) = ready {
+                self.sim.schedule_after(at - t, Ev::exec(bi, to));
             }
         }
 
-        // Exit component: return results to each member device.
+        // The exit: return results to each member device, and the batch
+        // settles when they land (every graph has one exit).
         if d.graph.successors(comp).next().is_none() {
             let finish = match from_side {
                 Side::Device => t,
@@ -152,7 +157,7 @@ impl Run<'_> {
                     online + dur
                 }
             };
-            self.record_exit(bi, finish);
+            self.settle(bi, finish, None);
         }
     }
 }

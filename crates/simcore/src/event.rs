@@ -63,10 +63,16 @@ const NIL: u32 = u32::MAX;
 
 /// The part of an arena slot that list walks read: the event time and the
 /// next slot in the same bucket list, or in the free list once spent.
+/// Packed to 4-byte alignment, it is 12 bytes rather than 16; its fields
+/// are read and written by value, never borrowed.
+#[repr(C, packed(4))]
+#[derive(Clone, Copy)]
 struct Link {
     time: SimTime,
     next: u32,
 }
+
+const _: () = assert!(size_of::<Link>() == 12);
 
 /// Buckets the queue starts with; grows by doubling as the population does.
 const INITIAL_BUCKETS: usize = 16;
@@ -189,7 +195,8 @@ impl<E> EventQueue<E> {
     /// later. Linking a slot after every entry it goes after keeps equal
     /// times in the order they were linked.
     fn after(&self, a: u32, b: u32) -> bool {
-        self.links[a as usize].time >= self.links[b as usize].time
+        let (a, b) = (self.links[a as usize].time, self.links[b as usize].time);
+        a >= b
     }
 
     /// Links `slot` into its bucket's list after every entry at or before
@@ -230,6 +237,14 @@ impl<E> EventQueue<E> {
         let more = (self.len + additional).saturating_sub(self.links.len());
         self.links.reserve_exact(more);
         self.payloads.reserve_exact(more);
+    }
+
+    /// Bytes the queue has reserved: its arena's capacity in slots, each
+    /// a time, a link and a payload, plus its ring's head and tail indices.
+    pub fn reserved_bytes(&self) -> usize {
+        self.links.capacity() * size_of::<Link>()
+            + self.payloads.capacity() * size_of::<Option<E>>()
+            + (self.heads.capacity() + self.tails.capacity()) * size_of::<u32>()
     }
 
     /// Schedules `payload` to fire at `time`.
@@ -357,9 +372,8 @@ impl<E> EventQueue<E> {
         // O(1) for the monotone common case.
         self.cursor_day = day;
         let slot = self.heads[bucket];
-        let link = &mut self.links[slot as usize];
-        let time = link.time;
-        let next = core::mem::replace(&mut link.next, self.free);
+        let Link { time, next } = self.links[slot as usize];
+        self.links[slot as usize].next = self.free;
         self.heads[bucket] = next;
         if next == NIL {
             self.tails[bucket] = NIL;
@@ -504,6 +518,11 @@ impl<E> Simulator<E> {
     /// [`EventQueue::reserve`].
     pub fn reserve(&mut self, additional: usize) {
         self.queue.reserve(additional);
+    }
+
+    /// Bytes the calendar has reserved; see [`EventQueue::reserved_bytes`].
+    pub fn reserved_bytes(&self) -> usize {
+        self.queue.reserved_bytes()
     }
 
     /// Schedules `payload` to fire `delay` after the current instant.
