@@ -5,9 +5,9 @@
 //! processed in global time order, the sequential backend simulators
 //! (which require non-decreasing submission times) compose correctly with
 //! arbitrarily interleaved jobs. Each deployment carries a
-//! site-preference chain of [`Site`](crate::site::Site)s (e.g. edge →
-//! cloud → device) that recovery walks on unrecoverable failures; the
-//! stateful remote simulators sit behind the run's [`SiteRegistry`].
+//! site-preference chain of [`Site`]s (e.g. edge → cloud → device) that
+//! recovery walks on unrecoverable failures; the stateful remote
+//! simulators sit behind the run's [`SiteRegistry`].
 //!
 //! # The run
 //!
@@ -72,16 +72,14 @@
 //! execution-noise memo (one slot per job and component, drawn on first
 //! read, at most once per input), the batches, one flat `members` array
 //! of job indices that every batch slices (with the `batch_of` buffer
-//! that fills it),
-//! the coalescing key map, the keep-warm ping table, per-batch and
-//! per-component state (arrivals only for partly delivered joins, retry
-//! backoff only for the components that retried), result slots and the
-//! event calendar. A fresh run allocates
-//! them once; reusing the scratch across runs (as
-//! [`run_retained`](Engine::run_retained) encourages and the sweep runner
-//! does per worker thread) re-fills the same allocations, so steady-state
-//! replication throughput is bounded by simulation work, not the
-//! allocator.
+//! that fills it), the coalescing key map, the keep-warm ping table,
+//! per-batch state (with sparse maps for partly delivered joins and for
+//! the components that failed an attempt), result slots and the event
+//! calendar. A fresh run allocates them once; reusing the scratch across
+//! runs (as [`run_retained`](Engine::run_retained) encourages and the
+//! sweep runner does per worker thread) re-fills the same allocations, so
+//! steady-state replication throughput is bounded by simulation work, not
+//! the allocator.
 //!
 //! # Random draws
 //!
@@ -106,14 +104,23 @@
 //! per batch, per component and per pending event bound run memory.
 //! Indices into run-sized arrays are therefore stored as `u32`:
 //! coalescing checks once that the job count (and with it the batch count
-//! and every member offset) fits, and the per-batch state checks the
-//! component total when it sizes its arrays. Counts that a graph's shape
-//! or a constant bounds are `u8`: a partly delivered join's inputs still
-//! due (`BatchStates::reset` checks every in-degree), a batch's fallbacks
-//! (fewer than its chain is long) and its deferrals (capped). State is
-//! kept only where a graph's shape needs it: a component with one input
-//! holds no arrival slot, and a batch no exit count, since every graph
-//! has one exit. The calendar is sized once for the up-front dispatches.
+//! and every member offset) fits. Counts that a graph's shape or a
+//! constant bounds are `u8`: a partly delivered join's inputs still due
+//! (`BatchStates::reset` checks every in-degree), a batch's fallbacks
+//! (fewer than its chain is long) and its deferrals (capped). One `u8`
+//! bound, a graph of at most 256 components (`reset` checks it too),
+//! serves both the events, which name a component by its `u8` index, and
+//! the sparse maps' `(batch, component)` keys.
+//!
+//! No run state is kept per component but the noise memo's slot. What
+//! only some components need lives in sparse maps: a join's arrivals
+//! while it is partly delivered, and the tries (attempts, retries,
+//! backoff) of a component from its first failed attempt on, so a
+//! fault-free run leaves both empty. A component with one input holds no
+//! arrival slot, and a batch no exit count, since every graph has one
+//! exit. The site a component ran on travels in its `Done` event, which
+//! routes its outputs and releases its queue slot. The calendar is sized
+//! once for the up-front dispatches.
 
 mod accounting;
 mod admission;
@@ -136,7 +143,7 @@ use crate::deploy::{deploy, Deployment};
 use crate::environment::Environment;
 use crate::policy::OffloadPolicy;
 use crate::report::RunResult;
-use crate::site::SiteRegistry;
+use crate::site::{Site, SiteRegistry};
 
 use accounting::{Accounting, HealthMap};
 use admission::{Batch, BatchStates};
@@ -167,27 +174,30 @@ pub enum JobRetention {
 ///
 /// Batch indices are stored as `u32`, which
 /// [`coalesce_into`](admission::coalesce_into)'s job-count check makes
-/// lossless; the constructors below are the one place a handler's
-/// `usize` batch index narrows. A keep-warm ping carries an index into
-/// the run's ping table instead of its deployment, component and period,
-/// so every event fits in 12 bytes.
+/// lossless, and components as their `u8` index, which
+/// [`check_u8_counts`](admission::check_u8_counts) makes lossless; the
+/// constructors below are the one place a handler's batch index and
+/// component narrow. A keep-warm ping carries an index into the run's
+/// ping table instead of its deployment, component and period, so every
+/// event fits in 8 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// A batch is released to execution.
     Dispatch(u32),
     /// A component becomes ready to execute (all inputs arrived).
-    Exec(u32, ComponentId),
-    /// A component finished executing.
-    Done(u32, ComponentId),
+    Exec(u32, u8),
+    /// A component finished executing on the given site, `Site::Device`
+    /// for the members' own devices.
+    Done(u32, u8, Site),
     /// A keep-warm ping: an index into [`RunCtx::pings`].
     Ping(u32),
     /// A slow invocation's hedge delay elapsed: launch (or cancel) its
     /// speculative duplicate on the next healthy chain site.
-    HedgeFire(u32, ComponentId),
+    HedgeFire(u32, u8),
 }
 
-const _: () = assert!(size_of::<Ev>() <= 12);
-const _: () = assert!(ntc_simcore::event::EventQueue::<Ev>::BYTES_PER_EVENT <= 24);
+const _: () = assert!(size_of::<Ev>() <= 8);
+const _: () = assert!(ntc_simcore::event::EventQueue::<Ev>::BYTES_PER_EVENT <= 20);
 
 impl Ev {
     pub(crate) fn dispatch(bi: usize) -> Ev {
@@ -195,16 +205,22 @@ impl Ev {
     }
 
     pub(crate) fn exec(bi: usize, comp: ComponentId) -> Ev {
-        Ev::Exec(bi as u32, comp)
+        Ev::Exec(bi as u32, comp.index() as u8)
     }
 
-    pub(crate) fn done(bi: usize, comp: ComponentId) -> Ev {
-        Ev::Done(bi as u32, comp)
+    pub(crate) fn done(bi: usize, comp: ComponentId, site: Site) -> Ev {
+        Ev::Done(bi as u32, comp.index() as u8, site)
     }
 
     pub(crate) fn hedge_fire(bi: usize, comp: ComponentId) -> Ev {
-        Ev::HedgeFire(bi as u32, comp)
+        Ev::HedgeFire(bi as u32, comp.index() as u8)
     }
+}
+
+/// The component an event names by its `u8` index.
+#[inline]
+fn component(c: u8) -> ComponentId {
+    ComponentId::from_index(c.into())
 }
 
 /// Each archetype's deployment index, indexed by
@@ -311,8 +327,8 @@ pub(crate) struct Run<'r> {
     /// own child keyed by site and open-count.
     health_rng: RngStream,
     /// Invocations whose completion is deferred pending a hedge
-    /// decision, keyed by `(batch, component)`.
-    hedges: &'r mut FastMap<(usize, ComponentId), HedgePending>,
+    /// decision, keyed by [`unit_key`](admission::unit_key).
+    hedges: &'r mut FastMap<u64, HedgePending>,
 }
 
 impl Run<'_> {
@@ -322,9 +338,9 @@ impl Run<'_> {
             match ev {
                 Ev::Ping(pi) => self.ping(t, pi),
                 Ev::Dispatch(bi) => self.dispatch(t, bi as usize),
-                Ev::Exec(bi, c) => self.exec(t, bi as usize, c),
-                Ev::Done(bi, c) => self.done(t, bi as usize, c),
-                Ev::HedgeFire(bi, c) => self.hedge_fire(t, bi as usize, c),
+                Ev::Exec(bi, c) => self.exec(t, bi as usize, component(c)),
+                Ev::Done(bi, c, site) => self.done(t, bi as usize, component(c), site),
+                Ev::HedgeFire(bi, c) => self.hedge_fire(t, bi as usize, component(c)),
             }
         }
     }
@@ -333,8 +349,8 @@ impl Run<'_> {
 /// Reusable run buffers: all the run-sized allocations `Engine::run`
 /// needs — the event calendar, the jobs and their execution-noise memo,
 /// the batches with their flat member array, its per-job `batch_of` fill
-/// buffer and the coalescing key map, the keep-warm ping table,
-/// per-batch and per-component state and accounting slots. Create once, pass to
+/// buffer and the coalescing key map, the keep-warm ping table, batch
+/// state and accounting slots. Create once, pass to
 /// [`run_retained`](Engine::run_retained) repeatedly; each run clears and
 /// refills the buffers in place. A fresh scratch behaves identically to a
 /// reused one — reuse changes performance, never results.
@@ -366,7 +382,7 @@ pub struct RunScratch {
     states: BatchStates,
     acct: Accounting,
     health: HealthMap,
-    hedges: FastMap<(usize, ComponentId), HedgePending>,
+    hedges: FastMap<u64, HedgePending>,
 }
 
 impl RunScratch {
@@ -561,7 +577,7 @@ impl Engine {
         for (bi, b) in scratch.batches.iter().enumerate() {
             scratch.sim.schedule_after(b.dispatch_at - SimTime::ZERO, Ev::dispatch(bi));
         }
-        scratch.states.reset(&scratch.deployments, &scratch.batches, scratch.health.enabled());
+        scratch.states.reset(&scratch.deployments, &scratch.batches);
         scratch.acct.reset(scratch.jobs.len(), retention);
 
         // --- The loop. ---

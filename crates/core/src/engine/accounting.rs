@@ -232,11 +232,9 @@ impl Run<'_> {
         }
         states.finished[bi] = true;
         states.failed[bi] = cause.is_some();
-        let comps = states.range(bi);
-        let attempts = states.attempts[comps].iter().copied().max().unwrap_or(0).max(1);
-        let (backoff, retries) = states.batch_retries(bi);
         let ctx = self.ctx;
-        self.acct.retries += u64::from(retries) * ctx.members(bi).len() as u64;
+        let tries = states.batch_tries(bi, ctx.deployment(bi).graph.ids());
+        self.acct.retries += u64::from(tries.retries) * ctx.members(bi).len() as u64;
         // Every member was keyed on the batch's dispatch instant.
         let dispatched = ctx.batches[bi].dispatch_at;
         for &ji in ctx.members(bi) {
@@ -251,8 +249,8 @@ impl Run<'_> {
                     finish,
                     deadline: job.deadline(),
                     failed: cause.is_some(),
-                    attempts,
-                    backoff,
+                    attempts: tries.attempts,
+                    backoff: tries.backoff,
                     fallbacks: u32::from(states.fallbacks[bi]),
                     cause,
                 },

@@ -8,8 +8,6 @@
 //! [`RunScratch`](crate::engine::RunScratch)): a reused scratch re-walks
 //! the same allocations run after run instead of re-growing them.
 
-use std::ops::Range;
-
 use ntc_alloc::dispatch_time;
 use ntc_partition::Side;
 use ntc_simcore::units::{DataSize, SimDuration, SimTime};
@@ -54,46 +52,37 @@ pub(crate) fn members_of<'m>(batches: &[Batch], members: &'m [u32], bi: usize) -
     &members[batches[bi].members_start as usize..end]
 }
 
-/// Execution state of every batch, flattened struct-of-arrays style: the
-/// per-component arrays are one contiguous allocation each, with batch
-/// `bi` owning the slice `off[bi]..off[bi + 1]`. Compared to the old
-/// `Vec<BatchState>` (six heap allocations per batch), this keeps the
-/// event loop's state accesses contiguous and lets a reused scratch
-/// re-initialise with zero allocation.
+/// Execution state of every batch, flattened struct-of-arrays style:
+/// one array per field, indexed by batch, so the event loop's state
+/// accesses stay contiguous and a reused scratch re-initialises with no
+/// allocation.
 ///
-/// Only what the graphs need is stored per unit. A component with one
-/// predecessor needs no arrival slot: it is released when its input
-/// lands. Only a join (two or more predecessors) waits for its latest
-/// input, and only while it is partly delivered does it hold an entry in
-/// the sparse [`joins`](Self::joins) map. Every graph has one exit
-/// (`reset` refuses a second), so a batch settles when that exit's
-/// result lands, and needs no exit counter.
+/// No array is kept per component. What only some components need lives
+/// in sparse maps keyed by `(batch, component)` ([`unit_key`]): a join
+/// (two or more predecessors) that has received some but not all of its
+/// inputs holds an entry in [`joins`](Self::joins), and a component that
+/// failed an attempt holds one in the try ledger
+/// [`tries`](Self::tries). A component with one predecessor is released
+/// when its input lands, and every graph has one exit (`reset` refuses a
+/// second), so a batch settles when that exit's result lands and needs
+/// no exit counter. The site a component ran on travels in its
+/// [`Ev::Done`](super::Ev::Done).
 ///
-/// Offsets and attempts are `u32`: [`reset`](Self::reset) checks once that
-/// the component total fits, which bounds every offset. The other counts
-/// are `u8`. `reset` checks that every graph's in-degrees fit
-/// ([`check_u8_counts`]). A chain position is a `u8`, since a site
-/// chain never repeats a [`Site`]; a batch falls back only by advancing
-/// it, so its fallback count is less than its chain's length; and its
-/// deferrals stop at [`MAX_DEFERRALS`].
+/// Counts are `u8`. [`reset`](Self::reset) checks that every graph's
+/// components and in-degrees fit ([`check_u8_counts`]). A chain position
+/// is a `u8`, since a site chain never repeats a [`Site`]; a batch falls
+/// back only by advancing it, so its fallback count is less than its
+/// chain's length; and its deferrals stop at [`MAX_DEFERRALS`].
 #[derive(Debug, Default)]
 pub(crate) struct BatchStates {
-    /// Prefix offsets into the per-component arrays; `batches + 1` long.
-    off: Vec<u32>,
     /// The inputs still due and the latest input arrival of each join
-    /// that has received some but not all of its inputs, keyed by its
-    /// per-component index. An entry is made at a join's first input and
-    /// removed when the join is released.
-    pub joins: FastMap<u32, (u8, SimTime)>,
-    /// Per component: execution attempts (0 = never attempted).
-    pub attempts: Vec<u32>,
-    /// Summed retry backoff and retry count of each component that
-    /// retried, keyed by its per-component index. Sparse: most components
-    /// never retry, and a fault-free run leaves the map empty.
-    pub retried: FastMap<u32, (SimDuration, u32)>,
-    /// Per component: the side it actually last executed on (for routing
-    /// its outputs after a mid-graph fallback).
-    pub exec_side: Vec<Side>,
+    /// that has received some but not all of its inputs. An entry is made
+    /// at a join's first input and removed when the join is released.
+    pub joins: FastMap<u64, (u8, SimTime)>,
+    /// The try ledger: the tries of each component that failed an
+    /// attempt, from that first failure on. Sparse: a fault-free run
+    /// leaves it empty.
+    pub tries: FastMap<u64, Tries>,
     /// Per batch: terminally failed.
     pub failed: Vec<bool>,
     /// Per batch: settled, at its exit's result or its failure.
@@ -105,27 +94,48 @@ pub(crate) struct BatchStates {
     pub fallbacks: Vec<u8>,
     /// Per batch: dispatch deferrals granted by admission control.
     pub deferrals: Vec<u8>,
-    /// Per component: the site whose bounded queue this component's
-    /// in-flight invocation occupies, if any. Sized and maintained only
-    /// when the health layer is enabled, and empty otherwise.
-    pub inflight_site: Vec<Option<Site>>,
 }
 
-const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
-// Bytes of state per component (`attempts`, `exec_side`, and
-// `inflight_site` with the health layer on) and per batch (`off`,
-// `failed`, `finished`, `chain_pos`, `fallbacks`, `deferrals`).
-const _: () = assert!(size_of::<u32>() + size_of::<Side>() + size_of::<Option<Site>>() <= 6);
-const _: () = assert!(size_of::<u32>() + 5 * size_of::<u8>() <= 9);
+/// The tries of one component of a batch: its remote attempts so far,
+/// its retries after a backoff and their summed backoff.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tries {
+    pub attempts: u32,
+    pub retries: u32,
+    pub backoff: SimDuration,
+}
 
-/// Panics unless every in-degree of `g` fits the `u8` count of inputs
-/// still due that [`BatchStates::joins`] keeps.
+/// Components a graph may have: events and the sparse maps' keys name a
+/// component by a `u8` index.
+pub(crate) const MAX_COMPONENTS: usize = u8::MAX as usize + 1;
+
+const _: () = assert!(Site::ALL.len() <= u8::MAX as usize);
+// Bytes of state per batch (`failed`, `finished`, `chain_pos`,
+// `fallbacks`, `deferrals`).
+const _: () = assert!(2 * size_of::<bool>() + 3 * size_of::<u8>() <= 5);
+
+/// The key of component `comp` of batch `bi` in the sparse maps: the
+/// batch index above the component's `u8` index.
+#[inline]
+pub(crate) fn unit_key(bi: usize, comp: ComponentId) -> u64 {
+    (bi as u64) << 8 | comp.index() as u64
+}
+
+/// Panics unless `g` fits the `u8` counts of batch state: its component
+/// count (at most [`MAX_COMPONENTS`]) and every in-degree, the count of
+/// inputs still due that [`BatchStates::joins`] keeps.
 pub(crate) fn check_u8_counts(g: &TaskGraph) {
     let in_degree = g.ids().map(|c| g.predecessors(c).count()).max().unwrap_or(0);
     assert!(
         u8::try_from(in_degree).is_ok(),
         "batch state counts predecessors as u8: graph `{}` needs {in_degree}",
         g.name()
+    );
+    assert!(
+        g.len() <= MAX_COMPONENTS,
+        "events name a component as u8: graph `{}` has {} components",
+        g.name(),
+        g.len()
     );
 }
 
@@ -138,18 +148,6 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 }
 
 impl BatchStates {
-    /// Index of `(bi, comp)` in the per-component arrays.
-    #[inline]
-    pub fn ix(&self, bi: usize, comp: ComponentId) -> usize {
-        self.off[bi] as usize + comp.index()
-    }
-
-    /// The per-component index range owned by batch `bi`.
-    #[inline]
-    pub fn range(&self, bi: usize) -> Range<usize> {
-        self.off[bi] as usize..self.off[bi + 1] as usize
-    }
-
     /// Batch `bi`'s position in its deployment's site chain.
     #[inline]
     pub fn chain_pos(&self, bi: usize) -> usize {
@@ -166,25 +164,27 @@ impl BatchStates {
     #[cfg(test)]
     pub fn reserved_bytes(&self) -> usize {
         use super::{map_bytes, vec_bytes};
-        vec_bytes(&self.off)
-            + map_bytes(&self.joins)
-            + vec_bytes(&self.attempts)
-            + map_bytes(&self.retried)
-            + vec_bytes(&self.exec_side)
+        map_bytes(&self.joins)
+            + map_bytes(&self.tries)
             + vec_bytes(&self.failed)
             + vec_bytes(&self.finished)
             + vec_bytes(&self.chain_pos)
             + vec_bytes(&self.fallbacks)
             + vec_bytes(&self.deferrals)
-            + vec_bytes(&self.inflight_site)
     }
 
-    /// Delivers one of the `preds` inputs of join `ti` (its per-component
-    /// index), arriving at `arrival`. Returns when the join is released,
-    /// the latest of its inputs' arrivals, once this was the last input
-    /// due, and `None` while another is still due.
-    pub fn join(&mut self, ti: usize, preds: usize, arrival: SimTime) -> Option<SimTime> {
-        let key = ti as u32;
+    /// Delivers one of the `preds` inputs of join `to` of batch `bi`,
+    /// arriving at `arrival`. Returns when the join is released, the
+    /// latest of its inputs' arrivals, once this was the last input due,
+    /// and `None` while another is still due.
+    pub fn join(
+        &mut self,
+        bi: usize,
+        to: ComponentId,
+        preds: usize,
+        arrival: SimTime,
+    ) -> Option<SimTime> {
+        let key = unit_key(bi, to);
         let (due, latest) = self.joins.entry(key).or_insert((preds as u8, SimTime::ZERO));
         *due -= 1;
         *latest = (*latest).max(arrival);
@@ -196,30 +196,48 @@ impl BatchStates {
         Some(latest)
     }
 
-    /// Records one retry of component `cix` after `backoff`.
-    pub fn add_retry(&mut self, cix: usize, backoff: SimDuration) {
-        let (sum, count) = self.retried.entry(cix as u32).or_default();
-        *sum += backoff;
-        *count += 1;
+    /// The number of the remote attempt component `comp` of batch `bi`
+    /// is about to make: `1 +` its ledger entry's attempts, counted in
+    /// the entry, or 1 without an entry. An empty ledger is not probed.
+    pub fn next_attempt(&mut self, bi: usize, comp: ComponentId) -> u32 {
+        if self.tries.is_empty() {
+            return 1;
+        }
+        let Some(tries) = self.tries.get_mut(&unit_key(bi, comp)) else { return 1 };
+        tries.attempts += 1;
+        tries.attempts
     }
 
-    /// Batch `bi`'s retry backoff and retry count: the largest of its
-    /// components' sums and counts, not their totals, so the backoff never
-    /// exceeds the batch's latency and the count is per job, as
-    /// `attempts` is. Probes the map once per component of the batch,
-    /// and not at all while no component has retried.
-    pub fn batch_retries(&self, bi: usize) -> (SimDuration, u32) {
-        if self.retried.is_empty() {
-            return (SimDuration::ZERO, 0);
+    /// Records that the attempt component `comp` of batch `bi` just made
+    /// failed, and returns its ledger entry. The entry is made at the
+    /// first failure, which was attempt 1; a later attempt was counted in
+    /// it when [`next_attempt`](Self::next_attempt) numbered it.
+    pub fn fail_attempt(&mut self, bi: usize, comp: ComponentId) -> &mut Tries {
+        self.tries.entry(unit_key(bi, comp)).or_insert(Tries { attempts: 1, ..Tries::default() })
+    }
+
+    /// Batch `bi`'s tries over its components `comps`: the most attempts
+    /// of any component, at least 1 (a batch that invoked nothing ran
+    /// once), and the largest retry count and backoff sum, not their
+    /// totals, so the backoff never exceeds the batch's latency and the
+    /// counts are per job. Probes the ledger once per component, and not
+    /// at all while it is empty.
+    pub fn batch_tries(&self, bi: usize, comps: impl Iterator<Item = ComponentId>) -> Tries {
+        let least = Tries { attempts: 1, ..Tries::default() };
+        if self.tries.is_empty() {
+            return least;
         }
-        let retried = self.range(bi).filter_map(|cix| self.retried.get(&(cix as u32)));
-        retried.fold((SimDuration::ZERO, 0), |(b, n), &(sum, count)| (b.max(sum), n.max(count)))
+        let tried = comps.filter_map(|c| self.tries.get(&unit_key(bi, c)));
+        tried.fold(least, |most, t| Tries {
+            attempts: most.attempts.max(t.attempts),
+            retries: most.retries.max(t.retries),
+            backoff: most.backoff.max(t.backoff),
+        })
     }
 
     /// Re-initialises for a fresh run over `batches`, reusing every
-    /// array's capacity; `inflight_site` is sized only if `health` is on.
-    /// The totals come first, so each array is sized once, exactly, rather
-    /// than grown batch by batch.
+    /// array's capacity: each is sized once, exactly, rather than grown
+    /// batch by batch.
     ///
     /// # Panics
     ///
@@ -228,13 +246,7 @@ impl BatchStates {
     /// runs an entry component off the device: every archetype has one
     /// exit and pins its entry to the device, where the members' inputs
     /// are.
-    pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch], health: bool) {
-        let n = batches.len();
-        let comps: usize = batches.iter().map(|b| deployments[b.di as usize].graph.len()).sum();
-        assert!(
-            u32::try_from(comps).is_ok(),
-            "batch state indexes components as u32: {comps} components exceed u32::MAX"
-        );
+    pub fn reset(&mut self, deployments: &[Deployment], batches: &[Batch]) {
         for d in deployments {
             check_u8_counts(&d.graph);
             assert!(
@@ -249,26 +261,14 @@ impl BatchStates {
                 d.graph.name()
             );
         }
-
-        self.off.clear();
-        self.off.reserve_exact(n + 1);
-        let mut total = 0;
-        self.off.push(0);
-        for b in batches {
-            total += deployments[b.di as usize].graph.len() as u32;
-            self.off.push(total);
-        }
-
+        let n = batches.len();
         self.joins.clear();
-        refill(&mut self.attempts, comps, 0);
-        refill(&mut self.exec_side, comps, Side::Device);
-        refill(&mut self.inflight_site, if health { comps } else { 0 }, None);
+        self.tries.clear();
         refill(&mut self.failed, n, false);
         refill(&mut self.finished, n, false);
         refill(&mut self.chain_pos, n, 0);
         refill(&mut self.fallbacks, n, 0);
         refill(&mut self.deferrals, n, 0);
-        self.retried.clear();
     }
 }
 

@@ -10,11 +10,19 @@ use ntc_simcore::event::Simulator;
 use ntc_simcore::rng::{Key, KeyHasher, RngStream};
 use ntc_simcore::units::{round_to_u64, Cycles, SimDuration, SimTime};
 use ntc_taskgraph::ComponentId;
-use ntc_workloads::Job;
+use ntc_workloads::{Archetype, Job};
 
+use super::admission::{unit_key, MAX_COMPONENTS};
 use super::{Ev, HedgePending, Ping, Run};
 use crate::deploy::Deployment;
 use crate::site::{Site, SiteRegistry};
+
+// A ping's index fits its `u32`: a run makes at most one ping per
+// deployment (one per archetype), component and remote site, and
+// `BatchStates::reset` refuses a graph past `MAX_COMPONENTS` before the
+// loop reads a ping.
+const _: () =
+    assert!(Archetype::all().len() * MAX_COMPONENTS * (Site::ALL.len() - 1) <= u32::MAX as usize);
 
 /// Provisions every deployment's offloaded components on every remote
 /// site of its preference chain: the primary hosts the live functions or
@@ -34,7 +42,7 @@ pub(crate) fn provision_deployments(
         for comp in d.plan.offloaded() {
             for &site in remote {
                 if let Some(period) = sites.provision(site, di, d, comp) {
-                    let pi = u32::try_from(pings.len()).expect("ping count fits in u32");
+                    let pi = pings.len() as u32;
                     pings.push((di, comp, period));
                     sim.schedule_after(period, Ev::Ping(pi));
                 }
@@ -79,8 +87,6 @@ impl Run<'_> {
                 side = ctx.side(bi, pos, comp);
             }
         }
-        let cix = self.states.ix(bi, comp);
-        self.states.exec_side[cix] = side;
         let rng = ctx.batch_rng(bi);
         match side {
             Side::Device => {
@@ -94,17 +100,15 @@ impl Run<'_> {
                     .map(|&ji| member_work(&ctx.jobs[ji as usize], d, comp, noise));
                 let (slowest, energy) = ctx.env.device.execute_members(works);
                 self.acct.device_energy += energy;
-                self.sim.schedule_after(slowest, Ev::done(bi, comp));
+                self.sim.schedule_after(slowest, Ev::done(bi, comp, Site::Device));
             }
             Side::Cloud => {
-                self.states.attempts[cix] += 1;
-                let attempt = self.states.attempts[cix];
+                let attempt = self.states.next_attempt(bi, comp);
                 let site = chain[pos];
                 match self.invoke_remote(&rng, t, bi, comp, site, Try::Attempt(attempt)) {
                     Ok(latency) => {
                         if self.health.enabled() {
                             self.health.site_mut(site).enter();
-                            self.states.inflight_site[cix] = Some(site);
                             // A straggler past the site's p99-derived hedge
                             // delay defers its completion: at `t + delay` a
                             // duplicate may race it on a later remote site
@@ -114,14 +118,14 @@ impl Run<'_> {
                                     let primary_finish = t + latency;
                                     let pending =
                                         HedgePending { start: t, primary_finish, from_pos: pos };
-                                    self.hedges.insert((bi, comp), pending);
+                                    self.hedges.insert(unit_key(bi, comp), pending);
                                     self.sim.schedule_after(delay, Ev::hedge_fire(bi, comp));
                                     return;
                                 }
                             }
                             self.health.site_mut(site).record_success(latency);
                         }
-                        self.sim.schedule_after(latency, Ev::done(bi, comp));
+                        self.sim.schedule_after(latency, Ev::done(bi, comp, site));
                     }
                     Err((class, cause)) => {
                         if self.health.enabled() {
@@ -140,15 +144,13 @@ impl Run<'_> {
     /// site keeps the billing (the work was submitted) but its health
     /// ledger records a deliberate cancellation, never a failure.
     pub(super) fn hedge_fire(&mut self, t: SimTime, bi: usize, comp: ComponentId) {
-        let Some(pending) = self.hedges.remove(&(bi, comp)) else { return };
-        let cix = self.states.ix(bi, comp);
+        let Some(pending) = self.hedges.remove(&unit_key(bi, comp)) else { return };
         let remote = self.ctx.deployment(bi).remote_sites();
         let primary = remote[pending.from_pos];
         if self.states.failed[bi] {
             // Another component already failed the whole batch; release
             // the primary's queue slot and let its invocation evaporate.
             self.health.site_mut(primary).leave();
-            self.states.inflight_site[cix] = None;
             return;
         }
         // The duplicate goes to the first breaker-admitting remote site
@@ -176,11 +178,10 @@ impl Run<'_> {
                 self.health.site_mut(primary).record_cancelled();
                 self.health.site_mut(primary).leave();
                 self.health.site_mut(target).enter();
-                self.states.inflight_site[cix] = Some(target);
                 // Route downstream flows over the winning site. `max`:
                 // another component may have already fallen back further.
                 self.states.set_chain_pos(bi, self.states.chain_pos(bi).max(target_pos));
-                self.sim.schedule_after(latency, Ev::done(bi, comp));
+                self.sim.schedule_after(latency, Ev::done(bi, comp, target));
             }
             Ok(_) => {
                 // The duplicate loses the race before it even finishes:
@@ -256,7 +257,7 @@ impl Run<'_> {
         self.health
             .site_mut(primary)
             .record_success(pending.primary_finish.saturating_duration_since(pending.start));
-        self.sim.schedule_after(pending.primary_finish - t, Ev::done(bi, comp));
+        self.sim.schedule_after(pending.primary_finish - t, Ev::done(bi, comp, primary));
     }
 
     /// The execution noise of component `comp` of batch `bi`, whose

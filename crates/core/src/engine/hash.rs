@@ -1,6 +1,7 @@
 //! A small multiply-rotate hasher for the loop's integer-keyed maps.
 //!
-//! The coalescing key map and the pending-hedge map are keyed by a few
+//! The coalescing key map and the `(batch, component)` maps (pending
+//! hedges, partly delivered joins, the try ledger) are keyed by a few
 //! machine integers each and are only probed, never iterated in an order
 //! that matters, so they need neither SipHash's flooding resistance nor
 //! its cost. Each word is folded in with a rotate, an xor and one

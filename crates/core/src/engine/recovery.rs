@@ -11,13 +11,13 @@ use super::{Ev, Run};
 
 /// How long the caller takes to observe a failed attempt (error
 /// propagation and detection), charged before any retry or fallback.
-const DETECT: SimDuration = SimDuration::from_millis(500);
+pub(super) const DETECT: SimDuration = SimDuration::from_millis(500);
 
 impl Run<'_> {
-    /// Acts on a classified attempt failure: wait, retry with backoff,
-    /// fall back down the site chain, or fail the batch. The backoff
-    /// jitter is drawn under the batch's stream `rng`, keyed by component
-    /// and attempt.
+    /// Acts on a classified attempt failure, which it records in the try
+    /// ledger: wait, retry with backoff, fall back down the site chain, or
+    /// fail the batch. The backoff jitter is drawn under the batch's
+    /// stream `rng`, keyed by component and attempt.
     pub(super) fn recover(
         &mut self,
         rng: &RngStream,
@@ -27,6 +27,7 @@ impl Run<'_> {
         class: ErrorClass,
         cause: FailureCause,
     ) {
+        let tries = self.states.fail_attempt(bi, comp);
         match class {
             ErrorClass::WaitUntil(r) => {
                 // A deterministic wait (service still installing, outage
@@ -34,9 +35,9 @@ impl Run<'_> {
                 self.sim.schedule_after(r.saturating_duration_since(t), Ev::exec(bi, comp));
             }
             ErrorClass::Retryable if self.ctx.retry => {
-                let cix = self.states.ix(bi, comp);
-                let wait = backoff(rng, comp, self.states.attempts[cix]);
-                self.states.add_retry(cix, wait);
+                let wait = backoff(rng, comp, tries.attempts);
+                tries.retries += 1;
+                tries.backoff += wait;
                 self.sim.schedule_after(DETECT + wait, Ev::exec(bi, comp));
             }
             ErrorClass::Retryable | ErrorClass::Fallback => {

@@ -310,7 +310,8 @@ fn provisioned_chains_serve_every_offloaded_component() {
 
 /// A cloud-primary NTC batch that admission sheds down its
 /// `[cloud, device]` chain runs every component on its members' devices:
-/// it invokes nothing and sends nothing up. One in-flight invocation
+/// each of its components, executed again, finishes on the device, and
+/// the batch sends nothing up. One in-flight invocation
 /// saturates the cloud, and a tenth of the usual slack leaves no room to
 /// defer, so a batch dispatched while another runs sheds.
 #[test]
@@ -336,12 +337,20 @@ fn a_batch_shed_to_the_device_runs_every_component_there() {
         (0..scratch.batches.len()).partition(|&bi| scratch.states.chain_pos(bi) == 1);
     assert_eq!(r.overload.as_ref().expect("health layer on").sheds, shed.len() as u64);
     assert!(!shed.is_empty() && !admitted.is_empty(), "{} shed", shed.len());
+    let env = Environment::metro_reference();
+    let t = ntc_simcore::units::SimTime::from_secs(1);
+    let comps: Vec<_> = d.graph.ids().collect();
     for &bi in &shed {
-        for cix in scratch.states.range(bi) {
-            assert_eq!(scratch.states.exec_side[cix], Side::Device, "batch {bi}");
-            assert_eq!(scratch.states.attempts[cix], 0, "batch {bi}");
+        for &c in &comps {
+            let done = replay(&env, &mut scratch, |run| {
+                run.exec(t, bi, c);
+                run.sim.step().map(|(_, ev)| ev)
+            });
+            let Some(crate::engine::Ev::Done(_, _, site)) = done else { panic!("{done:?}") };
+            assert_eq!(site, Site::Device, "batch {bi}");
         }
     }
+    let d = &scratch.deployments[0];
     // Every byte up is an admitted member's input crossing the plan's
     // device-to-cloud flows.
     let uploads: Vec<_> =
@@ -610,7 +619,9 @@ fn a_reused_scratch_matches_a_fresh_one_as_the_input_changes() {
 /// jobs). The buffers it reserves, per job, are what a million users
 /// cost. With an arrival slot and a predecessor count per component, an
 /// exit count and finish per batch and 16 B calendar links, the same
-/// runs reserved 238 B per job; without them, 189 B.
+/// runs reserved 238 B per job; without them, 189 B; and without a
+/// per-component attempt count, side or offset, and with 8 B events,
+/// 161 B.
 #[test]
 fn fig11s_population_reserves_a_bounded_count_of_bytes_per_job() {
     use crate::engine::{JobRetention, RunScratch};
@@ -626,7 +637,7 @@ fn fig11s_population_reserves_a_bounded_count_of_bytes_per_job() {
         jobs = r.job_count() as usize;
     }
     let per_job = s.reserved_bytes() / jobs;
-    assert!(per_job <= 189, "{jobs} jobs reserve {per_job} B per job");
+    assert!(per_job <= 161, "{jobs} jobs reserve {per_job} B per job");
 }
 
 /// Cycling one scratch through sixteen seeds of a faulty two-slot edge
@@ -653,6 +664,34 @@ fn a_scratch_stops_growing_after_one_cycle_of_inputs() {
         after.push(s.reserved_bytes());
     }
     assert_eq!(after[9], after[0], "reserved bytes after each cycle: {after:?}");
+}
+
+/// Every remote invocation's queue slot is released when its `Done`
+/// lands (or, for a failed batch's straggler, when its hedge delay
+/// elapses), so once a run of the faulty two-slot edge with every health
+/// mechanism on drains, no site holds a slot, over sixteen seeds.
+#[test]
+fn every_queue_slot_is_released_once_a_run_drains() {
+    use crate::engine::{JobRetention, RunScratch};
+    use crate::site::Site;
+
+    let specs = [
+        StreamSpec::poisson(Archetype::PhotoPipeline, 0.06),
+        StreamSpec::poisson(Archetype::LogAnalytics, 0.03),
+    ];
+    let (env, all_on) = overload_case();
+    let horizon = SimDuration::from_hours(1);
+    let mut s = RunScratch::new();
+    let mut hedges = 0;
+    for seed in 1..=16 {
+        let e = Engine::new(env.clone(), seed);
+        let r = e.run_retained(seed, &all_on, &specs, horizon, &mut s, JobRetention::Full);
+        hedges += r.overload.as_ref().expect("health layer on").hedges;
+        for site in Site::ALL {
+            assert_eq!(s.health.site(site).in_flight(), 0, "seed {seed}: {site} holds a slot");
+        }
+    }
+    assert!(hedges > 0, "no hedge raced");
 }
 
 // --- RNG keys. ---
@@ -898,18 +937,24 @@ fn faulty_env(rate: f64) -> Environment {
     env
 }
 
-/// Every job records one attempt, including a local-only job whose
-/// batch invokes no remote site (attempts never fall below 1).
+/// A component enters the try ledger only when an attempt fails, so a
+/// drained fault-free run leaves the ledger empty under every policy, and
+/// every job records one attempt, including a local-only job whose batch
+/// invokes no remote site (attempts never fall below 1).
 #[test]
-fn fault_free_runs_record_single_attempts() {
+fn a_fault_free_run_keeps_no_try_ledger() {
     use crate::engine::{JobRetention, RunScratch};
-    let mut scratch = RunScratch::new();
+    let mut s = RunScratch::new();
     let specs = photo_specs(0.02);
     let horizon = SimDuration::from_hours(1);
-    for policy in [OffloadPolicy::ntc(), OffloadPolicy::LocalOnly] {
-        let r =
-            engine().run_retained(7, &policy, &specs, horizon, &mut scratch, JobRetention::Full);
-        assert!(scratch.states.retried.is_empty(), "{:?}", scratch.states.retried);
+    for policy in [
+        OffloadPolicy::LocalOnly,
+        OffloadPolicy::EdgeAll,
+        OffloadPolicy::CloudAll,
+        OffloadPolicy::ntc(),
+    ] {
+        let r = engine().run_retained(7, &policy, &specs, horizon, &mut s, JobRetention::Full);
+        assert!(s.states.tries.is_empty(), "{policy}: {:?}", s.states.tries);
         assert!(!r.jobs.is_empty(), "{policy}");
         for j in &r.jobs {
             assert_eq!(j.attempts, 1, "{policy}");
@@ -921,9 +966,87 @@ fn fault_free_runs_record_single_attempts() {
     }
 }
 
+/// One component's remote attempts are numbered 1, 2, 3 across an
+/// outage wait, a retry and a fallback, as its fault keys
+/// `{comp}-edge-a{n}` show. Replayed on an edge-primary batch whose
+/// first offloaded component faults, at a transient rate of one half,
+/// on attempt 2 alone of the first three: attempt 1 finds the edge in a
+/// ten-minute outage and waits it out, attempt 2 faults and retries, and
+/// attempt 3 finds the edge down for good and falls back to the cloud.
+/// An attempt numbered 1 or 3 where 2 is due would not fault, and one
+/// numbered 2 where 3 is due would retry instead of falling back.
+#[test]
+fn tries_are_numbered_across_an_outage_wait_a_retry_and_a_fallback() {
+    use ntc_faults::{backoff, FaultConfig};
+    use ntc_net::ConnectivityTrace;
+    use ntc_simcore::rng::RngStream;
+    use ntc_simcore::units::SimTime;
+
+    use crate::engine::admission::{unit_key, Tries};
+    use crate::engine::execute::{fault_key, Try};
+    use crate::engine::recovery::DETECT;
+    use crate::engine::{JobRetention, RunScratch};
+    use crate::site::Site;
+
+    let policy = OffloadPolicy::Ntc(crate::NtcConfig {
+        use_batching: false,
+        primary_backend: Backend::Edge,
+        ..Default::default()
+    });
+    let mut s = RunScratch::new();
+    let horizon = SimDuration::from_hours(1);
+    engine().run_retained(7, &policy, &photo_specs(0.02), horizon, &mut s, JobRetention::Full);
+    assert_eq!(s.deployments[0].site_chain, [Site::Edge, Site::Cloud, Site::Device]);
+    let comp = s.deployments[0].plan.offloaded().next().expect("photo offloads");
+    let faults = FaultConfig::transient(0.5);
+    let faulted = |bi: usize, n: u32| {
+        let rng = RngStream::root(s.batches[bi].key);
+        faults.invocation_fault(&rng, fault_key(comp, Site::Edge, Try::Attempt(n))).is_some()
+    };
+    let bi = (0..s.batches.len())
+        .find(|&bi| {
+            !s.local_override[bi] && [1, 2, 3].map(|n| faulted(bi, n)) == [false, true, false]
+        })
+        .expect("a batch that faults on attempt 2 alone");
+    let hour = SimDuration::from_hours(1);
+    let outage = |down: Vec<(SimDuration, bool)>| {
+        let mut env = Environment::metro_reference();
+        env.faults = faults.clone();
+        env.faults.site_availability.insert("edge".into(), ConnectivityTrace::new(hour, down));
+        env
+    };
+    let ten_minutes = outage(vec![(SimDuration::ZERO, false), (SimDuration::from_mins(10), true)]);
+    let for_good = outage(vec![(SimDuration::ZERO, false)]);
+    let tried = |s: &RunScratch| s.states.tries.get(&unit_key(bi, comp)).copied();
+    let t = SimTime::from_secs(60);
+    let rng = RngStream::root(s.batches[bi].key);
+
+    let waits = |env: &Environment, s: &mut RunScratch, t| {
+        replay(env, s, |run| {
+            run.exec(t, bi, comp);
+            pending_execs(run.sim)
+        })
+    };
+    assert_eq!(
+        waits(&ten_minutes, &mut s, t),
+        [(SimDuration::from_mins(9), comp)],
+        "no outage wait"
+    );
+    assert_eq!(tried(&s), Some(Tries { attempts: 1, ..Tries::default() }));
+    let wait = backoff(&rng, comp, 2);
+    let at = SimTime::from_secs(600);
+    assert_eq!(waits(&ten_minutes, &mut s, at), [(DETECT + wait, comp)], "no retry");
+    assert_eq!(tried(&s), Some(Tries { attempts: 2, retries: 1, backoff: wait }));
+    assert_eq!(waits(&for_good, &mut s, at + DETECT + wait), [(DETECT, comp)], "no fallback");
+    assert_eq!(tried(&s), Some(Tries { attempts: 3, retries: 1, backoff: wait }));
+    assert_eq!((s.states.chain_pos(bi), s.states.fallbacks[bi]), (1, 1));
+    let batch = s.states.batch_tries(bi, s.deployments[0].graph.ids());
+    assert_eq!(batch, Tries { attempts: 3, retries: 1, backoff: wait });
+}
+
 #[test]
 fn a_batch_backs_off_for_its_largest_component_sum() {
-    use crate::engine::admission::members_of;
+    use crate::engine::admission::{members_of, unit_key, Tries};
     use crate::engine::{JobRetention, RunScratch};
     let e = Engine::new(faulty_env(0.3), 7);
     let mut scratch = RunScratch::new();
@@ -936,14 +1059,17 @@ fn a_batch_backs_off_for_its_largest_component_sum() {
         JobRetention::Full,
     );
     let (mut pinned, mut retries) = (0, 0);
+    let graph = &scratch.deployments[0].graph;
     for bi in 0..scratch.batches.len() {
-        let comps = scratch.states.range(bi);
-        let retried: Vec<(SimDuration, u32)> =
-            comps.filter_map(|cix| scratch.states.retried.get(&(cix as u32)).copied()).collect();
-        let sums: Vec<SimDuration> = retried.iter().map(|&(sum, _)| sum).collect();
+        let retried: Vec<Tries> = graph
+            .ids()
+            .filter_map(|c| scratch.states.tries.get(&unit_key(bi, c)).copied())
+            .filter(|t| t.retries > 0)
+            .collect();
+        let sums: Vec<SimDuration> = retried.iter().map(|t| t.backoff).collect();
         let largest = sums.iter().copied().max().unwrap_or(SimDuration::ZERO);
         let members = members_of(&scratch.batches, &scratch.members, bi);
-        let most = retried.iter().map(|&(_, count)| count).max().unwrap_or(0);
+        let most = retried.iter().map(|t| t.retries).max().unwrap_or(0);
         retries += u64::from(most) * members.len() as u64;
         for &ji in members {
             assert_eq!(r.jobs[ji as usize].backoff, largest, "job {ji}");
@@ -1115,6 +1241,7 @@ fn a_failed_batch_launches_no_hedge_duplicate() {
     use ntc_faults::HealthConfig;
     use ntc_simcore::units::SimTime;
 
+    use crate::engine::admission::unit_key;
     use crate::engine::{HedgePending, JobRetention, RunScratch};
     use crate::site::Site;
 
@@ -1131,17 +1258,14 @@ fn a_failed_batch_launches_no_hedge_duplicate() {
     e.run_retained(7, &policy, &photo_specs(0.02), horizon, &mut s, JobRetention::Full);
     let comp = s.deployments[0].plan.offloaded().next().expect("photo offloads");
     let (bi, t) = (0, SimTime::from_secs(1));
-    let cix = s.states.ix(bi, comp);
     s.states.failed[bi] = true;
-    s.states.inflight_site[cix] = Some(Site::Edge);
     s.health.site_mut(Site::Edge).enter();
     let primary_finish = t + SimDuration::from_mins(1);
-    s.hedges.insert((bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
+    s.hedges.insert(unit_key(bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
     replay(&env, &mut s, |run| {
         run.hedge_fire(t, bi, comp);
         assert_eq!(run.acct.overload.hedges, 0, "a duplicate was launched");
         assert_eq!(run.health.site(Site::Edge).in_flight(), 0, "the primary's slot is kept");
-        assert_eq!(run.states.inflight_site[cix], None);
         assert!(run.sim.step().is_none(), "something was scheduled");
     });
 }
@@ -1151,39 +1275,40 @@ fn a_failed_batch_launches_no_hedge_duplicate() {
 /// with its primary due at `primary_finish`, the batch is at chain
 /// position `pos`, and the hedge delay elapses at `t`. The duplicate goes
 /// to the cloud, provisioned as a run provisions it. Returns the hedges
-/// won and lost, the batch's chain position after, and how long after
-/// `t` the completion is scheduled.
+/// won and lost, the batch's chain position after, how long after `t`
+/// the completion is scheduled and the site it carries.
 fn hedge_race(
     s: &mut crate::engine::RunScratch,
     t: ntc_simcore::units::SimTime,
     pos: usize,
     primary_finish: ntc_simcore::units::SimTime,
-) -> (u64, u64, usize, SimDuration) {
+) -> (u64, u64, usize, SimDuration, crate::site::Site) {
     use ntc_faults::HealthConfig;
 
+    use crate::engine::admission::unit_key;
     use crate::engine::execute::provision_deployments;
-    use crate::engine::HedgePending;
+    use crate::engine::{Ev, HedgePending};
     use crate::site::Site;
 
     let env = Environment::metro_reference();
     let comp = s.deployments[0].plan.offloaded().next().expect("photo offloads");
     let bi = 0;
-    let cix = s.states.ix(bi, comp);
     s.health.reset(HealthConfig { hedge: true, ..HealthConfig::disabled() });
     s.acct.overload = Default::default();
     s.states.failed[bi] = false;
     s.states.set_chain_pos(bi, pos);
-    s.states.inflight_site[cix] = Some(Site::Edge);
-    s.hedges.insert((bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
+    s.hedges.insert(unit_key(bi, comp), HedgePending { start: t, primary_finish, from_pos: 0 });
     replay(&env, s, |run| {
         provision_deployments(run.ctx.deployments, &mut run.sites, run.sim, &mut Vec::new());
         while run.sim.step().is_some() {}
         run.health.site_mut(Site::Edge).enter();
         run.hedge_fire(t, bi, comp);
         let now = run.sim.now();
-        let (at, _) = run.sim.step().expect("a completion is scheduled");
+        let (at, ev) = run.sim.step().expect("a completion is scheduled");
+        let Ev::Done(_, c, site) = ev else { panic!("{ev:?} scheduled") };
+        assert_eq!(usize::from(c), comp.index());
         let o = &run.acct.overload;
-        (o.hedges_won, o.hedges_lost, run.states.chain_pos(bi), at - now)
+        (o.hedges_won, o.hedges_lost, run.states.chain_pos(bi), at - now, site)
     })
 }
 
@@ -1212,16 +1337,19 @@ fn hedged_scratch() -> crate::engine::RunScratch {
 fn a_hedge_tie_goes_to_the_primary() {
     use ntc_simcore::units::SimTime;
 
+    use crate::site::Site;
+
     let mut s = hedged_scratch();
     let t = SimTime::from_secs(1);
     let far = t + SimDuration::from_hours(1);
-    let (won, lost, _, latency) = hedge_race(&mut s, t, 0, far);
-    assert_eq!((won, lost), (1, 0), "the duplicate beats a primary an hour out");
-    let (won, lost, _, _) = hedge_race(&mut s, t, 0, t + latency);
-    assert_eq!((won, lost), (0, 1), "a tie goes to the primary");
+    let (won, lost, _, latency, site) = hedge_race(&mut s, t, 0, far);
+    assert_eq!((won, lost, site), (1, 0, Site::Cloud), "the duplicate beats a primary an hour out");
+    let (won, lost, _, wait, site) = hedge_race(&mut s, t, 0, t + latency);
+    assert_eq!((won, lost, site), (0, 1, Site::Edge), "a tie goes to the primary");
+    assert_eq!(wait, latency, "the primary completes when it was due");
     let us = SimDuration::from_micros(1);
-    let (won, lost, _, _) = hedge_race(&mut s, t, 0, t + latency + us);
-    assert_eq!((won, lost), (1, 0), "a microsecond earlier wins");
+    let (won, lost, _, _, site) = hedge_race(&mut s, t, 0, t + latency + us);
+    assert_eq!((won, lost, site), (1, 0, Site::Cloud), "a microsecond earlier wins");
 }
 
 /// A duplicate that wins routes the batch's later flows over its site,
@@ -1231,13 +1359,16 @@ fn a_hedge_tie_goes_to_the_primary() {
 fn a_hedge_win_never_moves_its_batch_back_up_the_chain() {
     use ntc_simcore::units::SimTime;
 
+    use crate::site::Site;
+
     let mut s = hedged_scratch();
     let t = SimTime::from_secs(1);
     let far = t + SimDuration::from_hours(1);
-    let (won, _, pos, _) = hedge_race(&mut s, t, 0, far);
-    assert_eq!((won, pos), (1, 1), "a win from the primary moves to the cloud");
-    let (won, _, pos, _) = hedge_race(&mut s, t, 2, far);
+    let (won, _, pos, _, site) = hedge_race(&mut s, t, 0, far);
+    assert_eq!((won, pos, site), (1, 1, Site::Cloud), "a win from the primary moves to the cloud");
+    let (won, _, pos, _, site) = hedge_race(&mut s, t, 2, far);
     assert_eq!((won, pos), (1, 2), "a batch already on the device stays there");
+    assert_eq!(site, Site::Cloud, "the duplicate finished on the cloud");
 }
 
 // --- A batch's last steps. ---
@@ -1273,7 +1404,7 @@ fn pending_execs(
     let now = sim.now();
     std::iter::from_fn(|| sim.step())
         .filter_map(|(at, ev)| match ev {
-            crate::engine::Ev::Exec(_, c) => Some((at - now, c)),
+            crate::engine::Ev::Exec(_, c) => Some((at - now, crate::engine::component(c))),
             _ => None,
         })
         .collect()
@@ -1292,7 +1423,7 @@ fn a_failed_batch_runs_and_routes_nothing_more() {
     s.states.failed[bi] = true;
     replay(&Environment::metro_reference(), &mut s, |run| {
         run.exec(t, bi, entry);
-        run.done(t, bi, entry);
+        run.done(t, bi, entry, crate::site::Site::Device);
         assert!(run.sim.step().is_none(), "a failed batch scheduled work");
     });
     assert!(s.states.joins.is_empty(), "an output was delivered");
@@ -1311,7 +1442,7 @@ fn a_single_input_component_starts_when_its_input_lands() {
     assert_eq!(s.deployments[0].plan.side(enhance), Side::Cloud, "NTC offloads enhance");
     s.states.failed[bi] = false;
     let released = replay(&Environment::metro_reference(), &mut s, |run| {
-        run.done(SimTime::from_secs(1), bi, capture);
+        run.done(SimTime::from_secs(1), bi, capture, crate::site::Site::Device);
         pending_execs(run.sim)
     });
     assert_eq!(released.len(), 1);
@@ -1326,22 +1457,30 @@ fn a_single_input_component_starts_when_its_input_lands() {
 /// Its entry in the join map lives from its first input to its release.
 #[test]
 fn a_component_waits_for_its_latest_input() {
+    use ntc_partition::Side;
     use ntc_simcore::units::SimTime;
+
+    use crate::site::Site;
 
     let (mut s, _, _) = finished_photo_run();
     let [enhance, thumbnail, publish] =
         ["enhance", "thumbnail", "publish"].map(|name| photo_component(&s, name));
     let (bi, early) = (0, SimTime::from_secs(1));
     let late = early + SimDuration::from_hours(5);
-    let ti = s.states.ix(bi, publish) as u32;
+    let ti = crate::engine::admission::unit_key(bi, publish);
+    // Each input finishes where the plan runs it.
+    let d = &s.deployments[0];
+    let ran_on = |c| if d.plan.side(c) == Side::Cloud { d.site_chain[0] } else { Site::Device };
+    let [enhance_site, thumbnail_site] = [enhance, thumbnail].map(ran_on);
+    let site = |c| if c == enhance { enhance_site } else { thumbnail_site };
     s.states.failed[bi] = false;
     for (first, second) in [(enhance, thumbnail), (thumbnail, enhance)] {
         replay(&Environment::metro_reference(), &mut s, |run| {
-            run.done(late, bi, first);
+            run.done(late, bi, first, site(first));
             let (due, latest) = run.states.joins[&ti];
             assert_eq!(due, 1, "one input still due");
             assert!(latest >= late);
-            run.done(early, bi, second);
+            run.done(early, bi, second, site(second));
             assert!(!run.states.joins.contains_key(&ti), "a released join kept its entry");
             let released: Vec<_> = pending_execs(run.sim);
             let waits: Vec<_> = released.iter().filter(|&&(_, c)| c == publish).collect();
@@ -1357,21 +1496,18 @@ fn a_component_waits_for_its_latest_input() {
 #[test]
 fn a_batch_settles_once_at_its_latest_exit() {
     use ntc_faults::FailureCause;
-    use ntc_partition::Side;
     use ntc_simcore::units::SimTime;
 
     let (mut s, _, _) = finished_photo_run();
     let publish = photo_component(&s, "publish");
     let (bi, t) = (0, SimTime::from_secs(10));
-    let cix = s.states.ix(bi, publish);
     s.states.finished[bi] = false;
     s.states.failed[bi] = false;
-    s.states.exec_side[cix] = Side::Device;
     s.acct.reset(s.jobs.len(), crate::engine::JobRetention::Full);
     let env = Environment::metro_reference();
     let horizon = SimDuration::from_hours(1);
     let r = replay(&env, &mut s, |run| {
-        run.done(t, bi, publish);
+        run.done(t, bi, publish, crate::site::Site::Device);
         assert!(run.states.finished[bi], "the exit's result landed unsettled");
         run.settle(bi, SimTime::from_secs(30), Some(FailureCause::Timeout));
         let end = SimTime::ZERO + horizon;
@@ -1727,6 +1863,19 @@ mod batch_state {
     }
 
     #[test]
+    #[should_panic(expected = "events name a component as u8: graph `long-chain` has 257")]
+    fn a_graph_past_256_components_is_refused() {
+        let mut b = TaskGraphBuilder::new("long-chain");
+        let mut last = b.add_component(Component::new("c0"));
+        for i in 1..257 {
+            let next = b.add_component(Component::new(format!("c{i}")));
+            b.add_flow(last, next, LinearModel::constant(1.0));
+            last = next;
+        }
+        check_u8_counts(&b.build().expect("a valid DAG"));
+    }
+
+    #[test]
     #[should_panic(expected = "a batch settles at its one exit: graph `two-exits` has 2")]
     fn a_second_exit_is_refused() {
         let mut b = TaskGraphBuilder::new("two-exits");
@@ -1746,7 +1895,7 @@ mod batch_state {
             &RngStream::root(7),
         );
         let plan = PartitionPlan::new(vec![Side::Device; graph.len()]);
-        BatchStates::default().reset(&[Deployment { graph, plan, ..d }], &[], false);
+        BatchStates::default().reset(&[Deployment { graph, plan, ..d }], &[]);
     }
 
     #[test]
@@ -1758,7 +1907,7 @@ mod batch_state {
         let d =
             deploy(&OffloadPolicy::CloudAll, a, &env, 0.01, a.typical_slack(), &RngStream::root(7));
         let plan = PartitionPlan::new(vec![Side::Cloud; d.graph.len()]);
-        BatchStates::default().reset(&[Deployment { plan, ..d }], &[], false);
+        BatchStates::default().reset(&[Deployment { plan, ..d }], &[]);
     }
 }
 

@@ -80,14 +80,14 @@ impl Run<'_> {
         online.saturating_duration_since(t) + faulty_transfer(slowest, &ctx.env.faults, &rng, key)
     }
 
-    /// Routes a finished component's outputs to its successors and, for
-    /// the exit component, returns results to each member device and
+    /// Routes the outputs of component `comp`, which ran on `site`
+    /// (`Site::Device` for the members' devices), to its successors and,
+    /// for the exit component, returns results to each member device and
     /// settles the batch.
-    pub(super) fn done(&mut self, t: SimTime, bi: usize, comp: ComponentId) {
-        // Release the bounded-queue slot this component's invocation held
-        // (before the failed-batch early-out, so slots never leak).
-        let cix = self.states.ix(bi, comp);
-        if let Some(site) = self.states.inflight_site.get_mut(cix).and_then(Option::take) {
+    pub(super) fn done(&mut self, t: SimTime, bi: usize, comp: ComponentId, site: Site) {
+        // Release the bounded-queue slot a remote invocation held (before
+        // the failed-batch early-out, so slots never leak).
+        if self.health.enabled() && site.is_remote() {
             self.health.site_mut(site).leave();
         }
         if self.states.failed[bi] {
@@ -102,7 +102,7 @@ impl Run<'_> {
         // offloaded traffic: its chain site, or after a degrade to the
         // device, the last remote site, over which in-flight remote
         // outputs still route.
-        let from_side = self.states.exec_side[cix];
+        let from_side = if site.is_remote() { Side::Cloud } else { Side::Device };
         let remote = d.remote_sites();
         let eff = remote[pos.min(remote.len() - 1)];
         let on_device = ctx.on_device(bi, pos);
@@ -130,11 +130,8 @@ impl Run<'_> {
             // when its latest does.
             let arrival = t + dur;
             let preds = d.graph.predecessors(to).count();
-            let ready = if preds == 1 {
-                Some(arrival)
-            } else {
-                self.states.join(self.states.ix(bi, to), preds, arrival)
-            };
+            let ready =
+                if preds == 1 { Some(arrival) } else { self.states.join(bi, to, preds, arrival) };
             if let Some(at) = ready {
                 self.sim.schedule_after(at - t, Ev::exec(bi, to));
             }
