@@ -12,7 +12,7 @@
 //! wins, and the cloud/edge latency ratio decays toward 1 — the gap a
 //! non-time-critical job does not care about.
 
-use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, Report, Table};
 use ntc_core::deploy::{estimated_latency, DEFAULT_MEMORY};
 use ntc_core::{deploy, run_sweep, Environment, OffloadPolicy, Site};
 use ntc_json::ToJson;
@@ -60,9 +60,8 @@ fn synthetic_graph(intensity: f64) -> ntc_taskgraph::TaskGraph {
     b.build().expect("synthetic graph is valid")
 }
 
-fn main() {
-    let seed = seed_from_args();
-    let threads = threads_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let env = Environment::metro_reference();
     let rng = RngStream::root(seed);
     let rate = 0.05;
@@ -98,9 +97,11 @@ fn main() {
         ]);
     }
 
-    println!("Figure 1a — photo-pipeline completion time vs input size (seed {seed})\n");
-    ta.print();
-    println!(
+    let mut out =
+        format!("Figure 1a — photo-pipeline completion time vs input size (seed {seed})\n\n");
+    out.push_str(&ta.render());
+    outln!(
+        out,
         "\nshape (a): offloading wins at every size (compute-heavy archetype): {} | cloud within 1.5x of edge everywhere: {}\n",
         size_series.iter().all(|p| p.edge_s < p.local_s && p.cloud_s < p.local_s),
         size_series.iter().all(|p| p.cloud_over_edge < 1.5),
@@ -153,12 +154,16 @@ fn main() {
         ]);
     }
 
-    println!("Figure 1b — completion time vs compute intensity at {input} input (seed {seed})\n");
-    tb.print();
-    println!();
+    outln!(
+        out,
+        "Figure 1b — completion time vs compute intensity at {input} input (seed {seed})\n"
+    );
+    out.push_str(&tb.render());
+    outln!(out);
     let first = &intensity_series[0];
     let last = intensity_series.last().expect("non-empty");
-    println!(
+    outln!(
+        out,
         "shape (b): local wins at {} cyc/B: {} | remote wins at {} cyc/B: {} | cloud/edge ratio decays to {} at high intensity",
         first.cycles_per_byte,
         first.winner == "local",
@@ -172,9 +177,5 @@ fn main() {
         input_size_sweep: Vec<SizePoint>,
         intensity_sweep: Vec<IntensityPoint>,
     }
-    let path = write_json(
-        "fig1_latency_crossover",
-        &Series { input_size_sweep: size_series, intensity_sweep: intensity_series },
-    );
-    println!("series written to {}", path.display());
+    Report::new(out, &Series { input_size_sweep: size_series, intensity_sweep: intensity_series })
 }

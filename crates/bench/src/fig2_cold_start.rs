@@ -8,8 +8,8 @@
 //! at dense rates the platform keep-alive suffices and everything
 //! converges.
 
+use crate::{f3, Report, Table};
 use ntc_alloc::WarmStrategy;
-use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_serverless::{FunctionConfig, PlatformConfig, ServerlessPlatform};
@@ -29,37 +29,48 @@ struct Point {
 }
 
 fn run_one(rate: f64, strategy: WarmStrategy, horizon: SimDuration, seed: u64) -> Point {
+    let mut rng = RngStream::root(seed).derive("arrivals");
+    let arrivals = ArrivalProcess::Poisson { rate_per_sec: rate }.generate(horizon, &mut rng);
+    serve(rate, &arrivals, strategy, horizon, seed)
+}
+
+/// Serves `arrivals` (in time order) under `strategy`. A warmer's pings
+/// are marked as pings where they join the stream, so an arrival at a
+/// ping instant still counts.
+fn serve(
+    rate: f64,
+    arrivals: &[SimTime],
+    strategy: WarmStrategy,
+    horizon: SimDuration,
+    seed: u64,
+) -> Point {
     let mut platform = ServerlessPlatform::new(PlatformConfig::default(), RngStream::root(seed));
     let f = platform.register(
         FunctionConfig::new(DataSize::from_mib(3072)).with_artifact_size(DataSize::from_mib(250)),
     );
     let work = Cycles::from_giga(8);
 
-    let mut rng = RngStream::root(seed).derive("arrivals");
-    let mut arrivals = ArrivalProcess::Poisson { rate_per_sec: rate }.generate(horizon, &mut rng);
-
-    // Interleave warmer pings (in time order) or provision capacity.
+    // Each invocation and whether it is a ping: interleave warmer pings
+    // (in time order) or provision capacity.
+    let mut invocations: Vec<(SimTime, bool)> = arrivals.iter().map(|&at| (at, false)).collect();
     match strategy {
         WarmStrategy::Provisioned { count } => platform.set_provisioned(SimTime::ZERO, f, count),
         WarmStrategy::Warmer { period } => {
             let mut t = SimTime::ZERO + period;
             let end = SimTime::ZERO + horizon;
             while t < end {
-                arrivals.push(t);
+                invocations.push((t, true));
                 t += period;
             }
-            arrivals.sort_unstable();
+            invocations.sort_unstable();
         }
         WarmStrategy::PlatformOnly => {}
     }
 
-    let is_ping =
-        |at: SimTime, period: SimDuration| at.as_micros().is_multiple_of(period.as_micros());
     let mut latencies_ms: Vec<f64> = Vec::new();
     let mut cold = 0u64;
     let mut real = 0u64;
-    for at in arrivals {
-        let ping = matches!(strategy, WarmStrategy::Warmer { period } if is_ping(at, period));
+    for (at, ping) in invocations {
         let w = if ping { Cycles::new(1_000) } else { work };
         let out = platform.invoke(at, f, w).expect("in-order invocations");
         if !ping {
@@ -84,8 +95,8 @@ fn run_one(rate: f64, strategy: WarmStrategy, horizon: SimDuration, seed: u64) -
     }
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(24);
 
     let rates = [0.001, 0.01, 0.1, 1.0];
@@ -98,7 +109,7 @@ fn main() {
     let grid: Vec<(f64, WarmStrategy)> =
         rates.iter().flat_map(|&r| strategies.iter().map(move |&s| (r, s))).collect();
     let series: Vec<Point> =
-        run_sweep(&grid, threads_from_args(), |&(rate, s), _| run_one(rate, s, horizon, seed));
+        run_sweep(&grid, threads, |&(rate, s), _| run_one(rate, s, horizon, seed));
     let mut table =
         Table::new(["rate/s", "strategy", "invocations", "cold %", "p50 ms", "p99 ms", "$/hour"]);
     for p in &series {
@@ -113,19 +124,38 @@ fn main() {
         ]);
     }
 
-    println!("Figure 2 — cold-start tail vs arrival rate over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Figure 2 — cold-start tail vs arrival rate over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let cold_pct = |rate: f64, strategy: &str| {
         let p = series.iter().find(|p| p.rate_per_sec == rate && p.strategy.starts_with(strategy));
         f3(p.expect("present").cold_fraction * 100.0)
     };
-    println!(
+    outln!(
+        out,
         "shape: sparse traffic is ~all-cold under platform-only ({}%), warmer removes it ({}%) | dense traffic is warm anyway ({}%)",
         cold_pct(0.001, "platform-only"),
         cold_pct(0.001, "warmer"),
         cold_pct(1.0, "platform-only"),
     );
-    let path = write_json("fig2_cold_start", &series);
-    println!("series written to {}", path.display());
+    Report::new(out, &series)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_arrival_on_a_ping_instant_is_served_and_counted() {
+        let period = SimDuration::from_mins(9);
+        let arrivals = [SimTime::ZERO + period, SimTime::ZERO + SimDuration::from_mins(20)];
+        let warmer = WarmStrategy::Warmer { period };
+        let p = serve(0.001, &arrivals, warmer, SimDuration::from_hours(1), 42);
+        assert_eq!(p.invocations, 2);
+        // The first arrival finds nothing warm; the 18-minute ping keeps
+        // the second warm.
+        assert_eq!(p.cold_fraction, 0.5);
+        assert!(p.p50_ms > 1_000.0, "the p50 is a real invocation's, not a ping's");
+    }
 }

@@ -5,8 +5,8 @@
 //! cost stays ~flat below the one-vCPU knee and rises past it; the
 //! allocator's pick is the cheapest point meeting the deadline budget.
 
+use crate::{f3, Report, Table};
 use ntc_alloc::{pareto_frontier, select_memory, standard_sizes, sweep};
-use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_serverless::{BillingModel, CpuScaling};
@@ -23,8 +23,8 @@ struct Point {
     allocator_pick: bool,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let cpu = CpuScaling::lambda_like();
     let billing = BillingModel::aws_like();
 
@@ -42,7 +42,7 @@ fn main() {
     // ladder fans out across the sweep pool like every other grid here.
     let sizes = standard_sizes();
     let points: Vec<ntc_alloc::MemoryPoint> =
-        run_sweep(&sizes, threads_from_args(), |&m, _| sweep(work, &cpu, &billing, &[m]).remove(0));
+        run_sweep(&sizes, threads, |&m, _| sweep(work, &cpu, &billing, &[m]).remove(0));
     let frontier = pareto_frontier(&points);
     let budget = SimDuration::from_mins(2);
     let pick =
@@ -69,14 +69,15 @@ fn main() {
         });
     }
 
-    println!(
-        "Figure 3 — memory sweep for transcode ({work} at input {input}), deadline budget {budget} (seed {seed})\n",
+    let mut out = format!(
+        "Figure 3 — memory sweep for transcode ({work} at input {input}), deadline budget {budget} (seed {seed})\n\n",
         input = input,
     );
-    table.print();
-    println!();
+    out.push_str(&table.render());
+    outln!(out);
     let cheapest = points.iter().min_by_key(|p| p.cost).expect("non-empty");
-    println!(
+    outln!(
+        out,
         "shape: pick {} meets budget: {} | pick within {} of the global cheapest | frontier has {} of {} points",
         pick.memory,
         pick.exec <= budget,
@@ -84,6 +85,5 @@ fn main() {
         frontier.len(),
         points.len(),
     );
-    let path = write_json("fig3_memory_pareto", &series);
-    println!("series written to {}", path.display());
+    Report::new(out, &series)
 }

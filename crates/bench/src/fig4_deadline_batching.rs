@@ -6,7 +6,7 @@
 //! saving; savings grow with slack (cold starts amortise over warm
 //! batches) and saturate once windows exceed the keep-alive TTL.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -26,8 +26,8 @@ struct Point {
     mean_hold_s: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(24);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
@@ -36,7 +36,7 @@ fn main() {
 
     let factors = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0];
     let series: Vec<Point> =
-        run_sweep_with(&factors, threads_from_args(), RunScratch::new, |scratch, &factor, _| {
+        run_sweep_with(&factors, threads, RunScratch::new, |scratch, &factor, _| {
             let specs =
                 [StreamSpec::poisson(Archetype::ReportRendering, 0.005).with_slack_factor(factor)];
             let rb =
@@ -72,15 +72,17 @@ fn main() {
         ]);
     }
 
-    println!("Figure 4 — batching saving vs deadline slack over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Figure 4 — batching saving vs deadline slack over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let zero = &series[0];
     let best = series
         .iter()
         .max_by(|a, b| a.saving_pct.partial_cmp(&b.saving_pct).expect("finite"))
         .expect("non-empty");
-    println!(
+    outln!(
+        out,
         "shape: zero slack saves {} | peak saving {} at {}x slack | batching never misses a deadline: {}",
         pct(zero.saving_pct / 100.0),
         pct(best.saving_pct / 100.0),
@@ -89,6 +91,5 @@ fn main() {
         // infeasible for any policy).
         series.iter().skip(1).all(|p| p.misses_batched == 0),
     );
-    let path = write_json("fig4_deadline_batching", &series);
-    println!("series written to {}", path.display());
+    Report::new(out, &series)
 }

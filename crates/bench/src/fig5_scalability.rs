@@ -6,7 +6,7 @@
 //! capacity — queueing blows up the p95 and deadline misses appear —
 //! while the serverless platform scales out ~linearly.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -23,8 +23,8 @@ struct Point {
     miss_rate: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(2);
     let per_user_rate = 0.002; // one log batch per user every ~8 minutes
 
@@ -37,11 +37,8 @@ fn main() {
         .iter()
         .flat_map(|&u| [OffloadPolicy::EdgeAll, OffloadPolicy::CloudAll].map(|p| (u, p)))
         .collect();
-    let series: Vec<Point> = run_sweep_with(
-        &grid,
-        threads_from_args(),
-        RunScratch::new,
-        |scratch, (users, policy), _| {
+    let series: Vec<Point> =
+        run_sweep_with(&grid, threads, RunScratch::new, |scratch, (users, policy), _| {
             let rate = f64::from(*users) * per_user_rate;
             // Tighter-than-typical slack so saturation shows up as misses.
             let specs =
@@ -58,8 +55,7 @@ fn main() {
                 p95_s: p95,
                 miss_rate: r.miss_rate(),
             }
-        },
-    );
+        });
     let mut table = Table::new(["users", "rate/s", "policy", "jobs", "p50", "p95", "miss rate"]);
     for p in &series {
         table.row([
@@ -73,15 +69,16 @@ fn main() {
         ]);
     }
 
-    println!("Figure 5 — load scalability over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out = format!("Figure 5 — load scalability over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let max_users = *user_counts.last().expect("non-empty");
     let edge_hi =
         series.iter().find(|p| p.users == max_users && p.policy == "edge-all").expect("present");
     let cloud_hi =
         series.iter().find(|p| p.users == max_users && p.policy == "cloud-all").expect("present");
-    println!(
+    outln!(
+        out,
         "shape: at {} users edge p95 {}s vs cloud p95 {}s | edge miss rate {} vs cloud {}",
         max_users,
         f3(edge_hi.p95_s),
@@ -89,6 +86,5 @@ fn main() {
         pct(edge_hi.miss_rate),
         pct(cloud_hi.miss_rate),
     );
-    let path = write_json("fig5_scalability", &series);
-    println!("series written to {}", path.display());
+    Report::new(out, &series)
 }

@@ -5,7 +5,7 @@
 //! removal degrades cost and/or deadline behaviour; the full system
 //! dominates (or ties) all ablations.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -23,8 +23,8 @@ struct Row {
     device_energy_j: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(24);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
@@ -49,7 +49,7 @@ fn main() {
     ];
 
     let rows: Vec<Row> =
-        run_sweep_with(&variants, threads_from_args(), RunScratch::new, |scratch, policy, _| {
+        run_sweep_with(&variants, threads, RunScratch::new, |scratch, policy, _| {
             let r = engine.run_retained(seed, policy, &specs, horizon, scratch, JobRetention::Full);
             let p95 = r.latency_summary().map(|s| s.p95).unwrap_or(0.0);
             Row {
@@ -73,9 +73,9 @@ fn main() {
         ]);
     }
 
-    println!("Figure 6 — ablation over {horizon}, mixed stream (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out = format!("Figure 6 — ablation over {horizon}, mixed stream (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let full = &rows[0];
     // A removal "degrades" the system if it is worse on cost, misses, or
     // tail latency by a meaningful margin; the full system should never be
@@ -90,13 +90,13 @@ fn main() {
             && r.miss_rate <= full.miss_rate
             && r.p95_s <= full.p95_s
     });
-    println!(
+    outln!(
+        out,
         "shape: ablations degrading at least one axis: {}/{} | full system strictly dominated by an ablation: {} | full miss rate {}",
         rows.iter().skip(1).filter(|r| degraded(r)).count(),
         rows.len() - 1,
         dominated_by_ablation,
         pct(full.miss_rate),
     );
-    let path = write_json("fig6_ablation", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

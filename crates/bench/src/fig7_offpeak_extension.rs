@@ -9,7 +9,7 @@
 //! device energy than plain windowed batching, at the price of latency the
 //! workload tolerates by definition — and still zero deadline misses.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch,
 };
@@ -28,8 +28,8 @@ struct Row {
     mean_hold_min: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(48);
     let engine = Engine::new(Environment::metro_reference(), seed);
 
@@ -47,7 +47,7 @@ fn main() {
     ];
 
     let swept: Vec<(Row, Option<Vec<u64>>)> =
-        run_sweep_with(&policies, threads_from_args(), RunScratch::new, |scratch, policy, _| {
+        run_sweep_with(&policies, threads, RunScratch::new, |scratch, policy, _| {
             let r = engine.run_retained(seed, policy, &specs, horizon, scratch, JobRetention::Full);
             let profile = (policy.name() == "ntc[+offpeak]").then(|| {
                 (0..r.completions_per_hour.len().min(48))
@@ -82,12 +82,14 @@ fn main() {
         ]);
     }
 
-    println!("Figure 7 (extension) — off-peak steering over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Figure 7 (extension) — off-peak steering over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let by = |name: &str| rows.iter().find(|r| r.policy == name).expect("present");
     let (ntc, off) = (by("ntc"), by("ntc[+offpeak]"));
-    println!(
+    outln!(
+        out,
         "shape: off-peak cost ${:.4} <= windowed ${:.4}: {} | off-peak device energy {} vs {} J ({} saved) | misses: {}",
         off.total_cost_usd,
         ntc.total_cost_usd,
@@ -101,13 +103,13 @@ fn main() {
         let night: u64 =
             profile.iter().enumerate().filter(|&(h, _)| h % 24 < 7).map(|(_, &c)| c).sum();
         let total: u64 = profile.iter().sum();
-        println!(
+        outln!(
+            out,
             "completion profile: {} of {} off-peak completions land in hours 00-07 ({})",
             night,
             total,
             pct(night as f64 / total.max(1) as f64),
         );
     }
-    let path = write_json("fig7_offpeak_extension", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

@@ -9,7 +9,7 @@
 //! deadline-safe holding (which reserves for the worst outage window)
 //! keeps misses at zero.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_net::ConnectivityTrace;
@@ -26,8 +26,8 @@ struct Row {
     miss_rate: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(24);
 
     let traces: [(&str, ConnectivityTrace); 3] = [
@@ -46,7 +46,7 @@ fn main() {
         })
         .collect();
     let rows: Vec<Row> =
-        run_sweep_with(&grid, threads_from_args(), RunScratch::new, |scratch, (ti, policy), _| {
+        run_sweep_with(&grid, threads, RunScratch::new, |scratch, (ti, policy), _| {
             let (name, trace) = &traces[*ti];
             let mut env = Environment::metro_reference();
             env.connectivity = trace.clone();
@@ -77,9 +77,10 @@ fn main() {
         ]);
     }
 
-    println!("Figure 8 (extension) — connectivity outages over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Figure 8 (extension) — connectivity outages over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let find = |c: &str, p: &str| {
         rows.iter().find(|r| r.connectivity == c && r.policy == p).expect("present")
     };
@@ -88,7 +89,8 @@ fn main() {
     let cloud_flaky = find("flaky", "cloud-all");
     let cloud_on = find("always-on", "cloud-all");
     let ntc_flaky = find("flaky", "ntc");
-    println!(
+    outln!(
+        out,
         "shape: local-only immune (p95 {}s vs {}s) | cloud-all tail inflates {}s -> {}s | ntc holds through outages with {} misses",
         f3(local_on.p95_s),
         f3(local_flaky.p95_s),
@@ -96,6 +98,5 @@ fn main() {
         f3(cloud_flaky.p95_s),
         pct(ntc_flaky.miss_rate),
     );
-    let path = write_json("fig8_connectivity_extension", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

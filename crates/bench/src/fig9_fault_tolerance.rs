@@ -9,7 +9,7 @@
 //! price of extra attempts and backoff time — delay tolerance buys
 //! robustness, not just cheap latency.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{
     run_sweep_with, Engine, Environment, FailureCause, FaultConfig, JobRetention, NtcConfig,
     OffloadPolicy, RunScratch,
@@ -33,8 +33,8 @@ struct Row {
     total_cost_usd: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let horizon = SimDuration::from_hours(12);
     let rates = [0.0, 0.05, 0.10, 0.20, 0.30];
 
@@ -54,11 +54,8 @@ fn main() {
         rates.iter().flat_map(|&rate| policies.iter().map(move |p| (rate, p))).collect();
     // Each row with its injected-fault and timeout losses, which the
     // shape line reads but the committed series does not carry.
-    let (rows, losses): (Vec<Row>, Vec<(u64, u64)>) = run_sweep_with(
-        &grid,
-        threads_from_args(),
-        RunScratch::new,
-        |scratch, &(rate, policy), _| {
+    let (rows, losses): (Vec<Row>, Vec<(u64, u64)>) =
+        run_sweep_with(&grid, threads, RunScratch::new, |scratch, &(rate, policy), _| {
             let mut env = Environment::metro_reference();
             env.faults = FaultConfig::transient(rate);
             let engine = Engine::new(env, seed);
@@ -79,10 +76,9 @@ fn main() {
                 total_cost_usd: r.total_cost().as_usd_f64(),
             };
             (row, (r.lost_to(FailureCause::is_injected), r.lost_to(|c| c == FailureCause::Timeout)))
-        },
-    )
-    .into_iter()
-    .unzip();
+        })
+        .into_iter()
+        .unzip();
     let mut table = Table::new([
         "policy",
         "fault rate",
@@ -108,9 +104,9 @@ fn main() {
         ]);
     }
 
-    println!("Figure 9 — fault-rate sweep over {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out = format!("Figure 9 — fault-rate sweep over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
 
     // Shape checks: NTC keeps loss at zero across the sweep, the
     // zero-retry baselines lose a strictly positive fraction as soon as
@@ -128,9 +124,9 @@ fn main() {
         .iter()
         .filter(|r| r.fault_rate >= 0.05 && r.policy == "ntc")
         .all(|r| r.total_retries > 0);
-    println!(
+    outln!(
+        out,
         "shape: ntc lossless across sweep: {ntc_lossless} | zero-retry baselines lose jobs at every rate >= 5%: {baselines_lose} | no injected-fault losses at 0%: {fault_free_clean} (timeout losses at 0%: {fault_free_timeouts}) | ntc visibly retries under faults: {ntc_retries}",
     );
-    let path = write_json("fig9_fault_tolerance", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

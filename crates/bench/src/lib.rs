@@ -1,121 +1,93 @@
 //! # ntc-bench
 //!
-//! Experiment harness for the `ntc-offload` reproduction: one binary per
-//! table/figure of the reconstructed evaluation (see `DESIGN.md` §4).
+//! Experiment harness for the `ntc-offload` reproduction: one module per
+//! table/figure of the reconstructed evaluation (see `DESIGN.md` §4), each
+//! listed in [`EXPERIMENTS`] and run by `ntc experiment <id>`.
 //! Host-time performance is measured by `perfbench/`, not here.
 //!
-//! Every binary accepts `--seed <u64>` (default 42) and `--threads <n>`
-//! (default `NTC_THREADS`, else all cores; thread count never changes the
-//! numbers, only the wall-clock), exits with status 2 on a malformed
-//! value or any other argument, prints an aligned text table and writes
-//! the raw series as JSON under `results/` with [`write_json`]. Each
-//! binary's records derive `ntc_json::ToJson`, and the output is laid out
-//! as `serde_json`'s pretty printer lays it out, so the committed files
-//! are the format's oracle.
+//! Each module's `run(seed, threads)` returns a [`Report`]: the aligned
+//! text table and shape line, and the raw series as JSON, which the CLI
+//! writes to `results/<id>.json`. The thread count never changes the
+//! numbers, only the wall-clock. Each experiment's records derive
+//! `ntc_json::ToJson`, and the series is laid out as `serde_json`'s pretty
+//! printer lays it out, so the committed files are the format's oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-use std::fs;
-use std::path::PathBuf;
-use std::str::FromStr;
-
 use ntc_json::ToJson;
 
-pub mod overload;
-pub mod scale;
+/// `println!` into the `String` an experiment gathers its text in.
+macro_rules! outln {
+    ($out:ident) => {
+        $out.push('\n')
+    };
+    ($out:ident, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        writeln!($out, $($arg)*).expect("a String takes any text")
+    }};
+}
 
-/// An argument list an experiment binary refuses.
+/// What one experiment run produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ArgError {
-    /// A `--seed` or `--threads` value that is not a number, zero
-    /// threads, or missing (`None` when the flag ends the list).
-    Value { flag: &'static str, value: Option<String> },
-    /// An argument that is neither flag, e.g. a misspelt `--seeds`.
-    Unknown(String),
+pub struct Report {
+    /// The text it prints: tables and shape lines.
+    pub text: String,
+    /// Its series as pretty JSON, the contents of `results/<id>.json`.
+    pub series: String,
 }
 
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArgError::Value { flag, value: Some(value) } => {
-                write!(f, "invalid {flag} value `{value}`")
-            }
-            ArgError::Value { flag, value: None } => write!(f, "{flag} needs a value"),
-            ArgError::Unknown(arg) => write!(f, "unknown argument `{arg}`"),
-        }
+impl Report {
+    fn new<T: ToJson + ?Sized>(text: String, series: &T) -> Self {
+        Report { text, series: ntc_json::to_string_pretty(series) }
     }
 }
 
-/// The next argument as `flag`'s value, parsed and checked by `valid`.
-fn flag_value<'a, T: FromStr>(
-    rest: &mut impl Iterator<Item = &'a String>,
-    flag: &'static str,
-    valid: fn(&T) -> bool,
-) -> Result<T, ArgError> {
-    let value = rest.next();
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(valid)
-        .ok_or_else(|| ArgError::Value { flag, value: value.cloned() })
+/// One experiment: its id and its `run(seed, threads)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The module name, also the stem of its files under `results/`.
+    pub id: &'static str,
+    /// Runs it at a seed on a number of sweep workers.
+    pub run: fn(u64, usize) -> Report,
 }
 
-/// Parses the flags every experiment binary shares from `args` (program
-/// name first): `--seed <u64>` (default 42) and `--threads <n >= 1>`
-/// (`None` if absent). Any other argument is an error.
-pub(crate) fn parse_args(args: &[String]) -> Result<(u64, Option<usize>), ArgError> {
-    let (mut seed, mut threads) = (42, None);
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--seed" => seed = flag_value(&mut rest, "--seed", |_| true)?,
-            "--threads" => threads = Some(flag_value(&mut rest, "--threads", |&n| n > 0)?),
-            _ => return Err(ArgError::Unknown(arg.clone())),
-        }
-    }
-    Ok((seed, threads))
-}
+pub mod fig10_overload;
+pub mod fig11_scale;
+pub mod fig1_latency_crossover;
+pub mod fig2_cold_start;
+pub mod fig3_memory_pareto;
+pub mod fig4_deadline_batching;
+pub mod fig5_scalability;
+pub mod fig6_ablation;
+pub mod fig7_offpeak_extension;
+pub mod fig8_connectivity_extension;
+pub mod fig9_fault_tolerance;
+pub mod tab1_cost_comparison;
+pub mod tab2_partition_quality;
+pub mod tab3_demand_estimation;
+pub mod tab4_cicd_overhead;
+pub mod tab5_e2e_policies;
 
-/// [`parse_args`] over the process arguments; a refused argument list
-/// ends the process with status 2 and a usage message.
-fn process_args() -> (u64, Option<usize>) {
-    let args: Vec<String> = std::env::args().collect();
-    parse_args(&args).unwrap_or_else(|e| {
-        let bin = args.first().map_or("experiment", String::as_str);
-        eprintln!("error: {e}\nusage: {bin} [--seed <u64>] [--threads <n >= 1>]");
-        std::process::exit(2)
-    })
-}
-
-/// Parses `--seed <u64>` from the process arguments (default 42).
-pub fn seed_from_args() -> u64 {
-    process_args().0
-}
-
-/// Resolves the sweep worker-thread count: `--threads <n>` from the
-/// process arguments, else `NTC_THREADS`, else
-/// [`std::thread::available_parallelism`]. Thread count never changes the
-/// numbers an experiment produces — only how fast they arrive.
-pub fn threads_from_args() -> usize {
-    process_args().1.unwrap_or_else(ntc_core::default_threads)
-}
-
-/// Writes `value` as pretty JSON ([`ntc_json::to_string_pretty`]) to
-/// `results/<id>.json`, creating the directory as needed. Returns the path
-/// written.
-///
-/// # Panics
-///
-/// Panics on I/O failure — an experiment that cannot record its results
-/// should fail loudly.
-pub fn write_json<T: ToJson + ?Sized>(id: &str, value: &T) -> PathBuf {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{id}.json"));
-    fs::write(&path, ntc_json::to_string_pretty(value)).expect("write results file");
-    path
-}
+/// Every experiment, figures then tables.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment { id: "fig1_latency_crossover", run: fig1_latency_crossover::run },
+    Experiment { id: "fig2_cold_start", run: fig2_cold_start::run },
+    Experiment { id: "fig3_memory_pareto", run: fig3_memory_pareto::run },
+    Experiment { id: "fig4_deadline_batching", run: fig4_deadline_batching::run },
+    Experiment { id: "fig5_scalability", run: fig5_scalability::run },
+    Experiment { id: "fig6_ablation", run: fig6_ablation::run },
+    Experiment { id: "fig7_offpeak_extension", run: fig7_offpeak_extension::run },
+    Experiment { id: "fig8_connectivity_extension", run: fig8_connectivity_extension::run },
+    Experiment { id: "fig9_fault_tolerance", run: fig9_fault_tolerance::run },
+    Experiment { id: "fig10_overload", run: fig10_overload::run },
+    Experiment { id: "fig11_scale", run: fig11_scale::run },
+    Experiment { id: "tab1_cost_comparison", run: tab1_cost_comparison::run },
+    Experiment { id: "tab2_partition_quality", run: tab2_partition_quality::run },
+    Experiment { id: "tab3_demand_estimation", run: tab3_demand_estimation::run },
+    Experiment { id: "tab4_cicd_overhead", run: tab4_cicd_overhead::run },
+    Experiment { id: "tab5_e2e_policies", run: tab5_e2e_policies::run },
+];
 
 /// A minimal aligned-column text table for experiment output.
 #[derive(Debug, Clone)]
@@ -164,11 +136,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Formats a float with 3 significant decimals.
@@ -204,37 +171,24 @@ mod tests {
         t.row(["only-one"]);
     }
 
-    fn args(list: &[&str]) -> Vec<String> {
-        std::iter::once("bin").chain(list.iter().copied()).map(String::from).collect()
-    }
-
-    #[test]
-    fn flags_parse_or_default() {
-        assert_eq!(parse_args(&args(&["--seed", "7", "--threads", "3"])), Ok((7, Some(3))));
-        assert_eq!(parse_args(&args(&[])), Ok((42, None)));
-    }
-
-    #[test]
-    fn malformed_flags_are_rejected() {
-        let value =
-            |flag, value: Option<&str>| ArgError::Value { flag, value: value.map(Into::into) };
-        let unknown = |arg: &str| ArgError::Unknown(arg.into());
-        for (list, err) in [
-            (&["--seed", "abc"][..], value("--seed", Some("abc"))),
-            (&["--seed"], value("--seed", None)),
-            (&["--threads", "0"], value("--threads", Some("0"))),
-            (&["--threads", "x"], value("--threads", Some("x"))),
-            (&["--quick"], unknown("--quick")),
-            (&["--smoke"], unknown("--smoke")),
-            (&["--seeds", "7"], unknown("--seeds")),
-        ] {
-            assert_eq!(parse_args(&args(list)), Err(err));
-        }
-    }
-
     #[test]
     fn formatting_helpers() {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.1234), "12.3%");
+    }
+
+    #[test]
+    fn every_experiment_module_is_listed_once() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .expect("the crate's src directory")
+            .map(|entry| entry.expect("a directory entry").file_name().into_string().unwrap())
+            .filter_map(|name| name.strip_suffix(".rs").map(str::to_owned))
+            .filter(|stem| stem != "lib")
+            .collect();
+        let mut ids: Vec<String> = EXPERIMENTS.iter().map(|e| e.id.to_owned()).collect();
+        files.sort();
+        ids.sort();
+        assert_eq!(ids, files);
     }
 }

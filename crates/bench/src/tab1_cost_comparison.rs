@@ -11,7 +11,7 @@
 //! traffic density until the pre-paid edge fleet becomes cheaper per job
 //! than per-use FaaS.
 
-use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, Report, Table};
 use ntc_core::{run_sweep_with, Engine, Environment, JobRetention, OffloadPolicy, RunScratch};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -56,8 +56,8 @@ fn per_1k(cost_usd: f64, jobs: usize) -> f64 {
     }
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     // Always span a full diurnal day.
     let horizon = SimDuration::from_hours(24);
     let env = Environment::metro_reference();
@@ -72,7 +72,6 @@ fn main() {
 
     // --- Panel (a): per-archetype. Each (archetype, policy) cell is an
     // independent simulation, so the whole panel fans out at once. ---
-    let threads = threads_from_args();
     let cells: Vec<(Archetype, &OffloadPolicy)> =
         Archetype::all().into_iter().flat_map(|a| policies.iter().map(move |p| (a, p))).collect();
     let cell_results: Vec<(usize, f64)> =
@@ -122,14 +121,15 @@ fn main() {
         });
     }
 
-    println!("Table 1a — cost per 1000 jobs over {horizon} (seed {seed})\n");
-    table.print();
+    let mut out = format!("Table 1a — cost per 1000 jobs over {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
     let faas_cheaper = rows.iter().filter(|r| r.cloud_per_1k < r.edge_per_1k).count();
     let ntc_ok = rows
         .iter()
         .filter(|r| r.jobs >= 20) // small-sample warmer overhead is noise
         .all(|r| r.ntc_per_1k <= r.cloud_per_1k * 1.05);
-    println!(
+    outln!(
+        out,
         "\nshape (a): cloud cheaper than edge on {}/{} archetypes at this utilisation | ntc <= cloud-all (well-sampled rows): {}\n",
         faas_cheaper,
         rows.len(),
@@ -164,11 +164,12 @@ fn main() {
             if p.edge_per_1k < p.cloud_per_1k { "edge" } else { "cloud" }.into(),
         ]);
     }
-    println!("Table 1b — edge amortisation sweep, photo-pipeline over {sweep_horizon}\n");
-    tb.print();
+    outln!(out, "Table 1b — edge amortisation sweep, photo-pipeline over {sweep_horizon}\n");
+    out.push_str(&tb.render());
     let first = &sweep[0];
     let last = sweep.last().expect("non-empty");
-    println!(
+    outln!(
+        out,
         "\nshape (b): sparse traffic favours cloud ({} vs {} $/1k) | dense traffic amortises the edge ({} vs {} $/1k)",
         f3(first.edge_per_1k),
         f3(first.cloud_per_1k),
@@ -181,7 +182,5 @@ fn main() {
         per_archetype: Vec<Row>,
         amortisation_sweep: Vec<SweepPoint>,
     }
-    let path =
-        write_json("tab1_cost_comparison", &Out { per_archetype: rows, amortisation_sweep: sweep });
-    println!("series written to {}", path.display());
+    Report::new(out, &Out { per_archetype: rows, amortisation_sweep: sweep })
 }

@@ -6,7 +6,7 @@
 //! greedy lands within ~10–20 %; naive full-offload pays the transfer
 //! penalty; keep-local pays the device-compute penalty.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::run_sweep_with;
 use ntc_json::ToJson;
 use ntc_partition::{
@@ -47,8 +47,8 @@ fn graphs(seed: u64) -> Vec<TaskGraph> {
     gs
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let gs = graphs(seed);
     let input = DataSize::from_mib(2);
     let params = CostParams::default();
@@ -58,7 +58,7 @@ fn main() {
     // out across the pool; trait objects are not Sync, so each worker
     // builds its own roster copy once.
     let per_graph: Vec<Vec<(f64, f64, f64, f64)>> =
-        run_sweep_with(&gs, threads_from_args(), standard_roster, |roster, g, _| {
+        run_sweep_with(&gs, threads, standard_roster, |roster, g, _| {
             let ctx = PartitionContext::new(g, input, params);
             let opt = ctx.evaluate(&ExhaustivePartitioner.partition(&ctx)).weighted;
             roster
@@ -116,18 +116,18 @@ fn main() {
         });
     }
 
-    println!("Table 2 — partition quality on {} graphs (seed {seed})\n", gs.len());
-    table.print();
-    println!();
+    let mut out = format!("Table 2 — partition quality on {} graphs (seed {seed})\n\n", gs.len());
+    out.push_str(&table.render());
+    outln!(out);
     let mincut = rows.iter().find(|r| r.algorithm == "min-cut").expect("present");
     let greedy = rows.iter().find(|r| r.algorithm == "greedy").expect("present");
     let full = rows.iter().find(|r| r.algorithm == "full-offload").expect("present");
-    println!(
+    outln!(
+        out,
         "shape: min-cut optimal on {} of graphs | greedy within {} on average | full-offload moves {:.0}x the bytes of min-cut",
         pct(mincut.optimal_rate),
         pct(greedy.mean_gap_pct / 100.0),
         full.mean_bytes_moved_kib / mincut.mean_bytes_moved_kib.max(1e-9),
     );
-    let path = write_json("tab2_partition_quality", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

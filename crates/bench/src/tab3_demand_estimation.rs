@@ -6,7 +6,7 @@
 //! with input size (video, logs), EWMA where it does not (inference), and
 //! the hybrid is never far from the better of the two.
 
-use ntc_bench::{f3, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, Report, Table};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
 use ntc_profiler::{evaluate, EstimatorKind};
@@ -40,34 +40,33 @@ fn trace(a: Archetype, n: usize, seed: u64) -> Vec<(DataSize, Cycles)> {
         .collect()
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let n = 10_000;
 
     // One sweep point per archetype: the trace synthesis dominates, and
     // every estimator family shares the archetype's trace.
     let archetypes = Archetype::all();
-    let per_arch: Vec<(Vec<Row>, (String, f64))> =
-        run_sweep(&archetypes, threads_from_args(), |&a, _| {
-            let t = trace(a, n, seed);
-            let mut arch_rows = Vec::new();
-            let mut best: Option<(String, f64)> = None;
-            for kind in EstimatorKind::all() {
-                let mut est = kind.build();
-                let report = evaluate(est.as_mut(), &t, 20).expect("long trace");
-                if best.as_ref().is_none_or(|(_, m)| report.mape < *m) {
-                    best = Some((kind.to_string(), report.mape));
-                }
-                arch_rows.push(Row {
-                    archetype: a.name().into(),
-                    estimator: kind.to_string(),
-                    mape_pct: report.mape,
-                    p95_ape_pct: report.p95_ape,
-                    underestimate_rate: report.underestimate_rate,
-                });
+    let per_arch: Vec<(Vec<Row>, (String, f64))> = run_sweep(&archetypes, threads, |&a, _| {
+        let t = trace(a, n, seed);
+        let mut arch_rows = Vec::new();
+        let mut best: Option<(String, f64)> = None;
+        for kind in EstimatorKind::all() {
+            let mut est = kind.build();
+            let report = evaluate(est.as_mut(), &t, 20).expect("long trace");
+            if best.as_ref().is_none_or(|(_, m)| report.mape < *m) {
+                best = Some((kind.to_string(), report.mape));
             }
-            (arch_rows, best.expect("estimators ran"))
-        });
+            arch_rows.push(Row {
+                archetype: a.name().into(),
+                estimator: kind.to_string(),
+                mape_pct: report.mape,
+                p95_ape_pct: report.p95_ape,
+                underestimate_rate: report.underestimate_rate,
+            });
+        }
+        (arch_rows, best.expect("estimators ran"))
+    });
     let mut rows = Vec::new();
     let mut table = Table::new(["archetype", "estimator", "MAPE %", "p95 APE %", "under-rate"]);
     for (arch_rows, (bname, bmape)) in per_arch {
@@ -91,19 +90,20 @@ fn main() {
         ]);
     }
 
-    println!("Table 3 — demand-estimation accuracy over {n} invocations (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Table 3 — demand-estimation accuracy over {n} invocations (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let mape_of = |arch: &str, est: &str| {
         rows.iter().find(|r| r.archetype == arch && r.estimator == est).expect("present").mape_pct
     };
-    println!(
+    outln!(
+        out,
         "shape: regression beats ewma on input-correlated video ({} vs {}) | ewma competitive on inference ({} vs {}) | hybrid tracks the winner",
         f3(mape_of("video-transcode", "regression")),
         f3(mape_of("video-transcode", "ewma")),
         f3(mape_of("ml-inference", "ewma")),
         f3(mape_of("ml-inference", "regression")),
     );
-    let path = write_json("tab3_demand_estimation", &rows);
-    println!("series written to {}", path.display());
+    Report::new(out, &rows)
 }

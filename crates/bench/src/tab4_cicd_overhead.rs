@@ -7,7 +7,7 @@
 //! and rollback keeps the previous plan live; healthy releases are not
 //! falsely rolled back.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_cicd::{Outcome, Pipeline, ReleaseSpec, Stage};
 use ntc_core::run_sweep;
 use ntc_json::ToJson;
@@ -68,14 +68,14 @@ fn run_variant(offloading: bool, releases: u32, seed: u64) -> Summary {
     }
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let releases = 50;
     // Each variant is an independent 50-release pipeline replay; the two
     // run side by side on the sweep pool.
     let variants = [true, false];
     let [with, without]: [Summary; 2] =
-        run_sweep(&variants, threads_from_args(), |&o, _| run_variant(o, releases, seed))
+        run_sweep(&variants, threads, |&o, _| run_variant(o, releases, seed))
             .try_into()
             .expect("two variants");
 
@@ -100,11 +100,14 @@ fn main() {
         ]);
     }
 
-    println!("Table 4 — pipeline overhead and canary safety, {releases} releases (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out = format!(
+        "Table 4 — pipeline overhead and canary safety, {releases} releases (seed {seed})\n\n"
+    );
+    out.push_str(&table.render());
+    outln!(out);
     let overhead = with.mean_duration_min - without.mean_duration_min;
-    println!(
+    outln!(
+        out,
         "shape: offload stages add {} min/release ({} of which is profiling budget) | canary catch rate {} | false rollbacks {}",
         f3(overhead),
         pct(with.profile_share_pct / 100.0),
@@ -115,6 +118,5 @@ fn main() {
         }),
         with.false_rollbacks,
     );
-    let path = write_json("tab4_cicd_overhead", &[without, with]);
-    println!("series written to {}", path.display());
+    Report::new(out, &[without, with])
 }

@@ -8,7 +8,7 @@
 //! the "developer-friendly approach" pays no penalty where it does not
 //! matter.
 
-use ntc_bench::{f3, pct, seed_from_args, threads_from_args, write_json, Table};
+use crate::{f3, pct, Report, Table};
 use ntc_core::{across, run_replications, Environment, OffloadPolicy};
 use ntc_json::ToJson;
 use ntc_simcore::units::SimDuration;
@@ -27,8 +27,8 @@ struct Row {
     bytes_up_mib: f64,
 }
 
-fn main() {
-    let seed = seed_from_args();
+/// Runs the experiment at `seed` on `threads` sweep workers.
+pub fn run(seed: u64, threads: usize) -> Report {
     let (horizon, reps) = (SimDuration::from_hours(24), 5u32);
     let env = Environment::metro_reference();
 
@@ -49,7 +49,6 @@ fn main() {
         OffloadPolicy::ntc(),
     ];
 
-    let threads = threads_from_args();
     let mut rows = Vec::new();
     let mut ntc_breakdown = Vec::new();
     let mut table = Table::new([
@@ -99,12 +98,14 @@ fn main() {
         });
     }
 
-    println!("Table 5 — end-to-end policies, {reps} replications x {horizon} (seed {seed})\n");
-    table.print();
-    println!();
+    let mut out =
+        format!("Table 5 — end-to-end policies, {reps} replications x {horizon} (seed {seed})\n\n");
+    out.push_str(&table.render());
+    outln!(out);
     let by = |name: &str| rows.iter().find(|r| r.policy == name).expect("present");
     let (local, edge, cloud, ntc) = (by("local-only"), by("edge-all"), by("cloud-all"), by("ntc"));
-    println!(
+    outln!(
+        out,
         "shape: ntc cost ${:.4} <= cloud-all ${:.4}: {} | ntc miss rate {} vs edge {} | ntc device energy {:.0} J << local {:.0} J: {}",
         ntc.total_cost_usd,
         cloud.total_cost_usd,
@@ -115,7 +116,8 @@ fn main() {
         local.device_energy_j,
         ntc.device_energy_j < local.device_energy_j / 2.0,
     );
-    println!(
+    outln!(
+        out,
         "
 per-archetype under ntc (replication 0):"
     );
@@ -131,14 +133,12 @@ per-archetype under ntc (replication 0):"
             format!("{:.1}min", b.mean_hold_s / 60.0),
         ]);
     }
-    bt.print();
+    out.push_str(&bt.render());
 
     #[derive(ToJson)]
     struct Out {
         policies: Vec<Row>,
         ntc_by_archetype: Vec<ntc_core::report::ArchetypeBreakdown>,
     }
-    let path =
-        write_json("tab5_e2e_policies", &Out { policies: rows, ntc_by_archetype: ntc_breakdown });
-    println!("series written to {}", path.display());
+    Report::new(out, &Out { policies: rows, ntc_by_archetype: ntc_breakdown })
 }

@@ -5,14 +5,19 @@
 //! $ ntc simulate --archetype photo-pipeline --policy ntc --rate 0.02 --hours 4
 //! $ ntc compare  --archetype report-rendering --rate 0.01 --hours 24
 //! $ ntc plan     --archetype sci-sweep --policy ntc --rate 0.002
+//! $ ntc experiments
+//! $ ntc experiment fig3_memory_pareto --seed 42
 //! ```
 //!
 //! Output goes through one locked stdout. A reader that closes the pipe
 //! early (`ntc plan | head -1`) ends the command quietly, with status 0.
 
+use std::fs;
 use std::io::{self, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
+use ntc_bench::{Experiment, EXPERIMENTS};
 use ntc_core::{deploy, Engine, Environment, JobRetention, NtcConfig, OffloadPolicy, RunScratch};
 use ntc_simcore::rng::RngStream;
 use ntc_simcore::units::SimDuration;
@@ -105,15 +110,16 @@ impl Args {
 /// Why a subcommand stopped early.
 #[derive(Debug)]
 enum Failure {
-    /// A bad command line: printed as `error: …`, status 1.
-    Usage(String),
+    /// A bad command line, or a results file that could not be written:
+    /// printed as `error: …`, status 1.
+    Message(String),
     /// Writing the output failed.
     Io(io::Error),
 }
 
 impl From<String> for Failure {
     fn from(e: String) -> Self {
-        Failure::Usage(e)
+        Failure::Message(e)
     }
 }
 
@@ -269,10 +275,41 @@ fn cmd_plan(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
+/// `experiment`'s command line: the experiment, `--seed` (42 if absent)
+/// and `--threads` (at least 1, [`ntc_core::default_threads`] if absent).
+fn parse_experiment(rest: &[String]) -> Result<(&'static Experiment, u64, usize), String> {
+    let (id, flags) = rest.split_first().ok_or("experiment needs an id (see `ntc experiments`)")?;
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|e| e.id == id)
+        .ok_or_else(|| format!("unknown experiment '{id}' (see `ntc experiments`)"))?;
+    let args = Args::parse(flags, EXPERIMENT_FLAGS)?;
+    let seed = args.u64_or("seed", 42)?;
+    match args.u64_or("threads", ntc_core::default_threads() as u64)? {
+        0 => Err("--threads: '0' is not a positive integer".into()),
+        threads => Ok((experiment, seed, threads as usize)),
+    }
+}
+
+/// Runs an experiment, prints its text and writes its series to
+/// `results/<id>.json`.
+fn cmd_experiment(rest: &[String], out: &mut impl Write) -> Result<(), Failure> {
+    let (experiment, seed, threads) = parse_experiment(rest)?;
+    let report = (experiment.run)(seed, threads);
+    out.write_all(report.text.as_bytes())?;
+    let path = Path::new("results").join(format!("{}.json", experiment.id));
+    fs::create_dir_all("results")
+        .and_then(|()| fs::write(&path, &report.series))
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    writeln!(out, "series written to {}", path.display())?;
+    Ok(())
+}
+
 /// The flags each subcommand's usage line lists.
 const SIMULATE_FLAGS: &[&str] = &["archetype", "policy", "rate", "hours", "seed"];
 const COMPARE_FLAGS: &[&str] = &["archetype", "rate", "hours", "seed"];
 const PLAN_FLAGS: &[&str] = &["archetype", "policy", "rate", "seed"];
+const EXPERIMENT_FLAGS: &[&str] = &["seed", "threads"];
 
 fn usage() -> &'static str {
     "ntc — computational offloading for non-time-critical applications
@@ -282,6 +319,8 @@ USAGE:
   ntc simulate [--archetype A] [--policy P] [--rate R] [--hours H] [--seed S]
   ntc compare  [--archetype A] [--rate R] [--hours H] [--seed S]
   ntc plan     [--archetype A] [--policy P] [--rate R] [--seed S]
+  ntc experiments
+  ntc experiment <id> [--seed S] [--threads N]
 
 POLICIES: local-only | edge-all | cloud-all | ntc | ntc+offpeak"
 }
@@ -293,6 +332,8 @@ fn run(cmd: &str, rest: &[String], out: &mut impl Write) -> Result<(), Failure> 
         "simulate" => cmd_simulate(&Args::parse(rest, SIMULATE_FLAGS)?, out)?,
         "compare" => cmd_compare(&Args::parse(rest, COMPARE_FLAGS)?, out)?,
         "plan" => cmd_plan(&Args::parse(rest, PLAN_FLAGS)?, out)?,
+        "experiments" => EXPERIMENTS.iter().try_for_each(|e| writeln!(out, "{}", e.id))?,
+        "experiment" => cmd_experiment(rest, out)?,
         "help" | "--help" | "-h" => writeln!(out, "{}", usage())?,
         other => return Err(format!("unknown command '{other}'\n\n{}", usage()).into()),
     }
@@ -313,7 +354,7 @@ fn main() -> ExitCode {
             eprintln!("error: writing output: {e}");
             ExitCode::FAILURE
         }
-        Err(Failure::Usage(e)) => {
+        Err(Failure::Message(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -322,7 +363,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{Args, SimDuration, COMPARE_FLAGS, PLAN_FLAGS, SIMULATE_FLAGS};
+    use super::{parse_experiment, Args, SimDuration, COMPARE_FLAGS, PLAN_FLAGS, SIMULATE_FLAGS};
 
     fn args(raw: &[&str], allowed: &[&str]) -> Result<Args, String> {
         let raw: Vec<String> = raw.iter().map(|a| a.to_string()).collect();
@@ -410,5 +451,41 @@ mod tests {
     fn rate_accepts_zero_and_defaults_when_absent() {
         assert_eq!(rate("0"), Ok(0.0));
         assert_eq!(args(&[], SIMULATE_FLAGS).unwrap().rate(), Ok(0.02));
+    }
+
+    fn experiment(raw: &[&str]) -> Result<(&'static str, u64, usize), String> {
+        let raw: Vec<String> = raw.iter().map(|a| a.to_string()).collect();
+        parse_experiment(&raw).map(|(e, seed, threads)| (e.id, seed, threads))
+    }
+
+    #[test]
+    fn flags_parse_or_default() {
+        let id = "fig3_memory_pareto";
+        assert_eq!(experiment(&[id, "--seed", "7", "--threads", "3"]), Ok((id, 7, 3)));
+        assert_eq!(experiment(&[id]), Ok((id, 42, ntc_core::default_threads())));
+    }
+
+    #[test]
+    fn malformed_flags_are_rejected() {
+        let takes = "(takes --seed, --threads)";
+        for (raw, err) in [
+            (&["--seed", "abc"][..], "--seed: 'abc' is not an integer".to_string()),
+            (&["--seed"], "--seed needs a value".into()),
+            (&["--threads", "0"], "--threads: '0' is not a positive integer".into()),
+            (&["--threads", "x"], "--threads: 'x' is not an integer".into()),
+            (&["--quick"], format!("unknown flag '--quick' {takes}")),
+            (&["--smoke"], format!("unknown flag '--smoke' {takes}")),
+            (&["--seeds", "7"], format!("unknown flag '--seeds' {takes}")),
+            (&["--seed", "1", "--seed", "1"], "--seed given twice".into()),
+        ] {
+            let raw: Vec<&str> =
+                std::iter::once("fig3_memory_pareto").chain(raw.iter().copied()).collect();
+            assert_eq!(experiment(&raw), Err(err));
+        }
+        assert_eq!(
+            experiment(&["no_such_id"]),
+            Err("unknown experiment 'no_such_id' (see `ntc experiments`)".into())
+        );
+        assert!(experiment(&[]).is_err());
     }
 }

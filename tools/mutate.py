@@ -16,26 +16,38 @@ in list order.
 
 Each mutant meets the checks in this order, and its fate is the first that
 notices it: `killed` by a tier-1 test (`cargo test -q --offline`, named),
-`figure` (an experiment binary other than fig11 at --seed 42 rewrites its
-committed results/ file or log), `digest` (a perfbench sim_digest moves: one
-1 s op per workload at seed 42), else `survived` (`equivalent` when the list
-says so). The copy and its builds live under DIR (default target/mutate), so
-a rerun builds incrementally. Exits 1 if a pattern does not match exactly
-once, a mutant does not build, or one that is not marked equivalent gets past
-every gated check (fate `digest` or `survived`: no test and no figure sees
-it).
+`figure` (`ntc experiment <id> --seed 42`, for every id `ntc experiments`
+lists but fig11_scale, rewrites its committed results/ file or log),
+`digest` (a perfbench sim_digest moves: one 1 s op per workload at seed 42),
+else `survived` (`equivalent` when the list says so). Before the first
+mutant, the unmutated copy is built and checked the same way, and its timed
+tier-1 run and figure pass set the bounds: a mutant's tier-1 run or figure
+pass that takes more than three times as long, and over a minute, is
+`killed: timeout`. The copy and its builds live under DIR (default
+target/mutate), so a rerun builds incrementally. Exits 1 if a pattern does not match exactly once, the
+unmutated copy fails a check, a mutant does not build, or one that is not
+marked equivalent gets past every gated check (fate `digest` or `survived`:
+no test and no figure sees it).
 """
 
 import argparse
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mixed_day", "overload_4x", "scale_100k")
+# How many times the unmutated copy's tier-1 run or figure pass a mutant's
+# may take, and the least it is given, so that a busy host does not pass a
+# slow survivor off as killed.
+SLACK, MIN_BOUND = 3, 60
+# perfbench/run.py builds perfbench within this bound too.
+DIGEST_TIMEOUT = 1800
 
 
 def mutants():
@@ -47,45 +59,59 @@ def mutants():
     return out
 
 
-def run(cmd, cwd, target, timeout=1800):
+def run(cmd, cwd, target, timeout=None):
+    """Runs `cmd`; returns its status (None on a timeout), stdout and stderr.
+    A timeout kills the whole process group, so a test binary that cargo
+    started does not outlive it."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
-    try:
-        p = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
-        return p.returncode, p.stdout, p.stderr
-    except subprocess.TimeoutExpired:
-        return None, "", "timed out"
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as p:
+        try:
+            out, err = p.communicate(timeout=timeout)
+            return p.returncode, out, err
+        except subprocess.TimeoutExpired:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.communicate()
+            return None, "", "timed out"
 
 
-def tier1(tree, target):
-    code, out, err = run(["cargo", "test", "-q", "--offline"], tree, target)
+def tier1(tree, target, bound):
+    """The tier-1 fate, and how long the tests took once built."""
+    if run(["cargo", "test", "--no-run", "-q", "--offline"], tree, target)[0]:
+        return "build error", 0
+    start = time.monotonic()
+    code, out, err = run(["cargo", "test", "-q", "--offline"], tree, target, bound)
+    took = time.monotonic() - start
     if code == 0:
-        return None
+        return None, took
     if code is None:
-        return "killed: timeout"
-    if "could not compile" in err:
-        return "build error"
+        return "killed: timeout", took
     tests = sorted(set(re.findall(r"^---- (\S+) stdout ----", out, re.M)))
     where = re.findall(r"test failed, to rerun pass `([^`]*)`", err)
-    return f"killed: {' '.join(tests) or 'a test binary'} ({' '.join(where)})"
+    return f"killed: {' '.join(tests) or 'a test binary'} ({' '.join(where)})", took
 
 
-def figures(tree, target, scratch):
-    if run(["cargo", "build", "--release", "--offline", "-q", "-p", "ntc-bench"], tree, target)[0]:
-        return "build error"
+def figures(tree, target, scratch, bound):
+    """The figure fate, and how long the experiments took once built."""
+    if run(["cargo", "build", "--release", "--offline", "-q", "--bin", "ntc"], tree, target)[0]:
+        return "build error", 0
+    ntc = str(target / "release" / "ntc")
+    ids = [i for i in run([ntc, "experiments"], tree, target)[1].split() if i != "fig11_scale"]
+    start = time.monotonic()
     moved = []
-    for src in sorted((tree / "crates/bench/src/bin").glob("*.rs")):
-        if src.stem == "fig11_scale":
-            continue
+    for i in ids:
         shutil.rmtree(scratch, ignore_errors=True)
         scratch.mkdir(parents=True)
-        binary = str(target / "release" / src.stem)
-        p = subprocess.run([binary, "--seed", "42"], cwd=scratch, capture_output=True, text=True)
-        made = scratch / "results" / f"{src.stem}.json"
-        if (p.returncode != 0 or not made.is_file()
-                or p.stdout != (tree / f"results/logs/{src.stem}.txt").read_text()
-                or made.read_bytes() != (tree / f"results/{src.stem}.json").read_bytes()):
-            moved.append(src.stem)
-    return f"figure: {' '.join(moved)}" if moved else None
+        left = None if bound is None else max(bound - (time.monotonic() - start), 0.1)
+        code, out, _ = run([ntc, "experiment", i, "--seed", "42"], scratch, target, left)
+        if code is None:
+            return "killed: timeout", time.monotonic() - start
+        made = scratch / "results" / f"{i}.json"
+        if (code != 0 or not made.is_file()
+                or out != (tree / f"results/logs/{i}.txt").read_text()
+                or made.read_bytes() != (tree / f"results/{i}.json").read_bytes()):
+            moved.append(i)
+    return (f"figure: {' '.join(moved)}" if moved else None), time.monotonic() - start
 
 
 def digests(tree, target):
@@ -93,7 +119,8 @@ def digests(tree, target):
     for w in WORKLOADS:
         cmd = ["python3", "perfbench/run.py", "--workload", w, "--seed", "42", "--seconds", "1",
                "--trace", "0"]
-        found[w] = re.findall(r"^sim_digest \S+ (\S+)$", run(cmd, tree, target)[1], re.M)
+        out = run(cmd, tree, target, DIGEST_TIMEOUT)[1]
+        found[w] = re.findall(r"^sim_digest \S+ (\S+)$", out, re.M)
     return found
 
 
@@ -115,10 +142,19 @@ def main():
     shutil.rmtree(tree, ignore_errors=True)
     files = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
                            capture_output=True, text=True, check=True).stdout.split("\0")
+    # Fresh mtimes: a copy that kept the sources' older ones would let cargo
+    # reuse what the last run built from its last mutant.
     for f in filter(None, files):
         if (ROOT / f).is_file():
             (tree / f).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / f, tree / f)
+            shutil.copy(ROOT / f, tree / f)
+    tier1_fate, tier1_took = tier1(tree, target, None)
+    figure_fate, figures_took = figures(tree, target, work / "figs", None)
+    if tier1_fate or figure_fate:
+        print(f"the unmutated copy fails: {tier1_fate or figure_fate}")
+        return 1
+    bounds = (max(SLACK * tier1_took, MIN_BOUND), max(SLACK * figures_took, MIN_BOUND))
+    print(f"bounds: tier-1 {bounds[0]:.0f} s, figures {bounds[1]:.0f} s", flush=True)
     baseline = digests(tree, work / "bench")
     print("baseline", " ".join(f"{w} {d}" for w, d in baseline.items()), flush=True)
     only = {int(n) for n in args.only.split(",")} if args.only else None
@@ -130,7 +166,8 @@ def main():
         line = original[: original.index(pattern)].count("\n") + 1
         (tree / file).write_text(original.replace(pattern, replacement))
         try:
-            fate = tier1(tree, target) or figures(tree, target, work / "figs")
+            fate = (tier1(tree, target, bounds[0])[0]
+                    or figures(tree, target, work / "figs", bounds[1])[0])
             if fate is None:
                 moved = [w for w, d in digests(tree, work / "bench").items() if d != baseline[w]]
                 fate = f"digest: {' '.join(moved)}" if moved else None
